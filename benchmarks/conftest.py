@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.android.apps import CHASE
+from repro.android.apps import app
 from repro.android.os_config import default_config
 
 #: Multiplier on batch sizes (REPRO_BENCH_SCALE=10 approximates the paper).
@@ -37,7 +37,7 @@ def config():
 
 @pytest.fixture(scope="session")
 def chase():
-    return CHASE
+    return app("chase")
 
 
 def run_once(benchmark, fn):

@@ -13,37 +13,32 @@
 
 from conftest import run_once, scaled
 from repro.analysis.experiments import run_credential_batch, single_model_attack
-from repro.android.apps import PNC
+from repro.android.apps import app
 from repro.core.pipeline import simulate_credential_entry
-from repro.mitigations.access_control import LocalOnlyPolicy, RbacPolicy
-from repro.mitigations.obfuscation import CounterObfuscationPolicy
 from repro.mitigations.popup_disable import config_with_popups_disabled
+from repro.obs import MetricsRegistry
 
 
 def test_sec92_rbac_blocks_attack(benchmark, config, chase):
-    attack = single_model_attack(config, chase)
+    attack = single_model_attack(
+        config, chase, mitigation="rbac", metrics=MetricsRegistry()
+    )
     trace = simulate_credential_entry(config, chase, "protected123", seed=93)
 
-    def attempt():
-        policy = RbacPolicy()
-        result = attack.run_on_trace(trace, seed=930, access_policy=policy)
-        return policy, result
-
-    policy, result = run_once(benchmark, attempt)
+    result = run_once(benchmark, lambda: attack.run_on_trace(trace, seed=930))
+    denials = result.manifest.counters["mitigation.denials"]
     # EACCES permanently masks every counter: the attack survives but
     # recovers nothing (blind sampling, degraded result).
     assert result.text == "", "SELinux whitelisting must deny the counter ioctls"
     assert result.degraded
-    assert policy.denials >= 1
-    print(f"\nSection 9.2 — RBAC: attack blinded with EACCES after {policy.denials} denial(s)")
+    assert denials >= 1
+    print(f"\nSection 9.2 — RBAC: attack blinded with EACCES after {denials} denial(s)")
 
 
 def test_sec92_local_only_blinds_attack(benchmark, config, chase):
-    attack = single_model_attack(config, chase)
+    attack = single_model_attack(config, chase, mitigation="local-only")
     trace = simulate_credential_entry(config, chase, "protected456", seed=94)
-    result = run_once(
-        benchmark, lambda: attack.run_on_trace(trace, seed=940, access_policy=LocalOnlyPolicy())
-    )
+    result = run_once(benchmark, lambda: attack.run_on_trace(trace, seed=940))
     print(f"\nSection 9.2 — local-only counters: inferred {result.text!r}")
     assert result.text == ""
 
@@ -77,7 +72,7 @@ def test_sec93_pnc_animation_obfuscation(benchmark, config, chase):
 
     def run():
         clean = run_credential_batch(config, chase, n_texts=n, seed=9300)
-        animated = run_credential_batch(config, PNC, n_texts=n, seed=9300)
+        animated = run_credential_batch(config, app("pnc"), n_texts=n, seed=9300)
         return clean, animated
 
     clean, animated = run_once(benchmark, run)
@@ -92,14 +87,13 @@ def test_sec93_pnc_animation_obfuscation(benchmark, config, chase):
 
 def test_sec93_value_obfuscation(benchmark, config, chase):
     attack = single_model_attack(config, chase)
+    obfuscated = single_model_attack(config, chase, mitigation="obfuscate-strong")
     text = "obfuscated99"
 
     def run():
         trace = simulate_credential_entry(config, chase, text, seed=95)
         clear = attack.run_on_trace(trace, seed=950)
-        fuzzed = attack.run_on_trace(
-            trace, seed=950, access_policy=CounterObfuscationPolicy(strength=3.0)
-        )
+        fuzzed = obfuscated.run_on_trace(trace, seed=950)
         return clear, fuzzed
 
     clear, fuzzed = run_once(benchmark, run)

@@ -15,17 +15,17 @@ Usage:
 """
 
 from repro.api import (
-    CHASE,
-    PNC,
-    CounterObfuscationPolicy,
-    LocalOnlyPolicy,
-    RbacPolicy,
+    MetricsRegistry,
+    app,
     align,
     config_with_popups_disabled,
     default_config,
     simulate_credential_entry,
     single_model_attack,
 )
+
+CHASE = app("chase")
+PNC = app("pnc")
 
 CREDENTIAL = "S3cur3&Sound"
 
@@ -60,15 +60,19 @@ def main() -> None:
     # --- RBAC / SELinux whitelist ---------------------------------------
     # EACCES permanently masks every counter: the attacking app survives
     # but samples nothing (see docs/defenses.md)
-    rbac_policy = RbacPolicy()
-    rbac = attack.run_on_trace(trace, seed=90, access_policy=rbac_policy)
+    rbac_attack = single_model_attack(
+        config, CHASE, mitigation="rbac", metrics=MetricsRegistry()
+    )
+    rbac = rbac_attack.run_on_trace(trace, seed=90)
+    denials = rbac.manifest.counters["mitigation.denials"]
     print(
         f"RBAC whitelist        : {score(CREDENTIAL, rbac.text)} "
-        f"— blinded at ioctl ({rbac_policy.denials} EACCES denials)"
+        f"— blinded at ioctl ({denials} EACCES denials)"
     )
 
     # --- local-only counters ---------------------------------------------
-    local = attack.run_on_trace(trace, seed=90, access_policy=LocalOnlyPolicy())
+    local_attack = single_model_attack(config, CHASE, mitigation="local-only")
+    local = local_attack.run_on_trace(trace, seed=90)
     print(f"local-only counters   : {score(CREDENTIAL, local.text)} — attacker sees no activity")
 
     # --- login animation (PNC) -------------------------------------------
@@ -78,9 +82,8 @@ def main() -> None:
     print(f"login animation (PNC) : {score(CREDENTIAL, pnc.text)} — paper measured ~30%")
 
     # --- driver value obfuscation ----------------------------------------
-    fuzzed = attack.run_on_trace(
-        trace, seed=90, access_policy=CounterObfuscationPolicy(strength=3.0)
-    )
+    fuzzed_attack = single_model_attack(config, CHASE, mitigation="obfuscate-strong")
+    fuzzed = fuzzed_attack.run_on_trace(trace, seed=90)
     print(f"value obfuscation     : {score(CREDENTIAL, fuzzed.text)}")
 
     print(

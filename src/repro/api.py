@@ -32,11 +32,18 @@ field, the result protocol, and the ``workers=`` semantics — lives in
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro import faults
-from repro.faults import FAULT_PROFILE_ENV, FaultInjector, FaultPlan, FaultStats
+from repro.faults import (
+    FAULT_PROFILE_ENV,
+    FAULT_SPEC,
+    FaultInjector,
+    FaultPlan,
+    FaultStats,
+)
 from repro.android.apps import (
     APP_REGISTRY,
     TARGET_APPS,
@@ -126,8 +133,10 @@ from repro.kgsl.sampler import DEFAULT_INTERVAL_S, PerfCounterSampler, SystemLoa
 from repro.lifecycle import (
     CALIBRATION_ENV,
     CALIBRATION_PROFILES,
+    CALIBRATION_SPEC,
     DRIFT_PROFILE_ENV,
     DRIFT_PROFILES,
+    DRIFT_SPEC,
     CalibrationPolicy,
     CalibrationService,
     DriftInjector,
@@ -135,16 +144,12 @@ from repro.lifecycle import (
     DriftStats,
     LifecycleReport,
     SegmentReport,
-    drift_plan_from_env,
-    resolve_calibration,
-    resolve_drift_plan,
     run_lifecycle,
 )
-from repro.mitigations.access_control import LocalOnlyPolicy, RbacPolicy
-from repro.mitigations.obfuscation import CounterObfuscationPolicy
 from repro.mitigations.policy import (
     MITIGATION_ENV,
     MITIGATION_REGISTRY,
+    MITIGATION_SPEC,
     MitigationPolicy,
     PolicyEnforcer,
     compose,
@@ -173,9 +178,6 @@ from repro.workloads.credentials import (
 #: Collision-safe alias: facade internals use this so a ``scenario=``
 #: keyword or field never shadows the lookup function.
 scenario_lookup = scenario
-
-#: Same trick for the ``mitigation=`` config field vs. the lookup.
-mitigation_lookup = mitigation
 
 #: Deprecated spec-constant re-exports → the module that still serves
 #: them (lazily, through its own ``__getattr__`` choke point).
@@ -355,9 +357,6 @@ __all__ = [
     "character_group",
     "pool_for_scenario",
     "scenario_credential",
-    "RbacPolicy",
-    "LocalOnlyPolicy",
-    "CounterObfuscationPolicy",
     "config_with_popups_disabled",
     "MitigationPolicy",
     "PolicyEnforcer",
@@ -376,13 +375,10 @@ __all__ = [
     "DriftInjector",
     "DRIFT_PROFILE_ENV",
     "DRIFT_PROFILES",
-    "drift_plan_from_env",
-    "resolve_drift_plan",
     "CalibrationPolicy",
     "CalibrationService",
     "CALIBRATION_ENV",
     "CALIBRATION_PROFILES",
-    "resolve_calibration",
     "run_lifecycle",
     "LifecycleReport",
     "SegmentReport",
@@ -392,13 +388,24 @@ __all__ = [
 ]
 
 
+#: The spec-valued :class:`AttackConfig` fields.  Each takes ``"auto"``
+#: (its environment variable), a name, a spec instance or ``None``; this
+#: table drives their validation, serialization and resolution.
+_SPEC_FIELDS = {
+    "fault_plan": FAULT_SPEC,
+    "mitigation": MITIGATION_SPEC,
+    "drift": DRIFT_SPEC,
+    "calibration": CALIBRATION_SPEC,
+}
+
+
 @dataclass(frozen=True)
 class AttackConfig:
     """Every tunable of the attack pipeline in one place.
 
     Consumed by the facade functions and the CLI; serializes round-trip
-    through :meth:`to_dict` / :meth:`from_dict` (the nested fault plan
-    serializes as its profile name, its full dict, or ``None``).
+    through :meth:`to_dict` / :meth:`from_dict` (a spec-valued field
+    serializes as its name, its full dict, or ``None``).
     """
 
     #: Attack-mode sampling interval (the paper's 8 ms).
@@ -463,13 +470,8 @@ class AttackConfig:
             )
             scenario_lookup(name)
             object.__setattr__(self, "scenario", name)
-        if isinstance(self.mitigation, str) and self.mitigation != "auto":
-            # resolve now so a typo'd policy name fails at construction
-            mitigation_lookup(self.mitigation)
-        if isinstance(self.drift, str) and self.drift != "auto":
-            DriftPlan.from_profile(self.drift)
-        if isinstance(self.calibration, str) and self.calibration != "auto":
-            CalibrationPolicy.from_profile(self.calibration)
+        for name, spec in _SPEC_FIELDS.items():
+            spec.validate(getattr(self, name))
 
     @property
     def load(self) -> SystemLoad:
@@ -490,50 +492,31 @@ class AttackConfig:
         profile, else no faults.  Explicit plans/profiles/None win over
         both, so golden parity runs pin ``fault_plan=None``.
         """
-        import os
-
         if (
             self.fault_plan == "auto"
             and self.scenario
             and not os.environ.get(FAULT_PROFILE_ENV)
         ):
-            plan = self.resolved_scenario().fault_plan()
-            return plan if plan.enabled else None
-        return faults.resolve_plan(self.fault_plan)
+            return FAULT_SPEC.resolve(self.resolved_scenario().fault_plan())
+        return self._resolved("fault_plan")
 
     def resolved_mitigation(self) -> Optional[MitigationPolicy]:
-        """The mitigation policy the run enforces.
-
-        Mirrors :meth:`resolved_fault_plan`: ``"auto"`` reads the
-        ``REPRO_MITIGATION`` environment variable (a registered policy
-        name) and otherwise resolves to ``None``; an explicit name or
-        :class:`MitigationPolicy` wins over the environment, and an
-        explicit ``None`` pins the undefended (golden-parity) pipeline.
-        """
-        import os
-
-        if isinstance(self.mitigation, MitigationPolicy):
-            return self.mitigation
-        if self.mitigation == "auto":
-            name = os.environ.get(MITIGATION_ENV, "").strip()
-            return mitigation_lookup(name) if name else None
-        if self.mitigation is None:
-            return None
-        return mitigation_lookup(self.mitigation)
+        """The mitigation policy the run enforces (``None``: undefended)."""
+        return self._resolved("mitigation")
 
     def resolved_drift_plan(self) -> Optional[DriftPlan]:
-        """The signature drift the run executes under.
-
-        ``"auto"`` reads the ``REPRO_DRIFT_PROFILE`` environment variable
-        (a drift profile name) and otherwise resolves to ``None``; an
-        explicit plan/profile wins over the environment, and an explicit
-        ``None`` pins the driftless (golden-parity) pipeline.
-        """
-        return resolve_drift_plan(self.drift)
+        """The signature drift the run executes under (``None``: none)."""
+        return self._resolved("drift")
 
     def resolved_calibration(self) -> Optional[CalibrationPolicy]:
         """The recalibration policy, or ``None`` for frozen models."""
-        return resolve_calibration(self.calibration)
+        return self._resolved("calibration")
+
+    def _resolved(self, name: str):
+        # "auto" reads the field's environment variable; an explicit
+        # name or spec wins over it, and an explicit None pins the
+        # golden-parity pipeline (see repro.registry.SpecType)
+        return _SPEC_FIELDS[name].resolve(getattr(self, name))
 
     # -- serialization --------------------------------------------------
 
@@ -541,15 +524,8 @@ class AttackConfig:
         out: Dict[str, object] = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name == "fault_plan" and isinstance(value, FaultPlan):
-                value = value.to_dict()
-            elif f.name == "mitigation" and isinstance(value, MitigationPolicy):
-                value = value.to_dict()
-            elif f.name == "drift" and isinstance(value, DriftPlan):
-                value = value.to_dict()
-            elif f.name == "calibration" and isinstance(value, CalibrationPolicy):
-                value = value.to_dict()
-            out[f.name] = value
+            spec = _SPEC_FIELDS.get(f.name)
+            out[f.name] = spec.to_json(value) if spec is not None else value
         return out
 
     @classmethod
@@ -558,19 +534,10 @@ class AttackConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown AttackConfig fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        plan = kwargs.get("fault_plan")
-        if isinstance(plan, Mapping):
-            kwargs["fault_plan"] = FaultPlan.from_dict(plan)
-        mit = kwargs.get("mitigation")
-        if isinstance(mit, Mapping):
-            kwargs["mitigation"] = MitigationPolicy.from_dict(mit)
-        drift = kwargs.get("drift")
-        if isinstance(drift, Mapping):
-            kwargs["drift"] = DriftPlan.from_dict(drift)
-        calibration = kwargs.get("calibration")
-        if isinstance(calibration, Mapping):
-            kwargs["calibration"] = CalibrationPolicy.from_dict(calibration)
+        kwargs = {
+            name: _SPEC_FIELDS[name].from_json(value) if name in _SPEC_FIELDS else value
+            for name, value in data.items()
+        }
         return cls(**kwargs)  # type: ignore[arg-type]
 
 
@@ -589,6 +556,26 @@ def _attacker(
         detect_switches=config.detect_switches,
         track_corrections=config.track_corrections,
         recover_collisions=config.recover_collisions,
+        fault_plan=config.resolved_fault_plan(),
+        metrics=metrics,
+        mitigation=config.resolved_mitigation(),
+        drift=config.resolved_drift_plan(),
+        calibration=config.resolved_calibration(),
+    )
+
+
+def _service(
+    store: ModelStore,
+    config: AttackConfig,
+    metrics: Optional[MetricsRegistry] = None,
+) -> MonitoringService:
+    """The monitoring service ``config`` describes: the serial facade and
+    every sharded worker build it here, so both enforce the same chain."""
+    return MonitoringService(
+        store,
+        idle_interval_s=config.idle_interval_s,
+        attack_interval_s=config.interval_s,
+        attack_window_s=config.attack_window_s,
         fault_plan=config.resolved_fault_plan(),
         metrics=metrics,
         mitigation=config.resolved_mitigation(),
@@ -690,7 +677,6 @@ def attack(
     seed: int = 99,
     config: Optional[AttackConfig] = None,
     model_key: Optional[str] = None,
-    access_policy=None,
     runtime_trace: Optional[RuntimeTrace] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> AttackResult:
@@ -706,7 +692,6 @@ def attack(
         load=config.load,
         seed=seed,
         model_key=model_key,
-        access_policy=access_policy,
         runtime_trace=runtime_trace,
     )
     _attach_manifest(result, metrics, config, command="attack", sessions=1)
@@ -796,18 +781,7 @@ def monitor(
             report, metrics, config, command="monitor", sessions=1, workers=workers
         )
         return report
-    service = MonitoringService(
-        store,
-        idle_interval_s=config.idle_interval_s,
-        attack_interval_s=config.interval_s,
-        attack_window_s=config.attack_window_s,
-        fault_plan=config.resolved_fault_plan(),
-        metrics=metrics,
-        mitigation=config.resolved_mitigation(),
-        drift=config.resolved_drift_plan(),
-        calibration=config.resolved_calibration(),
-    )
-    report = service.run(
+    report = _service(store, config, metrics=metrics).run(
         trace,
         load=config.load,
         seed=seed,

@@ -180,7 +180,7 @@ class CollectorClient:
         self.codec = config.codec
         self.sleep = sleep
         self.stats = ClientStats()
-        plan = faults.resolve_plan(fault_plan)
+        plan = faults.FAULT_SPEC.resolve(fault_plan)
         self._injector = (
             NetworkFaultInjector(plan, seed_offset=seed_offset) if plan else None
         )

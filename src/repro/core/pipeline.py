@@ -37,19 +37,20 @@ from repro.core.offline import OfflineTrainer
 from repro.core.online import InferredKey, OnlineEngine, OnlineResult
 from repro.core.results import warn_deprecated
 from repro.core.classifier import ClassificationModel
-from repro.kgsl.device_file import DeviceClock, KgslDeviceFile, ProcessContext, open_kgsl
+from repro.kgsl.interpose import build_chain, open_sampler
 from repro.lifecycle.calibration import (
+    CALIBRATION_SPEC,
     CalibrationPolicy,
     CalibrationService,
-    resolve_calibration,
 )
-from repro.lifecycle.drift import DriftPlan, resolve_drift_plan
+from repro.lifecycle.drift import DRIFT_SPEC, DriftPlan
 from repro.kgsl.sampler import (
     DEFAULT_INTERVAL_S,
     IDLE,
     PerfCounterSampler,
     SystemLoad,
 )
+from repro.mitigations.policy import MITIGATION_SPEC, MitigationPolicy
 from repro.obs import MetricsRegistry, RunManifest, resolve_registry
 from repro.runtime import (
     RuntimeTrace,
@@ -193,13 +194,13 @@ class AttackStage:
     def __init__(
         self,
         attack: "EavesdropAttack",
-        kgsl: KgslDeviceFile,
         sampler: PerfCounterSampler,
         model_key: Optional[str] = None,
     ) -> None:
         self.attack = attack
-        self.kgsl = kgsl
         self.sampler = sampler
+        self.kgsl = sampler.device_file
+        self.faults = self.kgsl.interposer(faults_mod.FaultInjector)
         self.metrics = attack.metrics
         self.forced_model_key = model_key
         self.model_key: Optional[str] = None
@@ -272,8 +273,7 @@ class AttackStage:
         land in the sampler's fault log.  With neither active the log is
         always empty and this returns after one attribute check.
         """
-        injector = self.sampler.fault_injector
-        if injector is None and not self.sampler.fault_log:
+        if not self.sampler.fault_log:
             return
         count_events = self.metrics.enabled
         for kind, detail in self.sampler.drain_fault_log():
@@ -284,7 +284,7 @@ class AttackStage:
 
     def on_event(self, session, t: float, delta):
         self._drain_faults(session, t)
-        if self.sampler.fault_injector is not None and getattr(delta, "degraded", False):
+        if self.faults is not None and getattr(delta, "degraded", False):
             session.mark_degraded(t, "masked_delta" if delta.missing else "gap")
         if self.engine is None:
             self._pending.append(delta)
@@ -327,35 +327,18 @@ class AttackStage:
                         model_key=self.model_key,
                         generation=refit.metadata["recalibration"]["generation"],
                     )
-        injector = self.sampler.fault_injector
         self.sampler.flush_metrics(self.metrics)
-        policy = self.kgsl.access_policy
-        if policy is not None and hasattr(policy, "flush_metrics"):
-            policy.flush_metrics(self.metrics)
-        if self.metrics.enabled and injector is not None:
-            for name, value in injector.stats.as_dict().items():
-                if value > 0:
-                    self.metrics.counter(f"faults.injected.{name}").inc(value)
-        drift = self.kgsl.drift_injector
-        if self.metrics.enabled and drift is not None:
-            for name, value in drift.stats.as_dict().items():
-                if name == "min_thermal_factor":
-                    # a level, not a count: keep the most severe factor
-                    # any session in the run reached
-                    gauge = self.metrics.gauge("drift.min_thermal_factor")
-                    if gauge.value == 0.0 or value < gauge.value:
-                        gauge.set(value)
-                elif value > 0:
-                    self.metrics.counter(f"drift.{name}").inc(int(value))
+        for stage in self.kgsl.interposers:
+            stage.flush_metrics(self.metrics)
+        faults = self.faults.stats if self.faults is not None else None
         session.result = AttackResult(
             online=online,
             model_key=self.model_key,
             recognition=self.recognition,
             reads_issued=self.sampler.reads_issued,
             reads_dropped=self.sampler.reads_dropped,
-            faults=injector.stats if injector is not None else None,
-            degraded=session.degraded
-            or (injector is not None and injector.stats.total > 0),
+            faults=faults,
+            degraded=session.degraded or (faults is not None and faults.total > 0),
             trace=session.trace,
         )
         return None
@@ -374,7 +357,7 @@ class EavesdropAttack:
         recover_collisions: bool = True,
         fault_plan: Union[faults_mod.FaultPlan, None, str] = "auto",
         metrics: Optional[MetricsRegistry] = None,
-        mitigation=None,
+        mitigation: Union[MitigationPolicy, None, str] = None,
         drift: Union[DriftPlan, None, str] = "auto",
         calibration: Union[CalibrationPolicy, None, str] = None,
     ) -> None:
@@ -386,15 +369,13 @@ class EavesdropAttack:
         self.detect_switches = detect_switches
         self.track_corrections = track_corrections
         self.recover_collisions = recover_collisions
-        self.fault_plan = faults_mod.resolve_plan(fault_plan)
-        #: Optional signature drift applied at the KGSL boundary; like
-        #: faults, resolved once here so every session shares the plan.
-        self.drift_plan = resolve_drift_plan(drift)
+        # the KGSL interposer specs: resolved once here, then every
+        # session builds its own freshly seeded chain from them
+        self.fault_plan = faults_mod.FAULT_SPEC.resolve(fault_plan)
+        self.mitigation = MITIGATION_SPEC.resolve(mitigation)
+        self.drift_plan = DRIFT_SPEC.resolve(drift)
         self.metrics = resolve_registry(metrics)
-        #: Optional :class:`~repro.mitigations.MitigationPolicy` the
-        #: victim's device enforces; each session gets a fresh enforcer.
-        self.mitigation = mitigation
-        policy = resolve_calibration(calibration)
+        policy = CALIBRATION_SPEC.resolve(calibration)
         #: Optional per-device recalibration; one service spans every
         #: session this attack runs, so suspect evidence accumulates
         #: across sessions and a re-fit carries to the next one.
@@ -419,47 +400,27 @@ class EavesdropAttack:
         load: SystemLoad = IDLE,
         seed: int = 99,
         model_key: Optional[str] = None,
-        access_policy=None,
         chunk: int = ATTACK_SOURCE_CHUNK,
     ) -> Tuple[SamplerDeltaSource, List[AttackStage]]:
         """Build the (source, stages) pair for one attack-mode session.
 
-        Opens a fresh KGSL fd on the victim timeline, wires up the 8 ms
-        sampler, and returns the runtime pieces; both
-        :meth:`run_on_trace` and the monitoring service's escalation
-        plug these into a :class:`SessionRuntime`.
+        Opens a fresh KGSL fd on the victim timeline with this attack's
+        interposer chain seeded from ``seed``, wires up the 8 ms sampler,
+        and returns the runtime pieces; both :meth:`run_on_trace` and the
+        monitoring service's escalation plug these into a
+        :class:`SessionRuntime`.
         """
-        rng = np.random.default_rng(seed)
-        injector = (
-            self.fault_plan.injector(seed_offset=seed)
-            if self.fault_plan is not None
-            else None
-        )
-        if access_policy is None and self.mitigation is not None:
-            access_policy = self.mitigation.enforcer(seed=seed)
-        drift_injector = (
-            self.drift_plan.injector(seed_offset=seed)
-            if self.drift_plan is not None
-            else None
-        )
-        kgsl = open_kgsl(
-            trace.timeline,
-            clock=DeviceClock(),
-            context=ProcessContext(),
-            access_policy=access_policy,
-            adreno_model=trace.config.gpu.model,
-            fault_injector=injector,
-            drift_injector=drift_injector,
-        )
-        sampler = PerfCounterSampler(
-            kgsl, interval_s=self.interval_s, rng=rng, fault_injector=injector
+        sampler = open_sampler(
+            trace,
+            self.interval_s,
+            np.random.default_rng(seed),
+            build_chain(self.fault_plan, self.mitigation, self.drift_plan, seed),
         )
         source = SamplerDeltaSource(
             sampler, 0.0, trace.end_time_s, load=load, chunk=chunk,
             metrics=self.metrics,
         )
-        stage = AttackStage(self, kgsl, sampler, model_key=model_key)
-        return source, [stage]
+        return source, [AttackStage(self, sampler, model_key=model_key)]
 
     def run_on_trace(
         self,
@@ -467,7 +428,6 @@ class EavesdropAttack:
         load: SystemLoad = IDLE,
         seed: int = 99,
         model_key: Optional[str] = None,
-        access_policy=None,
         runtime_trace: Optional[RuntimeTrace] = None,
     ) -> AttackResult:
         """Sample the victim timeline and infer the typed credential.
@@ -475,14 +435,14 @@ class EavesdropAttack:
         Args:
             trace: compiled victim session.
             load: concurrent CPU/GPU utilization (Section 7.3).
-            seed: RNG seed for the sampler's scheduling jitter.
+            seed: RNG seed for the sampler's scheduling jitter and for the
+                session's interposer chain.
             model_key: skip recognition and force a specific model.
-            access_policy: optional mitigation enforced at the device file.
             runtime_trace: optional shared event log to record decisions in.
         """
         runtime = SessionRuntime(trace=runtime_trace, metrics=self.metrics)
         source, stages = self.session_spec(
-            trace, load=load, seed=seed, model_key=model_key, access_policy=access_policy
+            trace, load=load, seed=seed, model_key=model_key
         )
         session = runtime.add_session(Session("attack", source, stages))
         runtime.run()

@@ -46,15 +46,11 @@ from repro.core.launch import (
 from repro.core.model_store import ModelStore
 from repro.core.online import EngineStats, InferredKey
 from repro.core.pipeline import AttackResult, EavesdropAttack
-from repro.kgsl.device_file import DeviceClock, ProcessContext, open_kgsl
-from repro.lifecycle.calibration import CalibrationPolicy
-from repro.lifecycle.drift import DriftPlan, resolve_drift_plan
-from repro.kgsl.sampler import (
-    DEFAULT_INTERVAL_S,
-    IDLE,
-    PerfCounterSampler,
-    SystemLoad,
-)
+from repro.kgsl.interpose import build_chain, open_sampler
+from repro.lifecycle.calibration import CALIBRATION_SPEC, CalibrationPolicy
+from repro.lifecycle.drift import DRIFT_SPEC, DriftPlan
+from repro.kgsl.sampler import DEFAULT_INTERVAL_S, IDLE, SystemLoad
+from repro.mitigations.policy import MITIGATION_SPEC, MitigationPolicy
 from repro.obs import MetricsRegistry, RunManifest, resolve_registry
 from repro.runtime import RuntimeTrace, SamplerDeltaSource, Session, SessionRuntime
 
@@ -112,7 +108,7 @@ class MonitoringService:
         attack_window_s: float = 60.0,
         fault_plan: Union[faults_mod.FaultPlan, None, str] = "auto",
         metrics: Optional[MetricsRegistry] = None,
-        mitigation=None,
+        mitigation: Union[MitigationPolicy, None, str] = None,
         drift: Union[DriftPlan, None, str] = "auto",
         calibration: Union[CalibrationPolicy, None, str] = None,
     ) -> None:
@@ -122,13 +118,13 @@ class MonitoringService:
         self.idle_interval_s = idle_interval_s
         self.attack_interval_s = attack_interval_s
         self.attack_window_s = attack_window_s
-        self.fault_plan = faults_mod.resolve_plan(fault_plan)
+        # the interposer chain is a property of the victim device, not
+        # of a mode: the idle watch and the attack window both carry it
+        self.fault_plan = faults_mod.FAULT_SPEC.resolve(fault_plan)
+        self.mitigation = MITIGATION_SPEC.resolve(mitigation)
+        self.drift_plan = DRIFT_SPEC.resolve(drift)
+        self.calibration = CALIBRATION_SPEC.resolve(calibration)
         self.metrics = resolve_registry(metrics)
-        self.mitigation = mitigation
-        #: Drift affects the idle watch and the attack window alike —
-        #: it is a property of the victim device, not of a mode.
-        self.drift_plan = resolve_drift_plan(drift)
-        self.calibration = calibration
 
     def run(
         self,
@@ -151,34 +147,15 @@ class MonitoringService:
             runtime_trace: optional shared event log to record the idle
                 polls, the mode switch and every engine decision in.
         """
-        rng = np.random.default_rng(seed)
-
         # --- idle watch: slow polls until the launch is confirmed -------
-        idle_injector = (
-            self.fault_plan.injector(seed_offset=seed)
-            if self.fault_plan is not None
-            else None
+        watcher = open_sampler(
+            trace,
+            self.idle_interval_s,
+            np.random.default_rng(seed),
+            build_chain(self.fault_plan, self.mitigation, self.drift_plan, seed),
         )
-        kgsl = open_kgsl(
-            trace.timeline,
-            clock=DeviceClock(),
-            context=ProcessContext(),
-            access_policy=(
-                self.mitigation.enforcer(seed=seed)
-                if self.mitigation is not None
-                else None
-            ),
-            adreno_model=trace.config.gpu.model,
-            fault_injector=idle_injector,
-            drift_injector=(
-                self.drift_plan.injector(seed_offset=seed)
-                if self.drift_plan is not None
-                else None
-            ),
-        )
-        watcher = PerfCounterSampler(
-            kgsl, interval_s=self.idle_interval_s, rng=rng, fault_injector=idle_injector
-        )
+        idle_fd = watcher.device_file
+        idle_injector = idle_fd.interposer(faults_mod.FaultInjector)
         watch_key = watch_model_key or self.store.keys()[0]
         detector = LaunchDetector(self.store.get(watch_key))
 
@@ -216,13 +193,11 @@ class MonitoringService:
         session = runtime.add_session(Session("service", source, [stage]))
         runtime.run()
 
-        # the idle watcher's tallies join the run-wide sampler rollup
-        # (the attack sampler's are flushed by its stage at session end)
+        # the idle watcher's tallies join the run-wide rollup (the attack
+        # fd's are flushed by its stage at session end)
         watcher.flush_metrics(self.metrics)
-        if self.metrics.enabled and idle_injector is not None:
-            for name, value in idle_injector.stats.as_dict().items():
-                if value > 0:
-                    self.metrics.counter(f"faults.injected.{name}").inc(value)
+        for stage in idle_fd.interposers:
+            stage.flush_metrics(self.metrics)
 
         launch: Optional[LaunchEvent] = launch_info["event"]
         if launch is None:

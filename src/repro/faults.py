@@ -39,20 +39,21 @@ Three named profiles gate the CI fault matrix (see
 from __future__ import annotations
 
 import errno
-import os
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass, fields, replace
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.kgsl.interpose import Interposer
 from repro.kgsl.ioctl import (
     IOCTL_KGSL_PERFCOUNTER_GET,
     IOCTL_KGSL_PERFCOUNTER_READ,
     IoctlError,
 )
+from repro.registry import SpecType
 
 #: Environment variable selecting the default fault profile ("none",
-#: "mild" or "harsh"); consumed by :func:`plan_from_env`.
+#: "mild" or "harsh"); read by ``fault_plan="auto"`` (:data:`FAULT_SPEC`).
 FAULT_PROFILE_ENV = "REPRO_FAULT_PROFILE"
 
 #: errno values considered *transient* — the resilient sampler retries
@@ -218,44 +219,21 @@ PROFILES: Dict[str, FaultPlan] = {
 }
 
 
-def plan_from_env(default: str = "none") -> Optional[FaultPlan]:
-    """The :class:`FaultPlan` selected by ``REPRO_FAULT_PROFILE``.
-
-    Returns ``None`` when the profile is ``none`` (or unset), so callers
-    can use the absence of a plan as "no fault machinery at all".
-    """
-    name = os.environ.get(FAULT_PROFILE_ENV, default).strip().lower() or default
-    plan = FaultPlan.from_profile(name)
-    return plan if plan.enabled else None
+#: How the public ``fault_plan`` argument resolves: ``"auto"`` reads
+#: ``REPRO_FAULT_PROFILE``, a name selects a profile, ``None`` (or a plan
+#: that cannot inject) means no fault machinery at all.
+FAULT_SPEC = SpecType(FaultPlan, FAULT_PROFILE_ENV, FaultPlan.from_profile)
 
 
-def resolve_plan(
-    fault_plan: Union["FaultPlan", None, str] = "auto",
-) -> Optional[FaultPlan]:
-    """Normalize the public ``fault_plan`` argument.
-
-    ``"auto"`` defers to :func:`plan_from_env`; a profile name selects
-    that profile; ``None`` disables faults regardless of environment; a
-    :class:`FaultPlan` is used as-is (``None`` if it cannot inject).
-    """
-    if fault_plan is None:
-        return None
-    if isinstance(fault_plan, str):
-        if fault_plan == "auto":
-            return plan_from_env()
-        plan = FaultPlan.from_profile(fault_plan)
-        return plan if plan.enabled else None
-    return fault_plan if fault_plan.enabled else None
-
-
-class FaultInjector:
+class FaultInjector(Interposer):
     """Per-device-file fault runtime built from a :class:`FaultPlan`.
 
     The injector owns its own RNG stream (independent of the sampler's
     scheduling RNG, so enabling a zero-probability plan perturbs
-    nothing) and all reclamation state.  It is consulted by
-    :class:`~repro.kgsl.device_file.KgslDeviceFile` on every ioctl and
-    by :class:`~repro.kgsl.sampler.PerfCounterSampler` on every wakeup.
+    nothing) and all reclamation state.  It is the outermost stage of
+    the KGSL interposer chain: it sees every ioctl before the driver
+    (and any mitigation) does, every served read last, and every
+    sampling wakeup.
     """
 
     def __init__(self, plan: FaultPlan, seed_offset: int = 0) -> None:
@@ -294,7 +272,7 @@ class FaultInjector:
                     errno.EBUSY, "injected transient PERFCOUNTER_GET failure"
                 )
 
-    def after_read(self, slots, now: float) -> None:
+    def after_read(self, device, slots) -> None:
         """Post-read hook: occasional value corruption."""
         if not self.plan.corrupt_prob:
             return
@@ -342,6 +320,20 @@ class FaultInjector:
             self.stats.jitter_events += 1
             return float(self.rng.exponential(self.plan.jitter_s))
         return 0.0
+
+    def on_wakeup(self) -> Optional[float]:
+        """A dropped wakeup (``None``) or its injected extra delay."""
+        if self.drop_sample():
+            return None
+        return self.extra_delay()
+
+    def flush_metrics(self, metrics) -> None:
+        """Publish the injected tally as ``faults.injected.*``."""
+        if not metrics.enabled:
+            return
+        for name, value in self.stats.as_dict().items():
+            if value > 0:
+                metrics.counter(f"faults.injected.{name}").inc(value)
 
     # ------------------------------------------------------------------
 

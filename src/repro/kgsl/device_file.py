@@ -10,10 +10,10 @@ semantics the attack relies on:
   (the "notify the GPU hardware to prepare the I/O" step of Fig 10);
 * ``PERFCOUNTER_READ`` blockreads the *global* cumulative counter values,
   regardless of which process caused the GPU work;
-* an :class:`~repro.mitigations.access_control.AccessPolicy` hook can
-  deny either request, modeling the paper's RBAC / SELinux mitigation
-  (Section 9.2), or perturb returned values, modeling obfuscation
-  (Section 9.3).
+* a chain of :class:`~repro.kgsl.interpose.Interposer` stages can fail
+  any request or rewrite returned values: signature drift, the paper's
+  RBAC / SELinux and obfuscation mitigations (Sections 9.2 / 9.3), and
+  measurement faults.
 
 Counter values are served from a :class:`~repro.gpu.timeline.RenderTimeline`
 at the device clock's current time, so reads that land mid-render observe
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import errno
 from dataclasses import dataclass
-from typing import Optional, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
 from repro.gpu import counters as pc
 from repro.gpu.timeline import RenderTimeline
@@ -77,6 +77,9 @@ class KgslDeviceFile:
     """A file descriptor on the KGSL device node.
 
     One instance corresponds to one ``open("/dev/kgsl-3d0", O_RDWR)``.
+    ``interposers`` is the fd's chain, inner to outer (drift → policy →
+    faults; see :mod:`repro.kgsl.interpose`): requests visit it outer to
+    inner, values inner to outer.
     """
 
     def __init__(
@@ -84,21 +87,31 @@ class KgslDeviceFile:
         timeline: RenderTimeline,
         clock: Optional[DeviceClock] = None,
         context: Optional[ProcessContext] = None,
-        access_policy=None,
         adreno_model: int = 650,
-        fault_injector=None,
-        drift_injector=None,
+        interposers: Sequence = (),
     ) -> None:
         self.timeline = timeline
         self.clock = clock if clock is not None else DeviceClock()
         self.context = context if context is not None else ProcessContext()
-        self.access_policy = access_policy
         self.adreno_model = adreno_model
-        self.fault_injector = fault_injector
-        self.drift_injector = drift_injector
+        self.interposers = interposers
         self._reserved: Set[Tuple[int, int]] = set()
         self._closed = False
         self.ioctl_count = 0
+
+    @property
+    def interposers(self) -> Tuple:
+        """The interposer chain, inner to outer."""
+        return self._chain
+
+    @interposers.setter
+    def interposers(self, chain: Sequence) -> None:
+        self._chain = tuple(chain)
+        self._outer_first = self._chain[::-1]
+
+    def interposer(self, kind: type):
+        """The first interposer on this fd that is a ``kind``, or ``None``."""
+        return next((stage for stage in self._chain if isinstance(stage, kind)), None)
 
     # ------------------------------------------------------------------
 
@@ -123,10 +136,10 @@ class KgslDeviceFile:
         if self._closed:
             raise IoctlError(errno.EBADF, "device file is closed")
         self.ioctl_count += 1
-        if self.fault_injector is not None:
+        for stage in self._outer_first:
             # may raise a transient error or steal a reserved register,
             # exactly where the real driver's failures surface
-            self.fault_injector.on_ioctl(self, request, arg)
+            stage.on_ioctl(self, request, arg)
         if request == IOCTL_KGSL_PERFCOUNTER_GET:
             return self._perfcounter_get(arg)
         if request == IOCTL_KGSL_PERFCOUNTER_PUT:
@@ -139,17 +152,11 @@ class KgslDeviceFile:
 
     # ------------------------------------------------------------------
 
-    def _check_policy(self, operation: str, groupid: int, countable: int) -> None:
-        if self.access_policy is None:
-            return
-        self.access_policy.check(
-            context=self.context, operation=operation, groupid=groupid, countable=countable
-        )
-
     def _perfcounter_get(self, arg: KgslPerfcounterGet) -> int:
         if not isinstance(arg, KgslPerfcounterGet):
             raise IoctlError(errno.EFAULT, "PERFCOUNTER_GET needs kgsl_perfcounter_get")
-        self._check_policy("get", arg.groupid, arg.countable)
+        for stage in self._outer_first:
+            stage.on_counter(self, "get", arg.groupid, arg.countable)
         if not self._known_group(arg.groupid):
             # real driver: -EINVAL for a group the GPU does not expose
             raise IoctlError(errno.EINVAL, f"unknown counter group {arg.groupid:#x}")
@@ -170,8 +177,12 @@ class KgslDeviceFile:
         if arg.count == 0:
             raise IoctlError(errno.EINVAL, "empty read buffer")
         values = self.timeline.values_at(self.clock.now)
+        chain, outer_first = self._chain, self._outer_first
+        # one slot at a time: a read that fails at slot k has already
+        # advanced every stage's state for the slots before it
         for slot in arg.reads:
-            self._check_policy("read", slot.groupid, slot.countable)
+            for stage in outer_first:
+                stage.on_counter(self, "read", slot.groupid, slot.countable)
             key = (slot.groupid, slot.countable)
             if key not in self._reserved:
                 raise IoctlError(
@@ -179,24 +190,12 @@ class KgslDeviceFile:
                     f"counter (group={slot.groupid:#x}, countable={slot.countable}) "
                     "not reserved; call PERFCOUNTER_GET first",
                 )
-            counter_id = self._counter_id(slot.groupid, slot.countable)
-            raw = values.get(counter_id, 0)
-            if self.drift_injector is not None:
-                # signature drift is physical — the GPU itself runs
-                # slower / renders differently — so it rewrites the raw
-                # value before any mitigation or measurement fault sees it
-                raw = self.drift_injector.drift_value(key, raw, self.clock.now)
-            if self.access_policy is not None:
-                raw = self.access_policy.filter_value(
-                    context=self.context,
-                    groupid=slot.groupid,
-                    countable=slot.countable,
-                    value=raw,
-                    now=self.clock.now,
-                )
-            slot.value = raw
-        if self.fault_injector is not None:
-            self.fault_injector.after_read(arg.reads, self.clock.now)
+            value = values.get(self._counter_id(slot.groupid, slot.countable), 0)
+            for stage in chain:
+                value = stage.on_value(self, key, value)
+            slot.value = value
+        for stage in chain:
+            stage.after_read(self, arg.reads)
         return 0
 
     def _device_getproperty(self, arg: KgslDeviceGetProperty) -> int:
@@ -240,18 +239,14 @@ def open_kgsl(
     timeline: RenderTimeline,
     clock: Optional[DeviceClock] = None,
     context: Optional[ProcessContext] = None,
-    access_policy=None,
     adreno_model: int = 650,
-    fault_injector=None,
-    drift_injector=None,
+    interposers: Sequence = (),
 ) -> KgslDeviceFile:
     """``open("/dev/kgsl-3d0", O_RDWR)`` equivalent for the simulation."""
     return KgslDeviceFile(
         timeline=timeline,
         clock=clock,
         context=context,
-        access_policy=access_policy,
         adreno_model=adreno_model,
-        fault_injector=fault_injector,
-        drift_injector=drift_injector,
+        interposers=interposers,
     )

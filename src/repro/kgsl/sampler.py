@@ -228,9 +228,9 @@ class PerfCounterSampler:
     sampler runs blind (empty reads, every delta masked) rather than
     crashing the service.
 
-    With no fault injector and no access policy installed none of these
-    paths execute and the loop is byte-identical to the infallible
-    original.
+    Each wakeup also asks the fd's interposer chain whether it is dropped
+    or delayed.  On an fd whose ioctls never fail none of these paths
+    execute and the loop is byte-identical to the infallible original.
     """
 
     #: Transient-read retries before the failure is considered permanent.
@@ -246,7 +246,6 @@ class PerfCounterSampler:
         counters: Sequence[pc.CounterSpec] = tuple(pc.SELECTED_COUNTERS),
         interval_s: float = DEFAULT_INTERVAL_S,
         rng: Optional[np.random.Generator] = None,
-        fault_injector=None,
     ) -> None:
         if interval_s <= 0:
             raise ValueError("sampling interval must be positive")
@@ -254,7 +253,6 @@ class PerfCounterSampler:
         self.counters = list(counters)
         self.interval_s = interval_s
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.fault_injector = fault_injector
         self.reads_issued = 0
         self.reads_dropped = 0
         # -- resilience bookkeeping ------------------------------------
@@ -330,18 +328,13 @@ class PerfCounterSampler:
                     # contention: mask the counter permanently, never retry
                     self._deny(spec)
                     return False
-                if (
-                    self.fault_injector is not None
-                    and exc.errno in _TRANSIENT_ERRNOS
-                    and attempt < self.MAX_READ_RETRIES
-                ):
-                    attempt += 1
-                    self.retries += 1
-                    self._backoff(attempt)
-                    continue
-                if self.fault_injector is not None and exc.errno in _TRANSIENT_ERRNOS:
+                if exc.errno not in _TRANSIENT_ERRNOS:
+                    raise
+                if attempt >= self.MAX_READ_RETRIES:
                     return False
-                raise
+                attempt += 1
+                self.retries += 1
+                self._backoff(attempt)
 
     def _lose(self, spec: pc.CounterSpec) -> None:
         """Mark a counter unavailable; schedule re-registration."""
@@ -451,8 +444,6 @@ class PerfCounterSampler:
                     self._rebuild_active()
                     self._note("read_denied", errno=exc.errno)
                     return None
-                if self.fault_injector is None:
-                    raise
                 if exc.errno in _TRANSIENT_ERRNOS:
                     if attempt < self.MAX_READ_RETRIES:
                         attempt += 1
@@ -463,8 +454,14 @@ class PerfCounterSampler:
                     # persistently busy: abandon this wakeup, keep going
                     self._note("read_abandoned", errno=exc.errno)
                     return None
-                if exc.errno == _EINVAL and self._resync_after_einval():
-                    continue
+                if exc.errno == _EINVAL:
+                    if self._resync_after_einval():
+                        continue
+                    if attempt < self.MAX_READ_RETRIES:
+                        # every register came back: the other client's
+                        # hold expired during the re-registration backoff
+                        attempt += 1
+                        continue
                 raise
             return {
                 (pc.CounterGroup(slot.groupid), slot.countable): slot.value
@@ -512,20 +509,23 @@ class PerfCounterSampler:
         mode, say — really does stop the polling, exactly like the
         Android service it models.
         """
-        injector = self.fault_injector
+        # a wakeup is a request like any ioctl: it visits the chain outer
+        # to inner, and any stage may drop or defer it
+        wakeup_chain = self.device_file.interposers[::-1]
         nominal = t0
         last_t = -1.0
         while nominal < t1:
             delay = self._scheduling_delay(load)
-            if injector is not None and delay is not None:
-                if injector.drop_sample():
+            for stage in wakeup_chain:
+                if delay is None:
+                    break
+                extra = stage.on_wakeup()
+                if extra is None:
                     delay = None
                     self._note("sample_dropped", nominal_t=nominal)
-                else:
-                    jitter = injector.extra_delay()
-                    if jitter:
-                        delay += jitter
-                        self._note("clock_jitter", nominal_t=nominal, jitter_s=jitter)
+                elif extra:
+                    delay += extra
+                    self._note("clock_jitter", nominal_t=nominal, jitter_s=extra)
             if delay is None:
                 self.reads_dropped += 1
             else:
@@ -540,7 +540,7 @@ class PerfCounterSampler:
                     nominal += self.interval_s
                     continue
                 self.reads_issued += 1
-                if injector is not None and self.device_file.clock.now > read_t:
+                if self.device_file.clock.now > read_t:
                     # retry backoff consumed device time: the observation
                     # really happened when the read finally succeeded
                     read_t = self.device_file.clock.now

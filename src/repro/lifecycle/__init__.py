@@ -27,36 +27,34 @@ handbook is ``docs/lifecycle.md``.
 from repro.lifecycle.calibration import (
     CALIBRATION_ENV,
     CALIBRATION_PROFILES,
+    CALIBRATION_SPEC,
     CalibrationPolicy,
     CalibrationService,
     estimate_drift_ratio,
-    resolve_calibration,
 )
 from repro.lifecycle.drift import (
     DRIFT_PROFILE_ENV,
     DRIFT_PROFILES,
+    DRIFT_SPEC,
     DriftInjector,
     DriftPlan,
     DriftStats,
-    drift_plan_from_env,
-    resolve_drift_plan,
 )
 from repro.lifecycle.runner import LifecycleReport, SegmentReport, run_lifecycle
 
 __all__ = [
     "DRIFT_PROFILE_ENV",
     "DRIFT_PROFILES",
+    "DRIFT_SPEC",
     "DriftInjector",
     "DriftPlan",
     "DriftStats",
-    "drift_plan_from_env",
-    "resolve_drift_plan",
     "CALIBRATION_ENV",
     "CALIBRATION_PROFILES",
+    "CALIBRATION_SPEC",
     "CalibrationPolicy",
     "CalibrationService",
     "estimate_drift_ratio",
-    "resolve_calibration",
     "LifecycleReport",
     "SegmentReport",
     "run_lifecycle",

@@ -28,16 +28,16 @@ engine by the caller — see :mod:`repro.lifecycle.runner`.
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.classifier import ClassificationModel
 from repro.core.model_store import ModelStore, VersionedModelStore
 from repro.obs import MetricsRegistry, resolve_registry
+from repro.registry import SpecType
 
 #: Environment variable selecting the default calibration profile;
 #: mirrors ``REPRO_FAULT_PROFILE`` / ``REPRO_DRIFT_PROFILE``.
@@ -145,28 +145,12 @@ CALIBRATION_PROFILES: Dict[str, CalibrationPolicy] = {
 }
 
 
-def resolve_calibration(
-    calibration: Union["CalibrationPolicy", None, str] = None,
-) -> Optional[CalibrationPolicy]:
-    """Normalize the public ``calibration`` argument.
-
-    ``"auto"`` reads ``REPRO_CALIBRATION`` (a profile name, resolving to
-    ``None`` when unset); a profile name selects that profile; ``None``
-    disables recalibration; a policy is used as-is (``None`` if it
-    cannot re-fit).
-    """
-    if calibration is None:
-        return None
-    if isinstance(calibration, str):
-        if calibration == "auto":
-            name = os.environ.get(CALIBRATION_ENV, "").strip().lower()
-            if not name or name == "off":
-                return None
-            policy = CalibrationPolicy.from_profile(name)
-            return policy if policy.enabled else None
-        policy = CalibrationPolicy.from_profile(calibration)
-        return policy if policy.enabled else None
-    return calibration if calibration.enabled else None
+#: How the public ``calibration`` argument resolves: ``"auto"`` reads
+#: ``REPRO_CALIBRATION``, a name selects a profile, ``None`` (or a policy
+#: that cannot re-fit, like ``"off"``) keeps models frozen.
+CALIBRATION_SPEC = SpecType(
+    CalibrationPolicy, CALIBRATION_ENV, CalibrationPolicy.from_profile
+)
 
 
 def estimate_drift_ratio(

@@ -30,14 +30,16 @@ trajectory (the lifecycle runner threads its stream clock through it).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields, replace
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-#: Environment variable selecting the default drift profile; consumed by
-#: :func:`drift_plan_from_env` (mirrors ``REPRO_FAULT_PROFILE``).
+from repro.kgsl.interpose import Interposer
+from repro.registry import SpecType
+
+#: Environment variable selecting the default drift profile; read by
+#: ``drift="auto"`` (:data:`DRIFT_SPEC`, mirrors ``REPRO_FAULT_PROFILE``).
 DRIFT_PROFILE_ENV = "REPRO_DRIFT_PROFILE"
 
 #: Thermal factor curve shapes.
@@ -190,42 +192,18 @@ DRIFT_PROFILES: Dict[str, DriftPlan] = {
 }
 
 
-def drift_plan_from_env(default: str = "none") -> Optional[DriftPlan]:
-    """The :class:`DriftPlan` selected by ``REPRO_DRIFT_PROFILE``.
-
-    Returns ``None`` when the profile is ``none`` (or unset), so callers
-    can use the absence of a plan as "no drift machinery at all".
-    """
-    name = os.environ.get(DRIFT_PROFILE_ENV, default).strip().lower() or default
-    plan = DriftPlan.from_profile(name)
-    return plan if plan.enabled else None
+#: How the public ``drift`` argument resolves: ``"auto"`` reads
+#: ``REPRO_DRIFT_PROFILE``, a name selects a profile, ``None`` (or a plan
+#: that cannot drift) means no drift machinery at all.
+DRIFT_SPEC = SpecType(DriftPlan, DRIFT_PROFILE_ENV, DriftPlan.from_profile)
 
 
-def resolve_drift_plan(
-    drift: Union["DriftPlan", None, str] = "auto",
-) -> Optional[DriftPlan]:
-    """Normalize the public ``drift`` argument.
-
-    ``"auto"`` defers to :func:`drift_plan_from_env`; a profile name
-    selects that profile; ``None`` disables drift regardless of
-    environment; a :class:`DriftPlan` is used as-is (``None`` if it
-    cannot drift).
-    """
-    if drift is None:
-        return None
-    if isinstance(drift, str):
-        if drift == "auto":
-            return drift_plan_from_env()
-        plan = DriftPlan.from_profile(drift)
-        return plan if plan.enabled else None
-    return drift if drift.enabled else None
-
-
-class DriftInjector:
+class DriftInjector(Interposer):
     """Per-device-file drift runtime built from a :class:`DriftPlan`.
 
-    Consulted by :class:`~repro.kgsl.device_file.KgslDeviceFile` on
-    every counter slot of every ``PERFCOUNTER_READ``.  The injector
+    The innermost stage of the KGSL interposer chain: drift is physical,
+    so it rewrites every counter slot of every ``PERFCOUNTER_READ``
+    before any mitigation or measurement fault sees it.  The injector
     tracks, per counter, the last raw cumulative value served by the
     timeline and the last value it returned; each new read contributes
     ``round(factor(t) * raw_increment)`` on top of the previous output,
@@ -279,7 +257,24 @@ class DriftInjector:
             self._geometry[key] = factor
         return factor
 
-    # -- device-file hook ----------------------------------------------
+    # -- interposer hooks ----------------------------------------------
+
+    def on_value(self, device, key: Tuple[int, int], value: int) -> int:
+        return self.drift_value(key, value, device.clock.now)
+
+    def flush_metrics(self, metrics) -> None:
+        """Publish the applied drift as ``drift.*``."""
+        if not metrics.enabled:
+            return
+        for name, value in self.stats.as_dict().items():
+            if name == "min_thermal_factor":
+                # a level, not a count: keep the most severe factor any
+                # fd in the run reached
+                gauge = metrics.gauge("drift.min_thermal_factor")
+                if gauge.value == 0.0 or value < gauge.value:
+                    gauge.set(value)
+            elif value > 0:
+                metrics.counter(f"drift.{name}").inc(int(value))
 
     def drift_value(self, key: Tuple[int, int], raw: int, now: float) -> int:
         """Rewrite one cumulative counter value read at device time

@@ -32,18 +32,14 @@ import numpy as np
 
 from repro.core.model_store import ModelStore, VersionedModelStore
 from repro.core.online import EngineStats, OnlineEngine
-from repro.kgsl.device_file import DeviceClock, open_kgsl
-from repro.kgsl.sampler import (
-    DEFAULT_INTERVAL_S,
-    PerfCounterSampler,
-    nonzero_deltas_vectorized,
-)
+from repro.kgsl.interpose import build_chain, open_sampler
+from repro.kgsl.sampler import DEFAULT_INTERVAL_S, nonzero_deltas_vectorized
 from repro.lifecycle.calibration import (
+    CALIBRATION_SPEC,
     CalibrationPolicy,
     CalibrationService,
-    resolve_calibration,
 )
-from repro.lifecycle.drift import DriftPlan, DriftStats, resolve_drift_plan
+from repro.lifecycle.drift import DRIFT_SPEC, DriftInjector, DriftPlan, DriftStats
 from repro.obs import MetricsRegistry, resolve_registry
 
 
@@ -162,9 +158,9 @@ def run_lifecycle(
     if store is None:
         store = train_store([(device_config, target)], seed=train_seed)
     metrics = resolve_registry(metrics)
-    drift_plan = resolve_drift_plan(drift)
-    policy = resolve_calibration(calibration)
-    resolved_faults = faults_mod.resolve_plan(fault_plan)
+    drift_plan = DRIFT_SPEC.resolve(drift)
+    policy = CALIBRATION_SPEC.resolve(calibration)
+    resolved_faults = faults_mod.FAULT_SPEC.resolve(fault_plan)
 
     versioned: Optional[VersionedModelStore] = None
     if model_dir is not None:
@@ -205,30 +201,25 @@ def run_lifecycle(
             seed=seed + index,
             speed_tier=speed_tier,
         )
-        fault_injector = (
-            resolved_faults.injector(seed_offset=seed + index)
-            if resolved_faults is not None
-            else None
+        # one device: the drift trajectory keeps the run's seed and
+        # continues at the stream clock, while faults vary per segment
+        sampler = open_sampler(
+            trace,
+            interval_s,
+            np.random.default_rng(1000 + seed + index),
+            build_chain(
+                fault_plan=resolved_faults,
+                drift=drift_plan,
+                seed=seed + index,
+                drift_seed=seed,
+                time_offset=cursor,
+            ),
         )
-        drift_injector = (
-            drift_plan.injector(seed_offset=seed, time_offset=cursor)
-            if drift_plan is not None
-            else None
-        )
-        kgsl = open_kgsl(
-            trace.timeline,
-            clock=DeviceClock(),
-            adreno_model=trace.config.gpu.model,
-            fault_injector=fault_injector,
-            drift_injector=drift_injector,
-        )
-        sampler = PerfCounterSampler(
-            kgsl,
-            interval_s=interval_s,
-            rng=np.random.default_rng(1000 + seed + index),
-            fault_injector=fault_injector,
-        )
+        kgsl = sampler.device_file
+        drift_injector = kgsl.interposer(DriftInjector)
         samples = sampler.sample_range(0.0, trace.end_time_s)
+        for stage in kgsl.interposers:
+            stage.flush_metrics(metrics)
         deltas = nonzero_deltas_vectorized(samples)
         # the engine lives on one stream clock: shift this segment's
         # device-local timestamps to where the stream currently is
@@ -335,11 +326,4 @@ def run_lifecycle(
         metrics.counter("lifecycle.segments").inc(len(report.segments))
         if report.recalibrations:
             metrics.counter("lifecycle.recalibrations").inc(report.recalibrations)
-        for name, value in drift_totals.as_dict().items():
-            if name == "min_thermal_factor":
-                gauge = metrics.gauge("drift.min_thermal_factor")
-                if gauge.value == 0.0 or value < gauge.value:
-                    gauge.set(value)
-            elif value > 0:
-                metrics.counter(f"drift.{name}").inc(int(value))
     return report

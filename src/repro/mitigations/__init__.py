@@ -2,9 +2,9 @@
 
 Three enforcement families, one spec object:
 
-* **Access control** (:mod:`~repro.mitigations.access_control`, paper
-  Section 9.2) — :class:`AccessPolicy` implementations consulted by the
-  KGSL device file on every counter ioctl;
+* **Access control** (paper Section 9.2) — RBAC / SELinux ioctl
+  whitelisting and local-only counter visibility, enforced at the KGSL
+  device file;
 * **Obfuscation** (:mod:`~repro.mitigations.obfuscation`, Section 9.3) —
   driver-level value perturbation and OS-injected noise workloads;
 * **Popup rendering changes** (:mod:`~repro.mitigations.popup_disable`,
@@ -12,25 +12,17 @@ Three enforcement families, one spec object:
 
 :mod:`~repro.mitigations.policy` composes all of them into the frozen,
 name-registered :class:`MitigationPolicy` spec that
-``AttackConfig(mitigation=...)`` threads through the whole pipeline; see
+``AttackConfig(mitigation=...)`` threads through the whole pipeline; its
+KGSL-boundary layers run as one :class:`PolicyEnforcer` interposer.  See
 ``docs/defenses.md`` for the handbook and the threat × mitigation matrix.
 """
 
-from repro.mitigations.access_control import (
-    DEFAULT_PRIVILEGED_CONTEXTS,
-    AccessPolicy,
-    AllowAllPolicy,
-    LocalOnlyPolicy,
-    RbacPolicy,
-)
-from repro.mitigations.obfuscation import (
-    CounterObfuscationPolicy,
-    OsNoiseInjector,
-    with_os_noise,
-)
+from repro.mitigations.obfuscation import OsNoiseInjector, with_os_noise
 from repro.mitigations.policy import (
+    DEFAULT_PRIVILEGED_CONTEXTS,
     MITIGATION_ENV,
     MITIGATION_REGISTRY,
+    MITIGATION_SPEC,
     MitigationPolicy,
     MitigationStats,
     PolicyEnforcer,
@@ -51,18 +43,13 @@ __all__ = [
     "PolicyEnforcer",
     "MITIGATION_ENV",
     "MITIGATION_REGISTRY",
+    "MITIGATION_SPEC",
+    "DEFAULT_PRIVILEGED_CONTEXTS",
     "compose",
     "mitigation",
     "mitigation_names",
     "register_mitigation",
-    # access control (Section 9.2)
-    "AccessPolicy",
-    "AllowAllPolicy",
-    "RbacPolicy",
-    "LocalOnlyPolicy",
-    "DEFAULT_PRIVILEGED_CONTEXTS",
     # obfuscation (Section 9.3)
-    "CounterObfuscationPolicy",
     "OsNoiseInjector",
     "with_os_noise",
     # popup rendering changes (Section 9.1)

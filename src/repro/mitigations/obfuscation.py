@@ -14,7 +14,8 @@ Two flavours:
   raises — how much noise is enough, given that excessive workloads cost
   performance and battery — is explored by the Section 9.3 bench's sweep.
 
-* **Value obfuscation at the driver**: :class:`CounterObfuscationPolicy`
+* **Value obfuscation at the driver**: the ``noise_strength`` layer of a
+  :class:`~repro.mitigations.policy.MitigationPolicy` (``obfuscate-*``)
   perturbs returned counter values inside the KGSL read path, an
   alternative the paper suggests ("applying obfuscations on the values of
   GPU performance counters").
@@ -22,7 +23,6 @@ Two flavours:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -33,8 +33,6 @@ from repro.android.layers import DrawOp, Layer, Scene
 from repro.gpu.adreno import AdrenoSpec
 from repro.gpu.pipeline import AdrenoPipeline
 from repro.gpu.timeline import RenderTimeline, merge_timelines
-from repro.kgsl.device_file import ProcessContext
-from repro.mitigations.access_control import AccessPolicy
 
 
 class OsNoiseInjector:
@@ -103,34 +101,3 @@ def with_os_noise(
 ) -> RenderTimeline:
     """Victim timeline with OS noise frames merged in."""
     return merge_timelines([victim_timeline, injector.timeline(0.0, t_end)])
-
-
-@dataclass
-class CounterObfuscationPolicy(AccessPolicy):
-    """Driver-level value obfuscation for unprivileged readers.
-
-    Adds a random non-negative offset drawn per read to every counter
-    value returned to an unprivileged context.  Offsets are monotone in
-    expectation (counters must never appear to run backwards), scaled by
-    ``strength`` relative to a typical key-press increment.
-    """
-
-    strength: float = 1.0
-    seed: int = 13
-    _rng: np.random.Generator = field(init=False, repr=False, default=None)  # type: ignore[assignment]
-    _accumulated: dict = field(init=False, repr=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self._rng = np.random.default_rng(self.seed)
-
-    def filter_value(
-        self, context: ProcessContext, groupid: int, countable: int, value: int, now: float
-    ) -> int:
-        if context.selinux_context in ("system_server", "graphics_profiler"):
-            return value
-        key = (groupid, countable)
-        # accumulate a random walk so deltas are perturbed but values
-        # remain monotone
-        step = int(self._rng.exponential(2000.0 * self.strength))
-        self._accumulated[key] = self._accumulated.get(key, 0) + step
-        return value + self._accumulated[key]

@@ -11,10 +11,10 @@ makes that composition first-class:
   compose commutatively via :func:`compose`, so an operator can stack
   "RBAC plus quantization plus popups off" as a single named object.
 * :class:`PolicyEnforcer` — the runtime form: one
-  :class:`~repro.mitigations.access_control.AccessPolicy` enforcing the
-  whole stack at the KGSL device file (``check`` for access control,
-  ``filter_value`` for the value pipeline), with per-layer counters that
-  flush into the run manifest as ``mitigation.*``.
+  :class:`~repro.kgsl.interpose.Interposer` enforcing the whole stack at
+  the KGSL device file (``check`` for access control, ``filter_value``
+  for the value pipeline), with per-layer counters that flush into the
+  run manifest as ``mitigation.*``.
 * :data:`MITIGATION_REGISTRY` — named lookup with the same
   :class:`~repro.registry.UnknownNameError` suggestions as keyboards and
   scenarios; :func:`register_mitigation` validates before registering.
@@ -45,17 +45,19 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.kgsl.device_file import ProcessContext
+from repro.kgsl.interpose import Interposer
 from repro.kgsl.ioctl import IoctlError
-from repro.mitigations.access_control import (
-    DEFAULT_PRIVILEGED_CONTEXTS,
-    AccessPolicy,
-)
-from repro.registry import Registry
+from repro.registry import Registry, SpecType
 
 #: Environment variable naming the fleet-wide default policy, honored by
 #: ``AttackConfig(mitigation="auto")`` — the same precedence shape as
 #: ``REPRO_FAULT_PROFILE`` for fault plans.
 MITIGATION_ENV = "REPRO_MITIGATION"
+
+#: SELinux contexts normally allowed to touch global GPU counters.
+DEFAULT_PRIVILEGED_CONTEXTS = frozenset(
+    {"system_server", "platform_app", "shell", "su", "graphics_profiler"}
+)
 
 #: Mean obfuscation step per read at ``noise_strength=1.0``, scaled to a
 #: typical key-press counter increment (cf. Section 9.3's requirement
@@ -244,8 +246,12 @@ class MitigationStats:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-class PolicyEnforcer(AccessPolicy):
+class PolicyEnforcer(Interposer):
     """The runtime stack of one :class:`MitigationPolicy` at the KGSL fd.
+
+    The middle stage of the interposer chain: it checks each counter a
+    request names (:meth:`check`) and filters the drifted values the GPU
+    served (:meth:`filter_value`) before any measurement fault sees them.
 
     Stateful — the rate limiter's cached snapshots and the noise walk
     live here — so each attack session builds a fresh enforcer (seeded
@@ -273,7 +279,15 @@ class PolicyEnforcer(AccessPolicy):
         #: (groupid, countable) -> (last fresh-serve time, value served)
         self._snapshot: Dict[Tuple[int, int], Tuple[float, int]] = {}
 
-    # -- AccessPolicy interface ------------------------------------------
+    # -- interposer hooks -------------------------------------------------
+
+    def on_counter(self, device, operation: str, groupid: int, countable: int) -> None:
+        self.check(device.context, operation, groupid, countable)
+
+    def on_value(self, device, key: Tuple[int, int], value: int) -> int:
+        return self.filter_value(device.context, key[0], key[1], value, device.clock.now)
+
+    # -- enforcement --------------------------------------------------------
 
     def _privileged(self, context: ProcessContext) -> bool:
         return context.selinux_context in self.policy.privileged_contexts
@@ -369,6 +383,12 @@ def mitigation(name: str) -> MitigationPolicy:
 def mitigation_names() -> List[str]:
     """All registered policy names, sorted."""
     return MITIGATION_REGISTRY.names()
+
+
+#: How the public ``mitigation`` argument resolves: ``"auto"`` reads
+#: ``REPRO_MITIGATION``, a name is a registry lookup, ``None`` (or a
+#: policy that does nothing, like ``allow-all``) is the undefended device.
+MITIGATION_SPEC = SpecType(MitigationPolicy, MITIGATION_ENV, mitigation)
 
 
 # -- builtin policies -----------------------------------------------------

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.model_store import ModelStore
-from repro.core.service import MonitoringService
 from repro.obs import MetricsRegistry
 from repro.runtime.session import Session, SessionRuntime, StepRecord
 from repro.runtime.trace import RuntimeEvent, RuntimeTrace
@@ -169,17 +168,12 @@ def _run_service_shard(payload: Dict[str, object]) -> ShardOutput:
     no step logs are needed and each report carries its own complete
     trace, which the parent replays in input order.
     """
+    import repro.api as api
+
     config, store, metrics = _rebuild(payload)
-    service = MonitoringService(
-        store,
-        idle_interval_s=config.idle_interval_s,
-        attack_interval_s=config.interval_s,
-        attack_window_s=config.attack_window_s,
-        fault_plan=config.resolved_fault_plan(),
-        metrics=metrics,
-        drift=config.resolved_drift_plan(),
-        calibration=config.resolved_calibration(),
-    )
+    # the serial facade's construction, so a sharded service enforces
+    # exactly the chain (faults, mitigation, drift) a serial one does
+    service = api._service(store, config, metrics=metrics)
     indices: List[int] = list(payload["indices"])  # type: ignore[arg-type]
     seed = int(payload["seed"])  # type: ignore[arg-type]
     results = []

@@ -10,7 +10,10 @@ gives them one shared mechanism:
   order never changes lookup results);
 * :class:`UnknownNameError` — the single error type every lookup helper
   raises, with a consistent message and a closest-match ("did you
-  mean") suggestion.
+  mean") suggestion;
+* :class:`SpecType` — the one resolver for public arguments that take
+  ``"auto"``, a name, a spec instance or ``None`` (fault plans,
+  mitigations, drift plans, calibration policies).
 
 Producers (``repro.android.keyboard``, ``repro.android.apps``,
 ``repro.android.os_config``, ``repro.scenarios``) instantiate one
@@ -22,7 +25,19 @@ names through the producer's lookup function (``keyboard()``, ``app()``,
 from __future__ import annotations
 
 import difflib
-from typing import Callable, Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
+import os
+from dataclasses import dataclass
+from typing import (
+    Callable,
+    Dict,
+    Generic,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 T = TypeVar("T")
 
@@ -151,3 +166,43 @@ class Registry(Generic[T]):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Registry({self.kind!r}, {len(self)} entries)"
+
+
+@dataclass(frozen=True)
+class SpecType:
+    """How a frozen, serializable spec class is named in public arguments.
+
+    ``cls`` provides ``enabled``, ``to_dict`` and ``from_dict``;
+    ``lookup`` maps a name to an instance; ``env`` names the environment
+    variable ``"auto"`` reads.
+    """
+
+    cls: type
+    env: str
+    lookup: Callable[[str], object]
+
+    def resolve(self, value):
+        """``"auto"`` → the name in ``env`` (unset or empty: ``None``);
+        a name → ``lookup(name)``; an instance → itself; ``None`` →
+        ``None``.  A spec that cannot do anything resolves to ``None``,
+        so callers treat "no spec" and "an all-off spec" alike."""
+        if isinstance(value, str):
+            if value == "auto":
+                value = os.environ.get(self.env, "").strip().lower()
+                if not value:
+                    return None
+            value = self.lookup(value)
+        if value is None or not value.enabled:
+            return None
+        return value
+
+    def validate(self, value) -> None:
+        """Fail on a mistyped name now rather than mid-run."""
+        if isinstance(value, str) and value != "auto":
+            self.lookup(value)
+
+    def to_json(self, value):
+        return value.to_dict() if isinstance(value, self.cls) else value
+
+    def from_json(self, value):
+        return self.cls.from_dict(value) if isinstance(value, Mapping) else value

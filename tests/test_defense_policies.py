@@ -17,12 +17,14 @@ import pytest
 
 from repro.api import (
     AttackConfig,
+    EavesdropAttack,
     FaultPlan,
     IoctlError,
     MITIGATION_ENV,
     MITIGATION_REGISTRY,
     MetricsRegistry,
     MitigationPolicy,
+    MonitoringService,
     PolicyEnforcer,
     ProcessContext,
     UnknownNameError,
@@ -272,7 +274,7 @@ class TestEaccesPropagation:
         )
         sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(0))
         assert sampler._active, "counters must reserve before the revocation"
-        kgsl.access_policy = mitigation("rbac").enforcer(seed=0)
+        kgsl.interposers = (mitigation("rbac").enforcer(seed=0),)
         assert sampler.read_once() is None
         assert sampler._active == []
         assert sampler.counters_denied > 0
@@ -301,6 +303,28 @@ class TestConfigThreading:
     def test_typo_fails_at_construction(self):
         with pytest.raises(UnknownNameError):
             AttackConfig(mitigation="rbca")
+
+    def test_attack_and_service_accept_policy_names(self, pinpad_store, pinpad_cfg):
+        # a registry name works wherever a policy does, like fault and
+        # drift profile names: no AttributeError at the first session
+        trace = _pinpad_trace(pinpad_cfg)
+
+        def attacker(policy):
+            return EavesdropAttack(
+                pinpad_store, recognize_device=False, fault_plan=None,
+                drift=None, mitigation=policy,
+            )
+
+        by_name = attacker("obfuscate-mild").run_on_trace(trace, seed=45)
+        by_spec = attacker(mitigation("obfuscate-mild")).run_on_trace(trace, seed=45)
+        assert [vars(k) for k in by_name.keys] == [vars(k) for k in by_spec.keys]
+        assert by_name.stats == by_spec.stats
+        blocked = attacker("rbac").run_on_trace(trace, seed=45)
+        assert blocked.text == "" and blocked.degraded
+        service = MonitoringService(
+            pinpad_store, fault_plan=None, drift=None, mitigation="rbac"
+        )
+        assert service.run(trace, seed=46).text == ""
 
     def test_instance_survives_dict_round_trip(self):
         stack = compose(mitigation("rbac"), mitigation("popup-disable"))

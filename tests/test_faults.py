@@ -14,13 +14,14 @@ from repro.android.apps import CHASE
 from repro.core.pipeline import EavesdropAttack, simulate_credential_entry
 from repro.faults import (
     FAULT_PROFILE_ENV,
+    FAULT_SPEC,
     PROFILES,
     FaultInjector,
     FaultPlan,
     FaultStats,
-    plan_from_env,
-    resolve_plan,
 )
+
+resolve_plan = FAULT_SPEC.resolve
 from repro.kgsl.ioctl import (
     IOCTL_KGSL_PERFCOUNTER_GET,
     IOCTL_KGSL_PERFCOUNTER_READ,
@@ -105,16 +106,16 @@ class TestFaultPlan:
 class TestResolution:
     def test_env_unset_means_no_plan(self, monkeypatch):
         monkeypatch.delenv(FAULT_PROFILE_ENV, raising=False)
-        assert plan_from_env() is None
+        assert resolve_plan("auto") is None
 
     def test_env_selects_profile(self, monkeypatch):
         monkeypatch.setenv(FAULT_PROFILE_ENV, "mild")
-        plan = plan_from_env()
+        plan = resolve_plan("auto")
         assert plan is not None and plan.profile == "mild"
 
     def test_env_none_profile_means_no_plan(self, monkeypatch):
         monkeypatch.setenv(FAULT_PROFILE_ENV, "none")
-        assert plan_from_env() is None
+        assert resolve_plan("auto") is None
 
     def test_resolve_none_overrides_env(self, monkeypatch):
         monkeypatch.setenv(FAULT_PROFILE_ENV, "harsh")

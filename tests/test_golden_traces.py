@@ -231,6 +231,64 @@ class TestBatchGolden:
         check_or_update(self.FIXTURE, canonicalize(batch, trace), update_golden)
 
 
+#: Defended-chain fixtures: every KGSL interposer armed at once (mild
+#: faults, thermal drift, one mitigation), keyed by the mitigation.
+#: Obfuscation turns every delta into noise, so its fixture pins the
+#: faults' timing and tallies but no served value; the rate limiter lets
+#: keys through, so its fixture also pins the order the stages compose
+#: in (drift, then policy, then faults) and the per-slot interleaving of
+#: their state with the driver's reservation check.
+DEFENDED_CHAINS = {
+    "obfuscate-mild": "batch_chase_defended_chain.json",
+    "rate-limit-30hz": "batch_chase_rate_limited_chain.json",
+}
+
+
+@pytest.mark.parametrize("policy", sorted(DEFENDED_CHAINS))
+class TestDefendedChainGolden:
+    """One 3-session batch per defended chain, serial and sharded.
+
+    The ``thermal-mild`` profile throttles from 6 s on, past the end of
+    these short sessions; its onset moves to 1 s so the drift stage
+    rewrites values inside every session."""
+
+    @staticmethod
+    def _config(policy):
+        from dataclasses import replace
+
+        from repro.api import DriftPlan
+
+        return AttackConfig(
+            recognize_device=False,
+            fault_plan="mild",
+            drift=replace(DriftPlan.from_profile("thermal-mild"), thermal_onset_s=1.0),
+            mitigation=policy,
+        )
+
+    def test_serial_matches_golden(
+        self, chase_store, golden_traces, update_golden, policy
+    ):
+        trace = RuntimeTrace()
+        batch = run_sessions(
+            chase_store, golden_traces, seed=RUN_SEED, config=self._config(policy),
+            runtime_trace=trace,
+        )
+        check_or_update(
+            DEFENDED_CHAINS[policy], canonicalize(batch, trace), update_golden
+        )
+
+    def test_workers2_matches_golden(
+        self, chase_store, golden_traces, update_golden, policy
+    ):
+        trace = RuntimeTrace()
+        batch = ShardedRuntime(
+            chase_store, config=self._config(policy), workers=2, mp_context="inline"
+        ).run_sessions(golden_traces, seed=RUN_SEED, runtime_trace=trace)
+        check_or_update(
+            DEFENDED_CHAINS[policy], canonicalize(batch, trace), update_golden
+        )
+
+
 class TestAttackGolden:
     """Single-session attack under the mild fault profile: the injected
     faults themselves are seed-deterministic, so the degraded run is

@@ -8,7 +8,7 @@ from repro.android.device import VictimDevice
 from repro.android.os_config import default_config
 from repro.core.pipeline import EavesdropAttack, simulate_credential_entry
 from repro.kgsl.sampler import SystemLoad
-from repro.mitigations.access_control import LocalOnlyPolicy, RbacPolicy
+from repro.obs import MetricsRegistry
 from repro.workloads.behavior import practical_session, typing_with_corrections
 from repro.workloads.typing_model import TypingModel
 
@@ -143,17 +143,23 @@ class TestLoadEndToEnd:
 
 
 class TestMitigationsEndToEnd:
-    def test_rbac_blocks_attack_entirely(self, config, attack):
+    def test_rbac_blocks_attack_entirely(self, config, chase_store):
         # EACCES permanently masks every counter: the attack completes
         # blind (degraded, nothing recovered) instead of crashing.
         trace = simulate_credential_entry(config, CHASE, "protected1", seed=26)
-        policy = RbacPolicy()
-        result = attack.run_on_trace(trace, seed=909, access_policy=policy)
+        defended = EavesdropAttack(
+            chase_store, recognize_device=False, mitigation="rbac",
+            metrics=MetricsRegistry(),
+        )
+        result = defended.run_on_trace(trace, seed=909)
         assert result.text == ""
         assert result.degraded
-        assert policy.denials >= 1
+        assert result.manifest.counters["mitigation.denials"] >= 1
 
-    def test_local_only_policy_blinds_attack(self, config, attack):
+    def test_local_only_policy_blinds_attack(self, config, chase_store):
         trace = simulate_credential_entry(config, CHASE, "protected2", seed=27)
-        result = attack.run_on_trace(trace, seed=910, access_policy=LocalOnlyPolicy())
+        defended = EavesdropAttack(
+            chase_store, recognize_device=False, mitigation="local-only"
+        )
+        result = defended.run_on_trace(trace, seed=910)
         assert result.text == ""

@@ -26,18 +26,21 @@ import pytest
 from repro.core.online import OnlineEngine
 from repro.core.model_store import VersionedModelStore
 from repro.kgsl.device_file import DeviceClock, open_kgsl
+from repro.kgsl.interpose import build_chain
 from repro.kgsl.sampler import PerfCounterSampler, nonzero_deltas_vectorized
 from repro.lifecycle import (
     CALIBRATION_PROFILES,
+    CALIBRATION_SPEC,
     DRIFT_PROFILES,
+    DRIFT_SPEC,
     CalibrationPolicy,
     CalibrationService,
     DriftPlan,
-    drift_plan_from_env,
-    resolve_calibration,
-    resolve_drift_plan,
     run_lifecycle,
 )
+
+resolve_drift_plan = DRIFT_SPEC.resolve
+resolve_calibration = CALIBRATION_SPEC.resolve
 from repro.lifecycle.calibration import estimate_refit, rescale_model
 
 
@@ -86,11 +89,10 @@ class TestDriftPlan:
 
     def test_env_profile(self, monkeypatch):
         monkeypatch.setenv("REPRO_DRIFT_PROFILE", "thermal-harsh")
-        assert drift_plan_from_env() == DRIFT_PROFILES["thermal-harsh"]
         assert resolve_drift_plan("auto") == DRIFT_PROFILES["thermal-harsh"]
         monkeypatch.setenv("REPRO_DRIFT_PROFILE", "bogus")
         with pytest.raises(ValueError, match="unknown drift profile"):
-            drift_plan_from_env()
+            resolve_drift_plan("auto")
 
 
 class TestDriftInjector:
@@ -170,7 +172,7 @@ class TestDriftInjector:
             trace.timeline,
             clock=DeviceClock(),
             adreno_model=trace.config.gpu.model,
-            drift_injector=plan.injector(),
+            interposers=(plan.injector(),),
         )
         clean_deltas = nonzero_deltas_vectorized(
             PerfCounterSampler(clean, rng=np.random.default_rng(1)).sample_range(
@@ -202,9 +204,7 @@ def _drifted_deltas(config, credential, seed, plan, time_offset=0.0):
         trace.timeline,
         clock=DeviceClock(),
         adreno_model=trace.config.gpu.model,
-        drift_injector=(
-            plan.injector(time_offset=time_offset) if plan is not None else None
-        ),
+        interposers=build_chain(drift=plan, time_offset=time_offset),
     )
     sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(1000 + seed))
     return (

@@ -17,12 +17,16 @@ from repro.kgsl.ioctl import (
     KgslDeviceGetProperty,
     KgslPerfcounterGet,
 )
-from repro.mitigations.access_control import (
+from repro.kgsl.interpose import Interposer
+from repro.mitigations.policy import (
     DEFAULT_PRIVILEGED_CONTEXTS,
-    AccessPolicy,
-    LocalOnlyPolicy,
-    RbacPolicy,
+    MitigationPolicy,
+    mitigation,
 )
+
+
+def rbac():
+    return mitigation("rbac").enforcer(seed=0)
 
 
 def timeline_with(amount=1000, t=0.5):
@@ -37,25 +41,27 @@ def timeline_with(amount=1000, t=0.5):
 
 class TestRbacBoundaries:
     def test_every_default_privileged_context_allowed(self):
-        policy = RbacPolicy()
+        policy = rbac()
         for context_name in DEFAULT_PRIVILEGED_CONTEXTS:
             dev = open_kgsl(
                 timeline_with(),
                 context=ProcessContext(selinux_context=context_name),
-                access_policy=policy,
+                interposers=(policy,),
             )
             dev.ioctl(
                 IOCTL_KGSL_PERFCOUNTER_GET,
                 KgslPerfcounterGet(groupid=0x19, countable=14),
             )
-        assert policy.denials == 0
+        assert policy.stats.denials == 0
 
     def test_custom_whitelist(self):
-        policy = RbacPolicy(privileged_contexts=frozenset({"my_profiler"}))
+        policy = MitigationPolicy(
+            name="custom-rbac", rbac=True, privileged_contexts=("my_profiler",)
+        ).enforcer(seed=0)
         allowed = open_kgsl(
             timeline_with(),
             context=ProcessContext(selinux_context="my_profiler"),
-            access_policy=policy,
+            interposers=(policy,),
         )
         allowed.ioctl(
             IOCTL_KGSL_PERFCOUNTER_GET, KgslPerfcounterGet(groupid=0x19, countable=14)
@@ -63,7 +69,7 @@ class TestRbacBoundaries:
         denied = open_kgsl(
             timeline_with(),
             context=ProcessContext(selinux_context="system_server"),
-            access_policy=policy,
+            interposers=(policy,),
         )
         with pytest.raises(IoctlError):
             denied.ioctl(
@@ -74,26 +80,26 @@ class TestRbacBoundaries:
     def test_rbac_does_not_block_device_info(self):
         """Chip-id queries are part of normal driver startup; RBAC on
         counters must not break ordinary graphics apps."""
-        dev = open_kgsl(timeline_with(), access_policy=RbacPolicy())
+        dev = open_kgsl(timeline_with(), interposers=(rbac(),))
         prop = KgslDeviceGetProperty(type=KGSL_PROP_DEVICE_INFO)
         dev.ioctl(IOCTL_KGSL_DEVICE_GETPROPERTY, prop)
         assert prop.value.adreno_model == 650
 
     def test_denial_counter_accumulates(self):
-        policy = RbacPolicy()
-        dev = open_kgsl(timeline_with(), access_policy=policy)
+        policy = rbac()
+        dev = open_kgsl(timeline_with(), interposers=(policy,))
         for _ in range(3):
             with pytest.raises(IoctlError):
                 dev.ioctl(
                     IOCTL_KGSL_PERFCOUNTER_GET,
                     KgslPerfcounterGet(groupid=0x19, countable=14),
                 )
-        assert policy.denials == 3
+        assert policy.stats.denials == 3
 
 
 class TestLocalOnlyBoundaries:
     def test_filter_applies_per_context(self):
-        policy = LocalOnlyPolicy()
+        policy = mitigation("local-only").enforcer(seed=0)
         assert (
             policy.filter_value(
                 ProcessContext(selinux_context="untrusted_app"),
@@ -116,6 +122,10 @@ class TestLocalOnlyBoundaries:
         )
 
     def test_base_policy_is_a_noop(self):
-        policy = AccessPolicy()
-        policy.check(ProcessContext(), "get", 0x19, 14)  # must not raise
-        assert policy.filter_value(ProcessContext(), 0x19, 14, 7, now=0.0) == 7
+        # every interposer hook defaults to "let it through unchanged"
+        stage = Interposer()
+        dev = open_kgsl(timeline_with())
+        stage.on_ioctl(dev, IOCTL_KGSL_PERFCOUNTER_GET, None)  # must not raise
+        stage.on_counter(dev, "get", 0x19, 14)  # must not raise
+        assert stage.on_value(dev, (0x19, 14), 7) == 7
+        assert stage.on_wakeup() == 0.0

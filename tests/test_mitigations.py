@@ -18,13 +18,10 @@ from repro.kgsl.ioctl import (
     IoctlError,
     KgslPerfcounterGet,
 )
+from repro.kgsl.interpose import build_chain
 from repro.kgsl.sampler import PerfCounterSampler
-from repro.mitigations.access_control import (
-    AllowAllPolicy,
-    LocalOnlyPolicy,
-    RbacPolicy,
-)
-from repro.mitigations.obfuscation import CounterObfuscationPolicy, OsNoiseInjector, with_os_noise
+from repro.mitigations.obfuscation import OsNoiseInjector, with_os_noise
+from repro.mitigations.policy import MitigationPolicy, mitigation
 from repro.mitigations.popup_disable import config_with_popups_disabled, disable_popups
 
 
@@ -40,26 +37,32 @@ UNTRUSTED = ProcessContext(selinux_context="untrusted_app")
 PROFILER = ProcessContext(selinux_context="graphics_profiler")
 
 
+def enforcer(name="rbac", **layers):
+    """A fresh enforcer for a registered policy, or for ``layers``."""
+    policy = MitigationPolicy(name="custom", **layers) if layers else mitigation(name)
+    return policy.enforcer(seed=0)
+
+
 class TestRbacPolicy:
     def test_untrusted_app_denied_eacces(self):
-        policy = RbacPolicy()
-        dev = open_kgsl(timeline_with(), context=UNTRUSTED, access_policy=policy)
+        policy = enforcer("rbac")
+        dev = open_kgsl(timeline_with(), context=UNTRUSTED, interposers=(policy,))
         with pytest.raises(IoctlError) as exc:
             dev.ioctl(IOCTL_KGSL_PERFCOUNTER_GET, KgslPerfcounterGet(groupid=0x19, countable=14))
         assert exc.value.errno == errno.EACCES
-        assert policy.denials == 1
+        assert policy.stats.denials == 1
 
     def test_privileged_profiler_allowed(self):
-        policy = RbacPolicy()
-        dev = open_kgsl(timeline_with(), context=PROFILER, access_policy=policy)
+        policy = enforcer("rbac")
+        dev = open_kgsl(timeline_with(), context=PROFILER, interposers=(policy,))
         dev.ioctl(IOCTL_KGSL_PERFCOUNTER_GET, KgslPerfcounterGet(groupid=0x19, countable=14))
-        assert policy.denials == 0
+        assert policy.stats.denials == 0
 
     def test_attack_sampler_starts_blind(self):
         # EACCES at reserve time permanently masks the counters: the
         # sampler comes up with nothing to read instead of crashing the
         # attacking app (the resilient-sampling contract).
-        dev = open_kgsl(timeline_with(), context=UNTRUSTED, access_policy=RbacPolicy())
+        dev = open_kgsl(timeline_with(), context=UNTRUSTED, interposers=(enforcer("rbac"),))
         sampler = PerfCounterSampler(dev)
         assert sampler._active == []
         assert sampler.counters_denied == len(sampler.counters)
@@ -71,21 +74,22 @@ class TestRbacPolicy:
 
 class TestLocalOnlyPolicy:
     def test_unprivileged_reads_flat_zero(self):
-        policy = LocalOnlyPolicy()
+        policy = enforcer("local-only")
         dev = open_kgsl(
-            timeline_with(amount=5000), clock=DeviceClock(), context=UNTRUSTED, access_policy=policy
+            timeline_with(amount=5000), clock=DeviceClock(), context=UNTRUSTED,
+            interposers=(policy,),
         )
         sampler = PerfCounterSampler(dev, rng=np.random.default_rng(0))
         samples = sampler.sample_range(0.0, 1.0)
         assert all(
             v == 0 for s in samples for v in s.values.values()
         ), "unprivileged reads must expose no global activity"
-        assert policy.local_reads > 0
+        assert policy.stats.local_zeroed > 0
 
     def test_privileged_sees_global_values(self):
-        policy = LocalOnlyPolicy()
         dev = open_kgsl(
-            timeline_with(amount=5000), clock=DeviceClock(), context=PROFILER, access_policy=policy
+            timeline_with(amount=5000), clock=DeviceClock(), context=PROFILER,
+            interposers=(enforcer("local-only"),),
         )
         sampler = PerfCounterSampler(dev, rng=np.random.default_rng(0))
         samples = sampler.sample_range(0.0, 1.0)
@@ -94,9 +98,12 @@ class TestLocalOnlyPolicy:
 
 class TestAllowAll:
     def test_default_policy_is_permissive(self):
+        # allow-all enforces nothing, so it installs no interposer at all
+        chain = build_chain(mitigation=mitigation("allow-all"))
+        assert chain == ()
         dev = open_kgsl(
             timeline_with(amount=100), clock=DeviceClock(), context=UNTRUSTED,
-            access_policy=AllowAllPolicy(),
+            interposers=chain,
         )
         sampler = PerfCounterSampler(dev, rng=np.random.default_rng(0))
         samples = sampler.sample_range(0.0, 1.0)
@@ -105,9 +112,10 @@ class TestAllowAll:
 
 class TestObfuscation:
     def test_values_perturbed_for_unprivileged(self):
-        policy = CounterObfuscationPolicy(strength=1.0)
+        policy = enforcer(noise_strength=1.0)
         dev = open_kgsl(
-            timeline_with(amount=100), clock=DeviceClock(), context=UNTRUSTED, access_policy=policy
+            timeline_with(amount=100), clock=DeviceClock(), context=UNTRUSTED,
+            interposers=(policy,),
         )
         sampler = PerfCounterSampler(dev, rng=np.random.default_rng(0))
         samples = sampler.sample_range(0.0, 1.0)
@@ -118,9 +126,9 @@ class TestObfuscation:
         assert sum(1 for d in deltas if d != 0) > len(deltas) // 2
 
     def test_values_stay_monotone(self):
-        policy = CounterObfuscationPolicy(strength=2.0)
         dev = open_kgsl(
-            timeline_with(amount=100), clock=DeviceClock(), context=UNTRUSTED, access_policy=policy
+            timeline_with(amount=100), clock=DeviceClock(), context=UNTRUSTED,
+            interposers=(enforcer(noise_strength=2.0),),
         )
         sampler = PerfCounterSampler(dev, rng=np.random.default_rng(0))
         samples = sampler.sample_range(0.0, 0.5)
@@ -128,11 +136,10 @@ class TestObfuscation:
         assert values == sorted(values)
 
     def test_privileged_unaffected(self):
-        policy = CounterObfuscationPolicy()
         dev = open_kgsl(
             timeline_with(amount=100), clock=DeviceClock(),
             context=ProcessContext(selinux_context="system_server"),
-            access_policy=policy,
+            interposers=(enforcer(noise_strength=1.0),),
         )
         sampler = PerfCounterSampler(dev, rng=np.random.default_rng(0))
         samples = sampler.sample_range(0.0, 1.0)

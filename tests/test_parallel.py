@@ -174,6 +174,25 @@ def test_monitor_workers_matches_serial(store, config, cfg):
     assert r2.manifest.counters == r1.manifest.counters
 
 
+def test_monitor_workers_enforce_the_mitigation(store, config):
+    # the worker builds its service with the serial facade's helper, so
+    # a sharded monitor runs under the same mitigation as a serial one
+    cfg = AttackConfig(recognize_device=False, fault_plan=None, mitigation="rbac")
+    trace = simulate(config, CHASE, "abc123", seed=11, config=cfg)
+    serial_rt, shard_rt = RuntimeTrace(), RuntimeTrace()
+    m1, m2 = MetricsRegistry(), MetricsRegistry()
+    r1 = monitor(store, trace, seed=1234, config=cfg, metrics=m1, runtime_trace=serial_rt)
+    r2 = monitor(
+        store, trace, seed=1234, config=cfg, metrics=m2, runtime_trace=shard_rt,
+        workers=2,
+    )
+    assert r1.text == ""
+    assert r2.text == r1.text
+    assert r2.launch_detected_at == r1.launch_detected_at
+    assert trace_tuples(shard_rt) == trace_tuples(serial_rt)
+    assert r2.manifest.counters == r1.manifest.counters
+
+
 def test_workers1_facade_stays_serial(store, traces, cfg):
     """workers=1 through the facade must not touch the pool machinery."""
     batch = run_sessions(store, traces[:2], seed=99, config=cfg, workers=1)

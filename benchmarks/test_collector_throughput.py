@@ -1,4 +1,4 @@
-"""Collector ingestion throughput: fault tolerance, codecs, and shards.
+"""Collector ingestion throughput: fault tolerance, the binary floor, shards.
 
 Three measurements back the collector tier:
 
@@ -8,11 +8,10 @@ Three measurements back the collector tier:
    drops connections and slows reads — retries absorb every injected
    failure.
 
-2. **Codec comparison** — the same sender fleet with no faults, once
-   per wire codec.  Every payload carries the full 11-counter delta
-   vector the attack loop ships, so this measures exactly what the
-   binary codec was built for: one ``struct`` pack/unpack per result
-   instead of per-field JSON.  The binary floor is **>= 5000
+2. **Binary ingest floor** — the same sender fleet with no faults.
+   Every payload carries the full 11-counter delta vector the attack
+   loop ships, so this measures exactly what the binary codec was built
+   for: one ``struct`` pack/unpack per result.  The floor is **>= 5000
    sessions/s**.
 
 3. **Sharded tier ingestion** — 100k simulated devices (multiplexed
@@ -31,8 +30,8 @@ ack round trips, dedup, the bounded queue, and aggregation.  End-to-end
 fleet runs with real attack compute are ``tests/test_collector.py`` and
 ``repro fleet``.
 
-Writes ``BENCH_collector.json`` (ingest rates per codec, retries,
-duplicate frames) as the machine-readable record; CI uploads it as an
+Writes ``BENCH_collector.json`` (ingest rates, retries, duplicate
+frames) as the machine-readable record; CI uploads it as an
 artifact.
 """
 
@@ -57,7 +56,7 @@ pytestmark = pytest.mark.bench
 
 #: Ingestion floor the collector must sustain locally (sessions/s).
 MIN_INGEST_RATE = 1000.0
-#: Floor for the binary codec with delta-carrying payloads (sessions/s).
+#: Floor for delta-carrying payloads with no faults (sessions/s).
 MIN_BINARY_INGEST_RATE = 5000.0
 
 DEVICES = 4
@@ -79,13 +78,13 @@ def _payload(device_id, i):
     )
 
 
-def _stream_device(endpoint, d, errors, codec, fault_plan):
+def _stream_device(endpoint, d, errors, fault_plan):
     device_id = f"device-{d:04d}"
     client = CollectorClient(
         endpoint,
         device_id,
         fault_plan=fault_plan,
-        config=CollectorConfig(codec=codec, retry=BENCH_RETRY),
+        config=CollectorConfig(retry=BENCH_RETRY),
         seed_offset=d,
     )
     try:
@@ -98,15 +97,15 @@ def _stream_device(endpoint, d, errors, codec, fault_plan):
     return client.stats
 
 
-def _run_fleet(codec, fault_plan=None):
+def _run_fleet(fault_plan=None):
     """Stream the full sender fleet once; returns (handle registry, stats, wall)."""
     errors = []
     stats = [None] * DEVICES
-    with CollectorHandle(CollectorConfig(queue_size=256, codec=codec)) as handle:
+    with CollectorHandle(CollectorConfig(queue_size=256)) as handle:
         endpoint = handle.endpoint
 
         def run(d):
-            stats[d] = _stream_device(endpoint, d, errors, codec, fault_plan)
+            stats[d] = _stream_device(endpoint, d, errors, fault_plan)
 
         threads = [
             threading.Thread(target=run, args=(d,), name=f"bench-device-{d}")
@@ -125,7 +124,7 @@ def _run_fleet(codec, fault_plan=None):
 
 def test_collector_sustains_fleet_ingestion():
     sent = DEVICES * SESSIONS_PER_DEVICE
-    registry, stats, elapsed = _run_fleet("auto", fault_plan=MILD)
+    registry, stats, elapsed = _run_fleet(fault_plan=MILD)
 
     ingested = registry.counter("collector.sessions_ingested").value
     dupes = registry.counter("collector.dupes_dropped").value
@@ -159,38 +158,24 @@ def test_collector_sustains_fleet_ingestion():
     )
 
 
-def test_codec_ingest_comparison():
+def test_binary_ingest_floor():
     sent = DEVICES * SESSIONS_PER_DEVICE
-    rates = {}
-    for codec in ("json", "binary"):
-        registry, _, elapsed = _run_fleet(codec)
-        ingested = registry.counter("collector.sessions_ingested").value
-        negotiated = registry.counter(f"collector.codec.{codec}").value
-        assert ingested == sent
-        assert negotiated == DEVICES, f"every device should negotiate {codec}"
-        rates[codec] = ingested / elapsed
+    registry, _, elapsed = _run_fleet()
+    ingested = registry.counter("collector.sessions_ingested").value
+    assert ingested == sent
+    rate = ingested / elapsed
 
-    speedup = rates["binary"] / rates["json"]
-    print(f"\ncodec comparison: {DEVICES} devices x {SESSIONS_PER_DEVICE} sessions,")
+    print(f"\nbinary ingest: {DEVICES} devices x {SESSIONS_PER_DEVICE} sessions,")
     print("  full 11-counter delta payloads, no faults")
-    for codec, rate in rates.items():
-        print(f"  {codec:6s}: {rate:8.0f} sessions/s")
-    print(f"  binary/json: {speedup:.2f}x (binary floor {MIN_BINARY_INGEST_RATE:.0f}/s)")
-    assert rates["binary"] >= MIN_BINARY_INGEST_RATE
+    print(f"  {rate:8.0f} sessions/s (floor {MIN_BINARY_INGEST_RATE:.0f}/s)")
+    assert rate >= MIN_BINARY_INGEST_RATE
 
     bench = getattr(
         test_collector_sustains_fleet_ingestion, "registry", MetricsRegistry()
     )
-    bench.gauge("collector.bench_json_ingest_rate").set(rates["json"])
-    bench.gauge("collector.bench_binary_ingest_rate").set(rates["binary"])
-    bench.gauge("collector.bench_codec_speedup").set(speedup)
+    bench.gauge("collector.bench_binary_ingest_rate").set(rate)
     write_bench_manifest(
-        "collector",
-        bench,
-        devices=DEVICES,
-        sessions=sent,
-        profile="mild",
-        codecs=["json", "binary"],
+        "collector", bench, devices=DEVICES, sessions=sent, profile="mild"
     )
 
 
@@ -246,7 +231,6 @@ def test_sharded_tier_sustains_100k_devices(tmp_path):
     from repro.collector import CollectorTier
 
     config = CollectorConfig(
-        codec="binary",
         queue_size=1024,
         retry=SHARDED_RETRY,
         shards=SHARDS,
@@ -322,7 +306,6 @@ def test_sharded_tier_sustains_100k_devices(tmp_path):
         devices=DEVICES,
         sessions=DEVICES * SESSIONS_PER_DEVICE,
         profile="mild",
-        codecs=["json", "binary"],
         sharded_devices=SHARDED_DEVICES,
         shards=SHARDS,
         sharded_profile="harsh",

@@ -11,7 +11,7 @@ import numpy as np
 
 from conftest import run_once, scaled
 from repro.analysis.experiments import cached_model
-from repro.android.apps import AMEX, CHASE
+from repro.android.apps import app
 from repro.android.keyboard import KEYBOARDS
 from repro.android.os_config import DeviceConfig, default_config, phone
 from repro.core.model_store import ModelStore
@@ -19,12 +19,12 @@ from repro.core.pipeline import EavesdropAttack, simulate_credential_entry
 from repro.workloads.credentials import credential_batch
 
 FLEET = [
-    (DeviceConfig(phone=phone("oneplus8pro")), CHASE),
-    (DeviceConfig(phone=phone("oneplus8pro"), keyboard=KEYBOARDS["sogou"]), CHASE),
-    (DeviceConfig(phone=phone("pixel2")), CHASE),
-    (DeviceConfig(phone=phone("lg_v30")), CHASE),
-    (DeviceConfig(phone=phone("oneplus9")), CHASE),
-    (DeviceConfig(phone=phone("oneplus8pro")), AMEX),
+    (DeviceConfig(phone=phone("oneplus8pro")), app("chase")),
+    (DeviceConfig(phone=phone("oneplus8pro"), keyboard=KEYBOARDS["sogou"]), app("chase")),
+    (DeviceConfig(phone=phone("pixel2")), app("chase")),
+    (DeviceConfig(phone=phone("lg_v30")), app("chase")),
+    (DeviceConfig(phone=phone("oneplus9")), app("chase")),
+    (DeviceConfig(phone=phone("oneplus8pro")), app("amex")),
 ]
 
 

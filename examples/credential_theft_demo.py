@@ -14,10 +14,9 @@ Usage:
 import numpy as np
 
 from repro.api import (
-    AMEX,
-    CHASE,
     AttackConfig,
     DeviceConfig,
+    app,
     attack,
     credential_batch,
     edit_distance,
@@ -30,9 +29,9 @@ from repro.api import (
 
 VICTIMS = [
     # (phone, keyboard, app) — three distinct configurations
-    ("oneplus8pro", "gboard", CHASE),
-    ("pixel2", "gboard", CHASE),
-    ("oneplus8pro", "sogou", AMEX),
+    ("oneplus8pro", "gboard", app("chase")),
+    ("pixel2", "gboard", app("chase")),
+    ("oneplus8pro", "sogou", app("amex")),
 ]
 
 
@@ -42,7 +41,7 @@ def config_for(phone_name: str, keyboard_name: str) -> DeviceConfig:
 
 def main() -> None:
     print("[offline] training one model per (configuration, app) ...")
-    pairs = [(config_for(p, k), app) for p, k, app in VICTIMS]
+    pairs = [(config_for(p, k), target) for p, k, target in VICTIMS]
     cfg = AttackConfig(train_seed=11, recognize_device=True)
     store = train(pairs, config=cfg)
     print(
@@ -54,15 +53,15 @@ def main() -> None:
     rng = np.random.default_rng(5)
 
     stolen = 0
-    for i, ((config, app), credential) in enumerate(
+    for i, ((config, target), credential) in enumerate(
         zip(pairs, credential_batch(rng, len(pairs)))
     ):
         print(f"\n--- victim {i + 1}: {config.phone.display_name} / "
-              f"{config.keyboard.display_name} / {app.display_name} ---")
-        trace = simulate(config, app, credential, seed=500 + i)
+              f"{config.keyboard.display_name} / {target.display_name} ---")
+        trace = simulate(config, target, credential, seed=500 + i)
         result = attack(store, trace, seed=800 + i, config=cfg)
 
-        expected_key = f"{config.config_key()}/{app.name}"
+        expected_key = f"{config.config_key()}/{target.name}"
         recognized = "correct" if result.model_key == expected_key else "WRONG"
         print(f"device recognition : {result.model_key} ({recognized})")
         if result.recognition is not None:

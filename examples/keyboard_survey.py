@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from repro.api import (
-    CHASE,
     KEYBOARDS,
+    app,
     cached_model,
     character_group,
     counters as pc,
@@ -28,7 +28,7 @@ def survey_keyboard(name: str) -> None:
     config = default_config(keyboard=KEYBOARDS[name])
     print(f"\n=== {KEYBOARDS[name].display_name} ({name}) ===")
 
-    model = cached_model(config, CHASE)
+    model = cached_model(config, app("chase"))
     print(
         f"model: {len(model.key_labels)} key classes, cth={model.cth:.3f}, "
         f"{model.size_bytes() / 1024:.1f} KB"
@@ -47,7 +47,7 @@ def survey_keyboard(name: str) -> None:
         print(f"  {a!r} vs {b!r}: d={dists[i, j]:.3f}")
 
     # measured per-key accuracy
-    stats = run_per_key_sweep(config, CHASE, repeats=6, seed=4242)
+    stats = run_per_key_sweep(config, app("chase"), repeats=6, seed=4242)
     accuracy = {c: correct / total for c, (correct, total) in stats.items() if total}
     overall = sum(c for c, _ in stats.values()) / max(1, sum(t for _, t in stats.values()))
     worst = sorted(accuracy, key=accuracy.get)[:6]

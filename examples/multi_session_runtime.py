@@ -16,9 +16,9 @@ import sys
 import time
 
 from repro.api import (
-    CHASE,
     AttackConfig,
     RuntimeTrace,
+    app,
     default_config,
     run_sessions,
     simulate,
@@ -37,11 +37,11 @@ def main() -> None:
 
     print("offline phase: training the classification model ...")
     cfg = AttackConfig(recognize_device=False)
-    store = train([(config, CHASE)], config=cfg)
+    store = train([(config, app("chase"))], config=cfg)
 
     print("victim phase: compiling one GPU trace per session ...")
     traces = [
-        simulate(config, CHASE, credential, seed=100 + i)
+        simulate(config, app("chase"), credential, seed=100 + i)
         for i in range(n_sessions)
     ]
 

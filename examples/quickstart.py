@@ -19,8 +19,8 @@ import sys
 import time
 
 from repro.api import (
-    CHASE,
     AttackConfig,
+    app,
     attack,
     default_config,
     simulate,
@@ -31,17 +31,18 @@ from repro.api import (
 def main() -> None:
     credential = sys.argv[1] if len(sys.argv) > 1 else "Tr0ub4dor&3"
     config = default_config()
+    target = app("chase")
 
     print(f"victim device : {config.phone.display_name} ({config.gpu.name})")
     print(f"configuration : {config.config_key()}")
-    print(f"target app    : {CHASE.display_name}")
+    print(f"target app    : {target.display_name}")
     print(f"credential    : {credential!r}")
     print()
 
     print("[offline] training the classification model on the attacker's device ...")
     t0 = time.perf_counter()
     cfg = AttackConfig(recognize_device=False)
-    store = train([(config, CHASE)], config=cfg)
+    store = train([(config, target)], config=cfg)
     model = store.get(store.keys()[0])
     print(
         f"[offline] {len(model.key_labels)} key classes, "
@@ -51,7 +52,7 @@ def main() -> None:
     )
 
     print("[victim ] compiling the credential-entry session ...")
-    trace = simulate(config, CHASE, credential, seed=42)
+    trace = simulate(config, target, credential, seed=42)
     print(
         f"[victim ] {len(trace.timeline.frames)} GPU frames over "
         f"{trace.end_time_s:.1f}s of screen time"

@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from repro.api import (
-    CHASE,
     BackspacePress,
     DeviceClock,
     KeyPress,
@@ -23,6 +22,7 @@ from repro.api import (
     TraceSummary,
     VictimDevice,
     annotate,
+    app,
     default_config,
     open_kgsl,
     render_trace,
@@ -35,14 +35,14 @@ def main() -> None:
     config = default_config()
 
     print(f"training model for {config.config_key()} ...")
-    model = train_model(config, CHASE, seed=7)
+    model = train_model(config, app("chase"), seed=7)
 
     events = [KeyPress(t=0.6 + 0.55 * i, char=c) for i, c in enumerate(text)]
     backspace_t = 0.6 + 0.55 * len(text) + 0.4
     events.append(BackspacePress(t=backspace_t))
     end = backspace_t + 1.6
 
-    device = VictimDevice(config, CHASE, rng=np.random.default_rng(1))
+    device = VictimDevice(config, app("chase"), rng=np.random.default_rng(1))
     trace = device.compile(events, end_time_s=end)
 
     kgsl = open_kgsl(trace.timeline, clock=DeviceClock())

@@ -28,9 +28,6 @@ through registries (see :mod:`repro.scenarios` and docs/scenarios.md)::
     print(scenario_names())  # 'gboard-chase', 'pinpad', ...
     cfg = AttackConfig(scenario="pinpad")
 
-The legacy spec constants (``CHASE``, ``SWIFTKEY``, …) remain importable
-from here as deprecated aliases of the registry entries.
-
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured comparison of every table and figure.
 """
@@ -95,49 +92,7 @@ from repro.workloads.typing_model import TypingModel, VOLUNTEERS
 
 __version__ = "1.0.0"
 
-#: Deprecated top-level spec constants → the android module that still
-#: serves them (lazily, through its own ``__getattr__`` choke point).
-_DEPRECATED_FORWARDS = {
-    name: "repro.android.apps"
-    for name in (
-        "AMEX",
-        "CHASE",
-        "CHASE_WEB",
-        "EXPERIAN",
-        "EXPERIAN_WEB",
-        "FIDELITY",
-        "MYFICO",
-        "NATIVE_APPS",
-        "PNC",
-        "SCHWAB",
-        "SCHWAB_WEB",
-    )
-}
-_DEPRECATED_FORWARDS.update(
-    {
-        name: "repro.android.keyboard"
-        for name in (
-            "GBOARD",
-            "SWIFTKEY",
-            "SOGOU",
-            "GOOGLE_PINYIN",
-            "GO_KEYBOARD",
-            "GRAMMARLY",
-        )
-    }
-)
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_FORWARDS:
-        import importlib
-
-        module = importlib.import_module(_DEPRECATED_FORWARDS[name])
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
-    "AMEX",
     "ADRENO_MODELS",
     "ANDROID_VERSIONS",
     "AccuracyReport",
@@ -147,18 +102,13 @@ __all__ = [
     "CandidateGenerator",
     "LaunchDetector",
     "MonitoringService",
-    "CHASE",
-    "CHASE_WEB",
     "ClassificationModel",
     "CounterGroup",
     "CounterSpec",
     "DeviceConfig",
     "Display",
-    "EXPERIAN",
-    "EXPERIAN_WEB",
     "EavesdropAttack",
     "FAULT_PROFILE_ENV",
-    "FIDELITY",
     "FaultInjector",
     "FaultPlan",
     "FaultStats",
@@ -166,14 +116,11 @@ __all__ = [
     "KGSL_DEVICE_PATH",
     "KeyboardSpec",
     "KgslDeviceFile",
-    "MYFICO",
     "ModelStore",
-    "NATIVE_APPS",
     "OfflineTrainer",
     "OnlineEngine",
     "OnlineResult",
     "PHONE_MODELS",
-    "PNC",
     "PerfCounterSampler",
     "PhoneModel",
     "Registry",
@@ -181,8 +128,6 @@ __all__ = [
     "RuntimeEvent",
     "RuntimeTrace",
     "SCENARIO_REGISTRY",
-    "SCHWAB",
-    "SCHWAB_WEB",
     "SELECTED_COUNTERS",
     "SamplerDeltaSource",
     "Session",

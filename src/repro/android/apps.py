@@ -11,9 +11,9 @@ Like :mod:`repro.android.keyboard`, this module is a registry *producer*:
 the paper's apps are registered into :data:`APP_REGISTRY` at import time
 and :func:`app` resolves names through it, so new targets registered via
 :func:`register_app` (from any module) become addressable by the CLI and
-the scenario registry.  The legacy constants (``CHASE`` …) remain
-importable as deprecated aliases; :data:`TARGET_APPS` / :data:`NATIVE_APPS`
-stay snapshots of the paper's evaluation set.
+the scenario registry.  :data:`TARGET_APPS` stays a snapshot of the
+paper's evaluation set; ``APP_REGISTRY.tagged("native")`` lists its
+native apps in Fig 19 order.
 """
 
 from __future__ import annotations
@@ -243,36 +243,6 @@ TARGET_APPS: Dict[str, AppSpec] = {
         _PNC,
     )
 }
-
-#: Deprecated module-level aliases → registry names (see ``__getattr__``).
-_DEPRECATED_SPECS: Dict[str, str] = {
-    "CHASE": "chase",
-    "AMEX": "amex",
-    "FIDELITY": "fidelity",
-    "SCHWAB": "schwab",
-    "MYFICO": "myfico",
-    "EXPERIAN": "experian",
-    "CHASE_WEB": "chase.com",
-    "SCHWAB_WEB": "schwab.com",
-    "EXPERIAN_WEB": "experian.com",
-    "PNC": "pnc",
-}
-
-
-def __getattr__(name: str):
-    from repro.core.results import warn_deprecated
-
-    if name in _DEPRECATED_SPECS:
-        key = _DEPRECATED_SPECS[name]
-        warn_deprecated(f"repro.android.apps.{name}", f'app("{key}")')
-        return APP_REGISTRY.get(key)
-    if name == "NATIVE_APPS":
-        warn_deprecated(
-            "repro.android.apps.NATIVE_APPS", 'APP_REGISTRY.tagged("native")'
-        )
-        return APP_REGISTRY.tagged("native")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 def app(name: str) -> AppSpec:
     """Resolve a target app by registry name.

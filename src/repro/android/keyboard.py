@@ -22,9 +22,8 @@ code — including code outside this package, like the PIN-pad keyboard in
 :mod:`repro.scenarios.pinpad` — can register further keyboards through
 :func:`register_keyboard`.  :func:`keyboard` resolves names through the
 registry, so a registered keyboard is addressable everywhere a built-in
-one is.  The legacy module-level spec constants (``GBOARD`` …) remain
-importable as deprecated aliases; :data:`KEYBOARDS` stays a snapshot of
-the paper's Fig 20 set and is no longer the source of truth.
+one is.  :data:`KEYBOARDS` stays a snapshot of the paper's Fig 20 set
+and is not the source of truth.
 
 Two key arrangements (``KeyboardSpec.layout``) are supported:
 
@@ -236,29 +235,6 @@ KEYBOARDS: Dict[str, KeyboardSpec] = {
     spec.name: spec
     for spec in (_SWIFTKEY, _GBOARD, _SOGOU, _GOOGLE_PINYIN, _GO_KEYBOARD, _GRAMMARLY)
 }
-
-#: Deprecated module-level aliases → registry names (see ``__getattr__``).
-_DEPRECATED_SPECS: Dict[str, str] = {
-    "GBOARD": "gboard",
-    "SWIFTKEY": "swift",
-    "SOGOU": "sogou",
-    "GOOGLE_PINYIN": "pinyin",
-    "GO_KEYBOARD": "go",
-    "GRAMMARLY": "grammarly",
-}
-
-
-def __getattr__(name: str) -> KeyboardSpec:
-    if name in _DEPRECATED_SPECS:
-        from repro.core.results import warn_deprecated
-
-        key = _DEPRECATED_SPECS[name]
-        warn_deprecated(
-            f"repro.android.keyboard.{name}", f'keyboard("{key}")'
-        )
-        return KEYBOARD_REGISTRY.get(key)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 def keyboard(name: str) -> KeyboardSpec:
     """Resolve a keyboard by registry name.

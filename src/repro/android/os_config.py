@@ -177,27 +177,6 @@ PHONE_MODELS: Dict[str, PhoneModel] = {
     )
 }
 
-#: Deprecated module-level aliases → registry names (see ``__getattr__``).
-_DEPRECATED_SPECS: Dict[str, str] = {
-    "LG_V30": "lg_v30",
-    "PIXEL_2": "pixel2",
-    "ONEPLUS_7_PRO": "oneplus7pro",
-    "ONEPLUS_8_PRO": "oneplus8pro",
-    "ONEPLUS_9": "oneplus9",
-    "GALAXY_S21": "galaxy_s21",
-}
-
-
-def __getattr__(name: str) -> PhoneModel:
-    if name in _DEPRECATED_SPECS:
-        from repro.core.results import warn_deprecated
-
-        key = _DEPRECATED_SPECS[name]
-        warn_deprecated(f"repro.android.os_config.{name}", f'phone("{key}")')
-        return PHONE_REGISTRY.get(key)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def phone(name: str) -> PhoneModel:
     """Resolve a phone model by registry name.
 

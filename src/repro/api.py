@@ -179,47 +179,6 @@ from repro.workloads.credentials import (
 #: keyword or field never shadows the lookup function.
 scenario_lookup = scenario
 
-#: Deprecated spec-constant re-exports → the module that still serves
-#: them (lazily, through its own ``__getattr__`` choke point).
-_DEPRECATED_FORWARDS = {
-    name: "repro.android.apps"
-    for name in (
-        "AMEX",
-        "CHASE",
-        "CHASE_WEB",
-        "EXPERIAN",
-        "EXPERIAN_WEB",
-        "FIDELITY",
-        "MYFICO",
-        "NATIVE_APPS",
-        "PNC",
-        "SCHWAB",
-        "SCHWAB_WEB",
-    )
-}
-_DEPRECATED_FORWARDS.update(
-    {
-        name: "repro.android.keyboard"
-        for name in (
-            "GBOARD",
-            "SWIFTKEY",
-            "SOGOU",
-            "GOOGLE_PINYIN",
-            "GO_KEYBOARD",
-            "GRAMMARLY",
-        )
-    }
-)
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_FORWARDS:
-        import importlib
-
-        module = importlib.import_module(_DEPRECATED_FORWARDS[name])
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     # facade
     "AttackConfig",
@@ -263,17 +222,6 @@ __all__ = [
     "register_app",
     "APP_REGISTRY",
     "TARGET_APPS",
-    "NATIVE_APPS",
-    "AMEX",
-    "CHASE",
-    "CHASE_WEB",
-    "EXPERIAN",
-    "EXPERIAN_WEB",
-    "FIDELITY",
-    "MYFICO",
-    "PNC",
-    "SCHWAB",
-    "SCHWAB_WEB",
     "DeviceConfig",
     "PhoneModel",
     "phone",
@@ -806,10 +754,6 @@ def run_fleet(
     metrics: Optional[MetricsRegistry] = None,
     device_threads: Optional[int] = None,
     drill: Optional[KillDrill] = None,
-    transport: Optional[str] = None,
-    unix_path: Optional[str] = None,
-    queue_size: Optional[int] = None,
-    retry: Optional[RetryPolicy] = None,
 ) -> FleetReport:
     """Run ``devices`` simulated victims streaming into one collector.
 
@@ -822,11 +766,8 @@ def run_fleet(
     device and connection drops / slow reads on the uplink.
 
     ``collector`` is the tier's :class:`CollectorConfig` — transport,
-    wire codec (``auto``/``binary``/``json``), backpressure bound,
-    retry schedule.  The old ``transport=``/``unix_path=``/
-    ``queue_size=``/``retry=`` keywords still work through a
-    deprecation shim.  ``collector.shards > 1`` scales the tier to N
-    collector *processes* behind the deterministic
+    backpressure bound, retry schedule.  ``collector.shards > 1``
+    scales the tier to N collector *processes* behind the deterministic
     :class:`~repro.collector.router.DeviceRouter`, each with a
     write-ahead journal (``collector.journal_dir``; a scratch
     directory when unset); ``drill`` scripts a SIGKILL/restart of one
@@ -860,22 +801,6 @@ def run_fleet(
         target = scn.app_spec()
     if not credential:
         raise ValueError("run_fleet() needs a non-empty credential")
-    legacy = {
-        key: value
-        for key, value in (
-            ("transport", transport),
-            ("unix_path", unix_path),
-            ("queue_size", queue_size),
-            ("retry", retry),
-        )
-        if value is not None
-    }
-    if legacy:
-        from repro.collector.config import shim_legacy_kwargs
-        from repro.collector.fleet import _LEGACY_FLEET_KWARGS, FLEET_RETRY
-
-        base = collector if collector is not None else CollectorConfig(retry=FLEET_RETRY)
-        collector = shim_legacy_kwargs(base, legacy, "run_fleet", _LEGACY_FLEET_KWARGS)
     driver = FleetDriver(
         store,
         device_config,

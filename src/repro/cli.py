@@ -261,13 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="collector in-flight queue bound (the backpressure knob)",
     )
     fleet.add_argument(
-        "--codec",
-        choices=("auto", "binary", "json"),
-        default="auto",
-        help="wire codec: auto negotiates the struct-packed binary frames "
-        "and falls back to JSON for old peers; binary/json pin the choice",
-    )
-    fleet.add_argument(
         "--shards",
         type=int,
         default=1,
@@ -618,7 +611,6 @@ def _cmd_fleet(args) -> int:
         collector_cfg = CollectorConfig(
             transport=args.transport,
             unix_path=unix_path,
-            codec=args.codec,
             queue_size=args.queue_size,
             # a drill takes a shard down for ~a second of process
             # respawn; devices need the patient backoff to ride it out
@@ -646,7 +638,7 @@ def _cmd_fleet(args) -> int:
             tmpdir.cleanup()
     print(
         f"fleet      : {report.devices} devices x {args.sessions} sessions "
-        f"(transport={args.transport}, codec={args.codec}, "
+        f"(transport={args.transport}, "
         f"shards={report.shards}, workers={args.workers})"
     )
     if report.shards > 1:

@@ -4,9 +4,8 @@ The first cross-process networking layer of the reproduction — many
 simulated devices stream their :class:`SessionResultPayload` frames into
 one asyncio :class:`CollectorServer` with bounded-queue backpressure,
 retry-until-acked delivery, and ``(device_id, seq)`` deduplication.
-The wire speaks two negotiated codecs — a struct-packed binary frame
-format (the 11 counter deltas as fixed u64s) and length-prefixed JSON
-as the compatibility fallback — configured through one
+The wire speaks one struct-packed binary frame format (the 11 counter
+deltas as fixed u64s), and every knob lives on one
 :class:`CollectorConfig`.  ``docs/collector.md`` is the full guide.
 """
 
@@ -16,11 +15,7 @@ from repro.collector.client import (
     CollectorClientError,
     NetworkFaultInjector,
 )
-from repro.collector.config import (
-    CODECS,
-    CollectorConfig,
-    RetryPolicy,
-)
+from repro.collector.config import CollectorConfig, RetryPolicy
 from repro.collector.fleet import (
     DEVICE_SEED_STRIDE,
     DRILL_RETRY,
@@ -32,34 +27,27 @@ from repro.collector.fleet import (
 )
 from repro.collector.frames import (
     BINARY_CODEC,
-    JSON_CODEC,
+    MAX_FRAME_BYTES,
+    N_COUNTERS,
+    PROTO_VERSION,
     Ack,
     Batch,
     Bye,
     ByeOk,
+    ConnectionClosed,
     Frame,
+    FrameError,
+    FrameTooLarge,
+    FrameTruncated,
     Hello,
     HelloOk,
     Metrics,
     MetricsOk,
     ProtocolError,
     Result,
-    codec_for,
-    decode_any,
-    negotiate_codec,
-)
-from repro.collector.framing import (
-    MAX_FRAME_BYTES,
-    N_COUNTERS,
-    PROTO_VERSION,
-    ConnectionClosed,
-    FrameError,
-    FrameTooLarge,
-    FrameTruncated,
     SessionResultPayload,
-    decode_body,
-    encode_frame,
-    read_frame_sock,
+    decode_any,
+    read_body_sock,
 )
 from repro.collector.journal import (
     JOURNAL_SYNC_MODES,
@@ -92,7 +80,6 @@ __all__ = [
     "CollectorClient",
     "CollectorClientError",
     "CollectorConfig",
-    "CODECS",
     "ClientStats",
     "NetworkFaultInjector",
     "RetryPolicy",
@@ -117,14 +104,9 @@ __all__ = [
     "Bye",
     "ByeOk",
     "ProtocolError",
-    "JSON_CODEC",
     "BINARY_CODEC",
-    "codec_for",
     "decode_any",
-    "negotiate_codec",
-    "encode_frame",
-    "decode_body",
-    "read_frame_sock",
+    "read_body_sock",
     "MAX_FRAME_BYTES",
     "N_COUNTERS",
     "PROTO_VERSION",

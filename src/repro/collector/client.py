@@ -7,13 +7,9 @@ blocking ``send → await ack`` round trip is exactly the shape that lets
 the server's bounded queue push back on them (see
 :mod:`repro.collector.server`).
 
-Codec negotiation: the client's ``hello`` offers its acceptable wire
-codecs (``codec="auto"`` offers binary-then-JSON, ``codec="binary"``
-offers binary only, ``codec="json"`` offers nothing — the revision-1
-wire shape old servers expect); the server's ``hello_ok`` names the
-choice, and every subsequent frame on that connection is encoded with
-it.  Result frames on the binary codec are one ``struct`` pack — the
-11 counter deltas ride as fixed u64s, no per-field JSON encode.
+Every frame goes out on the one binary codec
+(:mod:`repro.collector.frames`): a result frame is one ``struct`` pack —
+the 11 counter deltas ride as fixed u64s, no per-field JSON encode.
 
 Reliability discipline:
 
@@ -21,7 +17,7 @@ Reliability discipline:
   ``seq``;
 * a frame is *resent* — over a fresh connection if necessary — until
   its ``ack`` arrives, with **jittered exponential backoff** between
-  attempts (:class:`RetryPolicy`);
+  attempts (:class:`~repro.collector.config.RetryPolicy`);
 * the server deduplicates by ``(device_id, seq)``, so the retry loop
   can never double-aggregate a result.
 
@@ -48,21 +44,19 @@ import numpy as np
 
 from repro import faults
 from repro.faults import FaultPlan
-from repro.collector.config import CollectorConfig, RetryPolicy, shim_legacy_kwargs
+from repro.collector.config import CollectorConfig
 from repro.collector.frames import (
+    BINARY_CODEC,
     Ack,
     Bye,
     ByeOk,
+    ConnectionClosed,
     Frame,
+    FrameError,
     Hello,
     HelloOk,
     Metrics,
     MetricsOk,
-    codec_for,
-)
-from repro.collector.framing import (
-    ConnectionClosed,
-    FrameError,
     SessionResultPayload,
     read_body_sock,
 )
@@ -75,7 +69,6 @@ __all__ = [
     "CollectorClient",
     "CollectorClientError",
     "NetworkFaultInjector",
-    "RetryPolicy",  # relocated to repro.collector.config; re-exported here
 ]
 
 
@@ -130,13 +123,6 @@ class NetworkFaultInjector:
         return 0.0
 
 
-#: Legacy per-call keywords → the CollectorConfig field each one sets.
-_LEGACY_CLIENT_KWARGS = {
-    "retry": "retry",
-    "timeout_s": "timeout_s",
-}
-
-
 class CollectorClient:
     """One device's reliable stream of results into a collector.
 
@@ -149,9 +135,7 @@ class CollectorClient:
             resolved exactly like the attack-side argument; an enabled
             plan turns on :class:`NetworkFaultInjector`.
         config: the :class:`~repro.collector.config.CollectorConfig`
-            supplying the wire codec, retry schedule and socket
-            timeout (the old ``retry=`` / ``timeout_s=`` keywords keep
-            working through a deprecation shim).
+            supplying the retry schedule and socket timeout.
         sleep: injectable sleeper (tests pass a no-op to make backoff
             schedules instantaneous).
     """
@@ -164,20 +148,16 @@ class CollectorClient:
         config: Optional[CollectorConfig] = None,
         seed_offset: int = 0,
         sleep: Callable[[float], None] = time.sleep,
-        **legacy,
     ) -> None:
         kind = endpoint[0]
         if kind not in ("tcp", "unix"):
             raise ValueError(f"unknown endpoint kind {kind!r}")
-        config = shim_legacy_kwargs(
-            config, legacy, "CollectorClient", _LEGACY_CLIENT_KWARGS
-        )
+        config = config or CollectorConfig()
         self.endpoint = tuple(endpoint)
         self.device_id = device_id
         self.config = config
         self.retry = config.retry
         self.timeout_s = config.timeout_s
-        self.codec = config.codec
         self.sleep = sleep
         self.stats = ClientStats()
         plan = faults.FAULT_SPEC.resolve(fault_plan)
@@ -186,25 +166,10 @@ class CollectorClient:
         )
         self._backoff_rng = np.random.default_rng((seed_offset, 0x8ACC0FF))
         self._sock: Optional[socket.socket] = None
-        self._wire = codec_for("json")
         self._connected_once = False
         self._seq = 0
 
-    @property
-    def wire_codec(self) -> str:
-        """The codec negotiated on the current connection (``json`` until hello)."""
-        return self._wire.name
-
     # -- connection -----------------------------------------------------
-
-    def _offered_codecs(self):
-        if self.codec == "json":
-            # offer nothing: the hello is byte-identical to a
-            # revision-1 client's, so old servers are none the wiser
-            return ()
-        if self.codec == "binary":
-            return ("binary",)
-        return ("binary", "json")
 
     def _connect(self) -> None:
         if self.endpoint[0] == "unix":
@@ -214,19 +179,16 @@ class CollectorClient:
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             target = (self.endpoint[1], self.endpoint[2])
         sock.settimeout(self.timeout_s)
-        sock.connect(target)
+        try:
+            sock.connect(target)
+        except OSError:
+            sock.close()
+            raise
         self._sock = sock
-        self._wire = codec_for("json")
-        reply = self._roundtrip(
-            Hello(device_id=self.device_id, codecs=self._offered_codecs())
-        )
+        reply = self._roundtrip(Hello(device_id=self.device_id))
         if not isinstance(reply, HelloOk):
             self._drop_connection()
             raise CollectorClientError(f"collector rejected hello: {reply}")
-        # an old server omits the codec field → json, which every
-        # policy accepts (codec="binary" is a preference, not a demand,
-        # matching the server side of negotiate_codec)
-        self._wire = codec_for(reply.codec)
 
     def _ensure_connected(self) -> None:
         if self._sock is None:
@@ -242,10 +204,9 @@ class CollectorClient:
             except OSError:
                 pass
             self._sock = None
-        self._wire = codec_for("json")
 
     def _roundtrip(self, frame: Frame) -> Frame:
-        self._sock.sendall(self._wire.encode(frame))
+        self._sock.sendall(BINARY_CODEC.encode(frame))
         return decode_any(read_body_sock(self._sock))
 
     # -- delivery -------------------------------------------------------
@@ -272,7 +233,7 @@ class CollectorClient:
                     self.stats.injected_drops += 1
                     self._drop_connection()
                     raise ConnectionResetError("injected connection drop (before send)")
-                self._sock.sendall(self._wire.encode(frame))
+                self._sock.sendall(BINARY_CODEC.encode(frame))
                 self.stats.frames_sent += 1
                 if fault == "drop_after":
                     # the frame is on the wire but we sever before the
@@ -394,7 +355,7 @@ class CollectorClient:
         sent = list(burst)
         burst.clear()
         wire_frame = sent[0] if len(sent) == 1 else BatchFrame(frames=tuple(sent))
-        self._sock.sendall(self._wire.encode(wire_frame))
+        self._sock.sendall(BINARY_CODEC.encode(wire_frame))
         self.stats.frames_sent += len(sent)
         pending.extend(sent)
         if fault == "drop_after":

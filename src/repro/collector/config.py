@@ -11,10 +11,6 @@ threading a new knob meant touching all four signatures.
 mirroring :class:`~repro.api.AttackConfig`: construct it once, pass it
 everywhere, round-trip it through :meth:`to_dict` / :meth:`from_dict`
 (manifests embed it the same way they embed the attack config).
-
-The old per-call keywords still work through a one-release deprecation
-shim (:func:`repro.core.results.warn_deprecated`), so existing callers
-keep running while they migrate.
 """
 
 from __future__ import annotations
@@ -24,11 +20,8 @@ from typing import Dict, Mapping, Optional
 
 import numpy as np
 
-from repro.collector.framing import MAX_FRAME_BYTES
+from repro.collector.frames import MAX_FRAME_BYTES
 from repro.collector.journal import JOURNAL_SYNC_MODES
-
-#: Codec selection values accepted by :attr:`CollectorConfig.codec`.
-CODECS = ("auto", "binary", "json")
 
 
 @dataclass(frozen=True)
@@ -84,12 +77,10 @@ class CollectorConfig:
         transport: ``"tcp"`` or ``"unix"``.
         host / port: TCP bind/connect address (``port=0`` binds free).
         unix_path: filesystem path for the unix-socket transport.
-        codec: wire codec policy — ``"auto"`` negotiates the binary
-            frame codec when both ends support it and falls back to
-            JSON, ``"binary"`` prefers/requires binary (a server stays
-            compatible with JSON-only clients; a client errors if the
-            server cannot speak binary), ``"json"`` forces the
-            length-prefixed JSON wire format of protocol revision 1.
+        codec: always ``"binary"``, the one wire codec.  The field
+            selects nothing: it is the one vestige of the retired codec
+            choice, kept because ``bench/workloads.py`` still passes
+            ``codec="binary"``; drop it when the bench is next re-cut.
         queue_size: the server's in-flight result bound (backpressure).
         read_timeout_s: server-side idle read timeout per connection.
         drain_timeout_s: how long a stopping server waits for in-flight
@@ -130,7 +121,7 @@ class CollectorConfig:
     host: str = "127.0.0.1"
     port: int = 0
     unix_path: Optional[str] = None
-    codec: str = "auto"
+    codec: str = "binary"
     queue_size: int = 256
     read_timeout_s: float = 30.0
     drain_timeout_s: float = 10.0
@@ -147,8 +138,8 @@ class CollectorConfig:
             raise ValueError(f"unknown transport {self.transport!r}")
         if self.transport == "unix" and not self.unix_path:
             raise ValueError("unix transport requires unix_path")
-        if self.codec not in CODECS:
-            raise ValueError(f"codec must be one of {CODECS}, got {self.codec!r}")
+        if self.codec != "binary":
+            raise ValueError(f"codec must be 'binary', got {self.codec!r}")
         if self.queue_size < 1:
             raise ValueError("queue_size must be >= 1")
         if self.read_timeout_s <= 0 or self.drain_timeout_s <= 0:
@@ -173,7 +164,7 @@ class CollectorConfig:
             )
 
     def with_overrides(self, **overrides) -> "CollectorConfig":
-        """A copy with ``overrides`` applied (the deprecation-shim seam)."""
+        """A copy with ``overrides`` applied."""
         return replace(self, **overrides) if overrides else self
 
     # -- serialization --------------------------------------------------
@@ -199,33 +190,3 @@ class CollectorConfig:
             kwargs["retry"] = RetryPolicy.from_dict(retry)
         return cls(**kwargs)  # type: ignore[arg-type]
 
-
-def shim_legacy_kwargs(
-    config: Optional[CollectorConfig],
-    legacy: Dict[str, object],
-    owner: str,
-    allowed: Mapping[str, str],
-) -> CollectorConfig:
-    """Fold deprecated per-call keywords into a :class:`CollectorConfig`.
-
-    ``allowed`` maps each legacy keyword to the config field it sets.
-    Every legacy keyword actually passed emits the one-release
-    :func:`~repro.core.results.warn_deprecated` warning; anything else
-    is a :class:`TypeError`, exactly as an unknown keyword would be.
-    """
-    from repro.core.results import warn_deprecated
-
-    unknown = set(legacy) - set(allowed)
-    if unknown:
-        raise TypeError(
-            f"{owner}() got unexpected keyword arguments: {sorted(unknown)}"
-        )
-    overrides = {}
-    for key, value in legacy.items():
-        field_name = allowed[key]
-        warn_deprecated(
-            f"{owner}({key}=...)",
-            f"{owner}(config=CollectorConfig({field_name}=...))",
-        )
-        overrides[field_name] = value
-    return (config or CollectorConfig()).with_overrides(**overrides)

@@ -15,8 +15,8 @@ Every payload carries the session's ground-truth **counter deltas** —
 the cumulative values of the 11 selected performance counters at the
 end of the victim trace, in Table-1 order — which is exactly the
 fixed-width block the binary wire codec ships as one struct pack (see
-:mod:`repro.collector.frames`).  The collector tier's transport,
-codec, and backpressure knobs all come from one
+:mod:`repro.collector.frames`).  The collector tier's transport and
+backpressure knobs all come from one
 :class:`~repro.collector.config.CollectorConfig`.
 
 Device identity and seeding: device ``d`` is ``device-{d:04d}`` and
@@ -47,8 +47,8 @@ from repro.collector.client import (
     CollectorClient,
     CollectorClientError,
 )
-from repro.collector.config import CollectorConfig, RetryPolicy, shim_legacy_kwargs
-from repro.collector.framing import SessionResultPayload
+from repro.collector.config import CollectorConfig, RetryPolicy
+from repro.collector.frames import SessionResultPayload
 from repro.collector.journal import count_journal_records
 from repro.collector.router import CollectorTier
 from repro.collector.server import CollectorHandle
@@ -68,16 +68,6 @@ DRILL_RETRY = RetryPolicy(max_attempts=16, base_delay_s=0.02, max_delay_s=0.5)
 
 #: How long the driver waits for the drill thread after devices finish.
 SHARD_JOIN_TIMEOUT_S = 60.0
-
-#: Legacy per-call keywords → the CollectorConfig field each one sets.
-_LEGACY_FLEET_KWARGS = {
-    "transport": "transport",
-    "unix_path": "unix_path",
-    "queue_size": "queue_size",
-    "read_timeout_s": "read_timeout_s",
-    "retry": "retry",
-}
-
 
 def trace_counter_deltas(trace) -> Tuple[int, ...]:
     """The session's cumulative counter values in Table-1 order.
@@ -149,7 +139,6 @@ class FleetReport:
     reconnects: int
     wall_s: float
     ingest_rate: float
-    codec_counts: Dict[str, int] = field(default_factory=dict)
     results: List[SessionResultPayload] = field(default_factory=list)
     outcomes: List[DeviceOutcome] = field(default_factory=list)
     manifest: Optional[RunManifest] = None
@@ -175,10 +164,8 @@ class FleetDriver:
             and the network-layer drops/slow-reads on the uplink.
         workers: per-device ``run_sessions`` workers (processes).
         collector: the :class:`~repro.collector.config.CollectorConfig`
-            for the whole tier — transport, wire codec, backpressure
-            bound, retry schedule.  The old per-call keywords
-            (``transport=``, ``queue_size=``, ``retry=``, ...) keep
-            working through a deprecation shim.
+            for the whole tier — transport, backpressure bound, retry
+            schedule.
         metrics: optional caller registry; when enabled, each device
             also records a device-side registry, ships its snapshot, and
             the merged collector registry is folded back into ``metrics``.
@@ -202,7 +189,6 @@ class FleetDriver:
         metrics: Optional[MetricsRegistry] = None,
         device_threads: Optional[int] = None,
         drill: Optional[KillDrill] = None,
-        **legacy,
     ) -> None:
         if devices < 1:
             raise ValueError("devices must be >= 1")
@@ -214,9 +200,6 @@ class FleetDriver:
             config = AttackConfig()
         if collector is None:
             collector = CollectorConfig(retry=FLEET_RETRY)
-        collector = shim_legacy_kwargs(
-            collector, legacy, "FleetDriver", _LEGACY_FLEET_KWARGS
-        )
         if drill is not None:
             if collector.shards < 2:
                 raise ValueError("a kill drill requires collector.shards >= 2")
@@ -353,10 +336,6 @@ class FleetDriver:
                 "collector.sessions_degraded",
             )
         }
-        codec_counts = {
-            name: server.registry.counter(f"collector.codec.{name}").value
-            for name in ("binary", "json")
-        }
         sessions_total = self.devices * self.sessions_per_device
         ingested = counters["collector.sessions_ingested"]
         results = sorted(
@@ -374,7 +353,6 @@ class FleetDriver:
             reconnects=sum(o.stats.reconnects for o in outcomes),
             wall_s=wall,
             ingest_rate=ingested / wall if wall > 0 else 0.0,
-            codec_counts=codec_counts,
             results=results,
             outcomes=outcomes,
         )
@@ -383,7 +361,6 @@ class FleetDriver:
             "devices": self.devices,
             "sessions": sessions_total,
             "workers": self.workers,
-            "codec": self.collector.codec,
         }
         if self.metrics is not None and self.metrics.enabled:
             # fold the collector's registry (which already absorbed the
@@ -465,7 +442,6 @@ class FleetDriver:
             "devices": self.devices,
             "sessions": sessions_total,
             "workers": self.workers,
-            "codec": collector.codec,
             "shards": collector.shards,
         }
         manifest = tier.merged_manifest(**meta)
@@ -495,10 +471,6 @@ class FleetDriver:
             reconnects=sum(o.stats.reconnects for o in outcomes),
             wall_s=wall,
             ingest_rate=ingested / wall if wall > 0 else 0.0,
-            codec_counts={
-                name: int(counters.get(f"collector.codec.{name}", 0))
-                for name in ("binary", "json")
-            },
             results=results,
             outcomes=outcomes,
             manifest=manifest,

@@ -1,26 +1,26 @@
-"""Typed collector frames and the two wire codecs (JSON and binary).
+"""The collector wire: length-prefixed frames and the binary codec.
 
-Every message on a collector connection is one of ten frame kinds,
-modeled here as frozen dataclasses — :class:`Hello`, :class:`HelloOk`,
-:class:`Result`, :class:`Batch`, :class:`Ack`, :class:`Metrics`,
-:class:`MetricsOk`, :class:`Bye`, :class:`ByeOk`,
-:class:`ProtocolError` — instead of the
-ad-hoc ``{"type": ...}`` dicts that previously leaked through
-``framing.py``/``server.py``/``client.py``.  Each codec exposes one
-``encode`` / ``decode`` entry point; :func:`decode_any` dispatches on
-the first body byte, so a server never needs per-connection decode
-state to support mixed fleets.
+Every message on a collector connection — in either direction — is one
+*frame*: a 4-byte big-endian unsigned length followed by that many bytes
+of frame *body*.  This module owns the whole wire: length prefixes,
+size caps, exact reads, the serializable :class:`SessionResultPayload`,
+the ten typed frame kinds (frozen dataclasses — :class:`Hello`,
+:class:`HelloOk`, :class:`Result`, :class:`Batch`, :class:`Ack`,
+:class:`Metrics`, :class:`MetricsOk`, :class:`Bye`, :class:`ByeOk`,
+:class:`ProtocolError`) and the one codec that packs them.
 
-Wire formats
-------------
+Length prefixes are capped (:data:`MAX_FRAME_BYTES`); an oversized
+prefix raises :class:`FrameTooLarge` and a peer closing mid-frame
+raises :class:`FrameTruncated` — both are *clean protocol errors* the
+server answers by counting ``collector.frames.rejected`` and closing
+the connection, never a raw ``asyncio.IncompleteReadError`` traceback.
 
-**JSON** (protocol revision 1, the compatibility fallback): the body is
-a UTF-8 JSON object whose ``type`` field names the kind.  A JSON body
-always starts with ``{`` (0x7B).
+Wire format
+-----------
 
-**Binary** (negotiated): the body's first byte is a kind tag in
-0x81–0x87 — bytes no JSON object can start with.  The hot frame is
-``Result``: one :class:`struct.Struct` pack of a fixed header
+A body's first byte is its kind tag (0x81–0x8A); :func:`decode_any`
+dispatches on it.  The hot frame is ``Result``: one
+:class:`struct.Struct` pack of a fixed header
 
 ====== ======== ===========================================
 offset format   field
@@ -43,31 +43,33 @@ offset format   field
 followed by the UTF-8 ``device_id`` and ``text`` bytes and an optional
 JSON tail (``metrics`` / ``meta`` — cold fields that stay out of the
 hot pack).  The counter deltas ship as 11 fixed u64s plus the mask —
-no per-field JSON encode on the fleet's hot path.
-
-``hello`` / ``hello_ok`` are **always JSON**, whatever was negotiated:
-they *are* the negotiation.  A client offers ``codecs`` in its hello
-(preference order); the server answers ``hello_ok`` with the chosen
-``codec``; either side omitting the field means revision-1 JSON, which
-keeps old clients and old servers mutually intelligible.
+no per-field JSON encode on the fleet's hot path.  The cold control
+frames (``hello``, ``metrics``, ``bye``) are the tag byte plus a JSON
+object tail; ``hello_ok``, ``metrics_ok`` and ``bye_ok`` are the bare
+tag.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
+import socket
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
-from repro.collector.framing import (
-    N_COUNTERS,
-    PROTO_VERSION,
-    FrameError,
-    SessionResultPayload,
-    prefix_body,
-)
+#: Protocol revision carried in the ``hello`` frame.
+PROTO_VERSION = 2
 
-#: Binary body kind tags (first body byte; JSON bodies start with 0x7B).
+#: Hard cap on one frame's body; a length prefix beyond this is
+#: treated as a corrupt stream, not an allocation request.
+MAX_FRAME_BYTES = 16 * 1024 * 1024
+
+#: Number of fixed counter-delta slots in a result payload — the 11
+#: performance counters of the paper's Table 1.
+N_COUNTERS = 11
+
+#: Binary body kind tags (first body byte).
 TAG_RESULT = 0x81
 TAG_ACK = 0x82
 TAG_METRICS = 0x83
@@ -76,12 +78,16 @@ TAG_METRICS_OK = 0x85
 TAG_BYE_OK = 0x86
 TAG_ERROR = 0x87
 TAG_BATCH = 0x88
+TAG_HELLO = 0x89
+TAG_HELLO_OK = 0x8A
 
 _FLAG_DEGRADED = 1
 _FLAG_EXACT_PRESENT = 2
 _FLAG_EXACT_TRUE = 4
 _FLAG_HAS_DELTAS = 8
 _FLAG_HAS_EXTRA = 16
+
+_LEN = struct.Struct(">I")
 
 #: The one pack of a binary result: tag, flags, mask, seq, session_index,
 #: seed, n_keys, three tail lengths, 11 counter deltas.
@@ -94,23 +100,172 @@ _U32_MAX = 2 ** 32 - 1
 _U64_MAX = 2 ** 64 - 1
 
 
+# -- transport ----------------------------------------------------------
+
+
+class FrameError(Exception):
+    """A malformed, oversized, or truncated frame."""
+
+
+class FrameTooLarge(FrameError):
+    """A length prefix above the frame-size cap (a corrupt or hostile peer)."""
+
+
+class FrameTruncated(FrameError):
+    """The peer closed the connection in the middle of a frame."""
+
+
+class ConnectionClosed(FrameError):
+    """The peer closed the connection cleanly between frames."""
+
+
+def prefix_body(body: bytes, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
+    """Wrap an encoded frame body in its length prefix, enforcing the cap."""
+    if len(body) > max_bytes:
+        raise FrameTooLarge(f"frame body of {len(body)} bytes exceeds {max_bytes}")
+    return _LEN.pack(len(body)) + body
+
+
+def parse_length(prefix: bytes, max_bytes: int = MAX_FRAME_BYTES) -> int:
+    """Validate and unpack a 4-byte length prefix."""
+    if len(prefix) != _LEN.size:
+        raise FrameError(f"truncated length prefix ({len(prefix)} bytes)")
+    (length,) = _LEN.unpack(prefix)
+    if length > max_bytes:
+        raise FrameTooLarge(f"frame length {length} exceeds cap {max_bytes}")
+    return length
+
+
+async def read_body_async(reader, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
+    """Read one frame body from an :class:`asyncio.StreamReader`.
+
+    Raises :class:`ConnectionClosed` on clean EOF between frames,
+    :class:`FrameTooLarge` on an oversized prefix, and
+    :class:`FrameTruncated` on EOF mid-frame — never the raw
+    ``asyncio.IncompleteReadError``.
+    """
+    try:
+        prefix = await reader.readexactly(_LEN.size)
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            raise ConnectionClosed("peer closed between frames") from exc
+        raise FrameTruncated("connection closed inside a length prefix") from exc
+    length = parse_length(prefix, max_bytes)
+    try:
+        return await reader.readexactly(length)
+    except asyncio.IncompleteReadError as exc:
+        raise FrameTruncated("connection closed inside a frame body") from exc
+
+
+def read_body_sock(sock: socket.socket, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
+    """Read one frame body from a blocking socket (the client side)."""
+
+    def read_exactly(n: int) -> bytes:
+        chunks = []
+        remaining = n
+        while remaining:
+            chunk = sock.recv(remaining)
+            if not chunk:
+                if remaining == n and not chunks:
+                    raise ConnectionClosed("peer closed between frames")
+                raise FrameTruncated("connection closed mid-frame")
+            chunks.append(chunk)
+            remaining -= len(chunk)
+        return b"".join(chunks)
+
+    length = parse_length(read_exactly(_LEN.size), max_bytes)
+    return read_exactly(length)
+
+
+# -- the payload --------------------------------------------------------
+
+
+@dataclass
+class SessionResultPayload:
+    """The serializable unit one device reports per finished session.
+
+    This is the *shipped* form of a run-level result — everything fleet
+    aggregation needs, nothing that drags simulator objects across the
+    wire.  ``metrics`` optionally carries the device run's
+    ``MetricsRegistry.snapshot()`` (most devices send one consolidated
+    ``metrics`` frame instead; see :mod:`repro.collector.fleet`).
+
+    ``deltas`` is the session's aggregate change of the 11 selected
+    performance counters (Table 1 order, one value per counter) and
+    ``mask`` a bitmask of counters whose aggregate is unknown (bit *i*
+    set = counter *i* masked).  The pair is exactly the fixed-width
+    block the binary codec packs as ``11×u64`` + ``u16`` — the reason
+    a result frame needs one :class:`struct.Struct` pack and no
+    per-field JSON encoding.
+    """
+
+    device_id: str
+    session_index: int
+    text: str
+    n_keys: int
+    degraded: bool = False
+    exact: Optional[bool] = None
+    seed: int = 0
+    deltas: Optional[Tuple[int, ...]] = None
+    mask: int = 0
+    metrics: Optional[Dict[str, object]] = None
+    meta: Dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.deltas is not None:
+            self.deltas = tuple(int(v) for v in self.deltas)
+            if len(self.deltas) != N_COUNTERS:
+                raise ValueError(
+                    f"deltas must carry {N_COUNTERS} counter values, "
+                    f"got {len(self.deltas)}"
+                )
+            if any(v < 0 for v in self.deltas):
+                raise ValueError("counter deltas are non-negative")
+        if not 0 <= self.mask < (1 << N_COUNTERS):
+            raise ValueError(f"mask must fit {N_COUNTERS} bits, got {self.mask}")
+
+    @classmethod
+    def from_result(
+        cls,
+        result,
+        device_id: str,
+        session_index: int,
+        seed: int = 0,
+        expected: Optional[str] = None,
+        metrics: Optional[Dict[str, object]] = None,
+        deltas: Optional[Tuple[int, ...]] = None,
+        mask: int = 0,
+    ) -> "SessionResultPayload":
+        """Build from any :class:`~repro.core.results.SessionResult`."""
+        text = result.text
+        return cls(
+            device_id=device_id,
+            session_index=session_index,
+            text=text,
+            n_keys=len(result.keys),
+            degraded=bool(getattr(result, "degraded", False)),
+            exact=None if expected is None else text == expected,
+            seed=seed,
+            deltas=deltas,
+            mask=mask,
+            metrics=metrics,
+        )
+
+
 # -- the frame kinds ----------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Hello:
-    """Connection opener; carries the protocol revision and codec offer."""
+    """Connection opener; carries the device identity and protocol revision."""
 
     device_id: str
     proto: int = PROTO_VERSION
-    codecs: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class HelloOk:
-    """Server's hello reply; ``codec`` is the negotiated wire codec."""
-
-    codec: str = "json"
+    pass
 
 
 @dataclass(frozen=True)
@@ -187,141 +342,7 @@ Frame = Union[
 ]
 
 
-# -- JSON codec ---------------------------------------------------------
-
-
-def frame_to_dict(frame: Frame) -> Dict[str, object]:
-    """The revision-1 JSON object form of any frame."""
-    if isinstance(frame, Hello):
-        obj: Dict[str, object] = {
-            "type": "hello",
-            "device_id": frame.device_id,
-            "proto": frame.proto,
-        }
-        if frame.codecs:
-            obj["codecs"] = list(frame.codecs)
-        return obj
-    if isinstance(frame, HelloOk):
-        obj = {"type": "hello_ok"}
-        if frame.codec != "json":
-            obj["codec"] = frame.codec
-        return obj
-    if isinstance(frame, Result):
-        return {
-            "type": "result",
-            "device_id": frame.payload.device_id,
-            "seq": frame.seq,
-            "payload": frame.payload.to_dict(),
-        }
-    if isinstance(frame, Batch):
-        return {
-            "type": "batch",
-            "frames": [frame_to_dict(item) for item in frame.frames],
-        }
-    if isinstance(frame, Ack):
-        return {"type": "ack", "seq": frame.seq}
-    if isinstance(frame, Metrics):
-        return {"type": "metrics", "snapshot": frame.snapshot}
-    if isinstance(frame, MetricsOk):
-        return {"type": "metrics_ok"}
-    if isinstance(frame, Bye):
-        return {
-            "type": "bye",
-            "device_id": frame.device_id,
-            "sent": frame.sent,
-            "retries": frame.retries,
-            "reconnects": frame.reconnects,
-        }
-    if isinstance(frame, ByeOk):
-        return {"type": "bye_ok"}
-    if isinstance(frame, ProtocolError):
-        return {"type": "error", "error": frame.error}
-    raise TypeError(f"not a frame: {frame!r}")
-
-
-def frame_from_dict(obj: Dict[str, object]) -> Frame:
-    """Parse the revision-1 JSON object form into a typed frame."""
-    kind = obj.get("type")
-    try:
-        if kind == "hello":
-            return Hello(
-                device_id=str(obj.get("device_id", "?")),
-                proto=int(obj.get("proto", -1)),
-                codecs=tuple(str(c) for c in obj.get("codecs", ())),
-            )
-        if kind == "hello_ok":
-            return HelloOk(codec=str(obj.get("codec", "json")))
-        if kind == "result":
-            seq = obj.get("seq")
-            payload = obj.get("payload")
-            if not isinstance(seq, int) or not isinstance(payload, dict):
-                raise FrameError(f"malformed result frame: {obj!r}")
-            return Result(seq=seq, payload=SessionResultPayload.from_dict(payload))
-        if kind == "batch":
-            items = obj.get("frames")
-            if not isinstance(items, list) or not items:
-                raise FrameError(f"malformed batch frame: {obj!r}")
-            members = []
-            for item in items:
-                if not isinstance(item, dict):
-                    raise FrameError(f"malformed batch member: {item!r}")
-                member = frame_from_dict(item)
-                if not isinstance(member, Result):
-                    raise FrameError(f"batch member is not a result: {item!r}")
-                members.append(member)
-            return Batch(frames=tuple(members))
-        if kind == "ack":
-            seq = obj.get("seq")
-            if not isinstance(seq, int):
-                raise FrameError(f"malformed ack frame: {obj!r}")
-            return Ack(seq=seq)
-        if kind == "metrics":
-            snapshot = obj.get("snapshot")
-            if not isinstance(snapshot, dict):
-                raise FrameError(f"malformed metrics frame: {obj!r}")
-            return Metrics(snapshot=snapshot)
-        if kind == "metrics_ok":
-            return MetricsOk()
-        if kind == "bye":
-            return Bye(
-                device_id=str(obj.get("device_id", "?")),
-                sent=int(obj.get("sent", 0)),
-                retries=int(obj.get("retries", 0)),
-                reconnects=int(obj.get("reconnects", 0)),
-            )
-        if kind == "bye_ok":
-            return ByeOk()
-        if kind == "error":
-            return ProtocolError(error=str(obj.get("error", "")))
-    except FrameError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise FrameError(f"malformed {kind} frame: {exc}") from exc
-    raise FrameError(f"unknown frame type {kind!r}")
-
-
-class JsonCodec:
-    """Protocol revision 1: every body is one UTF-8 JSON object."""
-
-    name = "json"
-
-    def encode(self, frame: Frame, max_bytes: Optional[int] = None) -> bytes:
-        body = json.dumps(
-            frame_to_dict(frame), separators=(",", ":"), sort_keys=True
-        ).encode("utf-8")
-        return prefix_body(body) if max_bytes is None else prefix_body(body, max_bytes)
-
-    def decode(self, body: bytes) -> Frame:
-        try:
-            obj = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise FrameError(f"frame body is not valid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise FrameError("frame body must be a JSON object")
-        return frame_from_dict(obj)
-
-
-# -- binary codec -------------------------------------------------------
+# -- the codec ----------------------------------------------------------
 
 
 def _encode_result_binary(frame: Result) -> bytes:
@@ -480,14 +501,9 @@ def _decode_json_tail(body: bytes, what: str) -> Dict[str, object]:
 
 
 class BinaryCodec:
-    """The struct-packed wire codec (hello frames stay JSON by design)."""
+    """The struct-packed wire codec every collector connection speaks."""
 
-    name = "binary"
-
-    def encode(self, frame: Frame, max_bytes: Optional[int] = None) -> bytes:
-        if isinstance(frame, (Hello, HelloOk)):
-            # the negotiation itself must be readable pre-negotiation
-            return JSON_CODEC.encode(frame, max_bytes)
+    def encode(self, frame: Frame, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
         if isinstance(frame, Result):
             body = _encode_result_binary(frame)
         elif isinstance(frame, Batch):
@@ -496,6 +512,12 @@ class BinaryCodec:
             if not 0 <= frame.seq <= _U32_MAX:
                 raise FrameError(f"seq {frame.seq} does not fit u32")
             body = _ACK.pack(TAG_ACK, frame.seq)
+        elif isinstance(frame, Hello):
+            body = _json_tail_frame(
+                TAG_HELLO, {"device_id": frame.device_id, "proto": frame.proto}
+            )
+        elif isinstance(frame, HelloOk):
+            body = bytes([TAG_HELLO_OK])
         elif isinstance(frame, Metrics):
             body = _json_tail_frame(TAG_METRICS, frame.snapshot)
         elif isinstance(frame, MetricsOk):
@@ -516,39 +538,24 @@ class BinaryCodec:
             body = bytes([TAG_ERROR]) + frame.error.encode("utf-8")
         else:
             raise TypeError(f"not a frame: {frame!r}")
-        return prefix_body(body) if max_bytes is None else prefix_body(body, max_bytes)
-
-    def decode(self, body: bytes) -> Frame:
-        return decode_any(body)
+        return prefix_body(body, max_bytes)
 
 
-JSON_CODEC = JsonCodec()
 BINARY_CODEC = BinaryCodec()
 
-#: Codec objects by negotiated name.
-WIRE_CODECS = {"json": JSON_CODEC, "binary": BINARY_CODEC}
-
-
-def codec_for(name: str):
-    """The codec object for a negotiated codec name."""
-    try:
-        return WIRE_CODECS[name]
-    except KeyError:
-        raise FrameError(f"unknown wire codec {name!r}") from None
+#: The tag-only reply frames, by tag.
+_BARE_FRAMES = {
+    TAG_HELLO_OK: HelloOk(),
+    TAG_METRICS_OK: MetricsOk(),
+    TAG_BYE_OK: ByeOk(),
+}
 
 
 def decode_any(body: bytes) -> Frame:
-    """Decode one frame body of either codec, dispatching on byte 0.
-
-    JSON objects start with ``{`` (0x7B); binary bodies start with a
-    kind tag in 0x81–0x87.  This is what lets one server read binary
-    and JSON clients on adjacent connections with no decode state.
-    """
+    """Decode one frame body, dispatching on its leading kind tag."""
     if not body:
         raise FrameError("empty frame body")
     first = body[0]
-    if first == 0x7B:  # '{'
-        return JSON_CODEC.decode(body)
     if first == TAG_RESULT:
         return _decode_result_binary(body)
     if first == TAG_BATCH:
@@ -558,6 +565,12 @@ def decode_any(body: bytes) -> Frame:
             raise FrameError(f"binary ack must be {_ACK.size} bytes, got {len(body)}")
         _tag, seq = _ACK.unpack(body)
         return Ack(seq=seq)
+    if first == TAG_HELLO:
+        obj = _decode_json_tail(body, "hello")
+        try:
+            return Hello(device_id=str(obj["device_id"]), proto=int(obj["proto"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FrameError(f"binary hello tail invalid: {exc!r}") from exc
     if first == TAG_METRICS:
         return Metrics(snapshot=_decode_json_tail(body, "metrics"))
     if first == TAG_BYE:
@@ -571,10 +584,8 @@ def decode_any(body: bytes) -> Frame:
             )
         except (TypeError, ValueError) as exc:
             raise FrameError(f"binary bye tail invalid: {exc}") from exc
-    if first == TAG_METRICS_OK:
-        return MetricsOk()
-    if first == TAG_BYE_OK:
-        return ByeOk()
+    if first in _BARE_FRAMES:
+        return _BARE_FRAMES[first]
     if first == TAG_ERROR:
         try:
             return ProtocolError(error=body[1:].decode("utf-8"))
@@ -582,18 +593,3 @@ def decode_any(body: bytes) -> Frame:
             raise FrameError(f"binary error tail is not UTF-8: {exc}") from exc
     raise FrameError(f"unknown frame leading byte 0x{first:02x}")
 
-
-def negotiate_codec(offered: Tuple[str, ...], policy: str) -> str:
-    """The server side of codec negotiation.
-
-    ``offered`` is the client hello's ``codecs`` tuple (empty for
-    revision-1 clients); ``policy`` is the server's configured codec.
-    Servers never *require* binary — a JSON-only client must always
-    complete its run — so ``"binary"`` and ``"auto"`` differ only in
-    preference order against a multi-codec client.
-    """
-    if policy == "json" or not offered:
-        return "json"
-    if "binary" in offered:
-        return "binary"
-    return "json"

@@ -49,8 +49,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro.collector.frames import BINARY_CODEC, Batch, Result, decode_any
-from repro.collector.framing import MAX_FRAME_BYTES, FrameError, parse_length
+from repro.collector.frames import (
+    BINARY_CODEC,
+    MAX_FRAME_BYTES,
+    Batch,
+    FrameError,
+    Result,
+    decode_any,
+    parse_length,
+)
 
 #: Accepted values of ``CollectorConfig.journal_sync``.
 JOURNAL_SYNC_MODES = ("none", "flush", "fsync")

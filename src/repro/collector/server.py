@@ -1,17 +1,10 @@
 """The asyncio ingestion service the fleet reports into.
 
-A :class:`CollectorServer` accepts length-prefixed frames (see
-:mod:`repro.collector.framing`) over TCP or a unix socket, pushes every
+A :class:`CollectorServer` accepts length-prefixed binary frames (see
+:mod:`repro.collector.frames`) over TCP or a unix socket, pushes every
 accepted result through a **bounded in-flight queue**, and aggregates on
 the far side of it into the run's :class:`~repro.obs.MetricsRegistry`
 and result list.
-
-Frames arrive as typed objects (:mod:`repro.collector.frames`):
-:func:`~repro.collector.frames.decode_any` dispatches on the body's
-first byte, so binary and JSON clients coexist on adjacent connections
-— the codec chosen in the ``hello`` exchange only governs what the
-*server* writes back.  A JSON-only (protocol revision 1) client that
-offers no codecs gets JSON replies and completes its run unchanged.
 
 Why a queue at all?  Backpressure.  The connection handlers are I/O
 bound and cheap; aggregation (metrics merging, result retention, user
@@ -39,17 +32,18 @@ journaled payload — so a SIGKILL'd collector resumes exactly-once
 aggregation where it died.
 
 Protocol errors are clean: an oversized length prefix or a peer closing
-mid-frame counts ``collector.frames.rejected`` and closes the
-connection with a typed error reply where possible — never a raw
-``asyncio.IncompleteReadError`` escaping a handler.
+mid-frame counts ``collector.frames.rejected``, and an undecodable frame
+or unmergeable metrics snapshot counts ``collector.malformed_frames``;
+either way the connection closes with a typed error reply where
+possible — never an exception escaping a handler.
 
 Shutdown is a graceful drain: stop accepting, close idle connections,
 wait for in-flight handlers, then run the queue dry before the
 aggregator exits — nothing admitted is ever dropped.
 
-The server exports ``collector.*`` metrics (ingest counters, codec
-negotiation tallies, queue depth gauges, retry tallies reported by
-clients at ``bye``); the full table is in ``docs/collector.md``.
+The server exports ``collector.*`` metrics (ingest counters, queue
+depth gauges, retry tallies reported by clients at ``bye``); the full
+table is in ``docs/collector.md``.
 
 Threading: :class:`CollectorServer` is pure asyncio.  Synchronous
 callers (the CLI, tests, :class:`~repro.collector.fleet.FleetDriver`)
@@ -65,29 +59,26 @@ import threading
 import time
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.collector.config import CollectorConfig, shim_legacy_kwargs
+from repro.collector.config import CollectorConfig
 from repro.collector.frames import (
+    BINARY_CODEC,
+    PROTO_VERSION,
     Ack,
     Batch,
     Bye,
     ByeOk,
+    ConnectionClosed,
+    FrameError,
+    FrameTooLarge,
+    FrameTruncated,
     Hello,
     HelloOk,
     Metrics,
     MetricsOk,
     ProtocolError,
     Result,
-    codec_for,
-    decode_any,
-    negotiate_codec,
-)
-from repro.collector.framing import (
-    PROTO_VERSION,
-    ConnectionClosed,
-    FrameError,
-    FrameTooLarge,
-    FrameTruncated,
     SessionResultPayload,
+    decode_any,
     read_body_async,
 )
 from repro.collector.journal import (
@@ -101,17 +92,8 @@ from repro.obs import MetricsRegistry, RunManifest
 #: Endpoint tuples: ``("tcp", host, port)`` or ``("unix", path)``.
 Endpoint = Tuple
 
-#: Legacy per-call keywords → the CollectorConfig field each one sets.
-_LEGACY_SERVER_KWARGS = {
-    "transport": "transport",
-    "host": "host",
-    "port": "port",
-    "unix_path": "unix_path",
-    "queue_size": "queue_size",
-    "read_timeout_s": "read_timeout_s",
-    "drain_timeout_s": "drain_timeout_s",
-    "max_frame_bytes": "max_frame_bytes",
-}
+#: What :meth:`MetricsRegistry.merge_snapshot` raises on a malformed snapshot.
+_SNAPSHOT_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 
 
 class CollectorServer:
@@ -119,9 +101,7 @@ class CollectorServer:
 
     Args:
         config: the :class:`~repro.collector.config.CollectorConfig`
-            holding every transport/codec/backpressure knob.  The old
-            per-call keywords (``transport=``, ``queue_size=``, ...)
-            still work through a deprecation shim.
+            holding every transport/backpressure knob.
         metrics: the registry aggregation lands in; defaults to a fresh
             enabled :class:`MetricsRegistry` (the collector always
             counts — its report *is* the product).
@@ -144,11 +124,8 @@ class CollectorServer:
         keep_results: bool = True,
         on_result=None,
         shard_index: int = 0,
-        **legacy,
     ) -> None:
-        config = shim_legacy_kwargs(
-            config, legacy, "CollectorServer", _LEGACY_SERVER_KWARGS
-        )
+        config = config or CollectorConfig()
         self.config = config
         self.transport = config.transport
         self.host = config.host
@@ -158,7 +135,6 @@ class CollectorServer:
         self.read_timeout_s = config.read_timeout_s
         self.drain_timeout_s = config.drain_timeout_s
         self.max_frame_bytes = config.max_frame_bytes
-        self.codec = config.codec
         self.registry = metrics if metrics is not None else MetricsRegistry()
         self.keep_results = keep_results
         self.on_result = on_result
@@ -261,6 +237,25 @@ class CollectorServer:
         self.registry.gauge("collector.queue_depth_peak").set(self._queue_peak)
         self._server = None
 
+    async def abort(self) -> None:
+        """Cancel every task and close the listener, without draining.
+
+        The teardown of last resort for a :meth:`stop` that raised or
+        timed out: nothing still open may outlive the event loop.
+        A no-op once :meth:`stop` has succeeded.
+        """
+        if self._server is None:
+            return
+        tasks = [*self._handlers, self._aggregator]
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        self._server.close()
+        await self._server.wait_closed()
+        if self._journal is not None:
+            self._journal.close()
+        self._server = None
+
     def report(self, **meta) -> RunManifest:
         """The collector's run manifest (``collector.*`` rollups)."""
         return self.registry.manifest(
@@ -277,8 +272,6 @@ class CollectorServer:
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         counters = self.registry.counter
         counters("collector.connections_opened").inc()
-        # replies are JSON until the hello exchange negotiates otherwise
-        reply_codec = codec_for("json")
         device_id = "?"
         try:
             while True:
@@ -299,7 +292,7 @@ class CollectorServer:
                     # and close — never read the claimed body
                     counters("collector.frames.rejected").inc()
                     await self._reply_best_effort(
-                        writer, reply_codec.encode(ProtocolError(str(exc)))
+                        writer, BINARY_CODEC.encode(ProtocolError(str(exc)))
                     )
                     return
                 except FrameTruncated:
@@ -310,7 +303,7 @@ class CollectorServer:
                 except FrameError as exc:
                     counters("collector.malformed_frames").inc()
                     await self._reply_best_effort(
-                        writer, reply_codec.encode(ProtocolError(str(exc)))
+                        writer, BINARY_CODEC.encode(ProtocolError(str(exc)))
                     )
                     return
                 if isinstance(frame, Result):
@@ -318,19 +311,19 @@ class CollectorServer:
                     if not await self._admit_result(frame):
                         counters("collector.malformed_frames").inc()
                         return
-                    writer.write(reply_codec.encode(Ack(seq=frame.seq)))
+                    writer.write(BINARY_CODEC.encode(Ack(seq=frame.seq)))
                 elif isinstance(frame, Batch):
                     device_id = frame.frames[-1].device_id or device_id
                     await self._admit_batch(frame)
                     # a batch's ack is cumulative: the last member's seq
                     # acknowledges every member
-                    writer.write(reply_codec.encode(Ack(seq=frame.frames[-1].seq)))
+                    writer.write(BINARY_CODEC.encode(Ack(seq=frame.frames[-1].seq)))
                 elif isinstance(frame, Hello):
                     device_id = frame.device_id
                     if frame.proto != PROTO_VERSION:
                         counters("collector.proto_rejected").inc()
                         await self._reply_best_effort(
-                            writer, reply_codec.encode(ProtocolError("proto mismatch"))
+                            writer, BINARY_CODEC.encode(ProtocolError("proto mismatch"))
                         )
                         return
                     # a device is seen once, however many times it
@@ -338,19 +331,24 @@ class CollectorServer:
                     if frame.device_id not in self._devices:
                         self._devices.add(frame.device_id)
                         counters("collector.devices_seen").inc()
-                    chosen = negotiate_codec(frame.codecs, self.codec)
-                    reply_codec = codec_for(chosen)
-                    counters(f"collector.codec.{chosen}").inc()
-                    writer.write(reply_codec.encode(HelloOk(codec=chosen)))
+                    writer.write(BINARY_CODEC.encode(HelloOk()))
                 elif isinstance(frame, Metrics):
                     if frame.snapshot:
-                        self.registry.merge_snapshot(frame.snapshot)
+                        if not self._merge_metrics(frame.snapshot):
+                            counters("collector.malformed_frames").inc()
+                            await self._reply_best_effort(
+                                writer,
+                                BINARY_CODEC.encode(
+                                    ProtocolError("malformed metrics snapshot")
+                                ),
+                            )
+                            return
                         counters("collector.metrics_frames").inc()
-                    writer.write(reply_codec.encode(MetricsOk()))
+                    writer.write(BINARY_CODEC.encode(MetricsOk()))
                 elif isinstance(frame, Bye):
                     counters("collector.client_retries").inc(frame.retries)
                     counters("collector.client_reconnects").inc(frame.reconnects)
-                    writer.write(reply_codec.encode(ByeOk()))
+                    writer.write(BINARY_CODEC.encode(ByeOk()))
                     await writer.drain()
                     return
                 else:
@@ -574,8 +572,27 @@ class CollectorServer:
                 self._queue.task_done()
                 self.registry.gauge("collector.queue_depth").set(self._queue.qsize())
 
+    def _merge_metrics(self, snapshot: Dict[str, object]) -> bool:
+        """Fold a device snapshot into the registry; False if malformed.
+
+        A malformed snapshot may have merged its leading entries before
+        the bad one raised; the partial merge is deterministic, so a
+        journal replay lands on the same counters as the live run.
+        """
+        try:
+            self.registry.merge_snapshot(snapshot)
+        except _SNAPSHOT_ERRORS:
+            return False
+        return True
+
     def _aggregate_payload(self, payload: SessionResultPayload) -> None:
-        """The synchronous rollups shared by live ingest and replay."""
+        """The synchronous rollups shared by live ingest and replay.
+
+        Never raises on payload content: a result whose piggybacked
+        metrics cannot merge still counts as ingested (it was acked and
+        journaled) and tallies ``collector.aggregation_errors`` instead,
+        so a replayed journal rebuilds exactly the live run's state.
+        """
         self.registry.counter("collector.sessions_ingested").inc()
         if payload.degraded:
             self.registry.counter("collector.sessions_degraded").inc()
@@ -583,8 +600,8 @@ class CollectorServer:
             self.registry.counter("collector.sessions_scored").inc()
             if payload.exact:
                 self.registry.counter("collector.sessions_exact").inc()
-        if payload.metrics is not None:
-            self.registry.merge_snapshot(payload.metrics)
+        if payload.metrics is not None and not self._merge_metrics(payload.metrics):
+            self.registry.counter("collector.aggregation_errors").inc()
         if self.keep_results:
             self.results.append(payload)
 
@@ -637,6 +654,9 @@ class CollectorHandle:
             try:
                 loop.run_forever()
             finally:
+                # a stop() that raised or timed out leaves tasks and the
+                # listener open; close them before the loop goes away
+                loop.run_until_complete(self.server.abort())
                 loop.close()
 
         self._thread = threading.Thread(target=run, name="repro-collector", daemon=True)

@@ -15,8 +15,8 @@ checked and versioned:
   corruption or truncation of the file raises
   :class:`ModelIntegrityError` at load rather than silently
   misclassifying (hypothesis-tested).
-* Legacy pre-version files (a bare ``{"models": [...]}`` document) still
-  load, with a :class:`DeprecationWarning`.
+* A document without the envelope's schema tag — including a bare
+  ``{"models": [...]}`` dump — raises :class:`ModelIntegrityError`.
 * :class:`VersionedModelStore` is the on-disk lineage the calibration
   service writes into: a directory of monotonically versioned,
   checksummed store files plus a manifest recording each version's
@@ -29,7 +29,6 @@ import hashlib
 import json
 import os
 import re
-import warnings
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
@@ -149,14 +148,6 @@ class ModelStore:
                 f"model store document is {type(document).__name__}, not an object"
             )
         schema = document.get("schema")
-        if schema is None and "models" in document:
-            warnings.warn(
-                "loading a legacy (pre-version) model store file; re-save "
-                "it to upgrade to the checksummed envelope format",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return cls.from_dict(document)
         if schema != STORE_SCHEMA:
             raise ModelIntegrityError(
                 f"unknown model store schema {schema!r} (expected {STORE_SCHEMA!r})"

@@ -95,25 +95,13 @@ class OnlineResult:
     """Full output of one eavesdropping run.
 
     ``latency`` is the per-inference classifier-latency histogram (Fig
-    25); it retains its raw samples, so the deprecated
-    ``inference_times_s`` list accessor keeps returning exact values for
-    one release.
+    25); it retains its raw samples.
     """
 
     keys: List[InferredKey] = field(default_factory=list)
     stats: EngineStats = field(default_factory=EngineStats)
     latency: Histogram = field(default_factory=new_latency_histogram)
     trace: Optional[RuntimeTrace] = None
-
-    @property
-    def inference_times_s(self) -> List[float]:
-        """Deprecated raw latency list; use ``latency`` (histogram)."""
-        from repro.core.results import warn_deprecated
-
-        warn_deprecated(
-            "OnlineResult.inference_times_s", "OnlineResult.latency.samples"
-        )
-        return list(self.latency.samples or ())
 
     @property
     def text(self) -> str:

@@ -35,7 +35,6 @@ from repro.core.device_recognition import DeviceRecognizer, RecognitionResult
 from repro.core.model_store import ModelStore
 from repro.core.offline import OfflineTrainer
 from repro.core.online import InferredKey, OnlineEngine, OnlineResult
-from repro.core.results import warn_deprecated
 from repro.core.classifier import ClassificationModel
 from repro.kgsl.interpose import build_chain, open_sampler
 from repro.lifecycle.calibration import (
@@ -163,18 +162,6 @@ class AttackResult:
     def latency(self):
         """The per-inference classifier-latency histogram (Fig 25)."""
         return self.online.latency
-
-    @property
-    def inference_times_s(self) -> List[float]:
-        """Deprecated raw latency list; use :attr:`latency` (one-release shim)."""
-        warn_deprecated("AttackResult.inference_times_s", "AttackResult.latency")
-        return list(self.online.latency.samples or ())
-
-    @property
-    def samples_taken(self) -> int:
-        """Deprecated alias of :attr:`reads_issued` (one-release shim)."""
-        warn_deprecated("AttackResult.samples_taken", "AttackResult.reads_issued")
-        return self.reads_issued
 
 
 class AttackStage:

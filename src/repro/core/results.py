@@ -11,16 +11,10 @@ written once against the protocol.
 * ``stats`` — the engine's :class:`~repro.core.online.EngineStats`;
 * ``trace`` — the shared :class:`~repro.runtime.trace.RuntimeTrace`
   event log of the run (``None`` when no trace was recorded).
-
-Field names that predate the protocol (``samples_taken``,
-``inferred_text``) remain available for one release as deprecated
-aliases; :func:`warn_deprecated` is the single choke point that emits
-their :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional, Protocol, runtime_checkable
 
 from repro.core.online import EngineStats, InferredKey
@@ -43,12 +37,3 @@ class SessionResult(Protocol):
     @property
     def trace(self) -> Optional[RuntimeTrace]: ...
 
-
-def warn_deprecated(old: str, new: str) -> None:
-    """Emit the one-release deprecation warning for a renamed accessor."""
-    warnings.warn(
-        f"{old} is deprecated and will be removed in the next release; "
-        f"use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )

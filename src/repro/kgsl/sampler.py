@@ -462,6 +462,10 @@ class PerfCounterSampler:
                         # hold expired during the re-registration backoff
                         attempt += 1
                         continue
+                    # every register is ours again, but earlier retries
+                    # spent the budget: abandon this wakeup
+                    self._note("read_abandoned", errno=exc.errno)
+                    return None
                 raise
             return {
                 (pc.CounterGroup(slot.groupid), slot.countable): slot.value

@@ -72,10 +72,11 @@ class Histogram:
 
     ``buckets`` are inclusive upper bounds; one implicit overflow bucket
     catches everything beyond the last bound.  ``keep_samples=True``
-    additionally retains the raw observations — used only where a
-    deprecated raw-list accessor must keep returning exact values for
-    one release (the :attr:`~repro.core.online.OnlineResult.latency`
-    shim); new instruments should leave it off.
+    additionally retains the raw observations — used only by the
+    per-inference latency histogram
+    (:attr:`~repro.core.online.OnlineResult.latency`), whose exact
+    samples the quickstart and ``analysis/experiments.py`` read; new
+    instruments should leave it off.
     """
 
     __slots__ = ("name", "buckets", "counts", "count", "sum", "min", "max", "samples")

@@ -5,6 +5,7 @@ configuration, five entry points, a shared result protocol, and a
 guarantee that the examples and the CLI consume nothing else.
 """
 
+import ast
 import dataclasses
 import re
 from pathlib import Path
@@ -14,13 +15,13 @@ import pytest
 
 from repro import api
 from repro.api import (
-    CHASE,
     AttackConfig,
     AttackResult,
     FaultPlan,
     OnlineResult,
     ServiceReport,
     SessionResult,
+    app,
     attack,
     monitor,
     run_sessions,
@@ -41,12 +42,12 @@ def cfg():
 
 @pytest.fixture(scope="module")
 def trace(config, cfg):
-    return simulate(config, CHASE, CREDENTIAL, seed=3, config=cfg)
+    return simulate(config, app("chase"), CREDENTIAL, seed=3, config=cfg)
 
 
 def launch_session(config, text="secret12"):
     """A victim session with an app-launch burst, for the service path."""
-    device = api.VictimDevice(config, CHASE, rng=np.random.default_rng(31))
+    device = api.VictimDevice(config, app("chase"), rng=np.random.default_rng(31))
     events = [api.KeyPress(t=3.0 + 0.45 * i, char=c) for i, c in enumerate(text)]
     return device.compile(events, end_time_s=9.0, launch_at_s=1.2)
 
@@ -99,7 +100,7 @@ class TestAttackConfig:
 
 class TestFacade:
     def test_train_matches_pipeline_defaults(self, config, chase_model, cfg):
-        store = train([(config, CHASE)], config=cfg)
+        store = train([(config, app("chase"))], config=cfg)
         assert store.keys() == [chase_model.model_key]
         assert store.get(store.keys()[0]).cth == chase_model.cth
 
@@ -115,7 +116,7 @@ class TestFacade:
     def test_run_sessions_batches(self, chase_store, config, cfg, monkeypatch):
         monkeypatch.delenv(api.FAULT_PROFILE_ENV, raising=False)
         traces = [
-            simulate(config, CHASE, CREDENTIAL, seed=3 + i, config=cfg)
+            simulate(config, app("chase"), CREDENTIAL, seed=3 + i, config=cfg)
             for i in range(2)
         ]
         results = run_sessions(chase_store, traces, seed=55, config=cfg)
@@ -152,12 +153,6 @@ class TestResultProtocol:
         assert isinstance(report, SessionResult)
         assert report.text == report.inferred_text
 
-    def test_samples_taken_alias_warns_once_per_call(self, chase_store, trace, cfg):
-        result = attack(chase_store, trace, seed=77, config=cfg)
-        with pytest.deprecated_call():
-            legacy = result.samples_taken
-        assert legacy == result.reads_issued
-
 
 class TestConsumersUseOnlyTheFacade:
     """Meta-test: examples and the CLI must import repro.api only."""
@@ -177,3 +172,16 @@ class TestConsumersUseOnlyTheFacade:
             and not re.match(r"^from\s+repro\.api\s+import\b", line)
         ]
         assert offenders == [], f"{path.name} bypasses repro.api: {offenders}"
+
+    @pytest.mark.parametrize(
+        "path", sorted((REPO_ROOT / "examples").glob("*.py")), ids=lambda p: p.name
+    )
+    def test_example_names_are_exported(self, path):
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "repro.api"
+            for alias in node.names
+        }
+        assert sorted(imported - set(api.__all__)) == []

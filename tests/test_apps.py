@@ -2,19 +2,13 @@
 
 import pytest
 
-from repro.android.apps import (
-    CHASE,
-    NATIVE_APPS,
-    PNC,
-    TARGET_APPS,
-    app,
-)
+from repro.android.apps import APP_REGISTRY, TARGET_APPS, app
 from repro.android.display import Display
 
 
 class TestRegistry:
     def test_six_native_apps_from_fig19(self):
-        assert [a.name for a in NATIVE_APPS] == [
+        assert [a.name for a in APP_REGISTRY.tagged("native")] == [
             "chase",
             "amex",
             "fidelity",
@@ -28,14 +22,14 @@ class TestRegistry:
         assert sorted(a.name for a in web) == ["chase.com", "experian.com", "schwab.com"]
 
     def test_lookup(self):
-        assert app("chase") is CHASE
+        assert app("chase") is TARGET_APPS["chase"]
 
     def test_unknown_app_rejected(self):
         with pytest.raises(KeyError):
             app("venmo")
 
     def test_categories(self):
-        assert CHASE.category == "banking"
+        assert app("chase").category == "banking"
         assert app("fidelity").category == "investment"
         assert app("myfico").category == "credit"
 
@@ -49,8 +43,9 @@ class TestFieldGeometry:
 
     def test_field_positions_differ_across_apps(self):
         display = Display()
-        tops = {spec.field_rect(display).top for spec in NATIVE_APPS}
-        assert len(tops) == len(NATIVE_APPS)
+        native = APP_REGISTRY.tagged("native")
+        tops = {spec.field_rect(display).top for spec in native}
+        assert len(tops) == len(native)
 
     def test_fields_are_in_upper_half(self):
         """Login fields sit above the keyboard, so popups never overlap
@@ -67,7 +62,7 @@ class TestAnimation:
         assert animated == ["pnc"]
 
     def test_pnc_animation_is_aggressive(self):
-        anim = PNC.animation
+        anim = app("pnc").animation
         assert anim.frame_interval_s <= 1 / 24
         assert anim.area_fraction > 0.1
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.android.apps import CHASE
+from repro.android.apps import app
 from repro.android.device import VictimDevice
 from repro.android.events import KeyPress
 from repro.core.pipeline import EavesdropAttack, simulate_credential_entry
@@ -22,7 +22,7 @@ class TestNoOracleAccess:
         yields identical output."""
         from repro.gpu.timeline import RenderTimeline
 
-        trace = simulate_credential_entry(config, CHASE, "oracle12", seed=61)
+        trace = simulate_credential_entry(config, app("chase"), "oracle12", seed=61)
         stripped = RenderTimeline()
         for frame in trace.timeline.frames:
             from repro.gpu.timeline import FrameRender
@@ -36,7 +36,7 @@ class TestNoOracleAccess:
         assert original_text == stripped_text
 
     def test_result_contains_no_ground_truth_objects(self, config, attack):
-        trace = simulate_credential_entry(config, CHASE, "oracle34", seed=63)
+        trace = simulate_credential_entry(config, app("chase"), "oracle34", seed=63)
         result = attack.run_on_trace(trace, seed=64)
         assert not hasattr(result, "presses")
         assert not hasattr(result.online, "presses")
@@ -44,7 +44,7 @@ class TestNoOracleAccess:
 
 class TestDeterminism:
     def test_same_seeds_identical_output(self, config, attack):
-        trace = simulate_credential_entry(config, CHASE, "determin1", seed=65)
+        trace = simulate_credential_entry(config, app("chase"), "determin1", seed=65)
         a = attack.run_on_trace(trace, seed=66)
         b = attack.run_on_trace(trace, seed=66)
         assert a.text == b.text
@@ -53,7 +53,7 @@ class TestDeterminism:
     def test_different_sampler_seeds_may_differ_but_stay_close(self, config, attack):
         from repro.analysis.metrics import edit_distance
 
-        trace = simulate_credential_entry(config, CHASE, "determin2", seed=67)
+        trace = simulate_credential_entry(config, app("chase"), "determin2", seed=67)
         texts = {attack.run_on_trace(trace, seed=s).text for s in range(70, 76)}
         for text in texts:
             assert edit_distance(text, "determin2") <= 2
@@ -67,7 +67,7 @@ class TestMonotoneDegradation:
         texts = ["loadcheck" + str(i) for i in range(6)]
         idle_errors = busy_errors = 0
         for i, text in enumerate(texts):
-            trace = simulate_credential_entry(config, CHASE, text, seed=700 + i)
+            trace = simulate_credential_entry(config, app("chase"), text, seed=700 + i)
             idle_errors += edit_distance(
                 attack.run_on_trace(trace, seed=800 + i).text, text
             )
@@ -85,7 +85,7 @@ class TestTimestampFidelity:
         """M (the inferred timestamps) must land within the input latency
         of the true presses — the keystroke-dynamics extension depends on
         this."""
-        device = VictimDevice(config, CHASE, rng=np.random.default_rng(71))
+        device = VictimDevice(config, app("chase"), rng=np.random.default_rng(71))
         truth_times = [0.7, 1.3, 1.9, 2.6]
         events = [
             KeyPress(t=t, char=c) for t, c in zip(truth_times, "wasd")
@@ -97,7 +97,7 @@ class TestTimestampFidelity:
             assert abs(inferred_t - (true_t + 0.03)) < 0.06
 
     def test_key_order_preserved(self, config, attack):
-        trace = simulate_credential_entry(config, CHASE, "abcdefgh", seed=73)
+        trace = simulate_credential_entry(config, app("chase"), "abcdefgh", seed=73)
         result = attack.run_on_trace(trace, seed=74)
         times = result.online.key_times()
         assert times == sorted(times)

@@ -15,7 +15,7 @@ equality of *labels, confidences and downstream decisions* and
 import numpy as np
 import pytest
 
-from repro.android.apps import CHASE
+from repro.android.apps import app
 from repro.api import simulate
 from repro.core import features
 from repro.core.classifier import ClassificationModel, scaled_sq_dists
@@ -161,7 +161,7 @@ def test_feed_many_matches_feed_loop(model):
 def test_feed_many_end_to_end_matches_process(config, chase_model):
     """Real sampled deltas: the batched engine infers the same text,
     keys and stats as the sequential pass."""
-    trace = simulate(config, CHASE, "hunter2secret", seed=3)
+    trace = simulate(config, app("chase"), "hunter2secret", seed=3)
     kgsl = open_kgsl(trace.timeline, clock=DeviceClock())
     sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(3))
     deltas = nonzero_deltas(sampler.sample_range(0.0, trace.end_time_s))

@@ -1,12 +1,15 @@
 """Tests for the fleet collector: framing, delivery, backpressure, fleet."""
 
+import gc
 import socket
 import time
+import warnings
 
 import pytest
 
 from repro.api import run_fleet
 from repro.collector import (
+    BINARY_CODEC,
     CollectorClient,
     CollectorClientError,
     CollectorConfig,
@@ -16,15 +19,30 @@ from repro.collector import (
     NetworkFaultInjector,
     RetryPolicy,
     SessionResultPayload,
-    encode_frame,
-    read_frame_sock,
+    decode_any,
+    read_body_sock,
 )
-from repro.collector.framing import (
+from repro.collector.frames import (
     MAX_FRAME_BYTES,
+    PROTO_VERSION,
+    TAG_BATCH,
+    TAG_HELLO,
+    TAG_HELLO_OK,
+    TAG_METRICS,
+    Ack,
+    Batch,
+    Bye,
+    ByeOk,
     ConnectionClosed,
     FrameError,
-    decode_body,
+    Hello,
+    HelloOk,
+    Metrics,
+    MetricsOk,
+    ProtocolError,
+    Result,
     parse_length,
+    prefix_body,
 )
 from repro.faults import FaultPlan
 from repro.obs import MetricsRegistry
@@ -52,15 +70,23 @@ def raw_connect(endpoint):
     return sock
 
 
+def send_frame(sock, frame):
+    sock.sendall(BINARY_CODEC.encode(frame))
+
+
+def read_frame(sock):
+    return decode_any(read_body_sock(sock))
+
+
 # ---------------------------------------------------------------------------
 # framing
 
 
 class TestFraming:
     def test_round_trip(self):
-        frame = encode_frame({"type": "ack", "seq": 7})
+        frame = BINARY_CODEC.encode(Ack(seq=7))
         assert parse_length(frame[:4]) == len(frame) - 4
-        assert decode_body(frame[4:]) == {"type": "ack", "seq": 7}
+        assert decode_any(frame[4:]) == Ack(seq=7)
 
     def test_oversized_length_prefix_rejected(self):
         with pytest.raises(FrameError, match="exceeds cap"):
@@ -72,19 +98,9 @@ class TestFraming:
 
     def test_non_object_body_rejected(self):
         with pytest.raises(FrameError, match="JSON object"):
-            decode_body(b"[1, 2]")
-        with pytest.raises(FrameError, match="not valid JSON"):
-            decode_body(b"{nope")
-
-    def test_payload_dict_round_trip(self):
-        payload = SessionResultPayload(
-            "device-0001", 3, "hunter2", 7, degraded=True, exact=False, seed=42
-        )
-        assert SessionResultPayload.from_dict(payload.to_dict()) == payload
-
-    def test_payload_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="unknown"):
-            SessionResultPayload.from_dict({"device_id": "d", "bogus": 1})
+            decode_any(bytes([TAG_METRICS]) + b"[1, 2]")
+        with pytest.raises(FrameError, match="not JSON"):
+            decode_any(bytes([TAG_METRICS]) + b"{nope")
 
     def test_payload_from_result_scores_expected(self):
         class FakeResult:
@@ -135,15 +151,10 @@ class TestDelivery:
     def test_resend_is_deduplicated(self):
         with CollectorHandle(fast_cfg()) as handle:
             sock = raw_connect(handle.endpoint)
-            frame = {
-                "type": "result",
-                "device_id": "device-0000",
-                "seq": 0,
-                "payload": SessionResultPayload("device-0000", 0, "pw", 2).to_dict(),
-            }
+            frame = Result(seq=0, payload=SessionResultPayload("device-0000", 0, "pw", 2))
             for _ in range(3):
-                sock.sendall(encode_frame(frame))
-                assert read_frame_sock(sock) == {"type": "ack", "seq": 0}
+                send_frame(sock, frame)
+                assert read_frame(sock) == Ack(seq=0)
             sock.close()
         server = handle.server
         assert len(server.results) == 1
@@ -198,8 +209,13 @@ class TestDelivery:
             config=fast_cfg(retry=RetryPolicy(max_attempts=3, base_delay_s=0.001)),
             sleep=NO_SLEEP,
         )
-        with pytest.raises(CollectorClientError, match="undelivered after 3 attempts"):
-            client.send_result(SessionResultPayload("device-0000", 0, "pw", 2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(CollectorClientError, match="undelivered after 3 attempts"):
+                client.send_result(SessionResultPayload("device-0000", 0, "pw", 2))
+            gc.collect()
+        # every refused connect closed its socket
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_client_survives_server_side_idle_timeout(self):
         with CollectorHandle(fast_cfg(read_timeout_s=0.05)) as handle:
@@ -229,7 +245,7 @@ class TestDelivery:
             sock = raw_connect(handle.endpoint)
             sock.sendall((MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"xxxx")
             # the server answers with a typed protocol error, then hangs up
-            assert read_frame_sock(sock)["type"] == "error"
+            assert isinstance(read_frame(sock), ProtocolError)
             assert sock.recv(1) == b""
             sock.close()
         registry = handle.server.registry
@@ -254,8 +270,9 @@ class TestDelivery:
     def test_malformed_frame_closes_connection(self):
         with CollectorHandle(fast_cfg()) as handle:
             sock = raw_connect(handle.endpoint)
-            sock.sendall(encode_frame({"type": "mystery"}))
-            assert read_frame_sock(sock)["type"] == "error"
+            # a JSON body is not a frame on the binary wire
+            sock.sendall(prefix_body(b'{"type": "mystery"}'))
+            assert isinstance(read_frame(sock), ProtocolError)
             assert sock.recv(1) == b""
             sock.close()
         assert handle.server.registry.counter("collector.malformed_frames").value == 1
@@ -263,10 +280,10 @@ class TestDelivery:
     def test_hello_proto_mismatch_rejected(self):
         with CollectorHandle(fast_cfg()) as handle:
             sock = raw_connect(handle.endpoint)
-            sock.sendall(encode_frame({"type": "hello", "device_id": "d", "proto": 99}))
-            assert read_frame_sock(sock)["type"] == "error"
+            send_frame(sock, Hello(device_id="d", proto=99))
+            assert isinstance(read_frame(sock), ProtocolError)
             with pytest.raises((ConnectionClosed, OSError)):
-                read_frame_sock(sock)
+                read_frame(sock)
             sock.close()
         assert handle.server.registry.counter("collector.proto_rejected").value == 1
 
@@ -289,7 +306,7 @@ class TestDelivery:
         with pytest.raises(ValueError, match="unix_path"):
             CollectorConfig(transport="unix")
         with pytest.raises(ValueError, match="codec"):
-            CollectorConfig(codec="morse")
+            CollectorConfig(codec="json")
         with pytest.raises(ValueError, match="queue_size"):
             CollectorConfig(queue_size=0)
         with pytest.raises(ValueError, match="timeouts"):
@@ -306,20 +323,6 @@ class TestDelivery:
         assert CollectorConfig.from_dict(cfg.to_dict()) == cfg
         with pytest.raises(ValueError, match="unknown"):
             CollectorConfig.from_dict({"bogus": 1})
-
-    def test_legacy_kwargs_warn_and_apply(self):
-        with pytest.deprecated_call(match="CollectorServer"):
-            server = CollectorServer(transport="tcp", queue_size=7)
-        assert server.config.queue_size == 7
-        with pytest.raises(ValueError, match="transport"):
-            with pytest.deprecated_call():
-                CollectorServer(transport="carrier-pigeon")
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            CollectorServer(bogus_knob=1)
-        endpoint = ("tcp", "127.0.0.1", 1)
-        with pytest.deprecated_call(match="CollectorClient"):
-            client = CollectorClient(endpoint, "d", retry=FAST_RETRY)
-        assert client.retry == FAST_RETRY
 
 
 class TestBackpressure:
@@ -413,34 +416,23 @@ class TestNetworkFaultInjector:
 
 
 # ---------------------------------------------------------------------------
-# typed frames and the two wire codecs
+# typed frames and the binary wire codec
 
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.collector import (  # noqa: E402
-    BINARY_CODEC,
-    JSON_CODEC,
-    N_COUNTERS,
-    Ack,
-    Bye,
-    Hello,
-    HelloOk,
-    Metrics,
-    Result,
-    decode_any,
-    negotiate_codec,
-)
+from repro.collector import N_COUNTERS  # noqa: E402
 
+u32 = st.integers(min_value=0, max_value=2 ** 32 - 1)
 u64 = st.integers(min_value=0, max_value=2 ** 64 - 1)
 
 payload_strategy = st.builds(
     SessionResultPayload,
     device_id=st.text(min_size=1, max_size=24),
-    session_index=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    session_index=u32,
     text=st.text(max_size=48),
-    n_keys=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    n_keys=u32,
     degraded=st.booleans(),
     exact=st.one_of(st.none(), st.booleans()),
     seed=st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1),
@@ -453,49 +445,53 @@ payload_strategy = st.builds(
     meta=st.dictionaries(st.text(max_size=8), st.text(max_size=8), max_size=3),
 )
 
+result_strategy = st.builds(Result, seq=u32, payload=payload_strategy)
+
+#: Every frame kind the wire carries.
+frame_strategy = st.one_of(
+    result_strategy,
+    st.lists(result_strategy, min_size=1, max_size=4).map(
+        lambda items: Batch(frames=tuple(items))
+    ),
+    st.builds(Ack, seq=u32),
+    st.builds(Hello, device_id=st.text(max_size=24), proto=st.integers()),
+    st.builds(Metrics, snapshot=st.dictionaries(st.text(max_size=8), st.integers())),
+    st.builds(
+        Bye,
+        device_id=st.text(max_size=24),
+        sent=st.integers(min_value=0),
+        retries=st.integers(min_value=0),
+        reconnects=st.integers(min_value=0),
+    ),
+    st.builds(ProtocolError, error=st.text(max_size=32)),
+    st.sampled_from([HelloOk(), MetricsOk(), ByeOk()]),
+)
+
 
 class TestWireCodecs:
-    @given(payload=payload_strategy, seq=st.integers(min_value=0, max_value=2 ** 32 - 1))
-    @settings(max_examples=120)
-    def test_binary_result_round_trip(self, payload, seq):
-        frame = Result(seq=seq, payload=payload)
-        decoded = decode_any(BINARY_CODEC.encode(frame)[4:])
-        assert decoded == frame
-
-    @given(payload=payload_strategy, seq=st.integers(min_value=0, max_value=2 ** 32 - 1))
-    @settings(max_examples=120)
-    def test_cross_codec_equivalence(self, payload, seq):
-        # the same result decodes identically off either wire format
-        frame = Result(seq=seq, payload=payload)
-        via_binary = decode_any(BINARY_CODEC.encode(frame)[4:])
-        via_json = decode_any(JSON_CODEC.encode(frame)[4:])
-        assert via_binary == via_json == frame
-
-    def test_binary_result_is_smaller_than_json(self):
-        frame = Result(
-            seq=7,
-            payload=SessionResultPayload(
-                "device-0001", 3, "hunter2", 7, exact=True,
-                deltas=tuple(range(1000, 1011)),
-            ),
-        )
-        assert len(BINARY_CODEC.encode(frame)) < len(JSON_CODEC.encode(frame))
+    @given(frame=frame_strategy)
+    @settings(max_examples=300)
+    def test_binary_result_round_trip(self, frame):
+        """Every frame kind survives encode → length prefix → decode."""
+        wire = BINARY_CODEC.encode(frame)
+        assert parse_length(wire[:4]) == len(wire) - 4
+        assert decode_any(wire[4:]) == frame
 
     def test_control_frames_round_trip_on_both_codecs(self):
+        # protocol 2 has one codec; the control frames round-trip on it
         frames = [
             Ack(seq=123),
             Metrics(snapshot={"counters": {"x": 1}}),
             Bye(device_id="device-π", sent=9, retries=2, reconnects=1),
         ]
         for frame in frames:
-            for codec in (JSON_CODEC, BINARY_CODEC):
-                assert decode_any(codec.encode(frame)[4:]) == frame
+            assert decode_any(BINARY_CODEC.encode(frame)[4:]) == frame
 
-    def test_hello_stays_json_on_the_binary_codec(self):
-        # negotiation frames must be readable before negotiation happens
-        body = BINARY_CODEC.encode(Hello("d", codecs=("binary",)))[4:]
-        assert body[0:1] == b"{"
-        assert decode_any(body) == Hello("d", codecs=("binary",))
+    def test_hello_frames_carry_their_own_tags(self):
+        hello = BINARY_CODEC.encode(Hello("d"))[4:]
+        assert hello[0] == TAG_HELLO == 0x89
+        assert decode_any(hello) == Hello("d", proto=PROTO_VERSION)
+        assert BINARY_CODEC.encode(HelloOk())[4:] == bytes([TAG_HELLO_OK]) == b"\x8a"
 
     def test_truncated_binary_result_rejected(self):
         frame = Result(
@@ -510,6 +506,8 @@ class TestWireCodecs:
     def test_unknown_leading_byte_rejected(self):
         with pytest.raises(FrameError, match="leading byte"):
             decode_any(b"\xff\x00\x00")
+        with pytest.raises(FrameError, match="leading byte 0x7b"):
+            decode_any(b'{"type":"hello","device_id":"d","proto":1}')
         with pytest.raises(FrameError, match="empty"):
             decode_any(b"")
 
@@ -521,95 +519,22 @@ class TestWireCodecs:
         with pytest.raises(ValueError, match="mask"):
             SessionResultPayload("d", 0, "pw", 2, mask=1 << N_COUNTERS)
 
-    def test_negotiation_matrix(self):
-        # old client (no offer) always gets JSON, whatever the policy
-        assert negotiate_codec((), "auto") == "json"
-        assert negotiate_codec((), "binary") == "json"
-        assert negotiate_codec((), "json") == "json"
-        # a binary-capable client gets binary unless the server pins json
-        assert negotiate_codec(("binary", "json"), "auto") == "binary"
-        assert negotiate_codec(("binary",), "binary") == "binary"
-        assert negotiate_codec(("binary", "json"), "json") == "json"
-        assert negotiate_codec(("json",), "auto") == "json"
 
-
-class TestCodecNegotiationE2E:
-    def test_binary_client_negotiates_and_delivers(self):
-        with CollectorHandle(fast_cfg(codec="binary")) as handle:
-            with CollectorClient(
-                handle.endpoint, "device-0000",
-                config=fast_cfg(codec="binary"), sleep=NO_SLEEP,
-            ) as client:
-                client.send_results(payloads_for("device-0000", 6))
-                assert client.wire_codec == "binary"
-        registry = handle.server.registry
-        assert len(handle.server.results) == 6
-        assert registry.counter("collector.codec.binary").value == 1
-        assert registry.counter("collector.codec.json").value == 0
-
-    def test_json_only_client_completes_against_binary_server(self):
-        # the compatibility guarantee: a revision-1 client (no codec
-        # offer at all) still completes its run on a binary-default server
-        with CollectorHandle(fast_cfg(codec="binary")) as handle:
-            with CollectorClient(
-                handle.endpoint, "device-0000",
-                config=fast_cfg(codec="json"), sleep=NO_SLEEP,
-            ) as client:
-                client.send_results(payloads_for("device-0000", 5))
-                assert client.wire_codec == "json"
-        assert len(handle.server.results) == 5
-        assert (
-            handle.server.registry.counter("collector.codec.json").value == 1
-        )
-
-    def test_json_client_hello_is_revision1_shape(self):
-        # codec="json" must offer nothing: byte-identical hello to old clients
-        from repro.collector.frames import frame_to_dict
-
-        client = CollectorClient(
-            ("tcp", "127.0.0.1", 1), "d", config=fast_cfg(codec="json")
-        )
-        hello = Hello(device_id="d", codecs=client._offered_codecs())
-        assert frame_to_dict(hello) == {
-            "type": "hello",
-            "device_id": "d",
-            "proto": 1,
-        }
-
-    def test_mixed_fleet_binary_and_json_zero_loss(self):
-        # binary and JSON clients interleave on one server: nothing lost,
-        # nothing double-counted
-        per_device = 15
-        with CollectorHandle(fast_cfg(codec="auto")) as handle:
-            clients = [
-                ("device-bin0", "binary"), ("device-json", "json"),
-                ("device-bin1", "auto"),
-            ]
-            for device, codec in clients:
-                with CollectorClient(
-                    handle.endpoint, device,
-                    config=fast_cfg(codec=codec), sleep=NO_SLEEP,
-                ) as client:
-                    client.send_results(payloads_for(device, per_device))
-        server = handle.server
-        registry = server.registry
-        assert len(server.results) == per_device * 3
-        assert registry.counter("collector.sessions_ingested").value == per_device * 3
-        assert registry.counter("collector.dupes_dropped").value == 0
-        assert registry.counter("collector.codec.binary").value == 2
-        assert registry.counter("collector.codec.json").value == 1
-
+class TestMixedFleet:
     def test_mixed_fleet_with_faults_zero_loss(self):
+        # a lock-step and a pipelined device interleave on one server
+        # under injected drops: nothing lost, nothing double-counted
         plan = FaultPlan(seed=11, read_error_prob=0.25, jitter_prob=0.1, jitter_s=1e-4)
         per_device = 25
-        with CollectorHandle(fast_cfg(codec="auto")) as handle:
-            for offset, codec in ((1, "binary"), (2, "json")):
+        with CollectorHandle(fast_cfg()) as handle:
+            for offset, depth in ((1, 1), (2, 8)):
+                device = f"device-depth{depth}"
                 with CollectorClient(
-                    handle.endpoint, f"device-{codec}", fault_plan=plan,
-                    config=fast_cfg(codec=codec), seed_offset=offset,
+                    handle.endpoint, device, fault_plan=plan,
+                    config=fast_cfg(pipeline_depth=depth), seed_offset=offset,
                     sleep=NO_SLEEP,
                 ) as client:
-                    client.send_results(payloads_for(f"device-{codec}", per_device))
+                    client.send_results(payloads_for(device, per_device))
         server = handle.server
         assert len(server.results) == per_device * 2
         assert server.registry.counter("collector.sessions_ingested").value == per_device * 2
@@ -621,13 +546,13 @@ class TestCodecNegotiationE2E:
 
 class TestFleet:
     def test_fleet_end_to_end(self, config, chase_store):
-        from repro.android.apps import CHASE
+        from repro.android.apps import app
         from repro.api import AttackConfig
 
         report = run_fleet(
             chase_store,
             config,
-            CHASE,
+            app("chase"),
             "flpwd123",
             devices=2,
             sessions_per_device=1,
@@ -642,8 +567,7 @@ class TestFleet:
         assert report.manifest is not None
         assert report.manifest.counters["collector.sessions_ingested"] == 2
         assert report.manifest.meta["command"] == "fleet"
-        # devices negotiate binary by default and ship ground-truth deltas
-        assert report.codec_counts["binary"] == 2
+        # devices ship ground-truth deltas
         for payload in report.results:
             assert payload.deltas is not None
             assert len(payload.deltas) == 11
@@ -651,14 +575,14 @@ class TestFleet:
             assert payload.mask == 0
 
     def test_fleet_with_metrics_merges_device_runs(self, config, chase_store):
-        from repro.android.apps import CHASE
+        from repro.android.apps import app
         from repro.api import AttackConfig
 
         registry = MetricsRegistry()
         report = run_fleet(
             chase_store,
             config,
-            CHASE,
+            app("chase"),
             "flpwd123",
             devices=2,
             sessions_per_device=1,
@@ -674,14 +598,14 @@ class TestFleet:
         assert report.manifest.config["recognize_device"] is False
 
     def test_fleet_unix_transport_with_faults(self, config, chase_store, tmp_path):
-        from repro.android.apps import CHASE
+        from repro.android.apps import app
         from repro.api import AttackConfig
 
         plan = FaultPlan(seed=4, read_error_prob=0.25, jitter_prob=0.1, jitter_s=1e-4)
         report = run_fleet(
             chase_store,
             config,
-            CHASE,
+            app("chase"),
             "flpwd123",
             devices=2,
             sessions_per_device=2,
@@ -698,12 +622,12 @@ class TestFleet:
         assert report.ingested == 4
 
     def test_fleet_driver_validation(self, config, chase_store):
-        from repro.android.apps import CHASE
+        from repro.android.apps import app
 
         with pytest.raises(ValueError, match="devices"):
-            FleetDriver(chase_store, config, CHASE, "pw", devices=0)
+            FleetDriver(chase_store, config, app("chase"), "pw", devices=0)
         with pytest.raises(ValueError, match="sessions_per_device"):
-            FleetDriver(chase_store, config, CHASE, "pw", sessions_per_device=0)
+            FleetDriver(chase_store, config, app("chase"), "pw", sessions_per_device=0)
 
 
 # ---------------------------------------------------------------------------
@@ -721,8 +645,6 @@ class TestExactlyOnceGaps:
             server._queue = asyncio.Queue(maxsize=1)
             blocker = SessionResultPayload("device-0000", 0, "x", 1)
             victim = SessionResultPayload("device-0000", 1, "pw", 2, exact=True)
-            from repro.collector.frames import Result
-
             # fill the queue so the next admission blocks in put()
             await server._queue.put(blocker)
             task = asyncio.create_task(server._admit_result(Result(1, victim)))
@@ -750,8 +672,6 @@ class TestExactlyOnceGaps:
             server = CollectorServer(fast_cfg(queue_size=1))
             server._queue = asyncio.Queue(maxsize=1)
             payload = SessionResultPayload("device-0000", 1, "pw", 2)
-            from repro.collector.frames import Result
-
             await server._queue.put(SessionResultPayload("device-0000", 0, "x", 1))
             original = asyncio.create_task(server._admit_result(Result(1, payload)))
             await asyncio.sleep(0)
@@ -809,15 +729,14 @@ class TestExactlyOnceGaps:
         assert registry.counter("collector.devices_seen").value == 2
         assert registry.counter("collector.connections_opened").value == 4
 
-    # tearing the loop down around a failed drain abandons the
-    # aggregator task by design; the "Task was destroyed" noise is the
-    # price of not wedging
-    @pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
     def test_handle_stop_is_exception_safe(self, monkeypatch):
         """A failing server.stop() must still tear the loop thread down
-        so a second stop() (or interpreter exit) cannot wedge."""
+        so a second stop() (or interpreter exit) cannot wedge, and the
+        teardown must cancel the pending tasks and close the listener
+        before the loop closes (no "Event loop is closed" noise, no
+        leaked bound socket)."""
         handle = CollectorHandle(fast_cfg())
-        handle.start()
+        endpoint = handle.start()
         thread = handle._thread
 
         async def boom(drain=True):
@@ -830,6 +749,8 @@ class TestExactlyOnceGaps:
         assert not thread.is_alive()
         assert handle._thread is None and handle._loop is None
         handle.stop()  # second stop is a clean no-op, not a hang
+        with pytest.raises(OSError):
+            raw_connect(endpoint).close()
 
     def test_error_reply_is_drained_before_close(self):
         """An oversized frame gets its typed ProtocolError reply even
@@ -838,11 +759,67 @@ class TestExactlyOnceGaps:
             sock = raw_connect(handle.endpoint)
             try:
                 sock.sendall((MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
-                reply = read_frame_sock(sock)
+                reply = read_frame(sock)
             finally:
                 sock.close()
-        assert reply["type"] == "error"
-        assert "cap" in reply["error"]
+        assert isinstance(reply, ProtocolError)
+        assert "cap" in reply.error
+
+
+class TestMalformedMetrics:
+    """Hostile metrics snapshots degrade a run; they never crash it."""
+
+    BAD_SNAPSHOT = {"counters": {"x": "not-an-int"}}
+
+    def test_malformed_metrics_frame_is_rejected_cleanly(self, caplog):
+        with CollectorHandle(fast_cfg()) as handle:
+            sock = raw_connect(handle.endpoint)
+            try:
+                send_frame(sock, Hello(device_id="d"))
+                assert read_frame(sock) == HelloOk()
+                send_frame(sock, Metrics(snapshot=self.BAD_SNAPSHOT))
+                reply = read_frame(sock)
+                with pytest.raises((ConnectionClosed, OSError)):
+                    read_frame(sock)
+            finally:
+                sock.close()
+            # the collector keeps serving the rest of the fleet
+            with CollectorClient(
+                handle.endpoint, "device-0000", config=FAST_CFG, sleep=NO_SLEEP
+            ) as client:
+                client.send_results(payloads_for("device-0000", 2))
+        gc.collect()
+        assert isinstance(reply, ProtocolError)
+        registry = handle.server.registry
+        assert registry.counter("collector.malformed_frames").value == 1
+        assert registry.counter("collector.metrics_frames").value == 0
+        assert len(handle.server.results) == 2
+        assert "never retrieved" not in caplog.text
+
+    def test_malformed_metrics_tail_does_not_poison_the_journal(self, tmp_path):
+        """A result acked with an unmergeable metrics tail must count the
+        same in the live run and in every replay of its journal."""
+        cfg = fast_cfg(journal_dir=str(tmp_path))
+        bad = SessionResultPayload("dev", 0, "pw", 2, metrics=self.BAD_SNAPSHOT)
+        good = SessionResultPayload("dev", 1, "pw", 2)
+        with CollectorHandle(cfg) as first:
+            with CollectorClient(
+                first.endpoint, "dev", config=cfg, sleep=NO_SLEEP
+            ) as client:
+                client.send_result(bad)
+                client.send_result(good)
+        with CollectorHandle(cfg) as second:  # start() replays the journal
+            pass
+        lives = []
+        for handle in (first, second):
+            counter = handle.server.registry.counter
+            lives.append((
+                counter("collector.sessions_ingested").value,
+                counter("collector.aggregation_errors").value,
+                [(p.device_id, p.session_index) for p in handle.server.results],
+            ))
+        assert lives[0] == lives[1] == (2, 1, [("dev", 0), ("dev", 1)])
+        assert second.server.registry.counter("collector.journal.replayed").value == 2
 
 
 # ---------------------------------------------------------------------------
@@ -853,31 +830,21 @@ class TestBatchedPipeline:
     """The batch wire frame and the pipelined client that rides it."""
 
     def test_batch_frame_round_trips_both_codecs(self):
-        from repro.collector.frames import (
-            BINARY_CODEC,
-            JSON_CODEC,
-            Batch,
-            Result,
-            decode_any,
-        )
-
+        # protocol 2 has one codec; a batch round-trips on it
         batch = Batch(
             frames=tuple(
                 Result(seq=i, payload=p)
                 for i, p in enumerate(payloads_for("device-0000", 3))
             )
         )
-        for codec in (BINARY_CODEC, JSON_CODEC):
-            wire = codec.encode(batch)  # 4-byte length prefix + body
-            assert decode_any(wire[4:]) == batch
+        wire = BINARY_CODEC.encode(batch)  # 4-byte length prefix + body
+        assert decode_any(wire[4:]) == batch
 
     def test_empty_batch_is_rejected(self):
-        from repro.collector.frames import BINARY_CODEC, JSON_CODEC, Batch
-
         with pytest.raises(FrameError, match="at least one"):
             BINARY_CODEC.encode(Batch(frames=()))
-        with pytest.raises(FrameError, match="batch"):
-            JSON_CODEC.decode(b'{"type":"batch","frames":[]}')
+        with pytest.raises(FrameError, match="at least one"):
+            decode_any(bytes([TAG_BATCH]) + (0).to_bytes(4, "big"))
 
     def test_pipelined_send_delivers_everything_once(self):
         cfg = fast_cfg(pipeline_depth=8)
@@ -945,8 +912,6 @@ class TestBatchedPipeline:
         unseen members — per-member dedup, one queue item, one record."""
         import asyncio
 
-        from repro.collector.frames import Batch, Result
-
         async def scenario():
             server = CollectorServer(fast_cfg(queue_size=8))
             server._queue = asyncio.Queue(maxsize=8)
@@ -969,8 +934,6 @@ class TestBatchedPipeline:
 
     def test_fully_duplicate_batch_enqueues_nothing(self):
         import asyncio
-
-        from repro.collector.frames import Batch, Result
 
         async def scenario():
             server = CollectorServer(fast_cfg(queue_size=8))

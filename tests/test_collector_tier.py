@@ -260,7 +260,7 @@ class TestFleetKillDrill:
     def test_drill_zero_loss_no_double_aggregation(
         self, config, chase_store, tmp_path
     ):
-        from repro.android.apps import CHASE
+        from repro.android.apps import app
         from repro.api import AttackConfig, run_fleet
 
         seed = 7
@@ -274,7 +274,7 @@ class TestFleetKillDrill:
         report = run_fleet(
             chase_store,
             config,
-            CHASE,
+            app("chase"),
             "drillpw1",
             devices=4,
             sessions_per_device=1,
@@ -298,18 +298,18 @@ class TestFleetKillDrill:
         assert report.manifest.counters["collector.sessions_ingested"] == 4
 
     def test_drill_requires_multiple_shards(self, config, chase_store):
-        from repro.android.apps import CHASE
+        from repro.android.apps import app
         from repro.collector import FleetDriver
 
         with pytest.raises(ValueError, match="shards"):
             FleetDriver(
-                chase_store, config, CHASE, "pw",
+                chase_store, config, app("chase"), "pw",
                 collector=CollectorConfig(shards=1),
                 drill=KillDrill(),
             )
         with pytest.raises(ValueError, match="out of range"):
             FleetDriver(
-                chase_store, config, CHASE, "pw",
+                chase_store, config, app("chase"), "pw",
                 collector=CollectorConfig(shards=2),
                 drill=KillDrill(shard=5),
             )

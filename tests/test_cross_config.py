@@ -10,7 +10,7 @@ configurations (or per-config models would be pointless).
 import numpy as np
 import pytest
 
-from repro.android.apps import CHASE
+from repro.android.apps import app
 from repro.android.device import VictimDevice
 from repro.android.display import Display, Resolution
 from repro.android.events import KeyPress
@@ -39,7 +39,7 @@ class TestKeyboardResolutionGrid:
         )
         builder = SceneBuilder(config)
         pipeline = AdrenoPipeline(config.gpu)
-        state = UiState(app=CHASE).with_popup("g")
+        state = UiState(app=app("chase")).with_popup("g")
         scene = builder.damage_scene(state, builder.popup_damage("g"))
         stats = pipeline.render(scene)
         assert stats.increment.get(pc.VPC_PC_PRIMITIVES) > 0
@@ -51,7 +51,7 @@ class TestGpuGrid:
     def test_press_renders_consistently(self, model, config):
         pipeline = AdrenoPipeline(adreno(model))
         builder = SceneBuilder(config)
-        state = UiState(app=CHASE).with_popup("w")
+        state = UiState(app=app("chase")).with_popup("w")
         scene = builder.damage_scene(state, builder.popup_damage("w"))
         stats = pipeline.render(scene)
         # primitives are GPU-independent; tile counts are not
@@ -66,7 +66,7 @@ class TestGpuGrid:
     def test_supertile_counts_scale_with_bin_size(self, model, config):
         pipeline = AdrenoPipeline(adreno(model))
         builder = SceneBuilder(config)
-        state = UiState(app=CHASE).with_popup("w")
+        state = UiState(app=app("chase")).with_popup("w")
         scene = builder.damage_scene(state, builder.popup_damage("w"))
         supertiles = pipeline.render(scene).increment.get(pc.RAS_SUPER_TILES)
         assert supertiles > 0
@@ -76,7 +76,7 @@ class TestGpuGrid:
 class TestPhoneGrid:
     def test_device_compiles_a_session(self, phone_name):
         config = DeviceConfig(phone=PHONE_MODELS[phone_name])
-        device = VictimDevice(config, CHASE, rng=np.random.default_rng(0))
+        device = VictimDevice(config, app("chase"), rng=np.random.default_rng(0))
         trace = device.compile([KeyPress(t=0.6, char="a")], end_time_s=1.5)
         labels = [f.label for f in trace.timeline.frames]
         assert "press:a" in labels
@@ -96,7 +96,7 @@ class TestSignaturesDifferAcrossConfigs:
     def _press_total(self, config, char="w"):
         builder = SceneBuilder(config)
         pipeline = AdrenoPipeline(config.gpu)
-        state = UiState(app=CHASE).with_popup(char)
+        state = UiState(app=app("chase")).with_popup(char)
         scene = builder.damage_scene(state, builder.popup_damage(char))
         return pipeline.render(scene).increment.total
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.android.apps import CHASE, PNC
+from repro.android.apps import app
 from repro.android.device import (
     CURSOR_BLINK_S,
     GroundTruthPress,
@@ -20,8 +20,8 @@ from repro.android.events import (
 from repro.android.os_config import default_config
 
 
-def device(config, app=CHASE, seed=0, **kw):
-    return VictimDevice(config, app, rng=np.random.default_rng(seed), **kw)
+def device(config, target="chase", seed=0, **kw):
+    return VictimDevice(config, app(target), rng=np.random.default_rng(seed), **kw)
 
 
 def labels(trace, prefix=None):
@@ -166,7 +166,7 @@ class TestSwitchesAndNoise:
 
 class TestAnimation:
     def test_pnc_renders_animation_frames(self, config):
-        trace = device(config, app=PNC, seed=7).compile([], end_time_s=2.0)
+        trace = device(config, target="pnc", seed=7).compile([], end_time_s=2.0)
         anim = labels(trace, "anim_")
         assert len(anim) > 30  # 30 fps for 2 seconds
 

@@ -4,7 +4,7 @@ ripple press feedback, and the blink-timer reset semantics."""
 import numpy as np
 import pytest
 
-from repro.android.apps import CHASE
+from repro.android.apps import app
 from repro.android.device import (
     GPU_IDLE_COLLAPSE_S,
     WAKEUP_RENDER_S,
@@ -16,7 +16,7 @@ from repro.mitigations.popup_disable import config_with_popups_disabled
 
 
 def device(config, seed=0):
-    return VictimDevice(config, CHASE, rng=np.random.default_rng(seed))
+    return VictimDevice(config, app("chase"), rng=np.random.default_rng(seed))
 
 
 class TestPowerCollapse:

@@ -91,15 +91,15 @@ class TestLeakReport:
     def test_measured_channel_leaks_most_bits(self, config, chase_model):
         """The real attack's confusion matrix: >90 % of credential entropy."""
         from repro.analysis.experiments import run_per_key_sweep, single_model_attack
-        from repro.android.apps import CHASE
+        from repro.android.apps import app
         from repro.core.pipeline import simulate_credential_entry
         from repro.workloads.credentials import credential_batch
 
-        attack = single_model_attack(config, CHASE)
+        attack = single_model_attack(config, app("chase"))
         matrix = ConfusionMatrix()
         rng = np.random.default_rng(5)
         for i, text in enumerate(credential_batch(rng, 10)):
-            trace = simulate_credential_entry(config, CHASE, text, seed=800 + i)
+            trace = simulate_credential_entry(config, app("chase"), text, seed=800 + i)
             result = attack.run_on_trace(trace, seed=900 + i)
             matrix.record(text, result.text)
         report = leak_report(matrix, length=12)

@@ -11,24 +11,24 @@ from repro.analysis.experiments import (
     run_practical_sessions,
     single_model_attack,
 )
-from repro.android.apps import CHASE
+from repro.android.apps import app
 
 
 class TestModelCache:
     def test_same_key_returns_same_object(self, config):
-        a = cached_model(config, CHASE)
-        b = cached_model(config, CHASE)
+        a = cached_model(config, app("chase"))
+        b = cached_model(config, app("chase"))
         assert a is b
 
     def test_interval_is_part_of_the_key(self, config):
-        a = cached_model(config, CHASE, interval_s=0.008)
-        b = cached_model(config, CHASE, interval_s=0.004)
+        a = cached_model(config, app("chase"), interval_s=0.008)
+        b = cached_model(config, app("chase"), interval_s=0.004)
         assert a is not b
 
 
 class TestCredentialBatch:
     def test_batch_reports_counts(self, config):
-        batch = run_credential_batch(config, CHASE, n_texts=4, seed=55)
+        batch = run_credential_batch(config, app("chase"), n_texts=4, seed=55)
         assert batch.report.traces == 4
         assert 0.0 <= batch.text_accuracy <= 1.0
         assert batch.key_accuracy > 0.8
@@ -36,26 +36,26 @@ class TestCredentialBatch:
 
     def test_explicit_texts_override_count(self, config):
         batch = run_credential_batch(
-            config, CHASE, n_texts=99, texts=["abcd1234"], seed=56
+            config, app("chase"), n_texts=99, texts=["abcd1234"], seed=56
         )
         assert batch.report.traces == 1
 
     def test_attack_kwargs_forwarded(self, config):
         batch = run_credential_batch(
-            config, CHASE, n_texts=2, seed=57, recover_collisions=False
+            config, app("chase"), n_texts=2, seed=57, recover_collisions=False
         )
         assert batch.report.traces == 2
 
     def test_deterministic_given_seed(self, config):
-        a = run_credential_batch(config, CHASE, n_texts=3, seed=58)
-        b = run_credential_batch(config, CHASE, n_texts=3, seed=58)
+        a = run_credential_batch(config, app("chase"), n_texts=3, seed=58)
+        b = run_credential_batch(config, app("chase"), n_texts=3, seed=58)
         assert a.text_accuracy == b.text_accuracy
         assert a.key_accuracy == b.key_accuracy
 
 
 class TestPerKeySweep:
     def test_covers_all_characters(self, config):
-        stats = run_per_key_sweep(config, CHASE, repeats=2, seed=60)
+        stats = run_per_key_sweep(config, app("chase"), repeats=2, seed=60)
         assert len(stats) >= 75
         for char, (correct, total) in stats.items():
             assert 0 <= correct <= total, char
@@ -64,7 +64,7 @@ class TestPerKeySweep:
 class TestPracticalSessions:
     def test_reports_per_volunteer(self, config):
         reports = run_practical_sessions(
-            config, CHASE, volunteers=2, repeats=1, duration_s=60.0, seed=61
+            config, app("chase"), volunteers=2, repeats=1, duration_s=60.0, seed=61
         )
         assert set(reports) == {"volunteer1", "volunteer2"}
         for report in reports.values():
@@ -79,6 +79,6 @@ class TestFormatting:
 
 class TestSingleModelAttack:
     def test_attack_has_one_model(self, config):
-        attack = single_model_attack(config, CHASE)
+        attack = single_model_attack(config, app("chase"))
         assert len(attack.store) == 1
         assert not attack.recognize_device

@@ -10,7 +10,7 @@ import types
 
 import pytest
 
-from repro.android.apps import CHASE
+from repro.android.apps import app
 from repro.core.pipeline import EavesdropAttack, simulate_credential_entry
 from repro.faults import (
     FAULT_PROFILE_ENV,
@@ -33,7 +33,7 @@ CREDENTIAL = "hunter2secret"
 
 @pytest.fixture(scope="module")
 def trace(config):
-    return simulate_credential_entry(config, CHASE, CREDENTIAL, seed=1)
+    return simulate_credential_entry(config, app("chase"), CREDENTIAL, seed=1)
 
 
 def run_attack(store, trace, fault_plan, seed=101):

@@ -91,16 +91,16 @@ class TestAgainstTrainedModel:
     def test_guessing_recovers_single_substitutions(self, chase_model, config):
         """Section 7.1's claim: single errors fall to a few guesses."""
         from repro.analysis.experiments import single_model_attack
-        from repro.android.apps import CHASE
+        from repro.android.apps import app
         from repro.core.pipeline import simulate_credential_entry
         from repro.workloads.credentials import credential_batch
 
-        attack = single_model_attack(config, CHASE)
+        attack = single_model_attack(config, app("chase"))
         generator = CandidateGenerator(chase_model)
         rng = np.random.default_rng(17)
         recovered_1 = recovered_10 = total = 0
         for i, text in enumerate(credential_batch(rng, 12)):
-            trace = simulate_credential_entry(config, CHASE, text, seed=600 + i)
+            trace = simulate_credential_entry(config, app("chase"), text, seed=600 + i)
             result = attack.run_on_trace(trace, seed=900 + i)
             rank = generator.rank_of(result.online, text, max_candidates=10)
             total += 1

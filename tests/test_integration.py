@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.android.apps import CHASE
+from repro.android.apps import app
 from repro.android.device import VictimDevice
 from repro.android.os_config import default_config
 from repro.core.pipeline import EavesdropAttack, simulate_credential_entry
@@ -22,20 +22,20 @@ class TestCleanCredentialTheft:
     def test_exact_inference_of_typical_credential(self, config, attack):
         exact = 0
         for seed in (20, 22, 23, 24):
-            trace = simulate_credential_entry(config, CHASE, "hunter2sec", seed=seed)
+            trace = simulate_credential_entry(config, app("chase"), "hunter2sec", seed=seed)
             result = attack.run_on_trace(trace, seed=900)
             exact += result.text == "hunter2sec"
         assert exact >= 3, "typical credentials must usually be stolen verbatim"
 
     def test_mixed_case_symbols_digits(self, config, attack):
         text = "Tr0ub4dor&3x"
-        trace = simulate_credential_entry(config, CHASE, text, seed=22)
+        trace = simulate_credential_entry(config, app("chase"), text, seed=22)
         result = attack.run_on_trace(trace, seed=901)
         assert result.text == text
 
     def test_sixteen_character_credential(self, config, attack):
         text = "abcdefgh12345678"
-        trace = simulate_credential_entry(config, CHASE, text, seed=23)
+        trace = simulate_credential_entry(config, app("chase"), text, seed=23)
         result = attack.run_on_trace(trace, seed=902)
         assert len(result.text) >= 14
         from repro.analysis.metrics import edit_distance
@@ -50,7 +50,7 @@ class TestCleanCredentialTheft:
         rng = np.random.default_rng(50)
         report = AccuracyReport()
         for i, text in enumerate(credential_batch(rng, 25)):
-            trace = simulate_credential_entry(config, CHASE, text, seed=300 + i)
+            trace = simulate_credential_entry(config, app("chase"), text, seed=300 + i)
             result = attack.run_on_trace(trace, seed=600 + i)
             report.add(text, result.text)
         assert report.text_accuracy >= 0.6
@@ -61,7 +61,7 @@ class TestCleanCredentialTheft:
         paper's C++ service hits 95 % < 0.1 ms; in Python we assert the
         median against the same bound and keep a loose tail bound so the
         test is robust to scheduler noise.)"""
-        trace = simulate_credential_entry(config, CHASE, "latencytest1", seed=24)
+        trace = simulate_credential_entry(config, app("chase"), "latencytest1", seed=24)
         result = attack.run_on_trace(trace, seed=903)
         times = np.array(result.latency.samples)
         assert np.median(times) < 1e-4
@@ -73,7 +73,7 @@ class TestCorrectionsEndToEnd:
         rng = np.random.default_rng(31)
         typing = TypingModel(rng)
         events, final = typing_with_corrections("secretpw", typing, rng, typo_prob=0.5)
-        device = VictimDevice(config, CHASE, rng=rng)
+        device = VictimDevice(config, app("chase"), rng=rng)
         end = max(e.t for e in events) + 2.5
         trace = device.compile(events, end_time_s=end)
         assert trace.final_text == "secretpw"
@@ -96,7 +96,7 @@ class TestAppSwitchEndToEnd:
             AppSwitchBack(t=9.0),
             KeyPress(t=10.0, char="c"),
         ]
-        device = VictimDevice(config, CHASE, rng=np.random.default_rng(32))
+        device = VictimDevice(config, app("chase"), rng=np.random.default_rng(32))
         trace = device.compile(events, end_time_s=11.5)
         result = attack.run_on_trace(trace, seed=905)
         assert result.text == "abc"
@@ -107,7 +107,7 @@ class TestPracticalSession:
     def test_three_minute_session_mostly_recovered(self, config, attack):
         rng = np.random.default_rng(33)
         session = practical_session(rng, TypingModel(rng), volunteer_index=0)
-        device = VictimDevice(config, CHASE, rng=rng)
+        device = VictimDevice(config, app("chase"), rng=rng)
         trace = device.compile(session.events, end_time_s=session.duration_s)
         result = attack.run_on_trace(trace, seed=906)
         from repro.analysis.metrics import align
@@ -119,7 +119,7 @@ class TestPracticalSession:
 
 class TestLoadEndToEnd:
     def test_moderate_cpu_load_tolerated(self, config, attack):
-        trace = simulate_credential_entry(config, CHASE, "loadedpass", seed=25)
+        trace = simulate_credential_entry(config, app("chase"), "loadedpass", seed=25)
         result = attack.run_on_trace(trace, seed=907, load=SystemLoad(cpu_utilization=0.25))
         from repro.analysis.metrics import edit_distance
 
@@ -132,7 +132,7 @@ class TestLoadEndToEnd:
         rng = np.random.default_rng(2600)
         errors_idle, errors_busy = 0, 0
         for i, text in enumerate(credential_batch(rng, 15)):
-            trace = simulate_credential_entry(config, CHASE, text, seed=260 + i)
+            trace = simulate_credential_entry(config, app("chase"), text, seed=260 + i)
             idle = attack.run_on_trace(trace, seed=908 + i)
             busy = attack.run_on_trace(
                 trace, seed=908 + i, load=SystemLoad(cpu_utilization=1.0)
@@ -146,7 +146,7 @@ class TestMitigationsEndToEnd:
     def test_rbac_blocks_attack_entirely(self, config, chase_store):
         # EACCES permanently masks every counter: the attack completes
         # blind (degraded, nothing recovered) instead of crashing.
-        trace = simulate_credential_entry(config, CHASE, "protected1", seed=26)
+        trace = simulate_credential_entry(config, app("chase"), "protected1", seed=26)
         defended = EavesdropAttack(
             chase_store, recognize_device=False, mitigation="rbac",
             metrics=MetricsRegistry(),
@@ -157,7 +157,7 @@ class TestMitigationsEndToEnd:
         assert result.manifest.counters["mitigation.denials"] >= 1
 
     def test_local_only_policy_blinds_attack(self, config, chase_store):
-        trace = simulate_credential_entry(config, CHASE, "protected2", seed=27)
+        trace = simulate_credential_entry(config, app("chase"), "protected2", seed=27)
         defended = EavesdropAttack(
             chase_store, recognize_device=False, mitigation="local-only"
         )

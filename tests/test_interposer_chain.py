@@ -16,7 +16,7 @@ record each hook call with the stage's position (0 = innermost).
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultPlan
@@ -162,6 +162,22 @@ class TestChainOrder:
         active_policies(),
         fault_plans,
         st.integers(0, 1000),
+    )
+    # a zero-length reclaim after transient retries spent the read budget
+    @example(
+        0,
+        DriftPlan(seed=0, thermal_scale=0.5, thermal_mode="ramp"),
+        MitigationPolicy(name="spec", quantize_step=64),
+        FaultPlan(
+            seed=55,
+            read_error_prob=0.3359375,
+            reclaim_rate_hz=1.0,
+            reclaim_window_s=0.0,
+            drop_prob=0.015625,
+            jitter_prob=0.125,
+            jitter_s=0.0,
+        ),
+        788,
     )
     @settings(max_examples=25, deadline=None)
     def test_values_are_the_stagewise_composition(

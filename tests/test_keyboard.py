@@ -4,7 +4,7 @@ import pytest
 
 from repro.android.display import Display, Resolution
 from repro.android.glyphs import KEYBOARD_CHARACTERS
-from repro.android.keyboard import GBOARD, KEYBOARDS, KeyboardLayout, keyboard
+from repro.android.keyboard import KEYBOARDS, KeyboardLayout, keyboard
 
 
 @pytest.fixture(params=sorted(KEYBOARDS))
@@ -17,7 +17,7 @@ class TestRegistry:
         assert sorted(KEYBOARDS) == ["gboard", "go", "grammarly", "pinyin", "sogou", "swift"]
 
     def test_lookup_by_name(self):
-        assert keyboard("gboard") is GBOARD
+        assert keyboard("gboard") is keyboard("gboard")
 
     def test_unknown_keyboard_rejected(self):
         with pytest.raises(KeyError):
@@ -25,7 +25,7 @@ class TestRegistry:
 
     def test_gboard_has_highest_duplication_rate(self):
         """Gboard's rich popup animation is the paper's duplication source."""
-        assert GBOARD.duplicate_popup_prob == max(
+        assert keyboard("gboard").duplicate_popup_prob == max(
             spec.duplicate_popup_prob for spec in KEYBOARDS.values()
         )
 
@@ -87,7 +87,7 @@ class TestLayoutGeometry:
 
 class TestKeysUnder:
     def test_popup_occludes_nearby_keys(self):
-        layout = KeyboardLayout(GBOARD, Display())
+        layout = KeyboardLayout(keyboard("gboard"), Display())
         geo = layout.key("g")
         under = layout.keys_under(geo.popup_rect)
         assert under, "popup must overlap at least one primary-page key"
@@ -95,7 +95,7 @@ class TestKeysUnder:
         assert all(c.islower() or c.isdigit() or c in ",." for c in chars)
 
     def test_different_keys_occlude_different_sets(self):
-        layout = KeyboardLayout(GBOARD, Display())
+        layout = KeyboardLayout(keyboard("gboard"), Display())
         under_g = {k.char for k in layout.keys_under(layout.key("g").popup_rect)}
         under_m = {k.char for k in layout.keys_under(layout.key("m").popup_rect)}
         assert under_g != under_m
@@ -103,18 +103,18 @@ class TestKeysUnder:
     def test_top_row_popups_rise_above_the_keyboard(self):
         """Top-row popups occlude the app area, not other keys — their
         positional signal comes from the app content beneath them."""
-        layout = KeyboardLayout(GBOARD, Display())
+        layout = KeyboardLayout(keyboard("gboard"), Display())
         geo = layout.key("q")
         assert geo.popup_rect.bottom <= layout.bounds.top + layout.row_height
 
 
 class TestResolutionDependence:
     def test_layout_scales_with_resolution(self):
-        fhd = KeyboardLayout(GBOARD, Display(resolution=Resolution.FHD_PLUS))
-        qhd = KeyboardLayout(GBOARD, Display(resolution=Resolution.QHD_PLUS))
+        fhd = KeyboardLayout(keyboard("gboard"), Display(resolution=Resolution.FHD_PLUS))
+        qhd = KeyboardLayout(keyboard("gboard"), Display(resolution=Resolution.QHD_PLUS))
         assert qhd.key("a").key_rect.area > fhd.key("a").key_rect.area
 
     def test_height_fraction_respected(self):
-        layout = KeyboardLayout(GBOARD, Display())
-        expected = int(2376 * GBOARD.height_fraction)
+        layout = KeyboardLayout(keyboard("gboard"), Display())
+        expected = int(2376 * keyboard("gboard").height_fraction)
         assert layout.height_px == expected

@@ -97,7 +97,7 @@ class TestIdentifier:
 class TestEndToEnd:
     def test_attack_timestamps_identify_the_typist(self, config, chase_store):
         """The attack's M timestamps carry biometric signal."""
-        from repro.android.apps import CHASE
+        from repro.android.apps import app
         from repro.core.pipeline import EavesdropAttack
         from repro.core.pipeline import simulate_credential_entry
         from repro.workloads.behavior import typing_events
@@ -113,7 +113,7 @@ class TestEndToEnd:
             model = TypingModel(rng, profiles=[profile])
             text = random_credential(rng, length=16)
             events = typing_events(text, model)
-            device = VictimDevice(config, CHASE, rng=rng)
+            device = VictimDevice(config, app("chase"), rng=rng)
             trace = device.compile(events, end_time_s=events[-1].t + 1.5)
             result = attack.run_on_trace(trace, seed=seed + 1)
             return result.online.key_times()

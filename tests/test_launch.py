@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.android.apps import CHASE
+from repro.android.apps import app
 from repro.android.device import VictimDevice
 from repro.android.events import KeyPress
 from repro.core.launch import IDLE_POLL_INTERVAL_S, LaunchDetector
@@ -15,7 +15,7 @@ from repro.kgsl.sampler import PerfCounterSampler, nonzero_deltas
 def launch_stream(config):
     """Slow-poll deltas over a session that includes the app launch
     (initial full render at t=0) and subsequent typing."""
-    device = VictimDevice(config, CHASE, rng=np.random.default_rng(21))
+    device = VictimDevice(config, app("chase"), rng=np.random.default_rng(21))
     events = [KeyPress(t=3.0 + 0.5 * i, char=c) for i, c in enumerate("abc")]
     trace = device.compile(events, end_time_s=6.0)
     kgsl = open_kgsl(trace.timeline, clock=DeviceClock())
@@ -34,7 +34,7 @@ class TestLaunchDetector:
         assert events[0].t < 3.0, "detection must precede the credential typing"
 
     def test_idle_stream_triggers_nothing(self, chase_model, config):
-        device = VictimDevice(config, CHASE, rng=np.random.default_rng(23))
+        device = VictimDevice(config, app("chase"), rng=np.random.default_rng(23))
         trace = device.compile([], end_time_s=5.0)
         # drop the initial render to simulate 'some other app idling'
         frames = [f for f in trace.timeline.frames if f.label != "initial"]

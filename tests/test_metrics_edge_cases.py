@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.metrics import AccuracyReport, align, edit_distance
-from repro.android.apps import CHASE
+from repro.android.apps import app
 from repro.android.os_config import default_config
 from repro.android.scenes import MASK_CHAR, SceneBuilder, UiState
 
@@ -61,14 +61,14 @@ class TestSceneEdgeCases:
             assert builder.display.bounds.contains(damage), char
 
     def test_zero_length_field_has_cursor_only(self, builder):
-        layer = builder.app_layer(UiState(app=CHASE, typed_len=0, cursor_on=True))
+        layer = builder.app_layer(UiState(app=app("chase"), typed_len=0, cursor_on=True))
         echoes = [op for op in layer.ops if op.label.startswith("echo_")]
         assert echoes == []
         assert any(op.label == "cursor" for op in layer.ops)
 
     def test_max_length_field_fits(self, builder):
-        layer = builder.app_layer(UiState(app=CHASE, typed_len=16))
-        field_rect = CHASE.field_rect(builder.display)
+        layer = builder.app_layer(UiState(app=app("chase"), typed_len=16))
+        field_rect = app("chase").field_rect(builder.display)
         echoes = [op for op in layer.ops if op.label.startswith("echo_")]
         assert len(echoes) == 16
         # glyphs stay within the horizontal span of the screen
@@ -95,7 +95,7 @@ class TestSceneEdgeCases:
         assert len(shapes) <= 2
 
     def test_masked_field_renders_bullets(self, builder):
-        layer = builder.app_layer(UiState(app=CHASE, typed_len=3, last_char="x"))
+        layer = builder.app_layer(UiState(app=app("chase"), typed_len=3, last_char="x"))
         echoes = [op for op in layer.ops if op.label.startswith("echo_")]
         assert len({op.fragment_pixels for op in echoes}) == 1, (
             "masked echoes must be identical regardless of typed characters"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.android.display import Display
-from repro.android.keyboard import GBOARD
+from repro.android.keyboard import keyboard
 from repro.android.os_config import default_config
 from repro.gpu import counters as pc
 from repro.gpu.adreno import adreno
@@ -174,7 +174,7 @@ class TestOsNoiseInjector:
 
 class TestPopupDisable:
     def test_disable_popups_flags(self):
-        spec = disable_popups(GBOARD)
+        spec = disable_popups(keyboard("gboard"))
         assert not spec.supports_popup
         assert spec.duplicate_popup_prob == 0.0
 

@@ -143,22 +143,18 @@ class TestIntegrity:
 
         from repro.core.model_store import ModelIntegrityError
 
-        path = tmp_path / "weird.json"
-        path.write_text(json.dumps({"schema": "repro.model_store/99"}))
-        with pytest.raises(ModelIntegrityError, match="unknown model store schema"):
-            ModelStore.load(path)
-
-    def test_legacy_file_loads_with_deprecation_warning(self, tmp_path):
-        import json
-
-        store = ModelStore()
-        store.add(model("cfg1/chase"))
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps(store.to_dict()))
-        with pytest.warns(DeprecationWarning, match="legacy"):
-            loaded = ModelStore.load(path)
-        assert loaded.keys() == ["cfg1/chase"]
-        assert loaded.version == 0
+        legacy = ModelStore()
+        legacy.add(model("cfg1/chase"))
+        documents = [
+            {"schema": "repro.model_store/99"},
+            # a pre-envelope dump (bare {"models": [...]}) is not a store
+            legacy.to_dict(),
+        ]
+        for document in documents:
+            path = tmp_path / "weird.json"
+            path.write_text(json.dumps(document))
+            with pytest.raises(ModelIntegrityError, match="unknown model store schema"):
+                ModelStore.load(path)
 
     def test_version_and_lineage_roundtrip(self, tmp_path):
         store = ModelStore()

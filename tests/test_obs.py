@@ -12,9 +12,8 @@ import json
 
 import pytest
 
-from repro.android.apps import CHASE
+from repro.android.apps import app
 from repro.api import attack, monitor, run_sessions, simulate
-from repro.core.online import OnlineResult
 from repro.core.pipeline import SessionBatch
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS_S,
@@ -43,7 +42,7 @@ def cfg():
 
 @pytest.fixture(scope="module")
 def trace(config, cfg):
-    return simulate(config, CHASE, CREDENTIAL, seed=11, config=cfg)
+    return simulate(config, app("chase"), CREDENTIAL, seed=11, config=cfg)
 
 
 def key_sequence(result):
@@ -297,7 +296,7 @@ class TestManifestIntegration:
     def test_run_sessions_manifest(self, chase_store, config, cfg, monkeypatch):
         monkeypatch.delenv(FAULT_PROFILE_ENV, raising=False)
         traces = [
-            simulate(config, CHASE, CREDENTIAL, seed=21 + i, config=cfg)
+            simulate(config, app("chase"), CREDENTIAL, seed=21 + i, config=cfg)
             for i in range(2)
         ]
         registry = MetricsRegistry()
@@ -319,7 +318,7 @@ class TestManifestIntegration:
         from repro import api
 
         monkeypatch.delenv(FAULT_PROFILE_ENV, raising=False)
-        device = api.VictimDevice(config, CHASE, rng=np.random.default_rng(31))
+        device = api.VictimDevice(config, app("chase"), rng=np.random.default_rng(31))
         events = [api.KeyPress(t=3.0 + 0.45 * i, char=c) for i, c in enumerate("secret12")]
         session = device.compile(events, end_time_s=9.0, launch_at_s=1.2)
         registry = MetricsRegistry()
@@ -335,23 +334,3 @@ class TestManifestIntegration:
             report.launch_detected_at
         )
         assert manifest.meta["command"] == "monitor"
-
-
-class TestLatencyShims:
-    """Raw ``inference_times_s`` lists live on as deprecated views."""
-
-    def test_online_result_shim_warns_and_matches(self):
-        result = OnlineResult()
-        result.latency.observe(1e-5)
-        result.latency.observe(2e-5)
-        with pytest.deprecated_call():
-            legacy = result.inference_times_s
-        assert legacy == [1e-5, 2e-5]
-        assert legacy == result.latency.samples
-
-    def test_attack_result_shim_warns_and_matches(self, chase_store, trace, cfg):
-        result = attack(chase_store, trace, seed=101, config=cfg)
-        with pytest.deprecated_call():
-            legacy = result.inference_times_s
-        assert legacy == list(result.latency.samples)
-        assert result.latency is result.online.latency

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.android.apps import CHASE
+from repro.android.apps import app
 from repro.android.device import VictimDevice
 from repro.android.events import KeyPress
 from repro.android.os_config import default_config
@@ -46,7 +46,7 @@ class TestFrameLabelMapping:
 
 class TestLabelSamples:
     def test_clean_windows_labeled(self, config):
-        device = VictimDevice(config, CHASE, rng=np.random.default_rng(0))
+        device = VictimDevice(config, app("chase"), rng=np.random.default_rng(0))
         events = [KeyPress(t=0.5 + 0.55 * i, char="w") for i in range(6)]
         trace = device.compile(events, end_time_s=4.2)
         kgsl = open_kgsl(trace.timeline, clock=DeviceClock())
@@ -58,7 +58,7 @@ class TestLabelSamples:
         assert data.clean_windows > 0
 
     def test_ambiguous_windows_discarded(self, config):
-        device = VictimDevice(config, CHASE, rng=np.random.default_rng(0))
+        device = VictimDevice(config, app("chase"), rng=np.random.default_rng(0))
         # two presses virtually simultaneous -> merged windows get discarded
         trace = device.compile(
             [KeyPress(t=0.5, char="w"), KeyPress(t=0.502, char="n")], end_time_s=1.5
@@ -85,18 +85,18 @@ class TestLabelSamples:
 
 class TestTrainer:
     def test_model_key_includes_config_and_app(self, config):
-        trainer = OfflineTrainer(config, CHASE)
+        trainer = OfflineTrainer(config, app("chase"))
         assert trainer.model_key.endswith("/chase")
         assert config.config_key() in trainer.model_key
 
     def test_trainable_characters_cover_fig18(self, config):
-        trainer = OfflineTrainer(config, CHASE)
+        trainer = OfflineTrainer(config, app("chase"))
         chars = trainer.trainable_characters()
         assert len(chars) == 80
         assert "," in chars and "Q" in chars and "@" in chars
 
     def test_trained_model_has_all_key_classes(self, chase_model, config):
-        trainer = OfflineTrainer(config, CHASE)
+        trainer = OfflineTrainer(config, app("chase"))
         for char in trainer.trainable_characters():
             assert f"key:{char}" in chase_model.labels, char
 

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.android.display import Resolution
-from repro.android.keyboard import SOGOU
+from repro.android.keyboard import keyboard
 from repro.android.os_config import (
     ANDROID_VERSIONS,
-    PHONE_MODELS,
     DeviceConfig,
+    PHONE_MODELS,
     default_config,
     phone,
 )
@@ -68,13 +68,13 @@ class TestDeviceConfig:
         assert config.keyboard.name == "gboard"
 
     def test_overrides(self):
-        config = default_config(keyboard=SOGOU, refresh_rate_hz=120)
+        config = default_config(keyboard=keyboard("sogou"), refresh_rate_hz=120)
         assert config.keyboard.name == "sogou"
         assert config.refresh_rate_hz == 120
 
     def test_config_key_distinguishes_configurations(self):
         a = default_config()
-        b = default_config(keyboard=SOGOU)
+        b = default_config(keyboard=keyboard("sogou"))
         c = default_config(refresh_rate_hz=120)
         d = default_config(resolution=Resolution.QHD_PLUS)
         keys = {x.config_key() for x in (a, b, c, d)}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.android.apps import CHASE
+from repro.android.apps import app
 from repro.api import (
     AttackConfig,
     MetricsRegistry,
@@ -41,13 +41,13 @@ def cfg():
 
 @pytest.fixture(scope="module")
 def store(config, cfg):
-    return train([(config, CHASE)], config=cfg)
+    return train([(config, app("chase"))], config=cfg)
 
 
 @pytest.fixture(scope="module")
 def traces(config, cfg):
     return [
-        simulate(config, CHASE, cred, seed=30 + i, config=cfg)
+        simulate(config, app("chase"), cred, seed=30 + i, config=cfg)
         for i, cred in enumerate(CREDENTIALS)
     ]
 
@@ -160,7 +160,7 @@ def test_store_can_ship_as_a_path(store, traces, cfg, tmp_path):
 
 
 def test_monitor_workers_matches_serial(store, config, cfg):
-    trace = simulate(config, CHASE, "secret99", seed=11)
+    trace = simulate(config, app("chase"), "secret99", seed=11)
     serial_rt, shard_rt = RuntimeTrace(), RuntimeTrace()
     m1, m2 = MetricsRegistry(), MetricsRegistry()
     r1 = monitor(store, trace, seed=1234, config=cfg, metrics=m1, runtime_trace=serial_rt)
@@ -178,7 +178,7 @@ def test_monitor_workers_enforce_the_mitigation(store, config):
     # the worker builds its service with the serial facade's helper, so
     # a sharded monitor runs under the same mitigation as a serial one
     cfg = AttackConfig(recognize_device=False, fault_plan=None, mitigation="rbac")
-    trace = simulate(config, CHASE, "abc123", seed=11, config=cfg)
+    trace = simulate(config, app("chase"), "abc123", seed=11, config=cfg)
     serial_rt, shard_rt = RuntimeTrace(), RuntimeTrace()
     m1, m2 = MetricsRegistry(), MetricsRegistry()
     r1 = monitor(store, trace, seed=1234, config=cfg, metrics=m1, runtime_trace=serial_rt)
@@ -262,7 +262,7 @@ def test_process_raise_degrades_shard(store, traces, cfg):
 
 
 def test_monitor_crash_degrades_report(store, config, cfg):
-    trace = simulate(config, CHASE, "secret99", seed=11)
+    trace = simulate(config, app("chase"), "secret99", seed=11)
     sharded = ShardedRuntime(
         store, config=cfg, workers=1, mp_context="inline",
         fail_shards=[0],

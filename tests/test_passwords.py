@@ -5,7 +5,7 @@ import pytest
 
 from repro.android.keyboard import KeyboardLayout
 from repro.android.display import Display
-from repro.android.keyboard import GBOARD
+from repro.android.keyboard import keyboard
 from repro.workloads.passwords import pattern_password, pattern_password_batch, pin
 
 
@@ -16,7 +16,7 @@ class TestPatternPasswords:
             assert 8 <= len(password) <= 16
 
     def test_all_characters_typeable(self, rng):
-        layout = KeyboardLayout(GBOARD, Display())
+        layout = KeyboardLayout(keyboard("gboard"), Display())
         for _ in range(100):
             for char in pattern_password(rng):
                 assert layout.has_key(char), char

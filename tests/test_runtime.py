@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.android.apps import CHASE
+from repro.android.apps import app
 from repro.core.pipeline import (
     EavesdropAttack,
     run_sessions,
@@ -304,7 +304,7 @@ class TestFeedBatchParity:
     def test_feed_equals_process(self, chase_model, config, text, seed):
         from repro.core.online import OnlineEngine
 
-        trace = simulate_credential_entry(config, CHASE, text, seed=seed)
+        trace = simulate_credential_entry(config, app("chase"), text, seed=seed)
         kgsl = open_kgsl(trace.timeline, clock=DeviceClock())
         sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(seed + 1))
         stream = nonzero_deltas(sampler.sample_range(0.0, trace.end_time_s))
@@ -326,7 +326,7 @@ class TestFeedBatchParity:
         from repro.core.online import OnlineEngine
 
         trace = simulate_credential_entry(
-            config, CHASE, "noisy1pw", seed=404, gpu_utilization=0.4
+            config, app("chase"), "noisy1pw", seed=404, gpu_utilization=0.4
         )
         kgsl = open_kgsl(trace.timeline, clock=DeviceClock())
         sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(405))
@@ -344,7 +344,7 @@ class TestFeedBatchParity:
 class TestPipelineOnRuntime:
     def test_run_on_trace_records_decisions(self, chase_store, config):
         attack = EavesdropAttack(chase_store, recognize_device=False)
-        trace = simulate_credential_entry(config, CHASE, "secretpw1", seed=21)
+        trace = simulate_credential_entry(config, app("chase"), "secretpw1", seed=21)
         log = RuntimeTrace()
         result = attack.run_on_trace(trace, seed=22, runtime_trace=log)
         assert result.text == "secretpw1"
@@ -355,13 +355,13 @@ class TestPipelineOnRuntime:
         attack = EavesdropAttack(chase_store, recognize_device=False)
         texts = ["secretpw1", "hunter2ab", "passw0rd!"]
         traces = [
-            simulate_credential_entry(config, CHASE, text, seed=30 + i)
+            simulate_credential_entry(config, app("chase"), text, seed=30 + i)
             for i, text in enumerate(texts)
         ]
         batched = run_sessions(attack, traces, seed=60)
         individual = [
             attack.run_on_trace(
-                simulate_credential_entry(config, CHASE, text, seed=30 + i),
+                simulate_credential_entry(config, app("chase"), text, seed=30 + i),
                 seed=60 + i,
             )
             for i, text in enumerate(texts)
@@ -377,7 +377,7 @@ class TestPipelineOnRuntime:
         from repro.android.device import VictimDevice
         from repro.android.events import KeyPress
 
-        device = VictimDevice(config, CHASE, rng=np.random.default_rng(31))
+        device = VictimDevice(config, app("chase"), rng=np.random.default_rng(31))
         events = [KeyPress(t=3.0 + 0.45 * i, char=c) for i, c in enumerate("secret12")]
         trace = device.compile(events, end_time_s=9.0, launch_at_s=1.2)
         log = RuntimeTrace()

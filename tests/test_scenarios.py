@@ -4,8 +4,8 @@ Four layers under test:
 
 * the generic :class:`repro.registry.Registry` semantics every producer
   shares — unified unknown-name errors with did-you-mean suggestions;
-* the deprecated module-constant aliases (``CHASE``, ``SWIFTKEY``, …)
-  still resolving, still identical to the registered specs, and warning;
+* the removed module-constant aliases (``CHASE``, ``SWIFTKEY``, …)
+  staying removed, so names resolve through the registries only;
 * :class:`repro.scenarios.Scenario` / ``AttackConfig(scenario=...)``
   serialization round-trips and facade threading;
 * the PIN-pad extension — a keyboard + scenario registered entirely
@@ -108,47 +108,29 @@ class TestRegistrySemantics:
 
 
 class TestDeprecatedAliases:
-    """Satellite 3: legacy constants warn but still resolve identically."""
+    """The legacy module constants are gone; the registries are the API."""
 
     @pytest.mark.parametrize(
-        "module_name, attr, registry_name, lookup",
+        "module_name, attr",
         [
-            ("repro.android.apps", "CHASE", "chase", app),
-            ("repro.android.apps", "PNC", "pnc", app),
-            ("repro.android.keyboard", "SWIFTKEY", "swift", keyboard),
-            ("repro.android.keyboard", "GBOARD", "gboard", keyboard),
-            ("repro.android.os_config", "ONEPLUS_8_PRO", "oneplus8pro", phone),
+            ("repro.android.apps", "CHASE"),
+            ("repro.android.apps", "NATIVE_APPS"),
+            ("repro.android.keyboard", "SWIFTKEY"),
+            ("repro.android.os_config", "ONEPLUS_8_PRO"),
+            ("repro.api", "CHASE"),
+            ("repro", "GRAMMARLY"),
         ],
     )
-    def test_constant_warns_and_is_registered_object(
-        self, module_name, attr, registry_name, lookup
-    ):
+    def test_removed_name_raises_attribute_error(self, module_name, attr):
         import importlib
 
         module = importlib.import_module(module_name)
-        with pytest.warns(DeprecationWarning, match=attr):
-            value = getattr(module, attr)
-        assert value is lookup(registry_name)
-
-    def test_native_apps_tuple_warns_and_keeps_order(self):
-        import repro.android.apps as apps
-
-        with pytest.warns(DeprecationWarning, match="NATIVE_APPS"):
-            native = apps.NATIVE_APPS
-        assert [spec.name for spec in native] == [
-            "chase", "amex", "fidelity", "schwab", "myfico", "experian",
-        ]
-
-    def test_api_reexports_resolve_with_warning(self):
-        import repro.api as api
-
-        with pytest.warns(DeprecationWarning):
-            assert api.CHASE is app("chase")
-        with pytest.warns(DeprecationWarning):
-            assert api.GRAMMARLY is keyboard("grammarly")
+        with pytest.raises(AttributeError):
+            getattr(module, attr)
+        assert attr not in getattr(module, "__all__", ())
 
     def test_plain_import_of_repro_is_warning_free(self):
-        # the aliases are lazy: importing the package must not warn
+        # importing the package must not warn
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             import repro  # noqa: F401

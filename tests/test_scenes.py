@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.android.apps import CHASE, PNC
+from repro.android.apps import app
 from repro.android.geometry import Rect
 from repro.android.os_config import default_config
 from repro.android.scenes import SceneBuilder, UiState
@@ -15,7 +15,7 @@ def builder():
 
 @pytest.fixture()
 def state():
-    return UiState(app=CHASE)
+    return UiState(app=app("chase"))
 
 
 class TestLayerStack:
@@ -50,7 +50,7 @@ class TestLayerStack:
 
     def test_echo_glyph_count_tracks_typed_len(self, builder):
         def echoes(n):
-            layer = builder.app_layer(UiState(app=CHASE, typed_len=n))
+            layer = builder.app_layer(UiState(app=app("chase"), typed_len=n))
             return sum(1 for op in layer.ops if op.label.startswith("echo_"))
 
         assert echoes(0) == 0
@@ -58,21 +58,21 @@ class TestLayerStack:
         assert echoes(16) == 16
 
     def test_cursor_toggles(self, builder):
-        on = builder.app_layer(UiState(app=CHASE, cursor_on=True))
-        off = builder.app_layer(UiState(app=CHASE, cursor_on=False))
+        on = builder.app_layer(UiState(app=app("chase"), cursor_on=True))
+        off = builder.app_layer(UiState(app=app("chase"), cursor_on=False))
         assert any(op.label == "cursor" for op in on.ops)
         assert not any(op.label == "cursor" for op in off.ops)
 
     def test_notification_icons_in_status_bar(self, builder):
-        bar = builder.status_bar_layer(UiState(app=CHASE, notification_icons=4))
+        bar = builder.status_bar_layer(UiState(app=app("chase"), notification_icons=4))
         icons = [op for op in bar.ops if op.label.startswith("notif_icon")]
         assert len(icons) == 4
 
     def test_web_app_adds_browser_chrome(self, builder):
-        from repro.android.apps import CHASE_WEB
+        from repro.android.apps import app
 
-        native = builder.app_layer(UiState(app=CHASE))
-        web = builder.app_layer(UiState(app=CHASE_WEB))
+        native = builder.app_layer(UiState(app=app("chase")))
+        web = builder.app_layer(UiState(app=app("chase.com")))
         native_labels = {op.label for op in native.ops}
         web_labels = {op.label for op in web.ops}
         assert "chrome_bar" in web_labels
@@ -121,7 +121,7 @@ class TestDamageClipping:
     def test_field_damage_never_overlaps_any_popup(self, builder, state):
         """Echo frames must not contain popup geometry, or the Fig 14
         length signal would be polluted by the pressed key."""
-        field = builder.field_damage(CHASE)
+        field = builder.field_damage(app("chase"))
         for char in "qwertyuiop1234567890@#,.":
             pop = builder.layout.key(char).popup_rect
             assert not field.intersects(pop), char
@@ -155,13 +155,13 @@ class TestOverviewAndAnimation:
         assert scene.total_fragment_pixels > screen  # dim layer + cards overdraw
 
     def test_animation_layer_only_for_animated_apps(self, builder):
-        assert builder.animation_layer(UiState(app=CHASE), phase=0) is None
+        assert builder.animation_layer(UiState(app=app("chase")), phase=0) is None
         pnc_builder = SceneBuilder(default_config())
-        assert pnc_builder.animation_layer(UiState(app=PNC), phase=0) is not None
+        assert pnc_builder.animation_layer(UiState(app=app("pnc")), phase=0) is not None
 
     def test_animation_drifts_with_phase(self):
         builder = SceneBuilder(default_config())
-        state = UiState(app=PNC)
+        state = UiState(app=app("pnc"))
         r0 = builder.animation_damage(state, 0)
         r1 = builder.animation_damage(state, 1)
         assert r0 != r1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.android.apps import CHASE
+from repro.android.apps import app
 from repro.android.device import VictimDevice
 from repro.android.events import KeyPress
 from repro.core.model_store import ModelStore
@@ -16,7 +16,7 @@ def service(chase_store):
 
 
 def session(config, text="secret12", start=3.0, end=9.0, seed=31, launch=1.2):
-    device = VictimDevice(config, CHASE, rng=np.random.default_rng(seed))
+    device = VictimDevice(config, app("chase"), rng=np.random.default_rng(seed))
     events = [KeyPress(t=start + 0.45 * i, char=c) for i, c in enumerate(text)]
     return device.compile(events, end_time_s=end, launch_at_s=launch)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.android.apps import CHASE
+from repro.android.apps import app
 from repro.android.device import VictimDevice
 from repro.android.events import BackspacePress, KeyPress
 from repro.android.session_io import load_session, save_session
@@ -12,7 +12,7 @@ from repro.core.pipeline import EavesdropAttack
 
 @pytest.fixture(scope="module")
 def compiled(config):
-    device = VictimDevice(config, CHASE, rng=np.random.default_rng(12))
+    device = VictimDevice(config, app("chase"), rng=np.random.default_rng(12))
     events = [
         KeyPress(t=0.6, char="a"),
         KeyPress(t=1.1, char="b"),

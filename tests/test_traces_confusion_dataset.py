@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis.confusion import ConfusionMatrix
 from repro.analysis.traces import TraceSummary, annotate, render_trace
-from repro.android.apps import CHASE
+from repro.android.apps import app
 from repro.android.device import VictimDevice
 from repro.android.events import KeyPress
 from repro.core.dataset import load_training_data, save_training_data
@@ -16,7 +16,7 @@ from repro.kgsl.sampler import PerfCounterSampler
 
 @pytest.fixture(scope="module")
 def annotated_session(config, chase_model):
-    device = VictimDevice(config, CHASE, rng=np.random.default_rng(3))
+    device = VictimDevice(config, app("chase"), rng=np.random.default_rng(3))
     events = [KeyPress(t=0.6 + 0.5 * i, char=c) for i, c in enumerate("wnq")]
     trace = device.compile(events, end_time_s=2.8)
     kgsl = open_kgsl(trace.timeline, clock=DeviceClock())
@@ -122,7 +122,7 @@ class TestDatasetPersistence:
         from repro.core.classifier import build_model
         from repro.core.offline import OfflineTrainer
 
-        trainer = OfflineTrainer(config, CHASE, rng=np.random.default_rng(5))
+        trainer = OfflineTrainer(config, app("chase"), rng=np.random.default_rng(5))
         data = trainer.collect(sweep_repeats=1)
         path = tmp_path / "collected.npz"
         save_training_data(data, path)

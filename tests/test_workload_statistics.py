@@ -4,7 +4,7 @@ knobs must actually produce the distributions they claim."""
 import numpy as np
 import pytest
 
-from repro.android.apps import CHASE
+from repro.android.apps import app
 from repro.android.device import AWAY_ACTIVITY_RATE_HZ, VictimDevice
 from repro.android.events import AppSwitchAway, AppSwitchBack, KeyPress
 from repro.android.keyboard import KEYBOARDS
@@ -21,7 +21,7 @@ class TestDuplicationRates:
     @pytest.mark.parametrize("keyboard_name", ["gboard", "swift", "go"])
     def test_rate_matches_spec(self, keyboard_name):
         config = default_config(keyboard=KEYBOARDS[keyboard_name])
-        device = VictimDevice(config, CHASE, rng=np.random.default_rng(5))
+        device = VictimDevice(config, app("chase"), rng=np.random.default_rng(5))
         n = 500
         events = [KeyPress(t=0.6 + 0.5 * i, char="a") for i in range(n)]
         trace = device.compile(events, end_time_s=0.6 + 0.5 * n + 1)
@@ -33,7 +33,7 @@ class TestDuplicationRates:
         from repro.mitigations.popup_disable import config_with_popups_disabled
 
         config = config_with_popups_disabled(default_config())
-        device = VictimDevice(config, CHASE, rng=np.random.default_rng(6))
+        device = VictimDevice(config, app("chase"), rng=np.random.default_rng(6))
         events = [KeyPress(t=0.6 + 0.5 * i, char="a") for i in range(100)]
         trace = device.compile(events, end_time_s=52.0)
         assert not any(
@@ -72,7 +72,7 @@ class TestTypingDistributions:
 
 class TestAwayActivity:
     def test_rate_approximates_spec(self, config):
-        device = VictimDevice(config, CHASE, rng=np.random.default_rng(7))
+        device = VictimDevice(config, app("chase"), rng=np.random.default_rng(7))
         away_span = 60.0
         trace = device.compile(
             [AppSwitchAway(t=1.0), AppSwitchBack(t=1.0 + away_span + 0.5)],
@@ -83,7 +83,7 @@ class TestAwayActivity:
         assert abs(observed_rate - AWAY_ACTIVITY_RATE_HZ) < 1.0
 
     def test_away_frames_confined_to_away_interval(self, config):
-        device = VictimDevice(config, CHASE, rng=np.random.default_rng(8))
+        device = VictimDevice(config, app("chase"), rng=np.random.default_rng(8))
         trace = device.compile(
             [AppSwitchAway(t=2.0), AppSwitchBack(t=10.0)], end_time_s=12.0
         )
@@ -98,7 +98,7 @@ class TestJitterStatistics:
         configured per-counter sigma."""
         from repro.gpu import counters as pc
 
-        device = VictimDevice(config, CHASE, rng=np.random.default_rng(9))
+        device = VictimDevice(config, app("chase"), rng=np.random.default_rng(9))
         events = [KeyPress(t=0.6 + 0.5 * i, char="w") for i in range(300)]
         trace = device.compile(events, end_time_s=0.6 + 150.5)
         values = [
@@ -114,7 +114,7 @@ class TestJitterStatistics:
     def test_primitive_counts_are_exact(self, config):
         from repro.gpu import counters as pc
 
-        device = VictimDevice(config, CHASE, rng=np.random.default_rng(10))
+        device = VictimDevice(config, app("chase"), rng=np.random.default_rng(10))
         events = [KeyPress(t=0.6 + 0.5 * i, char="w") for i in range(50)]
         trace = device.compile(events, end_time_s=27.0)
         prims = {

@@ -14,6 +14,7 @@ from repro.analysis.experiments import run_credential_batch, single_model_attack
 from repro.analysis.metrics import AccuracyReport
 from repro.android.device import VictimDevice
 from repro.android.events import KeyPress
+from repro.core.pipeline import EavesdropAttack
 from repro.core.service import MonitoringService
 from repro.workloads.credentials import credential_batch
 from repro.workloads.passwords import pattern_password_batch
@@ -51,7 +52,7 @@ def test_full_service_pipeline(benchmark, config, chase):
 
     store = ModelStore()
     store.add(cached_model(config, chase))
-    service = MonitoringService(store)
+    service = MonitoringService(EavesdropAttack(store))
 
     def run():
         recovered = 0

@@ -19,6 +19,7 @@ from repro.api import (
     DeviceClock,
     KeyPress,
     PerfCounterSampler,
+    SamplerDeltaSource,
     TraceSummary,
     VictimDevice,
     annotate,
@@ -47,12 +48,12 @@ def main() -> None:
 
     kgsl = open_kgsl(trace.timeline, clock=DeviceClock())
     sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(2))
-    samples = sampler.sample_range(0.0, end)
+    source = SamplerDeltaSource(sampler, 0.0, end)
 
-    annotated = annotate(trace, samples, model=model)
+    annotated = annotate(trace, (delta for _, delta in source.events()), model=model)
     print(
         f"\nsession: typed {text!r} then backspace — "
-        f"{len(trace.timeline.frames)} frames, {len(samples)} counter reads, "
+        f"{len(trace.timeline.frames)} frames, {source.reads_issued} counter reads, "
         f"{len(annotated)} nonzero changes\n"
     )
     print(render_trace(annotated, limit=60))

@@ -10,14 +10,12 @@ tooling that produced the paper's Figs 5, 11 and 13.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.android.device import SessionTrace
 from repro.core.classifier import ClassificationModel
 from repro.gpu import counters as pc
-from repro.kgsl.sampler import PcSample, deltas
+from repro.kgsl.sampler import PcDelta
 
 
 @dataclass(frozen=True)
@@ -40,27 +38,18 @@ class AnnotatedDelta:
 
 def annotate(
     trace: SessionTrace,
-    samples: Sequence[PcSample],
+    deltas: Iterable[PcDelta],
     model: Optional[ClassificationModel] = None,
 ) -> List[AnnotatedDelta]:
-    """Align every nonzero inter-sample delta with its ground truth."""
-    frames = trace.timeline.frames
-    starts = np.array([f.start_s for f in frames])
-    ends = np.array([f.end_s for f in frames])
-    read_times = np.array([s.t for s in samples])
-
+    """Align every nonzero delta with its ground truth."""
     out: List[AnnotatedDelta] = []
-    for prev, cur, delta in zip(samples, samples[1:], deltas(samples)):
-        if not delta:
-            continue
-        mask = (starts < cur.t) & (ends > prev.t)
-        involved = [frames[i] for i in np.flatnonzero(mask)]
-        # a frame is split if a read boundary lands inside its render
+    for delta in deltas:
+        involved = trace.timeline.frames_overlapping(delta.prev_t, delta.t)
+        # a frame is split if a read boundary lands inside its render; the
+        # reads bracketing a delta are consecutive, so only its own two
+        # endpoints can
         split = any(
-            read_times[
-                (read_times > frame.start_s) & (read_times < frame.end_s)
-            ].size
-            > 0
+            frame.start_s < delta.prev_t or frame.end_s > delta.t
             for frame in involved
         )
         label, distance = None, float("nan")

@@ -9,8 +9,7 @@ object, and re-exports of the supporting types:
 * :func:`run_sessions` — the batched online phase (N victims, one
   session runtime; ``workers=N`` shards the batch across processes);
 * :func:`monitor` — the full background-service pipeline (idle watch,
-  launch detection, attack escalation; ``workers=N`` runs it in a
-  worker process);
+  launch detection, attack escalation);
 * :func:`simulate` — compile a victim credential-entry session;
 * :func:`run_fleet` — N simulated devices streaming results into one
   backpressured collector service (see ``docs/collector.md``);
@@ -160,7 +159,7 @@ from repro.mitigations.policy import (
 from repro.mitigations.popup_disable import config_with_popups_disabled
 from repro.analysis.defense import DefenseCell, format_defense_matrix, run_defense_matrix
 from repro.registry import Registry, UnknownNameError
-from repro.runtime import RuntimeEvent, RuntimeTrace
+from repro.runtime import RuntimeEvent, RuntimeTrace, SamplerDeltaSource
 from repro.scenarios import (
     SCENARIO_REGISTRY,
     Scenario,
@@ -253,6 +252,7 @@ __all__ = [
     "ProcessContext",
     "open_kgsl",
     "PerfCounterSampler",
+    "SamplerDeltaSource",
     "SystemLoad",
     "IoctlError",
     "DEFAULT_INTERVAL_S",
@@ -362,8 +362,6 @@ class AttackConfig:
     idle_interval_s: float = IDLE_POLL_INTERVAL_S
     #: How long the service stays in attack mode after a launch.
     attack_window_s: float = 60.0
-    #: Reads pulled per scheduling step by the attack-phase source.
-    chunk: int = ATTACK_SOURCE_CHUNK
     #: Run device recognition before picking a model (multi-model stores).
     recognize_device: bool = True
     #: Engine toggles (Sections 5.2 / 5.3 / collision recovery).
@@ -401,8 +399,6 @@ class AttackConfig:
             raise ValueError("sampling intervals must be positive")
         if self.attack_window_s <= 0:
             raise ValueError("attack_window_s must be positive")
-        if self.chunk < 1:
-            raise ValueError("chunk must be >= 1")
         for name in ("cpu_utilization", "gpu_utilization"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
@@ -517,18 +513,12 @@ def _service(
     config: AttackConfig,
     metrics: Optional[MetricsRegistry] = None,
 ) -> MonitoringService:
-    """The monitoring service ``config`` describes: the serial facade and
-    every sharded worker build it here, so both enforce the same chain."""
+    """The monitoring service ``config`` describes, escalating into the
+    same attack :func:`attack` runs."""
     return MonitoringService(
-        store,
+        _attacker(store, config, metrics),
         idle_interval_s=config.idle_interval_s,
-        attack_interval_s=config.interval_s,
         attack_window_s=config.attack_window_s,
-        fault_plan=config.resolved_fault_plan(),
-        metrics=metrics,
-        mitigation=config.resolved_mitigation(),
-        drift=config.resolved_drift_plan(),
-        calibration=config.resolved_calibration(),
     )
 
 
@@ -700,35 +690,14 @@ def monitor(
     watch_model_key: Optional[str] = None,
     runtime_trace: Optional[RuntimeTrace] = None,
     metrics: Optional[MetricsRegistry] = None,
-    workers: int = 1,
 ) -> ServiceReport:
     """Run the full background monitoring service over a victim session.
 
     With an enabled ``metrics`` registry, the report's ``manifest``
     carries the full run rollup (idle + attack sampler tallies, fault
     events, inference-latency histogram, scheduler throughput).
-
-    ``workers=N`` (N > 1) runs the service pass in a worker process via
-    :class:`~repro.parallel.ShardedRuntime.run_services`; the report —
-    including its trace event order and manifest counters — is
-    byte-identical to the in-process run.
     """
     config = config if config is not None else _DEFAULT_CONFIG
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers > 1:
-        report = ShardedRuntime(
-            store, config=config, workers=workers, metrics=metrics
-        ).run_services(
-            [trace],
-            seed=seed,
-            watch_model_key=watch_model_key,
-            runtime_trace=runtime_trace,
-        )[0]
-        _attach_manifest(
-            report, metrics, config, command="monitor", sessions=1, workers=workers
-        )
-        return report
     report = _service(store, config, metrics=metrics).run(
         trace,
         load=config.load,

@@ -177,10 +177,6 @@ class CollectorJournal:
         self.appended = 0
         self._fh: Optional[object] = None
 
-    @property
-    def is_open(self) -> bool:
-        return self._fh is not None
-
     def open(self) -> JournalRecovery:
         """Recover the valid prefix, drop any torn tail, open for append."""
         if self._fh is not None:

@@ -8,7 +8,7 @@ high-dimension space" spanned by all selected PCs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
@@ -26,16 +26,6 @@ def vectorize(delta: PcDelta) -> np.ndarray:
     """One delta as a float vector in the canonical counter order."""
     vec = np.zeros(DIMENSIONS, dtype=float)
     for counter_id, value in delta.values.items():
-        index = _INDEX.get(counter_id)
-        if index is not None:
-            vec[index] = float(value)
-    return vec
-
-
-def vectorize_mapping(values: Mapping[pc.CounterId, int]) -> np.ndarray:
-    """A raw counter-id mapping as a feature vector."""
-    vec = np.zeros(DIMENSIONS, dtype=float)
-    for counter_id, value in values.items():
         index = _INDEX.get(counter_id)
         if index is not None:
             vec[index] = float(value)

@@ -17,7 +17,7 @@ cleaning pass would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,9 +35,10 @@ from repro.android.glyphs import KEYBOARD_CHARACTERS
 from repro.android.os_config import DeviceConfig
 from repro.core import features
 from repro.core.classifier import ClassificationModel, build_model
-from repro.gpu.timeline import FrameRender, RenderTimeline
-from repro.kgsl.device_file import DeviceClock, open_kgsl
-from repro.kgsl.sampler import DEFAULT_INTERVAL_S, PcSample, PerfCounterSampler, deltas
+from repro.gpu.timeline import RenderTimeline
+from repro.kgsl.interpose import open_sampler
+from repro.kgsl.sampler import DEFAULT_INTERVAL_S, PcDelta
+from repro.runtime.source import ATTACK_SOURCE_CHUNK, SamplerDeltaSource
 
 
 def frame_to_class_label(frame_label: str) -> Optional[str]:
@@ -88,23 +89,17 @@ class TrainingData:
 
 
 def label_samples(
-    timeline: RenderTimeline, samples: Sequence[PcSample], data: TrainingData
+    timeline: RenderTimeline, deltas: Iterable[PcDelta], data: TrainingData
 ) -> None:
-    """Label each inter-sample delta from the ground-truth frame log."""
-    frames = timeline.frames
-    starts = np.array([f.start_s for f in frames])
-    ends = np.array([f.end_s for f in frames])
-    for prev, cur, delta in zip(samples, samples[1:], deltas(samples)):
-        if not delta:
-            continue
-        # frames contributing to this window: any overlap with (prev.t, cur.t]
-        mask = (starts < cur.t) & (ends > prev.t)
-        involved: List[FrameRender] = [frames[i] for i in np.flatnonzero(mask)]
+    """Label each nonzero delta from the ground-truth frame log."""
+    for delta in deltas:
+        # frames contributing to this window: any overlap with (prev_t, t]
+        involved = timeline.frames_overlapping(delta.prev_t, delta.t)
         if len(involved) != 1:
             data.discarded_windows += 1
             continue
         frame = involved[0]
-        if frame.start_s <= prev.t or frame.end_s > cur.t:
+        if frame.start_s <= delta.prev_t or frame.end_s > delta.t:
             # partially accrued (split across reads) — discard for training
             data.discarded_windows += 1
             continue
@@ -148,13 +143,12 @@ class OfflineTrainer:
     def _run_session(self, events: Sequence[UserEvent], end_time_s: float, data: TrainingData) -> None:
         device = VictimDevice(self.config, self.app, rng=self.rng)
         trace = device.compile(events, end_time_s=end_time_s)
-        clock = DeviceClock()
-        kgsl = open_kgsl(trace.timeline, clock=clock)
-        sampler = PerfCounterSampler(
-            kgsl, interval_s=self.interval_s, rng=self.rng
-        )
-        samples = sampler.sample_range(0.0, end_time_s)
-        label_samples(trace.timeline, samples, data)
+        # sampled exactly as the online attack samples: same fd, same
+        # extractor, the trainer's RNG driving the reads
+        sampler = open_sampler(trace, self.interval_s, self.rng)
+        source = SamplerDeltaSource(sampler, 0.0, end_time_s, chunk=ATTACK_SOURCE_CHUNK)
+        deltas = [delta for _, delta in source.events()]
+        label_samples(trace.timeline, deltas, data)
 
     def _key_sweep_events(self, chars: Sequence[str], repeats: int) -> Tuple[List[UserEvent], float]:
         """Press + backspace each character ``repeats`` times."""

@@ -108,10 +108,6 @@ class OnlineResult:
         """The inferred credential, with detected deletions applied."""
         return "".join(k.char for k in self.keys if not k.deleted)
 
-    @property
-    def all_inferred(self) -> str:
-        return "".join(k.char for k in self.keys)
-
     def key_times(self) -> List[float]:
         return [k.t for k in self.keys if not k.deleted]
 

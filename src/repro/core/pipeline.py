@@ -57,13 +57,10 @@ from repro.runtime import (
     Session,
     SessionRuntime,
 )
+from repro.runtime.source import ATTACK_SOURCE_CHUNK
 from repro.workloads.background import render_slowdown, with_background_load
 from repro.workloads.behavior import typing_events
 from repro.workloads.typing_model import TypingModel
-
-#: Reads pulled per scheduling step by the attack-phase source; batches
-#: flow through the vectorized nonzero-delta extractor.
-ATTACK_SOURCE_CHUNK = 64
 
 
 def train_model(

@@ -33,8 +33,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from typing import Union
-
 from repro import faults as faults_mod
 from repro.android.device import SessionTrace
 from repro.core.launch import (
@@ -43,15 +41,11 @@ from repro.core.launch import (
     LaunchEvent,
     LaunchWatchStage,
 )
-from repro.core.model_store import ModelStore
 from repro.core.online import EngineStats, InferredKey
 from repro.core.pipeline import AttackResult, EavesdropAttack
 from repro.kgsl.interpose import build_chain, open_sampler
-from repro.lifecycle.calibration import CALIBRATION_SPEC, CalibrationPolicy
-from repro.lifecycle.drift import DRIFT_SPEC, DriftPlan
 from repro.kgsl.sampler import DEFAULT_INTERVAL_S, IDLE, SystemLoad
-from repro.mitigations.policy import MITIGATION_SPEC, MitigationPolicy
-from repro.obs import MetricsRegistry, RunManifest, resolve_registry
+from repro.obs import RunManifest
 from repro.runtime import RuntimeTrace, SamplerDeltaSource, Session, SessionRuntime
 
 
@@ -98,33 +92,26 @@ class ServiceReport:
 
 
 class MonitoringService:
-    """Composes launch detection and the eavesdropping attack."""
+    """Composes launch detection and the eavesdropping attack.
+
+    Args:
+        attack: the attack the service escalates into.  Its interposer
+            specs also build the idle watch's chain, and its
+            calibration state spans every run of this service.
+        idle_interval_s: idle-watch polling interval.
+        attack_window_s: how long attack mode lasts after a launch.
+    """
 
     def __init__(
         self,
-        store: ModelStore,
+        attack: EavesdropAttack,
         idle_interval_s: float = IDLE_POLL_INTERVAL_S,
-        attack_interval_s: float = DEFAULT_INTERVAL_S,
         attack_window_s: float = 60.0,
-        fault_plan: Union[faults_mod.FaultPlan, None, str] = "auto",
-        metrics: Optional[MetricsRegistry] = None,
-        mitigation: Union[MitigationPolicy, None, str] = None,
-        drift: Union[DriftPlan, None, str] = "auto",
-        calibration: Union[CalibrationPolicy, None, str] = None,
     ) -> None:
-        if len(store) == 0:
-            raise ValueError("model store is empty")
-        self.store = store
+        self.attack = attack
         self.idle_interval_s = idle_interval_s
-        self.attack_interval_s = attack_interval_s
         self.attack_window_s = attack_window_s
-        # the interposer chain is a property of the victim device, not
-        # of a mode: the idle watch and the attack window both carry it
-        self.fault_plan = faults_mod.FAULT_SPEC.resolve(fault_plan)
-        self.mitigation = MITIGATION_SPEC.resolve(mitigation)
-        self.drift_plan = DRIFT_SPEC.resolve(drift)
-        self.calibration = CALIBRATION_SPEC.resolve(calibration)
-        self.metrics = resolve_registry(metrics)
+        self.metrics = attack.metrics
 
     def run(
         self,
@@ -148,27 +135,20 @@ class MonitoringService:
                 polls, the mode switch and every engine decision in.
         """
         # --- idle watch: slow polls until the launch is confirmed -------
+        # the interposer chain is a property of the victim device, not of
+        # a mode: the idle watch carries the attack's chain too
+        attack = self.attack
         watcher = open_sampler(
             trace,
             self.idle_interval_s,
             np.random.default_rng(seed),
-            build_chain(self.fault_plan, self.mitigation, self.drift_plan, seed),
+            build_chain(attack.fault_plan, attack.mitigation, attack.drift_plan, seed),
         )
         idle_fd = watcher.device_file
         idle_injector = idle_fd.interposer(faults_mod.FaultInjector)
-        watch_key = watch_model_key or self.store.keys()[0]
-        detector = LaunchDetector(self.store.get(watch_key))
+        watch_key = watch_model_key or attack.store.keys()[0]
+        detector = LaunchDetector(attack.store.get(watch_key))
 
-        attack = EavesdropAttack(
-            self.store,
-            interval_s=self.attack_interval_s,
-            recognize_device=len(self.store) > 1,
-            fault_plan=self.fault_plan,
-            metrics=self.metrics,
-            mitigation=self.mitigation,
-            drift=self.drift_plan,
-            calibration=self.calibration,
-        )
         launch_info = {"event": None, "idle_reads": 0}
 
         def escalate(session: Session, event: LaunchEvent) -> None:

@@ -125,13 +125,21 @@ class RenderTimeline:
                 totals[_COLUMN[cid]] -= amount - accrued
         return {cid: int(totals[_COLUMN[cid]]) for cid in COUNTER_ORDER}
 
-    def frames_between(self, t0: float, t1: float) -> List[FrameRender]:
-        """Frames starting in ``[t0, t1)`` — for trace inspection."""
+    def frames_overlapping(self, t0: float, t1: float) -> List[FrameRender]:
+        """Frames whose render overlaps ``(t0, t1)``, in start order.
+
+        A frame overlaps when ``start_s < t1`` and ``end_s > t0``.  Only
+        frames started within ``max_duration`` of ``t0`` can still be
+        rendering at ``t0``, so the scan starts there (less a margin for
+        the rounding of ``start_s + render_time_s``).
+        """
         self._ensure_index()
         assert self._starts is not None
-        lo = int(np.searchsorted(self._starts, t0, side="left"))
+        lo = int(
+            np.searchsorted(self._starts, t0 - self._max_duration - 1e-9, side="left")
+        )
         hi = int(np.searchsorted(self._starts, t1, side="left"))
-        return self._frames[lo:hi]
+        return [f for f in self._frames[lo:hi] if f.end_s > t0]
 
     def busy_fraction(self, t0: float, t1: float) -> float:
         """Fraction of ``[t0, t1)`` the GPU spends rendering.
@@ -142,11 +150,8 @@ class RenderTimeline:
         if t1 <= t0:
             return 0.0
         busy = 0.0
-        for frame in self.frames_between(t0 - self._max_duration, t1):
-            start = max(t0, frame.start_s)
-            end = min(t1, frame.end_s)
-            if end > start:
-                busy += end - start
+        for frame in self.frames_overlapping(t0, t1):
+            busy += min(t1, frame.end_s) - max(t0, frame.start_s)
         return min(1.0, busy / (t1 - t0))
 
 

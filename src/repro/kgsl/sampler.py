@@ -564,7 +564,7 @@ class PerfCounterSampler:
         return list(self.iter_samples(t0, t1, load=load))
 
 
-def masked_delta(prev: PcSample, cur: PcSample) -> PcDelta:
+def _masked_delta(prev: PcSample, cur: PcSample) -> PcDelta:
     """Difference two samples whose counter sets may disagree.
 
     Only counters present in *both* endpoints are differenced — a counter
@@ -588,11 +588,17 @@ def masked_delta(prev: PcSample, cur: PcSample) -> PcDelta:
 
 
 def deltas(samples: Sequence[PcSample]) -> List[PcDelta]:
-    """Consecutive-sample differences — the attack's raw event stream."""
+    """Consecutive-sample differences, one pair at a time.
+
+    A scalar reference only: production code gets its deltas from
+    :class:`~repro.runtime.source.SamplerDeltaSource`, which runs
+    :func:`nonzero_deltas_vectorized`.  This loop is the oracle the
+    extractor's parity tests compare it against.
+    """
     out: List[PcDelta] = []
     for prev, cur in zip(samples, samples[1:]):
         if prev.missing or cur.missing or prev.values.keys() != cur.values.keys():
-            out.append(masked_delta(prev, cur))
+            out.append(_masked_delta(prev, cur))
             continue
         diff = pc.delta(prev.values, cur.values)
         out.append(PcDelta(t=cur.t, prev_t=prev.t, values=diff))
@@ -600,18 +606,20 @@ def deltas(samples: Sequence[PcSample]) -> List[PcDelta]:
 
 
 def nonzero_deltas(samples: Sequence[PcSample]) -> List[PcDelta]:
-    """Only the deltas where some counter moved (screen changed)."""
+    """The scalar reference for :func:`nonzero_deltas_vectorized`: only
+    the deltas where some counter moved (screen changed)."""
     return [d for d in deltas(samples) if d]
 
 
 def nonzero_deltas_vectorized(
     samples: Sequence[PcSample], prev: Optional[PcSample] = None
 ) -> List[PcDelta]:
-    """Vectorized :func:`nonzero_deltas`: one numpy diff over the batch.
+    """The nonzero-delta extractor: one numpy diff over the batch.
 
-    Produces byte-identical :class:`PcDelta` objects (same counter order,
-    same wraparound handling as :func:`repro.gpu.counters.delta`) but
-    differences and filters all samples in one pass, which is what keeps
+    Produces the same :class:`PcDelta` objects as the scalar
+    :func:`nonzero_deltas` reference (same counter order, same wraparound
+    handling as :func:`repro.gpu.counters.delta`) but differences and
+    filters all samples in one pass, which is what keeps
     a 100-session batch runtime out of per-pair Python loops.  ``prev``
     optionally supplies the sample preceding ``samples[0]`` so chunked
     callers can difference across chunk boundaries.
@@ -625,7 +633,7 @@ def nonzero_deltas_vectorized(
     ):
         # heterogeneous counter sets (reclamation in the window): fall
         # back to pairwise masked differencing — correctness over speed
-        return [d for pr, cu in zip(chain, chain[1:]) for d in [masked_delta(pr, cu)] if d]
+        return [d for pr, cu in zip(chain, chain[1:]) for d in [_masked_delta(pr, cu)] if d]
     matrix = np.array(
         [[s.values[cid] for cid in counter_ids] for s in chain], dtype=np.int64
     )

@@ -33,7 +33,7 @@ import numpy as np
 from repro.core.model_store import ModelStore, VersionedModelStore
 from repro.core.online import EngineStats, OnlineEngine
 from repro.kgsl.interpose import build_chain, open_sampler
-from repro.kgsl.sampler import DEFAULT_INTERVAL_S, nonzero_deltas_vectorized
+from repro.kgsl.sampler import DEFAULT_INTERVAL_S
 from repro.lifecycle.calibration import (
     CALIBRATION_SPEC,
     CalibrationPolicy,
@@ -41,6 +41,7 @@ from repro.lifecycle.calibration import (
 )
 from repro.lifecycle.drift import DRIFT_SPEC, DriftInjector, DriftPlan, DriftStats
 from repro.obs import MetricsRegistry, resolve_registry
+from repro.runtime.source import ATTACK_SOURCE_CHUNK, SamplerDeltaSource
 
 
 @dataclass
@@ -217,10 +218,13 @@ def run_lifecycle(
         )
         kgsl = sampler.device_file
         drift_injector = kgsl.interposer(DriftInjector)
-        samples = sampler.sample_range(0.0, trace.end_time_s)
+        source = SamplerDeltaSource(
+            sampler, 0.0, trace.end_time_s, chunk=ATTACK_SOURCE_CHUNK,
+            metrics=metrics,
+        )
+        deltas = [delta for _, delta in source.events()]
         for stage in kgsl.interposers:
             stage.flush_metrics(metrics)
-        deltas = nonzero_deltas_vectorized(samples)
         # the engine lives on one stream clock: shift this segment's
         # device-local timestamps to where the stream currently is
         shifted = [

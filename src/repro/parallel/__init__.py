@@ -13,8 +13,8 @@ the serial run:
 * :mod:`repro.parallel.merge` — the scheduler-replay merge that
   reconstructs the serial trace order from per-shard step logs.
 
-The facade surface is ``repro.api.run_sessions(..., workers=N)`` and
-``repro.api.monitor(..., workers=N)``; the CLI flag is ``--workers``.
+The facade surface is ``repro.api.run_sessions(..., workers=N)``; the
+CLI flag is ``--workers``.
 See ``docs/parallel.md`` for the design and the parity contract.
 """
 

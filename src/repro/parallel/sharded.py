@@ -109,10 +109,9 @@ class ShardedRuntime:
     # ------------------------------------------------------------------
 
     def _payload(
-        self, shard: int, indices: List[int], traces, seed: int, kind: str, **extra
+        self, shard: int, indices: List[int], traces, seed: int
     ) -> Dict[str, object]:
         payload: Dict[str, object] = {
-            "kind": kind,
             "shard": shard,
             "config": self.config.to_dict(),
             "store_path": self._store_path,
@@ -124,7 +123,6 @@ class ShardedRuntime:
         }
         if shard in self.fail_shards:
             payload["fail"] = self.fail_mode
-        payload.update(extra)
         return payload
 
     def _execute(self, payloads: List[Dict[str, object]]):
@@ -153,26 +151,6 @@ class ShardedRuntime:
                     crashed.append(payload)
         return outputs, crashed
 
-    def _merged_outputs(self, payloads):
-        wall_start = time.perf_counter()
-        outputs, crashed = self._execute(payloads)
-        for payload in crashed:
-            outputs.append(
-                synthesize_crashed_shard(
-                    payload["shard"], payload["indices"], payload["seed"]
-                )
-            )
-        if self.metrics.enabled:
-            for output in sorted(outputs, key=lambda o: o.shard):
-                if output.snapshot is not None:
-                    self.metrics.merge_snapshot(output.snapshot)
-            if crashed:
-                self.metrics.counter("parallel.worker_crashes").inc(len(crashed))
-            self.metrics.gauge("parallel.workers").set(self.workers)
-            self.metrics.gauge("parallel.shards_run").set(len(payloads))
-            self.metrics.gauge("parallel.wall_s").set(time.perf_counter() - wall_start)
-        return outputs
-
     # ------------------------------------------------------------------
 
     def run_sessions(
@@ -191,11 +169,27 @@ class ShardedRuntime:
 
         plan = ShardPlan(len(traces), self.workers, seed=seed)
         payloads = [
-            self._payload(shard, indices, traces, seed, kind="attack")
+            self._payload(shard, indices, traces, seed)
             for shard, indices in enumerate(plan.shards())
             if indices
         ]
-        outputs = self._merged_outputs(payloads)
+        wall_start = time.perf_counter()
+        outputs, crashed = self._execute(payloads)
+        for payload in crashed:
+            outputs.append(
+                synthesize_crashed_shard(
+                    payload["shard"], payload["indices"], payload["seed"]
+                )
+            )
+        if self.metrics.enabled:
+            for output in sorted(outputs, key=lambda o: o.shard):
+                if output.snapshot is not None:
+                    self.metrics.merge_snapshot(output.snapshot)
+            if crashed:
+                self.metrics.counter("parallel.worker_crashes").inc(len(crashed))
+            self.metrics.gauge("parallel.workers").set(self.workers)
+            self.metrics.gauge("parallel.shards_run").set(len(payloads))
+            self.metrics.gauge("parallel.wall_s").set(time.perf_counter() - wall_start)
         trace = runtime_trace if runtime_trace is not None else RuntimeTrace()
         results_by_index = merge_attack_outputs(outputs, trace)
         if set(results_by_index) != set(range(len(traces))):
@@ -212,61 +206,3 @@ class ShardedRuntime:
         if self.metrics.enabled:
             batch.manifest = self.metrics.manifest(sessions=len(traces))
         return batch
-
-    def run_services(
-        self,
-        traces: Sequence,
-        seed: int = 1234,
-        watch_model_key: Optional[str] = None,
-        runtime_trace: Optional[RuntimeTrace] = None,
-    ) -> List[object]:
-        """Run one monitoring-service pass per trace across the shards.
-
-        Service runs are independent whole pipelines (idle watch →
-        escalation → attack), so the merge is simpler than for attack
-        batches: reports come back in input order, each carrying its own
-        complete trace; with ``runtime_trace`` given, every report's
-        events are replayed into it (in input order) and it replaces the
-        per-report traces.  Worker metrics merge exactly as for
-        :meth:`run_sessions`.  A crashed shard degrades its reports.
-        """
-        from repro.core.service import ServiceReport
-
-        plan = ShardPlan(len(traces), self.workers, seed=seed)
-        payloads = [
-            self._payload(
-                shard,
-                indices,
-                traces,
-                seed,
-                kind="service",
-                watch_model_key=watch_model_key,
-            )
-            for shard, indices in enumerate(plan.shards())
-            if indices
-        ]
-        outputs = self._merged_outputs(payloads)
-        reports: Dict[int, object] = {}
-        for output in outputs:
-            if output.session_logs:
-                continue  # a synthesized crash placeholder (attack-shaped)
-            for position, index in enumerate(output.indices):
-                reports[index] = output.results[position]
-        for index in range(len(traces)):
-            if index not in reports:
-                # crashed shards synthesize attack placeholders; map them
-                # onto degraded service reports here
-                reports[index] = ServiceReport(
-                    launch_detected_at=None,
-                    inferred_text="",
-                    degraded=True,
-                )
-        ordered = [reports[index] for index in range(len(traces))]
-        if runtime_trace is not None:
-            for report in ordered:
-                trace = getattr(report, "trace", None)
-                if trace is not None:
-                    for event in trace.events:
-                        runtime_trace.replay(event)
-                report.trace = runtime_trace
-        return ordered

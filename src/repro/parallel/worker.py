@@ -97,18 +97,9 @@ def _inject_failure(payload: Dict[str, object], point: str) -> None:
 
 def run_shard(payload: Dict[str, object]) -> ShardOutput:
     """Run one shard's sessions; the process-pool entry point."""
-    _inject_failure(payload, "pre")
-    if payload.get("kind") == "service":
-        output = _run_service_shard(payload)
-    else:
-        output = _run_attack_shard(payload)
-    _inject_failure(payload, "post")
-    return output
-
-
-def _run_attack_shard(payload: Dict[str, object]) -> ShardOutput:
     import repro.api as api
 
+    _inject_failure(payload, "pre")
     config, store, metrics = _rebuild(payload)
     # same construction the serial facade uses, so a shard of one is the
     # serial pipeline
@@ -150,7 +141,7 @@ def _run_attack_shard(payload: Dict[str, object]) -> ShardOutput:
             result.online.trace = None
         results.append(result)
 
-    return ShardOutput(
+    output = ShardOutput(
         shard=int(payload.get("shard", 0)),  # type: ignore[arg-type]
         indices=indices,
         session_logs=[per_session[s.id] for s in sessions],
@@ -158,39 +149,5 @@ def _run_attack_shard(payload: Dict[str, object]) -> ShardOutput:
         results=results,
         snapshot=metrics.snapshot() if metrics is not None else None,
     )
-
-
-def _run_service_shard(payload: Dict[str, object]) -> ShardOutput:
-    """Run one monitoring-service session per trace in the shard.
-
-    Unlike attack sessions, each service run owns a whole runtime (idle
-    watch plus escalation), so services are independent by construction:
-    no step logs are needed and each report carries its own complete
-    trace, which the parent replays in input order.
-    """
-    import repro.api as api
-
-    config, store, metrics = _rebuild(payload)
-    # the serial facade's construction, so a sharded service enforces
-    # exactly the chain (faults, mitigation, drift) a serial one does
-    service = api._service(store, config, metrics=metrics)
-    indices: List[int] = list(payload["indices"])  # type: ignore[arg-type]
-    seed = int(payload["seed"])  # type: ignore[arg-type]
-    results = []
-    for global_i, victim in zip(indices, payload["traces"]):  # type: ignore[arg-type]
-        report = service.run(
-            victim,
-            load=config.load,
-            seed=seed + global_i,
-            watch_model_key=payload.get("watch_model_key"),  # type: ignore[arg-type]
-            runtime_trace=RuntimeTrace(capacity=None),
-        )
-        results.append(report)
-    return ShardOutput(
-        shard=int(payload.get("shard", 0)),  # type: ignore[arg-type]
-        indices=indices,
-        session_logs=[],
-        events=[],
-        results=results,
-        snapshot=metrics.snapshot() if metrics is not None else None,
-    )
+    _inject_failure(payload, "post")
+    return output

@@ -139,10 +139,6 @@ class Registry(Generic[T]):
             self._specs[name] for name, tags in self._tags.items() if tag in tags
         )
 
-    def tags_of(self, name: str) -> Tuple[str, ...]:
-        self.get(name)  # raise the consistent error for unknown names
-        return self._tags[name]
-
     # -- container protocol --------------------------------------------
 
     def __contains__(self, name: object) -> bool:

@@ -9,17 +9,21 @@ Android service dropping its idle poll when it escalates).
 
 :class:`SamplerDeltaSource` is the production source: it drives
 :meth:`~repro.kgsl.sampler.PerfCounterSampler.iter_samples` and yields
-only the nonzero counter deltas — the attack's raw event stream.  With
-``chunk > 1`` it pulls reads in batches and differences them with the
-vectorized extractor, trading mode-switch granularity for throughput
-(the multi-session batch path uses this; the monitoring service's idle
-watch keeps ``chunk=1`` so escalation happens on the confirming read).
+only the nonzero counter deltas — the attack's raw event stream, and
+the one every consumer (online attack, offline trainer, lifecycle
+runner, trace inspection) reads.  It pulls ``chunk`` reads per step and
+differences each batch with the one extractor,
+:func:`~repro.kgsl.sampler.nonzero_deltas_vectorized`.  A larger chunk
+trades mode-switch granularity for throughput (the attack uses 64); the
+monitoring service's idle watch uses ``chunk=1``, a batch of one, so
+escalation happens on the confirming read.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, Iterator, List, Optional, Protocol, Tuple, runtime_checkable
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.kgsl.sampler import (
     IDLE,
@@ -27,14 +31,16 @@ from repro.kgsl.sampler import (
     PcSample,
     PerfCounterSampler,
     SystemLoad,
-    masked_delta,
     nonzero_deltas_vectorized,
 )
-from repro.gpu import counters as pc
 from repro.obs import MetricsRegistry, resolve_registry
 
 #: One timestamped payload flowing through a session's stage chain.
 SourceEvent = Tuple[float, object]
+
+#: Reads pulled per step by the attack-phase source (and the offline
+#: trainer, which samples exactly as the attack does).
+ATTACK_SOURCE_CHUNK = 64
 
 
 @runtime_checkable
@@ -66,16 +72,15 @@ class SamplerDeltaSource:
         sampler: the counter-reading service (owns the KGSL fd and RNG).
         t0, t1: sampling window.
         load: concurrent CPU/GPU load during the window.
-        chunk: reads pulled per step.  ``1`` differences sample pairs
-            incrementally; larger values batch reads through the
-            vectorized extractor.
+        chunk: reads pulled and differenced per step; ``1`` yields each
+            delta on the read that completes it.
         gap_factor: a delta spanning more than ``gap_factor`` nominal
             sampling intervals is flagged ``gap=True`` (reads between
             its endpoints were dropped or deferred).
         metrics: optional :class:`repro.obs.MetricsRegistry`.  Emission
             and gap tallies are flushed once when the stream closes
-            (also on abandonment by a mode switch); chunked extraction
-            is additionally timed under a ``source.extract`` span.
+            (also on abandonment by a mode switch); each extraction is
+            additionally timed under a ``source.extract`` span.
     """
 
     #: Default sample-spacing multiple beyond which a delta is a gap.
@@ -116,11 +121,22 @@ class SamplerDeltaSource:
 
     def events(self) -> Iterator[SourceEvent]:
         ticks = self.sampler.iter_samples(self.t0, self.t1, load=self.load)
+        prev: Optional[PcSample] = None
         try:
-            if self.chunk == 1:
-                yield from self._incremental(ticks)
-            else:
-                yield from self._chunked(ticks)
+            while True:
+                batch = list(islice(ticks, self.chunk))
+                if not batch:
+                    return
+                # the span brackets only the extraction call — it must not
+                # cross the yields below (interleaved sessions would
+                # corrupt the registry's nesting stack)
+                with self.metrics.span("source.extract"):
+                    extracted = nonzero_deltas_vectorized(batch, prev=prev)
+                for delta in extracted:
+                    delta = self._finalize(delta)
+                    self.deltas_emitted += 1
+                    yield (delta.t, delta)
+                prev = batch[-1]
         finally:
             # runs on natural exhaustion AND on generator close (a mode
             # switch abandoning the stream), so the tallies always land
@@ -135,39 +151,3 @@ class SamplerDeltaSource:
             if not delta.gap:
                 delta = replace(delta, gap=True)
         return delta
-
-    def _incremental(self, ticks: Iterator[PcSample]) -> Iterator[SourceEvent]:
-        prev: Optional[PcSample] = None
-        for sample in ticks:
-            if prev is not None:
-                if prev.missing or sample.missing or prev.values.keys() != sample.values.keys():
-                    delta = masked_delta(prev, sample)
-                else:
-                    diff = pc.delta(prev.values, sample.values)
-                    delta = PcDelta(t=sample.t, prev_t=prev.t, values=diff)
-                if delta:
-                    delta = self._finalize(delta)
-                    self.deltas_emitted += 1
-                    yield (delta.t, delta)
-            prev = sample
-
-    def _chunked(self, ticks: Iterator[PcSample]) -> Iterator[SourceEvent]:
-        prev: Optional[PcSample] = None
-        while True:
-            batch: List[PcSample] = []
-            for sample in ticks:
-                batch.append(sample)
-                if len(batch) >= self.chunk:
-                    break
-            if not batch:
-                return
-            # the span brackets only the extraction call — it must not
-            # cross the yields below (interleaved sessions would corrupt
-            # the registry's nesting stack)
-            with self.metrics.span("source.extract"):
-                extracted = nonzero_deltas_vectorized(batch, prev=prev)
-            for delta in extracted:
-                delta = self._finalize(delta)
-                self.deltas_emitted += 1
-                yield (delta.t, delta)
-            prev = batch[-1]

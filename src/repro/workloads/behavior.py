@@ -197,18 +197,3 @@ def noise_only_events(
         events.append(NotificationArrival(t=t))
         t += float(rng.exponential(1.0 / notification_rate_hz))
     return events
-
-
-def scenario_typing_events(
-    scenario,
-    text: str,
-    typing: TypingModel,
-    start_s: float = 0.5,
-) -> List[UserEvent]:
-    """Clean entry of ``text`` under a scenario's typing-speed tier.
-
-    The scenario-resolved counterpart of :func:`typing_events`: the
-    interval clamp comes from ``scenario.speed_tier`` instead of a
-    caller-supplied tier name.
-    """
-    return typing_events(text, typing, start_s=start_s, speed_tier=scenario.speed_tier)

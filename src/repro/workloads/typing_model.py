@@ -181,8 +181,3 @@ def speed_tier_range(tier: Optional[str]) -> Optional[Tuple[float, float]]:
     if tier == "slow":
         return (MEDIUM_MAX_INTERVAL_S, 2.5)
     raise ValueError(f"unknown speed tier {tier!r}; use fast/medium/slow")
-
-
-def interval_range_for_scenario(scenario) -> Optional[Tuple[float, float]]:
-    """The interval clamp a :class:`~repro.scenarios.Scenario` imposes."""
-    return speed_tier_range(scenario.speed_tier)

@@ -63,7 +63,6 @@ class TestAttackConfig:
         {"interval_s": 0.0},
         {"idle_interval_s": -0.1},
         {"attack_window_s": 0.0},
-        {"chunk": 0},
         {"cpu_utilization": 1.5},
         {"gpu_utilization": -0.2},
         {"sweep_repeats": 0},
@@ -129,6 +128,29 @@ class TestFacade:
         assert isinstance(report, ServiceReport)
         assert report.launch_detected_at is not None
         assert report.text == "secret12"
+
+    def test_monitor_honours_the_engine_toggles(self, chase_store, config):
+        # the service escalates into the attack the config describes, so
+        # with correction tracking off it reports no deletions, as attack()
+        session = api.VictimDevice(
+            config, app("chase"), rng=np.random.default_rng(31)
+        ).compile(
+            [api.KeyPress(t=3.0 + 0.45 * i, char=c) for i, c in enumerate("secret1")]
+            + [api.BackspacePress(t=6.6)],
+            end_time_s=9.0,
+            launch_at_s=1.2,
+        )
+        pinned = dict(fault_plan=None, mitigation=None, drift=None)
+        tracking = AttackConfig(**pinned)
+        assert monitor(chase_store, session, seed=77, config=tracking).deletions_detected
+        off = AttackConfig(
+            detect_switches=False,
+            track_corrections=False,
+            recover_collisions=False,
+            **pinned,
+        )
+        assert attack(chase_store, session, seed=77, config=off).stats.deletions_detected == 0
+        assert monitor(chase_store, session, seed=77, config=off).deletions_detected == 0
 
     def test_all_names_resolve(self):
         missing = [name for name in api.__all__ if not hasattr(api, name)]

@@ -321,10 +321,7 @@ class TestConfigThreading:
         assert by_name.stats == by_spec.stats
         blocked = attacker("rbac").run_on_trace(trace, seed=45)
         assert blocked.text == "" and blocked.degraded
-        service = MonitoringService(
-            pinpad_store, fault_plan=None, drift=None, mitigation="rbac"
-        )
-        assert service.run(trace, seed=46).text == ""
+        assert MonitoringService(attacker("rbac")).run(trace, seed=46).text == ""
 
     def test_instance_survives_dict_round_trip(self):
         stack = compose(mitigation("rbac"), mitigation("popup-disable"))

@@ -36,10 +36,6 @@ class TestVectorize:
     def test_vectorize_many_empty(self):
         assert features.vectorize_many([]).shape == (0, 11)
 
-    def test_vectorize_mapping(self):
-        vec = features.vectorize_mapping({pc.VPC_PC_PRIMITIVES.counter_id: 7})
-        assert vec[features.counter_index(pc.VPC_PC_PRIMITIVES)] == 7
-
 
 class TestScaleAndDistance:
     def test_robust_scale_floors_constant_dims(self):

@@ -8,8 +8,14 @@ from repro.android.device import VictimDevice
 from repro.android.events import KeyPress
 from repro.android.os_config import default_config
 from repro.core.offline import OfflineTrainer, TrainingData, frame_to_class_label, label_samples
-from repro.kgsl.device_file import DeviceClock, open_kgsl
-from repro.kgsl.sampler import PerfCounterSampler
+from repro.kgsl.interpose import open_sampler
+from repro.runtime import SamplerDeltaSource
+
+
+def delta_stream(trace, end_s, seed=0):
+    """The trace's nonzero deltas, read the way the trainer reads them."""
+    sampler = open_sampler(trace, 0.008, np.random.default_rng(seed))
+    return [delta for _, delta in SamplerDeltaSource(sampler, 0.0, end_s).events()]
 
 
 class TestFrameLabelMapping:
@@ -49,11 +55,8 @@ class TestLabelSamples:
         device = VictimDevice(config, app("chase"), rng=np.random.default_rng(0))
         events = [KeyPress(t=0.5 + 0.55 * i, char="w") for i in range(6)]
         trace = device.compile(events, end_time_s=4.2)
-        kgsl = open_kgsl(trace.timeline, clock=DeviceClock())
-        sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(0))
-        samples = sampler.sample_range(0.0, 4.2)
         data = TrainingData()
-        label_samples(trace.timeline, samples, data)
+        label_samples(trace.timeline, delta_stream(trace, 4.2), data)
         assert "key:w" in data.vectors_by_label
         assert data.clean_windows > 0
 
@@ -63,11 +66,8 @@ class TestLabelSamples:
         trace = device.compile(
             [KeyPress(t=0.5, char="w"), KeyPress(t=0.502, char="n")], end_time_s=1.5
         )
-        kgsl = open_kgsl(trace.timeline, clock=DeviceClock())
-        sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(0))
-        samples = sampler.sample_range(0.0, 1.5)
         data = TrainingData()
-        label_samples(trace.timeline, samples, data)
+        label_samples(trace.timeline, delta_stream(trace, 1.5), data)
         assert data.discarded_windows > 0
 
     def test_training_data_merge(self):

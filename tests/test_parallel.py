@@ -17,7 +17,6 @@ from repro.android.apps import app
 from repro.api import (
     AttackConfig,
     MetricsRegistry,
-    monitor,
     run_sessions,
     simulate,
     train,
@@ -159,40 +158,6 @@ def test_store_can_ship_as_a_path(store, traces, cfg, tmp_path):
     assert [r.text for r in from_path] == [r.text for r in from_dict]
 
 
-def test_monitor_workers_matches_serial(store, config, cfg):
-    trace = simulate(config, app("chase"), "secret99", seed=11)
-    serial_rt, shard_rt = RuntimeTrace(), RuntimeTrace()
-    m1, m2 = MetricsRegistry(), MetricsRegistry()
-    r1 = monitor(store, trace, seed=1234, config=cfg, metrics=m1, runtime_trace=serial_rt)
-    r2 = monitor(
-        store, trace, seed=1234, config=cfg, metrics=m2, runtime_trace=shard_rt,
-        workers=2,
-    )
-    assert r2.text == r1.text
-    assert r2.launch_detected_at == r1.launch_detected_at
-    assert trace_tuples(shard_rt) == trace_tuples(serial_rt)
-    assert r2.manifest.counters == r1.manifest.counters
-
-
-def test_monitor_workers_enforce_the_mitigation(store, config):
-    # the worker builds its service with the serial facade's helper, so
-    # a sharded monitor runs under the same mitigation as a serial one
-    cfg = AttackConfig(recognize_device=False, fault_plan=None, mitigation="rbac")
-    trace = simulate(config, app("chase"), "abc123", seed=11, config=cfg)
-    serial_rt, shard_rt = RuntimeTrace(), RuntimeTrace()
-    m1, m2 = MetricsRegistry(), MetricsRegistry()
-    r1 = monitor(store, trace, seed=1234, config=cfg, metrics=m1, runtime_trace=serial_rt)
-    r2 = monitor(
-        store, trace, seed=1234, config=cfg, metrics=m2, runtime_trace=shard_rt,
-        workers=2,
-    )
-    assert r1.text == ""
-    assert r2.text == r1.text
-    assert r2.launch_detected_at == r1.launch_detected_at
-    assert trace_tuples(shard_rt) == trace_tuples(serial_rt)
-    assert r2.manifest.counters == r1.manifest.counters
-
-
 def test_workers1_facade_stays_serial(store, traces, cfg):
     """workers=1 through the facade must not touch the pool machinery."""
     batch = run_sessions(store, traces[:2], seed=99, config=cfg, workers=1)
@@ -259,18 +224,6 @@ def test_process_raise_degrades_shard(store, traces, cfg):
     batch = sharded.run_sessions(traces[:4], seed=99)
     lost = set(ShardPlan(4, 2, seed=99).shards()[1])
     assert [r.degraded for r in batch] == [i in lost for i in range(4)]
-
-
-def test_monitor_crash_degrades_report(store, config, cfg):
-    trace = simulate(config, app("chase"), "secret99", seed=11)
-    sharded = ShardedRuntime(
-        store, config=cfg, workers=1, mp_context="inline",
-        fail_shards=[0],
-    )
-    (report,) = sharded.run_services([trace], seed=1234)
-    assert report.degraded
-    assert report.inferred_text == ""
-    assert report.launch_detected_at is None
 
 
 def test_invalid_construction():

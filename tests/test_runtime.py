@@ -381,7 +381,7 @@ class TestPipelineOnRuntime:
         events = [KeyPress(t=3.0 + 0.45 * i, char=c) for i, c in enumerate("secret12")]
         trace = device.compile(events, end_time_s=9.0, launch_at_s=1.2)
         log = RuntimeTrace()
-        service = MonitoringService(chase_store)
+        service = MonitoringService(EavesdropAttack(chase_store))
         report = service.run(trace, seed=77, runtime_trace=log)
         assert report.inferred_text == "secret12"
         assert log.count(kind="mode_switch") == 1

@@ -7,12 +7,13 @@ from repro.android.apps import app
 from repro.android.device import VictimDevice
 from repro.android.events import KeyPress
 from repro.core.model_store import ModelStore
+from repro.core.pipeline import EavesdropAttack
 from repro.core.service import MonitoringService, ServiceReport
 
 
 @pytest.fixture(scope="module")
 def service(chase_store):
-    return MonitoringService(chase_store)
+    return MonitoringService(EavesdropAttack(chase_store))
 
 
 def session(config, text="secret12", start=3.0, end=9.0, seed=31, launch=1.2):
@@ -70,10 +71,10 @@ class TestMonitoringService:
 
     def test_empty_store_rejected(self):
         with pytest.raises(ValueError):
-            MonitoringService(ModelStore())
+            MonitoringService(EavesdropAttack(ModelStore()))
 
     def test_attack_window_truncates(self, chase_store, config):
-        short = MonitoringService(chase_store, attack_window_s=2.0)
+        short = MonitoringService(EavesdropAttack(chase_store), attack_window_s=2.0)
         trace = session(config, text="abcdefgh", start=2.0, end=8.0, launch=0.8)
         report = short.run(trace, seed=82)
         # only the first ~2 seconds of typing fit in the window

@@ -1,7 +1,7 @@
 """Tests for the render timeline and split-read mechanics."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.gpu import counters as pc
@@ -101,12 +101,28 @@ class TestValuesAt:
 
 
 class TestQueries:
-    def test_frames_between(self):
+    @given(
+        st.lists(
+            st.tuples(st.floats(0, 10), st.floats(0, 2)), min_size=0, max_size=30
+        ),
+        st.floats(-1, 12),
+        st.floats(0, 3),
+    )
+    @settings(max_examples=200)
+    # evenly spaced short frames, window cutting mid-sequence
+    @example([(float(i), 0.001) for i in range(10)], 2.5, 3.0)
+    # a long frame that starts before t0 and ends inside the window
+    @example([(0.0, 1.5), (1.2, 0.001), (3.0, 0.2)], 1.0, 1.0)
+    def test_frames_overlapping_matches_brute_force(self, frames, t0, width):
         timeline = RenderTimeline()
-        for i in range(10):
-            timeline.add_render(float(i), make_stats(1), label=f"f{i}")
-        picked = timeline.frames_between(2.5, 5.5)
-        assert [f.label for f in picked] == ["f3", "f4", "f5"]
+        for i, (start, render_time) in enumerate(frames):
+            timeline.add_render(start, make_stats(1, render_time=render_time), label=f"f{i}")
+        t1 = t0 + width
+        expected = [
+            f for f in sorted(timeline.frames, key=lambda f: f.start_s)
+            if f.start_s < t1 and f.end_s > t0
+        ]
+        assert timeline.frames_overlapping(t0, t1) == expected
 
     def test_end_time(self):
         timeline = RenderTimeline()

@@ -10,8 +10,8 @@ from repro.android.device import VictimDevice
 from repro.android.events import KeyPress
 from repro.core.dataset import load_training_data, save_training_data
 from repro.core.offline import TrainingData
-from repro.kgsl.device_file import DeviceClock, open_kgsl
-from repro.kgsl.sampler import PerfCounterSampler
+from repro.kgsl.interpose import open_sampler
+from repro.runtime import SamplerDeltaSource
 
 
 @pytest.fixture(scope="module")
@@ -19,10 +19,9 @@ def annotated_session(config, chase_model):
     device = VictimDevice(config, app("chase"), rng=np.random.default_rng(3))
     events = [KeyPress(t=0.6 + 0.5 * i, char=c) for i, c in enumerate("wnq")]
     trace = device.compile(events, end_time_s=2.8)
-    kgsl = open_kgsl(trace.timeline, clock=DeviceClock())
-    sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(4))
-    samples = sampler.sample_range(0.0, 2.8)
-    return annotate(trace, samples, model=chase_model)
+    sampler = open_sampler(trace, 0.008, np.random.default_rng(4))
+    source = SamplerDeltaSource(sampler, 0.0, 2.8)
+    return annotate(trace, (delta for _, delta in source.events()), model=chase_model)
 
 
 class TestAnnotate:

@@ -92,15 +92,19 @@ def test_runtime_concurrent_sessions(benchmark, config, chase):
 def test_vectorized_delta_extraction(benchmark, config, chase):
     """Vectorized nonzero-delta extraction matches the scalar path and wins."""
     trace = simulate_credential_entry(config, chase, "Tr0ub4dor&3", seed=77)
-    kgsl = open_kgsl(trace.timeline, clock=DeviceClock())
-    sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(78))
-    samples = sampler.sample_range(0.0, trace.end_time_s)
+
+    def sampler():
+        kgsl = open_kgsl(trace.timeline, clock=DeviceClock())
+        return PerfCounterSampler(kgsl, rng=np.random.default_rng(78))
+
+    samples = sampler().sample_range(0.0, trace.end_time_s)
+    [batch] = sampler().iter_batches(0.0, trace.end_time_s, chunk=len(samples))
 
     def scalar():
         return nonzero_deltas(samples)
 
     def vectorized():
-        return nonzero_deltas_vectorized(samples)
+        return nonzero_deltas_vectorized(batch)
 
     assert vectorized() == scalar()
 

@@ -9,13 +9,15 @@ process of drawing the key press popup, the change of this PC could be
 split into multiple consecutive changes with smaller amounts".
 
 Queries are O(log n + k) via per-counter prefix sums, where k is the small
-number of frames still in flight at the query time.
+number of frames still in flight at the query time.  One vectorised
+algorithm, :meth:`RenderTimeline.values_at_many`, answers them for a whole
+array of times; :meth:`RenderTimeline.values_at` is its one-row dict view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -58,6 +60,8 @@ class RenderTimeline:
         self._frames: List[FrameRender] = []
         self._sorted = True
         self._starts: Optional[np.ndarray] = None
+        self._durations: Optional[np.ndarray] = None
+        self._amounts: Optional[np.ndarray] = None
         self._prefix: Optional[np.ndarray] = None
         self._max_duration = 0.0
 
@@ -91,10 +95,12 @@ class RenderTimeline:
             self._sorted = True
         n = len(self._frames)
         self._starts = np.array([f.start_s for f in self._frames], dtype=float)
+        self._durations = np.array([f.stats.render_time_s for f in self._frames], dtype=float)
         matrix = np.zeros((n, len(COUNTER_ORDER)), dtype=np.int64)
         for i, frame in enumerate(self._frames):
             for cid, amount in frame.stats.increment.values.items():
                 matrix[i, _COLUMN[cid]] = amount
+        self._amounts = matrix
         self._prefix = np.vstack(
             [np.zeros((1, len(COUNTER_ORDER)), dtype=np.int64), np.cumsum(matrix, axis=0)]
         )
@@ -102,28 +108,47 @@ class RenderTimeline:
             (f.stats.render_time_s for f in self._frames), default=0.0
         )
 
-    def values_at(self, t: float) -> Dict[pc.CounterId, int]:
-        """Cumulative counter values at wall-clock time ``t`` (seconds)."""
+    def values_at_many(self, times: Sequence[float]) -> np.ndarray:
+        """Cumulative counter values at each of ``times`` (seconds).
+
+        Returns ``int64[len(times), 11]``, columns in :data:`COUNTER_ORDER`.
+        Frames started at or before a time contribute their prefix sum;
+        frames still in flight give back their unaccrued share, accrued as
+        ``int(round(amount * progress))`` per counter (``np.rint`` rounds
+        half to even like ``round``, on the same float product).
+        """
         self._ensure_index()
+        times = np.asarray(times, dtype=float)
         if not self._frames:
-            return {cid: 0 for cid in COUNTER_ORDER}
-        assert self._starts is not None and self._prefix is not None
-        # Frames started strictly before t contribute; later ones do not.
-        idx = int(np.searchsorted(self._starts, t, side="right"))
-        totals = self._prefix[idx].copy()
-        # Subtract the unaccrued share of frames still in flight.  Only
-        # frames started within max_duration of t can be unfinished.
-        window_start = t - self._max_duration - 1e-12
-        first = int(np.searchsorted(self._starts, window_start, side="left"))
-        for i in range(first, idx):
-            frame = self._frames[i]
-            progress = frame.progress(t)
-            if progress >= 1.0:
-                continue
-            for cid, amount in frame.stats.increment.values.items():
-                accrued = int(round(amount * progress))
-                totals[_COLUMN[cid]] -= amount - accrued
-        return {cid: int(totals[_COLUMN[cid]]) for cid in COUNTER_ORDER}
+            return np.zeros((len(times), len(COUNTER_ORDER)), dtype=np.int64)
+        starts = self._starts
+        idx = starts.searchsorted(times, side="right")
+        rows = self._prefix[idx]
+        # Only frames started within max_duration of t can be unfinished.
+        first = starts.searchsorted(times - self._max_duration - 1e-12, side="left")
+        live = idx - first
+        if not np.count_nonzero(live):
+            return rows
+        # one (read k, frame i) pair per frame that may be in flight at read k
+        k = np.repeat(np.arange(len(times)), live)
+        i = np.arange(len(k)) - np.repeat(np.cumsum(live) - live - first, live)
+        t, start, duration = times[k], starts[i], self._durations[i]
+        # FrameRender.progress, elementwise: 0 until the frame starts, 1
+        # once it ends (or when it takes no time), the elapsed share between
+        started = t > start
+        in_flight = started & (t < start + duration) & (duration > 0)
+        progress = np.divide(
+            t - start, duration, out=started.astype(float), where=in_flight
+        )
+        amounts = self._amounts[i]
+        owed = amounts - np.rint(amounts * progress[:, None]).astype(np.int64)
+        np.subtract.at(rows, k, owed)
+        return rows
+
+    def values_at(self, t: float) -> Dict[pc.CounterId, int]:
+        """Cumulative counter values at wall-clock time ``t`` (seconds):
+        the dict view of one :meth:`values_at_many` row."""
+        return dict(zip(COUNTER_ORDER, self.values_at_many((t,))[0].tolist()))
 
     def frames_overlapping(self, t0: float, t1: float) -> List[FrameRender]:
         """Frames whose render overlaps ``(t0, t1)``, in start order.

@@ -18,16 +18,26 @@ semantics the attack relies on:
 Counter values are served from a :class:`~repro.gpu.timeline.RenderTimeline`
 at the device clock's current time, so reads that land mid-render observe
 partially accrued increments — the *split* factor of Section 5.1.
+
+Two read entries serve them, and this module is the only code on the read
+path that touches the timeline.  ``ioctl(PERFCOUNTER_READ)`` fills the
+``kgsl_perfcounter_read`` structs one slot at a time, so every interposer
+hook sees each slot in order.  :meth:`KgslDeviceFile.perfcounter_read_many`
+serves a whole run of blockreads of the selected counters as one
+``int64[n, 11]`` array, and only on an fd whose chain is empty, where no
+hook could observe the difference.
 """
 
 from __future__ import annotations
 
 import errno
 from dataclasses import dataclass
-from typing import Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.gpu import counters as pc
-from repro.gpu.timeline import RenderTimeline
+from repro.gpu.timeline import COUNTER_ORDER, RenderTimeline
 from repro.kgsl.ioctl import (
     IOCTL_KGSL_DEVICE_GETPROPERTY,
     IOCTL_KGSL_PERFCOUNTER_GET,
@@ -44,6 +54,15 @@ from repro.kgsl.ioctl import (
 
 #: KGSL device node path on Adreno phones.
 KGSL_DEVICE_PATH = "/dev/kgsl-3d0"
+
+#: Counter groups the simulated GPU exposes.
+_KNOWN_GROUPS = frozenset(int(group) for group in pc.CounterGroup)
+
+#: ``(groupid, countable)`` of each selected counter -> its timeline column.
+SLOT_COLUMN: Dict[Tuple[int, int], int] = {
+    (int(group), countable): column
+    for column, (group, countable) in enumerate(COUNTER_ORDER)
+}
 
 
 @dataclass
@@ -96,6 +115,9 @@ class KgslDeviceFile:
         self.adreno_model = adreno_model
         self.interposers = interposers
         self._reserved: Set[Tuple[int, int]] = set()
+        #: register offset of every counter this fd has reserved, kept
+        #: across PUT/GET so a counter keeps its register
+        self._offsets: Dict[Tuple[int, int], int] = {}
         self._closed = False
         self.ioctl_count = 0
 
@@ -157,12 +179,15 @@ class KgslDeviceFile:
             raise IoctlError(errno.EFAULT, "PERFCOUNTER_GET needs kgsl_perfcounter_get")
         for stage in self._outer_first:
             stage.on_counter(self, "get", arg.groupid, arg.countable)
-        if not self._known_group(arg.groupid):
+        if arg.groupid not in _KNOWN_GROUPS:
             # real driver: -EINVAL for a group the GPU does not expose
             raise IoctlError(errno.EINVAL, f"unknown counter group {arg.groupid:#x}")
-        self._reserved.add((arg.groupid, arg.countable))
-        # The register offset is an opaque MMIO offset in the real driver.
-        arg.offset = 0x4000 + len(self._reserved) * 8
+        key = (arg.groupid, arg.countable)
+        self._reserved.add(key)
+        # The register offset is an opaque MMIO offset in the real driver,
+        # which refcounts a reserved countable: asking again returns the
+        # register it already assigned.
+        arg.offset = self._offsets.setdefault(key, 0x4000 + (len(self._offsets) + 1) * 8)
         return 0
 
     def _perfcounter_put(self, arg: KgslPerfcounterPut) -> int:
@@ -176,7 +201,7 @@ class KgslDeviceFile:
             raise IoctlError(errno.EFAULT, "PERFCOUNTER_READ needs kgsl_perfcounter_read")
         if arg.count == 0:
             raise IoctlError(errno.EINVAL, "empty read buffer")
-        values = self.timeline.values_at(self.clock.now)
+        row = self.timeline.values_at_many((self.clock.now,))[0].tolist()
         chain, outer_first = self._chain, self._outer_first
         # one slot at a time: a read that fails at slot k has already
         # advanced every stage's state for the slots before it
@@ -190,13 +215,36 @@ class KgslDeviceFile:
                     f"counter (group={slot.groupid:#x}, countable={slot.countable}) "
                     "not reserved; call PERFCOUNTER_GET first",
                 )
-            value = values.get(self._counter_id(slot.groupid, slot.countable), 0)
+            column = SLOT_COLUMN.get(key)
+            value = 0 if column is None else row[column]
             for stage in chain:
                 value = stage.on_value(self, key, value)
             slot.value = value
         for stage in chain:
             stage.after_read(self, arg.reads)
         return 0
+
+    def perfcounter_read_many(self, times: Sequence[float]) -> np.ndarray:
+        """``len(times)`` blockreads of every selected counter, one per time.
+
+        Equivalent to one ``PERFCOUNTER_READ`` naming the selected counters
+        (:data:`~repro.gpu.timeline.COUNTER_ORDER`) issued at each of
+        ``times``, which are non-decreasing and not before the clock: it
+        counts one ioctl per read, leaves the clock at ``times[-1]`` and
+        returns the values as ``int64[len(times), 11]``.  Only an fd with an
+        empty interposer chain can batch its reads — a stage must see every
+        read — and every selected counter must be reserved (``EINVAL``).
+        """
+        if self._closed:
+            raise IoctlError(errno.EBADF, "device file is closed")
+        if self._chain:
+            raise ValueError("an fd with interposers reads through ioctl(), one read at a time")
+        if not self._reserved.issuperset(SLOT_COLUMN):
+            raise IoctlError(errno.EINVAL, "read names an unreserved counter")
+        self.ioctl_count += len(times)
+        if len(times):
+            self.clock.set(times[-1])
+        return self.timeline.values_at_many(times)
 
     def _device_getproperty(self, arg: KgslDeviceGetProperty) -> int:
         """``KGSL_PROP_DEVICE_INFO``: identify the GPU, as every user-space
@@ -225,14 +273,6 @@ class KgslDeviceFile:
         contention behaviour the resilient sampler must survive.
         """
         self._reserved.discard(key)
-
-    @staticmethod
-    def _known_group(groupid: int) -> bool:
-        return groupid in {int(group) for group in pc.CounterGroup}
-
-    @staticmethod
-    def _counter_id(groupid: int, countable: int) -> pc.CounterId:
-        return (pc.CounterGroup(groupid), countable)
 
 
 def open_kgsl(

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import errno
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.gpu import counters as pc
-from repro.kgsl.device_file import KgslDeviceFile
+from repro.gpu.timeline import COUNTER_ORDER
+from repro.kgsl.device_file import SLOT_COLUMN, KgslDeviceFile
 from repro.kgsl.ioctl import (
     IOCTL_KGSL_PERFCOUNTER_GET,
     IOCTL_KGSL_PERFCOUNTER_READ,
@@ -51,6 +52,13 @@ _COALESCE_DELAY_S = 5e-3
 #: Mean preemption delay when the service loses the CPU.
 _PREEMPT_DELAY_S = 2.2e-3
 
+#: Column of each selected counter in a read row (``COUNTER_ORDER``).
+_COLUMN: Dict[pc.CounterSpec, int] = {spec: j for j, spec in enumerate(pc.SELECTED_COUNTERS)}
+_N_COUNTERS = len(COUNTER_ORDER)
+#: The mask of a read that holds every selected counter.
+_NOTHING_MISSING = np.zeros(_N_COUNTERS, dtype=bool)
+_NOTHING_MISSING.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class SystemLoad:
@@ -69,9 +77,27 @@ class SystemLoad:
 IDLE = SystemLoad()
 
 
+class ReadBatch(NamedTuple):
+    """Consecutive completed reads of one sampler, in read order.
+
+    ``rows[k]`` holds read ``k``'s cumulative counter values, columns in
+    :data:`~repro.gpu.timeline.COUNTER_ORDER`.  ``mask[k, j]`` is set when
+    counter ``j``'s register was not held at read ``k`` (reclaimed by
+    another client, or denied by an access policy): its value is
+    *unknown*, and the 0 stored in ``rows`` means nothing.
+    """
+
+    nominal: np.ndarray  #: float64[n], scheduled wakeup times
+    t: np.ndarray  #: float64[n], times the reads completed
+    rows: np.ndarray  #: int64[n, 11]
+    mask: np.ndarray  #: bool[n, 11]
+
+
 @dataclass(frozen=True)
 class PcSample:
-    """One read of the currently-available selected counters.
+    """One read of the currently-available selected counters: the
+    per-read view of one :class:`ReadBatch` row, which the scalar
+    reference :func:`deltas` consumes.
 
     ``missing`` lists configured counters whose registers were not held
     at read time (reclaimed by another client, re-registration pending);
@@ -229,8 +255,13 @@ class PerfCounterSampler:
     crashing the service.
 
     Each wakeup also asks the fd's interposer chain whether it is dropped
-    or delayed.  On an fd whose ioctls never fail none of these paths
-    execute and the loop is byte-identical to the infallible original.
+    or delayed.  On an fd whose chain is empty nothing can fail, delay or
+    rewrite a read, so the loop draws a batch's wakeup times first and
+    reads them all in one
+    :meth:`~repro.kgsl.device_file.KgslDeviceFile.perfcounter_read_many`
+    call; any other fd is read one ``PERFCOUNTER_READ`` ioctl per wakeup,
+    so every stage sees every read, slot by slot.  Both paths draw the
+    same scheduling randomness in the same order.
     """
 
     #: Transient-read retries before the failure is considered permanent.
@@ -243,14 +274,14 @@ class PerfCounterSampler:
     def __init__(
         self,
         device_file: KgslDeviceFile,
-        counters: Sequence[pc.CounterSpec] = tuple(pc.SELECTED_COUNTERS),
         interval_s: float = DEFAULT_INTERVAL_S,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         if interval_s <= 0:
             raise ValueError("sampling interval must be positive")
         self.device_file = device_file
-        self.counters = list(counters)
+        #: the counters every read names: the 11 the attack selects
+        self.counters = list(pc.SELECTED_COUNTERS)
         self.interval_s = interval_s
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.reads_issued = 0
@@ -268,6 +299,9 @@ class PerfCounterSampler:
         #: revived (a policy denial is not contention; see docs/defenses.md)
         self._denied: set = set()
         self._active: List[pc.CounterSpec] = []
+        #: the active counters' (groupid, countable) slots and row columns
+        self._active_slots: List[Tuple[int, int]] = []
+        self._active_columns: List[int] = []
         self._reserve_counters()
 
     @property
@@ -309,10 +343,9 @@ class PerfCounterSampler:
     def _reserve_counters(self) -> None:
         """PERFCOUNTER_GET for every selected counter (paper Fig 10)."""
         for spec in self.counters:
-            if self._try_reserve(spec):
-                self._active.append(spec)
-            elif spec not in self._denied:
+            if not self._try_reserve(spec) and spec not in self._denied:
                 self._lose(spec)
+        self._rebuild_active()
 
     def _try_reserve(self, spec: pc.CounterSpec) -> bool:
         """One reservation attempt (with transient-error retries)."""
@@ -405,16 +438,19 @@ class PerfCounterSampler:
         self._active = [
             c for c in self.counters if c not in self._lost and c not in self._denied
         ]
+        self._active_slots = [(int(c.group), c.countable) for c in self._active]
+        self._active_columns = [_COLUMN[c] for c in self._active]
 
     # ------------------------------------------------------------------
 
-    def read_once(self) -> Optional[Dict[pc.CounterId, int]]:
+    def read_once(self) -> Optional[List[int]]:
         """Blockread the available selected counters at the device clock.
 
         Resilient form: retries transient failures with backoff and
         resynchronizes the reservation set when a register has been
-        reclaimed.  Counters currently lost are simply absent from the
-        returned mapping (the caller records them as *missing*, not 0).
+        reclaimed.  Returns the read as one row of 11 values in
+        ``COUNTER_ORDER``; counters currently lost or denied read 0 there
+        and are set in :meth:`missing_mask` (*missing*, not 0).
         Returns ``None`` when even the retries could not complete the
         read — the wakeup is abandoned, equivalent to a dropped sample.
         """
@@ -425,12 +461,9 @@ class PerfCounterSampler:
             active = self._active
             if not active:
                 # every register is held elsewhere: a read of nothing
-                return {}
+                return [0] * _N_COUNTERS
             read = KgslPerfcounterRead(
-                reads=[
-                    KgslPerfcounterReadGroup(groupid=int(s.group), countable=s.countable)
-                    for s in active
-                ]
+                [KgslPerfcounterReadGroup(*slot) for slot in self._active_slots]
             )
             try:
                 self.device_file.ioctl(IOCTL_KGSL_PERFCOUNTER_READ, read)
@@ -467,19 +500,28 @@ class PerfCounterSampler:
                     self._note("read_abandoned", errno=exc.errno)
                     return None
                 raise
-            return {
-                (pc.CounterGroup(slot.groupid), slot.countable): slot.value
-                for slot in read.reads
-            }
+            row = [0] * _N_COUNTERS
+            for column, slot in zip(self._active_columns, read.reads):
+                row[column] = slot.value
+            return row
 
-    def _missing_now(self) -> Tuple[pc.CounterId, ...]:
+    def missing_mask(self) -> np.ndarray:
+        """``bool[11]``: the counters lost or denied right now."""
         if not self._lost and not self._denied:
-            return ()
-        return tuple(
-            sorted(
-                {spec.counter_id for spec in self._lost}
-                | {spec.counter_id for spec in self._denied}
-            )
+            return _NOTHING_MISSING
+        mask = np.zeros(_N_COUNTERS, dtype=bool)
+        mask[[_COLUMN[spec] for spec in (*self._lost, *self._denied)]] = True
+        return mask
+
+    def _reads_batch(self) -> bool:
+        """Whether the next batch can be one ``perfcounter_read_many``:
+        an empty chain, every counter held, nothing to revive."""
+        device = self.device_file
+        return (
+            not device.interposers
+            and not self._lost
+            and not self._denied
+            and set(device.reserved_counters()).issuperset(SLOT_COLUMN)
         )
 
     def _scheduling_delay(self, load: SystemLoad) -> Optional[float]:
@@ -502,66 +544,99 @@ class PerfCounterSampler:
             return None
         return delay
 
-    def iter_samples(
-        self, t0: float, t1: float, load: SystemLoad = IDLE
-    ) -> Iterator[PcSample]:
-        """The sampling loop over ``[t0, t1)``, one read at a time.
+    def iter_batches(
+        self, t0: float, t1: float, load: SystemLoad = IDLE, *, chunk: int
+    ) -> Iterator[ReadBatch]:
+        """The sampling loop over ``[t0, t1)``, ``chunk`` completed reads
+        per :class:`ReadBatch` (the last batch may be shorter).
 
         This is the streaming form consumed by the session runtime: each
-        ``next()`` issues (at most) one counter read, so a downstream
+        ``next()`` issues the reads of one batch only, so a downstream
         stage that stops early — a launch detector escalating to attack
         mode, say — really does stop the polling, exactly like the
-        Android service it models.
+        Android service it models.  Which read path a batch takes is
+        decided from the fd as the batch starts (see the class docstring).
         """
-        # a wakeup is a request like any ioctl: it visits the chain outer
-        # to inner, and any stage may drop or defer it
-        wakeup_chain = self.device_file.interposers[::-1]
+        device = self.device_file
         nominal = t0
         last_t = -1.0
         while nominal < t1:
-            delay = self._scheduling_delay(load)
-            for stage in wakeup_chain:
+            batched = self._reads_batch()
+            # a wakeup is a request like any ioctl: it visits the chain
+            # outer to inner, and any stage may drop or defer it
+            wakeup_chain = device.interposers[::-1]
+            nominals: List[float] = []
+            times: List[float] = []
+            rows: List[List[int]] = []
+            masks: List[np.ndarray] = []
+            while nominal < t1 and len(times) < chunk:
+                delay = self._scheduling_delay(load)
+                for stage in wakeup_chain:
+                    if delay is None:
+                        break
+                    extra = stage.on_wakeup()
+                    if extra is None:
+                        delay = None
+                        self._note("sample_dropped", nominal_t=nominal)
+                    elif extra:
+                        delay += extra
+                        self._note("clock_jitter", nominal_t=nominal, jitter_s=extra)
                 if delay is None:
-                    break
-                extra = stage.on_wakeup()
-                if extra is None:
-                    delay = None
-                    self._note("sample_dropped", nominal_t=nominal)
-                elif extra:
-                    delay += extra
-                    self._note("clock_jitter", nominal_t=nominal, jitter_s=extra)
-            if delay is None:
-                self.reads_dropped += 1
-            else:
-                # reads are issued by one thread, so they stay monotone even
-                # when a coalesced wakeup overshoots the next nominal tick
-                read_t = max(nominal + delay, last_t + 1e-5)
-                self.device_file.clock.set(max(self.device_file.clock.now, read_t))
-                values = self.read_once()
-                if values is None:
-                    # retries exhausted: the wakeup produced no data
                     self.reads_dropped += 1
                     nominal += self.interval_s
                     continue
-                self.reads_issued += 1
-                if self.device_file.clock.now > read_t:
+                # reads are issued by one thread, so they stay monotone even
+                # when a coalesced wakeup overshoots the next nominal tick
+                read_t = max(nominal + delay, last_t + 1e-5, device.clock.now)
+                if not batched:
+                    device.clock.set(read_t)
+                    row = self.read_once()
+                    if row is None:
+                        # retries exhausted: the wakeup produced no data
+                        self.reads_dropped += 1
+                        nominal += self.interval_s
+                        continue
                     # retry backoff consumed device time: the observation
                     # really happened when the read finally succeeded
-                    read_t = self.device_file.clock.now
+                    read_t = device.clock.now
+                    rows.append(row)
+                    masks.append(self.missing_mask())
+                self.reads_issued += 1
+                nominals.append(nominal)
+                times.append(read_t)
                 last_t = read_t
-                yield PcSample(
-                    nominal_t=nominal,
-                    t=read_t,
-                    values=values,
-                    missing=self._missing_now(),
-                )
-            nominal += self.interval_s
+                nominal += self.interval_s
+            if not times:
+                return
+            if batched:
+                self._read_index += len(times)
+                matrix = device.perfcounter_read_many(times)
+                mask = np.zeros(matrix.shape, dtype=bool)
+            else:
+                matrix = np.array(rows, dtype=np.int64)
+                mask = np.array(masks)
+            yield ReadBatch(np.array(nominals), np.array(times), matrix, mask)
 
     def sample_range(
         self, t0: float, t1: float, load: SystemLoad = IDLE
     ) -> List[PcSample]:
-        """Run the whole sampling loop over ``[t0, t1)`` and materialize it."""
-        return list(self.iter_samples(t0, t1, load=load))
+        """Run the whole sampling loop over ``[t0, t1)`` and materialize it
+        as per-read :class:`PcSample` views (the scalar oracle's input)."""
+        chunk = max(1, int((t1 - t0) / self.interval_s) + 1)
+        samples = []
+        for batch in self.iter_batches(t0, t1, load=load, chunk=chunk):
+            for nominal, t, row, mask in zip(
+                batch.nominal.tolist(), batch.t.tolist(), batch.rows.tolist(), batch.mask.tolist()
+            ):
+                samples.append(
+                    PcSample(
+                        nominal_t=nominal,
+                        t=t,
+                        values={cid: v for cid, v, m in zip(COUNTER_ORDER, row, mask) if not m},
+                        missing=tuple(sorted(cid for cid, m in zip(COUNTER_ORDER, mask) if m)),
+                    )
+                )
+        return samples
 
 
 def _masked_delta(prev: PcSample, cur: PcSample) -> PcDelta:
@@ -612,40 +687,46 @@ def nonzero_deltas(samples: Sequence[PcSample]) -> List[PcDelta]:
 
 
 def nonzero_deltas_vectorized(
-    samples: Sequence[PcSample], prev: Optional[PcSample] = None
+    batch: ReadBatch, prev: Optional[ReadBatch] = None
 ) -> List[PcDelta]:
-    """The nonzero-delta extractor: one numpy diff over the batch.
+    """The nonzero-delta extractor: one numpy diff over a batch of reads.
 
     Produces the same :class:`PcDelta` objects as the scalar
-    :func:`nonzero_deltas` reference (same counter order, same wraparound
-    handling as :func:`repro.gpu.counters.delta`) but differences and
-    filters all samples in one pass, which is what keeps
-    a 100-session batch runtime out of per-pair Python loops.  ``prev``
-    optionally supplies the sample preceding ``samples[0]`` so chunked
-    callers can difference across chunk boundaries.
+    :func:`nonzero_deltas` reference (counters in ``COUNTER_ORDER``, the
+    wraparound handling of :func:`repro.gpu.counters.delta`) but
+    differences and filters all reads in one pass.  A counter masked at
+    either end of a delta is unknown over it: it is left out of
+    ``values`` and listed in ``missing``, so a register re-reserved after
+    a reclamation never reads as a change of its whole cumulative value.
+    ``prev`` optionally supplies the batch preceding ``batch`` so chunked
+    callers can difference across chunk boundaries from its last read.
     """
-    chain: List[PcSample] = ([prev] if prev is not None else []) + list(samples)
-    if len(chain) < 2:
+    t, rows, mask = batch.t, batch.rows, batch.mask
+    if prev is not None and len(prev.t):
+        t = np.concatenate((prev.t[-1:], t))
+        rows = np.concatenate((prev.rows[-1:], rows))
+        mask = np.concatenate((prev.mask[-1:], mask))
+    if len(t) < 2:
         return []
-    counter_ids = list(chain[0].values.keys())
-    if any(s.missing for s in chain) or any(
-        s.values.keys() != chain[0].values.keys() for s in chain[1:]
-    ):
-        # heterogeneous counter sets (reclamation in the window): fall
-        # back to pairwise masked differencing — correctness over speed
-        return [d for pr, cu in zip(chain, chain[1:]) for d in [_masked_delta(pr, cu)] if d]
-    matrix = np.array(
-        [[s.values[cid] for cid in counter_ids] for s in chain], dtype=np.int64
-    )
-    diffs = np.diff(matrix, axis=0)
+    diffs = np.diff(rows, axis=0)
     np.add(diffs, pc.CounterBank.WRAP, out=diffs, where=diffs < 0)
-    keep = np.flatnonzero(diffs.any(axis=1))
+    unknown = mask[:-1] | mask[1:]
+    masked = bool(unknown.any())
+    if masked:
+        diffs[unknown] = 0
+    keep = np.flatnonzero(diffs.any(axis=1)).tolist()
+    if not keep:
+        return []
+    times = t.tolist()
     out: List[PcDelta] = []
-    for row in keep:
-        values = {
-            cid: int(v) for cid, v in zip(counter_ids, diffs[row])
-        }
-        out.append(PcDelta(t=chain[row + 1].t, prev_t=chain[row].t, values=values))
+    for k in keep:
+        values = dict(zip(COUNTER_ORDER, diffs[k].tolist()))
+        missing: Tuple[pc.CounterId, ...] = ()
+        if masked and unknown[k].any():
+            missing = tuple(sorted(COUNTER_ORDER[j] for j in np.flatnonzero(unknown[k])))
+            for cid in missing:
+                del values[cid]
+        out.append(PcDelta(t=times[k + 1], prev_t=times[k], values=values, missing=missing))
     return out
 
 

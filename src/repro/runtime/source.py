@@ -8,12 +8,14 @@ actually consumed (a mode switch abandons the rest, exactly like the
 Android service dropping its idle poll when it escalates).
 
 :class:`SamplerDeltaSource` is the production source: it drives
-:meth:`~repro.kgsl.sampler.PerfCounterSampler.iter_samples` and yields
+:meth:`~repro.kgsl.sampler.PerfCounterSampler.iter_batches` and yields
 only the nonzero counter deltas — the attack's raw event stream, and
 the one every consumer (online attack, offline trainer, lifecycle
-runner, trace inspection) reads.  It pulls ``chunk`` reads per step and
-differences each batch with the one extractor,
-:func:`~repro.kgsl.sampler.nonzero_deltas_vectorized`.  A larger chunk
+runner, trace inspection) reads.  It pulls ``chunk`` reads per step, as
+one :class:`~repro.kgsl.sampler.ReadBatch` of ``int64`` rows and a
+missing-counter mask, and differences each batch with the one
+extractor, :func:`~repro.kgsl.sampler.nonzero_deltas_vectorized`, which
+masks unknown counters itself.  A larger chunk
 trades mode-switch granularity for throughput (the attack uses 64); the
 monitoring service's idle watch uses ``chunk=1``, a batch of one, so
 escalation happens on the confirming read.
@@ -22,14 +24,13 @@ escalation happens on the confirming read.
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import islice
 from typing import Iterable, Iterator, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.kgsl.sampler import (
     IDLE,
     PcDelta,
-    PcSample,
     PerfCounterSampler,
+    ReadBatch,
     SystemLoad,
     nonzero_deltas_vectorized,
 )
@@ -120,13 +121,12 @@ class SamplerDeltaSource:
         return self.sampler.reads_issued
 
     def events(self) -> Iterator[SourceEvent]:
-        ticks = self.sampler.iter_samples(self.t0, self.t1, load=self.load)
-        prev: Optional[PcSample] = None
+        batches = self.sampler.iter_batches(
+            self.t0, self.t1, load=self.load, chunk=self.chunk
+        )
+        prev: Optional[ReadBatch] = None
         try:
-            while True:
-                batch = list(islice(ticks, self.chunk))
-                if not batch:
-                    return
+            for batch in batches:
                 # the span brackets only the extraction call — it must not
                 # cross the yields below (interleaved sessions would
                 # corrupt the registry's nesting stack)
@@ -136,7 +136,7 @@ class SamplerDeltaSource:
                     delta = self._finalize(delta)
                     self.deltas_emitted += 1
                     yield (delta.t, delta)
-                prev = batch[-1]
+                prev = batch
         finally:
             # runs on natural exhaustion AND on generator close (a mode
             # switch abandoning the stream), so the tallies always land

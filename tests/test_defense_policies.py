@@ -278,8 +278,11 @@ class TestEaccesPropagation:
         assert sampler.read_once() is None
         assert sampler._active == []
         assert sampler.counters_denied > 0
-        # denied counters are exempt from revival: still blind later
-        assert sampler.read_once() == {}
+        # denied counters are exempt from revival: still blind later, a
+        # read of nothing with every counter masked
+        row = sampler.read_once()
+        assert row is not None and not any(row)
+        assert sampler.missing_mask().all()
         assert sampler.counters_denied == len(sampler.counters)
 
 

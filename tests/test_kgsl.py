@@ -8,6 +8,7 @@ from repro.gpu import counters as pc
 from repro.gpu.pipeline import FrameStats
 from repro.gpu.timeline import RenderTimeline
 from repro.kgsl.device_file import DeviceClock, KgslDeviceFile, ProcessContext, open_kgsl
+from repro.kgsl.interpose import Interposer
 from repro.kgsl.ioctl import (
     IOCTL_KGSL_PERFCOUNTER_GET,
     IOCTL_KGSL_PERFCOUNTER_PUT,
@@ -76,6 +77,14 @@ class TestDeviceFileSemantics:
         get = reserve(dev)
         assert get.offset > 0
 
+    def test_reserving_again_returns_the_same_register(self):
+        # the driver refcounts a reserved countable: GET A, GET B, GET A
+        # hands back A's register, not the most recently assigned one
+        dev = open_kgsl(timeline_with_increment())
+        first = reserve(dev, countable=14).offset
+        other = reserve(dev, countable=15).offset
+        assert reserve(dev, countable=14).offset == first != other
+
     def test_read_without_get_is_einval(self):
         dev = open_kgsl(timeline_with_increment())
         with pytest.raises(IoctlError) as exc:
@@ -127,6 +136,29 @@ class TestDeviceFileSemantics:
             reserve(dev)
         with pytest.raises(IoctlError):
             reserve(dev)
+
+    def test_batched_read_is_n_blockreads(self):
+        dev = open_kgsl(timeline_with_increment(50), clock=DeviceClock())
+        with pytest.raises(IoctlError) as exc:
+            dev.perfcounter_read_many([0.5])
+        assert exc.value.errno == errno.EINVAL
+        for spec in pc.SELECTED_COUNTERS:
+            reserve(dev, group=int(spec.group), countable=spec.countable)
+        rows = dev.perfcounter_read_many([0.5, 1.0005, 2.0])
+        assert dev.ioctl_count == len(pc.SELECTED_COUNTERS) + 3
+        assert dev.clock.now == 2.0
+        column = pc.SELECTED_COUNTERS.index(pc.LRZ_FULL_8X8_TILES)
+        assert rows[:, column].tolist() == [0, 25, 50]
+        assert read_one(dev) == 50  # the per-slot read agrees at the clock
+
+    def test_batched_read_needs_an_empty_chain(self):
+        dev = open_kgsl(timeline_with_increment(), interposers=(Interposer(),))
+        with pytest.raises(ValueError):
+            dev.perfcounter_read_many([1.0])
+        dev.close()
+        with pytest.raises(IoctlError) as exc:
+            dev.perfcounter_read_many([1.0])
+        assert exc.value.errno == errno.EBADF
 
     def test_ioctl_count_tracks_calls(self):
         dev = open_kgsl(timeline_with_increment())

@@ -27,7 +27,7 @@ from repro.core.online import OnlineEngine
 from repro.core.model_store import VersionedModelStore
 from repro.kgsl.device_file import DeviceClock, open_kgsl
 from repro.kgsl.interpose import build_chain
-from repro.kgsl.sampler import PerfCounterSampler, nonzero_deltas_vectorized
+from repro.kgsl.sampler import PerfCounterSampler, nonzero_deltas
 from repro.lifecycle import (
     CALIBRATION_PROFILES,
     CALIBRATION_SPEC,
@@ -174,12 +174,12 @@ class TestDriftInjector:
             adreno_model=trace.config.gpu.model,
             interposers=(plan.injector(),),
         )
-        clean_deltas = nonzero_deltas_vectorized(
+        clean_deltas = nonzero_deltas(
             PerfCounterSampler(clean, rng=np.random.default_rng(1)).sample_range(
                 0.0, trace.end_time_s
             )
         )
-        drift_deltas = nonzero_deltas_vectorized(
+        drift_deltas = nonzero_deltas(
             PerfCounterSampler(drifted, rng=np.random.default_rng(1)).sample_range(
                 0.0, trace.end_time_s
             )
@@ -208,7 +208,7 @@ def _drifted_deltas(config, credential, seed, plan, time_offset=0.0):
     )
     sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(1000 + seed))
     return (
-        nonzero_deltas_vectorized(sampler.sample_range(0.0, trace.end_time_s)),
+        nonzero_deltas(sampler.sample_range(0.0, trace.end_time_s)),
         trace,
     )
 

@@ -10,14 +10,15 @@ from repro.core.pipeline import (
     simulate_credential_entry,
 )
 from repro.core.service import MonitoringService
+from repro.faults import FaultPlan
 from repro.gpu import counters as pc
 from repro.gpu.pipeline import FrameStats
-from repro.gpu.timeline import RenderTimeline
+from repro.gpu.timeline import COUNTER_ORDER, RenderTimeline
 from repro.kgsl.device_file import DeviceClock, open_kgsl
 from repro.kgsl.sampler import (
     DEFAULT_INTERVAL_S,
-    PcSample,
     PerfCounterSampler,
+    ReadBatch,
     nonzero_deltas,
     nonzero_deltas_vectorized,
 )
@@ -96,33 +97,65 @@ class TestRuntimeTrace:
         assert [e.t for e in trace.events] == [7.0, 8.0, 9.0]
 
 
+def read_batch(times, values):
+    """A batch of reads of one counter (``CID``), every other counter 0."""
+    rows = np.zeros((len(times), len(COUNTER_ORDER)), dtype=np.int64)
+    rows[:, COUNTER_ORDER.index(CID)] = values
+    times = np.asarray(times, dtype=float)
+    return ReadBatch(times, times, rows, np.zeros(rows.shape, dtype=bool))
+
+
 class TestVectorizedExtraction:
     def test_matches_scalar_path(self):
+        samples = make_sampler(timeline_with_frames([0.1, 0.3, 0.5]), seed=11).sample_range(
+            0.0, 1.0
+        )
         sampler = make_sampler(timeline_with_frames([0.1, 0.3, 0.5]), seed=11)
-        samples = sampler.sample_range(0.0, 1.0)
-        assert nonzero_deltas_vectorized(samples) == nonzero_deltas(samples)
+        [batch] = sampler.iter_batches(0.0, 1.0, chunk=len(samples))
+        assert nonzero_deltas_vectorized(batch) == nonzero_deltas(samples)
 
     def test_chunk_boundary_with_prev(self):
-        sampler = make_sampler(timeline_with_frames([0.1, 0.3]), seed=12)
-        samples = sampler.sample_range(0.0, 0.6)
+        samples = make_sampler(timeline_with_frames([0.1, 0.3]), seed=12).sample_range(0.0, 0.6)
         expected = nonzero_deltas(samples)
-        mid = len(samples) // 2
-        got = nonzero_deltas_vectorized(samples[:mid]) + nonzero_deltas_vectorized(
-            samples[mid:], prev=samples[mid - 1]
-        )
+        sampler = make_sampler(timeline_with_frames([0.1, 0.3]), seed=12)
+        first, second = sampler.iter_batches(0.0, 0.6, chunk=len(samples) // 2 + 1)
+        got = nonzero_deltas_vectorized(first) + nonzero_deltas_vectorized(second, prev=first)
+        assert got == expected
+
+    def test_masked_counters_match_scalar_path(self):
+        # reclaimed registers mask counters mid-run: a delta leaves a
+        # counter masked at either end out of its values, like the
+        # scalar _masked_delta oracle
+        plan = FaultPlan(reclaim_rate_hz=8.0, reclaim_window_s=0.05)
+
+        def sampler():
+            timeline = RenderTimeline()
+            for i in range(1, 40):
+                inc = pc.CounterIncrement()
+                for spec in pc.SELECTED_COUNTERS:
+                    inc.add(spec, 100 * i)
+                timeline.add_render(
+                    0.025 * i, FrameStats(increment=inc, pixels_touched=1, render_time_s=0.003)
+                )
+            dev = open_kgsl(timeline, clock=DeviceClock(), interposers=(plan.injector(),))
+            return PerfCounterSampler(dev, rng=np.random.default_rng(13))
+
+        expected = nonzero_deltas(sampler().sample_range(0.0, 1.0))
+        assert any(delta.missing for delta in expected)
+        got, prev = [], None
+        for batch in sampler().iter_batches(0.0, 1.0, chunk=7):
+            got += nonzero_deltas_vectorized(batch, prev=prev)
+            prev = batch
         assert got == expected
 
     def test_wraparound_handled(self):
         wrap = pc.CounterBank.WRAP
-        a = PcSample(nominal_t=0.0, t=0.0, values={CID: wrap - 5})
-        b = PcSample(nominal_t=0.008, t=0.008, values={CID: 3})
-        [delta] = nonzero_deltas_vectorized([a, b])
+        [delta] = nonzero_deltas_vectorized(read_batch([0.0, 0.008], [wrap - 5, 3]))
         assert delta.values[CID] == 8
 
     def test_short_inputs(self):
-        assert nonzero_deltas_vectorized([]) == []
-        only = PcSample(nominal_t=0.0, t=0.0, values={CID: 1})
-        assert nonzero_deltas_vectorized([only]) == []
+        assert nonzero_deltas_vectorized(read_batch([], [])) == []
+        assert nonzero_deltas_vectorized(read_batch([0.0], [1])) == []
 
 
 class TestSamplerDeltaSource:

@@ -1,5 +1,7 @@
 """Property-based tests on the sampler and counter algebra."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ from repro.gpu import counters as pc
 from repro.gpu.pipeline import FrameStats
 from repro.gpu.timeline import RenderTimeline
 from repro.kgsl.device_file import DeviceClock, open_kgsl
-from repro.kgsl.sampler import PerfCounterSampler, SystemLoad, deltas
+from repro.kgsl.interpose import Interposer
+from repro.kgsl.sampler import PerfCounterSampler, SystemLoad, deltas, nonzero_deltas
+from repro.runtime.source import SamplerDeltaSource
 
 CID = pc.RAS_8X4_TILES.counter_id
 
@@ -82,6 +86,63 @@ class TestSamplerProperties:
 
         # same RNG seed: higher load can only convert more reads to drops
         assert drops(cpu_high) >= drops(cpu_low) - 2
+
+
+class TestReadPaths:
+    """A chain-free fd reads each batch in one ``perfcounter_read_many``
+    call; an fd carrying a no-op :class:`Interposer` reads one
+    ``PERFCOUNTER_READ`` ioctl per wakeup.  Both observe one session."""
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.05, 2.0), st.floats(0.0, 0.012), st.integers(1, 10**5)),
+            max_size=40,
+        ),
+        st.integers(0, 1000),
+        st.floats(0.0, 1.0),
+        st.sampled_from([1, 7, 64]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batched_and_per_read_paths_agree(self, frames, seed, cpu, chunk):
+        load = SystemLoad(cpu_utilization=cpu)
+
+        def timeline():
+            # two counters per frame, long enough renders for split reads
+            out = RenderTimeline()
+            for start, render_time, amount in frames:
+                inc = pc.CounterIncrement()
+                inc.add(pc.RAS_8X4_TILES, amount)
+                inc.add(pc.LRZ_VISIBLE_PIXEL_AFTER_LRZ, 3 * amount + 1)
+                out.add_render(
+                    start,
+                    FrameStats(increment=inc, pixels_touched=amount, render_time_s=render_time),
+                )
+            return out
+
+        def run(interposers):
+            dev = open_kgsl(timeline(), clock=DeviceClock(), interposers=interposers)
+            batched = []
+            read_many = dev.perfcounter_read_many
+            dev.perfcounter_read_many = lambda times: batched.append(len(times)) or read_many(
+                times
+            )
+            sampler = PerfCounterSampler(dev, rng=np.random.default_rng(seed))
+            source = SamplerDeltaSource(sampler, 0.0, 2.5, load=load, chunk=chunk)
+            stream = [delta for _, delta in source.events()]
+            tally = (sampler.reads_issued, sampler.reads_dropped, dev.ioctl_count, dev.clock.now)
+            return stream, tally, sum(batched)
+
+        stream, tally, batched_reads = run(())
+        chained_stream, chained_tally, chained_batched_reads = run((Interposer(),))
+        assert batched_reads == tally[0]
+        assert chained_batched_reads == 0
+        assert stream == chained_stream
+        assert tally == chained_tally
+        # the scalar oracle, over the per-read view of the same loop
+        dev = open_kgsl(timeline(), clock=DeviceClock())
+        sampler = PerfCounterSampler(dev, rng=np.random.default_rng(seed))
+        oracle = nonzero_deltas(sampler.sample_range(0.0, 2.5, load=load))
+        assert [replace(delta, gap=False) for delta in stream] == oracle
 
 
 class TestIncrementAlgebra:

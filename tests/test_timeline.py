@@ -1,5 +1,6 @@
 """Tests for the render timeline and split-read mechanics."""
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,42 @@ def make_stats(amount=100, render_time=0.001, spec=pc.RAS_8X4_TILES):
 
 
 CID = pc.RAS_8X4_TILES.counter_id
+
+
+def scalar_values_at(timeline, t):
+    """The per-frame scalar loop :meth:`RenderTimeline.values_at_many`
+    replaced, kept as its parity oracle: prefix sums of the frames started
+    by ``t``, less the unaccrued share of each frame still in flight."""
+    frames = timeline.frames
+    column = {cid: j for j, cid in enumerate(COUNTER_ORDER)}
+    totals = [0] * len(COUNTER_ORDER)
+    started = [f for f in frames if f.start_s <= t]
+    for frame in started:
+        for cid, amount in frame.stats.increment.values.items():
+            totals[column[cid]] += amount
+    max_duration = max((f.stats.render_time_s for f in frames), default=0.0)
+    window_start = t - max_duration - 1e-12
+    for frame in started:
+        if frame.start_s < window_start:
+            continue
+        progress = frame.progress(t)
+        if progress >= 1.0:
+            continue
+        for cid, amount in frame.stats.increment.values.items():
+            accrued = int(round(amount * progress))
+            totals[column[cid]] -= amount - accrued
+    return totals
+
+
+#: A frame: start, render time (zero-duration frames included) and an
+#: increment of one to four counters.
+frame_specs = st.tuples(
+    st.floats(0, 5),
+    st.one_of(st.just(0.0), st.floats(0, 0.05)),
+    st.dictionaries(
+        st.sampled_from(pc.SELECTED_COUNTERS), st.integers(0, 100_000), min_size=1, max_size=4
+    ),
+)
 
 
 class TestFrameRender:
@@ -98,6 +135,37 @@ class TestValuesAt:
             timeline.add_render(start, make_stats(amount, render_time=0.002))
             total += amount
         assert timeline.values_at(100.0)[CID] == total
+
+
+class TestValuesAtMany:
+    @given(
+        st.lists(frame_specs, max_size=25),
+        st.lists(st.floats(-0.5, 5.5), max_size=20),
+    )
+    @settings(max_examples=200)
+    # a read exactly at a frame's start and one exactly at its end
+    @example([(1.0, 0.01, {pc.RAS_8X4_TILES: 997})], [1.0, 1.01, 1.005])
+    # a zero-duration frame read at its start
+    @example([(2.0, 0.0, {pc.RAS_8X4_TILES: 5}), (2.0, 0.004, {pc.RAS_8X4_TILES: 7})], [2.0])
+    def test_matches_the_scalar_loop(self, frames, extra_times):
+        """Out-of-order adds, reads at every start_s and end_s, and the
+        empty timeline: each row equals the scalar loop at its time."""
+        timeline = RenderTimeline()
+        for start, render_time, amounts in frames:
+            inc = pc.CounterIncrement()
+            for spec, amount in amounts.items():
+                inc.add(spec, amount)
+            timeline.add_render(
+                start, FrameStats(increment=inc, pixels_touched=0, render_time_s=render_time)
+            )
+        times = [f.start_s for f in timeline.frames] + [f.end_s for f in timeline.frames]
+        times += extra_times
+        rows = timeline.values_at_many(times)
+        assert rows.dtype == np.int64
+        assert rows.shape == (len(times), len(COUNTER_ORDER))
+        for k, t in enumerate(times):
+            assert rows[k].tolist() == scalar_values_at(timeline, t), t
+            assert timeline.values_at(t) == dict(zip(COUNTER_ORDER, rows[k].tolist()))
 
 
 class TestQueries:

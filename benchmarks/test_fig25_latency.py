@@ -1,9 +1,9 @@
 """Fig 25: computing time needed for eavesdropping.
 
 The paper's C++ service infers >95 % of key presses within 0.1 ms.  We
-time every classifier invocation during a real attack run (histogram) and
-additionally benchmark the bare nearest-centroid inference with
-pytest-benchmark's statistics.
+time every lookup during a real attack run (each batch pass's wall time
+per lookup it scored, histogram) and additionally benchmark the bare
+nearest-centroid inference with pytest-benchmark's statistics.
 """
 
 import numpy as np

@@ -35,27 +35,77 @@ def scaled_sq_dists(
     rows: np.ndarray,
     centroids: np.ndarray,
     centroid_sq: Optional[np.ndarray] = None,
+    blas: bool = False,
 ) -> np.ndarray:
     """Squared Euclidean distances between every row and every centroid.
 
     ``rows`` is ``(n, d)`` and ``centroids`` is ``(c, d)``, both already in
     the model's scaled feature space; the result is ``(n, c)``.  Expanding
     ``||r - c||^2 = ||r||^2 - 2 r.c + ||c||^2`` turns the n*c difference
-    rows into a single GEMM, which is what makes batch classification and
+    rows into one product, which is what makes batch classification and
     the offline radius fit scale.  Cancellation can push tiny distances a
     few ulps below zero, so the result is clamped at 0.
 
     ``centroid_sq`` lets callers reuse a precomputed ``||c||^2`` vector.
+    ``blas=True`` (the offline radius fit, whose model bytes are pinned)
+    takes the BLAS product; online lookups take :func:`_cross`.
     """
     if centroid_sq is None:
         centroid_sq = np.einsum("ij,ij->i", centroids, centroids)
-    row_sq = np.einsum("ij,ij->i", rows, rows)
-    sq = row_sq[:, None] - 2.0 * (rows @ centroids.T) + centroid_sq[None, :]
+    cross = rows @ centroids.T if blas else _cross(rows, centroids)
+    sq = np.einsum("ij,ij->i", rows, rows)[:, None] - 2.0 * cross + centroid_sq[None, :]
     return np.maximum(sq, 0.0, out=sq)
+
+
+def _cross(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """``rows @ centroids.T``, every entry summed in one fixed order.
+
+    BLAS takes GEMV for one row and GEMM for several, and the two round
+    differently in the last bits.  ``einsum`` sums each entry the same
+    way whatever the row count, so a lookup never depends on how many
+    rows shared its pass.
+    """
+    return np.einsum("ij,kj->ik", rows, centroids)
+
+
+def _row_sq(rows: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", rows, rows)
+
 
 #: Composite changes carry the jitter of two independent frames, so their
 #: acceptance threshold scales by ~sqrt(2) over the single-frame cth.
 COMPOSITE_CTH_FACTOR = 1.6
+
+#: Classes a composite lookup may subtract before matching a key.
+SUBTRACT_PREFIXES = ("reject:dismiss", FIELD_PREFIX)
+
+#: Rows per composite scoring chunk: bounds the (rows, subtractions,
+#: keys) score block at ~1 MB on a 108 x 80 grid.
+COMPOSITE_CHUNK = 16
+
+
+class _CompositeGrid:
+    """The composite candidate grid of one model view: every subtraction
+    candidate (dismiss or field centroid) plus every key centroid, in
+    scaled space, with the cells' squared norms as an (S, K) block."""
+
+    def __init__(self, labels: Sequence[str], scaled: np.ndarray) -> None:
+        self.sub_rows = [i for i, label in enumerate(labels) if label.startswith(SUBTRACT_PREFIXES)]
+        self.key_rows = [i for i, label in enumerate(labels) if label.startswith(KEY_PREFIX)]
+        self.subs = scaled[self.sub_rows]
+        self.keys = scaled[self.key_rows]
+        grid = (self.subs[:, None, :] + self.keys[None, :, :]).reshape(-1, scaled.shape[1])
+        self.norms = np.einsum("ij,ij->i", grid, grid).reshape(len(self.subs), len(self.keys))
+        #: field length each block subtracts (None for dismiss blocks)
+        self.lengths = [
+            int(labels[i].split(":")[1]) if labels[i].startswith(FIELD_PREFIX) else None
+            for i in self.sub_rows
+        ]
+
+    def allowed(self, field_lengths: Sequence[int]) -> np.ndarray:
+        """Blocks a length restriction keeps: dismisses and near lengths."""
+        keep = set(field_lengths)
+        return np.array([n is None or n in keep for n in self.lengths], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -129,14 +179,14 @@ class ClassificationModel:
         # operates in a subspace where the deflate direction is meaningless
         self._unit = self.centroids / self.scale
         self._unit_sq = self._unit ** 2
-        self._composite_cache: Dict[Tuple[str, ...], Tuple[List[int], List[int], np.ndarray, np.ndarray]] = {}
+        self._composite: Optional[_CompositeGrid] = None
 
     def _transform_rows(self, rows: np.ndarray) -> np.ndarray:
         """Apply the deflation projection (if any) to scaled-space rows."""
         if self.deflate_direction is None:
             return rows
         u = self.deflate_direction
-        return rows - (rows @ u)[..., None] * u
+        return rows - np.einsum("ij,j->i", rows, u)[:, None] * u
 
     def with_deflation(self, direction: np.ndarray) -> "ClassificationModel":
         """A view of this model operating in the subspace orthogonal to
@@ -244,9 +294,9 @@ class ClassificationModel:
                 mask = present[masked_rows]
                 observed = np.where(mask, matrix[masked_rows] / self.scale, 0.0)
                 sq = (
-                    np.einsum("ij,ij->i", observed, observed)[:, None]
-                    - 2.0 * (observed @ self._unit.T)
-                    + mask.astype(float) @ self._unit_sq.T
+                    _row_sq(observed)[:, None]
+                    - 2.0 * _cross(observed, self._unit)
+                    + _cross(mask.astype(float), self._unit_sq)
                 )
                 np.maximum(sq, 0.0, out=sq)
                 idx = np.argmin(sq, axis=1)
@@ -259,29 +309,20 @@ class ClassificationModel:
             empty_rows = counts == 0
             distances[empty_rows] = np.inf
             confidence[empty_rows] = 0.0
-        out: List[Classification] = []
-        for i in range(n):
-            distance = float(distances[i])
-            conf = float(confidence[i])
-            if not np.isfinite(distance) or distance > self.cth:
-                out.append(
-                    Classification(label=None, distance=distance, confidence=conf)
-                )
-            else:
-                out.append(
-                    Classification(
-                        label=self.labels[int(best[i])],
-                        distance=distance,
-                        confidence=conf,
-                    )
-                )
-        return out
+        labels, cth = self.labels, self.cth
+        return [
+            Classification(
+                label=labels[index] if distance <= cth else None,
+                distance=distance,
+                confidence=conf,
+            )
+            for index, distance, conf in zip(
+                best.tolist(), distances.tolist(), confidence.tolist()
+            )
+        ]
 
     def classify_composite(
-        self,
-        vec: np.ndarray,
-        subtract_prefixes: Tuple[str, ...] = ("reject:dismiss", "field:"),
-        field_lengths: Optional[Sequence[int]] = None,
+        self, vec: np.ndarray, field_lengths: Optional[Sequence[int]] = None
     ) -> Classification:
         """Best key interpretation of ``vec`` minus one known non-key class.
 
@@ -292,57 +333,78 @@ class ClassificationModel:
         every dismiss and field centroid, the engine can search over
         ``vec - centroid`` residuals for a key match.  Wrong subtraction
         candidates leave large (often negative) residuals and lose on
-        distance, so no clamping is needed.
+        distance, so no clamping is needed.  A one-row
+        :meth:`composite_scores` pass, picked by :meth:`pick_composite`.
         """
-        cached = self._composite_cache.get(subtract_prefixes)
-        if cached is None:
-            sub_rows = [
-                i
-                for i, label in enumerate(self.labels)
-                if label.startswith(subtract_prefixes)
-            ]
-            key_rows = [
-                i for i, label in enumerate(self.labels) if label.startswith(KEY_PREFIX)
-            ]
-            subs = self._scaled[sub_rows] if sub_rows else np.empty((0, 0))
-            keys = self._scaled[key_rows] if key_rows else np.empty((0, 0))
-            # composite centroid grid: sub + key, flattened to (s*k, d),
-            # with squared norms precomputed for the gemm distance trick
-            if sub_rows and key_rows:
-                grid = subs[:, None, :] + keys[None, :, :]
-                grid = grid.reshape(-1, subs.shape[1])
-                norms = np.einsum("ij,ij->i", grid, grid)
-            else:
-                grid = np.empty((0, 0))
-                norms = np.empty(0)
-            cached = (sub_rows, key_rows, grid, norms)
-            self._composite_cache[subtract_prefixes] = cached
-        sub_rows, key_rows, grid, norms = cached
-        if not sub_rows or not key_rows:
-            return Classification(label=None, distance=float("inf"))
-        scaled = self._transform_rows(vec / self.scale)
-        # ||g - v||^2 = ||g||^2 - 2 g.v + ||v||^2, minimized over the grid
-        scores = norms - 2.0 * (grid @ scaled)
+        block_min, block_key, row_sq = self.composite_scores(vec[None, :])
+        return self.pick_composite(block_min[0], block_key[0], row_sq[0], field_lengths)
+
+    def composite_scores(
+        self, matrix: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Composite scores of ``n`` full rows, reduced per subtraction block.
+
+        Returns ``(block_min, block_key, row_sq)``: ``block_min[r, s]`` is
+        row r's best ``||g||^2 - 2 g.v`` over the grid cells that subtract
+        candidate ``s``, ``block_key[r, s]`` the first key reaching it, and
+        ``row_sq[r]`` the ``||v||^2`` that completes a squared distance.
+        The (n, S*K) score matrix only exists one chunk at a time.
+        """
+        grid = self._composite_grid()
+        scaled = self._transform_rows(np.asarray(matrix, dtype=float) / self.scale)
+        n, (blocks, keys) = len(scaled), grid.norms.shape
+        block_min = np.full((n, blocks), np.inf)
+        block_key = np.zeros((n, blocks), dtype=np.intp)
+        if blocks and keys:
+            # -2 g.v for the cell g = s + k, as -2 s.v + -2 k.v: doubling
+            # is exact, so this equals -2 (s.v + k.v) bit for bit
+            sub_dot = -2.0 * _cross(scaled, grid.subs)
+            key_dot = -2.0 * _cross(scaled, grid.keys)
+            scores = np.empty((min(n, COMPOSITE_CHUNK), blocks, keys))
+            for lo in range(0, n, COMPOSITE_CHUNK):
+                hi = min(lo + COMPOSITE_CHUNK, n)
+                chunk = scores[: hi - lo]
+                np.add(sub_dot[lo:hi, :, None], key_dot[lo:hi, None, :], out=chunk)
+                chunk += grid.norms
+                arg = chunk.argmin(axis=2)
+                block_key[lo:hi] = arg
+                block_min[lo:hi] = np.take_along_axis(chunk, arg[..., None], axis=2)[..., 0]
+        return block_min, block_key, _row_sq(scaled)
+
+    def pick_composite(
+        self,
+        block_min: np.ndarray,
+        block_key: np.ndarray,
+        row_sq: float,
+        field_lengths: Optional[Sequence[int]] = None,
+    ) -> Classification:
+        """One row's composite classification from its block scores.
+
+        ``field_lengths`` restricts field-family subtraction candidates to
+        lengths near the correction tracker's current estimate (the
+        attacker knows how long the input is, so distant lengths are
+        impossible); it masks whole blocks, so the first minimal block and
+        its first minimal key are the full grid's first-index argmin.
+        """
+        grid = self._composite_grid()
         if field_lengths is not None:
-            # restrict field-family subtraction candidates to lengths near
-            # the correction tracker's current estimate; the attacker knows
-            # how long the input is, so distant lengths are impossible
-            allowed = set(field_lengths)
-            k = len(key_rows)
-            for si, row in enumerate(sub_rows):
-                label = self.labels[row]
-                if label.startswith(FIELD_PREFIX):
-                    length = int(label.split(":")[1])
-                    if length not in allowed:
-                        scores[si * k : (si + 1) * k] = np.inf
-        flat = int(np.argmin(scores))
-        if not np.isfinite(scores[flat]):
+            block_min = np.where(grid.allowed(field_lengths), block_min, np.inf)
+        if not block_min.size:
             return Classification(label=None, distance=float("inf"))
-        distance = float(np.sqrt(max(0.0, scores[flat] + float(scaled @ scaled))))
+        block = int(np.argmin(block_min))
+        best = block_min[block]
+        if not np.isfinite(best):
+            return Classification(label=None, distance=float("inf"))
+        distance = float(np.sqrt(max(0.0, best + row_sq)))
         if distance > self.cth * COMPOSITE_CTH_FACTOR:
             return Classification(label=None, distance=distance)
-        best_key = key_rows[flat % len(key_rows)]
-        return Classification(label=self.labels[best_key], distance=distance)
+        key = grid.key_rows[int(block_key[block])]
+        return Classification(label=self.labels[key], distance=distance)
+
+    def _composite_grid(self) -> "_CompositeGrid":
+        if self._composite is None:
+            self._composite = _CompositeGrid(self.labels, self._scaled)
+        return self._composite
 
     # ------------------------------------------------------------------
 
@@ -446,8 +508,9 @@ def build_model(
         if label not in relevant:
             continue
         vectors = np.vstack(samples_by_label[label])
-        # same GEMM kernel the online classify_batch path runs on
-        sq = scaled_sq_dists(vectors / scale, (row / scale)[None, :])
+        # the online lookups' expansion, on the BLAS product the pinned
+        # model bytes were fitted with
+        sq = scaled_sq_dists(vectors / scale, (row / scale)[None, :], blas=True)
         intra = max(intra, float(np.sqrt(np.max(sq))))
 
     cth = max(min_cth, intra * cth_margin)

@@ -24,20 +24,14 @@ _INDEX: Dict[pc.CounterId, int] = {cid: i for i, cid in enumerate(COUNTER_ORDER)
 
 def vectorize(delta: PcDelta) -> np.ndarray:
     """One delta as a float vector in the canonical counter order."""
-    vec = np.zeros(DIMENSIONS, dtype=float)
-    for counter_id, value in delta.values.items():
-        index = _INDEX.get(counter_id)
-        if index is not None:
-            vec[index] = float(value)
-    return vec
+    values = delta.values
+    return np.array([values.get(cid, 0) for cid in COUNTER_ORDER], dtype=float)
 
 
 def vectorize_many(deltas: Iterable[PcDelta]) -> np.ndarray:
     """Stack of feature vectors, shape (n, DIMENSIONS)."""
-    rows = [vectorize(d) for d in deltas]
-    if not rows:
-        return np.zeros((0, DIMENSIONS), dtype=float)
-    return np.vstack(rows)
+    rows = [[d.values.get(cid, 0) for cid in COUNTER_ORDER] for d in deltas]
+    return np.array(rows, dtype=float).reshape(-1, DIMENSIONS)
 
 
 def counter_index(spec: pc.CounterSpec) -> int:

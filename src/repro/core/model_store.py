@@ -186,7 +186,12 @@ class ModelStore:
                 f"model store {path} is truncated or not valid JSON: {exc}"
             ) from exc
         try:
-            return cls.from_envelope(document)
+            store = cls.from_envelope(document)
+            if _canonical_bytes(document) != text.encode("utf-8"):
+                # a flip that parses to the same values ("-0.0" becoming
+                # "-0E0") keeps the checksum: the bytes must be save()'s
+                raise ModelIntegrityError("bytes differ from the canonical form")
+            return store
         except ModelIntegrityError as exc:
             raise ModelIntegrityError(f"{path}: {exc}") from None
 

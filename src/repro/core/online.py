@@ -28,8 +28,12 @@ offline phase already knows):
   same read as its press doubles the delta; an unexplained change that
   classifies as a key press at half magnitude is such a merge.
 
-Every classifier call is timed with a monotonic clock; the recorded
-latencies reproduce the paper's Fig 25 (>95 % of inferences under 0.1 ms).
+The engine's unit of work is a primed batch of deltas (:meth:`OnlineEngine.prime`):
+every decision above runs per delta, in order, but the nearest-centroid
+lookups are scored in one pass per stage over the batch's rows.  Each
+pass is timed with a monotonic clock and divided by the lookups it
+scored; every lookup a step consumes records that share, which
+reproduces the paper's per-inference Fig 25 (>95 % under 0.1 ms).
 """
 
 from __future__ import annotations
@@ -115,6 +119,11 @@ class OnlineResult:
 class OnlineEngine:
     """Algorithm 1 with the Section 5.2/5.3 extensions."""
 
+    #: Noise deltas kept for the ambient-baseline estimate.
+    AMBIENT_WINDOW = 24
+    #: Minimum noise observations before the ambient estimate is trusted.
+    AMBIENT_MIN_SAMPLES = 6
+
     def __init__(
         self,
         model: ClassificationModel,
@@ -142,7 +151,11 @@ class OnlineEngine:
         # resolved once: with the null registry this is the shared no-op
         # instrument, so the hot path pays one attribute load per observe
         self._latency_hist = self.metrics.histogram("engine.inference_latency_s")
-        self._noise_ring: List = []
+        self._ring = np.zeros((self.AMBIENT_WINDOW, features.DIMENSIONS))
+        self._ring_len = 0
+        self._ring_version = 0
+        #: (ring version, model) the last ambient fit saw
+        self._fit_inputs: Optional[Tuple[int, ClassificationModel]] = None
         #: Opt-in calibration-evidence capture: unexplained full-vector
         #: deltas (the shape drifted key presses take) are retained for
         #: the lifecycle's drift-ratio estimator.  Off by default — the
@@ -155,6 +168,7 @@ class OnlineEngine:
         self._active_model = model
         self._deflation_u = None
         self._result: Optional[OnlineResult] = None
+        self._batch: Optional[_Batch] = None
         self._prev: Optional[PcDelta] = None
         self._prev_consumed = True
         self._last_fed_t: Optional[float] = None
@@ -188,57 +202,14 @@ class OnlineEngine:
 
     # ------------------------------------------------------------------
 
-    def process(self, deltas: Sequence[PcDelta]) -> OnlineResult:
-        """Run the engine over a complete delta stream.
-
-        The batch path is a thin wrapper: it delegates every delta to the
-        incremental :meth:`feed` and closes the stream with
-        :meth:`finish`, so streaming and batch execution are the same
-        code path by construction.
-        """
-        self.begin()
+    def feed_many(self, deltas: Sequence[PcDelta]) -> OnlineResult:
+        """Consume a batch of deltas: :meth:`prime`, then one :meth:`feed`
+        per delta.  Opens the stream if needed; returns the live result
+        (:meth:`finish` closes it)."""
+        deltas = list(deltas)
+        self.prime(deltas)
         for delta in deltas:
             self.feed(delta)
-        return self.finish()
-
-    def feed_many(self, deltas: Sequence[PcDelta]) -> OnlineResult:
-        """Consume a batch of deltas through the vectorized classifier.
-
-        Semantically this *is* the ``for delta: feed(delta)`` loop — every
-        Algorithm-1 decision still runs per delta, in order — but the
-        primary nearest-centroid lookup for the whole batch is computed
-        up front with :meth:`ClassificationModel.classify_batch` (one
-        GEMM for n deltas) and injected into each step.  A step uses its
-        precomputed answer only while the model it was scored against is
-        still active: ambient deflation can swap ``_active_model``
-        mid-stream, at which point the remaining tail is re-batched
-        against the new view.  Secondary lookups (duplication halving,
-        composite subtraction, collision recovery) stay per-delta — they
-        are rare and depend on state only the sequential pass knows.
-        """
-        if self._result is None:
-            self.begin()
-        pending = list(deltas)
-        while pending:
-            model = self._active_model
-            live = [j for j, delta in enumerate(pending) if delta]
-            pre: Dict[int, Classification] = {}
-            per_delta_s = 0.0
-            if live:
-                t0 = time.perf_counter()
-                matrix = np.vstack([features.vectorize(pending[j]) for j in live])
-                masks = np.vstack(
-                    [features.present_mask(pending[j].missing) for j in live]
-                )
-                pre = dict(zip(live, model.classify_batch(matrix, masks)))
-                per_delta_s = (time.perf_counter() - t0) / len(live)
-            consumed = 0
-            for j, delta in enumerate(pending):
-                self.feed(delta, _precomputed=(model, pre.get(j), per_delta_s))
-                consumed += 1
-                if self._active_model is not model:
-                    break
-            pending = pending[consumed:]
         return self._result
 
     def begin(self) -> OnlineResult:
@@ -247,7 +218,21 @@ class OnlineEngine:
         self._prev = None
         self._prev_consumed = True
         self._last_fed_t = None
+        self._batch = None
         return self._result
+
+    def prime(self, deltas: Sequence[PcDelta]) -> None:
+        """Hand the engine the deltas its next :meth:`feed` calls will
+        bring, in that order, and score their plain lookups in one pass.
+
+        The batch is the engine's unit of work: each later step reads its
+        lookups from the batch, which scores the half-scaled, split-merged
+        and composite candidates the first time a step asks for one of
+        them, over every remaining row that could need it.
+        """
+        if self._result is None:
+            self.begin()
+        self._batch = _Batch(self._active_model, deltas, self._prev)
 
     def swap_model(self, model: ClassificationModel) -> None:
         """Hot-swap the classification model mid-session.
@@ -256,11 +241,10 @@ class OnlineEngine:
         previous delta, app-switch burst state — carries over untouched;
         only the classifier view changes.  An active ambient-deflation
         direction is re-applied to the new model, and the app-switch
-        burst threshold is re-derived from the new centroids.  A
-        :meth:`feed_many` batch in flight notices the swap through its
-        existing re-batching seam (``_active_model`` identity check) and
-        re-scores its remaining tail against the new model, so no delta
-        is ever classified twice or skipped.
+        burst threshold is re-derived from the new centroids.  A primed
+        batch notices the swap through the ``_active_model`` identity
+        check and re-scores its remaining rows against the new model, so
+        no delta is ever classified twice or skipped.
         """
         self.model = model
         self._active_model = (
@@ -284,34 +268,20 @@ class OnlineEngine:
         evidence, self.evidence = self.evidence, []
         return evidence
 
-    def _classify(self, delta: PcDelta):
-        """Classify a delta, masking missing feature dimensions if any."""
-        if delta.missing:
-            return self._active_model.classify_vector_masked(
-                features.vectorize(delta), features.present_mask(delta.missing)
-            )
-        return self._active_model.classify(delta)
-
-    def feed(
-        self,
-        delta: PcDelta,
-        _precomputed: Optional[Tuple[ClassificationModel, Optional[Classification], float]] = None,
-    ) -> OnlineResult:
+    def feed(self, delta: PcDelta) -> OnlineResult:
         """Consume one PC delta incrementally (Algorithm 1, one step).
 
         This is the streaming entry point the session runtime drives;
         state between calls (the unconsumed previous delta, the dedup
-        window, the correction tracker) lives on the engine.
-
-        ``_precomputed`` is :meth:`feed_many`'s private channel: a
-        ``(model, classification, elapsed_s)`` triple from a batched
-        ``classify_batch`` pass.  It is honored only while ``model`` is
-        still the active model — ambient deflation can swap the view
-        between batching and this step, in which case the delta is
-        re-classified fresh and the caller re-batches its tail.
+        window, the correction tracker) lives on the engine.  A delta
+        that is not the next one of the primed batch is a batch of one.
         """
-        if self._result is None:
-            self.begin()
+        batch = self._batch
+        if batch is None or not batch.holds_next(delta):
+            self.prime((delta,))
+            batch = self._batch
+        row = batch.pos
+        batch.pos += 1
         result = self._result
         self._last_fed_t = delta.t
         if delta.gap:
@@ -320,7 +290,7 @@ class OnlineEngine:
             # otherwise unremarkable
             result.stats.gaps_seen += 1
             self._emit(delta.t, "gap", span_s=delta.t - delta.prev_t)
-        if not delta:
+        if not batch.live[row]:
             return result
         result.stats.deltas_seen += 1
         masked = bool(delta.missing)
@@ -337,14 +307,7 @@ class OnlineEngine:
         if self.recover_collisions:
             self._refresh_deflation(t=delta.t)
 
-        if _precomputed is not None and _precomputed[0] is self._active_model:
-            classification = _precomputed[1]
-            self._observe_latency(result, _precomputed[2])
-        else:
-            t0 = time.perf_counter()
-            classification = self._classify(delta)
-            self._observe_latency(result, time.perf_counter() - t0)
-
+        classification = self._lookup(batch, PLAIN, row)
         prev, prev_consumed = self._prev, self._prev_consumed
 
         if self.switch_detector is not None:
@@ -369,16 +332,8 @@ class OnlineEngine:
         # better than the change alone.
         merged_cls = None
         event_t = delta.t
-        if (
-            prev is not None
-            and not prev_consumed
-            and 0.0 <= delta.t - prev.t <= self.interval_s * SPLIT_MERGE_FACTOR
-            and prev.prev_t <= delta.prev_t
-        ):
-            merged = delta.merge(prev)
-            t0 = time.perf_counter()
-            merged_cls = self._classify(merged)
-            self._observe_latency(result, time.perf_counter() - t0)
+        if prev is not None and not prev_consumed and self._mergeable(prev, delta):
+            merged_cls = self._lookup(batch, MERGED, row)
         if merged_cls is not None and merged_cls.label is not None and (
             classification.label is None
             or merged_cls.distance < classification.distance
@@ -392,23 +347,18 @@ class OnlineEngine:
             # collision heuristics (halving, composite subtraction) need
             # the full feature vector — a masked delta would fabricate
             # evidence in the unobserved dimensions
-            recovered = self._recover_collision(result, delta)
+            recovered = self._recover_collision(batch, row)
             if recovered is not None:
                 classification = recovered
                 self._emit(delta.t, "collision_recovered")
             elif (
                 merged_cls is not None
                 and merged_cls.label is None
-                and not (prev is not None and prev.missing)
+                and not prev.missing
             ):
                 # a composite event (press + dismiss/field) itself split
                 # across two reads: recombine, then decompose
-                t0 = time.perf_counter()
-                merged_composite = self._active_model.classify_composite(
-                    features.vectorize(delta.merge(prev)),
-                    field_lengths=self._plausible_lengths(),
-                )
-                self._observe_latency(result, time.perf_counter() - t0)
+                merged_composite = self._lookup(batch, MERGED_COMPOSITE, row)
                 if merged_composite.is_key:
                     classification = merged_composite
                     event_t = prev.t
@@ -456,6 +406,7 @@ class OnlineEngine:
                 if value > 0:
                     self.metrics.counter(f"engine.{stat_field.name}").inc(value)
         self._result = None
+        self._batch = None
         self._prev = None
         self._prev_consumed = True
         self._last_fed_t = None
@@ -463,12 +414,7 @@ class OnlineEngine:
 
     # ------------------------------------------------------------------
 
-    #: Noise deltas kept for the ambient-baseline estimate.
-    AMBIENT_WINDOW = 24
-    #: Minimum noise observations before the ambient estimate is trusted.
-    AMBIENT_MIN_SAMPLES = 6
-
-    def _recover_collision(self, result: OnlineResult, delta: PcDelta):
+    def _recover_collision(self, batch: "_Batch", row: int):
         """Try the duplication-halving, dismiss/field-subtraction and
         ambient-baseline-subtraction heuristics.
 
@@ -480,22 +426,97 @@ class OnlineEngine:
         which the engine estimates from the recurring unexplained deltas
         and subtracts before classification.
         """
-        t0 = time.perf_counter()
-        half_cls = self._active_model.classify(delta.scaled(0.5))
-        self._observe_latency(result, time.perf_counter() - t0)
+        half_cls = self._lookup(batch, HALF, row)
         if half_cls.is_key:
             return half_cls
-
-        vec = features.vectorize(delta)
-        t0 = time.perf_counter()
-        composite_cls = self._active_model.classify_composite(
-            vec, field_lengths=self._plausible_lengths()
-        )
-        self._observe_latency(result, time.perf_counter() - t0)
+        composite_cls = self._lookup(batch, COMPOSITE, row)
         if composite_cls.is_key:
             return composite_cls
-
         return None
+
+    def _mergeable(self, prev: PcDelta, delta: PcDelta) -> bool:
+        """Whether ``delta`` may be the tail of a render split whose head
+        is ``prev`` (consecutive reads, in order)."""
+        return (
+            0.0 <= delta.t - prev.t <= self.interval_s * SPLIT_MERGE_FACTOR
+            and prev.prev_t <= delta.prev_t
+        )
+
+    # ------------------------------------------------------------------
+    # demand-driven batch scoring
+
+    def _lookup(self, batch: "_Batch", kind: str, row: int) -> Classification:
+        """One lookup a step consumes, scored by the batch's pass for its
+        stage (run now if no pass covered it yet).  Each consumed lookup
+        observes its pass's wall time per scored lookup (Fig 25)."""
+        if batch.model is not self._active_model:
+            # ambient deflation or a model swap since the batch was
+            # scored: every row from this one on is re-scored
+            batch.rescore(self._active_model, row)
+        table = batch.lookups[kind]
+        if row not in table:
+            self._score_stage(batch, kind, row)
+        value, per_lookup_s = table[row]
+        self._observe_latency(self._result, per_lookup_s)
+        if _STAGE[kind] == "C":
+            return batch.model.pick_composite(
+                *value, field_lengths=self._plausible_lengths()
+            )
+        return value
+
+    def _score_stage(self, batch: "_Batch", kind: str, row: int) -> None:
+        """Score ``kind`` for ``row``, together with every later row's
+        not yet scored lookups of the same stage that the rows' earlier
+        results say a step may ask for."""
+        stage = _STAGE[kind]
+        wanted = [(kind, row)]
+        if stage != "A":
+            scan = self._stage_b if stage == "B" else self._stage_c
+            wanted += [need for need in scan(batch, row) if need != (kind, row)]
+        batch.score(wanted)
+
+    def _stage_b(self, batch: "_Batch", row: int):
+        """Half-scaled rows the plain pass left unexplained, and the
+        split-merged rows whose predecessor did not classify as a key."""
+        plain, merged, half = (batch.lookups[kind] for kind in (PLAIN, MERGED, HALF))
+        for r in range(row, len(batch.deltas)):
+            if not batch.live[r]:
+                continue
+            pred = batch.pred[r]
+            if (
+                r > row
+                and r not in merged
+                and not plain[pred][0].is_key
+                and self._mergeable(batch.deltas[pred], batch.deltas[r])
+            ):
+                yield (MERGED, r)
+            if (
+                self.recover_collisions
+                and plain[r][0].label is None
+                and not batch.masked[r]
+                and r not in half
+            ):
+                yield (HALF, r)
+
+    def _stage_c(self, batch: "_Batch", row: int):
+        """Composite rows still unexplained after the secondary pass,
+        and their split-merged twins."""
+        lookups = batch.lookups
+        for r in range(row, len(batch.deltas)):
+            half = lookups[HALF].get(r)
+            merged = lookups[MERGED].get(r)
+            if half is None or half[0].is_key or (merged is not None and merged[0].label):
+                continue
+            if r not in lookups[COMPOSITE]:
+                yield (COMPOSITE, r)
+            if (
+                merged is not None
+                and not batch.masked[batch.pred[r]]
+                and r not in lookups[MERGED_COMPOSITE]
+            ):
+                yield (MERGED_COMPOSITE, r)
+
+    # ------------------------------------------------------------------
 
     def _effective_magnitude(self, delta: PcDelta) -> float:
         """Raw magnitude with the ambient direction's share removed, so a
@@ -510,7 +531,11 @@ class OnlineEngine:
 
     def _refresh_deflation(self, t: Optional[float] = None) -> None:
         """Adopt (or update) the deflated model view when a stable
-        ambient direction is present."""
+        ambient direction is present.  The fit depends only on the noise
+        ring and the model, so it reruns only when either changed."""
+        if self._fit_inputs == (self._ring_version, self.model):
+            return
+        self._fit_inputs = (self._ring_version, self.model)
         direction = self._ambient_direction()
         if direction is None:
             return
@@ -520,25 +545,19 @@ class OnlineEngine:
         self._deflation_u = scaled_dir
         self._active_model = self.model.with_deflation(scaled_dir)
         self._emit(t if t is not None else 0.0, "ambient_deflation")
-        if self.switch_detector is not None:
-            # deflated observations make background deltas small again, so
-            # the raw-magnitude burst threshold remains valid
-            pass
+
+    @property
+    def _noise_ring(self) -> np.ndarray:
+        """The retained noise vectors, oldest first."""
+        return self._ring[: self._ring_len]
 
     def _ambient_direction(self):
         """Unit direction (raw and scaled space) of the recurring
         unexplained deltas, if they point consistently enough to be a
         periodic background workload."""
-        if len(self._noise_ring) < self.AMBIENT_MIN_SAMPLES:
+        if self._ring_len < self.AMBIENT_WINDOW:
             return None
-        matrix = np.vstack(self._noise_ring)
-        norms = np.linalg.norm(matrix, axis=1)
-        keep = norms > 0
-        if keep.sum() < self.AMBIENT_MIN_SAMPLES:
-            return None
-        if len(self._noise_ring) < self.AMBIENT_WINDOW:
-            return None
-        matrix = np.vstack(self._noise_ring)
+        matrix = self._ring
         norms = np.linalg.norm(matrix, axis=1)
         keep = norms > 0
         if keep.sum() < self.AMBIENT_MIN_SAMPLES:
@@ -576,9 +595,16 @@ class OnlineEngine:
             # direction estimate toward the observed subspace
             return
         vec = features.vectorize(delta)
-        self._noise_ring.append(vec)
-        if len(self._noise_ring) > self.AMBIENT_WINDOW:
-            self._noise_ring.pop(0)
+        ring = self._ring
+        if self._ring_len < self.AMBIENT_WINDOW:
+            ring[self._ring_len] = vec
+            self._ring_len += 1
+        else:
+            # shift, not wrap: the ring stays oldest-first, so the mean
+            # over it sums in arrival order
+            ring[:-1] = ring[1:]
+            ring[-1] = vec
+        self._ring_version += 1
         if self.collect_evidence and len(self.evidence) < self.EVIDENCE_CAP:
             # drifted key presses land here: full-vector changes the
             # frozen model can no longer explain
@@ -646,3 +672,89 @@ class OnlineEngine:
                 target = remaining[-1] if remaining else None
             if target is not None:
                 target.deleted = True
+
+
+#: Lookup kinds a step can consume, by scoring stage: A scores every row
+#: when the batch is primed; B (half-scaled, split-merged) and C
+#: (composite, split-merged composite) score on first demand.
+PLAIN, MERGED, HALF, COMPOSITE, MERGED_COMPOSITE = (
+    "plain",
+    "merged",
+    "half",
+    "composite",
+    "merged_composite",
+)
+_STAGE = {PLAIN: "A", MERGED: "B", HALF: "B", COMPOSITE: "C", MERGED_COMPOSITE: "C"}
+
+#: Row 0 of a batch primed while the engine holds no previous delta.
+_NO_DELTA = PcDelta(t=0.0, prev_t=0.0, values={})
+
+
+class _Batch:
+    """One primed batch: its deltas, their feature rows, and every lookup
+    scored for them so far, as ``lookups[kind][row] = (value, seconds)``.
+
+    Row 0 is the delta the engine held when the batch was primed (a zero
+    delta if none), rows 1.. are the batch's deltas, and ``pred[r]`` is
+    the row whose delta the engine will hold when row ``r`` steps.
+    Feature rows hold exact counts below 2**53, so a split-merged row is
+    the float sum of the two rows.
+    """
+
+    def __init__(
+        self,
+        model: ClassificationModel,
+        deltas: Sequence[PcDelta],
+        prev: Optional[PcDelta],
+    ) -> None:
+        self.deltas = [prev if prev is not None else _NO_DELTA, *deltas]
+        self.pos = 1
+        self.live = [False] + [bool(delta) for delta in deltas]
+        self.masked = [bool(delta.missing) for delta in self.deltas]
+        self.rows = features.vectorize_many(self.deltas)
+        self.present: Optional[np.ndarray] = None
+        if any(self.masked):
+            self.present = np.vstack([features.present_mask(d.missing) for d in self.deltas])
+        self.pred = [0]
+        for row in range(1, len(self.deltas)):
+            self.pred.append(row - 1 if self.live[row - 1] else self.pred[row - 1])
+        self.rescore(model, 1)
+
+    def holds_next(self, delta: PcDelta) -> bool:
+        return self.pos < len(self.deltas) and self.deltas[self.pos] is delta
+
+    def rescore(self, model: ClassificationModel, row: int) -> None:
+        """Drop every lookup and score the plain lookups of the rows from
+        ``row`` on against ``model`` (stage A)."""
+        self.model = model
+        self.lookups: Dict[str, Dict[int, Tuple[object, float]]] = {kind: {} for kind in _STAGE}
+        self.score([(PLAIN, r) for r in range(row, len(self.deltas)) if self.live[r]])
+
+    def score(self, wanted: List[Tuple[str, int]]) -> None:
+        """One pass over ``wanted`` ``(kind, row)`` lookups of one stage;
+        each records the pass's wall time per lookup."""
+        if not wanted:
+            return
+        t0 = time.perf_counter()
+        rows = [row for _, row in wanted]
+        matrix = self.rows[rows]
+        merged = [k for k, (kind, _) in enumerate(wanted) if kind in (MERGED, MERGED_COMPOSITE)]
+        preds = [self.pred[rows[k]] for k in merged]
+        if merged:
+            matrix[merged] += self.rows[preds]
+        half = [k for k, (kind, _) in enumerate(wanted) if kind == HALF]
+        if half:
+            # as PcDelta.scaled(0.5): each count truncated toward zero
+            matrix[half] = np.trunc(matrix[half] * 0.5)
+        if _STAGE[wanted[0][0]] == "C":
+            block_min, block_key, row_sq = self.model.composite_scores(matrix)
+            values: Sequence[object] = list(zip(block_min, block_key, row_sq))
+        else:
+            present = None
+            if self.present is not None:
+                present = self.present[rows]
+                present[merged] &= self.present[preds]
+            values = self.model.classify_batch(matrix, present)
+        per_lookup_s = (time.perf_counter() - t0) / len(wanted)
+        for (kind, row), value in zip(wanted, values):
+            self.lookups[kind][row] = (value, per_lookup_s)

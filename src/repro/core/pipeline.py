@@ -46,7 +46,6 @@ from repro.lifecycle.drift import DRIFT_SPEC, DriftPlan
 from repro.kgsl.sampler import (
     DEFAULT_INTERVAL_S,
     IDLE,
-    PerfCounterSampler,
     SystemLoad,
 )
 from repro.mitigations.policy import MITIGATION_SPEC, MitigationPolicy
@@ -164,13 +163,16 @@ class AttackResult:
 class AttackStage:
     """Device recognition + the Algorithm 1 engine as one runtime stage.
 
-    The stage consumes the session's nonzero-delta stream.  While the
+    The stage consumes the nonzero-delta stream of ``source``.  While the
     model is unresolved it buffers deltas; once enough have arrived for
     :class:`DeviceRecognizer` (or immediately, when recognition is
     disabled or a model key is forced), it instantiates the engine,
-    replays the buffer through :meth:`OnlineEngine.feed`, and streams
-    from there on.  ``on_end`` closes the engine and publishes the
-    :class:`AttackResult` as the session's result.
+    replays the buffer through :meth:`OnlineEngine.feed_many`, and
+    streams from there on: at the first delta of each of the source's
+    read batches it primes the engine with the whole batch, then feeds
+    the batch's deltas one event at a time.  ``on_end`` closes the
+    engine and publishes the :class:`AttackResult` as the session's
+    result.
     """
 
     name = "attack"
@@ -178,12 +180,13 @@ class AttackStage:
     def __init__(
         self,
         attack: "EavesdropAttack",
-        sampler: PerfCounterSampler,
+        source: SamplerDeltaSource,
         model_key: Optional[str] = None,
     ) -> None:
         self.attack = attack
-        self.sampler = sampler
-        self.kgsl = sampler.device_file
+        self.source = source
+        self.sampler = source.sampler
+        self.kgsl = self.sampler.device_file
         self.faults = self.kgsl.interposer(faults_mod.FaultInjector)
         self.metrics = attack.metrics
         self.forced_model_key = model_key
@@ -191,6 +194,7 @@ class AttackStage:
         self.recognition: Optional[RecognitionResult] = None
         self.engine: Optional[OnlineEngine] = None
         self._pending: List = []
+        self._primed: Tuple = ()
         self._recognize_after = (
             DeviceRecognizer(attack.store).max_deltas
             if model_key is None
@@ -244,8 +248,7 @@ class AttackStage:
             collect_evidence=attack.calibration is not None,
         )
         self.engine.begin()
-        for buffered in self._pending:
-            self.engine.feed(buffered)
+        self.engine.feed_many(self._pending)
         self._pending = []
 
     # ------------------------------------------------------------------
@@ -274,8 +277,14 @@ class AttackStage:
             self._pending.append(delta)
             if len(self._pending) >= max(1, self._recognize_after):
                 self._resolve(session)
-        else:
-            self.engine.feed(delta)
+            return None
+        source = self.source
+        if source.batch is not self._primed:
+            # the first delta of a read batch, or the first one after
+            # the buffered replay: hand the engine the rest of the batch
+            self._primed = source.batch
+            self.engine.prime(source.batch[source.cursor :])
+        self.engine.feed(delta)
         return None
 
     def on_end(self, session, t: float):
@@ -404,7 +413,7 @@ class EavesdropAttack:
             sampler, 0.0, trace.end_time_s, load=load, chunk=chunk,
             metrics=self.metrics,
         )
-        return source, [AttackStage(self, sampler, model_key=model_key)]
+        return source, [AttackStage(self, source, model_key=model_key)]
 
     def run_on_trace(
         self,

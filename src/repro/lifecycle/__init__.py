@@ -15,9 +15,9 @@ attack (and the fleet behind it) a model lifecycle:
 * :mod:`repro.lifecycle.runner` — the headline demonstration:
   :func:`run_lifecycle` streams one long session through a single
   :class:`~repro.core.online.OnlineEngine` while drift degrades
-  accuracy, recalibration triggers, and a hot model swap (the
-  ``feed_many`` re-batching seam) restores it — without restarting the
-  session.
+  accuracy, recalibration triggers, and a hot model swap (a primed
+  batch re-scores its remaining rows) restores it — without restarting
+  the session.
 
 The versioned, checksummed model store the service writes into lives in
 :mod:`repro.core.model_store` (:class:`VersionedModelStore`).  The

@@ -18,7 +18,10 @@ extractor, :func:`~repro.kgsl.sampler.nonzero_deltas_vectorized`, which
 masks unknown counters itself.  A larger chunk
 trades mode-switch granularity for throughput (the attack uses 64); the
 monitoring service's idle watch uses ``chunk=1``, a batch of one, so
-escalation happens on the confirming read.
+escalation happens on the confirming read.  While it yields a batch's
+deltas one event at a time, the source exposes the whole batch
+(:attr:`SamplerDeltaSource.batch`), so the attack stage can hand it to
+the online engine at its first delta.
 """
 
 from __future__ import annotations
@@ -110,6 +113,11 @@ class SamplerDeltaSource:
         self.metrics = resolve_registry(metrics)
         self.deltas_emitted = 0
         self.gaps_detected = 0
+        #: The deltas of the read batch being yielded, and the position
+        #: of the latest yielded one in it: a consumer can take the
+        #: whole batch at its first delta.
+        self.batch: Tuple[PcDelta, ...] = ()
+        self.cursor = 0
 
     @property
     def start_t(self) -> float:
@@ -125,6 +133,7 @@ class SamplerDeltaSource:
             self.t0, self.t1, load=self.load, chunk=self.chunk
         )
         prev: Optional[ReadBatch] = None
+        limit = self.gap_factor * self.sampler.interval_s
         try:
             for batch in batches:
                 # the span brackets only the extraction call — it must not
@@ -132,9 +141,18 @@ class SamplerDeltaSource:
                 # corrupt the registry's nesting stack)
                 with self.metrics.span("source.extract"):
                     extracted = nonzero_deltas_vectorized(batch, prev=prev)
-                for delta in extracted:
-                    delta = self._finalize(delta)
+                # a delta spanning missed reads carries the gap flag (the
+                # extractor never sets it, so the flag marks exactly those)
+                self.batch = tuple(
+                    replace(delta, gap=True) if delta.t - delta.prev_t > limit else delta
+                    for delta in extracted
+                )
+                for cursor, delta in enumerate(self.batch):
+                    self.cursor = cursor
+                    # tallies count yielded deltas only: a mode switch
+                    # may abandon the batch part way
                     self.deltas_emitted += 1
+                    self.gaps_detected += delta.gap
                     yield (delta.t, delta)
                 prev = batch
         finally:
@@ -143,11 +161,3 @@ class SamplerDeltaSource:
             if self.metrics.enabled:
                 self.metrics.counter("source.deltas_emitted").inc(self.deltas_emitted)
                 self.metrics.counter("source.gaps_detected").inc(self.gaps_detected)
-
-    def _finalize(self, delta: PcDelta) -> PcDelta:
-        """Stamp the gap flag on a delta spanning missed reads."""
-        if delta.t - delta.prev_t > self.gap_factor * self.sampler.interval_s:
-            self.gaps_detected += 1
-            if not delta.gap:
-                delta = replace(delta, gap=True)
-        return delta

@@ -1,15 +1,12 @@
 """Tests for the vectorized classifier hot path.
 
 ``ClassificationModel.classify_batch`` scores an (n, 11) matrix against
-every centroid in one GEMM; ``classify_vector`` / ``classify_vector_masked``
-are now one-row delegates, and ``OnlineEngine.feed_many`` injects the
-batched answers into the unchanged Algorithm-1 sequential pass.
-
-Parity caveat (documented in ``docs/api.md``): an n-row GEMM and a
-1-row matvec accumulate in different orders inside BLAS, so raw
-distances may differ by ~1e-12.  The contract is therefore exact
-equality of *labels, confidences and downstream decisions* and
-``pytest.approx`` on distances.
+every centroid in one pass; ``classify_vector`` / ``classify_vector_masked``
+are one-row delegates, and ``OnlineEngine.feed_many`` primes a batch
+whose lookups feed the unchanged Algorithm-1 sequential pass.  The
+kernels sum each entry in one fixed order, so distances match the
+looped path bit for bit (``tests/test_engine_batching.py`` pins it for
+the engine; the tests here keep ``pytest.approx`` on distances).
 """
 
 import numpy as np
@@ -147,7 +144,10 @@ def test_feed_many_matches_feed_loop(model):
                 )
         return out
 
-    looped = OnlineEngine(model, detect_switches=False).process(deltas())
+    looped_engine = OnlineEngine(model, detect_switches=False)
+    for delta in deltas():
+        looped_engine.feed(delta)
+    looped = looped_engine.finish()
     batched_engine = OnlineEngine(model, detect_switches=False)
     batched_engine.begin()
     batched = batched_engine.feed_many(deltas())
@@ -166,7 +166,10 @@ def test_feed_many_end_to_end_matches_process(config, chase_model):
     sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(3))
     deltas = nonzero_deltas(sampler.sample_range(0.0, trace.end_time_s))
 
-    serial = OnlineEngine(chase_model).process(deltas)
+    serial_engine = OnlineEngine(chase_model)
+    for delta in deltas:
+        serial_engine.feed(delta)
+    serial = serial_engine.finish()
     engine = OnlineEngine(chase_model)
     engine.begin()
     engine.feed_many(deltas)

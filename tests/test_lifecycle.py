@@ -10,7 +10,7 @@ Covers the four legs the lifecycle stands on:
   into the versioned store;
 * **hot model swap** (:meth:`OnlineEngine.swap_model`) — stream state
   carries over, deflation is re-applied, and a swap mid
-  :meth:`feed_many` re-batches the tail without double-classifying or
+  :meth:`feed_many` re-scores the tail without double-classifying or
   skipping a delta;
 * **the full arc** (:func:`run_lifecycle`) — accuracy degrades under
   drift, the service trips, the engine swaps mid-session, accuracy

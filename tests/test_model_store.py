@@ -123,6 +123,19 @@ class TestIntegrity:
         with pytest.raises(ModelIntegrityError, match="checksum mismatch"):
             ModelStore.load(path)
 
+    def test_value_preserving_flip_raises(self, tmp_path):
+        """``1.0`` -> ``1E0`` parses to the same float, so the checksum
+        over the parsed document cannot see it; the file's bytes must be
+        the canonical form ``save`` wrote."""
+        from repro.core.model_store import ModelIntegrityError
+
+        _, path = self._saved(tmp_path)
+        raw = path.read_bytes()
+        assert b"1.0," in raw
+        path.write_bytes(raw.replace(b"1.0,", b"1E0,", 1))
+        with pytest.raises(ModelIntegrityError, match="canonical"):
+            ModelStore.load(path)
+
     def test_truncated_file_raises(self, tmp_path):
         from repro.core.model_store import ModelIntegrityError
 

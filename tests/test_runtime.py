@@ -179,6 +179,22 @@ class TestSamplerDeltaSource:
         next(stream)  # first nonzero delta, around t=0.1
         assert sampler.reads_issued < 30, "reads beyond the first event not issued"
 
+    def test_abandoned_batch_counts_only_yielded_deltas(self):
+        """The source stamps a whole batch's gap flags before yielding
+        it; a mode switch that abandons the batch part way must still
+        leave the tallies counting only the deltas actually yielded."""
+        sampler = make_sampler(timeline_with_frames(np.arange(0.05, 0.9, 0.004)), seed=8)
+        source = SamplerDeltaSource(sampler, 0.0, 1.0, chunk=64, gap_factor=1.02)
+        limit = source.gap_factor * sampler.interval_s
+        stream = source.events()
+        yielded = [next(stream)[1] for _ in range(10)]
+        stream.close()
+        rest = source.batch[source.cursor + 1 :]
+        assert any(d.t - d.prev_t > limit for d in rest), "the abandoned tail holds gaps"
+        assert source.deltas_emitted == 10
+        assert source.gaps_detected == sum(d.t - d.prev_t > limit for d in yielded)
+        assert all(d.gap for d in yielded if d.t - d.prev_t > limit)
+
     def test_chunk_validation(self):
         sampler = make_sampler(timeline_with_frames([]))
         with pytest.raises(ValueError):
@@ -324,7 +340,7 @@ class TestSessionRuntime:
 
 
 class TestFeedBatchParity:
-    """`feed()`-driven inference must equal batch `process()` exactly."""
+    """`feed()`-driven inference must equal batch `feed_many()` exactly."""
 
     @pytest.mark.parametrize(
         "text,seed",
@@ -342,7 +358,9 @@ class TestFeedBatchParity:
         sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(seed + 1))
         stream = nonzero_deltas(sampler.sample_range(0.0, trace.end_time_s))
 
-        batch = OnlineEngine(chase_model).process(stream)
+        batch_engine = OnlineEngine(chase_model)
+        batch_engine.feed_many(stream)
+        batch = batch_engine.finish()
 
         streaming_engine = OnlineEngine(chase_model)
         streaming_engine.begin()
@@ -365,7 +383,9 @@ class TestFeedBatchParity:
         sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(405))
         stream = nonzero_deltas(sampler.sample_range(0.0, trace.end_time_s))
 
-        batch = OnlineEngine(chase_model).process(stream)
+        batch_engine = OnlineEngine(chase_model)
+        batch_engine.feed_many(stream)
+        batch = batch_engine.finish()
         engine = OnlineEngine(chase_model)
         for delta in stream:
             engine.feed(delta)

@@ -76,17 +76,3 @@ class ConfusionMatrix:
             pair_counts[key] = pair_counts.get(key, 0) + count
         ranked = sorted(pair_counts.items(), key=lambda kv: -kv[1])
         return [(a, b, count) for (a, b), count in ranked[:top]]
-
-    def miss_rate(self, truth: str) -> float:
-        total = self.total(truth)
-        if not total:
-            return 0.0
-        return self.counts.get((truth, self.MISSED), 0) / total
-
-    @property
-    def overall_accuracy(self) -> float:
-        correct = sum(v for (t, i), v in self.counts.items() if t == i)
-        total = sum(
-            v for (t, _), v in self.counts.items() if t != self.SPURIOUS
-        )
-        return correct / total if total else 0.0

@@ -3,6 +3,8 @@
 ``generate_report`` runs a configurable-scale subset of the paper's
 evaluation and writes each figure as rendered text into a directory,
 plus a ``summary.md`` comparing against the paper's headline numbers.
+The figures are aligned ASCII tables and bar charts (no plotting
+dependencies), so a report reads like the paper's evaluation section.
 The full assertion-checked versions of these experiments live in
 ``benchmarks/``; this module is the human-facing rendering of the same
 harness (``repro.analysis.experiments``).
@@ -11,11 +13,10 @@ harness (``repro.analysis.experiments``).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.analysis import reporting
 from repro.analysis.experiments import (
     cached_model,
     run_credential_batch,
@@ -23,13 +24,99 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.stats import accuracy_interval
 from repro.android.apps import app
-from repro.android.os_config import DeviceConfig, default_config
+from repro.android.os_config import DeviceConfig, default_config, phone
 from repro.baselines.knn import KNearestNeighbors
 from repro.baselines.naive_bayes import GaussianNaiveBayes
 from repro.baselines.nvidia import DESKTOP_CONTEXTS, DesktopGpuSampler
 from repro.baselines.random_forest import RandomForest
 from repro.kgsl.sampler import PowerModel
-from repro.android.os_config import phone
+
+_BLOCKS = " ▏▎▍▌▋▊▉█"
+
+
+def _bar(value: float, vmax: float, width: int) -> str:
+    """A unicode bar of ``width`` cells for value in [0, vmax]."""
+    if vmax <= 0:
+        return ""
+    cells = max(0.0, min(1.0, value / vmax)) * width
+    full = int(cells)
+    frac = int((cells - full) * (len(_BLOCKS) - 1))
+    bar = "█" * full
+    if frac and full < width:
+        bar += _BLOCKS[frac]
+    return bar
+
+
+def bar_chart(
+    rows: Mapping[str, float],
+    title: str = "",
+    width: int = 40,
+    vmax: Optional[float] = None,
+    fmt: str = "{:.3f}",
+) -> str:
+    """A horizontal bar chart, one row per label."""
+    if not rows:
+        return title
+    limit = vmax if vmax is not None else max(rows.values()) or 1.0
+    label_w = max(len(str(label)) for label in rows)
+    lines = [title] if title else []
+    for label, value in rows.items():
+        lines.append(
+            f"{str(label):>{label_w}s} │{_bar(value, limit, width):<{width}s}│ "
+            + fmt.format(value)
+        )
+    return "\n".join(lines)
+
+
+def grouped_bar_chart(
+    rows: Mapping[str, Tuple[float, float]],
+    series: Tuple[str, str],
+    title: str = "",
+    width: int = 30,
+) -> str:
+    """Two-series bars per label, like the paper's paired accuracy plots."""
+    if not rows:
+        return title
+    label_w = max(len(str(label)) for label in rows)
+    lines = [title] if title else []
+    lines.append(f"{'':{label_w}s}  {series[0]} ░ / {series[1]} █")
+    for label, (a, b) in rows.items():
+        bar_a = _bar(a, 1.0, width).replace("█", "░")
+        bar_b = _bar(b, 1.0, width)
+        lines.append(f"{str(label):>{label_w}s} │{bar_a:<{width}}│ {a:.3f}")
+        lines.append(f"{'':{label_w}s} │{bar_b:<{width}}│ {b:.3f}")
+    return "\n".join(lines)
+
+
+def table(
+    header: Sequence[str],
+    rows: Iterable[Sequence[object]],
+    title: str = "",
+) -> str:
+    """A fixed-width table (Table 2 style)."""
+    str_rows: List[List[str]] = [[str(cell) for cell in row] for row in rows]
+    widths = [len(h) for h in header]
+    for row in str_rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = [title] if title else []
+    lines.append("  ".join(f"{h:>{w}s}" for h, w in zip(header, widths)))
+    lines.append("  ".join("-" * w for w in widths))
+    for row in str_rows:
+        lines.append("  ".join(f"{cell:>{w}s}" for cell, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def sparkline(values: Sequence[float], vmax: Optional[float] = None) -> str:
+    """A one-line trend (for time series like Fig 26's battery curves)."""
+    if not values:
+        return ""
+    limit = vmax if vmax is not None else max(values) or 1.0
+    out = []
+    for value in values:
+        idx = int(max(0.0, min(1.0, value / limit)) * (len(_BLOCKS) - 1))
+        out.append(_BLOCKS[idx] if idx else _BLOCKS[1])
+    return "".join(out)
 
 
 def _fig17(config: DeviceConfig, scale: int) -> str:
@@ -45,7 +132,7 @@ def _fig17(config: DeviceConfig, scale: int) -> str:
         all_exact += batch.report.exact_traces
         all_total += batch.report.traces
     interval = accuracy_interval(all_exact, all_total)
-    chart = reporting.grouped_bar_chart(
+    chart = grouped_bar_chart(
         {k: (rows[k], key_rows[k]) for k in rows},
         series=("text", "per-key"),
         title="Fig 17 — accuracy vs credential length (paper: 81.3% / 98.3%)",
@@ -58,7 +145,7 @@ def _fig18(config: DeviceConfig, scale: int) -> str:
     accuracy = {c: correct / total for c, (correct, total) in stats.items() if total}
     worst = dict(sorted(accuracy.items(), key=lambda kv: kv[1])[:15])
     overall = sum(c for c, _ in stats.values()) / max(1, sum(t for _, t in stats.values()))
-    chart = reporting.bar_chart(
+    chart = bar_chart(
         worst, title="Fig 18 — weakest keys (paper: symbols weakest)", vmax=1.0
     )
     return f"{chart}\n\noverall per-key accuracy: {overall:.3f} (paper: 0.983)\n"
@@ -80,7 +167,7 @@ def _table2(scale: int) -> str:
             ]
         )
     return (
-        reporting.table(
+        table(
             ["target", "NaiveBayes", "KNN3", "RandomForest"],
             rows,
             title="Table 2 — desktop Nvidia baseline (paper: 8.7-14.2%)",
@@ -101,7 +188,7 @@ def _fig26() -> str:
             for m in (30, 60, 90, 120)
         ]
         lines.append(
-            f"  {name:12s} {reporting.sparkline(series, vmax=4.0)}  "
+            f"  {name:12s} {sparkline(series, vmax=4.0)}  "
             + " ".join(f"{v:4.2f}" for v in series)
         )
     return "\n".join(lines) + "\n"

@@ -79,22 +79,3 @@ def accuracy_interval(
         raise ValueError("successes must be within [0, trials]")
     values = [1.0] * successes + [0.0] * (trials - successes)
     return bootstrap_interval(values, confidence=confidence, seed=seed)
-
-
-def difference_significant(
-    a: Sequence[float], b: Sequence[float], confidence: float = 0.95, seed: int = 0
-) -> bool:
-    """Whether mean(a) - mean(b) excludes zero under the bootstrap."""
-    a_arr = np.asarray(list(a), dtype=float)
-    b_arr = np.asarray(list(b), dtype=float)
-    if a_arr.size == 0 or b_arr.size == 0:
-        raise ValueError("cannot compare empty samples")
-    rng = np.random.default_rng(seed)
-    diffs = np.empty(2000)
-    for i in range(2000):
-        sa = a_arr[rng.integers(0, a_arr.size, size=a_arr.size)]
-        sb = b_arr[rng.integers(0, b_arr.size, size=b_arr.size)]
-        diffs[i] = sa.mean() - sb.mean()
-    alpha = (1.0 - confidence) / 2.0
-    low, high = np.quantile(diffs, [alpha, 1.0 - alpha])
-    return low > 0.0 or high < 0.0

@@ -114,11 +114,6 @@ class SessionTrace:
         """The credential as submitted (backspaces applied)."""
         return "".join(p.char for p in self.presses if not p.deleted)
 
-    @property
-    def all_typed(self) -> str:
-        """Every character typed, including later-deleted ones."""
-        return "".join(p.char for p in self.presses)
-
 
 class VictimDevice:
     """One victim smartphone running the target app in the foreground."""

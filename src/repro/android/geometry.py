@@ -67,9 +67,6 @@ class Rect:
             and self.bottom >= other.bottom
         )
 
-    def contains_point(self, x: int, y: int) -> bool:
-        return self.left <= x < self.right and self.top <= y < self.bottom
-
     def translate(self, dx: int, dy: int) -> "Rect":
         return Rect(self.left + dx, self.top + dy, self.right + dx, self.bottom + dy)
 

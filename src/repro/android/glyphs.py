@@ -51,11 +51,6 @@ class GlyphMetrics:
     width_fraction: float
     strokes: int
 
-    def ink_pixels(self, font_px: int) -> int:
-        """Ink pixel count when rendered at ``font_px`` (em square height)."""
-        box = self.box_pixels(font_px)
-        return int(round(box * self.ink_fraction))
-
     def box_pixels(self, font_px: int) -> int:
         """Bounding-box pixel count when rendered at ``font_px``."""
         return int(round(font_px * font_px * self.width_fraction))
@@ -181,7 +176,3 @@ def glyph(char: str) -> GlyphMetrics:
 def has_glyph(char: str) -> bool:
     return len(char) == 1 and char in _GLYPH_TABLE
 
-
-def all_glyphs() -> Dict[str, GlyphMetrics]:
-    """All modeled glyphs keyed by character."""
-    return {c: glyph(c) for c in _GLYPH_TABLE}

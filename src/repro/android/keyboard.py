@@ -370,14 +370,6 @@ class KeyboardLayout:
     def characters(self) -> List[str]:
         return sorted(self._geometry)
 
-    def keys_under(self, rect: Rect) -> List[KeyGeometry]:
-        """Primary-page keys whose caps intersect ``rect`` (popup occludees)."""
-        return [
-            geo
-            for geo in self._geometry.values()
-            if geo.page == "lower" and geo.key_rect.intersects(rect)
-        ]
-
     def backspace_rect(self) -> Rect:
         """The backspace key; pressing it shows no popup on any modeled
         keyboard (Section 5.3).  On qwerty it ends the bottom letter row;

@@ -14,7 +14,7 @@ per-frame increments of the hardware performance counters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.android.geometry import Rect
 
@@ -118,14 +118,6 @@ class Scene:
     def __len__(self) -> int:
         return len(self.layers)
 
-    @property
-    def total_primitives(self) -> int:
-        return sum(layer.primitives for layer in self.layers)
-
-    @property
-    def total_fragment_pixels(self) -> int:
-        return sum(layer.fragment_pixels for layer in self.layers)
-
     def bounds(self) -> Rect:
         bounds = Rect(0, 0, 0, 0)
         for layer in self.layers:
@@ -222,6 +214,3 @@ def solid_quad(rect: Rect, label: str = "", opaque: bool = True) -> DrawOp:
     """A fully covered opaque quad — backgrounds, key caps, popup bodies."""
     return DrawOp(rect=rect, coverage=1.0, primitives=2, opaque=opaque, label=label)
 
-
-def make_scene(layers: Sequence[Layer]) -> Scene:
-    return Scene(layers=list(layers))

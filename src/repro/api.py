@@ -2,7 +2,7 @@
 
 Everything an application, example, or the CLI needs lives here — one
 flat namespace with the facade functions, one unified configuration
-object, and re-exports of the supporting types:
+object, and the supporting types its consumers import:
 
 * :func:`train` — offline phase over (device config, app) pairs;
 * :func:`attack` — online phase against one victim session trace;
@@ -19,7 +19,11 @@ object, and re-exports of the supporting types:
 
 Import stability contract: ``examples/`` and ``repro.cli`` import only
 from this module (enforced by a test), so internal reorganizations of
-``repro.core`` / ``repro.runtime`` never break downstream code.  All
+``repro.core`` / ``repro.runtime`` never break downstream code.  The
+export list holds only what is used: a name stays in ``__all__`` only
+if the examples, the CLI, the package docstring, the benchmarks or the
+docs import it, or if it types a facade parameter, return value or
+:class:`AttackConfig` field (also enforced by a test).  All
 run-level results satisfy :class:`~repro.core.results.SessionResult` —
 the shared ``keys`` / ``text`` / ``stats`` / ``trace`` accessors.
 
@@ -32,24 +36,11 @@ field, the result protocol, and the ``workers=`` semantics — lives in
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from repro import faults
-from repro.faults import (
-    FAULT_PROFILE_ENV,
-    FAULT_SPEC,
-    FaultInjector,
-    FaultPlan,
-    FaultStats,
-)
-from repro.android.apps import (
-    APP_REGISTRY,
-    TARGET_APPS,
-    AppSpec,
-    app,
-    register_app,
-)
+from repro.faults import FAULT_PROFILE_ENV, FAULT_SPEC, FaultPlan
+from repro.android.apps import APP_REGISTRY, AppSpec, app
 from repro.android.device import SessionTrace, VictimDevice
 from repro.android.events import BackspacePress, KeyPress
 from repro.android.keyboard import (
@@ -59,70 +50,37 @@ from repro.android.keyboard import (
     keyboard,
     register_keyboard,
 )
-from repro.android.os_config import (
-    ANDROID_VERSIONS,
-    PHONE_MODELS,
-    PHONE_REGISTRY,
-    DeviceConfig,
-    PhoneModel,
-    default_config,
-    phone,
-    register_phone,
-)
+from repro.android.os_config import PHONE_REGISTRY, DeviceConfig, default_config, phone
+from repro.analysis.defense import format_defense_matrix, run_defense_matrix
 from repro.analysis.experiments import (
     cached_model,
     run_per_key_sweep,
     single_model_attack,
 )
-from repro.analysis.metrics import AccuracyReport, align, edit_distance
-from repro.analysis.report import generate_report
-from repro.analysis.reporting import bar_chart
+from repro.analysis.metrics import align, edit_distance
+from repro.analysis.report import bar_chart, generate_report
 from repro.analysis.traces import TraceSummary, annotate, render_trace
 from repro.collector import (
     CollectorClient,
     CollectorConfig,
     CollectorHandle,
-    CollectorServer,
-    CollectorTier,
-    DeviceRouter,
     FleetDriver,
     FleetReport,
     KillDrill,
-    RetryPolicy,
     SessionResultPayload,
 )
-from repro.core import features
-from repro.core.classifier import Classification, ClassificationModel, build_model
 from repro.core.guessing import CandidateGenerator
-from repro.core.launch import IDLE_POLL_INTERVAL_S, LaunchDetector
-from repro.core.model_store import (
-    ModelIntegrityError,
-    ModelStore,
-    VersionedModelStore,
-)
-from repro.core.online import EngineStats, InferredKey, OnlineEngine, OnlineResult
+from repro.core.launch import IDLE_POLL_INTERVAL_S
+from repro.core.model_store import ModelStore
 from repro.core.pipeline import (
-    ATTACK_SOURCE_CHUNK,
     AttackResult,
     EavesdropAttack,
     SessionBatch,
     simulate_credential_entry,
-)
-from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
-    RunManifest,
-    Span,
-    SpanStats,
-    new_latency_histogram,
+    train_model,
+    train_store,
 )
 from repro.core.pipeline import run_sessions as _pipeline_run_sessions
-from repro.core.pipeline import train_model, train_store
-from repro.parallel import ShardPlan, ShardedRuntime
 from repro.core.results import SessionResult
 from repro.core.service import MonitoringService, ServiceReport
 from repro.gpu import counters
@@ -130,36 +88,28 @@ from repro.kgsl.device_file import DeviceClock, ProcessContext, open_kgsl
 from repro.kgsl.ioctl import IoctlError
 from repro.kgsl.sampler import DEFAULT_INTERVAL_S, PerfCounterSampler, SystemLoad
 from repro.lifecycle import (
-    CALIBRATION_ENV,
     CALIBRATION_PROFILES,
     CALIBRATION_SPEC,
-    DRIFT_PROFILE_ENV,
     DRIFT_PROFILES,
     DRIFT_SPEC,
     CalibrationPolicy,
-    CalibrationService,
-    DriftInjector,
     DriftPlan,
-    DriftStats,
-    LifecycleReport,
-    SegmentReport,
     run_lifecycle,
 )
 from repro.mitigations.policy import (
-    MITIGATION_ENV,
     MITIGATION_REGISTRY,
     MITIGATION_SPEC,
     MitigationPolicy,
-    PolicyEnforcer,
     compose,
     mitigation,
     mitigation_names,
     register_mitigation,
 )
 from repro.mitigations.popup_disable import config_with_popups_disabled
-from repro.analysis.defense import DefenseCell, format_defense_matrix, run_defense_matrix
-from repro.registry import Registry, UnknownNameError
-from repro.runtime import RuntimeEvent, RuntimeTrace, SamplerDeltaSource
+from repro.obs import MetricsRegistry
+from repro.parallel import ShardedRuntime
+from repro.registry import UnknownNameError
+from repro.runtime import RuntimeTrace, SamplerDeltaSource
 from repro.scenarios import (
     SCENARIO_REGISTRY,
     Scenario,
@@ -167,16 +117,15 @@ from repro.scenarios import (
     scenario,
     scenario_names,
 )
+
+# Collision-safe alias: facade internals use this so a ``scenario=``
+# keyword or field never shadows the lookup function.
+from repro.scenarios import scenario as _scenario_lookup
 from repro.workloads.credentials import (
     character_group,
     credential_batch,
-    pool_for_scenario,
     scenario_credential,
 )
-
-#: Collision-safe alias: facade internals use this so a ``scenario=``
-#: keyword or field never shadows the lookup function.
-scenario_lookup = scenario
 
 __all__ = [
     # facade
@@ -187,47 +136,24 @@ __all__ = [
     "monitor",
     "simulate",
     "run_fleet",
-    # results protocol
+    # results
     "SessionResult",
     "AttackResult",
-    "OnlineResult",
     "ServiceReport",
-    "InferredKey",
-    "EngineStats",
-    # faults
-    "FaultPlan",
-    "FaultStats",
-    "FaultInjector",
-    "FAULT_PROFILE_ENV",
-    "faults",
+    "SessionBatch",
     # engine / model
     "EavesdropAttack",
-    "MonitoringService",
-    "OnlineEngine",
-    "Classification",
-    "ClassificationModel",
-    "build_model",
     "ModelStore",
-    "VersionedModelStore",
-    "ModelIntegrityError",
     "CandidateGenerator",
-    "LaunchDetector",
     "train_model",
-    "train_store",
     "simulate_credential_entry",
     # device registry
     "AppSpec",
     "app",
-    "register_app",
     "APP_REGISTRY",
-    "TARGET_APPS",
     "DeviceConfig",
-    "PhoneModel",
     "phone",
-    "register_phone",
     "PHONE_REGISTRY",
-    "PHONE_MODELS",
-    "ANDROID_VERSIONS",
     "KeyboardSpec",
     "keyboard",
     "register_keyboard",
@@ -240,7 +166,6 @@ __all__ = [
     "scenario_names",
     "register_scenario",
     "SCENARIO_REGISTRY",
-    "Registry",
     "UnknownNameError",
     # victim-side simulation
     "SessionTrace",
@@ -253,13 +178,9 @@ __all__ = [
     "open_kgsl",
     "PerfCounterSampler",
     "SamplerDeltaSource",
-    "SystemLoad",
     "IoctlError",
-    "DEFAULT_INTERVAL_S",
-    "IDLE_POLL_INTERVAL_S",
-    "ATTACK_SOURCE_CHUNK",
+    "counters",
     # analysis helpers
-    "AccuracyReport",
     "align",
     "edit_distance",
     "bar_chart",
@@ -270,69 +191,37 @@ __all__ = [
     "TraceSummary",
     "annotate",
     "render_trace",
-    # parallel execution
-    "ShardPlan",
-    "ShardedRuntime",
     # fleet collection
-    "FleetDriver",
     "FleetReport",
     "KillDrill",
-    "CollectorTier",
-    "DeviceRouter",
-    "CollectorServer",
     "CollectorHandle",
     "CollectorClient",
     "CollectorConfig",
-    "RetryPolicy",
     "SessionResultPayload",
-    # runtime observability
+    # observability
     "RuntimeTrace",
-    "RuntimeEvent",
-    # metrics / manifests
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
-    "RunManifest",
-    "SessionBatch",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Span",
-    "SpanStats",
-    "new_latency_histogram",
-    # workloads / mitigations
+    # workloads
     "credential_batch",
     "character_group",
-    "pool_for_scenario",
     "scenario_credential",
+    # faults / mitigations
+    "FaultPlan",
     "config_with_popups_disabled",
     "MitigationPolicy",
-    "PolicyEnforcer",
     "MITIGATION_REGISTRY",
-    "MITIGATION_ENV",
     "compose",
     "mitigation",
     "mitigation_names",
     "register_mitigation",
-    "DefenseCell",
     "run_defense_matrix",
     "format_defense_matrix",
-    # signature lifecycle (drift / recalibration / versioned models)
+    # signature lifecycle (drift / recalibration)
     "DriftPlan",
-    "DriftStats",
-    "DriftInjector",
-    "DRIFT_PROFILE_ENV",
     "DRIFT_PROFILES",
     "CalibrationPolicy",
-    "CalibrationService",
-    "CALIBRATION_ENV",
     "CALIBRATION_PROFILES",
     "run_lifecycle",
-    "LifecycleReport",
-    "SegmentReport",
-    # modules
-    "features",
-    "counters",
 ]
 
 
@@ -412,7 +301,7 @@ class AttackConfig:
                 if isinstance(self.scenario, Scenario)
                 else self.scenario
             )
-            scenario_lookup(name)
+            _scenario_lookup(name)
             object.__setattr__(self, "scenario", name)
         for name, spec in _SPEC_FIELDS.items():
             spec.validate(getattr(self, name))
@@ -426,7 +315,7 @@ class AttackConfig:
 
     def resolved_scenario(self) -> Optional[Scenario]:
         """The configured :class:`Scenario`, or ``None``."""
-        return scenario_lookup(self.scenario) if self.scenario else None
+        return _scenario_lookup(self.scenario) if self.scenario else None
 
     def resolved_fault_plan(self) -> Optional[FaultPlan]:
         """The fault plan the run executes under.
@@ -529,8 +418,25 @@ def _attach_manifest(result, metrics, config: AttackConfig, **meta) -> None:
         result.manifest = metrics.manifest(config=config.to_dict(), **meta)
 
 
-def _scenario_of(config: AttackConfig) -> Optional[Scenario]:
-    return config.resolved_scenario()
+def _device_and_target(
+    caller: str,
+    config: AttackConfig,
+    device_config: Optional[DeviceConfig],
+    target: Optional[AppSpec],
+) -> Tuple[DeviceConfig, AppSpec]:
+    """``device_config`` and ``target``, each falling back to the
+    config's scenario when omitted."""
+    scn = config.resolved_scenario()
+    if scn is None and (device_config is None or target is None):
+        missing = "a device_config" if device_config is None else "a target app"
+        raise ValueError(
+            f"{caller}() needs {missing} or an AttackConfig with a scenario set"
+        )
+    if device_config is None:
+        device_config = scn.device_config()
+    if target is None:
+        target = scn.app_spec()
+    return device_config, target
 
 
 def train(
@@ -544,7 +450,7 @@ def train(
     """
     config = config if config is not None else _DEFAULT_CONFIG
     if pairs is None:
-        scn = _scenario_of(config)
+        scn = config.resolved_scenario()
         if scn is None:
             raise ValueError(
                 "train() needs explicit (device config, app) pairs or an "
@@ -575,25 +481,13 @@ def simulate(
     only ``simulate(credential="1932", config=AttackConfig(scenario="pinpad"))``.
     """
     config = config if config is not None else _DEFAULT_CONFIG
-    scn = _scenario_of(config)
-    if device_config is None:
-        if scn is None:
-            raise ValueError(
-                "simulate() needs a device_config or an AttackConfig with "
-                "a scenario set"
-            )
-        device_config = scn.device_config()
-    if target is None:
-        if scn is None:
-            raise ValueError(
-                "simulate() needs a target app or an AttackConfig with a "
-                "scenario set"
-            )
-        target = scn.app_spec()
+    device_config, target = _device_and_target(
+        "simulate", config, device_config, target
+    )
     if not credential:
         raise ValueError("simulate() needs a non-empty credential")
-    if speed_tier is None and scn is not None:
-        speed_tier = scn.speed_tier
+    if speed_tier is None and config.scenario:
+        speed_tier = config.resolved_scenario().speed_tier
     mit = config.resolved_mitigation()
     if mit is not None:
         # victim-side rendering changes (e.g. popup disable) land on the
@@ -753,21 +647,9 @@ def run_fleet(
     when omitted, mirroring :func:`simulate`.
     """
     config = config if config is not None else _DEFAULT_CONFIG
-    scn = _scenario_of(config)
-    if device_config is None:
-        if scn is None:
-            raise ValueError(
-                "run_fleet() needs a device_config or an AttackConfig "
-                "with a scenario set"
-            )
-        device_config = scn.device_config()
-    if target is None:
-        if scn is None:
-            raise ValueError(
-                "run_fleet() needs a target app or an AttackConfig with "
-                "a scenario set"
-            )
-        target = scn.app_spec()
+    device_config, target = _device_and_target(
+        "run_fleet", config, device_config, target
+    )
     if not credential:
         raise ValueError("run_fleet() needs a non-empty credential")
     driver = FleetDriver(

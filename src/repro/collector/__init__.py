@@ -10,50 +10,22 @@ deltas as fixed u64s), and every knob lives on one
 """
 
 from repro.collector.client import (
-    ClientStats,
     CollectorClient,
     CollectorClientError,
     NetworkFaultInjector,
 )
 from repro.collector.config import CollectorConfig, RetryPolicy
-from repro.collector.fleet import (
-    DEVICE_SEED_STRIDE,
-    DRILL_RETRY,
-    DeviceOutcome,
-    FleetDriver,
-    FleetReport,
-    KillDrill,
-    trace_counter_deltas,
-)
+from repro.collector.fleet import DRILL_RETRY, FleetDriver, FleetReport, KillDrill
 from repro.collector.frames import (
     BINARY_CODEC,
-    MAX_FRAME_BYTES,
     N_COUNTERS,
-    PROTO_VERSION,
-    Ack,
-    Batch,
-    Bye,
-    ByeOk,
-    ConnectionClosed,
-    Frame,
-    FrameError,
-    FrameTooLarge,
-    FrameTruncated,
-    Hello,
-    HelloOk,
-    Metrics,
-    MetricsOk,
-    ProtocolError,
-    Result,
     SessionResultPayload,
     decode_any,
     read_body_sock,
 )
 from repro.collector.journal import (
-    JOURNAL_SYNC_MODES,
     CollectorJournal,
     JournalError,
-    JournalRecovery,
     count_journal_records,
     dedupe_records,
     journal_path,
@@ -69,8 +41,6 @@ __all__ = [
     "DeviceRouter",
     "CollectorJournal",
     "JournalError",
-    "JournalRecovery",
-    "JOURNAL_SYNC_MODES",
     "journal_path",
     "read_journal",
     "count_journal_records",
@@ -80,34 +50,13 @@ __all__ = [
     "CollectorClient",
     "CollectorClientError",
     "CollectorConfig",
-    "ClientStats",
     "NetworkFaultInjector",
     "RetryPolicy",
     "FleetDriver",
     "FleetReport",
-    "DeviceOutcome",
-    "DEVICE_SEED_STRIDE",
-    "trace_counter_deltas",
     "SessionResultPayload",
-    "FrameError",
-    "FrameTooLarge",
-    "FrameTruncated",
-    "ConnectionClosed",
-    "Frame",
-    "Hello",
-    "HelloOk",
-    "Result",
-    "Ack",
-    "Batch",
-    "Metrics",
-    "MetricsOk",
-    "Bye",
-    "ByeOk",
-    "ProtocolError",
     "BINARY_CODEC",
     "decode_any",
     "read_body_sock",
-    "MAX_FRAME_BYTES",
     "N_COUNTERS",
-    "PROTO_VERSION",
 ]

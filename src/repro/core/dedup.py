@@ -34,9 +34,5 @@ class DuplicationFilter:
         self._last_key_t = t
         return True
 
-    @property
-    def last_key_time(self) -> Optional[float]:
-        return self._last_key_t
-
     def reset(self) -> None:
         self._last_key_t = None

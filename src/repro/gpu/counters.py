@@ -67,22 +67,6 @@ SELECTED_COUNTERS: List[CounterSpec] = [
     VPC_LRZ_ASSIGN_PRIMITIVES,
 ]
 
-#: Lookup from counter id to spec.
-COUNTERS_BY_ID: Dict[CounterId, CounterSpec] = {
-    spec.counter_id: spec for spec in SELECTED_COUNTERS
-}
-
-#: Lookup from string identifier (as returned by the AMD_performance_monitor
-#: extension, Section 3.3) to spec.
-COUNTERS_BY_NAME: Dict[str, CounterSpec] = {spec.name: spec for spec in SELECTED_COUNTERS}
-
-
-def counter_by_name(name: str) -> CounterSpec:
-    try:
-        return COUNTERS_BY_NAME[name]
-    except KeyError:
-        raise KeyError(f"unknown counter {name!r}") from None
-
 
 @dataclass
 class CounterIncrement:

@@ -25,37 +25,21 @@ handbook is ``docs/lifecycle.md``.
 """
 
 from repro.lifecycle.calibration import (
-    CALIBRATION_ENV,
     CALIBRATION_PROFILES,
     CALIBRATION_SPEC,
     CalibrationPolicy,
     CalibrationService,
-    estimate_drift_ratio,
 )
-from repro.lifecycle.drift import (
-    DRIFT_PROFILE_ENV,
-    DRIFT_PROFILES,
-    DRIFT_SPEC,
-    DriftInjector,
-    DriftPlan,
-    DriftStats,
-)
-from repro.lifecycle.runner import LifecycleReport, SegmentReport, run_lifecycle
+from repro.lifecycle.drift import DRIFT_PROFILES, DRIFT_SPEC, DriftPlan
+from repro.lifecycle.runner import run_lifecycle
 
 __all__ = [
-    "DRIFT_PROFILE_ENV",
     "DRIFT_PROFILES",
     "DRIFT_SPEC",
-    "DriftInjector",
     "DriftPlan",
-    "DriftStats",
-    "CALIBRATION_ENV",
     "CALIBRATION_PROFILES",
     "CALIBRATION_SPEC",
     "CalibrationPolicy",
     "CalibrationService",
-    "estimate_drift_ratio",
-    "LifecycleReport",
-    "SegmentReport",
     "run_lifecycle",
 ]

@@ -16,43 +16,3 @@ name-registered :class:`MitigationPolicy` spec that
 KGSL-boundary layers run as one :class:`PolicyEnforcer` interposer.  See
 ``docs/defenses.md`` for the handbook and the threat × mitigation matrix.
 """
-
-from repro.mitigations.obfuscation import OsNoiseInjector, with_os_noise
-from repro.mitigations.policy import (
-    DEFAULT_PRIVILEGED_CONTEXTS,
-    MITIGATION_ENV,
-    MITIGATION_REGISTRY,
-    MITIGATION_SPEC,
-    MitigationPolicy,
-    MitigationStats,
-    PolicyEnforcer,
-    compose,
-    mitigation,
-    mitigation_names,
-    register_mitigation,
-)
-from repro.mitigations.popup_disable import (
-    config_with_popups_disabled,
-    disable_popups,
-)
-
-__all__ = [
-    # composable policy spec (docs/defenses.md)
-    "MitigationPolicy",
-    "MitigationStats",
-    "PolicyEnforcer",
-    "MITIGATION_ENV",
-    "MITIGATION_REGISTRY",
-    "MITIGATION_SPEC",
-    "DEFAULT_PRIVILEGED_CONTEXTS",
-    "compose",
-    "mitigation",
-    "mitigation_names",
-    "register_mitigation",
-    # obfuscation (Section 9.3)
-    "OsNoiseInjector",
-    "with_os_noise",
-    # popup rendering changes (Section 9.1)
-    "disable_popups",
-    "config_with_popups_disabled",
-]

@@ -32,7 +32,7 @@ from repro.android.geometry import Rect
 from repro.android.layers import DrawOp, Layer, Scene
 from repro.gpu.adreno import AdrenoSpec
 from repro.gpu.pipeline import AdrenoPipeline
-from repro.gpu.timeline import RenderTimeline, merge_timelines
+from repro.gpu.timeline import RenderTimeline
 
 
 class OsNoiseInjector:
@@ -88,16 +88,3 @@ class OsNoiseInjector:
             timeline.add_render(t, self.pipeline.render(self._noise_scene()), label="os_noise")
             t += float(self.rng.exponential(1.0 / self.rate_hz))
         return timeline
-
-    def gpu_time_fraction(self, t0: float, t1: float) -> float:
-        """GPU time the injected noise consumes — the defence's cost."""
-        return self.timeline(t0, t1).busy_fraction(t0, t1)
-
-
-def with_os_noise(
-    victim_timeline: RenderTimeline,
-    injector: OsNoiseInjector,
-    t_end: float,
-) -> RenderTimeline:
-    """Victim timeline with OS noise frames merged in."""
-    return merge_timelines([victim_timeline, injector.timeline(0.0, t_end)])

@@ -38,7 +38,7 @@ from repro.obs.registry import (
     resolve_registry,
 )
 from repro.obs.manifest import RunManifest
-from repro.obs.spans import NULL_SPAN, Span, SpanStats
+from repro.obs.spans import NULL_SPAN
 
 __all__ = [
     "Counter",
@@ -50,8 +50,6 @@ __all__ = [
     "NULL_SPAN",
     "NullRegistry",
     "RunManifest",
-    "Span",
-    "SpanStats",
     "new_latency_histogram",
     "resolve_registry",
 ]

@@ -21,14 +21,10 @@ See ``docs/parallel.md`` for the design and the parity contract.
 from repro.parallel.merge import merge_attack_outputs, synthesize_crashed_shard
 from repro.parallel.plan import ShardPlan
 from repro.parallel.sharded import ShardedRuntime
-from repro.parallel.worker import SessionStepLog, ShardOutput, run_shard
 
 __all__ = [
     "ShardPlan",
     "ShardedRuntime",
-    "ShardOutput",
-    "SessionStepLog",
-    "run_shard",
     "merge_attack_outputs",
     "synthesize_crashed_shard",
 ]

@@ -50,7 +50,3 @@ class ShardPlan:
         for index in range(self.n_sessions):
             out[self.shard_of(index)].append(index)
         return out
-
-    @property
-    def max_shard_size(self) -> int:
-        return max((len(s) for s in self.shards()), default=0)

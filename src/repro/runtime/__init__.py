@@ -11,26 +11,16 @@ Algorithm 1 engine), and every decision is recorded in one structured
 See ``docs/runtime.md`` for the architecture walkthrough.
 """
 
-from repro.runtime.clock import Clock, VirtualClock
-from repro.runtime.session import Session, SessionRuntime, Stage
-from repro.runtime.source import (
-    EventSource,
-    IterableSource,
-    SamplerDeltaSource,
-    SourceEvent,
-)
-from repro.runtime.trace import RuntimeEvent, RuntimeTrace
+from repro.runtime.clock import VirtualClock
+from repro.runtime.session import Session, SessionRuntime
+from repro.runtime.source import IterableSource, SamplerDeltaSource
+from repro.runtime.trace import RuntimeTrace
 
 __all__ = [
-    "Clock",
-    "EventSource",
     "IterableSource",
-    "RuntimeEvent",
     "RuntimeTrace",
     "SamplerDeltaSource",
     "Session",
     "SessionRuntime",
-    "SourceEvent",
-    "Stage",
     "VirtualClock",
 ]

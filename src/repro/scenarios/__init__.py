@@ -8,10 +8,7 @@ Importing this package registers the paper's builtin matrix
 """
 
 from repro.scenarios.spec import (
-    ENTRY_POINT_GROUP,
-    SCENARIO_MODULES_ENV,
     SCENARIO_REGISTRY,
-    SPEED_TIERS,
     Scenario,
     discover,
     register_scenario,
@@ -27,12 +24,8 @@ from repro.scenarios import pinpad as _pinpad  # noqa: F401  (side effect)
 discover()
 
 __all__ = [
-    "ENTRY_POINT_GROUP",
-    "SCENARIO_MODULES_ENV",
     "SCENARIO_REGISTRY",
-    "SPEED_TIERS",
     "Scenario",
-    "discover",
     "register_scenario",
     "scenario",
     "scenario_names",

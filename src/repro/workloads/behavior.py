@@ -185,15 +185,3 @@ def bot_key_sweep(
             events.append(KeyPress(t=t, char=char, duration=duration_s))
             t += interval_s
     return events
-
-
-def noise_only_events(
-    rng: np.random.Generator, duration_s: float, notification_rate_hz: float = 0.1
-) -> List[UserEvent]:
-    """No typing at all — used to collect the noise class offline."""
-    events: List[UserEvent] = []
-    t = float(rng.exponential(1.0 / notification_rate_hz))
-    while t < duration_s:
-        events.append(NotificationArrival(t=t))
-        t += float(rng.exponential(1.0 / notification_rate_hz))
-    return events

@@ -99,16 +99,10 @@ def pool_for_keyboard(spec, display=None) -> str:
     return "".join(c for c in PASSWORD_POOL if layout.has_key(c))
 
 
-def pool_for_scenario(scenario) -> str:
-    """The credential pool a :class:`~repro.scenarios.Scenario` draws
-    from: its explicit charset, else the keyboard-filtered pool."""
-    return scenario.credential_pool()
-
-
 def scenario_credential(
     rng: np.random.Generator,
     scenario,
     length: Optional[int] = None,
 ) -> str:
     """A random credential over the scenario's pool (paper lengths 8-16)."""
-    return random_credential(rng, length=length, pool=pool_for_scenario(scenario))
+    return random_credential(rng, length=length, pool=scenario.credential_pool())

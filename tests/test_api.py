@@ -1,8 +1,9 @@
 """Tests for the stable public facade (:mod:`repro.api`).
 
 The facade is the supported surface for downstream users: typed
-configuration, five entry points, a shared result protocol, and a
-guarantee that the examples and the CLI consume nothing else.
+configuration, six entry points, a shared result protocol, a
+guarantee that the examples and the CLI consume nothing else, and an
+export list in which every name has a consumer.
 """
 
 import ast
@@ -18,7 +19,6 @@ from repro.api import (
     AttackConfig,
     AttackResult,
     FaultPlan,
-    OnlineResult,
     ServiceReport,
     SessionResult,
     app,
@@ -28,9 +28,49 @@ from repro.api import (
     simulate,
     train,
 )
+from repro.core.online import OnlineResult
 from repro.core.pipeline import EavesdropAttack
+from repro.faults import FAULT_PROFILE_ENV
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+FACADE = ("train", "attack", "run_sessions", "monitor", "simulate", "run_fleet")
+
+
+def facade_imports(text):
+    """Names a source or doc text takes from the facade, through
+    ``from repro.api import ...`` or ``api.X`` (doctest prompts too)."""
+    text = re.sub(r"^\s*(>>>|\.\.\.) ?", "", text, flags=re.M)
+    names = set(re.findall(r"\bapi\.([A-Za-z_]\w*)", text))
+    for match in re.finditer(r"from\s+repro\.api\s+import\s+(\([^)]*\)|[^\n]*)", text):
+        for part in match.group(1).strip("()").split(","):
+            name = part.split("#")[0].split(" as ")[0].strip()
+            if name:
+                names.add(name)
+    return names
+
+
+def annotation_names(annotations):
+    """Every bare name in a mapping of (string) annotations."""
+    return {
+        node.id
+        for annotation in annotations.values()
+        for node in ast.walk(ast.parse(str(annotation)))
+        if isinstance(node, ast.Name)
+    }
+
+
+def imported_modules(text):
+    """Dotted names a Python source imports: each ``import`` target, and
+    for ``from M import N`` both ``M`` and ``M.N`` (N may be a module)."""
+    out = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            out.add(node.module)
+            out |= {f"{node.module}.{alias.name}" for alias in node.names}
+    return out
 
 CREDENTIAL = "secretpw1"
 
@@ -90,7 +130,7 @@ class TestAttackConfig:
             AttackConfig.from_dict({"interva1_s": 0.008})
 
     def test_resolved_fault_plan(self, monkeypatch):
-        monkeypatch.delenv(api.FAULT_PROFILE_ENV, raising=False)
+        monkeypatch.delenv(FAULT_PROFILE_ENV, raising=False)
         assert AttackConfig(fault_plan=None).resolved_fault_plan() is None
         assert AttackConfig().resolved_fault_plan() is None
         plan = AttackConfig(fault_plan="harsh").resolved_fault_plan()
@@ -104,7 +144,7 @@ class TestFacade:
         assert store.get(store.keys()[0]).cth == chase_model.cth
 
     def test_attack_matches_direct_pipeline(self, chase_store, trace, cfg, monkeypatch):
-        monkeypatch.delenv(api.FAULT_PROFILE_ENV, raising=False)
+        monkeypatch.delenv(FAULT_PROFILE_ENV, raising=False)
         via_facade = attack(chase_store, trace, seed=77, config=cfg)
         direct = EavesdropAttack(
             chase_store, recognize_device=False, fault_plan=None
@@ -113,7 +153,7 @@ class TestFacade:
         assert via_facade.reads_issued == direct.reads_issued
 
     def test_run_sessions_batches(self, chase_store, config, cfg, monkeypatch):
-        monkeypatch.delenv(api.FAULT_PROFILE_ENV, raising=False)
+        monkeypatch.delenv(FAULT_PROFILE_ENV, raising=False)
         traces = [
             simulate(config, app("chase"), CREDENTIAL, seed=3 + i, config=cfg)
             for i in range(2)
@@ -123,7 +163,7 @@ class TestFacade:
         assert all(isinstance(r, AttackResult) for r in results)
 
     def test_monitor_runs_the_service(self, chase_store, config, monkeypatch):
-        monkeypatch.delenv(api.FAULT_PROFILE_ENV, raising=False)
+        monkeypatch.delenv(FAULT_PROFILE_ENV, raising=False)
         report = monitor(chase_store, launch_session(config), seed=77)
         assert isinstance(report, ServiceReport)
         assert report.launch_detected_at is not None
@@ -207,3 +247,43 @@ class TestConsumersUseOnlyTheFacade:
             for alias in node.names
         }
         assert sorted(imported - set(api.__all__)) == []
+
+    def test_every_export_has_a_consumer(self):
+        # keep-rule: a name is exported only if the examples, the CLI,
+        # the package docstring, the benchmarks or the docs import it,
+        # or it types a facade parameter, return value or config field
+        src = REPO_ROOT / "src" / "repro"
+        consumers = (
+            list((REPO_ROOT / "examples").glob("*.py"))
+            + [src / "cli.py", src / "__init__.py"]
+            + list((REPO_ROOT / "bench").rglob("*.py"))
+            + list((REPO_ROOT / "benchmarks").rglob("*.py"))
+            + list((REPO_ROOT / "docs").glob("*.md"))
+            + [REPO_ROOT / "README.md"]
+        )
+        used = set().union(*(facade_imports(p.read_text()) for p in consumers))
+        for name in FACADE:
+            used |= annotation_names(getattr(api, name).__annotations__)
+        used |= annotation_names(AttackConfig.__annotations__)
+        assert sorted(set(api.__all__) - used) == []
+
+    def test_every_module_has_a_non_test_importer(self):
+        src = REPO_ROOT / "src"
+        modules = set()
+        for path in (src / "repro").rglob("*.py"):
+            parts = path.relative_to(src).with_suffix("").parts
+            modules.add(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+        importers = [
+            path
+            for folder in ("src", "examples", "bench", "benchmarks", "tools")
+            for path in (REPO_ROOT / folder).rglob("*.py")
+        ]
+        imported = set().union(*(imported_modules(p.read_text()) for p in importers))
+        # importing a module imports every package that encloses it
+        reached = {
+            name.rsplit(".", depth)[0]
+            for name in imported
+            for depth in range(name.count(".") + 1)
+        }
+        entry_points = {"repro.__main__", "repro.cli"}
+        assert sorted(modules - reached - entry_points) == []

@@ -83,8 +83,7 @@ class TestMonotoneDegradation:
 class TestTimestampFidelity:
     def test_inferred_times_match_true_press_times(self, config, attack):
         """M (the inferred timestamps) must land within the input latency
-        of the true presses — the keystroke-dynamics extension depends on
-        this."""
+        of the true presses (the service reports them as ``key_times``)."""
         device = VictimDevice(config, app("chase"), rng=np.random.default_rng(71))
         truth_times = [0.7, 1.3, 1.9, 2.6]
         events = [

@@ -13,7 +13,6 @@ from repro.android.events import (
 )
 from repro.workloads.behavior import (
     bot_key_sweep,
-    noise_only_events,
     practical_session,
     typing_events,
     typing_with_corrections,
@@ -131,9 +130,3 @@ class TestPracticalSession:
         session = practical_session(rng, TypingModel(rng), volunteer_index=2)
         assert session.volunteer == "volunteer3"
 
-
-class TestNoiseOnly:
-    def test_noise_only_has_no_typing(self, rng):
-        events = noise_only_events(rng, duration_s=60.0)
-        assert all(isinstance(e, NotificationArrival) for e in events)
-        assert events

@@ -52,9 +52,3 @@ class TestDuplicationFilter:
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
             DuplicationFilter(window_s=0.0)
-
-    def test_last_key_time_tracked(self):
-        f = DuplicationFilter()
-        assert f.last_key_time is None
-        f.admit(2.5)
-        assert f.last_key_time == 2.5

@@ -20,12 +20,9 @@ from repro.api import (
     EavesdropAttack,
     FaultPlan,
     IoctlError,
-    MITIGATION_ENV,
     MITIGATION_REGISTRY,
     MetricsRegistry,
     MitigationPolicy,
-    MonitoringService,
-    PolicyEnforcer,
     ProcessContext,
     UnknownNameError,
     attack,
@@ -37,8 +34,10 @@ from repro.api import (
     simulate,
     train,
 )
+from repro.core.service import MonitoringService
 from repro.kgsl.device_file import DeviceClock, open_kgsl
 from repro.kgsl.sampler import PerfCounterSampler
+from repro.mitigations.policy import MITIGATION_ENV, PolicyEnforcer
 from repro.scenarios import scenario
 
 UNTRUSTED = ProcessContext()  # default context is an untrusted app

@@ -78,7 +78,7 @@ class TestKeyPressCompilation:
             [KeyPress(t=0.5, char="a"), KeyPress(t=1.0, char="b")], end_time_s=2.0
         )
         assert trace.final_text == "ab"
-        assert trace.all_typed == "ab"
+        assert "".join(p.char for p in trace.presses) == "ab"
 
 
 class TestBackspaceCompilation:
@@ -92,7 +92,7 @@ class TestBackspaceCompilation:
             end_time_s=2.5,
         )
         assert trace.final_text == "a"
-        assert trace.all_typed == "ab"
+        assert "".join(p.char for p in trace.presses) == "ab"
         assert labels(trace, "backspace:1")
 
     def test_backspace_on_empty_field_is_noop(self, config):

@@ -16,7 +16,6 @@ from repro.analysis.stats import (
     Interval,
     accuracy_interval,
     bootstrap_interval,
-    difference_significant,
 )
 
 
@@ -133,15 +132,6 @@ class TestBootstrap:
             accuracy_interval(5, 0)
         with pytest.raises(ValueError):
             accuracy_interval(7, 5)
-
-    def test_difference_detection(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(0.9, 0.05, 100)
-        b = rng.normal(0.5, 0.05, 100)
-        assert difference_significant(a, b)
-        assert not difference_significant(a, a)
-        with pytest.raises(ValueError):
-            difference_significant([], [1.0])
 
     def test_interval_str(self):
         interval = Interval(estimate=0.5, low=0.4, high=0.6, confidence=0.95)

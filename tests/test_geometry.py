@@ -36,12 +36,6 @@ class TestRectBasics:
         r = Rect.from_size(5, 6, 10, 20)
         assert r == Rect(5, 6, 15, 26)
 
-    def test_contains_point(self):
-        r = Rect(0, 0, 10, 10)
-        assert r.contains_point(0, 0)
-        assert r.contains_point(9, 9)
-        assert not r.contains_point(10, 10)
-
     def test_translate(self):
         assert Rect(0, 0, 5, 5).translate(3, 4) == Rect(3, 4, 8, 9)
 

@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.android.glyphs import KEYBOARD_CHARACTERS, GlyphMetrics, all_glyphs, glyph, has_glyph
+from repro.android.glyphs import (
+    _GLYPH_TABLE,
+    KEYBOARD_CHARACTERS,
+    GlyphMetrics,
+    glyph,
+    has_glyph,
+)
+
+#: Every modeled glyph, keyboard characters and the extra symbols alike.
+ALL_GLYPHS = {char: glyph(char) for char in _GLYPH_TABLE}
 
 
 class TestCoverage:
@@ -29,11 +38,11 @@ class TestCoverage:
 
 class TestMetricRanges:
     def test_ink_fractions_are_plausible(self):
-        for char, metrics in all_glyphs().items():
+        for char, metrics in ALL_GLYPHS.items():
             assert 0.0 <= metrics.ink_fraction <= 0.5, char
 
     def test_width_fractions_are_plausible(self):
-        for char, metrics in all_glyphs().items():
+        for char, metrics in ALL_GLYPHS.items():
             assert 0.0 < metrics.width_fraction <= 1.0, char
 
     def test_comma_and_period_have_minimum_ink(self):
@@ -64,14 +73,9 @@ class TestCaseSeparability:
 
 
 class TestRendering:
-    def test_ink_pixels_scale_with_font(self):
-        g = glyph("a")
-        assert g.ink_pixels(80) > g.ink_pixels(40) > 0
-
     def test_box_pixels(self):
         g = GlyphMetrics("x", ink_fraction=0.5, width_fraction=0.5, strokes=2)
         assert g.box_pixels(10) == 50
-        assert g.ink_pixels(10) == 25
 
     def test_vector_primitives_are_two_per_stroke(self):
         g = glyph("8")

@@ -49,12 +49,6 @@ class TestCounterRegistry:
         assert pc.CounterGroup.RAS == 0x7
         assert pc.CounterGroup.LRZ == 0x19
 
-    def test_counter_by_name(self):
-        spec = pc.counter_by_name("PERF_LRZ_FULL_8X8_TILES")
-        assert spec.countable == 14
-        with pytest.raises(KeyError):
-            pc.counter_by_name("PERF_NOPE")
-
 
 class TestCounterIncrement:
     def test_add_and_get(self):

@@ -172,7 +172,6 @@ class TestShardPlanProperties:
     def test_balanced_within_one(self, n, workers, seed):
         sizes = [len(s) for s in ShardPlan(n, workers, seed=seed).shards()]
         assert max(sizes) - min(sizes) <= 1
-        assert max(sizes) == ShardPlan(n, workers, seed=seed).max_shard_size
 
     @given(*plan_args)
     @settings(max_examples=100)

@@ -85,19 +85,28 @@ class TestLayoutGeometry:
         assert layout.bounds.contains(layout.backspace_rect())
 
 
+def keys_under(layout, rect):
+    """Primary-page keys whose caps intersect ``rect`` (popup occludees)."""
+    return [
+        geo
+        for geo in map(layout.key, layout.characters())
+        if geo.page == "lower" and geo.key_rect.intersects(rect)
+    ]
+
+
 class TestKeysUnder:
     def test_popup_occludes_nearby_keys(self):
         layout = KeyboardLayout(keyboard("gboard"), Display())
         geo = layout.key("g")
-        under = layout.keys_under(geo.popup_rect)
+        under = keys_under(layout, geo.popup_rect)
         assert under, "popup must overlap at least one primary-page key"
         chars = {k.char for k in under}
         assert all(c.islower() or c.isdigit() or c in ",." for c in chars)
 
     def test_different_keys_occlude_different_sets(self):
         layout = KeyboardLayout(keyboard("gboard"), Display())
-        under_g = {k.char for k in layout.keys_under(layout.key("g").popup_rect)}
-        under_m = {k.char for k in layout.keys_under(layout.key("m").popup_rect)}
+        under_g = {k.char for k in keys_under(layout, layout.key("g").popup_rect)}
+        under_m = {k.char for k in keys_under(layout, layout.key("m").popup_rect)}
         assert under_g != under_m
 
     def test_top_row_popups_rise_above_the_keyboard(self):

@@ -9,7 +9,6 @@ from repro.android.layers import (
     DrawOp,
     Layer,
     Scene,
-    make_scene,
     solid_quad,
 )
 
@@ -75,7 +74,7 @@ class TestScene:
         bottom.add(solid_quad(Rect(0, 0, 100, 100), label="bg"))
         top = Layer("top")
         top.add(solid_quad(Rect(25, 25, 75, 75), label="popup"))
-        return make_scene([bottom, top])
+        return Scene([bottom, top])
 
     def test_len_and_iter(self):
         scene = self._two_layer_scene()
@@ -84,8 +83,8 @@ class TestScene:
 
     def test_totals(self):
         scene = self._two_layer_scene()
-        assert scene.total_primitives == 4
-        assert scene.total_fragment_pixels == 100 * 100 + 50 * 50
+        assert sum(layer.primitives for layer in scene) == 4
+        assert sum(layer.fragment_pixels for layer in scene) == 100 * 100 + 50 * 50
 
     def test_occluders_are_only_from_layers_above(self):
         scene = self._two_layer_scene()

@@ -11,7 +11,7 @@ from repro.android.os_config import default_config
 from repro.gpu import counters as pc
 from repro.gpu.adreno import adreno
 from repro.gpu.pipeline import FrameStats
-from repro.gpu.timeline import RenderTimeline
+from repro.gpu.timeline import RenderTimeline, merge_timelines
 from repro.kgsl.device_file import DeviceClock, ProcessContext, open_kgsl
 from repro.kgsl.ioctl import (
     IOCTL_KGSL_PERFCOUNTER_GET,
@@ -20,7 +20,7 @@ from repro.kgsl.ioctl import (
 )
 from repro.kgsl.interpose import build_chain
 from repro.kgsl.sampler import PerfCounterSampler
-from repro.mitigations.obfuscation import OsNoiseInjector, with_os_noise
+from repro.mitigations.obfuscation import OsNoiseInjector
 from repro.mitigations.policy import MitigationPolicy, mitigation
 from repro.mitigations.popup_disable import config_with_popups_disabled, disable_popups
 
@@ -155,7 +155,7 @@ class TestOsNoiseInjector:
     def test_noise_merges_into_victim_timeline(self):
         victim = timeline_with(amount=100, t=0.5)
         injector = OsNoiseInjector(adreno(650), Display(), rate_hz=20.0)
-        merged = with_os_noise(victim, injector, t_end=5.0)
+        merged = merge_timelines([victim, injector.timeline(0.0, 5.0)])
         assert len(merged.frames) > len(victim.frames)
 
     def test_intensity_scales_cost(self):
@@ -163,7 +163,10 @@ class TestOsNoiseInjector:
                               rng=np.random.default_rng(1))
         high = OsNoiseInjector(adreno(650), Display(), rate_hz=30.0, intensity=0.5,
                                rng=np.random.default_rng(1))
-        assert high.gpu_time_fraction(0.0, 10.0) > low.gpu_time_fraction(0.0, 10.0)
+        assert (
+            high.timeline(0.0, 10.0).busy_fraction(0.0, 10.0)
+            > low.timeline(0.0, 10.0).busy_fraction(0.0, 10.0)
+        )
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -30,7 +30,8 @@ from repro.obs import (
 )
 from repro.obs.manifest import SCHEMA
 from repro.runtime.trace import RuntimeTrace
-from repro.api import AttackConfig, FAULT_PROFILE_ENV
+from repro.api import AttackConfig
+from repro.faults import FAULT_PROFILE_ENV
 
 CREDENTIAL = "hunter2secret"
 

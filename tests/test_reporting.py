@@ -1,9 +1,8 @@
 """Tests for the ASCII figure rendering helpers."""
 
-from repro.analysis.reporting import (
+from repro.analysis.report import (
     bar_chart,
     grouped_bar_chart,
-    histogram,
     sparkline,
     table,
 )
@@ -48,21 +47,6 @@ class TestGroupedBarChart:
         assert grouped_bar_chart({}, series=("a", "b"), title="t") == "t"
 
 
-class TestHistogram:
-    def test_counts_and_percentages(self):
-        out = histogram([1, 2, 3, 11, 12], edges=[0, 10, 20], unit="ms")
-        assert "3 (60.0%)" in out
-        assert "2 (40.0%)" in out
-
-    def test_out_of_range_ignored(self):
-        out = histogram([100], edges=[0, 10])
-        assert "0 (0.0%)" in out
-
-    def test_empty_values(self):
-        out = histogram([], edges=[0, 1, 2])
-        assert out.count("0 (0.0%)") == 2
-
-
 class TestTable:
     def test_alignment_and_content(self):
         out = table(["name", "acc"], [["chase", 0.9], ["amex", 0.85]], title="apps")
@@ -81,7 +65,7 @@ class TestSparkline:
         assert len(sparkline([1, 2, 3, 4])) == 4
 
     def test_monotone_values_monotone_blocks(self):
-        from repro.analysis.reporting import _BLOCKS
+        from repro.analysis.report import _BLOCKS
 
         line = sparkline([1, 2, 3, 4], vmax=4)
         levels = [_BLOCKS.index(c) for c in line]

@@ -27,8 +27,8 @@ from repro.android.keyboard import (
     KeyboardSpec,
     keyboard,
 )
-from repro.android.os_config import PHONE_MODELS, PHONE_REGISTRY, phone
-from repro.api import AttackConfig, attack, simulate, train
+from repro.android.os_config import PHONE_MODELS, PHONE_REGISTRY, default_config, phone
+from repro.api import AttackConfig, attack, run_fleet, simulate, train
 from repro.registry import Registry, UnknownNameError
 from repro.scenarios import (
     SCENARIO_REGISTRY,
@@ -213,6 +213,14 @@ class TestAttackConfigScenario:
             train(config=AttackConfig())
         with pytest.raises(ValueError, match="scenario"):
             simulate(credential="x", config=AttackConfig())
+        # device config first, then target app, named for the caller
+        suffix = " or an AttackConfig with a scenario set"
+        with pytest.raises(ValueError) as missing_device:
+            run_fleet(None, target=app("chase"), credential="x", config=AttackConfig())
+        assert str(missing_device.value) == "run_fleet() needs a device_config" + suffix
+        with pytest.raises(ValueError) as missing_target:
+            simulate(default_config(), credential="x", config=AttackConfig())
+        assert str(missing_target.value) == "simulate() needs a target app" + suffix
 
 
 class TestPinpadExtension:

@@ -116,7 +116,7 @@ class TestDamageClipping:
 
     def test_full_damage_includes_everything(self, builder, state):
         scene = builder.damage_scene(state, builder.display.bounds)
-        assert scene.total_primitives > 100
+        assert sum(layer.primitives for layer in scene) > 100
 
     def test_field_damage_never_overlaps_any_popup(self, builder, state):
         """Echo frames must not contain popup geometry, or the Fig 14
@@ -152,7 +152,8 @@ class TestOverviewAndAnimation:
     def test_overview_scene_is_large(self, builder):
         scene = builder.overview_scene(0.5)
         screen = builder.display.resolution.pixel_count
-        assert scene.total_fragment_pixels > screen  # dim layer + cards overdraw
+        # dim layer + cards overdraw
+        assert sum(layer.fragment_pixels for layer in scene) > screen
 
     def test_animation_layer_only_for_animated_apps(self, builder):
         assert builder.animation_layer(UiState(app=app("chase")), phase=0) is None

@@ -8,10 +8,10 @@ machinery *available but off* at under 5 % of a pre-fault-subsystem run,
 and bounds the cost of handling the mild profile's faults.
 
 The mild bound compares fault handling on one read path.  An fd whose
-interposer chain is empty reads a whole chunk in one vectorised pass,
-while any interposer (a fault injector included) takes the per-read
-path, so the baseline arm is an fd carrying a no-op ``Interposer()``:
-both arms read one read at a time, and the ratio is what the faults
+interposer chain is empty skips the per-wakeup request step, while any
+interposer (a fault injector included) makes one read request per
+wakeup, so the baseline arm is an fd carrying a no-op ``Interposer()``:
+both arms make one request per wakeup, and the ratio is what the faults
 themselves cost.
 """
 

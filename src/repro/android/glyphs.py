@@ -51,10 +51,6 @@ class GlyphMetrics:
     width_fraction: float
     strokes: int
 
-    def box_pixels(self, font_px: int) -> int:
-        """Bounding-box pixel count when rendered at ``font_px``."""
-        return int(round(font_px * font_px * self.width_fraction))
-
     def primitives(self, vector: bool) -> int:
         """Triangle count: stroke quads for vector (popup) rendering,
         one textured quad for bitmap (text echo) rendering."""

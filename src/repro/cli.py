@@ -38,6 +38,8 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
+import numpy as np
+
 from repro.api import (
     APP_REGISTRY,
     KEYBOARD_REGISTRY,
@@ -856,7 +858,7 @@ def _smoke_policy(policy) -> None:
         return
     untrusted = ProcessContext()
     try:
-        enforcer.check(untrusted, "read", 11, 2)
+        enforcer.check(untrusted, "read", [(11, 2)])
         denied = False
     except IoctlError:
         denied = True
@@ -866,11 +868,10 @@ def _smoke_policy(policy) -> None:
             f"{'denied' if denied else 'allowed'}"
         )
     if not denied:
-        value = enforcer.filter_value(
-            context=untrusted, groupid=11, countable=2, value=100_000, now=0.0
-        )
-        if not isinstance(value, int) or value < 0:
-            raise AssertionError(f"{policy.name}: filter_value returned {value!r}")
+        rows = np.full((1, 11), 100_000, dtype=np.int64)
+        enforcer.filter_value(untrusted, np.zeros(1), rows, np.ones(rows.shape, dtype=bool))
+        if rows.dtype != np.int64 or (rows < 0).any():
+            raise AssertionError(f"{policy.name}: filter_value served {rows.tolist()!r}")
 
 
 def _cmd_defenses(args) -> int:

@@ -40,10 +40,11 @@ from __future__ import annotations
 
 import errno
 from dataclasses import dataclass, fields, replace
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.kgsl.device_file import SLOT_COLUMN
 from repro.kgsl.interpose import Interposer
 from repro.kgsl.ioctl import (
     IOCTL_KGSL_PERFCOUNTER_GET,
@@ -233,7 +234,10 @@ class FaultInjector(Interposer):
     nothing) and all reclamation state.  It is the outermost stage of
     the KGSL interposer chain: it sees every ioctl before the driver
     (and any mitigation) does, every served read last, and every
-    sampling wakeup.
+    sampling wakeup.  Every draw happens in the request step, in request
+    order; value corruption is drawn when a read completes
+    (:meth:`after_read`) and applied when its values are served
+    (:meth:`on_rows`).
     """
 
     def __init__(self, plan: FaultPlan, seed_offset: int = 0) -> None:
@@ -244,6 +248,10 @@ class FaultInjector(Interposer):
         self._reclaimed: Dict[Tuple[int, int], float] = {}
         self._last_reclaim_check: Optional[float] = None
         self._reclaims_done = 0
+        #: corruption drawn but not yet applied: (completed read, column,
+        #: factor), reads counted from the last value step
+        self._planned: List[Tuple[int, Optional[int], float]] = []
+        self._reads_planned = 0
 
     # -- device-file hooks ---------------------------------------------
 
@@ -272,15 +280,30 @@ class FaultInjector(Interposer):
                     errno.EBUSY, "injected transient PERFCOUNTER_GET failure"
                 )
 
-    def after_read(self, device, slots) -> None:
-        """Post-read hook: occasional value corruption."""
+    def after_read(self, device, keys) -> None:
+        """Draw one completed read's value corruption, one draw per slot;
+        :meth:`on_rows` applies it."""
         if not self.plan.corrupt_prob:
             return
-        for slot in slots:
+        for key in keys:
             if self.rng.random() < self.plan.corrupt_prob:
                 self.stats.corruptions += 1
                 factor = 1.0 + float(self.rng.normal(0.0, self.plan.corrupt_rel))
-                slot.value = max(0, int(slot.value * factor))
+                self._planned.append((self._reads_planned, SLOT_COLUMN.get(key), factor))
+        self._reads_planned += 1
+
+    def on_rows(self, device, times, rows, served, kept) -> None:
+        """Corrupt the served values as :meth:`after_read` drew it: the
+        completed reads of this value step are the ones planned since the
+        last."""
+        if self._planned:
+            completed = np.flatnonzero(kept)
+            for read, column, factor in self._planned:
+                if column is not None:
+                    k = completed[read]
+                    rows[k, column] = max(0, int(int(rows[k, column]) * factor))
+            self._planned = []
+        self._reads_planned = 0
 
     def _maybe_reclaim(self, device, now: float) -> None:
         """Poisson-trigger a counter-register reclamation."""

@@ -19,13 +19,16 @@ Counter values are served from a :class:`~repro.gpu.timeline.RenderTimeline`
 at the device clock's current time, so reads that land mid-render observe
 partially accrued increments — the *split* factor of Section 5.1.
 
-Two read entries serve them, and this module is the only code on the read
-path that touches the timeline.  ``ioctl(PERFCOUNTER_READ)`` fills the
-``kgsl_perfcounter_read`` structs one slot at a time, so every interposer
-hook sees each slot in order.  :meth:`KgslDeviceFile.perfcounter_read_many`
-serves a whole run of blockreads of the selected counters as one
-``int64[n, 11]`` array, and only on an fd whose chain is empty, where no
-hook could observe the difference.
+A ``PERFCOUNTER_READ`` runs in two steps, and this module is the only
+read-path code that touches the timeline.  The **request step**
+(:meth:`KgslDeviceFile.perfcounter_request`) runs each stage's request
+hooks once and checks the reservations; a read that fails at slot k has
+served slots ``0 .. k-1``.  The **value step**
+(:meth:`KgslDeviceFile.perfcounter_read_many`) serves a whole run of
+requested reads as one ``int64[n, 11]`` array that each stage rewrites
+in one call.  ``ioctl(PERFCOUNTER_READ)`` is a request step plus a
+one-row value step; the reader of an fd whose chain is empty skips the
+request step.
 """
 
 from __future__ import annotations
@@ -63,6 +66,17 @@ SLOT_COLUMN: Dict[Tuple[int, int], int] = {
     (int(group), countable): column
     for column, (group, countable) in enumerate(COUNTER_ORDER)
 }
+
+
+def _served(slots) -> np.ndarray:
+    """``bool[1, 11]``: one read serving ``slots`` (a counter outside the
+    selected set has no column, and reads 0)."""
+    served = np.zeros((1, len(COUNTER_ORDER)), dtype=bool)
+    for slot in slots:
+        column = SLOT_COLUMN.get((slot.groupid, slot.countable))
+        if column is not None:
+            served[0, column] = True
+    return served
 
 
 @dataclass
@@ -120,6 +134,8 @@ class KgslDeviceFile:
         self._offsets: Dict[Tuple[int, int], int] = {}
         self._closed = False
         self.ioctl_count = 0
+        #: time of the latest read the value step served
+        self._served_until = float("-inf")
 
     @property
     def interposers(self) -> Tuple:
@@ -155,13 +171,7 @@ class KgslDeviceFile:
         Returns 0 on success; raises :class:`IoctlError` with a POSIX errno
         on failure, mirroring the syscall contract.
         """
-        if self._closed:
-            raise IoctlError(errno.EBADF, "device file is closed")
-        self.ioctl_count += 1
-        for stage in self._outer_first:
-            # may raise a transient error or steal a reserved register,
-            # exactly where the real driver's failures surface
-            stage.on_ioctl(self, request, arg)
+        self._enter(request, arg)
         if request == IOCTL_KGSL_PERFCOUNTER_GET:
             return self._perfcounter_get(arg)
         if request == IOCTL_KGSL_PERFCOUNTER_PUT:
@@ -172,17 +182,27 @@ class KgslDeviceFile:
             return self._device_getproperty(arg)
         raise IoctlError(errno.ENOTTY, f"unsupported ioctl request {request:#x}")
 
+    def _enter(self, request: int, arg) -> None:
+        """What every request does before its dispatch."""
+        if self._closed:
+            raise IoctlError(errno.EBADF, "device file is closed")
+        self.ioctl_count += 1
+        for stage in self._outer_first:
+            # may raise a transient error or steal a reserved register,
+            # exactly where the real driver's failures surface
+            stage.on_ioctl(self, request, arg)
+
     # ------------------------------------------------------------------
 
     def _perfcounter_get(self, arg: KgslPerfcounterGet) -> int:
         if not isinstance(arg, KgslPerfcounterGet):
             raise IoctlError(errno.EFAULT, "PERFCOUNTER_GET needs kgsl_perfcounter_get")
+        key = (arg.groupid, arg.countable)
         for stage in self._outer_first:
-            stage.on_counter(self, "get", arg.groupid, arg.countable)
+            stage.on_counter(self, "get", (key,))
         if arg.groupid not in _KNOWN_GROUPS:
             # real driver: -EINVAL for a group the GPU does not expose
             raise IoctlError(errno.EINVAL, f"unknown counter group {arg.groupid:#x}")
-        key = (arg.groupid, arg.countable)
         self._reserved.add(key)
         # The register offset is an opaque MMIO offset in the real driver,
         # which refcounts a reserved countable: asking again returns the
@@ -197,54 +217,108 @@ class KgslDeviceFile:
         return 0
 
     def _perfcounter_read(self, arg: KgslPerfcounterRead) -> int:
+        now = (self.clock.now,)
+        try:
+            self._read_request(arg)
+        except IoctlError as exc:
+            if exc.served:
+                # the slots served before the failure still reach the
+                # value hooks; the read itself returns nothing
+                self.perfcounter_read_many(now, _served(arg.reads[: exc.served]), (False,))
+            raise
+        [row] = self.perfcounter_read_many(now, _served(arg.reads), (True,)).tolist()
+        for slot in arg.reads:
+            column = SLOT_COLUMN.get((slot.groupid, slot.countable))
+            slot.value = 0 if column is None else row[column]
+        return 0
+
+    def perfcounter_request(self, arg: KgslPerfcounterRead) -> None:
+        """The request step of ``ioctl(PERFCOUNTER_READ, arg)``, without
+        its value step: no slot value is filled in.
+
+        Counts one ioctl; every stage sees it (``on_ioctl``) and the slots
+        it names (``on_counter``, once for the whole read), outer to inner;
+        each named counter must be reserved (``EINVAL``); a completed read
+        then runs ``after_read``.  Raises :class:`IoctlError` on failure,
+        whose ``served`` counts the slots served before it.  The caller
+        serves the completed reads, and the served slots of failed ones,
+        later with :meth:`perfcounter_read_many`, in request order.
+        """
+        self._enter(IOCTL_KGSL_PERFCOUNTER_READ, arg)
+        self._read_request(arg)
+
+    def _read_request(self, arg: KgslPerfcounterRead) -> None:
         if not isinstance(arg, KgslPerfcounterRead):
             raise IoctlError(errno.EFAULT, "PERFCOUNTER_READ needs kgsl_perfcounter_read")
         if arg.count == 0:
             raise IoctlError(errno.EINVAL, "empty read buffer")
-        row = self.timeline.values_at_many((self.clock.now,))[0].tolist()
-        chain, outer_first = self._chain, self._outer_first
-        # one slot at a time: a read that fails at slot k has already
-        # advanced every stage's state for the slots before it
-        for slot in arg.reads:
-            for stage in outer_first:
-                stage.on_counter(self, "read", slot.groupid, slot.countable)
-            key = (slot.groupid, slot.countable)
-            if key not in self._reserved:
-                raise IoctlError(
-                    errno.EINVAL,
-                    f"counter (group={slot.groupid:#x}, countable={slot.countable}) "
-                    "not reserved; call PERFCOUNTER_GET first",
-                )
-            column = SLOT_COLUMN.get(key)
-            value = 0 if column is None else row[column]
-            for stage in chain:
-                value = stage.on_value(self, key, value)
-            slot.value = value
-        for stage in chain:
-            stage.after_read(self, arg.reads)
-        return 0
+        keys = [(slot.groupid, slot.countable) for slot in arg.reads]
+        # the driver walks the slots in order and stops at the first one
+        # this fd does not hold; the stages see every slot it reached
+        served = len(keys)
+        if not self._reserved.issuperset(keys):
+            served = next(k for k, key in enumerate(keys) if key not in self._reserved)
+        for stage in self._outer_first:
+            stage.on_counter(self, "read", keys[: served + 1])
+        if served < len(keys):
+            groupid, countable = keys[served]
+            raise IoctlError(
+                errno.EINVAL,
+                f"counter (group={groupid:#x}, countable={countable}) "
+                "not reserved; call PERFCOUNTER_GET first",
+                served=served,
+            )
+        for stage in self._chain:
+            stage.after_read(self, keys)
 
-    def perfcounter_read_many(self, times: Sequence[float]) -> np.ndarray:
-        """``len(times)`` blockreads of every selected counter, one per time.
+    def perfcounter_read_many(
+        self,
+        times: Sequence[float],
+        served: Optional[np.ndarray] = None,
+        kept: Optional[Sequence[bool]] = None,
+    ) -> np.ndarray:
+        """The value step: the selected counters of ``len(times)`` reads,
+        one per time, as ``int64[n, 11]`` in :data:`COUNTER_ORDER`.
 
-        Equivalent to one ``PERFCOUNTER_READ`` naming the selected counters
-        (:data:`~repro.gpu.timeline.COUNTER_ORDER`) issued at each of
-        ``times``, which are non-decreasing and not before the clock: it
-        counts one ioctl per read, leaves the clock at ``times[-1]`` and
-        returns the values as ``int64[len(times), 11]``.  Only an fd with an
-        empty interposer chain can batch its reads — a stage must see every
-        read — and every selected counter must be reserved (``EINVAL``).
+        One :meth:`~repro.gpu.timeline.RenderTimeline.values_at_many` call,
+        then each stage's ``on_rows`` over the whole array, inner to outer.
+        The reads' requests ran through :meth:`perfcounter_request`, in
+        this order: ``served[k, j]`` marks the counters read k's request
+        reached (the rest read 0) and ``kept[k]`` whether it completed;
+        only the completed reads' rows are returned.  Without ``served``
+        the requests are made here, as on an fd whose chain is empty: each
+        read names every selected counter, counts one ioctl and cannot
+        fail but for an unreserved counter (``EINVAL``), and the clock is
+        left at ``times[-1]``.
+
+        ``times`` must be non-decreasing and start no earlier than the
+        clock (requests made here) or the last read served (``ValueError``).
         """
         if self._closed:
             raise IoctlError(errno.EBADF, "device file is closed")
-        if self._chain:
-            raise ValueError("an fd with interposers reads through ioctl(), one read at a time")
-        if not self._reserved.issuperset(SLOT_COLUMN):
-            raise IoctlError(errno.EINVAL, "read names an unreserved counter")
-        self.ioctl_count += len(times)
-        if len(times):
-            self.clock.set(times[-1])
-        return self.timeline.values_at_many(times)
+        times = np.asarray(times, dtype=float)
+        start = self.clock.now if served is None else self._served_until
+        if len(times) and (times[0] < start or (times[1:] < times[:-1]).any()):
+            raise ValueError(f"read times must be non-decreasing and start at or after {start}")
+        if served is None:
+            if not self._reserved.issuperset(SLOT_COLUMN):
+                raise IoctlError(errno.EINVAL, "read names an unreserved counter")
+            self.ioctl_count += len(times)
+            if len(times):
+                self.clock.set(float(times[-1]))
+        rows = self.timeline.values_at_many(times)
+        if not len(times):
+            return rows
+        self._served_until = times[-1]
+        if served is None:
+            if not self._chain:
+                return rows
+            served, kept = np.ones(rows.shape, dtype=bool), [True] * len(times)
+        kept = np.asarray(kept, dtype=bool)
+        rows[~served] = 0
+        for stage in self._chain:
+            stage.on_rows(self, times, rows, served, kept)
+        return rows[kept]
 
     def _device_getproperty(self, arg: KgslDeviceGetProperty) -> int:
         """``KGSL_PROP_DEVICE_INFO``: identify the GPU, as every user-space

@@ -9,13 +9,17 @@ owns one ordered tuple of them, inner to outer:
 
     drift → policy → faults
 
-Requests (the ioctl, each counter it names, each sampling wakeup) run
-through the chain *outer to inner*: a measurement fault fires before the
-policy sees the request, exactly where a flaky driver fails before its
-SELinux hook runs.  Values run *inner to outer*: drift rewrites what the
-GPU counted before any mitigation filters it, and faults corrupt what
-the mitigation served.  ``docs/architecture.md`` has the full story and
-how to add an interposer.
+A read runs through the chain in two steps.  The **request step** runs
+once per request, *outer to inner*: the ioctl, the counters it names and
+each sampling wakeup.  A measurement fault fires before the policy sees
+the request, exactly where a flaky driver fails before its SELinux hook
+runs, and a stage that fails a request hides it from every stage inside
+it.  The **value step** runs once per batch of requested reads, *inner to
+outer*, as array operations over the batch's ``int64[n, 11]`` rows: drift
+rewrites what the GPU counted before any mitigation filters it, and
+faults corrupt what the mitigation served.  No hook runs per counter slot.
+``docs/architecture.md`` has the full story and how to add an
+interposer.
 
 :func:`build_chain` is the one place that order is written down, and
 :func:`open_sampler` the one place an attack fd and its sampler are
@@ -33,29 +37,56 @@ from repro.kgsl.sampler import PerfCounterSampler
 
 
 class Interposer:
-    """One stage of the KGSL chain; every hook defaults to a no-op."""
+    """One stage of the KGSL chain; every hook defaults to a no-op.
+
+    Request-step hooks run once per request and see no counter value;
+    :meth:`on_rows` runs once per batch of reads and sees every value.
+    """
+
+    # -- request step: once per request, outer to inner ------------------
 
     def on_ioctl(self, device, request: int, arg) -> None:
         """Before the driver dispatches ``request``; may raise
         :class:`~repro.kgsl.ioctl.IoctlError`."""
 
-    def on_counter(self, device, operation: str, groupid: int, countable: int) -> None:
-        """For the counter a ``PERFCOUNTER_GET`` names, and for each slot
-        of a ``PERFCOUNTER_READ`` just before the driver checks that slot's
-        reservation; may raise :class:`~repro.kgsl.ioctl.IoctlError`."""
+    def on_counter(self, device, operation: str, keys: Sequence[Tuple[int, int]]) -> None:
+        """For the ``(groupid, countable)`` counters a request names: the
+        one of a ``PERFCOUNTER_GET``, and the slots of a
+        ``PERFCOUNTER_READ`` up to the first one the fd does not hold.
+        May raise :class:`~repro.kgsl.ioctl.IoctlError`, failing the
+        request before any slot is served."""
 
-    def on_value(self, device, key: Tuple[int, int], value: int) -> int:
-        """Rewrite one slot's cumulative value inside the read loop."""
-        return value
-
-    def after_read(self, device, slots) -> None:
-        """Once per successful ``PERFCOUNTER_READ``, after every slot is
-        filled; may rewrite ``slot.value`` in place."""
+    def after_read(self, device, keys: Sequence[Tuple[int, int]]) -> None:
+        """Once per completed ``PERFCOUNTER_READ``, with every slot it
+        named.  No value exists yet: a stage that rewrites values here
+        decides *what* to do, and does it in :meth:`on_rows`.  Runs inner
+        to outer."""
 
     def on_wakeup(self) -> Optional[float]:
         """Per sampling wakeup: extra delay in seconds, or ``None`` to
         drop the wakeup entirely."""
         return 0.0
+
+    # -- value step: once per batch of reads, inner to outer -------------
+
+    def on_rows(
+        self,
+        device,
+        times: np.ndarray,
+        rows: np.ndarray,
+        served: np.ndarray,
+        kept: np.ndarray,
+    ) -> None:
+        """Rewrite a batch of reads' cumulative values in place.
+
+        Row ``k`` of ``rows`` (``int64[n, 11]``, columns in
+        :data:`~repro.gpu.timeline.COUNTER_ORDER`) holds read ``k``'s
+        values at ``times[k]``, in request order.  Only entries set in
+        ``served`` were served; the rest read 0 and stay 0.  ``kept[k]``
+        is False for a read that failed part way: it served its first
+        slots, so their values advance every stage's state, but the
+        reader never sees its row.
+        """
 
     def flush_metrics(self, metrics) -> None:
         """Publish this stage's tallies (once per fd, at session end)."""

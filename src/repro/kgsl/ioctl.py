@@ -137,7 +137,13 @@ class KgslDeviceGetProperty:
 
 
 class IoctlError(OSError):
-    """An ioctl failure, carrying the errno the kernel would return."""
+    """An ioctl failure, carrying the errno the kernel would return.
 
-    def __init__(self, errno_value: int, message: str) -> None:
+    ``served`` counts the slots a failed ``PERFCOUNTER_READ`` served
+    before it failed: the driver walks the slot list in order, so a read
+    that fails at slot k has already served slots ``0 .. k-1``.
+    """
+
+    def __init__(self, errno_value: int, message: str, served: int = 0) -> None:
         super().__init__(errno_value, message)
+        self.served = served

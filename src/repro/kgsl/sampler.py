@@ -14,6 +14,11 @@ device file, including the scheduling realities the paper measures:
 * **power** (Fig 26): each ioctl read and each inference costs energy; the
   analytic battery model lives here because it is a property of the
   sampling duty cycle.
+
+Each wakeup runs the read's *request step* — scheduling, the interposer
+chain's request hooks, retries, reservation repair — and each batch of
+reads one *value step*, which serves every attempt's counter values as
+one array (see :mod:`repro.kgsl.device_file`).
 """
 
 from __future__ import annotations
@@ -26,10 +31,9 @@ import numpy as np
 
 from repro.gpu import counters as pc
 from repro.gpu.timeline import COUNTER_ORDER
-from repro.kgsl.device_file import SLOT_COLUMN, KgslDeviceFile
+from repro.kgsl.device_file import KgslDeviceFile
 from repro.kgsl.ioctl import (
     IOCTL_KGSL_PERFCOUNTER_GET,
-    IOCTL_KGSL_PERFCOUNTER_READ,
     IoctlError,
     KgslPerfcounterGet,
     KgslPerfcounterRead,
@@ -55,6 +59,8 @@ _PREEMPT_DELAY_S = 2.2e-3
 #: Column of each selected counter in a read row (``COUNTER_ORDER``).
 _COLUMN: Dict[pc.CounterSpec, int] = {spec: j for j, spec in enumerate(pc.SELECTED_COUNTERS)}
 _N_COUNTERS = len(COUNTER_ORDER)
+#: ``(groupid, countable)`` of every selected counter.
+_KEYS = frozenset((int(spec.group), spec.countable) for spec in pc.SELECTED_COUNTERS)
 #: The mask of a read that holds every selected counter.
 _NOTHING_MISSING = np.zeros(_N_COUNTERS, dtype=bool)
 _NOTHING_MISSING.flags.writeable = False
@@ -255,13 +261,14 @@ class PerfCounterSampler:
     crashing the service.
 
     Each wakeup also asks the fd's interposer chain whether it is dropped
-    or delayed.  On an fd whose chain is empty nothing can fail, delay or
-    rewrite a read, so the loop draws a batch's wakeup times first and
-    reads them all in one
+    or delayed, then makes its read's request (:meth:`read_once`): the
+    chain's request hooks run once per attempt, and every attempt is
+    logged.  Each batch then serves every logged attempt's values in one
     :meth:`~repro.kgsl.device_file.KgslDeviceFile.perfcounter_read_many`
-    call; any other fd is read one ``PERFCOUNTER_READ`` ioctl per wakeup,
-    so every stage sees every read, slot by slot.  Both paths draw the
-    same scheduling randomness in the same order.
+    call, where the chain rewrites them as arrays.  On an fd whose chain
+    is empty, with every counter held, no request can fail or be delayed,
+    so the loop skips the request step and only draws the batch's wakeup
+    times.  Both draw the same scheduling randomness in the same order.
     """
 
     #: Transient-read retries before the failure is considered permanent.
@@ -299,9 +306,10 @@ class PerfCounterSampler:
         #: revived (a policy denial is not contention; see docs/defenses.md)
         self._denied: set = set()
         self._active: List[pc.CounterSpec] = []
-        #: the active counters' (groupid, countable) slots and row columns
-        self._active_slots: List[Tuple[int, int]] = []
         self._active_columns: List[int] = []
+        #: read attempts (time, counters served, completed) whose values
+        #: the next value step serves
+        self._attempts: List[Tuple[float, np.ndarray, bool]] = []
         self._reserve_counters()
 
     @property
@@ -438,36 +446,52 @@ class PerfCounterSampler:
         self._active = [
             c for c in self.counters if c not in self._lost and c not in self._denied
         ]
-        self._active_slots = [(int(c.group), c.countable) for c in self._active]
         self._active_columns = [_COLUMN[c] for c in self._active]
+        # the read request naming the active counters, and what it serves
+        self._request = KgslPerfcounterRead(
+            [KgslPerfcounterReadGroup(int(c.group), c.countable) for c in self._active]
+        )
+        self._served = ~self.missing_mask()
 
     # ------------------------------------------------------------------
 
-    def read_once(self) -> Optional[List[int]]:
-        """Blockread the available selected counters at the device clock.
+    def read_once(self) -> Optional[np.ndarray]:
+        """The request step of one wakeup: a ``PERFCOUNTER_READ`` request
+        of the available selected counters at the device clock.
 
         Resilient form: retries transient failures with backoff and
         resynchronizes the reservation set when a register has been
-        reclaimed.  Returns the read as one row of 11 values in
-        ``COUNTER_ORDER``; counters currently lost or denied read 0 there
-        and are set in :meth:`missing_mask` (*missing*, not 0).
-        Returns ``None`` when even the retries could not complete the
-        read — the wakeup is abandoned, equivalent to a dropped sample.
+        reclaimed.  Returns the counters the read serves, as a
+        ``bool[11]`` row in ``COUNTER_ORDER``; counters currently lost or
+        denied are not served and are set in :meth:`missing_mask`
+        (*missing*, not 0).  Returns ``None`` when even the retries could
+        not complete the read — the wakeup is abandoned, equivalent to a
+        dropped sample.
+
+        No value is read here.  Each attempt is logged with its time and
+        the counters it served — a completed read all of them, one that
+        failed part way its first slots — and the batch's value step
+        serves them all at once.
         """
         self._read_index += 1
+        device = self.device_file
         attempt = 0
         while True:
             self._revive_due_counters()
             active = self._active
             if not active:
                 # every register is held elsewhere: a read of nothing
-                return [0] * _N_COUNTERS
-            read = KgslPerfcounterRead(
-                [KgslPerfcounterReadGroup(*slot) for slot in self._active_slots]
-            )
+                return self._served
+            now = device.clock.now
             try:
-                self.device_file.ioctl(IOCTL_KGSL_PERFCOUNTER_READ, read)
+                device.perfcounter_request(self._request)
             except IoctlError as exc:
+                if exc.served:
+                    # the slots served before the failure still reach the
+                    # value hooks, and the attempt's row is dropped
+                    served = np.zeros(_N_COUNTERS, dtype=bool)
+                    served[self._active_columns[: exc.served]] = True
+                    self._attempts.append((now, served, False))
                 if exc.errno == errno.EACCES:
                     # access revoked mid-session (a policy now denies the
                     # read path): every active register is policy-masked
@@ -500,10 +524,8 @@ class PerfCounterSampler:
                     self._note("read_abandoned", errno=exc.errno)
                     return None
                 raise
-            row = [0] * _N_COUNTERS
-            for column, slot in zip(self._active_columns, read.reads):
-                row[column] = slot.value
-            return row
+            self._attempts.append((now, self._served, True))
+            return self._served
 
     def missing_mask(self) -> np.ndarray:
         """``bool[11]``: the counters lost or denied right now."""
@@ -513,15 +535,24 @@ class PerfCounterSampler:
         mask[[_COLUMN[spec] for spec in (*self._lost, *self._denied)]] = True
         return mask
 
-    def _reads_batch(self) -> bool:
-        """Whether the next batch can be one ``perfcounter_read_many``:
-        an empty chain, every counter held, nothing to revive."""
+    def _skips_requests(self) -> bool:
+        """Whether the next batch can skip the request step: an empty
+        chain, every counter held, nothing to revive."""
         device = self.device_file
         return (
             not device.interposers
             and not self._lost
             and not self._denied
-            and set(device.reserved_counters()).issuperset(SLOT_COLUMN)
+            and _KEYS.issubset(device.reserved_counters())
+        )
+
+    def _serve_attempts(self) -> np.ndarray:
+        """The value step: every logged attempt's values in one call;
+        returns the completed reads' rows, in request order."""
+        attempts, self._attempts = self._attempts, []
+        times, served, kept = zip(*attempts) if attempts else ((), (), ())
+        return self.device_file.perfcounter_read_many(
+            times, np.array(served, dtype=bool).reshape(-1, _N_COUNTERS), kept
         )
 
     def _scheduling_delay(self, load: SystemLoad) -> Optional[float]:
@@ -561,14 +592,16 @@ class PerfCounterSampler:
         nominal = t0
         last_t = -1.0
         while nominal < t1:
-            batched = self._reads_batch()
+            if self._attempts:
+                # attempts of read_once calls made outside this loop
+                self._serve_attempts()
+            requests = not self._skips_requests()
             # a wakeup is a request like any ioctl: it visits the chain
             # outer to inner, and any stage may drop or defer it
             wakeup_chain = device.interposers[::-1]
             nominals: List[float] = []
             times: List[float] = []
-            rows: List[List[int]] = []
-            masks: List[np.ndarray] = []
+            served: List[np.ndarray] = []
             while nominal < t1 and len(times) < chunk:
                 delay = self._scheduling_delay(load)
                 for stage in wakeup_chain:
@@ -588,7 +621,7 @@ class PerfCounterSampler:
                 # reads are issued by one thread, so they stay monotone even
                 # when a coalesced wakeup overshoots the next nominal tick
                 read_t = max(nominal + delay, last_t + 1e-5, device.clock.now)
-                if not batched:
+                if requests:
                     device.clock.set(read_t)
                     row = self.read_once()
                     if row is None:
@@ -596,11 +629,10 @@ class PerfCounterSampler:
                         self.reads_dropped += 1
                         nominal += self.interval_s
                         continue
+                    served.append(row)
                     # retry backoff consumed device time: the observation
                     # really happened when the read finally succeeded
                     read_t = device.clock.now
-                    rows.append(row)
-                    masks.append(self.missing_mask())
                 self.reads_issued += 1
                 nominals.append(nominal)
                 times.append(read_t)
@@ -608,14 +640,16 @@ class PerfCounterSampler:
                 nominal += self.interval_s
             if not times:
                 return
-            if batched:
-                self._read_index += len(times)
-                matrix = device.perfcounter_read_many(times)
-                mask = np.zeros(matrix.shape, dtype=bool)
+            if requests:
+                mask = ~np.array(served)
+                rows = np.zeros(mask.shape, dtype=np.int64)
+                # a read of nothing made no request and serves no row
+                rows[~mask.all(axis=1)] = self._serve_attempts()
             else:
-                matrix = np.array(rows, dtype=np.int64)
-                mask = np.array(masks)
-            yield ReadBatch(np.array(nominals), np.array(times), matrix, mask)
+                self._read_index += len(times)
+                rows = device.perfcounter_read_many(times)
+                mask = np.zeros(rows.shape, dtype=bool)
+            yield ReadBatch(np.array(nominals), np.array(times), rows, mask)
 
     def sample_range(
         self, t0: float, t1: float, load: SystemLoad = IDLE

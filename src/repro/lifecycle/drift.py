@@ -35,6 +35,8 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.gpu.timeline import COUNTER_ORDER
+from repro.kgsl.device_file import SLOT_COLUMN
 from repro.kgsl.interpose import Interposer
 from repro.registry import SpecType
 
@@ -202,10 +204,10 @@ class DriftInjector(Interposer):
     """Per-device-file drift runtime built from a :class:`DriftPlan`.
 
     The innermost stage of the KGSL interposer chain: drift is physical,
-    so it rewrites every counter slot of every ``PERFCOUNTER_READ``
-    before any mitigation or measurement fault sees it.  The injector
-    tracks, per counter, the last raw cumulative value served by the
-    timeline and the last value it returned; each new read contributes
+    so it rewrites every served counter value before any mitigation or
+    measurement fault sees it.  The injector tracks, per counter, the
+    last raw cumulative value served by the timeline and the last value
+    it returned; each new read contributes
     ``round(factor(t) * raw_increment)`` on top of the previous output,
     so returned counters stay cumulative and monotone while their
     *increments* — the deltas the classifier sees — carry the drift.
@@ -218,28 +220,38 @@ class DriftInjector(Interposer):
         self.seed_offset = seed_offset
         self.time_offset = time_offset
         self.stats = DriftStats()
-        #: counter key -> (last raw value, last returned value)
-        self._state: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        #: per counter column: last raw value served, last value returned
+        self._raw = np.zeros(len(COUNTER_ORDER), dtype=np.int64)
+        self._out = np.zeros(len(COUNTER_ORDER), dtype=np.int64)
         self._geometry: Dict[Tuple[int, int], float] = {}
+        #: each column's shifted geometry factor
+        self._shift = np.array([self._geometry_shift(key) for key in SLOT_COLUMN])
 
     # ------------------------------------------------------------------
 
-    def thermal_factor(self, now: float) -> float:
-        """The throttle multiplier at device time ``now`` (stream time
-        once the injector's ``time_offset`` is added)."""
+    def thermal_factor(self, now):
+        """The throttle multiplier at device time ``now``, a float or an
+        array of them (stream time once the injector's ``time_offset`` is
+        added)."""
         plan = self.plan
-        if plan.thermal_scale == 1.0:
-            return 1.0
-        t = now + self.time_offset - plan.thermal_onset_s
-        if t < 0.0:
-            return 1.0
+        t = np.asarray(now, dtype=float) + self.time_offset - plan.thermal_onset_s
         if plan.thermal_mode == "step" or plan.thermal_ramp_s <= 0.0:
-            return plan.thermal_scale
-        frac = min(1.0, t / plan.thermal_ramp_s)
-        return 1.0 + (plan.thermal_scale - 1.0) * frac
+            throttled = plan.thermal_scale
+        else:
+            # min(1, t / ramp), clipped first so a tiny ramp cannot overflow
+            frac = np.clip(t, 0.0, plan.thermal_ramp_s) / plan.thermal_ramp_s
+            throttled = 1.0 + (plan.thermal_scale - 1.0) * frac
+        factor = np.where(t < 0.0, 1.0, throttled)
+        return factor if factor.ndim else float(factor)
 
     def geometry_factor(self, key: Tuple[int, int], now: float) -> float:
-        """The per-counter geometry multiplier at device time ``now``.
+        """The per-counter geometry multiplier at device time ``now``."""
+        if now + self.time_offset < self.plan.geometry_onset_s:
+            return 1.0
+        return self._geometry_shift(key)
+
+    def _geometry_shift(self, key: Tuple[int, int]) -> float:
+        """One counter's shifted geometry factor.
 
         Factors are drawn from the *plan* seed and the counter identity
         only, never from the fd's ``seed_offset``: the shifted geometry
@@ -247,8 +259,6 @@ class DriftInjector(Interposer):
         """
         plan = self.plan
         if plan.geometry_shift == 0.0:
-            return 1.0
-        if now + self.time_offset < plan.geometry_onset_s:
             return 1.0
         factor = self._geometry.get(key)
         if factor is None:
@@ -259,8 +269,8 @@ class DriftInjector(Interposer):
 
     # -- interposer hooks ----------------------------------------------
 
-    def on_value(self, device, key: Tuple[int, int], value: int) -> int:
-        return self.drift_value(key, value, device.clock.now)
+    def on_rows(self, device, times, rows, served, kept) -> None:
+        self.drift_value(times, rows, served)
 
     def flush_metrics(self, metrics) -> None:
         """Publish the applied drift as ``drift.*``."""
@@ -276,29 +286,41 @@ class DriftInjector(Interposer):
             elif value > 0:
                 metrics.counter(f"drift.{name}").inc(int(value))
 
-    def drift_value(self, key: Tuple[int, int], raw: int, now: float) -> int:
-        """Rewrite one cumulative counter value read at device time
-        ``now``; called per slot from ``PERFCOUNTER_READ``."""
-        prev_raw, prev_out = self._state.get(key, (0, 0))
-        increment = raw - prev_raw
-        if increment < 0:
-            # timeline reset (fresh fd reusing an injector): restart the
-            # accumulation rather than emit a negative increment
-            prev_raw, prev_out, increment = 0, 0, raw
-        thermal = self.thermal_factor(now)
-        geometry = self.geometry_factor(key, now)
-        factor = thermal * geometry
-        if factor == 1.0:
-            out = prev_out + increment
-        else:
-            out = prev_out + int(round(increment * factor))
-            if increment:
-                self.stats.reads_scaled += 1
-        if thermal < 1.0:
-            self.stats.thermal_samples += 1
-            if thermal < self.stats.min_thermal_factor:
-                self.stats.min_thermal_factor = thermal
-        if geometry != 1.0:
-            self.stats.geometry_samples += 1
-        self._state[key] = (raw, out)
-        return out
+    def drift_value(self, times: np.ndarray, rows: np.ndarray, served: np.ndarray) -> None:
+        """Rewrite the served cumulative values of reads at ``times`` in
+        place (the value step; see
+        :meth:`~repro.kgsl.interpose.Interposer.on_rows`)."""
+        n = len(times)
+        thermal = self.thermal_factor(times)
+        geometry = np.where(
+            (times + self.time_offset >= self.plan.geometry_onset_s)[:, None], self._shift, 1.0
+        )
+        # each column's raw value carried forward over the reads that did
+        # not serve it, from the value the previous batch left
+        last = np.where(served, np.arange(1, n + 1)[:, None], 0)
+        np.maximum.accumulate(last, axis=0, out=last)
+        raw = np.take_along_axis(np.vstack((self._raw, rows)), last, axis=0)
+        increment = np.diff(raw, axis=0, prepend=self._raw[None])
+        # a raw value below the last one means the timeline restarted (a
+        # fresh fd reusing an injector): the accumulation restarts at it
+        reset = increment < 0
+        restarted = reset.any()
+        if restarted:
+            increment[reset] = raw[reset]
+        factor = thermal[:, None] * geometry
+        step = np.rint(increment * factor).astype(np.int64)
+        total = np.cumsum(np.vstack((self._out, step)), axis=0)
+        out = total[1:]
+        if restarted:
+            since = np.where(reset, np.arange(n)[:, None], -1)
+            np.maximum.accumulate(since, axis=0, out=since)
+            out -= np.where(since >= 0, np.take_along_axis(total, np.maximum(since, 0), axis=0), 0)
+        rows[served] = out[served]
+        self._raw, self._out = raw[-1].copy(), out[-1].copy()
+        stats = self.stats
+        stats.reads_scaled += int(np.count_nonzero(served & (factor != 1.0) & (increment != 0)))
+        throttled = (thermal < 1.0) & served.any(axis=1)
+        if throttled.any():
+            stats.thermal_samples += int(np.count_nonzero(served[throttled]))
+            stats.min_thermal_factor = min(stats.min_thermal_factor, float(thermal[throttled].min()))
+        stats.geometry_samples += int(np.count_nonzero(served & (geometry != 1.0)))

@@ -12,9 +12,10 @@ makes that composition first-class:
   "RBAC plus quantization plus popups off" as a single named object.
 * :class:`PolicyEnforcer` — the runtime form: one
   :class:`~repro.kgsl.interpose.Interposer` enforcing the whole stack at
-  the KGSL device file (``check`` for access control, ``filter_value``
-  for the value pipeline), with per-layer counters that flush into the
-  run manifest as ``mitigation.*``.
+  the KGSL device file (``check`` for access control, once per request;
+  ``filter_value`` for the value pipeline, once per batch of reads), with
+  per-layer counters that flush into the run manifest as
+  ``mitigation.*``.
 * :data:`MITIGATION_REGISTRY` — named lookup with the same
   :class:`~repro.registry.UnknownNameError` suggestions as keyboards and
   scenarios; :func:`register_mitigation` validates before registering.
@@ -23,7 +24,7 @@ Enforcement has exactly two surfaces, and a policy declares both:
 
 1. **KGSL boundary** (:meth:`MitigationPolicy.enforcer`): consulted by
    :class:`~repro.kgsl.device_file.KgslDeviceFile` on every counter
-   ioctl.  ``mitigation=None`` installs *no* hook — the fast path stays
+   request and every batch of served reads.  ``mitigation=None`` installs *no* hook — the fast path stays
    byte-identical to the undefended device (golden-parity tested).
 2. **Victim rendering** (:meth:`MitigationPolicy.apply_to_device_config`):
    popup-rendering changes alter what the victim draws, so they apply
@@ -40,10 +41,11 @@ from __future__ import annotations
 
 import errno
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.gpu.timeline import COUNTER_ORDER
 from repro.kgsl.device_file import ProcessContext
 from repro.kgsl.interpose import Interposer
 from repro.kgsl.ioctl import IoctlError
@@ -249,7 +251,7 @@ class MitigationStats:
 class PolicyEnforcer(Interposer):
     """The runtime stack of one :class:`MitigationPolicy` at the KGSL fd.
 
-    The middle stage of the interposer chain: it checks each counter a
+    The middle stage of the interposer chain: it checks the counters each
     request names (:meth:`check`) and filters the drifted values the GPU
     served (:meth:`filter_value`) before any measurement fault sees them.
 
@@ -274,18 +276,21 @@ class PolicyEnforcer(Interposer):
             if policy.noise_strength > 0
             else None
         )
-        #: (groupid, countable) -> accumulated noise-walk offset
-        self._walk: Dict[Tuple[int, int], int] = {}
-        #: (groupid, countable) -> (last fresh-serve time, value served)
-        self._snapshot: Dict[Tuple[int, int], Tuple[float, int]] = {}
+        columns = len(COUNTER_ORDER)
+        #: per counter column: accumulated noise-walk offset
+        self._walk = np.zeros(columns, dtype=np.int64)
+        #: per counter column: last fresh-serve time (NaN: none yet) and
+        #: the value it served
+        self._snapshot_t = np.full(columns, np.nan)
+        self._snapshot = np.zeros(columns, dtype=np.int64)
 
     # -- interposer hooks -------------------------------------------------
 
-    def on_counter(self, device, operation: str, groupid: int, countable: int) -> None:
-        self.check(device.context, operation, groupid, countable)
+    def on_counter(self, device, operation: str, keys) -> None:
+        self.check(device.context, operation, keys)
 
-    def on_value(self, device, key: Tuple[int, int], value: int) -> int:
-        return self.filter_value(device.context, key[0], key[1], value, device.clock.now)
+    def on_rows(self, device, times, rows, served, kept) -> None:
+        self.filter_value(device.context, times, rows, served)
 
     # -- enforcement --------------------------------------------------------
 
@@ -293,48 +298,83 @@ class PolicyEnforcer(Interposer):
         return context.selinux_context in self.policy.privileged_contexts
 
     def check(
-        self, context: ProcessContext, operation: str, groupid: int, countable: int
+        self, context: ProcessContext, operation: str, keys: Sequence[Tuple[int, int]]
     ) -> None:
-        self.stats.checks += 1
+        """Access control for one request naming the ``(groupid,
+        countable)`` counters ``keys``: RBAC denies an unprivileged
+        context at the first of them."""
         if not self.policy.rbac or self._privileged(context):
+            self.stats.checks += len(keys)
             return
+        self.stats.checks += 1
         self.stats.denials += 1
         raise IoctlError(
             errno.EACCES,
             f"mitigation {self.policy.name!r}: denied "
             f"context={context.selinux_context} op=perfcounter_{operation} "
-            f"group={groupid:#x}",
+            f"group={keys[0][0]:#x}",
         )
 
     def filter_value(
-        self, context: ProcessContext, groupid: int, countable: int, value: int, now: float
-    ) -> int:
+        self, context: ProcessContext, times: np.ndarray, rows: np.ndarray, served: np.ndarray
+    ) -> None:
+        """The value pipeline over the served values of reads at ``times``,
+        in place (the value step; see
+        :meth:`~repro.kgsl.interpose.Interposer.on_rows`)."""
         if self._privileged(context) or not self.policy.enforces_kgsl:
-            return value
+            return
         policy = self.policy
-        self.stats.filtered_values += 1
+        stats = self.stats
+        stats.filtered_values += int(np.count_nonzero(served))
         if policy.local_only:
             # nothing further to protect: the caller rendered nothing
-            self.stats.local_zeroed += 1
-            return 0
-        key = (groupid, countable)
-        if policy.rate_limit_hz is not None:
-            cached = self._snapshot.get(key)
-            if cached is not None and now - cached[0] < 1.0 / policy.rate_limit_hz:
-                self.stats.stale_serves += 1
-                return cached[1]
-        served = value
+            stats.local_zeroed += int(np.count_nonzero(served))
+            rows[served] = 0
+            return
+        fresh = served if policy.rate_limit_hz is None else self._fresh(times, served)
+        fresh_count = int(np.count_nonzero(fresh))
         if policy.quantize_step is not None:
-            served -= served % policy.quantize_step
-            self.stats.quantized += 1
+            rows -= rows % policy.quantize_step
+            stats.quantized += fresh_count
         if self._rng is not None:
-            step = int(self._rng.exponential(_NOISE_STEP_SCALE * policy.noise_strength))
-            self._walk[key] = self._walk.get(key, 0) + step
-            served += self._walk[key]
-            self.stats.noised += 1
+            # one draw per fresh serve in read order, each counter's walk
+            # accumulating its own draws
+            steps = self._rng.exponential(
+                _NOISE_STEP_SCALE * policy.noise_strength, size=fresh_count
+            )
+            walk = np.zeros(rows.shape, dtype=np.int64)
+            walk[fresh] = steps.astype(np.int64)
+            np.cumsum(walk, axis=0, out=walk)
+            walk += self._walk
+            rows[fresh] += walk[fresh]
+            self._walk = walk[-1]
+            stats.noised += fresh_count
         if policy.rate_limit_hz is not None:
-            self._snapshot[key] = (now, served)
-        return served
+            self._serve_stale(rows, served, fresh)
+
+    def _fresh(self, times: np.ndarray, served: np.ndarray) -> np.ndarray:
+        """Which served values are fresh under the rate limit: a counter's
+        snapshot refreshes at most once per period, read by read."""
+        period = 1.0 / self.policy.rate_limit_hz
+        snapshot_t = self._snapshot_t
+        fresh = served.copy()
+        for k, t in enumerate(times.tolist()):
+            # NaN (never served) compares False: the first serve is fresh
+            stale = served[k] & (t - snapshot_t < period)
+            fresh[k] &= ~stale
+            snapshot_t[fresh[k]] = t
+        return fresh
+
+    def _serve_stale(self, rows: np.ndarray, served: np.ndarray, fresh: np.ndarray) -> None:
+        """Serve each stale value as its counter's latest snapshot: the
+        last fresh value before it, or the one a previous batch left."""
+        latest = np.where(fresh, np.arange(1, len(rows) + 1)[:, None], 0)
+        np.maximum.accumulate(latest, axis=0, out=latest)
+        snapshots = np.take_along_axis(np.vstack((self._snapshot, rows)), latest, axis=0)
+        stale = served & ~fresh
+        rows[stale] = snapshots[stale]
+        self.stats.stale_serves += int(np.count_nonzero(stale))
+        self._snapshot = snapshots[-1].copy()
 
     # -- observability ----------------------------------------------------
 

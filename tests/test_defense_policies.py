@@ -42,6 +42,16 @@ from repro.scenarios import scenario
 
 UNTRUSTED = ProcessContext()  # default context is an untrusted app
 PROFILER = ProcessContext(selinux_context="graphics_profiler")
+SLOT = [(0x19, 14)]
+
+
+def filter_value(enforcer, context, value, now, column=0):
+    """One served counter value through the enforcer's batch pipeline."""
+    rows = np.zeros((1, 11), dtype=np.int64)
+    served = np.zeros((1, 11), dtype=bool)
+    rows[0, column], served[0, column] = value, True
+    enforcer.filter_value(context, np.array([now]), rows, served)
+    return int(rows[0, column])
 
 
 @pytest.fixture(scope="module")
@@ -139,26 +149,20 @@ class TestPolicyEnforcer:
     def test_rbac_denies_untrusted_allows_privileged(self):
         enforcer = mitigation("rbac").enforcer(seed=0)
         with pytest.raises(IoctlError):
-            enforcer.check(UNTRUSTED, "read", 0x19, 14)
-        enforcer.check(PROFILER, "read", 0x19, 14)
+            enforcer.check(UNTRUSTED, "read", SLOT)
+        enforcer.check(PROFILER, "read", SLOT)
         assert enforcer.stats.denials == 1
 
     def test_local_only_zeroes_unprivileged(self):
         enforcer = MitigationPolicy(name="lo", local_only=True).enforcer(seed=0)
-        assert enforcer.filter_value(
-            context=UNTRUSTED, groupid=1, countable=2, value=9999, now=0.0
-        ) == 0
-        assert enforcer.filter_value(
-            context=PROFILER, groupid=1, countable=2, value=9999, now=0.0
-        ) == 9999
+        assert filter_value(enforcer, UNTRUSTED, 9999, now=0.0) == 0
+        assert filter_value(enforcer, PROFILER, 9999, now=0.0) == 9999
 
     def test_rate_limit_serves_stale_values(self):
         enforcer = MitigationPolicy(name="rl", rate_limit_hz=10.0).enforcer(seed=0)
 
         def read(value, now):
-            return enforcer.filter_value(
-                context=UNTRUSTED, groupid=1, countable=2, value=value, now=now
-            )
+            return filter_value(enforcer, UNTRUSTED, value, now)
 
         assert read(100, 0.0) == 100
         # inside the 100 ms window the cached value is served
@@ -169,27 +173,19 @@ class TestPolicyEnforcer:
 
     def test_quantize_floors_to_step(self):
         enforcer = MitigationPolicy(name="q", quantize_step=4096).enforcer(seed=0)
-        value = enforcer.filter_value(
-            context=UNTRUSTED, groupid=1, countable=2, value=10_000, now=0.0
-        )
-        assert value == 8192
+        assert filter_value(enforcer, UNTRUSTED, 10_000, now=0.0) == 8192
 
     def test_noise_walk_is_monotone_and_seeded(self):
         policy = MitigationPolicy(name="n", noise_strength=2.0)
         enforcer = policy.enforcer(seed=5)
         previous = 0
         for i, true_value in enumerate((1000, 5000, 20_000, 90_000)):
-            served = enforcer.filter_value(
-                context=UNTRUSTED, groupid=1, countable=2,
-                value=true_value, now=0.01 * i,
-            )
+            served = filter_value(enforcer, UNTRUSTED, true_value, now=0.01 * i)
             assert served >= previous, "counters must never run backwards"
             previous = served
         # same seed reproduces the walk; a different seed diverges
         replay = [
-            policy.enforcer(seed=5).filter_value(
-                context=UNTRUSTED, groupid=1, countable=2, value=50_000, now=0.0
-            )
+            filter_value(policy.enforcer(seed=5), UNTRUSTED, 50_000, now=0.0)
             for _ in range(2)
         ]
         assert replay[0] == replay[1]
@@ -201,21 +197,17 @@ class TestPolicyEnforcer:
             name="q+rl",
         )
         enforcer = stack.enforcer(seed=0)
-        first = enforcer.filter_value(
-            context=UNTRUSTED, groupid=1, countable=2, value=1000, now=0.0
-        )
+        first = filter_value(enforcer, UNTRUSTED, 1000, now=0.0)
         assert first % 64 == 0
         # the stale serve replays the *post-pipeline* value
-        second = enforcer.filter_value(
-            context=UNTRUSTED, groupid=1, countable=2, value=5000, now=0.01
-        )
+        second = filter_value(enforcer, UNTRUSTED, 5000, now=0.01)
         assert second == first
 
     def test_flush_metrics_emits_mitigation_counters(self):
         registry = MetricsRegistry()
         enforcer = mitigation("rbac").enforcer(seed=0)
         with pytest.raises(IoctlError):
-            enforcer.check(UNTRUSTED, "get", 0x19, 14)
+            enforcer.check(UNTRUSTED, "get", SLOT)
         enforcer.flush_metrics(registry)
         counters = registry.manifest().counters
         assert counters["mitigation.denials"] == 1

@@ -5,7 +5,6 @@ import pytest
 from repro.android.glyphs import (
     _GLYPH_TABLE,
     KEYBOARD_CHARACTERS,
-    GlyphMetrics,
     glyph,
     has_glyph,
 )
@@ -73,10 +72,6 @@ class TestCaseSeparability:
 
 
 class TestRendering:
-    def test_box_pixels(self):
-        g = GlyphMetrics("x", ink_fraction=0.5, width_fraction=0.5, strokes=2)
-        assert g.box_pixels(10) == 50
-
     def test_vector_primitives_are_two_per_stroke(self):
         g = glyph("8")
         assert g.primitives(vector=True) == 2 * g.strokes

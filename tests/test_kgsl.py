@@ -2,6 +2,7 @@
 
 import errno
 
+import numpy as np
 import pytest
 
 from repro.gpu import counters as pc
@@ -151,14 +152,38 @@ class TestDeviceFileSemantics:
         assert rows[:, column].tolist() == [0, 25, 50]
         assert read_one(dev) == 50  # the per-slot read agrees at the clock
 
-    def test_batched_read_needs_an_empty_chain(self):
-        dev = open_kgsl(timeline_with_increment(), interposers=(Interposer(),))
-        with pytest.raises(ValueError):
-            dev.perfcounter_read_many([1.0])
+    def test_batched_read_runs_the_value_hooks(self):
+        class Halve(Interposer):
+            def on_rows(self, device, times, rows, served, kept):
+                rows[served] //= 2
+
+        dev = open_kgsl(timeline_with_increment(50), interposers=(Halve(),))
+        for spec in pc.SELECTED_COUNTERS:
+            reserve(dev, group=int(spec.group), countable=spec.countable)
+        rows = dev.perfcounter_read_many([0.5, 2.0])
+        column = pc.SELECTED_COUNTERS.index(pc.LRZ_FULL_8X8_TILES)
+        assert rows[:, column].tolist() == [0, 25]
+        assert read_one(dev) == 25  # the one-row value step of ioctl()
         dev.close()
         with pytest.raises(IoctlError) as exc:
-            dev.perfcounter_read_many([1.0])
+            dev.perfcounter_read_many([3.0])
         assert exc.value.errno == errno.EBADF
+
+    def test_batched_read_times_must_not_run_backwards(self):
+        dev = open_kgsl(timeline_with_increment(50), clock=DeviceClock())
+        for spec in pc.SELECTED_COUNTERS:
+            reserve(dev, group=int(spec.group), countable=spec.countable)
+        dev.clock.set(1.0)
+        for times in ([0.2, 0.1, 1.5], [0.5, 1.5], [1.2, 1.1, 1.5]):
+            with pytest.raises(ValueError):
+                dev.perfcounter_read_many(times)
+        assert dev.clock.now == 1.0
+        rows = dev.perfcounter_read_many([1.0, 1.0, 1.5])
+        assert len(rows) == 3 and dev.clock.now == 1.5
+        # a value step of requested reads may not reach behind one served
+        served = np.ones((1, 11), dtype=bool)
+        with pytest.raises(ValueError):
+            dev.perfcounter_read_many([1.2], served, [True])
 
     def test_ioctl_count_tracks_calls(self):
         dev = open_kgsl(timeline_with_increment())

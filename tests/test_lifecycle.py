@@ -139,23 +139,30 @@ class TestDriftInjector:
             a.geometry_factor((2, 7), 1.0) != a.geometry_factor((2, 5), 1.0)
         )
 
+    @staticmethod
+    def drifted(injector, raw, now, column=0):
+        """One served cumulative value through the injector's batch form."""
+        rows = np.zeros((1, 11), dtype=np.int64)
+        served = np.zeros((1, 11), dtype=bool)
+        rows[0, column], served[0, column] = raw, True
+        injector.drift_value(np.array([now]), rows, served)
+        return int(rows[0, column])
+
     def test_drift_value_scales_increments_cumulatively(self):
         plan = DriftPlan(thermal_scale=0.5, thermal_mode="step", thermal_onset_s=0.0)
         injector = plan.injector()
-        key = (0, 1)
-        assert injector.drift_value(key, 100, 1.0) == 50
+        assert self.drifted(injector, 100, 1.0) == 50
         # next read: +100 raw -> +50 drifted, on top of the drifted base
-        assert injector.drift_value(key, 200, 2.0) == 100
+        assert self.drifted(injector, 200, 2.0) == 100
         assert injector.stats.reads_scaled == 2
         assert injector.stats.min_thermal_factor == pytest.approx(0.5)
 
     def test_counter_reset_passes_through(self):
         plan = DriftPlan(thermal_scale=0.5, thermal_mode="step", thermal_onset_s=0.0)
         injector = plan.injector()
-        key = (0, 1)
-        injector.drift_value(key, 1000, 1.0)
+        self.drifted(injector, 1000, 1.0)
         # a smaller raw value means the counter reset; don't invent a delta
-        assert injector.drift_value(key, 10, 2.0) <= 10
+        assert self.drifted(injector, 10, 2.0) <= 10
 
     def test_kgsl_boundary_injection(self, config, chase_store):
         """Drift rewrites reads at the device file, not in the engine."""

@@ -100,32 +100,26 @@ class TestRbacBoundaries:
 class TestLocalOnlyBoundaries:
     def test_filter_applies_per_context(self):
         policy = mitigation("local-only").enforcer(seed=0)
-        assert (
-            policy.filter_value(
-                ProcessContext(selinux_context="untrusted_app"),
-                0x19,
-                14,
-                12345,
-                now=1.0,
-            )
-            == 0
-        )
-        assert (
-            policy.filter_value(
-                ProcessContext(selinux_context="graphics_profiler"),
-                0x19,
-                14,
-                12345,
-                now=1.0,
-            )
-            == 12345
-        )
+
+        def filtered(selinux_context):
+            rows = np.full((1, 11), 12345, dtype=np.int64)
+            served = np.ones((1, 11), dtype=bool)
+            context = ProcessContext(selinux_context=selinux_context)
+            policy.filter_value(context, np.array([1.0]), rows, served)
+            return rows[0].tolist()
+
+        assert filtered("untrusted_app") == [0] * 11
+        assert filtered("graphics_profiler") == [12345] * 11
 
     def test_base_policy_is_a_noop(self):
         # every interposer hook defaults to "let it through unchanged"
         stage = Interposer()
         dev = open_kgsl(timeline_with())
         stage.on_ioctl(dev, IOCTL_KGSL_PERFCOUNTER_GET, None)  # must not raise
-        stage.on_counter(dev, "get", 0x19, 14)  # must not raise
-        assert stage.on_value(dev, (0x19, 14), 7) == 7
+        stage.on_counter(dev, "get", [(0x19, 14)])  # must not raise
+        stage.after_read(dev, [(0x19, 14)])
+        rows = np.full((1, 11), 7, dtype=np.int64)
+        served = np.ones((1, 11), dtype=bool)
+        stage.on_rows(dev, np.array([1.0]), rows, served, np.ones(1, dtype=bool))
+        assert rows.tolist() == [[7] * 11]
         assert stage.on_wakeup() == 0.0

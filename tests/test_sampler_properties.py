@@ -89,9 +89,10 @@ class TestSamplerProperties:
 
 
 class TestReadPaths:
-    """A chain-free fd reads each batch in one ``perfcounter_read_many``
-    call; an fd carrying a no-op :class:`Interposer` reads one
-    ``PERFCOUNTER_READ`` ioctl per wakeup.  Both observe one session."""
+    """Every fd serves each batch in one ``perfcounter_read_many`` call.
+    A chain-free fd skips the request step; an fd carrying a no-op
+    :class:`Interposer` makes one ``PERFCOUNTER_READ`` request per wakeup.
+    Both observe one session."""
 
     @given(
         st.lists(
@@ -123,9 +124,9 @@ class TestReadPaths:
             dev = open_kgsl(timeline(), clock=DeviceClock(), interposers=interposers)
             batched = []
             read_many = dev.perfcounter_read_many
-            dev.perfcounter_read_many = lambda times: batched.append(len(times)) or read_many(
-                times
-            )
+            dev.perfcounter_read_many = lambda times, *step: batched.append(
+                len(times)
+            ) or read_many(times, *step)
             sampler = PerfCounterSampler(dev, rng=np.random.default_rng(seed))
             source = SamplerDeltaSource(sampler, 0.0, 2.5, load=load, chunk=chunk)
             stream = [delta for _, delta in source.events()]
@@ -134,8 +135,7 @@ class TestReadPaths:
 
         stream, tally, batched_reads = run(())
         chained_stream, chained_tally, chained_batched_reads = run((Interposer(),))
-        assert batched_reads == tally[0]
-        assert chained_batched_reads == 0
+        assert batched_reads == chained_batched_reads == tally[0]
         assert stream == chained_stream
         assert tally == chained_tally
         # the scalar oracle, over the per-read view of the same loop

@@ -20,6 +20,7 @@ positives".  Distances above ``cth`` classify as ``None`` (system noise).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -79,15 +80,26 @@ COMPOSITE_CTH_FACTOR = 1.6
 #: Classes a composite lookup may subtract before matching a key.
 SUBTRACT_PREFIXES = ("reject:dismiss", FIELD_PREFIX)
 
-#: Rows per composite scoring chunk: bounds the (rows, subtractions,
-#: keys) score block at ~1 MB on a 108 x 80 grid.
+#: Rows' worth of (block, key) cells per composite scoring chunk: a
+#: chunk's two gather buffers hold 16 x 108 x 80 cells, ~1 MB, together.
 COMPOSITE_CHUNK = 16
+
+#: Rounding slack of the composite block bound, per unit of the terms'
+#: magnitude: several times the float error of either side of the bound.
+_BOUND_SLACK = 256 * np.finfo(float).eps
 
 
 class _CompositeGrid:
     """The composite candidate grid of one model view: every subtraction
     candidate (dismiss or field centroid) plus every key centroid, in
-    scaled space, with the cells' squared norms as an (S, K) block."""
+    scaled space, with the cells' squared norms as an (S, K) block.
+
+    For block ``s`` and any row ``v``, every cell score ``||s+k||^2 -
+    2 (s+k).v`` is at least ``-2 s.v + floor[s] + min_k(||k||^2 - 2 k.v)``
+    with ``floor[s] = ||s||^2 + min_k 2 s.k``.  Every term of that bound
+    and of the cells is at most ``reach * ||v|| + magnitude`` in size,
+    which scales the bound's rounding slack.
+    """
 
     def __init__(self, labels: Sequence[str], scaled: np.ndarray) -> None:
         self.sub_rows = [i for i, label in enumerate(labels) if label.startswith(SUBTRACT_PREFIXES)]
@@ -101,11 +113,66 @@ class _CompositeGrid:
             int(labels[i].split(":")[1]) if labels[i].startswith(FIELD_PREFIX) else None
             for i in self.sub_rows
         ]
+        #: blocks every length restriction keeps
+        self.dismiss = np.array([s for s, n in enumerate(self.lengths) if n is None], dtype=np.intp)
+        self._allowed: Dict[Tuple[int, ...], np.ndarray] = {}
+        if self.norms.size:
+            self.key_sq = _row_sq(self.keys)
+            sub_sq = _row_sq(self.subs)
+            self.floor = sub_sq + (2.0 * _cross(self.subs, self.keys)).min(axis=1)
+            self.reach = 2.0 * (np.sqrt(sub_sq.max()) + np.sqrt(self.key_sq.max()))
+            self.magnitude = 2.0 * (sub_sq.max() + self.key_sq.max()) + self.norms.max()
 
     def allowed(self, field_lengths: Sequence[int]) -> np.ndarray:
         """Blocks a length restriction keeps: dismisses and near lengths."""
-        keep = set(field_lengths)
-        return np.array([n is None or n in keep for n in self.lengths], dtype=bool)
+        lengths = tuple(field_lengths)
+        mask = self._allowed.get(lengths)
+        if mask is None:
+            keep = set(lengths)
+            mask = np.array([n is None or n in keep for n in self.lengths], dtype=bool)
+            self._allowed[lengths] = mask
+        return mask
+
+    def candidates(self, sub_dot, key_dot, row_sq) -> np.ndarray:
+        """The (row, block) pairs that can hold a pick, as an (n, S) mask.
+
+        Each row's dismiss block of least bound is scored exactly; a
+        block stays in when its bound, less the rounding slack, does not
+        exceed that score.  Without dismiss blocks every block stays.
+        """
+        n = len(sub_dot)
+        if not len(self.dismiss):
+            return np.ones((n, len(self.subs)), dtype=bool)
+        slack = self.reach * np.sqrt(row_sq)
+        slack += self.magnitude
+        slack *= _BOUND_SLACK
+        floor = (key_dot + self.key_sq).min(axis=1)
+        floor -= slack
+        bound = sub_dot + self.floor
+        bound += floor[:, None]
+        rows = np.arange(n)
+        best = self.dismiss[bound[:, self.dismiss].argmin(axis=1)]
+        dismiss = key_dot + sub_dot[rows, best][:, None]
+        dismiss += self.norms[best]
+        return bound <= dismiss.min(axis=1)[:, None]
+
+    def score(self, sub_dot, key_dot, rows, blocks, block_min, block_key) -> None:
+        """Score the (row, block) pairs ``zip(rows, blocks)`` over every
+        key into ``block_min``/``block_key``.  A cell is ``(sub_dot +
+        key_dot) + norm``, the sum the whole grid takes; pairs are
+        gathered a chunk of at most COMPOSITE_CHUNK rows' cells at a time."""
+        keys = self.norms.shape[1]
+        step = max(1, COMPOSITE_CHUNK * len(self.subs) // 2)
+        gathered, norms = np.empty((2, min(step, len(rows)), keys))
+        for lo in range(0, len(rows), step):
+            r, s = rows[lo : lo + step], blocks[lo : lo + step]
+            # indices are in range: "clip" lets take() fill ``out`` unbuffered
+            scores = np.take(key_dot, r, axis=0, out=gathered[: len(r)], mode="clip")
+            scores += sub_dot[r, s][:, None]
+            scores += np.take(self.norms, s, axis=0, out=norms[: len(r)], mode="clip")
+            arg = scores.argmin(axis=1)
+            block_key[r, s] = arg
+            block_min[r, s] = scores[np.arange(len(r)), arg]
 
 
 @dataclass(frozen=True)
@@ -348,28 +415,27 @@ class ClassificationModel:
         row r's best ``||g||^2 - 2 g.v`` over the grid cells that subtract
         candidate ``s``, ``block_key[r, s]`` the first key reaching it, and
         ``row_sq[r]`` the ``||v||^2`` that completes a squared distance.
-        The (n, S*K) score matrix only exists one chunk at a time.
+
+        Only the blocks :meth:`_CompositeGrid.candidates` keeps are
+        scored; the rest read ``inf``.  A dropped block's minimum lies
+        above the row's dismiss minimum, and every length restriction
+        keeps the dismiss blocks, so a dropped block is never a pick: the
+        picks and their distances are the full grid's bit for bit.
         """
         grid = self._composite_grid()
         scaled = self._transform_rows(np.asarray(matrix, dtype=float) / self.scale)
         n, (blocks, keys) = len(scaled), grid.norms.shape
         block_min = np.full((n, blocks), np.inf)
         block_key = np.zeros((n, blocks), dtype=np.intp)
-        if blocks and keys:
+        row_sq = _row_sq(scaled)
+        if n and blocks and keys:
             # -2 g.v for the cell g = s + k, as -2 s.v + -2 k.v: doubling
             # is exact, so this equals -2 (s.v + k.v) bit for bit
             sub_dot = -2.0 * _cross(scaled, grid.subs)
             key_dot = -2.0 * _cross(scaled, grid.keys)
-            scores = np.empty((min(n, COMPOSITE_CHUNK), blocks, keys))
-            for lo in range(0, n, COMPOSITE_CHUNK):
-                hi = min(lo + COMPOSITE_CHUNK, n)
-                chunk = scores[: hi - lo]
-                np.add(sub_dot[lo:hi, :, None], key_dot[lo:hi, None, :], out=chunk)
-                chunk += grid.norms
-                arg = chunk.argmin(axis=2)
-                block_key[lo:hi] = arg
-                block_min[lo:hi] = np.take_along_axis(chunk, arg[..., None], axis=2)[..., 0]
-        return block_min, block_key, _row_sq(scaled)
+            keep = grid.candidates(sub_dot, key_dot, row_sq)
+            grid.score(sub_dot, key_dot, *np.nonzero(keep), block_min, block_key)
+        return block_min, block_key, row_sq
 
     def pick_composite(
         self,
@@ -392,10 +458,10 @@ class ClassificationModel:
         if not block_min.size:
             return Classification(label=None, distance=float("inf"))
         block = int(np.argmin(block_min))
-        best = block_min[block]
-        if not np.isfinite(best):
+        best = float(block_min[block])
+        if not math.isfinite(best):
             return Classification(label=None, distance=float("inf"))
-        distance = float(np.sqrt(max(0.0, best + row_sq)))
+        distance = math.sqrt(max(0.0, best + float(row_sq)))
         if distance > self.cth * COMPOSITE_CTH_FACTOR:
             return Classification(label=None, distance=distance)
         key = grid.key_rows[int(block_key[block])]

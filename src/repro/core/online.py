@@ -34,13 +34,21 @@ lookups are scored in one pass per stage over the batch's rows.  Each
 pass is timed with a monotonic clock and divided by the lookups it
 scored; every lookup a step consumes records that share, which
 reproduces the paper's per-inference Fig 25 (>95 % under 0.1 ms).
+
+Unexplained deltas stay cheap.  The composite pass prunes subtraction
+blocks by a lower bound (:meth:`ClassificationModel.composite_scores`),
+and the ambient fit skips a refit that provably cannot find enough
+inliers (:meth:`OnlineEngine._refit_cannot_pass`).  Neither changes a
+result bit.
 """
 
 from __future__ import annotations
 
+import math
 import time
+from collections import deque
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +65,14 @@ from repro.runtime.trace import RuntimeTrace
 #: across reads lands in *consecutive* reads, so a little over one
 #: nominal interval is enough.
 SPLIT_MERGE_FACTOR = 2.6
+
+#: A noise unit within this cosine of the ring's mean direction is an
+#: inlier of the ambient fit.
+_INLIER_COS = 0.9
+_INLIER_ANGLE = math.acos(_INLIER_COS)
+
+#: Slack on the refit skip's angle and cosine comparisons.
+_FIT_SLACK = 1e-9
 
 
 @dataclass
@@ -153,6 +169,13 @@ class OnlineEngine:
         self._latency_hist = self.metrics.histogram("engine.inference_latency_s")
         self._ring = np.zeros((self.AMBIENT_WINDOW, features.DIMENSIONS))
         self._ring_len = 0
+        #: the ring's rows as unit vectors (zero rows stay 0), in ring
+        #: order up to rotation, and their norms, for :meth:`_refit_cannot_pass`
+        self._units = np.zeros_like(self._ring)
+        self._unit_norms: Deque[float] = deque(maxlen=self.AMBIENT_WINDOW)
+        #: (mean norm, mean direction, unit sum) of the last full fit of
+        #: a ring without zero rows
+        self._last_fit: Optional[Tuple[float, np.ndarray, np.ndarray]] = None
         self._ring_version = 0
         #: (ring version, model) the last ambient fit saw
         self._fit_inputs: Optional[Tuple[int, ClassificationModel]] = None
@@ -555,7 +578,7 @@ class OnlineEngine:
         """Unit direction (raw and scaled space) of the recurring
         unexplained deltas, if they point consistently enough to be a
         periodic background workload."""
-        if self._ring_len < self.AMBIENT_WINDOW:
+        if self._ring_len < self.AMBIENT_WINDOW or self._refit_cannot_pass():
             return None
         matrix = self._ring
         norms = np.linalg.norm(matrix, axis=1)
@@ -571,8 +594,10 @@ class OnlineEngine:
         if mean_norm <= 0:
             return None
         mean_dir = mean_dir / mean_norm
+        if keep.all():
+            self._last_fit = (mean_norm, mean_dir, self._units.sum(axis=0))
         cosines = units @ mean_dir
-        inliers = cosines > 0.9
+        inliers = cosines > _INLIER_COS
         if inliers.sum() < max(self.AMBIENT_MIN_SAMPLES, 0.5 * len(units)):
             return None
         refined = units[inliers].mean(axis=0)
@@ -585,6 +610,31 @@ class OnlineEngine:
         scaled_dir = scaled_units.mean(axis=0)
         scaled_dir = scaled_dir / np.linalg.norm(scaled_dir)
         return raw_dir, scaled_dir
+
+    def _refit_cannot_pass(self) -> bool:
+        """Whether the noise ring has moved too little since the last
+        full fit for a refit to find enough inliers (the refit is None).
+
+        That fit saw ``n`` units with mean norm ``mu`` and direction
+        ``d``; with their sum displaced by ``shift`` since, the mean
+        direction has turned by at most ``asin(|shift| / (n mu))``.  A
+        unit is an inlier only within ``acos(0.9)`` of the new direction,
+        so only if its cosine to ``d`` exceeds ``cos(acos(0.9) + turn)``.
+        The bound holds for a ring without zero rows; its float slack
+        dwarfs the rounding of sums of 24 unit vectors.
+        """
+        if self._last_fit is None or 0.0 in self._unit_norms:
+            return False
+        mean_norm, direction, fit_sum = self._last_fit
+        n = self.AMBIENT_WINDOW
+        shift = self._units.sum(axis=0)
+        shift -= fit_sum
+        ratio = (math.sqrt(shift.dot(shift)) + _FIT_SLACK * n) / (n * mean_norm)
+        if not ratio < 1.0:
+            return False
+        cut = math.cos(_INLIER_ANGLE + math.asin(ratio) + _FIT_SLACK) - _FIT_SLACK
+        candidates = int(np.count_nonzero(self._units @ direction > cut))
+        return candidates < max(self.AMBIENT_MIN_SAMPLES, 0.5 * n)
 
     #: Calibration-evidence vectors retained between drains.
     EVIDENCE_CAP = 512
@@ -604,6 +654,14 @@ class OnlineEngine:
             # over it sums in arrival order
             ring[:-1] = ring[1:]
             ring[-1] = vec
+        # the skip test only sums and dots the units, so they wrap
+        slot = self._ring_version % self.AMBIENT_WINDOW
+        norm = math.sqrt(vec.dot(vec))
+        self._unit_norms.append(norm)
+        if norm > 0:
+            np.divide(vec, norm, out=self._units[slot])
+        else:
+            self._units[slot] = 0.0
         self._ring_version += 1
         if self.collect_evidence and len(self.evidence) < self.EVIDENCE_CAP:
             # drifted key presses land here: full-vector changes the

@@ -9,7 +9,7 @@ feeding it one delta at a time infers — keys with their distances,
 engine stats and every emitted trace event — also when a step changes
 the active model mid-batch (ambient deflation, a hot swap), and that the
 block-reduced composite search picks what a flat first-index argmin over
-the whole composite grid picks.
+the whole composite grid picks, also when it prunes blocks by a bound.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import features
-from repro.core.classifier import COMPOSITE_CTH_FACTOR, ClassificationModel
+from repro.core.classifier import COMPOSITE_CTH_FACTOR, ClassificationModel, _cross
 from repro.core.online import OnlineEngine
 from repro.gpu.timeline import COUNTER_ORDER
 from repro.kgsl.sampler import PcDelta
@@ -233,7 +233,7 @@ def flat_composite(model, row, field_lengths):
     argmin, with disallowed field blocks set to inf."""
     sub_rows = [i for i, l in enumerate(model.labels) if l.startswith(("reject:dismiss", "field:"))]
     key_rows = [i for i, l in enumerate(model.labels) if l.startswith("key:")]
-    scaled = model._transform_rows(row / model.scale)
+    scaled = model._transform_rows(row[None, :] / model.scale)[0]
     subs, keys = model._scaled[sub_rows], model._scaled[key_rows]
     grid = (subs[:, None, :] + keys[None, :, :]).reshape(-1, DIMS)
     norms = np.einsum("ij,ij->i", grid, grid).reshape(len(subs), len(keys))
@@ -288,3 +288,102 @@ def test_block_min_pick_equals_flat_argmin(duplicated):
         # the tied key:a / key:z pair resolves to the first key
         tied = model.classify_composite(keys[0] + subs[4])
         assert tied.label == "key:a"
+
+
+# ---------------------------------------------------------------------------
+# bound-and-prune composite kernel
+
+
+def full_block_scores(model, rows):
+    """Reference: every (row, block, key) cell of the composite grid,
+    summed as the kernel sums a cell, reduced to each block's (min,
+    first argmin)."""
+    grid = model._composite_grid()
+    scaled = model._transform_rows(rows / model.scale)
+    sub_dot = -2.0 * _cross(scaled, grid.subs)
+    key_dot = -2.0 * _cross(scaled, grid.keys)
+    cells = (sub_dot[:, :, None] + key_dot[:, None, :]) + grid.norms
+    arg = cells.argmin(axis=2)
+    return np.take_along_axis(cells, arg[..., None], axis=2)[..., 0], arg
+
+
+def random_model(rng, tied, deflate):
+    """Keys, dismisses, field lengths and one other reject class with
+    random centroids; ``tied`` duplicates a key and a dismiss centroid."""
+    n_keys, n_dismiss = rng.integers(1, 7), rng.integers(0, 4)
+    n_fields = rng.integers(0 if n_dismiss else 1, 5)
+    labels = [f"key:{chr(97 + i)}" for i in range(n_keys)]
+    labels += [f"reject:dismiss:{i}" for i in range(n_dismiss)]
+    labels += [f"field:{int(n)}:on" for n in rng.choice(12, n_fields, replace=False)]
+    labels.append("reject:notification")
+    centroids = rng.integers(0, 3000, (len(labels), DIMS)) * (rng.random((len(labels), DIMS)) < 0.7)
+    centroids = centroids.astype(float)
+    if tied:
+        labels += ["key:z", "reject:dismiss:z"]
+        centroids = np.vstack([centroids, centroids[0], centroids[n_keys if n_dismiss else 0]])
+    model = ClassificationModel(
+        labels, centroids, rng.uniform(5.0, 80.0, DIMS), cth=float(rng.uniform(0.5, 6.0))
+    )
+    if deflate:
+        u = rng.normal(size=DIMS)
+        model = model.with_deflation(u / np.linalg.norm(u))
+    return model
+
+
+def composite_rows(rng, model, n):
+    """Exact composites, rows at the composite threshold, 1e6-scale
+    garbage and plain noise, shuffled."""
+    grid = model._composite_grid()
+    keys, subs = model.centroids[grid.key_rows], model.centroids[grid.sub_rows]
+    rows = []
+    for _ in range(n):
+        kind = rng.integers(4)
+        if kind == 0:
+            rows.append(keys[rng.integers(len(keys))] + subs[rng.integers(len(subs))])
+        elif kind == 1:
+            off = rng.normal(size=DIMS)
+            radius = model.cth * COMPOSITE_CTH_FACTOR * (1 + rng.choice([-1e-9, 0.0, 1e-9]))
+            off *= radius / np.linalg.norm(off)
+            rows.append(keys[rng.integers(len(keys))] + subs[rng.integers(len(subs))] + off * model.scale)
+        elif kind == 2:
+            rows.append(rng.normal(0.0, 1e6, DIMS))
+        else:
+            rows.append(rng.integers(0, 6000, DIMS) * (rng.random(DIMS) < 0.5))
+    return np.vstack(rows).astype(float)
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    tied=st.booleans(),
+    deflate=st.booleans(),
+    n=st.integers(1, 40),
+)
+@settings(max_examples=80, deadline=None)
+def test_pruned_composite_kernel_matches_the_full_grid(seed, tied, deflate, n):
+    """Scored blocks carry the full grid's exact (min, argmin); a pruned
+    block's minimum lies above the row's dismiss minimum, which every
+    restriction keeps; so every pick is the full grid's pick."""
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, tied, deflate)
+    grid = model._composite_grid()
+    rows = composite_rows(rng, model, n)
+    block_min, block_key, row_sq = model.composite_scores(rows)
+    full_min, full_key = full_block_scores(model, rows)
+    scored = np.isfinite(block_min)
+    assert block_min[scored].tobytes() == full_min[scored].tobytes()
+    assert (block_key[scored] == full_key[scored]).all()
+    if len(grid.dismiss):
+        dismiss_min = full_min[:, grid.dismiss].min(axis=1)
+        assert (full_min > dismiss_min[:, None])[~scored].all()
+    else:
+        assert scored.all()
+    lengths = [n for n in grid.lengths if n is not None]
+    restrictions = [None, (), tuple(lengths[:1]), tuple(lengths[1::2]), (99,)]
+    for field_lengths in restrictions:
+        for r, row in enumerate(rows):
+            got = model.pick_composite(block_min[r], block_key[r], row_sq[r], field_lengths)
+            full = model.pick_composite(full_min[r], full_key[r], row_sq[r], field_lengths)
+            assert got == full
+            label, distance = flat_composite(model, row, field_lengths)
+            assert got.label == label
+            assert got.distance == pytest.approx(distance, rel=1e-9, abs=1e-6)

@@ -1,13 +1,17 @@
 """Tests for the online engine's internal machinery: ambient deflation,
-noise-ring management, effective magnitudes, plausible-length windows."""
+the ambient refit skip, noise-ring management, effective magnitudes,
+plausible-length windows."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import features
 from repro.core.classifier import ClassificationModel
 from repro.core.online import OnlineEngine
 from repro.gpu import counters as pc
+from repro.gpu.timeline import COUNTER_ORDER
 from repro.kgsl.sampler import PcDelta
 
 D0 = pc.SELECTED_COUNTERS[0].counter_id
@@ -22,8 +26,7 @@ def vec(**kw):
     return v
 
 
-@pytest.fixture()
-def model():
+def toy_model():
     labels = ["key:a", "key:b", "field:0:on", "field:1:on", "reject:dismiss:a"]
     centroids = np.vstack(
         [vec(d0=1000, d1=100), vec(d0=2000, d1=250), vec(d2=50), vec(d2=50, d1=20), vec(d0=400, d1=37)]
@@ -35,6 +38,11 @@ def model():
         cth=2.0,
         model_key="toy",
     )
+
+
+@pytest.fixture()
+def model():
+    return toy_model()
 
 
 def delta(t, values, prev_dt=0.008):
@@ -82,6 +90,117 @@ class TestAmbientDirection:
         for i in range(engine.AMBIENT_WINDOW * 3):
             engine._note_noise(ambient_delta(i * 0.01, 10))
         assert len(engine._noise_ring) == engine.AMBIENT_WINDOW
+
+
+def scratch_fit(engine):
+    """The ambient fit from scratch over the engine's noise ring: the
+    reference the engine's skip-aware fit must reproduce bit for bit."""
+    if engine._ring_len < engine.AMBIENT_WINDOW:
+        return None
+    matrix = engine._ring
+    norms = np.linalg.norm(matrix, axis=1)
+    keep = norms > 0
+    if keep.sum() < engine.AMBIENT_MIN_SAMPLES:
+        return None
+    units = matrix[keep] / norms[keep][:, None]
+    mean_dir = units.mean(axis=0)
+    mean_norm = float(np.linalg.norm(mean_dir))
+    if mean_norm <= 0:
+        return None
+    mean_dir = mean_dir / mean_norm
+    inliers = units @ mean_dir > 0.9
+    if inliers.sum() < max(engine.AMBIENT_MIN_SAMPLES, 0.5 * len(units)):
+        return None
+    refined = units[inliers].mean(axis=0)
+    refined_norm = float(np.linalg.norm(refined))
+    if refined_norm < 0.98:
+        return None
+    raw_dir = refined / refined_norm
+    scaled = matrix[keep][inliers] / engine.model.scale[None, :]
+    scaled_units = scaled / np.linalg.norm(scaled, axis=1)[:, None]
+    scaled_dir = scaled_units.mean(axis=0)
+    scaled_dir = scaled_dir / np.linalg.norm(scaled_dir)
+    return raw_dir, scaled_dir
+
+
+def same_fit(got, want):
+    if got is None or want is None:
+        return got is None and want is None
+    return all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+#: Noise-stream segments: (kind, steps, magnitude, seed).  Runs of one
+#: kind let a background take the ring over and lose it again.
+NOISE_SEGMENTS = st.tuples(
+    st.sampled_from(["random", "cluster", "mixed", "zero", "swap"]),
+    st.integers(1, 30),
+    st.floats(0.5, 200.0),
+    st.integers(0, 2**31 - 1),
+)
+
+
+def run_noise_segments(model, segments):
+    """Feed ``segments`` to an engine's noise ring, comparing its ambient
+    fit with the scratch fit after every step; returns how many steps
+    skipped the refit and how many found a direction."""
+    engine = OnlineEngine(model, detect_switches=False)
+    other = ClassificationModel(
+        labels=model.labels,
+        centroids=model.centroids,
+        scale=np.linspace(4.0, 30.0, features.DIMENSIONS),
+        cth=model.cth,
+    )
+    cluster = vec(d0=60, d1=37, d2=11, d5=5)
+    skipped = directions = 0
+    t = 0.0
+    for kind, steps, magnitude, seed in segments:
+        rng = np.random.default_rng(seed)
+        for _ in range(1 if kind == "swap" else steps):
+            t += 0.01
+            if kind == "swap":
+                engine.swap_model(other if engine.model is model else model)
+            else:
+                noisy = kind == "random" or (kind == "mixed" and rng.random() < 0.5)
+                if kind == "zero":
+                    values = np.zeros(features.DIMENSIONS)
+                elif noisy:
+                    values = rng.integers(0, 5000, features.DIMENSIONS)
+                    values = values * (rng.random(features.DIMENSIONS) < 0.6)
+                else:
+                    values = np.round(cluster * magnitude * rng.uniform(0.5, 2.0))
+                    values = values + rng.integers(0, 3, features.DIMENSIONS)
+                engine._note_noise(
+                    delta(t, {cid: int(x) for cid, x in zip(COUNTER_ORDER, values) if x})
+                )
+            full = engine._ring_len == engine.AMBIENT_WINDOW
+            skipped += full and engine._refit_cannot_pass()
+            want = scratch_fit(engine)
+            assert same_fit(engine._ambient_direction(), want)
+            directions += want is not None
+    return skipped, directions
+
+
+class TestAmbientRefitSkip:
+    @given(segments=st.lists(NOISE_SEGMENTS, min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_skip_aware_fit_equals_the_scratch_fit_at_every_step(self, segments):
+        run_noise_segments(toy_model(), segments)
+
+    def test_one_stream_both_skips_refits_and_finds_directions(self, model):
+        """Incoherent noise, a background that takes the ring over, then
+        noise again: refits are skipped and directions found."""
+        segments = [
+            ("random", 60, 1.0, 1),
+            ("mixed", 30, 20.0, 2),
+            ("cluster", 40, 20.0, 3),
+            ("zero", 1, 1.0, 4),
+            ("swap", 1, 1.0, 5),
+            ("mixed", 40, 20.0, 6),
+            ("random", 40, 1.0, 7),
+        ]
+        skipped, directions = run_noise_segments(model, segments)
+        assert skipped > 50
+        assert directions > 20
 
 
 class TestDeflationLifecycle:

@@ -11,6 +11,13 @@ Every frame goes out on the one binary codec
 (:mod:`repro.collector.frames`): a result frame is one ``struct`` pack —
 the 11 counter deltas ride as fixed u64s, no per-field JSON encode.
 
+Delivery is one loop.  Each cycle takes up to ``window`` unacked
+results — frames left over from a failed cycle first, then fresh ones —
+writes them as one wire frame (a lone ``result``, or a ``batch`` of two
+or more) and blocks on that frame's one ``ack``.  Window 1 is the
+degenerate case: one ``result``, one ``ack``, the classic lock-step
+round trip.
+
 Reliability discipline:
 
 * every result frame carries a monotonically increasing per-device
@@ -25,20 +32,21 @@ Fault injection reuses the :mod:`repro.faults` profiles: a
 :class:`NetworkFaultInjector` maps the plan's transient-ioctl
 probability onto **connection drops** (before or after the frame is
 written — the "after" case is what exercises the dedup path) and its
-wakeup jitter onto **slow reads** of the ack.  The same seeded plan that
-makes a device's KGSL layer misbehave makes its uplink flaky, so the
-fleet's end-to-end loss accounting is tested under one coherent fault
-model.
+wakeup jitter onto **slow reads** of the ack.  Every cycle draws one
+connection fault for its write and, unless that severs the connection,
+one slow read for its ack wait, so the fault stream is a pure function
+of the plan, the seed offset, the payloads and the window — never of
+socket timing.  The same seeded plan that makes a device's KGSL layer
+misbehave makes its uplink flaky, so the fleet's end-to-end loss
+accounting is tested under one coherent fault model.
 """
 
 from __future__ import annotations
 
-import select
 import socket
 import time
-from collections import deque
 from dataclasses import dataclass, fields
-from typing import Callable, Deque, Dict, Iterable, Iterator, Optional, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -219,46 +227,8 @@ class CollectorClient:
         mis-sequenced ack).
         """
         seq = self._seq
-        self._seq += 1
-        frame = ResultFrame(seq=seq, payload=payload)
-        last_error: Optional[Exception] = None
-        for attempt in range(self.retry.max_attempts):
-            if attempt:
-                self.stats.retries += 1
-                self.sleep(self.retry.delay_s(attempt - 1, self._backoff_rng))
-            try:
-                self._ensure_connected()
-                fault = self._injector.connection_fault() if self._injector else None
-                if fault == "drop_before":
-                    self.stats.injected_drops += 1
-                    self._drop_connection()
-                    raise ConnectionResetError("injected connection drop (before send)")
-                self._sock.sendall(BINARY_CODEC.encode(frame))
-                self.stats.frames_sent += 1
-                if fault == "drop_after":
-                    # the frame is on the wire but we sever before the
-                    # ack: the server may have aggregated it, and the
-                    # resend must come back deduplicated
-                    self.stats.injected_drops += 1
-                    self._drop_connection()
-                    raise ConnectionResetError("injected connection drop (after send)")
-                if self._injector:
-                    delay = self._injector.slow_read_delay_s()
-                    if delay > 0:
-                        self.stats.injected_slow_reads += 1
-                        self.sleep(delay)
-                reply = decode_any(read_body_sock(self._sock))
-                if not isinstance(reply, Ack) or reply.seq != seq:
-                    raise FrameError(f"expected ack for seq {seq}, got {reply}")
-                self.stats.acks_received += 1
-                return seq
-            except (OSError, FrameError, ConnectionClosed) as exc:
-                last_error = exc
-                self._drop_connection()
-        raise CollectorClientError(
-            f"device {self.device_id}: result seq {seq} undelivered after "
-            f"{self.retry.max_attempts} attempts: {last_error}"
-        )
+        self._deliver(iter((payload,)), window=1)
+        return seq
 
     def send_results(
         self,
@@ -267,154 +237,90 @@ class CollectorClient:
     ) -> int:
         """Deliver many results in order; returns how many were acked.
 
-        ``window`` (default: the config's ``pipeline_depth``) sets how
-        many frames may be in flight before blocking on the oldest ack.
-        At ``1`` this is exactly ``send_result`` in a loop — one
-        lock-step round trip per frame.  Above ``1`` frames are written
-        in bursts and acks drained as they arrive, which amortizes the
-        per-frame syscall/context-switch cost that dominates bulk
-        uploads into a local collector tier.  Delivery semantics are
-        identical either way: in-order acks, resend-on-reconnect, and
-        the server's ``(device_id, seq)`` dedup absorbing any overlap.
+        ``window`` (default: the config's ``pipeline_depth``) caps how
+        many results ride one wire frame.  At ``1`` every result is a
+        lone ``result`` frame answered by its own ``ack``; above ``1``
+        up to ``window`` results pack into one ``batch`` frame answered
+        by one cumulative ack, which amortizes the per-frame
+        syscall/context-switch cost that dominates bulk uploads into a
+        local collector tier.  Delivery semantics are identical either
+        way: in-order acks, resend-on-reconnect, and the server's
+        ``(device_id, seq)`` dedup absorbing any overlap.
         """
         if window is None:
             window = self.config.pipeline_depth
-        if window <= 1:
-            count = 0
-            for payload in payloads:
-                self.send_result(payload)
-                count += 1
-            return count
-        return self._send_pipelined(iter(payloads), window)
+        return self._deliver(iter(payloads), window)
 
-    # -- pipelined delivery ---------------------------------------------
+    def _deliver(self, source: Iterator[SessionResultPayload], window: int) -> int:
+        """The one delivery loop: burst, write, await the ack, repeat.
 
-    def _pull(
-        self,
-        source: Iterator[SessionResultPayload],
-        todo: Deque[ResultFrame],
-    ) -> Optional[ResultFrame]:
-        """Next frame to put on the wire: a requeued one, else a fresh one."""
-        if todo:
-            return todo.popleft()
-        payload = next(source, None)
-        if payload is None:
-            return None
-        frame = ResultFrame(seq=self._seq, payload=payload)
-        self._seq += 1
-        return frame
-
-    def _ack_ready(self) -> bool:
-        return bool(select.select([self._sock], [], [], 0)[0])
-
-    def _read_ack(self, pending: Deque[ResultFrame]) -> int:
-        """Consume one ack; returns how many in-flight frames it covers.
-
-        Acks are cumulative (a batch is acknowledged by its last
-        member's seq), so an ack for seq *n* retires every pending
-        frame with seq ≤ *n*.
+        ``todo`` holds the unacked frames, oldest first: a failed cycle
+        leaves its burst there to be resent, topped up with fresh
+        frames to ``window``.  The retry budget counts consecutive
+        cycles without an ack, so at window 1 it is per result.
         """
-        reply = decode_any(read_body_sock(self._sock))
-        if not isinstance(reply, Ack):
-            raise FrameError(f"expected ack for seq {pending[0].seq}, got {reply}")
+        todo: List[ResultFrame] = []
         acked = 0
-        while pending and pending[0].seq <= reply.seq:
-            pending.popleft()
-            acked += 1
-        if acked == 0:
-            raise FrameError(
-                f"unexpected ack seq {reply.seq} (oldest in flight: {pending[0].seq})"
-            )
-        self.stats.acks_received += acked
-        return acked
-
-    def _write_burst(
-        self,
-        burst: Deque[ResultFrame],
-        pending: Deque[ResultFrame],
-        todo: Deque[ResultFrame],
-    ) -> None:
-        """Send ``burst`` as one wire frame, sampling faults per write.
-
-        Two or more results pack into a single :class:`Batch` frame —
-        one send, one server-side admission, one cumulative ack.  The
-        fault injector samples once per **wire write**, matching the
-        physical model (a connection drop strikes a send, however many
-        results ride it): ``drop_before`` severs with the whole burst
-        unsent and requeued, ``drop_after`` puts the burst on the wire
-        first — the server admits it, the ack is lost, and the resend
-        must come back entirely deduplicated.
-        """
-        fault = self._injector.connection_fault() if self._injector else None
-        if fault == "drop_before":
-            while burst:
-                todo.appendleft(burst.pop())
-            self.stats.injected_drops += 1
-            self._drop_connection()
-            raise ConnectionResetError("injected connection drop (before send)")
-        sent = list(burst)
-        burst.clear()
-        wire_frame = sent[0] if len(sent) == 1 else BatchFrame(frames=tuple(sent))
-        self._sock.sendall(BINARY_CODEC.encode(wire_frame))
-        self.stats.frames_sent += len(sent)
-        pending.extend(sent)
-        if fault == "drop_after":
-            self.stats.injected_drops += 1
-            self._drop_connection()
-            raise ConnectionResetError("injected connection drop (after send)")
-
-    def _send_pipelined(
-        self, source: Iterator[SessionResultPayload], window: int
-    ) -> int:
-        todo: Deque[ResultFrame] = deque()
-        pending: Deque[ResultFrame] = deque()
-        acked = 0
-        failures = 0  # consecutive cycles without an ack
-        last_error: Optional[Exception] = None
+        failures = 0
         while True:
+            while len(todo) < window:
+                payload = next(source, None)
+                if payload is None:
+                    break
+                todo.append(ResultFrame(seq=self._seq, payload=payload))
+                self._seq += 1
+            if not todo:
+                return acked
             try:
                 self._ensure_connected()
-                burst: Deque[ResultFrame] = deque()
-                while len(pending) + len(burst) < window:
-                    frame = self._pull(source, todo)
-                    if frame is None:
-                        break
-                    burst.append(frame)
-                if not burst and not pending:
-                    return acked
-                if burst:
-                    self._write_burst(burst, pending, todo)
-                    # drain whatever acks are already buffered, free
-                    while pending and self._ack_ready():
-                        acked += self._read_ack(pending)
-                        failures = 0
-                else:
-                    # window full or source exhausted: block on the
-                    # oldest ack (with the same slow-read fault the
-                    # lock-step path injects)
-                    if self._injector:
-                        delay = self._injector.slow_read_delay_s()
-                        if delay > 0:
-                            self.stats.injected_slow_reads += 1
-                            self.sleep(delay)
-                    acked += self._read_ack(pending)
-                    failures = 0
+                self._send_burst(todo)
             except (OSError, FrameError, ConnectionClosed) as exc:
-                last_error = exc
                 self._drop_connection()
-                # everything in flight is unacked: resend it first
-                while pending:
-                    todo.appendleft(pending.pop())
                 failures += 1
-                self.stats.retries += 1
                 if failures >= self.retry.max_attempts:
-                    head = todo[0].seq if todo else self._seq
                     raise CollectorClientError(
-                        f"device {self.device_id}: result seq {head} "
-                        f"undelivered after {failures} consecutive failed "
-                        f"cycles: {last_error}"
+                        f"device {self.device_id}: result seq {todo[0].seq} "
+                        f"undelivered after {failures} attempts: {exc}"
                     ) from exc
+                self.stats.retries += 1
                 self.sleep(self.retry.delay_s(failures - 1, self._backoff_rng))
+                continue
+            acked += len(todo)
+            todo.clear()
+            failures = 0
+
+    def _send_burst(self, burst: List[ResultFrame]) -> None:
+        """Write ``burst`` as one wire frame and read its ack.
+
+        One result goes out as a ``result`` frame, two or more as one
+        :class:`Batch` — one send, one server-side admission, one
+        cumulative ack carrying the last member's seq.  The fault
+        injector draws once per wire write (a connection drop strikes a
+        send, however many results ride it) and once per ack read, so
+        the fault stream is a pure function of the plan, the seed
+        offset, the payloads and the window.
+        """
+        fault = self._injector.connection_fault() if self._injector else None
+        if fault != "drop_before":
+            wire = burst[0] if len(burst) == 1 else BatchFrame(frames=tuple(burst))
+            self._sock.sendall(BINARY_CODEC.encode(wire))
+            self.stats.frames_sent += len(burst)
+        if fault:
+            # after a drop_after the burst is on the wire but its ack is
+            # lost: the server may have admitted it, and the resend must
+            # come back deduplicated
+            self.stats.injected_drops += 1
+            raise ConnectionResetError(f"injected connection drop ({fault})")
+        if self._injector:
+            delay = self._injector.slow_read_delay_s()
+            if delay > 0:
+                self.stats.injected_slow_reads += 1
+                self.sleep(delay)
+        seq = burst[-1].seq
+        reply = decode_any(read_body_sock(self._sock))
+        if not isinstance(reply, Ack) or reply.seq != seq:
+            raise FrameError(f"expected ack for seq {seq}, got {reply}")
+        self.stats.acks_received += len(burst)
 
     def send_metrics(self, snapshot: Dict[str, object]) -> None:
         """Ship a device-side ``MetricsRegistry.snapshot()`` for merging.

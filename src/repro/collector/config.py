@@ -104,17 +104,19 @@ class CollectorConfig:
         journal_sync: journal durability policy — ``"flush"``
             (default, survives SIGKILL), ``"fsync"`` (survives OS
             crash), ``"none"`` (buffered; throughput experiments).
-        pipeline_depth: how many result frames
-            :meth:`~repro.collector.client.CollectorClient.send_results`
-            keeps in flight before blocking on the oldest ack.  ``1``
-            (default) is the classic lock-step ``send → await ack``
-            round trip; ``> 1`` pipelines a window of frames per
-            connection, amortizing the per-frame syscall and context
-            switch — the difference between a device trickling live
-            sessions and a backlog upload saturating the tier.  The
-            delivery contract is unchanged: frames are acked in order,
-            anything unacked when a connection dies is resent, and the
-            server's ``(device_id, seq)`` dedup absorbs the overlap.
+        pipeline_depth: the window of
+            :meth:`~repro.collector.client.CollectorClient.send_results`:
+            how many results its one delivery loop writes per wire frame
+            before blocking on that frame's ack.  ``1`` (default) is the
+            loop's degenerate case, the classic lock-step ``send → await
+            ack`` round trip with one ``result`` frame per ack; ``> 1``
+            packs up to that many results into one ``batch`` frame,
+            amortizing the per-frame syscall and context switch — the
+            difference between a device trickling live sessions and a
+            backlog upload saturating the tier.  The delivery contract
+            is unchanged: frames are acked in order, anything unacked
+            when a connection dies is resent, and the server's
+            ``(device_id, seq)`` dedup absorbs the overlap.
     """
 
     transport: str = "tcp"

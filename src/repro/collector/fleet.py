@@ -74,12 +74,11 @@ def trace_counter_deltas(trace) -> Tuple[int, ...]:
 
     This is the ground-truth 11-slot block a device reports with each
     result — the same fixed-width layout the binary codec packs as
-    ``11×u64``.
+    ``11×u64``: one :meth:`~repro.gpu.timeline.RenderTimeline.values_at_many`
+    row, whose columns are in Table-1 order.
     """
-    from repro.gpu.timeline import COUNTER_ORDER
-
-    values = trace.timeline.values_at(trace.timeline.end_time_s)
-    return tuple(int(values.get(cid, 0)) for cid in COUNTER_ORDER)
+    timeline = trace.timeline
+    return tuple(timeline.values_at_many((timeline.end_time_s,))[0].tolist())
 
 
 @dataclass
@@ -327,52 +326,66 @@ class FleetDriver:
             handle.stop(drain=True)
         wall = time.perf_counter() - started
         server = handle.server
-        counters: Dict[str, int] = {
-            name: server.registry.counter(name).value
-            for name in (
-                "collector.sessions_ingested",
-                "collector.dupes_dropped",
-                "collector.sessions_exact",
-                "collector.sessions_degraded",
-            )
-        }
-        sessions_total = self.devices * self.sessions_per_device
-        ingested = counters["collector.sessions_ingested"]
-        results = sorted(
-            server.results, key=lambda p: (p.device_id, p.session_index)
+        return self._report(
+            outcomes, wall, server.report(**self._meta()), server.results, shards=1
         )
-        report = FleetReport(
+
+    def _meta(self, **extra) -> Dict[str, object]:
+        return {
+            "command": "fleet",
+            "devices": self.devices,
+            "sessions": self.devices * self.sessions_per_device,
+            "workers": self.workers,
+            **extra,
+        }
+
+    def _report(
+        self,
+        outcomes: List[DeviceOutcome],
+        wall: float,
+        manifest: RunManifest,
+        results: List[SessionResultPayload],
+        shards: int,
+    ) -> FleetReport:
+        """The one report builder: counters from the collector manifest.
+
+        With a caller registry the collector manifest (which already
+        absorbed the per-device snapshots) is folded into it, so one
+        manifest covers attack + network + ingestion.
+        """
+        counters = manifest.counters
+        ingested = int(counters.get("collector.sessions_ingested", 0))
+        sessions_total = self.devices * self.sessions_per_device
+        if self.metrics is not None and self.metrics.enabled:
+            self.metrics.merge_snapshot(
+                {
+                    "counters": manifest.counters,
+                    "gauges": manifest.gauges,
+                    "histograms": manifest.histograms,
+                    "spans": manifest.spans,
+                }
+            )
+            manifest = self.metrics.manifest(
+                config=self.config.to_dict(), **manifest.meta
+            )
+        return FleetReport(
             devices=self.devices,
             sessions_total=sessions_total,
             ingested=ingested,
             lost=sessions_total - ingested,
-            duplicates_dropped=counters["collector.dupes_dropped"],
-            exact=counters["collector.sessions_exact"],
-            degraded=counters["collector.sessions_degraded"],
+            duplicates_dropped=int(counters.get("collector.dupes_dropped", 0)),
+            exact=int(counters.get("collector.sessions_exact", 0)),
+            degraded=int(counters.get("collector.sessions_degraded", 0)),
             retries=sum(o.stats.retries for o in outcomes),
             reconnects=sum(o.stats.reconnects for o in outcomes),
             wall_s=wall,
             ingest_rate=ingested / wall if wall > 0 else 0.0,
-            results=results,
+            results=sorted(results, key=lambda p: (p.device_id, p.session_index)),
             outcomes=outcomes,
+            manifest=manifest,
+            shards=shards,
+            replayed=int(counters.get("collector.journal.replayed", 0)),
         )
-        meta = {
-            "command": "fleet",
-            "devices": self.devices,
-            "sessions": sessions_total,
-            "workers": self.workers,
-        }
-        if self.metrics is not None and self.metrics.enabled:
-            # fold the collector's registry (which already absorbed the
-            # per-device snapshots) into the caller's run registry, so
-            # one manifest covers attack + network + ingestion
-            self.metrics.merge_snapshot(server.registry.snapshot())
-            report.manifest = self.metrics.manifest(
-                config=self.config.to_dict(), **meta
-            )
-        else:
-            report.manifest = server.report(**meta)
-        return report
 
     # -- sharded tier ---------------------------------------------------
 
@@ -399,14 +412,18 @@ class FleetDriver:
 
     def _run_sharded(self) -> FleetReport:
         """The multi-process path: router + journaled shards + merge."""
-        collector = self.collector
-        tmp_dir: Optional[str] = None
-        if collector.journal_dir is None:
-            # the tier requires journals (they carry the results back);
-            # an unset journal_dir means "ephemeral run", so host the
-            # journals in a scratch dir that dies with the report
-            tmp_dir = tempfile.mkdtemp(prefix="repro-collector-")
-            collector = collector.with_overrides(journal_dir=tmp_dir)
+        if self.collector.journal_dir is not None:
+            return self._run_tier(self.collector)
+        # the tier requires journals (they carry the results back); an
+        # unset journal_dir means "ephemeral run", so host the journals
+        # in a scratch dir that dies with the run, however it ends
+        tmp_dir = tempfile.mkdtemp(prefix="repro-collector-")
+        try:
+            return self._run_tier(self.collector.with_overrides(journal_dir=tmp_dir))
+        finally:
+            shutil.rmtree(tmp_dir, ignore_errors=True)
+
+    def _run_tier(self, collector: CollectorConfig) -> FleetReport:
         tier = CollectorTier(collector, seed=self.seed)
         tier.start()
         started = time.perf_counter()
@@ -436,47 +453,6 @@ class FleetDriver:
             raise RuntimeError(
                 f"kill drill failed: {drill_errors[0]!r}"
             ) from drill_errors[0]
-        sessions_total = self.devices * self.sessions_per_device
-        meta = {
-            "command": "fleet",
-            "devices": self.devices,
-            "sessions": sessions_total,
-            "workers": self.workers,
-            "shards": collector.shards,
-        }
-        manifest = tier.merged_manifest(**meta)
-        counters = manifest.counters
-        ingested = int(counters.get("collector.sessions_ingested", 0))
+        manifest = tier.merged_manifest(**self._meta(shards=collector.shards))
         payloads, _journal_dupes = tier.journal_results()
-        results = sorted(payloads, key=lambda p: (p.device_id, p.session_index))
-        if self.metrics is not None and self.metrics.enabled:
-            self.metrics.merge_snapshot(
-                {
-                    "counters": manifest.counters,
-                    "gauges": manifest.gauges,
-                    "histograms": manifest.histograms,
-                    "spans": manifest.spans,
-                }
-            )
-            manifest = self.metrics.manifest(config=self.config.to_dict(), **meta)
-        report = FleetReport(
-            devices=self.devices,
-            sessions_total=sessions_total,
-            ingested=ingested,
-            lost=sessions_total - ingested,
-            duplicates_dropped=int(counters.get("collector.dupes_dropped", 0)),
-            exact=int(counters.get("collector.sessions_exact", 0)),
-            degraded=int(counters.get("collector.sessions_degraded", 0)),
-            retries=sum(o.stats.retries for o in outcomes),
-            reconnects=sum(o.stats.reconnects for o in outcomes),
-            wall_s=wall,
-            ingest_rate=ingested / wall if wall > 0 else 0.0,
-            results=results,
-            outcomes=outcomes,
-            manifest=manifest,
-            shards=collector.shards,
-            replayed=int(counters.get("collector.journal.replayed", 0)),
-        )
-        if tmp_dir is not None:
-            shutil.rmtree(tmp_dir, ignore_errors=True)
-        return report
+        return self._report(outcomes, wall, manifest, payloads, shards=collector.shards)

@@ -284,15 +284,17 @@ class Result:
 class Batch:
     """Many results on one wire frame, acked together.
 
-    The pipelined client (``CollectorConfig.pipeline_depth > 1``) packs
-    a burst of :class:`Result` frames — each with its own ``seq`` and
-    dedup identity — into one batch, and the server answers with a
-    single :class:`Ack` carrying the *last* member's ``seq``.  Acks are
-    cumulative: an ack for seq *n* acknowledges every in-flight frame
-    with seq ≤ *n* on that connection.  This collapses the per-result
-    read/decode/journal-flush/ack round trip that dominates bulk
-    uploads into one round trip per burst, without changing the
-    delivery contract (members are deduplicated individually).
+    The client's delivery loop writes each burst of two or more
+    :class:`Result` frames — each with its own ``seq`` and dedup
+    identity — as one batch (a burst of one goes out as the lone
+    result, so ``CollectorConfig.pipeline_depth == 1`` never sends a
+    batch).  The server admits a batch through the same path as a lone
+    result and answers with a single :class:`Ack` carrying the *last*
+    member's ``seq``, which acknowledges every member.  This collapses
+    the per-result read/decode/journal-flush/ack round trip that
+    dominates bulk uploads into one round trip per burst, without
+    changing the delivery contract (members are deduplicated
+    individually).
     """
 
     frames: Tuple[Result, ...]

@@ -16,6 +16,12 @@ device instead of growing server memory without limit.  The ``ack`` for
 a result frame is written only *after* the enqueue succeeds, so a
 client's retry discipline composes with the server's admission control.
 
+There is one admission path.  A lone ``result`` frame and a ``batch``
+both reach :meth:`CollectorServer._admit` as a sequence of members (the
+result alone, or the batch's frames) that share one dedup, claim,
+enqueue, journal and mark-seen sequence, and each wire frame is
+answered by one ``ack`` carrying its last member's seq.
+
 Delivery contract: resends are deduplicated by ``(device_id, seq)``
 (counted as ``collector.dupes_dropped`` and re-acked), so a client that
 resends until acked gets **exactly-once aggregation** over an
@@ -57,7 +63,7 @@ import asyncio
 import os
 import threading
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.collector.config import CollectorConfig
 from repro.collector.frames import (
@@ -306,18 +312,12 @@ class CollectorServer:
                         writer, BINARY_CODEC.encode(ProtocolError(str(exc)))
                     )
                     return
-                if isinstance(frame, Result):
-                    device_id = frame.device_id or device_id
-                    if not await self._admit_result(frame):
-                        counters("collector.malformed_frames").inc()
-                        return
-                    writer.write(BINARY_CODEC.encode(Ack(seq=frame.seq)))
-                elif isinstance(frame, Batch):
-                    device_id = frame.frames[-1].device_id or device_id
-                    await self._admit_batch(frame)
+                if isinstance(frame, (Result, Batch)):
+                    members = await self._admit(frame)
+                    device_id = members[-1].device_id or device_id
                     # a batch's ack is cumulative: the last member's seq
                     # acknowledges every member
-                    writer.write(BINARY_CODEC.encode(Ack(seq=frame.frames[-1].seq)))
+                    writer.write(BINARY_CODEC.encode(Ack(seq=members[-1].seq)))
                 elif isinstance(frame, Hello):
                     device_id = frame.device_id
                     if frame.proto != PROTO_VERSION:
@@ -385,8 +385,17 @@ class CollectorServer:
         except (ConnectionError, OSError):
             pass
 
-    async def _admit_result(self, frame: Result) -> bool:
-        """Dedup-check one result frame and enqueue it; False = malformed.
+    async def _admit(self, frame: Union[Result, Batch]) -> Tuple[Result, ...]:
+        """Dedup-check a frame's members and enqueue the fresh ones.
+
+        The members are a batch's ``frames``, or the lone result itself.
+        Each carries its own ``(device_id, seq)`` identity and is
+        deduplicated on its own — a resent batch overlapping an earlier
+        one admits only the unseen members.  The fresh members ride the
+        bounded queue as **one** item and land in the journal as **one**
+        record (a lone result as itself, a batch as the batch of its
+        fresh members), so the per-result flush/enqueue/ack cost is paid
+        once per wire frame.  Returns the members.
 
         The enqueue is the backpressure point: with the queue full this
         awaits, the connection stops reading, and the client blocks in
@@ -399,123 +408,58 @@ class CollectorServer:
         must aggregate rather than dupe-ack.  While an admission is
         blocked in ``put``, a concurrent resend of the same ``(device,
         seq)`` waits on its claim future instead of double-admitting:
-        the future resolves True once the original lands (resend →
-        dupe-ack) or False if it was abandoned (resend retries the
-        admission itself).
+        once the original lands the resend is a dupe; if it was
+        abandoned, the resend claims the member itself.
         """
-        payload = frame.payload
-        self.registry.counter("collector.frames_ingested").inc()
-        key = (payload.device_id, frame.seq)
-        while True:
-            seen = self._seen.setdefault(payload.device_id, set())
-            if frame.seq in seen:
-                # a resend of something already admitted (its ack was
-                # lost); re-ack without re-aggregating
-                self.registry.counter("collector.dupes_dropped").inc()
-                return True
-            claim = self._pending.get(key)
-            if claim is None:
-                break
-            if await asyncio.shield(claim):
-                self.registry.counter("collector.dupes_dropped").inc()
-                return True
-            # the original admission was cancelled mid-put: loop and
-            # admit this resend ourselves
-        claim = asyncio.get_running_loop().create_future()
-        self._pending[key] = claim
-        try:
-            await self._queue.put(payload)
-        except BaseException:
-            claim.set_result(False)
-            raise
-        else:
-            # no awaits from here to set_result: admission is atomic
-            # once the payload is in the queue
-            if self._journal is not None:
-                try:
-                    self._journal.append(frame)
-                except (JournalError, OSError):
-                    self.registry.counter("collector.journal.errors").inc()
-            self._seen.setdefault(payload.device_id, set()).add(frame.seq)
-            claim.set_result(True)
-        finally:
-            self._pending.pop(key, None)
-        depth = self._queue.qsize()
-        if depth > self._queue_peak:
-            self._queue_peak = depth
-        self.registry.gauge("collector.queue_depth").set(depth)
-        return True
-
-    async def _admit_batch(self, batch: Batch) -> None:
-        """Admit a batch: per-member dedup, one enqueue, one journal record.
-
-        Each member carries its own ``(device_id, seq)`` identity and is
-        deduplicated exactly as a lone result would be — a resent batch
-        overlapping an earlier one admits only the unseen members.  The
-        fresh members ride the bounded queue as **one** item and land in
-        the journal as **one** record, which is the point: the
-        per-result flush/enqueue/ack cost that bounds single-frame
-        ingest is paid once per burst.  The same ordering contract
-        holds — members are marked seen (and journaled) only after the
-        enqueue succeeds, and concurrent resends of an in-flight member
-        wait on its claim future.
-        """
+        members = frame.frames if isinstance(frame, Batch) else (frame,)
         counters = self.registry.counter
-        counters("collector.frames_ingested").inc(len(batch.frames))
-        counters("collector.batch_frames").inc()
+        counters("collector.frames_ingested").inc(len(members))
+        if isinstance(frame, Batch):
+            counters("collector.batch_frames").inc()
         loop = asyncio.get_running_loop()
+        claims: Dict[Tuple[str, int], asyncio.Future] = {}
         fresh: List[Result] = []
-        claims: List[asyncio.Future] = []
-        keys: List[Tuple[str, int]] = []
-        claimed = set()
         try:
-            for item in batch.frames:
-                key = (item.payload.device_id, item.seq)
-                if key in claimed:
-                    # a malformed batch repeating a member admits it once
-                    counters("collector.dupes_dropped").inc()
-                    continue
+            for item in members:
+                key = (item.device_id, item.seq)
                 while True:
-                    seen = self._seen.setdefault(item.payload.device_id, set())
-                    if item.seq in seen:
+                    if key in claims or item.seq in self._seen.get(item.device_id, ()):
+                        # a resend of something already admitted (its ack
+                        # was lost), or a member repeated within a batch:
+                        # re-ack without re-aggregating
                         counters("collector.dupes_dropped").inc()
                         break
                     claim = self._pending.get(key)
                     if claim is None:
-                        fut = loop.create_future()
-                        self._pending[key] = fut
-                        claimed.add(key)
+                        claims[key] = self._pending[key] = loop.create_future()
                         fresh.append(item)
-                        claims.append(fut)
-                        keys.append(key)
                         break
-                    if await asyncio.shield(claim):
-                        counters("collector.dupes_dropped").inc()
-                        break
-                    # the original admission was abandoned: retry ourselves
+                    # the original admission is blocked in put: wait
+                    # for it to land or be abandoned, then check again
+                    await asyncio.shield(claim)
             if fresh:
                 await self._queue.put([item.payload for item in fresh])
-        except BaseException:
-            for fut in claims:
-                fut.set_result(False)
-            raise
-        else:
-            if fresh:
+                # no awaits from here to the claims' release: admission
+                # is atomic once the payloads are in the queue
                 if self._journal is not None:
+                    record = frame if isinstance(frame, Result) else Batch(frames=tuple(fresh))
                     try:
-                        self._journal.append(Batch(frames=tuple(fresh)))
+                        self._journal.append(record)
                     except (JournalError, OSError):
                         counters("collector.journal.errors").inc()
-                for item, fut in zip(fresh, claims):
-                    self._seen.setdefault(item.payload.device_id, set()).add(item.seq)
-                    fut.set_result(True)
+                for item in fresh:
+                    self._seen.setdefault(item.device_id, set()).add(item.seq)
         finally:
-            for key in keys:
+            # waiters check again: admitted members are seen, abandoned
+            # ones are free to claim
+            for key, claim in claims.items():
                 self._pending.pop(key, None)
+                claim.set_result(None)
         depth = self._queue.qsize()
         if depth > self._queue_peak:
             self._queue_peak = depth
         self.registry.gauge("collector.queue_depth").set(depth)
+        return members
 
     # -- journal replay -------------------------------------------------
 
@@ -551,13 +495,11 @@ class CollectorServer:
     async def _aggregate(self) -> None:
         """The queue consumer: the only writer of run-level aggregation.
 
-        Queue items are one payload (lone result) or a list of payloads
-        (an admitted batch); either way each payload aggregates
-        individually.
+        Each queue item is the list of one admission's fresh payloads;
+        each payload aggregates individually.
         """
         while True:
-            item = await self._queue.get()
-            payloads = item if isinstance(item, list) else (item,)
+            payloads = await self._queue.get()
             try:
                 for payload in payloads:
                     try:

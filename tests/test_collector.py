@@ -647,7 +647,7 @@ class TestExactlyOnceGaps:
             victim = SessionResultPayload("device-0000", 1, "pw", 2, exact=True)
             # fill the queue so the next admission blocks in put()
             await server._queue.put(blocker)
-            task = asyncio.create_task(server._admit_result(Result(1, victim)))
+            task = asyncio.create_task(server._admit(Result(1, victim)))
             await asyncio.sleep(0)  # let it reach the blocked put
             task.cancel()
             with pytest.raises(asyncio.CancelledError):
@@ -655,7 +655,7 @@ class TestExactlyOnceGaps:
             # the drain-timeout path emptied the queue; the resend arrives
             server._queue.get_nowait()
             server._queue.task_done()
-            assert await server._admit_result(Result(1, victim))
+            assert await server._admit(Result(1, victim))
             return server
 
         server = asyncio.run(scenario())
@@ -673,9 +673,9 @@ class TestExactlyOnceGaps:
             server._queue = asyncio.Queue(maxsize=1)
             payload = SessionResultPayload("device-0000", 1, "pw", 2)
             await server._queue.put(SessionResultPayload("device-0000", 0, "x", 1))
-            original = asyncio.create_task(server._admit_result(Result(1, payload)))
+            original = asyncio.create_task(server._admit(Result(1, payload)))
             await asyncio.sleep(0)
-            resend = asyncio.create_task(server._admit_result(Result(1, payload)))
+            resend = asyncio.create_task(server._admit(Result(1, payload)))
             await asyncio.sleep(0)
             assert not original.done() and not resend.done()
             server._queue.get_nowait()  # unblock the original
@@ -919,8 +919,8 @@ class TestBatchedPipeline:
                 Result(seq=i, payload=p)
                 for i, p in enumerate(payloads_for("device-0000", 6))
             ]
-            await server._admit_batch(Batch(frames=tuple(frames[0:4])))
-            await server._admit_batch(Batch(frames=tuple(frames[2:6])))
+            await server._admit(Batch(frames=tuple(frames[0:4])))
+            await server._admit(Batch(frames=tuple(frames[2:6])))
             return server
 
         server = asyncio.run(scenario())
@@ -944,10 +944,114 @@ class TestBatchedPipeline:
                     for i, p in enumerate(payloads_for("device-0000", 3))
                 )
             )
-            await server._admit_batch(batch)
-            await server._admit_batch(batch)
+            await server._admit(batch)
+            await server._admit(batch)
             return server
 
         server = asyncio.run(scenario())
         assert server._queue.qsize() == 1  # one list for the first batch
         assert server.registry.counter("collector.dupes_dropped").value == 3
+
+    def test_fault_stream_is_independent_of_socket_timing(self):
+        """The seeded fault stream is a pure function of the plan, the seed
+        offset, the payloads and the window: identical sends at window 8
+        report identical stats, however the acks race the writes."""
+        plan = FaultPlan(seed=5, read_error_prob=0.2, jitter_prob=0.3, jitter_s=1e-4)
+        cfg = fast_cfg(pipeline_depth=8, retry=RetryPolicy(
+            max_attempts=12, base_delay_s=0.001, max_delay_s=0.01
+        ))
+        outcomes = []
+        for _ in range(6):
+            with CollectorHandle(cfg) as handle:
+                with CollectorClient(
+                    handle.endpoint,
+                    "device-0000",
+                    fault_plan=plan,
+                    config=cfg,
+                    seed_offset=3,
+                    sleep=NO_SLEEP,
+                ) as client:
+                    assert client.send_results(payloads_for("device-0000", 160)) == 160
+            outcomes.append(client.stats)
+        assert outcomes[0].injected_drops > 0
+        assert outcomes[0].injected_slow_reads > 0
+        assert all(stats == outcomes[0] for stats in outcomes)
+
+    @pytest.mark.parametrize("window", [1, 4])
+    def test_give_up_counts_only_resends(self, window):
+        """Three failed attempts are two resends, at any window."""
+        cfg = fast_cfg(
+            pipeline_depth=window,
+            retry=RetryPolicy(max_attempts=3, base_delay_s=0.001),
+        )
+        handle = CollectorHandle(cfg)
+        endpoint = handle.start()
+        handle.stop()
+        client = CollectorClient(endpoint, "device-0000", config=cfg, sleep=NO_SLEEP)
+        with pytest.raises(CollectorClientError, match="undelivered after 3 attempts"):
+            client.send_results(payloads_for("device-0000", 3))
+        assert client.stats.retries == 2
+
+
+# ---------------------------------------------------------------------------
+# window 1 is the lock-step protocol
+
+
+def lock_step_replay(plan, seed_offset, n):
+    """The ``ClientStats`` of ``n`` lock-step deliveries to a healthy
+    collector, from the fault draws alone: per attempt one connection
+    fault draw, then one slow-read draw on the ack wait.  Every injected
+    drop costs one resend over a fresh connection."""
+    from repro.collector.client import ClientStats
+
+    injector = NetworkFaultInjector(plan, seed_offset=seed_offset)
+    stats = ClientStats()
+    for _ in range(n):
+        while True:
+            fault = injector.connection_fault()
+            if fault != "drop_before":
+                stats.frames_sent += 1
+            if fault:
+                stats.injected_drops += 1
+                stats.retries += 1
+                stats.reconnects += 1
+                continue
+            if injector.slow_read_delay_s() > 0:
+                stats.injected_slow_reads += 1
+            stats.acks_received += 1
+            break
+    return stats
+
+
+class TestLockStepParity:
+    @given(
+        read_error_prob=st.floats(min_value=0.0, max_value=0.5),
+        jitter_prob=st.floats(min_value=0.0, max_value=1.0),
+        seed_offset=st.integers(min_value=0, max_value=2 ** 16),
+        n=st.integers(min_value=1, max_value=12),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_window_one_replays_the_lock_step_draw_order(
+        self, read_error_prob, jitter_prob, seed_offset, n
+    ):
+        plan = FaultPlan(
+            seed=11,
+            read_error_prob=read_error_prob,
+            jitter_prob=jitter_prob,
+            jitter_s=1e-4,
+        )
+        # a budget no run of drops at p <= 0.5 can plausibly exhaust
+        cfg = fast_cfg(pipeline_depth=1, retry=RetryPolicy(
+            max_attempts=64, base_delay_s=0.0, max_delay_s=0.0
+        ))
+        with CollectorHandle(cfg) as handle:
+            with CollectorClient(
+                handle.endpoint,
+                "device-0000",
+                fault_plan=plan,
+                config=cfg,
+                seed_offset=seed_offset,
+                sleep=NO_SLEEP,
+            ) as client:
+                assert client.send_results(payloads_for("device-0000", n)) == n
+        assert client.stats == lock_step_replay(plan, seed_offset, n)

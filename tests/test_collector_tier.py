@@ -297,6 +297,38 @@ class TestFleetKillDrill:
         }
         assert report.manifest.counters["collector.sessions_ingested"] == 4
 
+    @pytest.mark.parametrize("failure", ["drill", "pool"])
+    def test_failed_run_removes_its_scratch_journals(
+        self, config, chase_store, tmp_path, monkeypatch, failure
+    ):
+        """Without a journal_dir the shard journals live in a scratch
+        directory, which must go even when the drill or the device pool
+        fails."""
+        import tempfile
+
+        from repro.android.apps import app
+        from repro.collector import FleetDriver
+
+        def boom(*args, **kwargs):
+            raise RuntimeError(f"forced {failure} failure")
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        if failure == "drill":
+            monkeypatch.setattr(FleetDriver, "_run_pool", lambda self, endpoint_of: [])
+            monkeypatch.setattr(CollectorTier, "kill", boom)
+        else:
+            monkeypatch.setattr(FleetDriver, "_run_pool", boom)
+        driver = FleetDriver(
+            chase_store, config, app("chase"), "pw",
+            devices=1,
+            sessions_per_device=1,
+            collector=CollectorConfig(shards=2),
+            drill=KillDrill() if failure == "drill" else None,
+        )
+        with pytest.raises(RuntimeError, match=f"forced {failure} failure"):
+            driver.run()
+        assert list(tmp_path.glob("repro-collector-*")) == []
+
     def test_drill_requires_multiple_shards(self, config, chase_store):
         from repro.android.apps import app
         from repro.collector import FleetDriver

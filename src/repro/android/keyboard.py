@@ -35,6 +35,7 @@ Two key arrangements (``KeyboardSpec.layout``) are supported:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -379,3 +380,11 @@ class KeyboardLayout:
         row = 3
         row_len = len(_LETTER_ROWS[2]) + 2
         return self._key_rect(row, row_len - 1, row_len)
+
+
+@functools.lru_cache(maxsize=64)
+def keyboard_layout(spec: KeyboardSpec, display: Display) -> KeyboardLayout:
+    """The :class:`KeyboardLayout` of ``spec`` on ``display``, built once
+    per pair: both are frozen and a layout is never mutated, so every
+    caller can share it."""
+    return KeyboardLayout(spec, display)

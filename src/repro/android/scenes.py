@@ -27,7 +27,7 @@ from repro.android.apps import AppSpec
 from repro.android.display import Display
 from repro.android.geometry import Rect
 from repro.android.glyphs import glyph, has_glyph
-from repro.android.keyboard import KeyboardLayout
+from repro.android.keyboard import keyboard_layout
 from repro.android.layers import DrawOp, Layer, Scene, solid_quad
 from repro.android.os_config import DeviceConfig
 
@@ -63,7 +63,7 @@ class SceneBuilder:
     def __init__(self, config: DeviceConfig) -> None:
         self.config = config
         self.display: Display = config.display
-        self.layout = KeyboardLayout(config.keyboard, self.display)
+        self.layout = keyboard_layout(config.keyboard, self.display)
 
     # ------------------------------------------------------------------
     # Layer builders

@@ -98,7 +98,9 @@ class _CompositeGrid:
     2 (s+k).v`` is at least ``-2 s.v + floor[s] + min_k(||k||^2 - 2 k.v)``
     with ``floor[s] = ||s||^2 + min_k 2 s.k``.  Every term of that bound
     and of the cells is at most ``reach * ||v|| + magnitude`` in size,
-    which scales the bound's rounding slack.
+    which scales the bound's rounding slack.  Every cell lies in the box
+    ``[low, high]`` the cells span, so a row's distance to that box
+    bounds its distance to every cell.
     """
 
     def __init__(self, labels: Sequence[str], scaled: np.ndarray) -> None:
@@ -122,6 +124,7 @@ class _CompositeGrid:
             self.floor = sub_sq + (2.0 * _cross(self.subs, self.keys)).min(axis=1)
             self.reach = 2.0 * (np.sqrt(sub_sq.max()) + np.sqrt(self.key_sq.max()))
             self.magnitude = 2.0 * (sub_sq.max() + self.key_sq.max()) + self.norms.max()
+            self.low, self.high = grid.min(axis=0), grid.max(axis=0)
 
     def allowed(self, field_lengths: Sequence[int]) -> np.ndarray:
         """Blocks a length restriction keeps: dismisses and near lengths."""
@@ -208,6 +211,20 @@ class Classification:
         if not self.is_field:
             return None
         return int(self.label[len(FIELD_PREFIX):].split(":")[0])
+
+
+def _classification(
+    label: Optional[str], distance: float, confidence: float = 1.0
+) -> Classification:
+    """A :class:`Classification` built without the frozen dataclass
+    ``__init__``, which sets each field through ``object.__setattr__``:
+    the batch paths build one per scored row.  Fields, equality and
+    frozenness stay the dataclass's own."""
+    result = object.__new__(Classification)
+    object.__setattr__(
+        result, "__dict__", {"label": label, "distance": distance, "confidence": confidence}
+    )
+    return result
 
 
 class ClassificationModel:
@@ -378,33 +395,34 @@ class ClassificationModel:
             confidence[empty_rows] = 0.0
         labels, cth = self.labels, self.cth
         return [
-            Classification(
-                label=labels[index] if distance <= cth else None,
-                distance=distance,
-                confidence=conf,
-            )
+            _classification(labels[index] if distance <= cth else None, distance, conf)
             for index, distance, conf in zip(
                 best.tolist(), distances.tolist(), confidence.tolist()
             )
         ]
 
-    def classify_composite(
-        self, vec: np.ndarray, field_lengths: Optional[Sequence[int]] = None
-    ) -> Classification:
-        """Best key interpretation of ``vec`` minus one known non-key class.
+    def composite_reachable(self, matrix: np.ndarray) -> np.ndarray:
+        """Which of ``n`` full rows :meth:`pick_composites` may read as a
+        key under some field-length restriction, as an ``(n,)`` mask.
 
-        Fast typing can land the previous popup's dismissal — or a text
-        field redraw (echo, cursor blink) — in the same counter read as the
-        next key press; the composite change is then the sum of a known
-        signature and a press signature.  Since the offline phase learned
-        every dismiss and field centroid, the engine can search over
-        ``vec - centroid`` residuals for a key match.  Wrong subtraction
-        candidates leave large (often negative) residuals and lose on
-        distance, so no clamping is needed.  A one-row
-        :meth:`composite_scores` pass, picked by :meth:`pick_composite`.
+        A row's squared distance to the box the grid cells span bounds
+        its squared distance to every cell from below.  A row whose box
+        distance, less the rounding slack of a scored distance, lies
+        beyond the composite acceptance radius is no key under any
+        restriction; the mask is ``False`` only for such rows.
         """
-        block_min, block_key, row_sq = self.composite_scores(vec[None, :])
-        return self.pick_composite(block_min[0], block_key[0], row_sq[0], field_lengths)
+        grid = self._composite_grid()
+        if not grid.norms.size:
+            return np.zeros(len(matrix), dtype=bool)
+        scaled = self._transform_rows(np.asarray(matrix, dtype=float) / self.scale)
+        gap = _row_sq(np.maximum(grid.low - scaled, 0.0))
+        gap += _row_sq(np.maximum(scaled - grid.high, 0.0))
+        row_sq = _row_sq(scaled)
+        slack = grid.reach * np.sqrt(row_sq)
+        slack += row_sq + grid.magnitude
+        slack *= _BOUND_SLACK
+        radius = self.cth * COMPOSITE_CTH_FACTOR
+        return gap - slack <= radius * radius * (1.0 + _BOUND_SLACK)
 
     def composite_scores(
         self, matrix: np.ndarray
@@ -420,7 +438,8 @@ class ClassificationModel:
         scored; the rest read ``inf``.  A dropped block's minimum lies
         above the row's dismiss minimum, and every length restriction
         keeps the dismiss blocks, so a dropped block is never a pick: the
-        picks and their distances are the full grid's bit for bit.
+        picks of :meth:`pick_composites` and their distances are the full
+        grid's bit for bit.
         """
         grid = self._composite_grid()
         scaled = self._transform_rows(np.asarray(matrix, dtype=float) / self.scale)
@@ -437,35 +456,49 @@ class ClassificationModel:
             grid.score(sub_dot, key_dot, *np.nonzero(keep), block_min, block_key)
         return block_min, block_key, row_sq
 
-    def pick_composite(
+    def pick_composites(
         self,
         block_min: np.ndarray,
         block_key: np.ndarray,
-        row_sq: float,
+        row_sq: np.ndarray,
         field_lengths: Optional[Sequence[int]] = None,
-    ) -> Classification:
-        """One row's composite classification from its block scores.
+    ) -> List[Classification]:
+        """Every row's composite classification from its block scores.
+
+        Fast typing can land the previous popup's dismissal — or a text
+        field redraw (echo, cursor blink) — in the same counter read as
+        the next key press; the composite change is then the sum of a
+        known signature and a press signature, and the nearest
+        ``vec - centroid`` residual names the press.
 
         ``field_lengths`` restricts field-family subtraction candidates to
         lengths near the correction tracker's current estimate (the
         attacker knows how long the input is, so distant lengths are
-        impossible); it masks whole blocks, so the first minimal block and
-        its first minimal key are the full grid's first-index argmin.
+        impossible); it masks whole blocks, so each row's first minimal
+        block and its first minimal key are the full grid's first-index
+        argmin.  A row with no finite block is no key at infinite
+        distance.
         """
         grid = self._composite_grid()
+        n, blocks = block_min.shape
+        if not blocks:
+            return [Classification(label=None, distance=math.inf) for _ in range(n)]
         if field_lengths is not None:
             block_min = np.where(grid.allowed(field_lengths), block_min, np.inf)
-        if not block_min.size:
-            return Classification(label=None, distance=float("inf"))
-        block = int(np.argmin(block_min))
-        best = float(block_min[block])
-        if not math.isfinite(best):
-            return Classification(label=None, distance=float("inf"))
-        distance = math.sqrt(max(0.0, best + float(row_sq)))
-        if distance > self.cth * COMPOSITE_CTH_FACTOR:
-            return Classification(label=None, distance=distance)
-        key = grid.key_rows[int(block_key[block])]
-        return Classification(label=self.labels[key], distance=distance)
+        rows = np.arange(n)
+        block = block_min.argmin(axis=1)
+        best = block_min[rows, block]
+        finite = np.isfinite(best)
+        distance = np.sqrt(np.maximum(best + row_sq, 0.0))
+        distance[~finite] = np.inf
+        accept = finite & ~(distance > self.cth * COMPOSITE_CTH_FACTOR)
+        labels, key_rows = self.labels, grid.key_rows
+        return [
+            _classification(labels[key_rows[key]] if ok else None, d)
+            for key, ok, d in zip(
+                block_key[rows, block].tolist(), accept.tolist(), distance.tolist()
+            )
+        ]
 
     def _composite_grid(self) -> "_CompositeGrid":
         if self._composite is None:

@@ -133,9 +133,9 @@ class OfflineTrainer:
     def trainable_characters(self) -> List[str]:
         """Fig 18 characters that exist on this keyboard's layout."""
         from repro.android.display import Display
-        from repro.android.keyboard import KeyboardLayout
+        from repro.android.keyboard import keyboard_layout
 
-        layout = KeyboardLayout(self.config.keyboard, self.config.display)
+        layout = keyboard_layout(self.config.keyboard, self.config.display)
         return [c for c in KEYBOARD_CHARACTERS if layout.has_key(c)]
 
     # ------------------------------------------------------------------

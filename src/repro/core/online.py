@@ -30,16 +30,22 @@ offline phase already knows):
 
 The engine's unit of work is a primed batch of deltas (:meth:`OnlineEngine.prime`):
 every decision above runs per delta, in order, but the nearest-centroid
-lookups are scored in one pass per stage over the batch's rows.  Each
-pass is timed with a monotonic clock and divided by the lookups it
-scored; every lookup a step consumes records that share, which
-reproduces the paper's per-inference Fig 25 (>95 % under 0.1 ms).
+lookups are scored in one pass per stage over the batch's rows.  The
+batch keeps each lookup kind's results in row-indexed arrays, so a step
+reads its lookups, the scans that choose a pass's rows are masks, and
+a composite pass picks all its rows at once per field-length
+restriction.  Each pass is timed with a monotonic clock and divided by
+the lookups it scored; every lookup a step consumes records that share,
+and the shares reach the Fig 25 latency histograms (the paper's >95 %
+under 0.1 ms) in one call per batch, once its last row has stepped.
 
-Unexplained deltas stay cheap.  The composite pass prunes subtraction
-blocks by a lower bound (:meth:`ClassificationModel.composite_scores`),
-and the ambient fit skips a refit that provably cannot find enough
-inliers (:meth:`OnlineEngine._refit_cannot_pass`).  Neither changes a
-result bit.
+Unexplained deltas stay cheap.  The composite pass skips the rows no
+composite can read as a key (:meth:`ClassificationModel.composite_reachable`)
+and prunes the others' subtraction blocks by two lower bounds
+(:meth:`ClassificationModel.composite_scores`); the ambient fit skips a
+refit that provably cannot find enough inliers
+(:meth:`OnlineEngine._refit_cannot_pass`), from state each noise note
+updates in place.  None of these changes a result bit.
 """
 
 from __future__ import annotations
@@ -165,17 +171,25 @@ class OnlineEngine:
         self.stage_name = stage_name
         self.metrics = resolve_registry(metrics)
         # resolved once: with the null registry this is the shared no-op
-        # instrument, so the hot path pays one attribute load per observe
+        # instrument, so a batch's flush is one call either way
         self._latency_hist = self.metrics.histogram("engine.inference_latency_s")
-        self._ring = np.zeros((self.AMBIENT_WINDOW, features.DIMENSIONS))
+        #: pass shares of the lookups consumed since the last flush
+        self._latencies: List[float] = []
+        #: the noise ring's rows, note ``i`` in slot ``i % AMBIENT_WINDOW``
+        #: (:attr:`_ring` reads them oldest first), and the same slots as
+        #: unit vectors (zero rows stay 0) with their norms, for
+        #: :meth:`_refit_cannot_pass`
+        self._slots = np.zeros((self.AMBIENT_WINDOW, features.DIMENSIONS))
         self._ring_len = 0
-        #: the ring's rows as unit vectors (zero rows stay 0), in ring
-        #: order up to rotation, and their norms, for :meth:`_refit_cannot_pass`
-        self._units = np.zeros_like(self._ring)
+        self._units = np.zeros_like(self._slots)
         self._unit_norms: Deque[float] = deque(maxlen=self.AMBIENT_WINDOW)
+        self._zero_units = 0
         #: (mean norm, mean direction, unit sum) of the last full fit of
-        #: a ring without zero rows
+        #: a ring without zero rows; since it, each unit's cosine to that
+        #: direction and the unit sum's displacement from that sum
         self._last_fit: Optional[Tuple[float, np.ndarray, np.ndarray]] = None
+        self._cosines = np.zeros(self.AMBIENT_WINDOW)
+        self._shift = np.zeros(features.DIMENSIONS)
         self._ring_version = 0
         #: (ring version, model) the last ambient fit saw
         self._fit_inputs: Optional[Tuple[int, ClassificationModel]] = None
@@ -190,6 +204,9 @@ class OnlineEngine:
         self.model_swaps = 0
         self._active_model = model
         self._deflation_u = None
+        #: the composite search's field-length restriction, which only a
+        #: field event changes
+        self._lengths: Optional[Tuple[int, ...]] = None
         self._result: Optional[OnlineResult] = None
         self._batch: Optional[_Batch] = None
         self._prev: Optional[PcDelta] = None
@@ -206,11 +223,14 @@ class OnlineEngine:
         if self.trace is not None:
             self.trace.emit(t, self.session, self.stage_name, kind, **detail)
 
-    def _observe_latency(self, result: OnlineResult, elapsed_s: float) -> None:
-        """One classifier-call latency, into the result's own histogram
-        and the run-wide registry aggregate."""
-        result.latency.observe(elapsed_s)
-        self._latency_hist.observe(elapsed_s)
+    def _flush_latency(self) -> None:
+        """The consumed lookups' latencies since the last flush, into the
+        result's own histogram and the run-wide registry aggregate."""
+        latencies = self._latencies
+        if latencies:
+            self._result.latency.observe_many(latencies)
+            self._latency_hist.observe_many(latencies)
+            latencies.clear()
 
     @staticmethod
     def _switch_threshold(model: ClassificationModel) -> float:
@@ -237,6 +257,8 @@ class OnlineEngine:
 
     def begin(self) -> OnlineResult:
         """Open a new stream; returns the (live) result accumulator."""
+        if self._result is not None:
+            self._flush_latency()
         self._result = OnlineResult(trace=self.trace)
         self._prev = None
         self._prev_consumed = True
@@ -255,6 +277,7 @@ class OnlineEngine:
         """
         if self._result is None:
             self.begin()
+        self._flush_latency()
         self._batch = _Batch(self._active_model, deltas, self._prev)
 
     def swap_model(self, model: ClassificationModel) -> None:
@@ -298,6 +321,8 @@ class OnlineEngine:
         state between calls (the unconsumed previous delta, the dedup
         window, the correction tracker) lives on the engine.  A delta
         that is not the next one of the primed batch is a batch of one.
+        The latency histograms are current once a batch's last delta
+        has stepped.
         """
         batch = self._batch
         if batch is None or not batch.holds_next(delta):
@@ -305,6 +330,13 @@ class OnlineEngine:
             batch = self._batch
         row = batch.pos
         batch.pos += 1
+        self._step(batch, row, delta)
+        if batch.pos == len(batch.deltas):
+            self._flush_latency()
+        return self._result
+
+    def _step(self, batch: "_Batch", row: int, delta: PcDelta) -> None:
+        """Algorithm 1 for the batch's ``row``, which holds ``delta``."""
         result = self._result
         self._last_fed_t = delta.t
         if delta.gap:
@@ -314,7 +346,7 @@ class OnlineEngine:
             result.stats.gaps_seen += 1
             self._emit(delta.t, "gap", span_s=delta.t - delta.prev_t)
         if not batch.live[row]:
-            return result
+            return
         result.stats.deltas_seen += 1
         masked = bool(delta.missing)
         if masked:
@@ -334,9 +366,8 @@ class OnlineEngine:
         prev, prev_consumed = self._prev, self._prev_consumed
 
         if self.switch_detector is not None:
-            observation = self.switch_detector.observe(
-                delta, classification, magnitude=self._effective_magnitude(delta)
-            )
+            magnitude = self._effective_magnitude(delta, batch.rows[row])
+            observation = self.switch_detector.observe(delta, classification, magnitude=magnitude)
             if observation.suppress:
                 result.stats.suppressed_by_switch += 1
                 self._emit(delta.t, "switch_suppressed")
@@ -344,9 +375,9 @@ class OnlineEngine:
                     # suppressed-but-unexplained changes still inform
                     # the ambient-workload estimate (a login animation
                     # can otherwise starve it into permanent suppression)
-                    self._note_noise(delta)
+                    self._note_noise(delta, batch.rows[row])
                 self._prev, self._prev_consumed = delta, True
-                return result
+                return
 
         # Split recombination (Algorithm 1 lines 7-10): when the
         # previous change went unexplained, consider that this change
@@ -393,7 +424,7 @@ class OnlineEngine:
                 result, event_t, classification, from_split=event_t != delta.t
             )
             self._prev, self._prev_consumed = delta, True
-            return result
+            return
 
         if classification.is_field:
             self._field_event(result, event_t, classification.field_length)
@@ -401,7 +432,7 @@ class OnlineEngine:
             # partially-read blink can masquerade as a shorter field,
             # and its tail may arrive merged with a key press
             self._prev, self._prev_consumed = delta, False
-            return result
+            return
 
         # Reject classes and unexplained noise both leave the delta
         # available for split recombination with the *next* change: the
@@ -410,9 +441,8 @@ class OnlineEngine:
         result.stats.noise_events += 1
         self._emit(delta.t, "noise", label=classification.label)
         if classification.label is None:
-            self._note_noise(delta)
+            self._note_noise(delta, batch.rows[row])
         self._prev, self._prev_consumed = delta, False
-        return result
 
     def finish(self) -> OnlineResult:
         """Close the stream: flush pending burst state, detach the result."""
@@ -420,6 +450,7 @@ class OnlineEngine:
             self.begin()
         if self.switch_detector is not None and self._last_fed_t is not None:
             self.switch_detector.flush(self._last_fed_t + 1.0)
+        self._flush_latency()
         result = self._result
         if self.metrics.enabled:
             # end-of-stream flush: per-session decision tallies roll up
@@ -468,86 +499,94 @@ class OnlineEngine:
     # ------------------------------------------------------------------
     # demand-driven batch scoring
 
-    def _lookup(self, batch: "_Batch", kind: str, row: int) -> Classification:
-        """One lookup a step consumes, scored by the batch's pass for its
-        stage (run now if no pass covered it yet).  Each consumed lookup
-        observes its pass's wall time per scored lookup (Fig 25)."""
+    def _lookup(self, batch: "_Batch", kind: int, row: int) -> Classification:
+        """One lookup a step consumes, read from the batch's pass for its
+        stage (run now if no pass covered it yet).  The step records its
+        pass's wall time per scored lookup (Fig 25)."""
         if batch.model is not self._active_model:
             # ambient deflation or a model swap since the batch was
             # scored: every row from this one on is re-scored
             batch.rescore(self._active_model, row)
-        table = batch.lookups[kind]
-        if row not in table:
+        entry = batch.lookups[kind][row]
+        if entry is None:
             self._score_stage(batch, kind, row)
-        value, per_lookup_s = table[row]
-        self._observe_latency(self._result, per_lookup_s)
-        if _STAGE[kind] == "C":
-            return batch.model.pick_composite(
-                *value, field_lengths=self._plausible_lengths()
-            )
-        return value
+            entry = batch.lookups[kind][row]
+        value, per_lookup_s = entry
+        self._latencies.append(per_lookup_s)
+        if kind < COMPOSITE:
+            return value
+        scores, index = value
+        return scores.picks(self._lengths)[index]
 
-    def _score_stage(self, batch: "_Batch", kind: str, row: int) -> None:
+    def _score_stage(self, batch: "_Batch", kind: int, row: int) -> None:
         """Score ``kind`` for ``row``, together with every later row's
         not yet scored lookups of the same stage that the rows' earlier
         results say a step may ask for."""
         stage = _STAGE[kind]
-        wanted = [(kind, row)]
+        masks = {}
         if stage != "A":
-            scan = self._stage_b if stage == "B" else self._stage_c
-            wanted += [need for need in scan(batch, row) if need != (kind, row)]
-        batch.score(wanted)
+            masks = (self._stage_b if stage == "B" else self._stage_c)(batch, row)
+        if kind not in masks:
+            masks[kind] = np.zeros(len(batch.deltas) - row, dtype=bool)
+        masks[kind][0] = True
+        batch.score(
+            [(k, r) for k, mask in masks.items() for r in (np.flatnonzero(mask) + row).tolist()]
+        )
 
-    def _stage_b(self, batch: "_Batch", row: int):
+    def _stage_b(self, batch: "_Batch", row: int) -> Dict[int, np.ndarray]:
         """Half-scaled rows the plain pass left unexplained, and the
-        split-merged rows whose predecessor did not classify as a key."""
-        plain, merged, half = (batch.lookups[kind] for kind in (PLAIN, MERGED, HALF))
-        for r in range(row, len(batch.deltas)):
-            if not batch.live[r]:
-                continue
-            pred = batch.pred[r]
-            if (
-                r > row
-                and r not in merged
-                and not plain[pred][0].is_key
-                and self._mergeable(batch.deltas[pred], batch.deltas[r])
-            ):
-                yield (MERGED, r)
-            if (
-                self.recover_collisions
-                and plain[r][0].label is None
-                and not batch.masked[r]
-                and r not in half
-            ):
-                yield (HALF, r)
+        split-merged rows whose predecessor did not classify as a key,
+        as masks over the rows from ``row`` on."""
+        tail = slice(row, None)
+        pred = batch.pred[tail]
+        span = batch.t[tail] - batch.t[pred]
+        # the last three terms are _mergeable of each row and its pred
+        merged = (
+            batch.live[tail]
+            & ~batch.scored[MERGED, tail]
+            & ~batch.is_key[PLAIN, pred]
+            & (0.0 <= span)
+            & (span <= self.interval_s * SPLIT_MERGE_FACTOR)
+            & (batch.prev_t[pred] <= batch.prev_t[tail])
+        )
+        merged[0] = False  # the step itself asks for its own row's
+        masks = {MERGED: merged}
+        if self.recover_collisions:
+            masks[HALF] = (
+                batch.unexplained[PLAIN, tail] & ~batch.masked[tail] & ~batch.scored[HALF, tail]
+            )
+        return masks
 
-    def _stage_c(self, batch: "_Batch", row: int):
-        """Composite rows still unexplained after the secondary pass,
-        and their split-merged twins."""
-        lookups = batch.lookups
-        for r in range(row, len(batch.deltas)):
-            half = lookups[HALF].get(r)
-            merged = lookups[MERGED].get(r)
-            if half is None or half[0].is_key or (merged is not None and merged[0].label):
-                continue
-            if r not in lookups[COMPOSITE]:
-                yield (COMPOSITE, r)
-            if (
-                merged is not None
-                and not batch.masked[batch.pred[r]]
-                and r not in lookups[MERGED_COMPOSITE]
-            ):
-                yield (MERGED_COMPOSITE, r)
+    def _stage_c(self, batch: "_Batch", row: int) -> Dict[int, np.ndarray]:
+        """Composite rows still unexplained after the secondary pass, and
+        their split-merged twins, as masks over the rows from ``row`` on."""
+        tail = slice(row, None)
+        merged = batch.scored[MERGED, tail]
+        unexplained = (
+            batch.scored[HALF, tail]
+            & ~batch.is_key[HALF, tail]
+            & ~(merged & ~batch.unexplained[MERGED, tail])
+        )
+        return {
+            COMPOSITE: unexplained & ~batch.scored[COMPOSITE, tail],
+            MERGED_COMPOSITE: (
+                unexplained
+                & merged
+                & ~batch.masked[batch.pred[tail]]
+                & ~batch.scored[MERGED_COMPOSITE, tail]
+            ),
+        }
 
     # ------------------------------------------------------------------
 
-    def _effective_magnitude(self, delta: PcDelta) -> float:
+    def _effective_magnitude(self, delta: PcDelta, vec: Optional[np.ndarray] = None) -> float:
         """Raw magnitude with the ambient direction's share removed, so a
         steady background or animation never masquerades as an app-switch
-        burst."""
+        burst.  ``vec`` is the delta's feature row, if at hand."""
         if self._deflation_u is None:
             return float(delta.total)
-        vec = features.vectorize(delta)
+        if vec is None:
+            vec = features.vectorize(delta)
         scaled = vec / self.model.scale
         cleaned = (scaled - float(scaled @ self._deflation_u) * self._deflation_u) * self.model.scale
         return float(np.clip(cleaned, 0.0, None).sum())
@@ -568,6 +607,15 @@ class OnlineEngine:
         self._deflation_u = scaled_dir
         self._active_model = self.model.with_deflation(scaled_dir)
         self._emit(t if t is not None else 0.0, "ambient_deflation")
+
+    @property
+    def _ring(self) -> np.ndarray:
+        """The noise ring's rows, oldest first (zero rows until it fills),
+        so the fit's means sum in arrival order."""
+        slot = self._ring_version % self.AMBIENT_WINDOW
+        if self._ring_len < self.AMBIENT_WINDOW or not slot:
+            return self._slots
+        return np.concatenate((self._slots[slot:], self._slots[:slot]))
 
     @property
     def _noise_ring(self) -> np.ndarray:
@@ -596,6 +644,8 @@ class OnlineEngine:
         mean_dir = mean_dir / mean_norm
         if keep.all():
             self._last_fit = (mean_norm, mean_dir, self._units.sum(axis=0))
+            self._cosines = self._units @ mean_dir
+            self._shift = np.zeros(features.DIMENSIONS)
         cosines = units @ mean_dir
         inliers = cosines > _INLIER_COS
         if inliers.sum() < max(self.AMBIENT_MIN_SAMPLES, 0.5 * len(units)):
@@ -621,52 +671,63 @@ class OnlineEngine:
         unit is an inlier only within ``acos(0.9)`` of the new direction,
         so only if its cosine to ``d`` exceeds ``cos(acos(0.9) + turn)``.
         The bound holds for a ring without zero rows; its float slack
-        dwarfs the rounding of sums of 24 unit vectors.
+        dwarfs the rounding of sums of 24 unit vectors, and of the
+        cosines and displacement :meth:`_note_noise` keeps.
         """
-        if self._last_fit is None or 0.0 in self._unit_norms:
+        if self._last_fit is None or self._zero_units:
             return False
-        mean_norm, direction, fit_sum = self._last_fit
         n = self.AMBIENT_WINDOW
-        shift = self._units.sum(axis=0)
-        shift -= fit_sum
-        ratio = (math.sqrt(shift.dot(shift)) + _FIT_SLACK * n) / (n * mean_norm)
+        shift = self._shift
+        ratio = (math.sqrt(shift.dot(shift)) + _FIT_SLACK * n) / (n * self._last_fit[0])
         if not ratio < 1.0:
             return False
         cut = math.cos(_INLIER_ANGLE + math.asin(ratio) + _FIT_SLACK) - _FIT_SLACK
-        candidates = int(np.count_nonzero(self._units @ direction > cut))
+        candidates = int(np.count_nonzero(self._cosines > cut))
         return candidates < max(self.AMBIENT_MIN_SAMPLES, 0.5 * n)
 
     #: Calibration-evidence vectors retained between drains.
     EVIDENCE_CAP = 512
 
-    def _note_noise(self, delta: PcDelta) -> None:
+    def _note_noise(self, delta: PcDelta, vec: Optional[np.ndarray] = None) -> None:
+        """Retain an unexplained delta (feature row ``vec``, if at hand)
+        for the ambient fit, and update the refit skip's state in place:
+        the zero-unit count, the slot's cosine to the last fit's
+        direction, and the unit sum's displacement, re-summed exactly
+        every :attr:`AMBIENT_WINDOW` notes."""
         if delta.missing:
             # zeros in unobserved dimensions would bend the ambient
             # direction estimate toward the observed subspace
             return
-        vec = features.vectorize(delta)
-        ring = self._ring
+        if vec is None:
+            vec = features.vectorize(delta)
         if self._ring_len < self.AMBIENT_WINDOW:
-            ring[self._ring_len] = vec
             self._ring_len += 1
-        else:
-            # shift, not wrap: the ring stays oldest-first, so the mean
-            # over it sums in arrival order
-            ring[:-1] = ring[1:]
-            ring[-1] = vec
-        # the skip test only sums and dots the units, so they wrap
         slot = self._ring_version % self.AMBIENT_WINDOW
+        self._slots[slot] = vec
+        unit, fit = self._units[slot], self._last_fit
+        norms = self._unit_norms
+        if len(norms) == norms.maxlen and norms[0] == 0.0:
+            self._zero_units -= 1
         norm = math.sqrt(vec.dot(vec))
-        self._unit_norms.append(norm)
+        norms.append(norm)
+        if fit is not None:
+            self._shift -= unit
         if norm > 0:
-            np.divide(vec, norm, out=self._units[slot])
+            np.divide(vec, norm, out=unit)
         else:
-            self._units[slot] = 0.0
+            unit[:] = 0.0
+            self._zero_units += 1
         self._ring_version += 1
+        if fit is not None:
+            self._cosines[slot] = unit.dot(fit[1])
+            if self._ring_version % self.AMBIENT_WINDOW:
+                self._shift += unit
+            else:
+                self._shift = self._units.sum(axis=0) - fit[2]
         if self.collect_evidence and len(self.evidence) < self.EVIDENCE_CAP:
             # drifted key presses land here: full-vector changes the
             # frozen model can no longer explain
-            self.evidence.append(vec)
+            self.evidence.append(vec.copy())
 
     def _plausible_lengths(self):
         """Field lengths the composite search may subtract: near the
@@ -714,6 +775,7 @@ class OnlineEngine:
         emitted = self.corrections.observe(
             t, length, keys_inferred_total=result.stats.keys_inferred
         )
+        self._lengths = self._plausible_lengths()
         result.stats.unattributed_growth = self.corrections.unattributed_growth
         for event in emitted:
             result.stats.deletions_detected += 1
@@ -735,28 +797,59 @@ class OnlineEngine:
 #: Lookup kinds a step can consume, by scoring stage: A scores every row
 #: when the batch is primed; B (half-scaled, split-merged) and C
 #: (composite, split-merged composite) score on first demand.
-PLAIN, MERGED, HALF, COMPOSITE, MERGED_COMPOSITE = (
-    "plain",
-    "merged",
-    "half",
-    "composite",
-    "merged_composite",
-)
-_STAGE = {PLAIN: "A", MERGED: "B", HALF: "B", COMPOSITE: "C", MERGED_COMPOSITE: "C"}
+PLAIN, MERGED, HALF, COMPOSITE, MERGED_COMPOSITE = range(5)
+_STAGE = ("A", "B", "B", "C", "C")
 
 #: Row 0 of a batch primed while the engine holds no previous delta.
 _NO_DELTA = PcDelta(t=0.0, prev_t=0.0, values={})
 
 
+#: What a composite lookup reads for a row no restriction can read as a
+#: key: a step only asks a composite lookup whether it is a key.
+_NO_KEY = Classification(label=None, distance=math.inf)
+
+
+class _CompositePass:
+    """One stage-C pass over a matrix of rows: the block scores of the
+    rows that may read as a key, and every row's pick per field-length
+    restriction, made on first demand.  The other rows are not scored
+    and read as :data:`_NO_KEY`."""
+
+    __slots__ = ("model", "size", "reachable", "scores", "_picks")
+
+    def __init__(self, model: ClassificationModel, matrix: np.ndarray) -> None:
+        self.model = model
+        self.size = len(matrix)
+        self.reachable = np.flatnonzero(model.composite_reachable(matrix)).tolist()
+        self.scores = model.composite_scores(matrix[self.reachable]) if self.reachable else None
+        self._picks: Dict[Optional[Tuple[int, ...]], List[Classification]] = {}
+
+    def picks(self, lengths: Optional[Tuple[int, ...]]) -> List[Classification]:
+        picks = self._picks.get(lengths)
+        if picks is None:
+            picks = self._picks[lengths] = [_NO_KEY] * self.size
+            if self.scores is not None:
+                scored = self.model.pick_composites(*self.scores, lengths)
+                for row, pick in zip(self.reachable, scored):
+                    picks[row] = pick
+        return picks
+
+
 class _Batch:
     """One primed batch: its deltas, their feature rows, and every lookup
-    scored for them so far, as ``lookups[kind][row] = (value, seconds)``.
+    scored for them so far.
 
     Row 0 is the delta the engine held when the batch was primed (a zero
     delta if none), rows 1.. are the batch's deltas, and ``pred[r]`` is
     the row whose delta the engine will hold when row ``r`` steps.
     Feature rows hold exact counts below 2**53, so a split-merged row is
     the float sum of the two rows.
+
+    ``lookups[kind][row]`` is ``(value, seconds)`` once scored, else
+    ``None``: the value is a :class:`Classification`, or for the composite
+    kinds the pass and the row's index in it; the seconds are the pass's
+    wall time per lookup.  ``scored``, ``is_key`` and ``unexplained``
+    (label ``None``) are ``(kind, row)`` flags the stage scans mask on.
     """
 
     def __init__(
@@ -767,15 +860,20 @@ class _Batch:
     ) -> None:
         self.deltas = [prev if prev is not None else _NO_DELTA, *deltas]
         self.pos = 1
-        self.live = [False] + [bool(delta) for delta in deltas]
-        self.masked = [bool(delta.missing) for delta in self.deltas]
+        self.live = np.array([False] + [bool(delta) for delta in deltas])
+        self.masked = np.array([bool(delta.missing) for delta in self.deltas])
+        self.t = np.array([delta.t for delta in self.deltas])
+        self.prev_t = np.array([delta.prev_t for delta in self.deltas])
         self.rows = features.vectorize_many(self.deltas)
         self.present: Optional[np.ndarray] = None
-        if any(self.masked):
-            self.present = np.vstack([features.present_mask(d.missing) for d in self.deltas])
-        self.pred = [0]
-        for row in range(1, len(self.deltas)):
-            self.pred.append(row - 1 if self.live[row - 1] else self.pred[row - 1])
+        if self.masked.any():
+            self.present = np.ones(self.rows.shape, dtype=bool)
+            for row in np.flatnonzero(self.masked).tolist():
+                self.present[row] = features.present_mask(self.deltas[row].missing)
+        # the last live row before each row, or row 0
+        live_rows = np.where(self.live, np.arange(len(self.deltas)), 0)
+        self.pred = np.zeros(len(self.deltas), dtype=np.intp)
+        self.pred[1:] = np.maximum.accumulate(live_rows)[:-1]
         self.rescore(model, 1)
 
     def holds_next(self, delta: PcDelta) -> bool:
@@ -785,34 +883,45 @@ class _Batch:
         """Drop every lookup and score the plain lookups of the rows from
         ``row`` on against ``model`` (stage A)."""
         self.model = model
-        self.lookups: Dict[str, Dict[int, Tuple[object, float]]] = {kind: {} for kind in _STAGE}
-        self.score([(PLAIN, r) for r in range(row, len(self.deltas)) if self.live[r]])
+        n = len(self.deltas)
+        self.lookups: List[List[Optional[Tuple[object, float]]]] = [[None] * n for _ in _STAGE]
+        self.scored, self.is_key, self.unexplained = np.zeros((3, len(_STAGE), n), dtype=bool)
+        self.score([(PLAIN, r) for r in (np.flatnonzero(self.live[row:]) + row).tolist()])
 
-    def score(self, wanted: List[Tuple[str, int]]) -> None:
+    def score(self, wanted: List[Tuple[int, int]]) -> None:
         """One pass over ``wanted`` ``(kind, row)`` lookups of one stage;
         each records the pass's wall time per lookup."""
         if not wanted:
             return
         t0 = time.perf_counter()
+        kinds = [kind for kind, _ in wanted]
         rows = [row for _, row in wanted]
         matrix = self.rows[rows]
-        merged = [k for k, (kind, _) in enumerate(wanted) if kind in (MERGED, MERGED_COMPOSITE)]
-        preds = [self.pred[rows[k]] for k in merged]
+        merged = [k for k, kind in enumerate(kinds) if kind == MERGED or kind == MERGED_COMPOSITE]
         if merged:
+            preds = self.pred[[rows[k] for k in merged]]
             matrix[merged] += self.rows[preds]
-        half = [k for k, (kind, _) in enumerate(wanted) if kind == HALF]
+        half = [k for k, kind in enumerate(kinds) if kind == HALF]
         if half:
             # as PcDelta.scaled(0.5): each count truncated toward zero
             matrix[half] = np.trunc(matrix[half] * 0.5)
-        if _STAGE[wanted[0][0]] == "C":
-            block_min, block_key, row_sq = self.model.composite_scores(matrix)
-            values: Sequence[object] = list(zip(block_min, block_key, row_sq))
+        composite = _STAGE[kinds[0]] == "C"
+        if composite:
+            scores = _CompositePass(self.model, matrix)
+            values: Sequence[object] = [(scores, k) for k in range(len(wanted))]
         else:
             present = None
             if self.present is not None:
                 present = self.present[rows]
-                present[merged] &= self.present[preds]
+                if merged:
+                    present[merged] &= self.present[preds]
             values = self.model.classify_batch(matrix, present)
         per_lookup_s = (time.perf_counter() - t0) / len(wanted)
-        for (kind, row), value in zip(wanted, values):
-            self.lookups[kind][row] = (value, per_lookup_s)
+        lookups = self.lookups
+        for kind, row, value in zip(kinds, rows, values):
+            lookups[kind][row] = (value, per_lookup_s)
+        index = (np.array(kinds), np.array(rows))
+        self.scored[index] = True
+        if not composite:
+            self.is_key[index] = [value.is_key for value in values]
+            self.unexplained[index] = [value.label is None for value in values]

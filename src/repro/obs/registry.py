@@ -109,6 +109,24 @@ class Histogram:
         if self.samples is not None:
             self.samples.append(value)
 
+    def observe_many(self, values: Sequence[float]) -> None:
+        """``observe`` each of ``values`` in order, in one call: the same
+        counts, extremes and samples, and a bit-equal ``sum``."""
+        if not values:
+            return
+        counts, buckets = self.counts, self.buckets
+        total = self.sum
+        for value in values:
+            counts[bisect.bisect_left(buckets, value)] += 1
+            total += value
+        self.sum = total
+        self.count += len(values)
+        # min/max fold left with strict comparisons, as observe does
+        self.min = min(values) if self.min is None else min(self.min, *values)
+        self.max = max(values) if self.max is None else max(self.max, *values)
+        if self.samples is not None:
+            self.samples.extend(values)
+
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
@@ -184,6 +202,9 @@ class _NullInstrument:
         pass
 
     def observe(self, value: float) -> None:
+        pass
+
+    def observe_many(self, values: Sequence[float]) -> None:
         pass
 
 

@@ -184,7 +184,7 @@ def register_scenario(spec: Scenario, replace: bool = False) -> Scenario:
     has a key on the keyboard's layout.
     """
     from repro.android.display import Display
-    from repro.android.keyboard import KeyboardLayout
+    from repro.android.keyboard import keyboard_layout
     from repro.faults import PROFILES
 
     keyboard_spec = spec.keyboard_spec()  # raises UnknownNameError on typos
@@ -196,9 +196,7 @@ def register_scenario(spec: Scenario, replace: bool = False) -> Scenario:
             f"{spec.fault_profile!r}; available: {sorted(PROFILES)}"
         )
     if spec.charset is not None:
-        layout = KeyboardLayout(
-            keyboard_spec, Display(resolution=phone_spec.resolution)
-        )
+        layout = keyboard_layout(keyboard_spec, Display(resolution=phone_spec.resolution))
         missing = sorted({c for c in spec.charset if not layout.has_key(c)})
         if missing:
             raise ValueError(

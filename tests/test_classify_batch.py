@@ -9,13 +9,15 @@ looped path bit for bit (``tests/test_engine_batching.py`` pins it for
 the engine; the tests here keep ``pytest.approx`` on distances).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.android.apps import app
 from repro.api import simulate
 from repro.core import features
-from repro.core.classifier import ClassificationModel, scaled_sq_dists
+from repro.core.classifier import Classification, ClassificationModel, scaled_sq_dists
 from repro.core.online import OnlineEngine
 from repro.gpu import counters as pc
 from repro.kgsl.device_file import DeviceClock, open_kgsl
@@ -119,6 +121,19 @@ def test_masked_confidence_is_observed_fraction(model):
 
 def test_empty_batch(model):
     assert model.classify_batch(np.empty((0, features.DIMENSIONS))) == []
+
+
+def test_batch_results_are_ordinary_frozen_classifications(model, rows, rng):
+    """The batch paths build results without the dataclass ``__init__``;
+    they must equal, hash and freeze like constructed ones."""
+    masks = rng.random(rows.shape) > 0.2
+    for got in (model.classify_batch(rows), model.classify_batch(rows, masks)):
+        for c in got:
+            made = Classification(label=c.label, distance=c.distance, confidence=c.confidence)
+            assert c == made and hash(c) == hash(made)
+            assert dataclasses.asdict(c) == dataclasses.asdict(made)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                c.label = "key:z"
 
 
 def test_distant_rows_are_rejected(model):

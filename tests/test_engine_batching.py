@@ -12,6 +12,10 @@ block-reduced composite search picks what a flat first-index argmin over
 the whole composite grid picks, also when it prunes blocks by a bound.
 """
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +27,7 @@ from repro.core.online import OnlineEngine
 from repro.gpu.timeline import COUNTER_ORDER
 from repro.kgsl.sampler import PcDelta
 from repro.runtime import RuntimeTrace
+from tests.oracles import classify_composite, pick_composite
 
 DIMS = features.DIMENSIONS
 
@@ -276,8 +281,8 @@ def test_block_min_pick_equals_flat_argmin(duplicated):
     picks = 0
     for field_lengths in (None, (0, 1), (2, 3, 4), (7,)):
         for r, row in enumerate(rows):
-            got = model.pick_composite(block_min[r], block_key[r], row_sq[r], field_lengths)
-            one = model.classify_composite(row, field_lengths=field_lengths)
+            got = pick_composite(model, block_min[r], block_key[r], row_sq[r], field_lengths)
+            one = classify_composite(model, row, field_lengths=field_lengths)
             label, distance = flat_composite(model, row, field_lengths)
             assert (got.label, got.distance) == (one.label, one.distance)
             assert got.label == label
@@ -286,7 +291,7 @@ def test_block_min_pick_equals_flat_argmin(duplicated):
     assert picks > 40
     if duplicated:
         # the tied key:a / key:z pair resolves to the first key
-        tied = model.classify_composite(keys[0] + subs[4])
+        tied = classify_composite(model, keys[0] + subs[4])
         assert tied.label == "key:a"
 
 
@@ -381,9 +386,121 @@ def test_pruned_composite_kernel_matches_the_full_grid(seed, tied, deflate, n):
     restrictions = [None, (), tuple(lengths[:1]), tuple(lengths[1::2]), (99,)]
     for field_lengths in restrictions:
         for r, row in enumerate(rows):
-            got = model.pick_composite(block_min[r], block_key[r], row_sq[r], field_lengths)
-            full = model.pick_composite(full_min[r], full_key[r], row_sq[r], field_lengths)
+            got = pick_composite(model, block_min[r], block_key[r], row_sq[r], field_lengths)
+            full = pick_composite(model, full_min[r], full_key[r], row_sq[r], field_lengths)
             assert got == full
             label, distance = flat_composite(model, row, field_lengths)
             assert got.label == label
             assert got.distance == pytest.approx(distance, rel=1e-9, abs=1e-6)
+
+
+def blockless_model(rng):
+    """Keys and a non-subtractable reject class only: no composite block."""
+    labels = ["key:a", "key:b", "reject:notification"]
+    centroids = rng.integers(0, 3000, (len(labels), DIMS)).astype(float)
+    return ClassificationModel(labels, centroids, rng.uniform(5.0, 80.0, DIMS), cth=2.0)
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    tied=st.booleans(),
+    deflate=st.booleans(),
+    blockless=st.booleans(),
+    n=st.integers(0, 30),
+    inf_rows=st.integers(0, 3),
+    field_lengths=st.one_of(
+        st.none(), st.just(()), st.lists(st.integers(0, 12), max_size=5).map(tuple)
+    ),
+)
+@settings(max_examples=120, deadline=None)
+def test_vector_picks_equal_the_scalar_oracle_row_by_row(
+    seed, tied, deflate, blockless, n, inf_rows, field_lengths
+):
+    """Row k of ``pick_composites`` is the scalar oracle's pick for row k:
+    the same label and a bit-equal distance, under every restriction,
+    for tied and deflated models, rows with no finite block, and models
+    without blocks."""
+    rng = np.random.default_rng(seed)
+    if blockless:
+        model = blockless_model(rng)
+        rows = rng.integers(0, 6000, (n, DIMS)).astype(float)
+    else:
+        model = random_model(rng, tied, deflate)
+        rows = composite_rows(rng, model, n) if n else np.empty((0, DIMS))
+    block_min, block_key, row_sq = model.composite_scores(rows)
+    blocks = block_min.shape[1]
+    block_min = np.vstack([block_min, np.full((inf_rows, blocks), np.inf)])
+    block_key = np.vstack([block_key, np.zeros((inf_rows, blocks), dtype=np.intp)])
+    row_sq = np.concatenate([row_sq, rng.uniform(0.0, 10.0, inf_rows)])
+    picks = model.pick_composites(block_min, block_key, row_sq, field_lengths)
+    assert len(picks) == n + inf_rows
+    for r, got in enumerate(picks):
+        want = pick_composite(model, block_min[r], block_key[r], row_sq[r], field_lengths)
+        assert got.label == want.label
+        assert np.float64(got.distance).tobytes() == np.float64(want.distance).tobytes()
+        assert got == want
+    assert all(pick.label is None and pick.distance == np.inf for pick in picks[n:])
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    tied=st.booleans(),
+    deflate=st.booleans(),
+    n=st.integers(1, 40),
+)
+@settings(max_examples=100, deadline=None)
+def test_rows_the_box_bound_rules_out_pick_no_key_under_any_restriction(seed, tied, deflate, n):
+    """``composite_reachable`` is False only for rows the full grid reads
+    as no key, under every restriction, rows at the threshold included."""
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, tied, deflate)
+    rows = composite_rows(rng, model, n)
+    reachable = model.composite_reachable(rows)
+    full_min, full_key = full_block_scores(model, rows)
+    row_sq = model.composite_scores(rows)[2]
+    lengths = [n for n in model._composite_grid().lengths if n is not None]
+    for field_lengths in (None, (), tuple(lengths[:1]), tuple(lengths[1::2])):
+        for r in np.flatnonzero(~reachable):
+            pick = pick_composite(model, full_min[r], full_key[r], row_sq[r], field_lengths)
+            assert not pick.is_key
+
+
+def test_box_bound_keeps_composites_and_drops_far_rows():
+    model = toy_model()
+    rows = np.vstack([CENTROIDS[0] + CENTROIDS[7], CENTROIDS[1] + CENTROIDS[4], vec(d9=5000)])
+    assert model.composite_reachable(rows).tolist() == [True, True, False]
+    assert classify_composite(model, rows[2]).label is None
+
+
+def test_engines_on_threads_sharing_one_model_infer_what_each_infers_alone():
+    """The fleet driver runs devices on a thread pool over one model
+    store, so engines on several threads share a model, its lazily built
+    composite grid included.  Each must infer what it infers alone."""
+    streams = [make_stream(seed, 90, ambient=0, mask_p=0.1, gap_p=0.05) for seed in range(6)]
+    want = [run(deltas, chunks=[16]) for deltas in streams]
+    shared = toy_model()
+    start = threading.Barrier(len(streams))
+
+    def feed(deltas):
+        trace = RuntimeTrace()
+        engine = OnlineEngine(shared, trace=trace, session="s")
+        engine.begin()
+        start.wait()
+        for lo in range(0, len(deltas), 16):
+            chunk = deltas[lo : lo + 16]
+            engine.prime(chunk)
+            for delta in chunk:
+                engine.feed(delta)
+        result = engine.finish()
+        return result, [(e.t, e.stage, e.kind, dict(e.detail)) for e in trace.events]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(streams)) as pool:
+            got = list(pool.map(feed, streams))
+    finally:
+        sys.setswitchinterval(interval)
+    assert shared._composite is not None, "the streams must reach the composite grid"
+    for g, w in zip(got, want):
+        assert_same(g, w)

@@ -9,8 +9,11 @@ and an *enabled* registry must observe a run without changing it
 """
 
 import json
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.android.apps import app
 from repro.api import attack, monitor, run_sessions, simulate
@@ -112,6 +115,52 @@ class TestHistogram:
         data = h.to_dict()
         json.dumps(data)
         assert data["count"] == 1 and data["counts"] == [1, 0, 0]
+
+
+def _bits(value):
+    """A float's exact bit pattern (None stays None)."""
+    return None if value is None else struct.pack("<d", value)
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+
+
+class TestObserveMany:
+    @given(
+        before=st.lists(FLOATS, max_size=5),
+        values=st.lists(FLOATS, max_size=40),
+        keep_samples=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_observing_each_value_in_order(self, before, values, keep_samples):
+        one, many = (Histogram("h", keep_samples=keep_samples) for _ in range(2))
+        for histogram in (one, many):
+            for value in before:
+                histogram.observe(value)
+        for value in values:
+            one.observe(value)
+        many.observe_many(values)
+        assert many.counts == one.counts
+        assert many.count == one.count
+        assert _bits(many.sum) == _bits(one.sum)
+        assert _bits(many.min) == _bits(one.min)
+        assert _bits(many.max) == _bits(one.max)
+        if keep_samples:
+            assert [_bits(x) for x in many.samples] == [_bits(x) for x in one.samples]
+        else:
+            assert many.samples is None
+
+    def test_empty_list_is_a_no_op(self):
+        h = new_latency_histogram()
+        h.observe(2e-5)
+        before = (h.to_dict(), list(h.samples))
+        h.observe_many([])
+        assert (h.to_dict(), h.samples) == before
+
+    def test_null_instrument_swallows_a_batch(self):
+        null = NULL_REGISTRY.histogram("x")
+        null.observe_many([1e-5, 2e-5])
+        assert null.count == 0 and null.sum == 0.0
 
 
 class TestRegistry:

@@ -203,6 +203,78 @@ class TestAmbientRefitSkip:
         assert directions > 20
 
 
+def assert_skip_state(engine):
+    """The refit skip's incremental state equals its full recomputation:
+    the exact zero-unit count, and since the last fit, each slot's
+    cosine to the fit's direction and the unit sum's displacement."""
+    assert engine._zero_units == int((~engine._noise_ring.any(axis=1)).sum())
+    if engine._last_fit is None:
+        return
+    _, direction, fit_sum = engine._last_fit
+    assert np.abs(engine._cosines - engine._units @ direction).max() <= 1e-12
+    assert np.abs(engine._shift - (engine._units.sum(axis=0) - fit_sum)).max() <= 1e-12
+
+
+def drive_skip_state(segments):
+    """Note ``segments`` into an engine's noise ring and fit after every
+    note, checking the skip state before and after each fit; returns the
+    engine."""
+    model = toy_model()
+    other = ClassificationModel(
+        labels=model.labels,
+        centroids=model.centroids,
+        scale=np.linspace(4.0, 30.0, features.DIMENSIONS),
+        cth=model.cth,
+    )
+    engine = OnlineEngine(model, detect_switches=False)
+    cluster = vec(d0=60, d1=37, d2=11, d5=5)
+    t = 0.0
+    for kind, steps, magnitude, seed in segments:
+        rng = np.random.default_rng(seed)
+        for _ in range(1 if kind == "swap" else steps):
+            t += 0.01
+            if kind == "swap":
+                engine.swap_model(other if engine.model is model else model)
+            elif kind == "zero":
+                engine._note_noise(delta(t, {}))
+            else:
+                if kind == "random" or (kind == "mixed" and rng.random() < 0.5):
+                    values = rng.integers(0, 5000, features.DIMENSIONS)
+                    values = values * (rng.random(features.DIMENSIONS) < 0.6)
+                else:
+                    # a tight cluster: near-parallel units
+                    values = np.round(cluster * magnitude * rng.uniform(0.5, 2.0))
+                engine._note_noise(
+                    delta(t, {cid: int(x) for cid, x in zip(COUNTER_ORDER, values) if x})
+                )
+            assert_skip_state(engine)
+            engine._ambient_direction()
+            assert_skip_state(engine)
+    return engine
+
+
+class TestIncrementalSkipState:
+    @given(segments=st.lists(NOISE_SEGMENTS, min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_kept_state_matches_a_full_recomputation_at_every_step(self, segments):
+        drive_skip_state(segments)
+
+    def test_a_fitted_stream_updates_and_resums_the_state(self):
+        """A cluster fits, then mixed noise, a zero row and a swap move
+        the ring for well over one re-sum period."""
+        engine = drive_skip_state(
+            [
+                ("cluster", 30, 20.0, 1),
+                ("mixed", 50, 20.0, 2),
+                ("zero", 1, 1.0, 3),
+                ("swap", 1, 1.0, 4),
+                ("random", 30, 1.0, 5),
+            ]
+        )
+        assert engine._last_fit is not None
+        assert engine._ring_version > 3 * engine.AMBIENT_WINDOW
+
+
 class TestDeflationLifecycle:
     def _prime(self, engine):
         rng = np.random.default_rng(2)

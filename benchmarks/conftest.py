@@ -17,10 +17,12 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.android.apps import app
 from repro.android.os_config import default_config
+from repro.kgsl.sampler import ReadBatch
 
 #: Multiplier on batch sizes (REPRO_BENCH_SCALE=10 approximates the paper).
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1"))
@@ -38,6 +40,17 @@ def config():
 @pytest.fixture(scope="session")
 def chase():
     return app("chase")
+
+
+def read_window(sampler, t0: float, t1: float) -> ReadBatch:
+    """Every read ``sampler`` makes over ``[t0, t1)`` as one ``ReadBatch``.
+
+    A chunk holds a read for each nominal wakeup of the window, but the
+    nominal ticks accumulate float error and can fit one more wakeup, so
+    the batches are joined rather than assumed to be one.
+    """
+    chunk = int((t1 - t0) / sampler.interval_s) + 1
+    return ReadBatch(*map(np.concatenate, zip(*sampler.iter_batches(t0, t1, chunk=chunk))))
 
 
 def run_once(benchmark, fn):

@@ -8,12 +8,12 @@ change; duplication shows up as two consecutive identical changes.
 
 import numpy as np
 
-from conftest import run_once
+from conftest import read_window, run_once
 from repro.android.device import VictimDevice
 from repro.android.events import KeyPress
 from repro.gpu import counters as pc
 from repro.kgsl.device_file import DeviceClock, open_kgsl
-from repro.kgsl.sampler import PerfCounterSampler, nonzero_deltas
+from repro.kgsl.sampler import PerfCounterSampler, nonzero_deltas_vectorized
 
 
 def _trace(config, chase):
@@ -22,17 +22,16 @@ def _trace(config, chase):
     trace = device.compile(events, end_time_s=0.6 + 12 * 0.6 + 1.0)
     kgsl = open_kgsl(trace.timeline, clock=DeviceClock())
     sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(55))
-    samples = sampler.sample_range(0.0, trace.end_time_s)
-    return trace, samples
+    return trace, read_window(sampler, 0.0, trace.end_time_s)
 
 
 def test_fig05_pc_trace(benchmark, config, chase):
-    trace, samples = run_once(benchmark, lambda: _trace(config, chase))
+    trace, batch = run_once(benchmark, lambda: _trace(config, chase))
 
     frames = trace.timeline.frames
     press_deltas = {"w": [], "n": []}
     print("\nFig 5 — PERF_LRZ_VISIBLE_PRIM_AFTER_LRZ changes:")
-    for delta in nonzero_deltas(samples):
+    for delta in nonzero_deltas_vectorized(batch):
         labels = [f.label for f in frames if f.start_s < delta.t and f.end_s > delta.prev_t]
         lrz13 = delta.get(pc.LRZ_VISIBLE_PRIM_AFTER_LRZ, default=0)
         if len(labels) == 1 and labels[0].startswith("press:"):
@@ -41,8 +40,8 @@ def test_fig05_pc_trace(benchmark, config, chase):
             print(f"  t={delta.t:7.3f}s  key '{char}'  dLRZ13={lrz13}")
 
     # 1) no screen change -> no PC change: zero deltas dominate idle time
-    zero = sum(1 for s, t in zip(samples, samples[1:]) if s.values == t.values)
-    assert zero > len(samples) * 0.5
+    zero = int((batch.rows[1:] == batch.rows[:-1]).all(axis=1).sum())
+    assert zero > len(batch.t) * 0.5
 
     # 2) per-key uniqueness and repeatability of the first change
     def totals(char):
@@ -71,9 +70,9 @@ def test_fig05_duplication_and_split_visible(benchmark, config, chase):
         trace = device.compile(events, end_time_s=end)
         kgsl = open_kgsl(trace.timeline, clock=DeviceClock())
         sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(99))
-        return trace, sampler.sample_range(0.0, end)
+        return trace, read_window(sampler, 0.0, end)
 
-    trace, samples = run_once(benchmark, run)
+    trace, batch = run_once(benchmark, run)
     dups = sum(1 for f in trace.timeline.frames if f.label.startswith("press_dup"))
     assert dups > 5, "Gboard's popup animation must produce duplications"
 
@@ -81,7 +80,7 @@ def test_fig05_duplication_and_split_visible(benchmark, config, chase):
     for frame in trace.timeline.frames:
         if not frame.label.startswith("press:"):
             continue
-        inside = [s for s in samples if frame.start_s < s.t < frame.end_s]
+        inside = [t for t in batch.t.tolist() if frame.start_s < t < frame.end_s]
         splits += bool(inside)
     print(f"\nFig 5 factors over 120 presses: duplications={dups}, split reads={splits}")
     assert splits > 0, "some reads must land mid-render (split)"

@@ -7,13 +7,13 @@ target-app typing in between the bursts dwarfed by them.
 
 import numpy as np
 
-from conftest import run_once
+from conftest import read_window, run_once
 from repro.android.device import VictimDevice
 from repro.android.events import AppSwitchAway, AppSwitchBack, KeyPress
 from repro.core.appswitch import AppSwitchDetector
 from repro.core.classifier import Classification
 from repro.kgsl.device_file import DeviceClock, open_kgsl
-from repro.kgsl.sampler import PerfCounterSampler, nonzero_deltas
+from repro.kgsl.sampler import PerfCounterSampler, nonzero_deltas_vectorized
 
 
 def _session(config, chase):
@@ -30,7 +30,7 @@ def _session(config, chase):
     trace = device.compile(events, end_time_s=10.0)
     kgsl = open_kgsl(trace.timeline, clock=DeviceClock())
     sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(131))
-    return trace, nonzero_deltas(sampler.sample_range(0.0, 10.0))
+    return trace, nonzero_deltas_vectorized(read_window(sampler, 0.0, 10.0))
 
 
 def test_fig13_burst_structure(benchmark, config, chase):

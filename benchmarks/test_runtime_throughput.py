@@ -26,13 +26,10 @@ from repro.core.pipeline import (
     simulate_credential_entry,
 )
 from repro.kgsl.device_file import DeviceClock, open_kgsl
-from repro.kgsl.sampler import (
-    PerfCounterSampler,
-    nonzero_deltas,
-    nonzero_deltas_vectorized,
-)
+from repro.kgsl.sampler import PerfCounterSampler, nonzero_deltas_vectorized
 from repro.obs import MetricsRegistry
 from repro.runtime import RuntimeTrace
+from tests.oracles import nonzero_deltas, sample_range
 
 pytestmark = pytest.mark.bench
 
@@ -97,7 +94,7 @@ def test_vectorized_delta_extraction(benchmark, config, chase):
         kgsl = open_kgsl(trace.timeline, clock=DeviceClock())
         return PerfCounterSampler(kgsl, rng=np.random.default_rng(78))
 
-    samples = sampler().sample_range(0.0, trace.end_time_s)
+    samples = sample_range(sampler(), 0.0, trace.end_time_s)
     [batch] = sampler().iter_batches(0.0, trace.end_time_s, chunk=len(samples))
 
     def scalar():

@@ -9,7 +9,7 @@ duplication > split >> noise.
 
 import numpy as np
 
-from conftest import run_once, scaled
+from conftest import read_window, run_once, scaled
 from repro.android.device import VictimDevice
 from repro.android.events import KeyPress, NotificationArrival
 from repro.kgsl.device_file import DeviceClock, open_kgsl
@@ -36,8 +36,7 @@ def _collect(config, chase, presses):
         trace = device.compile(events, end_time_s=end)
         kgsl = open_kgsl(trace.timeline, clock=DeviceClock())
         sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(5100 + start))
-        samples = sampler.sample_range(0.0, end)
-        read_times = np.array([s.t for s in samples])
+        read_times = read_window(sampler, 0.0, end).t
 
         frames = trace.timeline.frames
         noise_frames = [f for f in frames if f.label == "notification"]

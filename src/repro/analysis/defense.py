@@ -69,10 +69,6 @@ class DefenseCell:
     def key_accuracy(self) -> float:
         return self.keys_correct / self.keys_total if self.keys_total else 0.0
 
-    @property
-    def sessions_per_s(self) -> float:
-        return self.sessions / self.wall_s if self.wall_s > 0 else 0.0
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "scenario": self.scenario,

@@ -25,9 +25,6 @@ class Interval:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.estimate:.3f} [{self.low:.3f}, {self.high:.3f}]"
 
-    def contains(self, value: float) -> bool:
-        return self.low <= value <= self.high
-
     @property
     def width(self) -> float:
         return self.high - self.low

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, List, Optional
 
 
 @dataclass(frozen=True)
@@ -54,19 +54,6 @@ class Rect:
             min(self.bottom, other.bottom),
         )
 
-    def intersects(self, other: "Rect") -> bool:
-        return not self.intersect(other).is_empty
-
-    def contains(self, other: "Rect") -> bool:
-        if other.is_empty:
-            return True
-        return (
-            self.left <= other.left
-            and self.top <= other.top
-            and self.right >= other.right
-            and self.bottom >= other.bottom
-        )
-
     def translate(self, dx: int, dy: int) -> "Rect":
         return Rect(self.left + dx, self.top + dy, self.right + dx, self.bottom + dy)
 
@@ -86,25 +73,6 @@ class Rect:
             max(self.right, other.right),
             max(self.bottom, other.bottom),
         )
-
-    def tiles(self, tile_w: int, tile_h: int) -> Iterator["Rect"]:
-        """Yield the grid tiles of size ``tile_w x tile_h`` overlapping self.
-
-        Tiles are aligned to the global (0, 0) origin, the way a binning GPU
-        aligns its bins to the render-target origin, so a rectangle that is
-        not tile-aligned touches partial tiles at its edges.
-        """
-        if self.is_empty:
-            return
-        start_x = (self.left // tile_w) * tile_w
-        start_y = (self.top // tile_h) * tile_h
-        y = start_y
-        while y < self.bottom:
-            x = start_x
-            while x < self.right:
-                yield Rect(x, y, x + tile_w, y + tile_h)
-                x += tile_w
-            y += tile_h
 
     def tile_counts(self, tile_w: int, tile_h: int) -> "TileCoverage":
         """Count grid tiles fully and partially covered by this rectangle.

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.android.display import Display
 from repro.android.geometry import Rect
@@ -367,9 +367,6 @@ class KeyboardLayout:
 
     def has_key(self, char: str) -> bool:
         return char in self._geometry
-
-    def characters(self) -> List[str]:
-        return sorted(self._geometry)
 
     def backspace_rect(self) -> Rect:
         """The backspace key; pressing it shows no popup on any modeled

@@ -36,7 +36,7 @@ field, the result protocol, and the ``workers=`` semantics — lives in
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.faults import FAULT_PROFILE_ENV, FAULT_SPEC, FaultPlan
@@ -108,7 +108,7 @@ from repro.mitigations.policy import (
 from repro.mitigations.popup_disable import config_with_popups_disabled
 from repro.obs import MetricsRegistry
 from repro.parallel import ShardedRuntime
-from repro.registry import UnknownNameError
+from repro.registry import UnknownNameError, spec_from_dict, spec_to_dict
 from repro.runtime import RuntimeTrace, SamplerDeltaSource
 from repro.scenarios import (
     SCENARIO_REGISTRY,
@@ -354,24 +354,18 @@ class AttackConfig:
     # -- serialization --------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            spec = _SPEC_FIELDS.get(f.name)
-            out[f.name] = spec.to_json(value) if spec is not None else value
+        out = spec_to_dict(self)
+        for name, spec in _SPEC_FIELDS.items():
+            out[name] = spec.to_json(out[name])
         return out
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "AttackConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown AttackConfig fields: {sorted(unknown)}")
         kwargs = {
             name: _SPEC_FIELDS[name].from_json(value) if name in _SPEC_FIELDS else value
             for name, value in data.items()
         }
-        return cls(**kwargs)  # type: ignore[arg-type]
+        return spec_from_dict(cls, kwargs)
 
 
 _DEFAULT_CONFIG = AttackConfig()

@@ -15,13 +15,14 @@ everywhere, round-trip it through :meth:`to_dict` / :meth:`from_dict`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional
 
 import numpy as np
 
 from repro.collector.frames import MAX_FRAME_BYTES
 from repro.collector.journal import JOURNAL_SYNC_MODES
+from repro.registry import spec_from_dict, spec_to_dict
 
 
 @dataclass(frozen=True)
@@ -54,15 +55,11 @@ class RetryPolicy:
         return base * (1.0 + self.jitter_frac * float(rng.random()))
 
     def to_dict(self) -> Dict[str, object]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return spec_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "RetryPolicy":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown RetryPolicy fields: {sorted(unknown)}")
-        return cls(**data)  # type: ignore[arg-type]
+        return spec_from_dict(cls, data)
 
 
 @dataclass(frozen=True)
@@ -172,23 +169,14 @@ class CollectorConfig:
     # -- serialization --------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "retry":
-                value = value.to_dict()
-            out[f.name] = value
+        out = spec_to_dict(self)
+        out["retry"] = self.retry.to_dict()
         return out
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "CollectorConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown CollectorConfig fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        retry = kwargs.get("retry")
+        retry = data.get("retry")
         if isinstance(retry, Mapping):
-            kwargs["retry"] = RetryPolicy.from_dict(retry)
-        return cls(**kwargs)  # type: ignore[arg-type]
+            data = {**data, "retry": RetryPolicy.from_dict(retry)}
+        return spec_from_dict(cls, data)
 

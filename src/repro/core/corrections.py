@@ -52,10 +52,6 @@ class CorrectionTracker:
         self._pending: Optional[LengthObservation] = None
         self._dip_times: List[Tuple[float, int]] = []
 
-    @property
-    def current_length(self) -> Optional[int]:
-        return self._validated.length if self._validated is not None else None
-
     def length_bounds(self) -> Optional[Tuple[int, int]]:
         """Smallest and largest plausible current field length, spanning
         the last validated value and any pending observation."""

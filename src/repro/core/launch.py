@@ -18,7 +18,7 @@ victim is elsewhere (Fig 26).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from repro.core.classifier import ClassificationModel
 from repro.kgsl.sampler import PcDelta
@@ -83,16 +83,6 @@ class LaunchDetector:
         elif self._burst_t is not None and delta.t - self._burst_t > self.confirm_window_s:
             self._burst_t = None
         return None
-
-    def scan(self, deltas: Sequence[PcDelta]) -> List[LaunchEvent]:
-        """Run over a whole slow-poll stream."""
-        events = []
-        for delta in deltas:
-            event = self.observe(delta)
-            if event is not None:
-                events.append(event)
-        return events
-
 
 class LaunchWatchStage:
     """The idle-watch mode of the monitoring service as a runtime stage.

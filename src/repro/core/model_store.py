@@ -320,12 +320,6 @@ class VersionedModelStore:
         """The lineage index (schema, latest version, per-version records)."""
         return self._read_manifest()
 
-    def lineage_of(self, version: int) -> Dict[str, object]:
-        for record in self._read_manifest().get("versions", []):  # type: ignore[union-attr]
-            if record.get("version") == version:
-                return dict(record.get("lineage") or {})
-        raise KeyError(f"no manifest record for version {version}")
-
     # ------------------------------------------------------------------
 
     def load(self, version: Optional[int] = None) -> ModelStore:
@@ -356,6 +350,3 @@ class VersionedModelStore:
                 f"version {version} — the file was swapped or tampered with"
             )
         return store
-
-    def load_latest(self) -> ModelStore:
-        return self.load(None)

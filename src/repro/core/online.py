@@ -617,11 +617,6 @@ class OnlineEngine:
             return self._slots
         return np.concatenate((self._slots[slot:], self._slots[:slot]))
 
-    @property
-    def _noise_ring(self) -> np.ndarray:
-        """The retained noise vectors, oldest first."""
-        return self._ring[: self._ring_len]
-
     def _ambient_direction(self):
         """Unit direction (raw and scaled space) of the recurring
         unexplained deltas, if they point consistently enough to be a
@@ -903,7 +898,7 @@ class _Batch:
             matrix[merged] += self.rows[preds]
         half = [k for k, kind in enumerate(kinds) if kind == HALF]
         if half:
-            # as PcDelta.scaled(0.5): each count truncated toward zero
+            # each count halved and truncated toward zero
             matrix[half] = np.trunc(matrix[half] * 0.5)
         composite = _STAGE[kinds[0]] == "C"
         if composite:

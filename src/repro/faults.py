@@ -51,7 +51,7 @@ from repro.kgsl.ioctl import (
     IOCTL_KGSL_PERFCOUNTER_READ,
     IoctlError,
 )
-from repro.registry import SpecType
+from repro.registry import SpecType, spec_from_dict, spec_to_dict
 
 #: Environment variable selecting the default fault profile ("none",
 #: "mild" or "harsh"); read by ``fault_plan="auto"`` (:data:`FAULT_SPEC`).
@@ -152,16 +152,11 @@ class FaultPlan:
     # -- serialization --------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {f.name: getattr(self, f.name) for f in fields(self)}
-        return out
+        return spec_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "FaultPlan":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown FaultPlan fields: {sorted(unknown)}")
-        return cls(**dict(data))  # type: ignore[arg-type]
+        return spec_from_dict(cls, data)
 
     # -- profiles -------------------------------------------------------
 
@@ -357,10 +352,3 @@ class FaultInjector(Interposer):
         for name, value in self.stats.as_dict().items():
             if value > 0:
                 metrics.counter(f"faults.injected.{name}").inc(value)
-
-    # ------------------------------------------------------------------
-
-    @property
-    def reclaimed_now(self) -> Tuple[Tuple[int, int], ...]:
-        """Registers currently held by the simulated other client."""
-        return tuple(sorted(self._reclaimed))

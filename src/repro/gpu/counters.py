@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Dict, Iterator, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 
 class CounterGroup(IntEnum):
@@ -83,20 +83,6 @@ class CounterIncrement:
     def get(self, spec: CounterSpec) -> int:
         return self.values.get(spec.counter_id, 0)
 
-    def merge(self, other: "CounterIncrement") -> "CounterIncrement":
-        merged = CounterIncrement(values=dict(self.values))
-        for counter_id, amount in other.values.items():
-            merged.values[counter_id] = merged.values.get(counter_id, 0) + amount
-        return merged
-
-    def scaled(self, factor: float) -> "CounterIncrement":
-        """Increment scaled by ``factor`` (used for partial-frame reads)."""
-        if factor < 0:
-            raise ValueError("scale factor must be non-negative")
-        return CounterIncrement(
-            values={cid: int(round(v * factor)) for cid, v in self.values.items()}
-        )
-
     @property
     def total(self) -> int:
         return sum(self.values.values())
@@ -105,53 +91,7 @@ class CounterIncrement:
         return any(self.values.values())
 
 
-class CounterBank:
-    """The cumulative hardware counter registers of one GPU.
-
-    Registers saturate at 2**48 and wrap, like real free-running hardware
-    counters; the attack computes deltas so wrapping is transparent as long
-    as at most one wrap happens between reads.
-    """
-
-    WRAP = 1 << 48
-
-    def __init__(self) -> None:
-        self._values: Dict[CounterId, int] = {
-            spec.counter_id: 0 for spec in SELECTED_COUNTERS
-        }
-
-    def apply(self, increment: CounterIncrement) -> None:
-        for counter_id, amount in increment.values.items():
-            if counter_id not in self._values:
-                raise KeyError(f"unknown counter id {counter_id}")
-            self._values[counter_id] = (self._values[counter_id] + amount) % self.WRAP
-
-    def read(self, spec: CounterSpec) -> int:
-        return self._values[spec.counter_id]
-
-    def read_id(self, counter_id: CounterId) -> int:
-        return self._values[counter_id]
-
-    def snapshot(self) -> Dict[CounterId, int]:
-        return dict(self._values)
-
-    def load(self, values: Mapping[CounterId, int]) -> None:
-        for counter_id, value in values.items():
-            if counter_id not in self._values:
-                raise KeyError(f"unknown counter id {counter_id}")
-            self._values[counter_id] = value % self.WRAP
-
-    def __iter__(self) -> Iterator[Tuple[CounterId, int]]:
-        return iter(self._values.items())
-
-
-def delta(before: Mapping[CounterId, int], after: Mapping[CounterId, int]) -> Dict[CounterId, int]:
-    """Per-counter difference between two snapshots, handling wraparound."""
-    out: Dict[CounterId, int] = {}
-    for counter_id, end in after.items():
-        start = before.get(counter_id, 0)
-        diff = end - start
-        if diff < 0:
-            diff += CounterBank.WRAP
-        out[counter_id] = diff
-    return out
+#: Hardware counter registers saturate at 2**48 and wrap, like real
+#: free-running counters; a delta between two reads is exact as long as
+#: at most one wrap happens between them.
+WRAP = 1 << 48

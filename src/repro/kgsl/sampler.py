@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import errno
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -100,23 +100,6 @@ class ReadBatch(NamedTuple):
 
 
 @dataclass(frozen=True)
-class PcSample:
-    """One read of the currently-available selected counters: the
-    per-read view of one :class:`ReadBatch` row, which the scalar
-    reference :func:`deltas` consumes.
-
-    ``missing`` lists configured counters whose registers were not held
-    at read time (reclaimed by another client, re-registration pending);
-    their values are *unknown*, not zero.
-    """
-
-    nominal_t: float
-    t: float
-    values: Dict[pc.CounterId, int]
-    missing: Tuple[pc.CounterId, ...] = ()
-
-
-@dataclass(frozen=True)
 class PcDelta:
     """Per-counter change between two consecutive samples.
 
@@ -168,76 +151,6 @@ class PcDelta:
 
     def __bool__(self) -> bool:
         return any(self.values.values())
-
-    def merge(self, other: "PcDelta") -> "PcDelta":
-        """Combine with an *earlier* delta (Algorithm 1's split recovery).
-
-        ``other`` must cover an interval no later than this one; equal
-        timestamps are allowed so :meth:`split` parts recombine.  A
-        swapped call would fabricate a delta whose ``prev_t`` postdates
-        its ``t``, so ordering is validated rather than trusted.
-        """
-        if other.t > self.t or other.prev_t > self.prev_t:
-            raise ValueError(
-                "merge() expects the earlier delta as its argument: other "
-                f"covers [{other.prev_t:.4f}, {other.t:.4f}], which does not "
-                f"precede [{self.prev_t:.4f}, {self.t:.4f}]"
-            )
-        merged = dict(other.values)
-        for counter_id, value in self.values.items():
-            merged[counter_id] = merged.get(counter_id, 0) + value
-        missing = (
-            tuple(sorted(set(self.missing) | set(other.missing)))
-            if (self.missing or other.missing)
-            else ()
-        )
-        return PcDelta(
-            t=self.t,
-            prev_t=other.prev_t,
-            values=merged,
-            missing=missing,
-            gap=self.gap or other.gap,
-        )
-
-    def scaled(self, factor: float) -> "PcDelta":
-        """Delta scaled by ``factor`` (duplication-halving heuristic).
-
-        Values are floored deterministically: round-half-to-even would
-        lose or invent events when a halved delta is later re-merged,
-        breaking the :meth:`split` round trip.
-        """
-        if factor < 0:
-            raise ValueError("scale factor must be non-negative")
-        return PcDelta(
-            t=self.t,
-            prev_t=self.prev_t,
-            values={cid: int(v * factor) for cid, v in self.values.items()},
-            missing=self.missing,
-            gap=self.gap,
-        )
-
-    def split(self, factor: float = 0.5) -> Tuple["PcDelta", "PcDelta"]:
-        """Split into ``(part, remainder)`` that merge back exactly.
-
-        ``part`` is :meth:`scaled` by ``factor``; ``remainder`` carries
-        every event the floor dropped, so
-        ``remainder.merge(part).values == self.values`` — the
-        duplication-halving round trip the old round-half-to-even
-        scaling silently broke.
-        """
-        if not 0.0 <= factor <= 1.0:
-            raise ValueError("split factor must be in [0, 1]")
-        part = self.scaled(factor)
-        remainder = PcDelta(
-            t=self.t,
-            prev_t=self.prev_t,
-            values={
-                cid: v - part.values[cid] for cid, v in self.values.items()
-            },
-            missing=self.missing,
-            gap=self.gap,
-        )
-        return part, remainder
 
 
 class PerfCounterSampler:
@@ -651,84 +564,17 @@ class PerfCounterSampler:
                 mask = np.zeros(rows.shape, dtype=bool)
             yield ReadBatch(np.array(nominals), np.array(times), rows, mask)
 
-    def sample_range(
-        self, t0: float, t1: float, load: SystemLoad = IDLE
-    ) -> List[PcSample]:
-        """Run the whole sampling loop over ``[t0, t1)`` and materialize it
-        as per-read :class:`PcSample` views (the scalar oracle's input)."""
-        chunk = max(1, int((t1 - t0) / self.interval_s) + 1)
-        samples = []
-        for batch in self.iter_batches(t0, t1, load=load, chunk=chunk):
-            for nominal, t, row, mask in zip(
-                batch.nominal.tolist(), batch.t.tolist(), batch.rows.tolist(), batch.mask.tolist()
-            ):
-                samples.append(
-                    PcSample(
-                        nominal_t=nominal,
-                        t=t,
-                        values={cid: v for cid, v, m in zip(COUNTER_ORDER, row, mask) if not m},
-                        missing=tuple(sorted(cid for cid, m in zip(COUNTER_ORDER, mask) if m)),
-                    )
-                )
-        return samples
-
-
-def _masked_delta(prev: PcSample, cur: PcSample) -> PcDelta:
-    """Difference two samples whose counter sets may disagree.
-
-    Only counters present in *both* endpoints are differenced — a counter
-    re-registered after a reclamation window would otherwise produce a
-    bogus delta equal to its whole cumulative value.  Counters absent
-    from either endpoint are reported in ``missing``.
-    """
-    common = prev.values.keys() & cur.values.keys()
-    diff = pc.delta(
-        {cid: prev.values[cid] for cid in common},
-        {cid: cur.values[cid] for cid in common},
-    )
-    missing = set(prev.missing) | set(cur.missing)
-    missing.update(cid for cid in prev.values.keys() ^ cur.values.keys())
-    return PcDelta(
-        t=cur.t,
-        prev_t=prev.t,
-        values=diff,
-        missing=tuple(sorted(missing)),
-    )
-
-
-def deltas(samples: Sequence[PcSample]) -> List[PcDelta]:
-    """Consecutive-sample differences, one pair at a time.
-
-    A scalar reference only: production code gets its deltas from
-    :class:`~repro.runtime.source.SamplerDeltaSource`, which runs
-    :func:`nonzero_deltas_vectorized`.  This loop is the oracle the
-    extractor's parity tests compare it against.
-    """
-    out: List[PcDelta] = []
-    for prev, cur in zip(samples, samples[1:]):
-        if prev.missing or cur.missing or prev.values.keys() != cur.values.keys():
-            out.append(_masked_delta(prev, cur))
-            continue
-        diff = pc.delta(prev.values, cur.values)
-        out.append(PcDelta(t=cur.t, prev_t=prev.t, values=diff))
-    return out
-
-
-def nonzero_deltas(samples: Sequence[PcSample]) -> List[PcDelta]:
-    """The scalar reference for :func:`nonzero_deltas_vectorized`: only
-    the deltas where some counter moved (screen changed)."""
-    return [d for d in deltas(samples) if d]
-
 
 def nonzero_deltas_vectorized(
     batch: ReadBatch, prev: Optional[ReadBatch] = None
 ) -> List[PcDelta]:
     """The nonzero-delta extractor: one numpy diff over a batch of reads.
 
-    Produces the same :class:`PcDelta` objects as the scalar
-    :func:`nonzero_deltas` reference (counters in ``COUNTER_ORDER``, the
-    wraparound handling of :func:`repro.gpu.counters.delta`) but
-    differences and filters all reads in one pass.  A counter masked at
+    Differences and filters all reads in one pass: each delta lists its
+    counters in ``COUNTER_ORDER``, and a register that wrapped between
+    two reads (at :data:`repro.gpu.counters.WRAP`) still reads as its
+    true change.  Tests check it against a pairwise scalar reference
+    over the same reads.  A counter masked at
     either end of a delta is unknown over it: it is left out of
     ``values`` and listed in ``missing``, so a register re-reserved after
     a reclamation never reads as a change of its whole cumulative value.
@@ -743,7 +589,7 @@ def nonzero_deltas_vectorized(
     if len(t) < 2:
         return []
     diffs = np.diff(rows, axis=0)
-    np.add(diffs, pc.CounterBank.WRAP, out=diffs, where=diffs < 0)
+    np.add(diffs, pc.WRAP, out=diffs, where=diffs < 0)
     unknown = mask[:-1] | mask[1:]
     masked = bool(unknown.any())
     if masked:

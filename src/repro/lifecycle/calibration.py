@@ -13,7 +13,7 @@ The re-fit is self-supervised — no ground-truth labels exist online.
 It exploits the structure of the drift itself: thermal throttling and
 geometry shifts are (per-counter) *multiplicative*, so a drifted key
 press keeps (approximately) its centroid's direction while its
-per-dimension magnitudes scale.  :func:`estimate_drift_ratio` matches
+per-dimension magnitudes scale.  :func:`estimate_refit` matches
 each evidence vector to its nearest key centroid by cosine, takes the
 per-dimension median of the observed/centroid ratios over the matched
 set, and the service rescales centroids *and* normalization scale by
@@ -29,7 +29,7 @@ engine by the caller — see :mod:`repro.lifecycle.runner`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +37,7 @@ import numpy as np
 from repro.core.classifier import ClassificationModel
 from repro.core.model_store import ModelStore, VersionedModelStore
 from repro.obs import MetricsRegistry, resolve_registry
-from repro.registry import SpecType
+from repro.registry import SpecType, spec_from_dict, spec_to_dict
 
 #: Environment variable selecting the default calibration profile;
 #: mirrors ``REPRO_FAULT_PROFILE`` / ``REPRO_DRIFT_PROFILE``.
@@ -100,15 +100,11 @@ class CalibrationPolicy:
     # -- serialization --------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return spec_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "CalibrationPolicy":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown CalibrationPolicy fields: {sorted(unknown)}")
-        return cls(**dict(data))  # type: ignore[arg-type]
+        return spec_from_dict(cls, data)
 
     @classmethod
     def from_profile(cls, name: str) -> "CalibrationPolicy":
@@ -151,19 +147,6 @@ CALIBRATION_PROFILES: Dict[str, CalibrationPolicy] = {
 CALIBRATION_SPEC = SpecType(
     CalibrationPolicy, CALIBRATION_ENV, CalibrationPolicy.from_profile
 )
-
-
-def estimate_drift_ratio(
-    model: ClassificationModel,
-    evidence: Sequence[np.ndarray],
-    match_cosine: float = 0.8,
-) -> Optional[np.ndarray]:
-    """Per-dimension drift ratio between evidence vectors and the model.
-
-    Thin wrapper over :func:`estimate_refit` returning only the ratio.
-    """
-    refit = estimate_refit(model, evidence, match_cosine=match_cosine)
-    return None if refit is None else refit[0]
 
 
 def estimate_refit(

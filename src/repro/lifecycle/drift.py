@@ -38,7 +38,7 @@ import numpy as np
 from repro.gpu.timeline import COUNTER_ORDER
 from repro.kgsl.device_file import SLOT_COLUMN
 from repro.kgsl.interpose import Interposer
-from repro.registry import SpecType
+from repro.registry import SpecType, spec_from_dict, spec_to_dict
 
 #: Environment variable selecting the default drift profile; read by
 #: ``drift="auto"`` (:data:`DRIFT_SPEC`, mirrors ``REPRO_FAULT_PROFILE``).
@@ -117,15 +117,11 @@ class DriftPlan:
     # -- serialization --------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return spec_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "DriftPlan":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown DriftPlan fields: {sorted(unknown)}")
-        return cls(**dict(data))  # type: ignore[arg-type]
+        return spec_from_dict(cls, data)
 
     # -- profiles -------------------------------------------------------
 
@@ -243,12 +239,6 @@ class DriftInjector(Interposer):
             throttled = 1.0 + (plan.thermal_scale - 1.0) * frac
         factor = np.where(t < 0.0, 1.0, throttled)
         return factor if factor.ndim else float(factor)
-
-    def geometry_factor(self, key: Tuple[int, int], now: float) -> float:
-        """The per-counter geometry multiplier at device time ``now``."""
-        if now + self.time_offset < self.plan.geometry_onset_s:
-            return 1.0
-        return self._geometry_shift(key)
 
     def _geometry_shift(self, key: Tuple[int, int]) -> float:
         """One counter's shifted geometry factor.

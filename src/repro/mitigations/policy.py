@@ -49,7 +49,7 @@ from repro.gpu.timeline import COUNTER_ORDER
 from repro.kgsl.device_file import ProcessContext
 from repro.kgsl.interpose import Interposer
 from repro.kgsl.ioctl import IoctlError
-from repro.registry import Registry, SpecType
+from repro.registry import Registry, SpecType, spec_from_dict, spec_to_dict
 
 #: Environment variable naming the fleet-wide default policy, honored by
 #: ``AttackConfig(mitigation="auto")`` — the same precedence shape as
@@ -204,18 +204,14 @@ class MitigationPolicy:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = spec_to_dict(self)
         out["privileged_contexts"] = list(self.privileged_contexts)
         out["tags"] = list(self.tags)
         return out
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "MitigationPolicy":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown MitigationPolicy fields: {sorted(unknown)}")
-        return cls(**dict(data))  # type: ignore[arg-type]
+        return spec_from_dict(cls, data)
 
 
 def compose(*policies: MitigationPolicy, name: Optional[str] = None) -> MitigationPolicy:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import difflib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import (
     Callable,
     Dict,
@@ -162,6 +162,20 @@ class Registry(Generic[T]):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Registry({self.kind!r}, {len(self)} entries)"
+
+
+def spec_to_dict(spec) -> Dict[str, object]:
+    """A frozen spec's fields as a plain dict, in declaration order."""
+    return {f.name: getattr(spec, f.name) for f in fields(spec)}
+
+
+def spec_from_dict(cls: type, data: Mapping[str, object]):
+    """Build a ``cls`` spec from ``data``, failing on any key that names
+    no field of it."""
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+    return cls(**data)
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,10 @@ See ``docs/runtime.md`` for the architecture walkthrough.
 
 from repro.runtime.clock import VirtualClock
 from repro.runtime.session import Session, SessionRuntime
-from repro.runtime.source import IterableSource, SamplerDeltaSource
+from repro.runtime.source import SamplerDeltaSource
 from repro.runtime.trace import RuntimeTrace
 
 __all__ = [
-    "IterableSource",
     "RuntimeTrace",
     "SamplerDeltaSource",
     "Session",

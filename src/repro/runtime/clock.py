@@ -23,18 +23,6 @@ Two flavours:
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
-
-@runtime_checkable
-class Clock(Protocol):
-    """Anything that exposes a monotone notion of *now* in seconds."""
-
-    @property
-    def now(self) -> float: ...
-
-    def advance_to(self, t: float) -> None: ...
-
 
 class VirtualClock:
     """A forward-only simulated clock.

@@ -27,7 +27,7 @@ the online engine at its first delta.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, Iterator, Optional, Protocol, Tuple, runtime_checkable
+from typing import Iterator, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.kgsl.sampler import (
     IDLE,
@@ -52,21 +52,6 @@ class EventSource(Protocol):
     """A stream of timestamped payloads in non-decreasing time order."""
 
     def events(self) -> Iterator[SourceEvent]: ...
-
-
-class IterableSource:
-    """An :class:`EventSource` over precomputed ``(t, payload)`` pairs or
-    payloads with a ``.t`` attribute (e.g. a list of ``PcDelta``)."""
-
-    def __init__(self, items: Iterable) -> None:
-        self._items = items
-
-    def events(self) -> Iterator[SourceEvent]:
-        for item in self._items:
-            if isinstance(item, tuple):
-                yield item
-            else:
-                yield (float(item.t), item)
 
 
 class SamplerDeltaSource:

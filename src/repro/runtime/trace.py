@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Deque, Dict, Mapping, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -87,25 +87,6 @@ class RuntimeTrace:
             for (s, k), n in self.counters.items()
             if (stage is None or s == stage) and (kind is None or k == kind)
         )
-
-    def select(
-        self,
-        kind: Optional[str] = None,
-        session: Optional[str] = None,
-        stage: Optional[str] = None,
-    ) -> List[RuntimeEvent]:
-        """Retained events matching the given filters, in dispatch order."""
-        return [
-            e
-            for e in self.events
-            if (kind is None or e.kind == kind)
-            and (session is None or e.session == session)
-            and (stage is None or e.stage == stage)
-        ]
-
-    def stage_counters(self, stage: str) -> Dict[str, int]:
-        """Per-kind counts for one stage."""
-        return {k: n for (s, k), n in self.counters.items() if s == stage}
 
     def summary(self) -> Dict[str, int]:
         """Flat ``stage.kind -> count`` mapping, sorted for stable output."""

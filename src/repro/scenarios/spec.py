@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import importlib
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.registry import Registry
+from repro.registry import Registry, spec_from_dict, spec_to_dict
 
 #: The paper's Section 7.2 typing-speed tiers (``None`` = unconstrained).
 SPEED_TIERS: Tuple[str, ...] = ("fast", "medium", "slow")
@@ -156,19 +156,13 @@ class Scenario:
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            f.name: getattr(self, f.name) for f in fields(self)
-        }
+        out = spec_to_dict(self)
         out["tags"] = list(self.tags)
         return out
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "Scenario":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown Scenario fields: {sorted(unknown)}")
-        return cls(**dict(data))  # type: ignore[arg-type]
+        return spec_from_dict(cls, data)
 
 
 #: The scenario registry: the source of truth for name → scenario lookup.

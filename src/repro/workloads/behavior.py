@@ -15,7 +15,7 @@ All functions return event lists for :meth:`VictimDevice.compile`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -166,22 +166,3 @@ def practical_session(
 
     session.credential = "".join(final_chars)
     return session
-
-
-def bot_key_sweep(
-    chars: Sequence[str],
-    repeats: int,
-    interval_s: float = 0.5,
-    duration_s: float = 0.08,
-    start_s: float = 0.5,
-) -> List[UserEvent]:
-    """The offline-phase bot: emulate each key ``repeats`` times at a fixed
-    cadence, the way the paper's Termux bot injects input events
-    (Section 6: Offline Phase)."""
-    events: List[UserEvent] = []
-    t = start_s
-    for _ in range(repeats):
-        for char in chars:
-            events.append(KeyPress(t=t, char=char, duration=duration_s))
-            t += interval_s
-    return events

@@ -60,10 +60,3 @@ def pattern_password_batch(
 ) -> List[str]:
     """A batch of structured passwords."""
     return [pattern_password(rng, min_len, max_len) for _ in range(count)]
-
-
-def pin(rng: np.random.Generator, digits: int = 6) -> str:
-    """A numeric PIN (banking apps often use these)."""
-    if digits < 1:
-        raise ValueError("digits must be positive")
-    return "".join(str(int(rng.integers(10))) for _ in range(digits))

@@ -1,19 +1,27 @@
-"""Scalar reference paths the vectorised kernels in ``src/`` are checked
-against.  They live here, next to the properties that use them, because
-no production path calls them."""
+"""Reference implementations that tests check production code against:
+the scalar forms of the vectorised kernels in ``src/``, scalar views of
+internal state, and a minimal event source.  They live here, next to the
+properties that use them, because no production path calls them."""
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.android.geometry import Rect
 from repro.core.classifier import (
     COMPOSITE_CTH_FACTOR,
     Classification,
     ClassificationModel,
 )
+from repro.core.corrections import CorrectionTracker
+from repro.gpu import counters as pc
+from repro.gpu.timeline import COUNTER_ORDER
+from repro.kgsl.sampler import IDLE, PcDelta, PerfCounterSampler, SystemLoad
+from repro.lifecycle.drift import DriftInjector
 
 
 def pick_composite(
@@ -52,3 +60,246 @@ def classify_composite(
     :func:`pick_composite`."""
     block_min, block_key, row_sq = model.composite_scores(vec[None, :])
     return pick_composite(model, block_min[0], block_key[0], row_sq[0], field_lengths)
+
+
+# ---------------------------------------------------------------------------
+# frame increments
+
+
+def merge_increments(a: pc.CounterIncrement, b: pc.CounterIncrement) -> pc.CounterIncrement:
+    """The per-counter sum of two frames' increments: what rendering them
+    separately adds to the registers."""
+    merged = pc.CounterIncrement(values=dict(a.values))
+    for counter_id, amount in b.values.items():
+        merged.values[counter_id] = merged.values.get(counter_id, 0) + amount
+    return merged
+
+
+# ---------------------------------------------------------------------------
+# the scalar read path: per-read samples and pairwise deltas
+
+
+def counter_delta(
+    before: Mapping[pc.CounterId, int], after: Mapping[pc.CounterId, int]
+) -> Dict[pc.CounterId, int]:
+    """Per-counter difference between two snapshots, handling wraparound."""
+    out: Dict[pc.CounterId, int] = {}
+    for counter_id, end in after.items():
+        diff = end - before.get(counter_id, 0)
+        if diff < 0:
+            diff += pc.WRAP
+        out[counter_id] = diff
+    return out
+
+
+@dataclass(frozen=True)
+class PcSample:
+    """One read of the currently-available selected counters: the
+    per-read view of one :class:`~repro.kgsl.sampler.ReadBatch` row.
+
+    ``missing`` lists configured counters whose registers were not held
+    at read time (reclaimed by another client, re-registration pending);
+    their values are *unknown*, not zero.
+    """
+
+    nominal_t: float
+    t: float
+    values: Dict[pc.CounterId, int]
+    missing: Tuple[pc.CounterId, ...] = ()
+
+
+def sample_range(
+    sampler: PerfCounterSampler, t0: float, t1: float, load: SystemLoad = IDLE
+) -> List[PcSample]:
+    """Run the whole sampling loop over ``[t0, t1)`` and materialize every
+    read as a :class:`PcSample` view."""
+    chunk = max(1, int((t1 - t0) / sampler.interval_s) + 1)
+    samples = []
+    for batch in sampler.iter_batches(t0, t1, load=load, chunk=chunk):
+        for nominal, t, row, mask in zip(
+            batch.nominal.tolist(), batch.t.tolist(), batch.rows.tolist(), batch.mask.tolist()
+        ):
+            samples.append(
+                PcSample(
+                    nominal_t=nominal,
+                    t=t,
+                    values={cid: v for cid, v, m in zip(COUNTER_ORDER, row, mask) if not m},
+                    missing=tuple(sorted(cid for cid, m in zip(COUNTER_ORDER, mask) if m)),
+                )
+            )
+    return samples
+
+
+def masked_delta(prev: PcSample, cur: PcSample) -> PcDelta:
+    """Difference two samples whose counter sets may disagree.
+
+    Only counters present in *both* endpoints are differenced — a counter
+    re-registered after a reclamation window would otherwise produce a
+    bogus delta equal to its whole cumulative value.  Counters absent
+    from either endpoint are reported in ``missing``.
+    """
+    common = prev.values.keys() & cur.values.keys()
+    diff = counter_delta(
+        {cid: prev.values[cid] for cid in common},
+        {cid: cur.values[cid] for cid in common},
+    )
+    missing = set(prev.missing) | set(cur.missing)
+    missing.update(cid for cid in prev.values.keys() ^ cur.values.keys())
+    return PcDelta(t=cur.t, prev_t=prev.t, values=diff, missing=tuple(sorted(missing)))
+
+
+def deltas(samples: Sequence[PcSample]) -> List[PcDelta]:
+    """Consecutive-sample differences, one pair at a time."""
+    out: List[PcDelta] = []
+    for prev, cur in zip(samples, samples[1:]):
+        if prev.missing or cur.missing or prev.values.keys() != cur.values.keys():
+            out.append(masked_delta(prev, cur))
+            continue
+        out.append(PcDelta(t=cur.t, prev_t=prev.t, values=counter_delta(prev.values, cur.values)))
+    return out
+
+
+def nonzero_deltas(samples: Sequence[PcSample]) -> List[PcDelta]:
+    """The reference for :func:`~repro.kgsl.sampler.nonzero_deltas_vectorized`:
+    only the deltas where some counter moved (screen changed)."""
+    return [d for d in deltas(samples) if d]
+
+
+# ---------------------------------------------------------------------------
+# PcDelta arithmetic: what the engine's merged and halved batch rows mean
+
+
+def merge(later: PcDelta, earlier: PcDelta) -> PcDelta:
+    """Combine ``later`` with an *earlier* delta (Algorithm 1's split
+    recovery).
+
+    ``earlier`` must cover an interval no later than ``later``; equal
+    timestamps are allowed so :func:`split` parts recombine.  A swapped
+    call would fabricate a delta whose ``prev_t`` postdates its ``t``,
+    so ordering is validated rather than trusted.
+    """
+    if earlier.t > later.t or earlier.prev_t > later.prev_t:
+        raise ValueError(
+            "merge() expects the earlier delta as its second argument: it "
+            f"covers [{earlier.prev_t:.4f}, {earlier.t:.4f}], which does not "
+            f"precede [{later.prev_t:.4f}, {later.t:.4f}]"
+        )
+    merged = dict(earlier.values)
+    for counter_id, value in later.values.items():
+        merged[counter_id] = merged.get(counter_id, 0) + value
+    missing = (
+        tuple(sorted(set(later.missing) | set(earlier.missing)))
+        if (later.missing or earlier.missing)
+        else ()
+    )
+    return PcDelta(
+        t=later.t,
+        prev_t=earlier.prev_t,
+        values=merged,
+        missing=missing,
+        gap=later.gap or earlier.gap,
+    )
+
+
+def scaled(delta: PcDelta, factor: float) -> PcDelta:
+    """``delta`` scaled by ``factor`` (duplication-halving heuristic).
+
+    Values are floored deterministically: round-half-to-even would lose
+    or invent events when a halved delta is later re-merged, breaking
+    the :func:`split` round trip.
+    """
+    if factor < 0:
+        raise ValueError("scale factor must be non-negative")
+    return PcDelta(
+        t=delta.t,
+        prev_t=delta.prev_t,
+        values={cid: int(v * factor) for cid, v in delta.values.items()},
+        missing=delta.missing,
+        gap=delta.gap,
+    )
+
+
+def split(delta: PcDelta, factor: float = 0.5) -> Tuple[PcDelta, PcDelta]:
+    """Split into ``(part, remainder)`` that merge back exactly: ``part``
+    is :func:`scaled` by ``factor`` and ``remainder`` carries every event
+    the floor dropped, so ``merge(remainder, part).values == delta.values``.
+    """
+    if not 0.0 <= factor <= 1.0:
+        raise ValueError("split factor must be in [0, 1]")
+    part = scaled(delta, factor)
+    remainder = PcDelta(
+        t=delta.t,
+        prev_t=delta.prev_t,
+        values={cid: v - part.values[cid] for cid, v in delta.values.items()},
+        missing=delta.missing,
+        gap=delta.gap,
+    )
+    return part, remainder
+
+
+# ---------------------------------------------------------------------------
+# tile geometry: the per-tile loop behind Rect.tile_counts
+
+
+def tiles(rect: Rect, tile_w: int, tile_h: int) -> Iterator[Rect]:
+    """Yield the grid tiles of size ``tile_w x tile_h`` overlapping ``rect``.
+
+    Tiles are aligned to the global (0, 0) origin, the way a binning GPU
+    aligns its bins to the render-target origin, so a rectangle that is
+    not tile-aligned touches partial tiles at its edges.
+    """
+    if rect.is_empty:
+        return
+    start_x = (rect.left // tile_w) * tile_w
+    y = (rect.top // tile_h) * tile_h
+    while y < rect.bottom:
+        x = start_x
+        while x < rect.right:
+            yield Rect(x, y, x + tile_w, y + tile_h)
+            x += tile_w
+        y += tile_h
+
+
+def contains(outer: Rect, inner: Rect) -> bool:
+    """``inner`` lies inside ``outer`` (an empty ``inner`` always does)."""
+    if inner.is_empty:
+        return True
+    return (
+        outer.left <= inner.left
+        and outer.top <= inner.top
+        and outer.right >= inner.right
+        and outer.bottom >= inner.bottom
+    )
+
+
+# ---------------------------------------------------------------------------
+# scalar views of vectorised or internal state
+
+
+def geometry_factor(injector: DriftInjector, key: Tuple[int, int], now: float) -> float:
+    """One counter's geometry multiplier at device time ``now``: the
+    scalar form of the drift injector's batch value hook."""
+    if now + injector.time_offset < injector.plan.geometry_onset_s:
+        return 1.0
+    return injector._geometry_shift(key)
+
+
+def current_length(tracker: CorrectionTracker) -> Optional[int]:
+    """The tracker's last validated field length, if any."""
+    return tracker._validated.length if tracker._validated is not None else None
+
+
+class IterableSource:
+    """An event source over precomputed ``(t, payload)`` pairs or payloads
+    with a ``.t`` attribute (e.g. a list of ``PcDelta``): the minimal
+    harness for driving the session runtime in tests."""
+
+    def __init__(self, items: Iterable) -> None:
+        self._items = items
+
+    def events(self) -> Iterator[Tuple[float, object]]:
+        for item in self._items:
+            if isinstance(item, tuple):
+                yield item
+            else:
+                yield (float(item.t), item)

@@ -72,6 +72,95 @@ def imported_modules(text):
             out |= {f"{node.module}.{alias.name}" for alias in node.names}
     return out
 
+
+#: Folders whose code counts as a consumer of ``src/repro``.
+NON_TEST_FOLDERS = ("src", "bench", "benchmarks", "examples", "tools")
+
+#: A ``"pkg.mod:Qual.name"`` entry-point string (``bench/tracer.py``).
+TRACER_TARGET = re.compile(r"^repro(?:\.\w+)*:([\w.]+)$")
+
+#: Definitions no non-test code names, each with the consumer that
+#: reaches it another way.
+ALLOWED = {
+    "repro.api:monitor": "facade entry point; the doctest in docs/api.md calls it",
+    "repro.core.results:SessionResult": (
+        "facade result protocol; the doctest in docs/api.md checks results against it"
+    ),
+    "repro.mitigations.policy:mitigation_names": (
+        "the doctest in docs/api.md lists the mitigation registry through it"
+    ),
+    "repro.runtime.source:SamplerDeltaSource.start_t": (
+        "Session.__init__ in runtime/session.py reads it through getattr"
+    ),
+    "repro.scenarios.spec:scenario_names": (
+        "the repro package docstring's doctest lists the scenario registry through it"
+    ),
+}
+
+
+def definitions(body, prefix=""):
+    """``(qualname, node)`` of every non-dunder function, method and class
+    in a module or class body, nested classes included."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield prefix + node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from definitions(node.body, f"{prefix}{node.name}.")
+
+
+def name_uses(path, tree):
+    """``(name, line)`` of every name a module uses: bare names, attribute
+    names, imported names and, in ``bench/tracer.py``, the dotted parts of
+    each entry-point string.  Re-exports are not uses: a package
+    ``__init__`` imports nothing, and a module's ``__all__`` names are not
+    imported."""
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    tracer = path.name == "tracer.py" and path.parent.name == "bench"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and path.name != "__init__.py":
+            for alias in node.names:
+                name = alias.name.rsplit(".", 1)[-1]
+                if name not in exported:
+                    yield name, node.lineno
+        elif tracer and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            match = TRACER_TARGET.match(node.value)
+            if match:
+                for part in match.group(1).split("."):
+                    yield part, node.lineno
+
+
+def unreferenced_definitions(root):
+    """``module:qualname`` of each ``src/repro`` definition whose name no
+    non-test code under ``root`` uses outside the definition's own body."""
+    uses = {}
+    for folder in NON_TEST_FOLDERS:
+        for path in (root / folder).rglob("*.py"):
+            for name, line in name_uses(path, ast.parse(path.read_text())):
+                uses.setdefault(name, []).append((path, line))
+    src = root / "src"
+    out = set()
+    for path in (src / "repro").rglob("*.py"):
+        parts = path.relative_to(src).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        for qualname, node in definitions(ast.parse(path.read_text()).body):
+            if not any(
+                where != path or not node.lineno <= line <= node.end_lineno
+                for where, line in uses.get(node.name, ())
+            ):
+                out.add(f"{module}:{qualname}")
+    return out
+
+
 CREDENTIAL = "secretpw1"
 
 
@@ -287,3 +376,13 @@ class TestConsumersUseOnlyTheFacade:
         }
         entry_points = {"repro.__main__", "repro.cli"}
         assert sorted(modules - reached - entry_points) == []
+
+    def test_every_definition_has_a_non_test_caller(self):
+        # keep-rule: production, the bench, the benchmarks, the examples
+        # or the tools name every function, method and class; reference
+        # implementations that only tests call live in tests/oracles.py.
+        # The scan matches names only, so it can miss dead code whose name
+        # something else shares, but it never misses a caller.
+        unreferenced = unreferenced_definitions(REPO_ROOT)
+        assert sorted(unreferenced - ALLOWED.keys()) == [], "no non-test caller"
+        assert sorted(ALLOWED.keys() - unreferenced) == [], "stale ALLOWED entry"

@@ -4,6 +4,7 @@ import pytest
 
 from repro.android.apps import APP_REGISTRY, TARGET_APPS, app
 from repro.android.display import Display
+from tests.oracles import contains
 
 
 class TestRegistry:
@@ -39,7 +40,7 @@ class TestFieldGeometry:
         display = Display()
         for spec in TARGET_APPS.values():
             field = spec.field_rect(display)
-            assert display.bounds.contains(field), spec.name
+            assert contains(display.bounds, field), spec.name
 
     def test_field_positions_differ_across_apps(self):
         display = Display()

@@ -12,7 +12,6 @@ from repro.android.events import (
     sort_events,
 )
 from repro.workloads.behavior import (
-    bot_key_sweep,
     practical_session,
     typing_events,
     typing_with_corrections,
@@ -88,17 +87,6 @@ class TestTypingScripts:
         events, final = typing_with_corrections("hello", typing, rng, typo_prob=0.0)
         assert all(isinstance(e, KeyPress) for e in events)
         assert len(events) == 5
-
-
-class TestBotSweep:
-    def test_sweep_covers_all_chars_in_order(self):
-        events = bot_key_sweep(["a", "b"], repeats=2, interval_s=0.5)
-        chars = [e.char for e in events]
-        assert chars == ["a", "b", "a", "b"]
-
-    def test_sweep_cadence(self):
-        events = bot_key_sweep(["a", "b", "c"], repeats=1, interval_s=0.5, start_s=1.0)
-        assert [e.t for e in events] == [1.0, 1.5, 2.0]
 
 
 class TestPracticalSession:

@@ -21,7 +21,8 @@ from repro.core.classifier import Classification, ClassificationModel, scaled_sq
 from repro.core.online import OnlineEngine
 from repro.gpu import counters as pc
 from repro.kgsl.device_file import DeviceClock, open_kgsl
-from repro.kgsl.sampler import PcDelta, PerfCounterSampler, nonzero_deltas
+from repro.kgsl.sampler import PcDelta, PerfCounterSampler
+from tests.oracles import nonzero_deltas, sample_range
 
 D0 = pc.SELECTED_COUNTERS[0].counter_id
 D1 = pc.SELECTED_COUNTERS[1].counter_id
@@ -179,7 +180,7 @@ def test_feed_many_end_to_end_matches_process(config, chase_model):
     trace = simulate(config, app("chase"), "hunter2secret", seed=3)
     kgsl = open_kgsl(trace.timeline, clock=DeviceClock())
     sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(3))
-    deltas = nonzero_deltas(sampler.sample_range(0.0, trace.end_time_s))
+    deltas = nonzero_deltas(sample_range(sampler, 0.0, trace.end_time_s))
 
     serial_engine = OnlineEngine(chase_model)
     for delta in deltas:

@@ -1,21 +1,22 @@
 """Tests for the correction tracker (Section 5.3, Fig 14)."""
 
 from repro.core.corrections import CorrectionTracker
+from tests.oracles import current_length
 
 
 class TestBasicTracking:
     def test_first_observation_sets_baseline(self):
         tracker = CorrectionTracker()
         assert tracker.observe(1.0, 3) == []
-        assert tracker.current_length == 3
+        assert current_length(tracker) == 3
 
     def test_growth_needs_confirmation(self):
         tracker = CorrectionTracker()
         tracker.observe(0.0, 0)
         tracker.observe(1.0, 1)  # pending
-        assert tracker.current_length == 0
+        assert current_length(tracker) == 0
         tracker.observe(1.5, 1)  # confirmed
-        assert tracker.current_length == 1
+        assert current_length(tracker) == 1
 
     def test_blinks_at_same_length_emit_nothing(self):
         tracker = CorrectionTracker()
@@ -31,7 +32,7 @@ class TestDeletionDetection:
         tracker.observe(1.0, 2)  # backspace redraw (pending)
         events = tracker.observe(1.5, 2)  # blink confirms
         assert len(events) == 1
-        assert tracker.current_length == 2
+        assert current_length(tracker) == 2
 
     def test_deletion_timestamp_is_first_observation(self):
         """The deletion must carry the backspace's time so the engine can
@@ -58,7 +59,7 @@ class TestDeletionDetection:
         events = tracker.observe(1.1, 5)  # real redraw: still 5
         assert events == []
         assert tracker.deletions == []
-        assert tracker.current_length == 5
+        assert current_length(tracker) == 5
 
     def test_two_different_blips_do_not_commit(self):
         tracker = CorrectionTracker()
@@ -68,7 +69,7 @@ class TestDeletionDetection:
         assert events == []  # 3 is now pending, nothing committed yet
         events = tracker.observe(1.2, 5)
         assert events == []
-        assert tracker.current_length == 5
+        assert current_length(tracker) == 5
 
 
 class TestGrowthAccounting:
@@ -103,5 +104,5 @@ class TestGrowthAccounting:
         for t, length, keys in stream:
             deletions.extend(tracker.observe(t, length, keys_inferred_total=keys))
         assert len(deletions) == 2
-        assert tracker.current_length == 2
+        assert current_length(tracker) == 2
         assert tracker.unattributed_growth == 0

@@ -20,6 +20,7 @@ from repro.android.scenes import SceneBuilder, UiState
 from repro.gpu import counters as pc
 from repro.gpu.adreno import ADRENO_MODELS, adreno
 from repro.gpu.pipeline import AdrenoPipeline
+from tests.oracles import contains
 
 
 @pytest.mark.parametrize("keyboard_name", sorted(KEYBOARDS))
@@ -30,8 +31,8 @@ class TestKeyboardResolutionGrid:
         layout = KeyboardLayout(KEYBOARDS[keyboard_name], display)
         for char in "qwertyuiopasdfghjklzxcvbnm1234567890,.":
             geo = layout.key(char)
-            assert display.bounds.contains(geo.key_rect)
-            assert display.bounds.contains(geo.popup_rect)
+            assert contains(display.bounds, geo.key_rect)
+            assert contains(display.bounds, geo.popup_rect)
 
     def test_popup_scene_renders_nonzero(self, keyboard_name, resolution):
         config = default_config(

@@ -27,7 +27,7 @@ from repro.core.online import OnlineEngine
 from repro.gpu.timeline import COUNTER_ORDER
 from repro.kgsl.sampler import PcDelta
 from repro.runtime import RuntimeTrace
-from tests.oracles import classify_composite, pick_composite
+from tests.oracles import classify_composite, merge, pick_composite, scaled
 
 DIMS = features.DIMENSIONS
 
@@ -206,7 +206,7 @@ def test_swap_mid_batch_rescores_the_tail():
 def test_batch_rows_score_what_pcdelta_merge_and_scaled_score():
     """A batch builds split-merged rows as ``V[j] + V[pred]`` and
     half-scaled rows by truncating ``V[j] / 2``; they must classify
-    exactly like the ``PcDelta.merge`` / ``PcDelta.scaled(0.5)`` deltas
+    exactly like the ``merge`` / ``scaled(0.5)`` oracle deltas
     the sequential algorithm is written in (negative counts included)."""
     from repro.core.online import HALF, MERGED, _Batch
 
@@ -219,13 +219,13 @@ def test_batch_rows_score_what_pcdelta_merge_and_scaled_score():
     batch.score([(HALF, r) for r in rows if not batch.masked[r]])
     for r in rows:
         delta, prev = batch.deltas[r], batch.deltas[batch.pred[r]]
-        merged = delta.merge(prev)
+        merged = merge(delta, prev)
         want = model.classify_batch(
             features.vectorize(merged)[None, :], features.present_mask(merged.missing)[None, :]
         )[0]
         assert batch.lookups[MERGED][r][0] == want
         if not batch.masked[r]:
-            half = model.classify_vector(features.vectorize(delta.scaled(0.5)))
+            half = model.classify_vector(features.vectorize(scaled(delta, 0.5)))
             assert batch.lookups[HALF][r][0] == half
 
 

@@ -110,7 +110,7 @@ class TestBootstrap:
         rng = np.random.default_rng(0)
         values = rng.normal(0.8, 0.1, size=200)
         interval = bootstrap_interval(values)
-        assert interval.contains(0.8)
+        assert interval.low <= 0.8 <= interval.high
         assert interval.width < 0.1
 
     def test_degenerate_sample(self):

@@ -17,6 +17,7 @@ from repro.core.classifier import Classification
 from repro.core.corrections import CorrectionTracker
 from repro.gpu import counters as pc
 from repro.kgsl.sampler import PcDelta
+from tests.oracles import current_length
 
 CID = pc.RAS_8X4_TILES.counter_id
 NOISE = Classification(label=None, distance=99.0)
@@ -54,7 +55,7 @@ class TestCorrectionTrackerUnderDrops:
         # redrawing at the final length while the user reads the screen)
         tracker.observe(5.0, final, 8)
         tracker.observe(5.5, final, 8)
-        assert tracker.current_length == 8
+        assert current_length(tracker) == 8
         assert tracker.deletions == []
 
     def test_deletion_survives_dropped_redraw(self):
@@ -68,7 +69,7 @@ class TestCorrectionTrackerUnderDrops:
         tracker.observe(1.5, 2, 3)
         events = tracker.observe(2.0, 2, 3)
         assert len(events) == 1
-        assert tracker.current_length == 2
+        assert current_length(tracker) == 2
 
     def test_single_surviving_dip_is_not_validated(self):
         """A lone shorter observation with no confirmation stays pending:
@@ -78,7 +79,7 @@ class TestCorrectionTrackerUnderDrops:
         tracker.observe(0.4, 4, 4)
         tracker.observe(1.0, 3, 4)  # dip whose confirmation is dropped
         assert tracker.deletions == []
-        assert tracker.current_length == 4
+        assert current_length(tracker) == 4
         assert tracker.length_bounds() == (3, 4)
 
 
@@ -93,7 +94,7 @@ class TestCorrectionTrackerUnderJitter:
             clean.observe(t, length, keys)
             t_jit = max(t_jit + 1e-4, t + float(rng.exponential(0.002)))
             jittered.observe(t_jit, length, keys)
-        assert jittered.current_length == clean.current_length == 5
+        assert current_length(jittered) == current_length(clean) == 5
         assert len(jittered.deletions) == len(clean.deletions) == 0
 
     def test_jittered_deletion_keeps_dip_ordering(self):

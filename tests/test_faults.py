@@ -176,7 +176,7 @@ class TestInjector:
         injector.on_ioctl(device, IOCTL_KGSL_PERFCOUNTER_READ, None)
         assert injector.stats.reclaims == 1
         assert len(device.revoked) == 1
-        (key,) = injector.reclaimed_now
+        (key,) = tuple(sorted(injector._reclaimed))
         arg = types.SimpleNamespace(groupid=key[0], countable=key[1])
         with pytest.raises(IoctlError) as exc:
             injector.on_ioctl(device, IOCTL_KGSL_PERFCOUNTER_GET, arg)
@@ -189,11 +189,11 @@ class TestInjector:
         injector.on_ioctl(device, IOCTL_KGSL_PERFCOUNTER_READ, None)
         device.clock.now = 0.1
         injector.on_ioctl(device, IOCTL_KGSL_PERFCOUNTER_READ, None)
-        (key,) = injector.reclaimed_now
+        (key,) = tuple(sorted(injector._reclaimed))
         device.clock.now = 0.1 + 0.5 + 0.01
         arg = types.SimpleNamespace(groupid=key[0], countable=key[1])
         injector.on_ioctl(device, IOCTL_KGSL_PERFCOUNTER_GET, arg)  # must not raise
-        assert injector.reclaimed_now == ()
+        assert tuple(sorted(injector._reclaimed)) == ()
 
     def test_max_reclaims_caps_the_injector(self):
         plan = FaultPlan(reclaim_rate_hz=1000.0, max_reclaims=1)

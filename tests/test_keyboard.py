@@ -5,6 +5,7 @@ import pytest
 from repro.android.display import Display, Resolution
 from repro.android.glyphs import KEYBOARD_CHARACTERS
 from repro.android.keyboard import KEYBOARDS, KeyboardLayout, keyboard
+from tests.oracles import contains
 
 
 @pytest.fixture(params=sorted(KEYBOARDS))
@@ -42,13 +43,13 @@ class TestLayoutGeometry:
     def test_key_rects_are_within_keyboard_bounds(self, layout):
         for char in KEYBOARD_CHARACTERS:
             geo = layout.key(char)
-            assert layout.bounds.contains(geo.key_rect), char
+            assert contains(layout.bounds, geo.key_rect), char
 
     def test_popup_rects_stay_on_screen(self, layout):
         screen = layout.display.bounds
         for char in KEYBOARD_CHARACTERS:
             geo = layout.key(char)
-            assert screen.contains(geo.popup_rect), char
+            assert contains(screen, geo.popup_rect), char
 
     def test_popup_is_above_its_key(self, layout):
         for char in "qwertyuiopasdfghjkl":
@@ -82,15 +83,15 @@ class TestLayoutGeometry:
             layout.key("§")
 
     def test_backspace_rect_within_bounds(self, layout):
-        assert layout.bounds.contains(layout.backspace_rect())
+        assert contains(layout.bounds, layout.backspace_rect())
 
 
 def keys_under(layout, rect):
     """Primary-page keys whose caps intersect ``rect`` (popup occludees)."""
     return [
         geo
-        for geo in map(layout.key, layout.characters())
-        if geo.page == "lower" and geo.key_rect.intersects(rect)
+        for geo in map(layout.key, sorted(layout._geometry))
+        if geo.page == "lower" and not geo.key_rect.intersect(rect).is_empty
     ]
 
 

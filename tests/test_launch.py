@@ -8,7 +8,8 @@ from repro.android.device import VictimDevice
 from repro.android.events import KeyPress
 from repro.core.launch import IDLE_POLL_INTERVAL_S, LaunchDetector
 from repro.kgsl.device_file import DeviceClock, open_kgsl
-from repro.kgsl.sampler import PerfCounterSampler, nonzero_deltas
+from repro.kgsl.sampler import PerfCounterSampler
+from tests.oracles import nonzero_deltas, sample_range
 
 
 @pytest.fixture(scope="module")
@@ -22,14 +23,14 @@ def launch_stream(config):
     sampler = PerfCounterSampler(
         kgsl, interval_s=IDLE_POLL_INTERVAL_S, rng=np.random.default_rng(22)
     )
-    samples = sampler.sample_range(0.0, 6.0)
+    samples = sample_range(sampler, 0.0, 6.0)
     return nonzero_deltas(samples)
 
 
 class TestLaunchDetector:
     def test_detects_the_launch(self, chase_model, launch_stream):
         detector = LaunchDetector(chase_model)
-        events = detector.scan(launch_stream)
+        events = [e for e in map(detector.observe, launch_stream) if e is not None]
         assert events, "the app launch must be detected"
         assert events[0].t < 3.0, "detection must precede the credential typing"
 
@@ -47,17 +48,17 @@ class TestLaunchDetector:
         sampler = PerfCounterSampler(
             kgsl, interval_s=IDLE_POLL_INTERVAL_S, rng=np.random.default_rng(24)
         )
-        deltas = nonzero_deltas(sampler.sample_range(0.0, 5.0))
+        deltas = nonzero_deltas(sample_range(sampler, 0.0, 5.0))
         detector = LaunchDetector(chase_model)
-        assert detector.scan(deltas) == []
+        assert [e for e in map(detector.observe, deltas) if e is not None] == []
 
     def test_burst_without_confirmation_expires(self, chase_model, launch_stream):
         detector = LaunchDetector(chase_model, confirm_window_s=0.0)
-        assert detector.scan(launch_stream) == []
+        assert [e for e in map(detector.observe, launch_stream) if e is not None] == []
 
     def test_custom_threshold(self, chase_model, launch_stream):
         detector = LaunchDetector(chase_model, burst_threshold=1e12)
-        assert detector.scan(launch_stream) == []
+        assert [e for e in map(detector.observe, launch_stream) if e is not None] == []
 
     def test_empty_deltas_ignored(self, chase_model):
         from repro.kgsl.sampler import PcDelta

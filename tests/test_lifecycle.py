@@ -27,7 +27,7 @@ from repro.core.online import OnlineEngine
 from repro.core.model_store import VersionedModelStore
 from repro.kgsl.device_file import DeviceClock, open_kgsl
 from repro.kgsl.interpose import build_chain
-from repro.kgsl.sampler import PerfCounterSampler, nonzero_deltas
+from repro.kgsl.sampler import PerfCounterSampler
 from repro.lifecycle import (
     CALIBRATION_PROFILES,
     CALIBRATION_SPEC,
@@ -42,6 +42,7 @@ from repro.lifecycle import (
 resolve_drift_plan = DRIFT_SPEC.resolve
 resolve_calibration = CALIBRATION_SPEC.resolve
 from repro.lifecycle.calibration import estimate_refit, rescale_model
+from tests.oracles import geometry_factor, nonzero_deltas, sample_range
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +134,10 @@ class TestDriftInjector:
         a = plan.injector()
         b = plan.injector()
         key = (2, 5)
-        assert a.geometry_factor(key, 1.0) == b.geometry_factor(key, 1.0)
+        assert geometry_factor(a, key, 1.0) == geometry_factor(b, key, 1.0)
         # a different counter id draws a different (still seeded) factor
-        assert a.geometry_factor((2, 5), 1.0) != a.geometry_factor((2, 6), 1.0) or (
-            a.geometry_factor((2, 7), 1.0) != a.geometry_factor((2, 5), 1.0)
+        assert geometry_factor(a, (2, 5), 1.0) != geometry_factor(a, (2, 6), 1.0) or (
+            geometry_factor(a, (2, 7), 1.0) != geometry_factor(a, (2, 5), 1.0)
         )
 
     @staticmethod
@@ -182,13 +183,13 @@ class TestDriftInjector:
             interposers=(plan.injector(),),
         )
         clean_deltas = nonzero_deltas(
-            PerfCounterSampler(clean, rng=np.random.default_rng(1)).sample_range(
-                0.0, trace.end_time_s
+            sample_range(
+                PerfCounterSampler(clean, rng=np.random.default_rng(1)), 0.0, trace.end_time_s
             )
         )
         drift_deltas = nonzero_deltas(
-            PerfCounterSampler(drifted, rng=np.random.default_rng(1)).sample_range(
-                0.0, trace.end_time_s
+            sample_range(
+                PerfCounterSampler(drifted, rng=np.random.default_rng(1)), 0.0, trace.end_time_s
             )
         )
         clean_total = sum(sum(d.values.values()) for d in clean_deltas)
@@ -215,7 +216,7 @@ def _drifted_deltas(config, credential, seed, plan, time_offset=0.0):
     )
     sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(1000 + seed))
     return (
-        nonzero_deltas(sampler.sample_range(0.0, trace.end_time_s)),
+        nonzero_deltas(sample_range(sampler, 0.0, trace.end_time_s)),
         trace,
     )
 
@@ -401,10 +402,10 @@ class TestCalibrationService:
         refit = service.recalibrate("d0", chase_model)
         assert refit is not None
         assert store.versions() == [1]
-        lineage = store.lineage_of(1)
+        lineage = store.load(1).lineage
         assert lineage["device_id"] == "d0"
         assert lineage["generation"] == 1
-        loaded = store.load_latest().get(chase_model.model_key)
+        loaded = store.load().get(chase_model.model_key)
         np.testing.assert_allclose(loaded.centroids, refit.centroids, atol=0.01)
 
 
@@ -630,8 +631,8 @@ class TestRunLifecycle:
         # every generation persisted: offline v1 + one per re-fit
         assert report.store_versions == 1 + report.recalibrations
         store = VersionedModelStore(tmp_path / "lineage")
-        assert store.lineage_of(1)["reason"] == "offline"
-        assert store.lineage_of(2)["device_id"] == "device-0"
+        assert store.load(1).lineage["reason"] == "offline"
+        assert store.load(2).lineage["device_id"] == "device-0"
         # the counters the manifest rolls up
         assert metrics.counter("calibration.refits").value == report.recalibrations
         assert metrics.counter("engine.model_swaps").value == report.model_swaps

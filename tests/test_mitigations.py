@@ -23,6 +23,7 @@ from repro.kgsl.sampler import PerfCounterSampler
 from repro.mitigations.obfuscation import OsNoiseInjector
 from repro.mitigations.policy import MitigationPolicy, mitigation
 from repro.mitigations.popup_disable import config_with_popups_disabled, disable_popups
+from tests.oracles import sample_range
 
 
 def timeline_with(amount=1000, t=0.5):
@@ -68,7 +69,7 @@ class TestRbacPolicy:
         assert sampler.counters_denied == len(sampler.counters)
         assert sampler.degraded
         # denied counters are never revived: every read comes back empty
-        samples = sampler.sample_range(0.0, 0.1)
+        samples = sample_range(sampler, 0.0, 0.1)
         assert all(not s.values for s in samples)
 
 
@@ -80,7 +81,7 @@ class TestLocalOnlyPolicy:
             interposers=(policy,),
         )
         sampler = PerfCounterSampler(dev, rng=np.random.default_rng(0))
-        samples = sampler.sample_range(0.0, 1.0)
+        samples = sample_range(sampler, 0.0, 1.0)
         assert all(
             v == 0 for s in samples for v in s.values.values()
         ), "unprivileged reads must expose no global activity"
@@ -92,7 +93,7 @@ class TestLocalOnlyPolicy:
             interposers=(enforcer("local-only"),),
         )
         sampler = PerfCounterSampler(dev, rng=np.random.default_rng(0))
-        samples = sampler.sample_range(0.0, 1.0)
+        samples = sample_range(sampler, 0.0, 1.0)
         assert samples[-1].values[pc.LRZ_FULL_8X8_TILES.counter_id] == 5000
 
 
@@ -106,7 +107,7 @@ class TestAllowAll:
             interposers=chain,
         )
         sampler = PerfCounterSampler(dev, rng=np.random.default_rng(0))
-        samples = sampler.sample_range(0.0, 1.0)
+        samples = sample_range(sampler, 0.0, 1.0)
         assert samples[-1].values[pc.LRZ_FULL_8X8_TILES.counter_id] == 100
 
 
@@ -118,7 +119,7 @@ class TestObfuscation:
             interposers=(policy,),
         )
         sampler = PerfCounterSampler(dev, rng=np.random.default_rng(0))
-        samples = sampler.sample_range(0.0, 1.0)
+        samples = sample_range(sampler, 0.0, 1.0)
         deltas = [
             b.values[pc.LRZ_FULL_8X8_TILES.counter_id] - a.values[pc.LRZ_FULL_8X8_TILES.counter_id]
             for a, b in zip(samples, samples[1:])
@@ -131,7 +132,7 @@ class TestObfuscation:
             interposers=(enforcer(noise_strength=2.0),),
         )
         sampler = PerfCounterSampler(dev, rng=np.random.default_rng(0))
-        samples = sampler.sample_range(0.0, 0.5)
+        samples = sample_range(sampler, 0.0, 0.5)
         values = [s.values[pc.LRZ_FULL_8X8_TILES.counter_id] for s in samples]
         assert values == sorted(values)
 
@@ -142,7 +143,7 @@ class TestObfuscation:
             interposers=(enforcer(noise_strength=1.0),),
         )
         sampler = PerfCounterSampler(dev, rng=np.random.default_rng(0))
-        samples = sampler.sample_range(0.0, 1.0)
+        samples = sample_range(sampler, 0.0, 1.0)
         assert samples[-1].values[pc.LRZ_FULL_8X8_TILES.counter_id] == 100
 
 

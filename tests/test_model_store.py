@@ -214,7 +214,7 @@ class TestVersionedStore:
         versioned.save(self._store(offset=0.0), lineage={"reason": "offline"})
         versioned.save(self._store(offset=5.0), lineage={"reason": "refit"})
         v1 = versioned.load(1)
-        v2 = versioned.load_latest()
+        v2 = versioned.load()
         assert v1.version == 1 and v1.lineage == {"reason": "offline"}
         assert v2.version == 2 and v2.lineage == {"reason": "refit"}
         assert v2.get("cfg1/chase").centroids[0, 0] == 6.0
@@ -224,7 +224,7 @@ class TestVersionedStore:
 
         versioned = VersionedModelStore(tmp_path / "store")
         with pytest.raises(ModelIntegrityError, match="no versions"):
-            versioned.load_latest()
+            versioned.load()
         versioned.save(self._store())
         with pytest.raises(ModelIntegrityError, match="no version 9"):
             versioned.load(9)
@@ -237,9 +237,9 @@ class TestVersionedStore:
         manifest = versioned.manifest()
         assert manifest["schema"] == STORE_DIR_SCHEMA
         assert manifest["latest"] == 1
-        assert versioned.lineage_of(1) == {"device_id": "d0"}
-        with pytest.raises(KeyError):
-            versioned.lineage_of(2)
+        records = {record["version"]: record for record in manifest["versions"]}
+        assert records[1]["lineage"] == {"device_id": "d0"}
+        assert 2 not in records
 
     def test_swapped_file_detected_by_manifest(self, tmp_path):
         from repro.core.model_store import ModelIntegrityError, VersionedModelStore

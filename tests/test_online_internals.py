@@ -89,7 +89,7 @@ class TestAmbientDirection:
         engine = OnlineEngine(model, detect_switches=False)
         for i in range(engine.AMBIENT_WINDOW * 3):
             engine._note_noise(ambient_delta(i * 0.01, 10))
-        assert len(engine._noise_ring) == engine.AMBIENT_WINDOW
+        assert len(engine._ring[: engine._ring_len]) == engine.AMBIENT_WINDOW
 
 
 def scratch_fit(engine):
@@ -207,7 +207,7 @@ def assert_skip_state(engine):
     """The refit skip's incremental state equals its full recomputation:
     the exact zero-unit count, and since the last fit, each slot's
     cosine to the fit's direction and the unit sum's displacement."""
-    assert engine._zero_units == int((~engine._noise_ring.any(axis=1)).sum())
+    assert engine._zero_units == int((~engine._ring[: engine._ring_len].any(axis=1)).sum())
     if engine._last_fit is None:
         return
     _, direction, fit_sum = engine._last_fit

@@ -1,12 +1,11 @@
 """Tests for the realistic password generator."""
 
 import numpy as np
-import pytest
 
 from repro.android.keyboard import KeyboardLayout
 from repro.android.display import Display
 from repro.android.keyboard import keyboard
-from repro.workloads.passwords import pattern_password, pattern_password_batch, pin
+from repro.workloads.passwords import pattern_password, pattern_password_batch
 
 
 class TestPatternPasswords:
@@ -36,13 +35,3 @@ class TestPatternPasswords:
         a = pattern_password(np.random.default_rng(1))
         b = pattern_password(np.random.default_rng(1))
         assert a == b
-
-
-class TestPin:
-    def test_length(self, rng):
-        assert len(pin(rng, 6)) == 6
-        assert pin(rng, 4).isdigit()
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            pin(rng, 0)

@@ -19,17 +19,16 @@ from repro.kgsl.sampler import (
     DEFAULT_INTERVAL_S,
     PerfCounterSampler,
     ReadBatch,
-    nonzero_deltas,
     nonzero_deltas_vectorized,
 )
 from repro.runtime import (
-    IterableSource,
     RuntimeTrace,
     SamplerDeltaSource,
     Session,
     SessionRuntime,
     VirtualClock,
 )
+from tests.oracles import IterableSource, nonzero_deltas, sample_range
 
 CID = pc.RAS_8X4_TILES.counter_id
 
@@ -80,11 +79,13 @@ class TestRuntimeTrace:
         trace.emit(0.3, "s2", "engine", "noise")
         assert trace.count(kind="key") == 2
         assert trace.count(stage="engine") == 3
-        assert [e.detail["char"] for e in trace.select(kind="key", session="s1")] == [
-            "a",
-            "b",
-        ]
-        assert trace.stage_counters("engine") == {"key": 2, "noise": 1}
+        assert [
+            e.detail["char"] for e in trace.events if e.kind == "key" and e.session == "s1"
+        ] == ["a", "b"]
+        assert {k: n for (s, k), n in trace.counters.items() if s == "engine"} == {
+            "key": 2,
+            "noise": 1,
+        }
         assert trace.summary() == {"engine.key": 2, "engine.noise": 1}
 
     def test_ring_capacity_bounds_events_not_counters(self):
@@ -107,15 +108,15 @@ def read_batch(times, values):
 
 class TestVectorizedExtraction:
     def test_matches_scalar_path(self):
-        samples = make_sampler(timeline_with_frames([0.1, 0.3, 0.5]), seed=11).sample_range(
-            0.0, 1.0
+        samples = sample_range(
+            make_sampler(timeline_with_frames([0.1, 0.3, 0.5]), seed=11), 0.0, 1.0
         )
         sampler = make_sampler(timeline_with_frames([0.1, 0.3, 0.5]), seed=11)
         [batch] = sampler.iter_batches(0.0, 1.0, chunk=len(samples))
         assert nonzero_deltas_vectorized(batch) == nonzero_deltas(samples)
 
     def test_chunk_boundary_with_prev(self):
-        samples = make_sampler(timeline_with_frames([0.1, 0.3]), seed=12).sample_range(0.0, 0.6)
+        samples = sample_range(make_sampler(timeline_with_frames([0.1, 0.3]), seed=12), 0.0, 0.6)
         expected = nonzero_deltas(samples)
         sampler = make_sampler(timeline_with_frames([0.1, 0.3]), seed=12)
         first, second = sampler.iter_batches(0.0, 0.6, chunk=len(samples) // 2 + 1)
@@ -125,7 +126,7 @@ class TestVectorizedExtraction:
     def test_masked_counters_match_scalar_path(self):
         # reclaimed registers mask counters mid-run: a delta leaves a
         # counter masked at either end out of its values, like the
-        # scalar _masked_delta oracle
+        # scalar masked_delta oracle
         plan = FaultPlan(reclaim_rate_hz=8.0, reclaim_window_s=0.05)
 
         def sampler():
@@ -140,7 +141,7 @@ class TestVectorizedExtraction:
             dev = open_kgsl(timeline, clock=DeviceClock(), interposers=(plan.injector(),))
             return PerfCounterSampler(dev, rng=np.random.default_rng(13))
 
-        expected = nonzero_deltas(sampler().sample_range(0.0, 1.0))
+        expected = nonzero_deltas(sample_range(sampler(), 0.0, 1.0))
         assert any(delta.missing for delta in expected)
         got, prev = [], None
         for batch in sampler().iter_batches(0.0, 1.0, chunk=7):
@@ -149,7 +150,7 @@ class TestVectorizedExtraction:
         assert got == expected
 
     def test_wraparound_handled(self):
-        wrap = pc.CounterBank.WRAP
+        wrap = pc.WRAP
         [delta] = nonzero_deltas_vectorized(read_batch([0.0, 0.008], [wrap - 5, 3]))
         assert delta.values[CID] == 8
 
@@ -163,7 +164,7 @@ class TestSamplerDeltaSource:
     def test_equivalent_to_batch_sampling(self, chunk):
         timeline = timeline_with_frames([0.1, 0.25, 0.4, 0.7])
         reference = make_sampler(timeline, seed=5)
-        expected = nonzero_deltas(reference.sample_range(0.0, 1.0))
+        expected = nonzero_deltas(sample_range(reference, 0.0, 1.0))
 
         streamed_sampler = make_sampler(timeline_with_frames([0.1, 0.25, 0.4, 0.7]), seed=5)
         source = SamplerDeltaSource(streamed_sampler, 0.0, 1.0, chunk=chunk)
@@ -356,7 +357,7 @@ class TestFeedBatchParity:
         trace = simulate_credential_entry(config, app("chase"), text, seed=seed)
         kgsl = open_kgsl(trace.timeline, clock=DeviceClock())
         sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(seed + 1))
-        stream = nonzero_deltas(sampler.sample_range(0.0, trace.end_time_s))
+        stream = nonzero_deltas(sample_range(sampler, 0.0, trace.end_time_s))
 
         batch_engine = OnlineEngine(chase_model)
         batch_engine.feed_many(stream)
@@ -381,7 +382,7 @@ class TestFeedBatchParity:
         )
         kgsl = open_kgsl(trace.timeline, clock=DeviceClock())
         sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(405))
-        stream = nonzero_deltas(sampler.sample_range(0.0, trace.end_time_s))
+        stream = nonzero_deltas(sample_range(sampler, 0.0, trace.end_time_s))
 
         batch_engine = OnlineEngine(chase_model)
         batch_engine.feed_many(stream)

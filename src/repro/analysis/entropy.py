@@ -86,17 +86,14 @@ class LeakReport:
         return 2.0 ** self.leaked_bits
 
 
-def leak_report(
-    matrix: ConfusionMatrix,
-    length: int,
-    alphabet_size: int = len(PASSWORD_POOL),
-) -> LeakReport:
+def leak_report(matrix: ConfusionMatrix, length: int) -> LeakReport:
     """Combine the confusion structure into a per-credential leak figure.
 
-    Positions are treated as independent (the channel is memoryless per
-    key press), so posterior bits = length x H(true | inferred).
+    The prior is a uniform draw from the password pool.  Positions are
+    treated as independent (the channel is memoryless per key press), so
+    posterior bits = length x H(true | inferred).
     """
-    prior = prior_entropy_bits(length, alphabet_size)
+    prior = prior_entropy_bits(length, len(PASSWORD_POOL))
     per_key = conditional_entropy_bits(matrix)
     return LeakReport(
         length=length, prior_bits=prior, posterior_bits=length * per_key

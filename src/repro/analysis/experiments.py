@@ -111,7 +111,6 @@ def run_per_key_sweep(
     config: DeviceConfig,
     app: AppSpec,
     repeats: int = 12,
-    interval_s: float = DEFAULT_INTERVAL_S,
     seed: int = 2000,
 ) -> Dict[str, Tuple[int, int]]:
     """The Fig 18 experiment: every keyboard character pressed ``repeats``
@@ -119,7 +118,7 @@ def run_per_key_sweep(
     from repro.android.events import KeyPress
     from repro.workloads.credentials import balanced_character_stream
 
-    attack = single_model_attack(config, app, interval_s=interval_s)
+    attack = single_model_attack(config, app)
     rng = np.random.default_rng(seed)
     chars = balanced_character_stream(rng, repeats)
     correct: Dict[str, int] = {}
@@ -153,9 +152,10 @@ def run_practical_sessions(
     volunteers: int = 5,
     repeats: int = 3,
     duration_s: float = 180.0,
-    seed: int = 3000,
 ) -> Dict[str, AccuracyReport]:
-    """The Section 8 experiment: per-volunteer practical usage sessions."""
+    """The Section 8 experiment: per-volunteer practical usage sessions
+    (session ``r`` of volunteer ``v`` is seeded ``3000 + 100 v + r``)."""
+    seed = 3000
     attack = single_model_attack(config, app)
     reports: Dict[str, AccuracyReport] = {}
     for v in range(volunteers):

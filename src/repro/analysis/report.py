@@ -33,6 +33,11 @@ from repro.kgsl.sampler import PowerModel
 
 _BLOCKS = " ▏▎▍▌▋▊▉█"
 
+#: Bar lengths, in characters, of :func:`bar_chart` and of each series
+#: in :func:`grouped_bar_chart`.
+BAR_WIDTH = 40
+GROUPED_BAR_WIDTH = 30
+
 
 def _bar(value: float, vmax: float, width: int) -> str:
     """A unicode bar of ``width`` cells for value in [0, vmax]."""
@@ -50,9 +55,7 @@ def _bar(value: float, vmax: float, width: int) -> str:
 def bar_chart(
     rows: Mapping[str, float],
     title: str = "",
-    width: int = 40,
     vmax: Optional[float] = None,
-    fmt: str = "{:.3f}",
 ) -> str:
     """A horizontal bar chart, one row per label."""
     if not rows:
@@ -62,8 +65,8 @@ def bar_chart(
     lines = [title] if title else []
     for label, value in rows.items():
         lines.append(
-            f"{str(label):>{label_w}s} │{_bar(value, limit, width):<{width}s}│ "
-            + fmt.format(value)
+            f"{str(label):>{label_w}s} │{_bar(value, limit, BAR_WIDTH):<{BAR_WIDTH}s}│ "
+            f"{value:.3f}"
         )
     return "\n".join(lines)
 
@@ -72,7 +75,6 @@ def grouped_bar_chart(
     rows: Mapping[str, Tuple[float, float]],
     series: Tuple[str, str],
     title: str = "",
-    width: int = 30,
 ) -> str:
     """Two-series bars per label, like the paper's paired accuracy plots."""
     if not rows:
@@ -81,10 +83,10 @@ def grouped_bar_chart(
     lines = [title] if title else []
     lines.append(f"{'':{label_w}s}  {series[0]} ░ / {series[1]} █")
     for label, (a, b) in rows.items():
-        bar_a = _bar(a, 1.0, width).replace("█", "░")
-        bar_b = _bar(b, 1.0, width)
-        lines.append(f"{str(label):>{label_w}s} │{bar_a:<{width}}│ {a:.3f}")
-        lines.append(f"{'':{label_w}s} │{bar_b:<{width}}│ {b:.3f}")
+        bar_a = _bar(a, 1.0, GROUPED_BAR_WIDTH).replace("█", "░")
+        bar_b = _bar(b, 1.0, GROUPED_BAR_WIDTH)
+        lines.append(f"{str(label):>{label_w}s} │{bar_a:<{GROUPED_BAR_WIDTH}}│ {a:.3f}")
+        lines.append(f"{'':{label_w}s} │{bar_b:<{GROUPED_BAR_WIDTH}}│ {b:.3f}")
     return "\n".join(lines)
 
 

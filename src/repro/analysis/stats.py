@@ -8,7 +8,7 @@ the paper honest about that uncertainty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,49 +30,40 @@ class Interval:
         return self.high - self.low
 
 
-def bootstrap_interval(
-    values: Sequence[float],
-    statistic: Callable[[np.ndarray], float] = np.mean,
-    confidence: float = 0.95,
-    resamples: int = 2000,
-    seed: int = 0,
-) -> Interval:
-    """Percentile bootstrap over per-trace outcomes.
+#: Two-sided confidence level, resample count and RNG seed of every
+#: bootstrap (the harness is fully deterministic).
+CONFIDENCE = 0.95
+RESAMPLES = 2000
+SEED = 0
 
-    Args:
-        values: one outcome per trace (e.g. 1.0 for an exact inference).
-        statistic: aggregated quantity; the default mean gives accuracy.
-        confidence: two-sided confidence level.
-        resamples: bootstrap resample count.
-        seed: RNG seed (the harness is fully deterministic).
-    """
+
+def bootstrap_interval(values: Sequence[float]) -> Interval:
+    """Percentile bootstrap of the mean over per-trace outcomes (one
+    value per trace, e.g. 1.0 for an exact inference: the mean is the
+    accuracy)."""
     data = np.asarray(list(values), dtype=float)
     if data.size == 0:
         raise ValueError("cannot bootstrap an empty sample")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    estimates = np.empty(resamples)
+    rng = np.random.default_rng(SEED)
+    estimates = np.empty(RESAMPLES)
     n = data.size
-    for i in range(resamples):
+    for i in range(RESAMPLES):
         sample = data[rng.integers(0, n, size=n)]
-        estimates[i] = statistic(sample)
-    alpha = (1.0 - confidence) / 2.0
+        estimates[i] = np.mean(sample)
+    alpha = (1.0 - CONFIDENCE) / 2.0
     return Interval(
-        estimate=float(statistic(data)),
+        estimate=float(np.mean(data)),
         low=float(np.quantile(estimates, alpha)),
         high=float(np.quantile(estimates, 1.0 - alpha)),
-        confidence=confidence,
+        confidence=CONFIDENCE,
     )
 
 
-def accuracy_interval(
-    successes: int, trials: int, confidence: float = 0.95, seed: int = 0
-) -> Interval:
+def accuracy_interval(successes: int, trials: int) -> Interval:
     """Bootstrap interval for a success rate given aggregate counts."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes must be within [0, trials]")
     values = [1.0] * successes + [0.0] * (trials - successes)
-    return bootstrap_interval(values, confidence=confidence, seed=seed)
+    return bootstrap_interval(values)

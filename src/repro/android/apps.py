@@ -88,12 +88,10 @@ class AppSpec:
 APP_REGISTRY: Registry[AppSpec] = Registry("app")
 
 
-def register_app(
-    spec: AppSpec, tags: Tuple[str, ...] = (), replace: bool = False
-) -> AppSpec:
+def register_app(spec: AppSpec, tags: Tuple[str, ...] = ()) -> AppSpec:
     """Register a target app so :func:`app` (and the CLI, the scenario
     registry, …) can resolve it by name."""
-    return APP_REGISTRY.register(spec, tags=tags, replace=replace)
+    return APP_REGISTRY.register(spec, tags=tags)
 
 
 _CHASE = register_app(

@@ -125,12 +125,10 @@ class KeyboardSpec:
 KEYBOARD_REGISTRY: Registry[KeyboardSpec] = Registry("keyboard")
 
 
-def register_keyboard(
-    spec: KeyboardSpec, tags: Tuple[str, ...] = (), replace: bool = False
-) -> KeyboardSpec:
+def register_keyboard(spec: KeyboardSpec, tags: Tuple[str, ...] = ()) -> KeyboardSpec:
     """Register a keyboard spec so :func:`keyboard` (and the CLI, the
     scenario registry, …) can resolve it by name."""
-    return KEYBOARD_REGISTRY.register(spec, tags=tags, replace=replace)
+    return KEYBOARD_REGISTRY.register(spec, tags=tags)
 
 
 _GBOARD = register_keyboard(

@@ -73,12 +73,10 @@ class PhoneModel:
 PHONE_REGISTRY: Registry[PhoneModel] = Registry("phone")
 
 
-def register_phone(
-    spec: PhoneModel, tags: Tuple[str, ...] = (), replace: bool = False
-) -> PhoneModel:
+def register_phone(spec: PhoneModel, tags: Tuple[str, ...] = ()) -> PhoneModel:
     """Register a phone model so :func:`phone` (and the CLI, the scenario
     registry, …) can resolve it by name."""
-    return PHONE_REGISTRY.register(spec, tags=tags, replace=replace)
+    return PHONE_REGISTRY.register(spec, tags=tags)
 
 
 _LG_V30 = register_phone(

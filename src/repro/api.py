@@ -225,9 +225,10 @@ __all__ = [
 ]
 
 
-#: The spec-valued :class:`AttackConfig` fields.  Each takes ``"auto"``
-#: (its environment variable), a name, a spec instance or ``None``; this
-#: table drives their validation, serialization and resolution.
+#: The spec-valued :class:`AttackConfig` fields.  Each takes a name, a
+#: spec instance or ``None`` (``fault_plan`` also takes ``"auto"``, its
+#: environment variable); this table drives their validation,
+#: serialization and resolution.
 _SPEC_FIELDS = {
     "fault_plan": FAULT_SPEC,
     "mitigation": MITIGATION_SPEC,
@@ -269,18 +270,16 @@ class AttackConfig:
     #: as its name).  Fills device config, target app, typing tier and
     #: default fault profile wherever the facade accepts them.
     scenario: Optional[Union[Scenario, str]] = None
-    #: Victim-side defense: "auto" (environment), a registered policy
-    #: name, a :class:`MitigationPolicy`, or None (byte-identical to
-    #: the undefended pipeline — the golden-parity contract).
-    mitigation: Union[MitigationPolicy, None, str] = "auto"
-    #: Environmental signature drift: "auto" (the ``REPRO_DRIFT_PROFILE``
-    #: environment variable), a drift profile name, a :class:`DriftPlan`,
-    #: or None (byte-identical to the driftless pipeline — the
-    #: golden-parity contract, same as ``mitigation=None``).
-    drift: Union[DriftPlan, None, str] = "auto"
-    #: Online per-device recalibration: a :class:`CalibrationPolicy`, a
-    #: calibration profile name, "auto" (the ``REPRO_CALIBRATION``
-    #: environment variable), or None (frozen models, the default).
+    #: Victim-side defense: a registered policy name, a
+    #: :class:`MitigationPolicy`, or None (the default: byte-identical
+    #: to the undefended pipeline — the golden-parity contract).
+    mitigation: Union[MitigationPolicy, None, str] = None
+    #: Environmental signature drift: a drift profile name, a
+    #: :class:`DriftPlan`, or None (the default: byte-identical to the
+    #: driftless pipeline, same as ``mitigation=None``).
+    drift: Union[DriftPlan, None, str] = None
+    #: Online per-device recalibration: a calibration profile name, a
+    #: :class:`CalibrationPolicy`, or None (frozen models, the default).
     calibration: Union[CalibrationPolicy, None, str] = None
 
     def __post_init__(self) -> None:
@@ -346,9 +345,8 @@ class AttackConfig:
         return self._resolved("calibration")
 
     def _resolved(self, name: str):
-        # "auto" reads the field's environment variable; an explicit
-        # name or spec wins over it, and an explicit None pins the
-        # golden-parity pipeline (see repro.registry.SpecType)
+        # a name or spec resolves through the field's registry, and None
+        # pins the golden-parity pipeline (see repro.registry.SpecType)
         return _SPEC_FIELDS[name].resolve(getattr(self, name))
 
     # -- serialization --------------------------------------------------

@@ -35,18 +35,20 @@ def _gini(counts: np.ndarray) -> float:
 
 
 class DecisionTree:
-    """A single CART tree on encoded integer labels."""
+    """A single CART tree on encoded integer labels.
+
+    Each split tries ``sqrt(n_features)`` random features; a node with
+    fewer than :attr:`MIN_SAMPLES_SPLIT` samples is a leaf.
+    """
+
+    MIN_SAMPLES_SPLIT = 2
 
     def __init__(
         self,
         max_depth: int = 12,
-        min_samples_split: int = 2,
-        max_features: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.max_features = max_features
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.classes_: List[str] = []
         self._root: Union[_Split, _Leaf, None] = None
@@ -66,13 +68,13 @@ class DecisionTree:
     def _build(self, X: np.ndarray, codes: np.ndarray, depth: int) -> Union[_Split, _Leaf]:
         if (
             depth >= self.max_depth
-            or len(codes) < self.min_samples_split
+            or len(codes) < self.MIN_SAMPLES_SPLIT
             or len(np.unique(codes)) == 1
         ):
             return self._majority(codes)
 
         n_features = X.shape[1]
-        k = self.max_features or max(1, int(np.sqrt(n_features)))
+        k = max(1, int(np.sqrt(n_features)))
         candidates = self.rng.choice(n_features, size=min(k, n_features), replace=False)
 
         best_gain, best_feature, best_threshold = 0.0, None, 0.0
@@ -128,14 +130,12 @@ class RandomForest:
         self,
         n_trees: int = 30,
         max_depth: int = 12,
-        max_features: Optional[int] = None,
         seed: int = 0,
     ) -> None:
         if n_trees <= 0:
             raise ValueError("n_trees must be positive")
         self.n_trees = n_trees
         self.max_depth = max_depth
-        self.max_features = max_features
         self.seed = seed
         self.trees: List[DecisionTree] = []
         self.classes_: List[str] = []
@@ -151,7 +151,6 @@ class RandomForest:
             rows = rng.integers(0, n, size=n)
             tree = DecisionTree(
                 max_depth=self.max_depth,
-                max_features=self.max_features,
                 rng=np.random.default_rng(int(rng.integers(1 << 31))),
             )
             tree.fit(X[rows], [y[i] for i in rows])

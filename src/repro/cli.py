@@ -26,7 +26,9 @@ registries at argument-parse time, so a typo exits with a usage error
 ``attack`` accept ``--fault-profile`` / ``--fault-seed`` to exercise
 the resilient sampling path against an unreliable KGSL interface (see
 ``repro.faults``), and ``--mitigation`` to run the same attack against
-a defended victim.
+a defended victim (default ``none``: the undefended pipeline).  Only
+``--fault-profile auto`` reads the environment
+(``REPRO_FAULT_PROFILE``).
 """
 
 from __future__ import annotations
@@ -146,12 +148,12 @@ def _add_mitigation_flag(parser: argparse.ArgumentParser) -> None:
     check_name = _registry_name(MITIGATION_REGISTRY)
     parser.add_argument(
         "--mitigation",
-        default="auto",
-        type=lambda v: v if v in ("auto", "none") else check_name(v),
+        default="none",
+        type=lambda v: v if v == "none" else check_name(v),
         metavar="NAME",
         help="enforce a registered mitigation policy on the victim "
-        "(see 'repro defenses'); 'none' pins the undefended pipeline, "
-        "default 'auto' honors the REPRO_MITIGATION environment variable",
+        "(see 'repro defenses'); the default 'none' runs the undefended "
+        "pipeline",
     )
 
 
@@ -438,11 +440,11 @@ def _attack_config(args, **overrides) -> AttackConfig:
         fault_plan = "auto"
     else:
         fault_plan = FaultPlan.from_profile(profile, seed=args.fault_seed)
-    mitigation_name = getattr(args, "mitigation", "auto")
-    if mitigation_name == "none":
-        mitigation_name = None
+    mitigation_name = getattr(args, "mitigation", "none")
     return AttackConfig(
-        fault_plan=fault_plan, mitigation=mitigation_name, **overrides
+        fault_plan=fault_plan,
+        mitigation=None if mitigation_name == "none" else mitigation_name,
+        **overrides,
     )
 
 

@@ -16,7 +16,9 @@ results — frames left over from a failed cycle first, then fresh ones —
 writes them as one wire frame (a lone ``result``, or a ``batch`` of two
 or more) and blocks on that frame's one ``ack``.  Window 1 is the
 degenerate case: one ``result``, one ``ack``, the classic lock-step
-round trip.
+round trip.  Frames are written and read under the config's
+``max_frame_bytes``: a burst too big for one frame fails at once, with
+nothing sent, because no resend can make it fit.
 
 Reliability discipline:
 
@@ -61,6 +63,7 @@ from repro.collector.frames import (
     ConnectionClosed,
     Frame,
     FrameError,
+    FrameTooLarge,
     Hello,
     HelloOk,
     Metrics,
@@ -81,7 +84,8 @@ __all__ = [
 
 
 class CollectorClientError(Exception):
-    """A frame could not be delivered within the retry budget."""
+    """A frame could not be delivered: the retry budget ran out, or it
+    exceeds the configured frame-size cap."""
 
 
 @dataclass
@@ -166,6 +170,7 @@ class CollectorClient:
         self.config = config
         self.retry = config.retry
         self.timeout_s = config.timeout_s
+        self.max_frame_bytes = config.max_frame_bytes
         self.sleep = sleep
         self.stats = ClientStats()
         plan = faults.FAULT_SPEC.resolve(fault_plan)
@@ -214,8 +219,11 @@ class CollectorClient:
             self._sock = None
 
     def _roundtrip(self, frame: Frame) -> Frame:
-        self._sock.sendall(BINARY_CODEC.encode(frame))
-        return decode_any(read_body_sock(self._sock))
+        self._sock.sendall(BINARY_CODEC.encode(frame, self.max_frame_bytes))
+        return self._read_reply()
+
+    def _read_reply(self) -> Frame:
+        return decode_any(read_body_sock(self._sock, self.max_frame_bytes))
 
     # -- delivery -------------------------------------------------------
 
@@ -230,26 +238,20 @@ class CollectorClient:
         self._deliver(iter((payload,)), window=1)
         return seq
 
-    def send_results(
-        self,
-        payloads: Iterable[SessionResultPayload],
-        window: Optional[int] = None,
-    ) -> int:
+    def send_results(self, payloads: Iterable[SessionResultPayload]) -> int:
         """Deliver many results in order; returns how many were acked.
 
-        ``window`` (default: the config's ``pipeline_depth``) caps how
-        many results ride one wire frame.  At ``1`` every result is a
-        lone ``result`` frame answered by its own ``ack``; above ``1``
-        up to ``window`` results pack into one ``batch`` frame answered
-        by one cumulative ack, which amortizes the per-frame
-        syscall/context-switch cost that dominates bulk uploads into a
-        local collector tier.  Delivery semantics are identical either
-        way: in-order acks, resend-on-reconnect, and the server's
-        ``(device_id, seq)`` dedup absorbing any overlap.
+        The config's ``pipeline_depth`` caps how many results ride one
+        wire frame.  At ``1`` every result is a lone ``result`` frame
+        answered by its own ``ack``; above ``1`` up to that many results
+        pack into one ``batch`` frame answered by one cumulative ack,
+        which amortizes the per-frame syscall/context-switch cost that
+        dominates bulk uploads into a local collector tier.  Delivery
+        semantics are identical either way: in-order acks,
+        resend-on-reconnect, and the server's ``(device_id, seq)`` dedup
+        absorbing any overlap.
         """
-        if window is None:
-            window = self.config.pipeline_depth
-        return self._deliver(iter(payloads), window)
+        return self._deliver(iter(payloads), self.config.pipeline_depth)
 
     def _deliver(self, source: Iterator[SessionResultPayload], window: int) -> int:
         """The one delivery loop: burst, write, await the ack, repeat.
@@ -271,9 +273,10 @@ class CollectorClient:
                 self._seq += 1
             if not todo:
                 return acked
+            wire = self._encode_burst(todo)
             try:
                 self._ensure_connected()
-                self._send_burst(todo)
+                self._send_burst(todo, wire)
             except (OSError, FrameError, ConnectionClosed) as exc:
                 self._drop_connection()
                 failures += 1
@@ -289,12 +292,23 @@ class CollectorClient:
             todo.clear()
             failures = 0
 
-    def _send_burst(self, burst: List[ResultFrame]) -> None:
-        """Write ``burst`` as one wire frame and read its ack.
+    def _encode_burst(self, burst: List[ResultFrame]) -> bytes:
+        """``burst`` as one wire frame: a ``result`` frame for one
+        result, one :class:`Batch` for two or more."""
+        frame = burst[0] if len(burst) == 1 else BatchFrame(frames=tuple(burst))
+        try:
+            return BINARY_CODEC.encode(frame, self.max_frame_bytes)
+        except FrameTooLarge as exc:
+            raise CollectorClientError(
+                f"device {self.device_id}: results seq {burst[0].seq}..{burst[-1].seq} "
+                f"do not fit one frame: {exc}"
+            ) from exc
 
-        One result goes out as a ``result`` frame, two or more as one
-        :class:`Batch` — one send, one server-side admission, one
-        cumulative ack carrying the last member's seq.  The fault
+    def _send_burst(self, burst: List[ResultFrame], wire: bytes) -> None:
+        """Write ``burst``, encoded as ``wire``, and read its ack.
+
+        One send, one server-side admission, one cumulative ack carrying
+        the last member's seq.  The fault
         injector draws once per wire write (a connection drop strikes a
         send, however many results ride it) and once per ack read, so
         the fault stream is a pure function of the plan, the seed
@@ -302,8 +316,7 @@ class CollectorClient:
         """
         fault = self._injector.connection_fault() if self._injector else None
         if fault != "drop_before":
-            wire = burst[0] if len(burst) == 1 else BatchFrame(frames=tuple(burst))
-            self._sock.sendall(BINARY_CODEC.encode(wire))
+            self._sock.sendall(wire)
             self.stats.frames_sent += len(burst)
         if fault:
             # after a drop_after the burst is on the wire but its ack is
@@ -317,7 +330,7 @@ class CollectorClient:
                 self.stats.injected_slow_reads += 1
                 self.sleep(delay)
         seq = burst[-1].seq
-        reply = decode_any(read_body_sock(self._sock))
+        reply = self._read_reply()
         if not isinstance(reply, Ack) or reply.seq != seq:
             raise FrameError(f"expected ack for seq {seq}, got {reply}")
         self.stats.acks_received += len(burst)

@@ -232,9 +232,7 @@ class SessionResultPayload:
         session_index: int,
         seed: int = 0,
         expected: Optional[str] = None,
-        metrics: Optional[Dict[str, object]] = None,
         deltas: Optional[Tuple[int, ...]] = None,
-        mask: int = 0,
     ) -> "SessionResultPayload":
         """Build from any :class:`~repro.core.results.SessionResult`."""
         text = result.text
@@ -247,8 +245,6 @@ class SessionResultPayload:
             exact=None if expected is None else text == expected,
             seed=seed,
             deltas=deltas,
-            mask=mask,
-            metrics=metrics,
         )
 
 

@@ -43,19 +43,10 @@ class SwitchObservation:
 class AppSwitchDetector:
     """Stateful burst detector over the nonzero-delta stream."""
 
-    def __init__(
-        self,
-        big_threshold: float,
-        burst_gap_s: float = BURST_GAP_S,
-        min_burst_length: int = MIN_BURST_LENGTH,
-        cooldown_s: float = BURST_COOLDOWN_S,
-    ) -> None:
+    def __init__(self, big_threshold: float) -> None:
         if big_threshold <= 0:
             raise ValueError("big_threshold must be positive")
         self.big_threshold = big_threshold
-        self.burst_gap_s = burst_gap_s
-        self.min_burst_length = min_burst_length
-        self.cooldown_s = cooldown_s
 
         self.in_target = True
         self.bursts_seen = 0
@@ -67,7 +58,7 @@ class AppSwitchDetector:
         if (
             self._burst_active
             and self._last_big_t is not None
-            and t - self._last_big_t > self.cooldown_s
+            and t - self._last_big_t > BURST_COOLDOWN_S
         ):
             self._burst_active = False
             self._run_length = 0
@@ -91,12 +82,12 @@ class AppSwitchDetector:
 
         is_big = (magnitude if magnitude is not None else delta.total) >= self.big_threshold
         if is_big:
-            if self._last_big_t is not None and t - self._last_big_t <= self.burst_gap_s:
+            if self._last_big_t is not None and t - self._last_big_t <= BURST_GAP_S:
                 self._run_length += 1
             else:
                 self._run_length = 1
             self._last_big_t = t
-            if self._run_length >= self.min_burst_length:
+            if self._run_length >= MIN_BURST_LENGTH:
                 self._burst_active = True
         elif self._burst_active and self._last_big_t is not None:
             # small changes inside an active burst window do not end it;

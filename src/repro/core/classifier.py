@@ -73,6 +73,11 @@ def _row_sq(rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", rows, rows)
 
 
+#: Safety margin ``cth`` keeps over the worst offline intra-class radius.
+CTH_MARGIN = 2.0
+#: Lower bound on ``cth`` (normalized units).
+MIN_CTH = 0.35
+
 #: Composite changes carry the jitter of two independent frames, so their
 #: acceptance threshold scales by ~sqrt(2) over the single-frame cth.
 COMPOSITE_CTH_FACTOR = 1.6
@@ -558,8 +563,6 @@ class ClassificationModel:
 def build_model(
     samples_by_label: Mapping[str, Sequence[np.ndarray]],
     model_key: str = "",
-    cth_margin: float = 2.0,
-    min_cth: float = 0.35,
     metadata: Optional[Dict[str, object]] = None,
 ) -> ClassificationModel:
     """Fit centroids and the classification threshold from labeled samples.
@@ -612,7 +615,7 @@ def build_model(
         sq = scaled_sq_dists(vectors / scale, (row / scale)[None, :], blas=True)
         intra = max(intra, float(np.sqrt(np.max(sq))))
 
-    cth = max(min_cth, intra * cth_margin)
+    cth = max(MIN_CTH, intra * CTH_MARGIN)
     return ClassificationModel(
         labels=labels,
         centroids=centroids,

@@ -19,16 +19,13 @@ DEDUP_WINDOW_S = 0.075
 class DuplicationFilter:
     """Tracks the last accepted key press and vetoes near-duplicates."""
 
-    def __init__(self, window_s: float = DEDUP_WINDOW_S) -> None:
-        if window_s <= 0:
-            raise ValueError("dedup window must be positive")
-        self.window_s = window_s
+    def __init__(self) -> None:
         self._last_key_t: Optional[float] = None
         self.suppressed = 0
 
     def admit(self, t: float) -> bool:
         """True if a key press inferred at ``t`` should be accepted."""
-        if self._last_key_t is not None and t - self._last_key_t < self.window_s:
+        if self._last_key_t is not None and t - self._last_key_t < DEDUP_WINDOW_S:
             self.suppressed += 1
             return False
         self._last_key_t = t

@@ -41,15 +41,20 @@ class RecognitionResult:
         return ranked[1] - ranked[0]
 
 
+#: Nonzero PC changes recognition scores (the attack buffers this many).
+MAX_RECOGNITION_DELTAS = 40
+#: Per-observation cap on the nearest-centroid distance, so a few
+#: out-of-vocabulary events cannot dominate a model's score.
+SCORE_CLIP = 25.0
+
+
 class DeviceRecognizer:
     """Matches observed PC changes against all preloaded models."""
 
-    def __init__(self, store: ModelStore, max_deltas: int = 40, clip: float = 25.0) -> None:
+    def __init__(self, store: ModelStore) -> None:
         if len(store) == 0:
             raise ValueError("model store is empty")
         self.store = store
-        self.max_deltas = max_deltas
-        self.clip = clip
 
     def _score(self, model: ClassificationModel, vectors: np.ndarray) -> float:
         scaled_centroids = model.centroids / model.scale
@@ -60,7 +65,7 @@ class DeviceRecognizer:
         for row in scaled:
             diffs = scaled_centroids - row
             dist = float(np.min(np.sqrt(np.einsum("ij,ij->i", diffs, diffs))))
-            total += min(dist, self.clip)
+            total += min(dist, SCORE_CLIP)
         return total / len(scaled)
 
     def recognize(
@@ -74,7 +79,7 @@ class DeviceRecognizer:
                 unprivileged chip-id query); when given, only models for
                 phones with that GPU are considered.
         """
-        observed = [d for d in deltas if d][: self.max_deltas]
+        observed = [d for d in deltas if d][:MAX_RECOGNITION_DELTAS]
         if not observed:
             raise ValueError("no nonzero PC changes to recognize from")
         candidates = list(self.store)

@@ -19,6 +19,10 @@ from repro.kgsl.sampler import PcDelta
 #: Number of feature dimensions (= selected counters).
 DIMENSIONS = len(COUNTER_ORDER)
 
+#: Smallest per-dimension scale, so constant dimensions (exact primitive
+#: counts) still count instead of dividing by zero.
+SCALE_FLOOR = 1.0
+
 _INDEX: Dict[pc.CounterId, int] = {cid: i for i, cid in enumerate(COUNTER_ORDER)}
 
 
@@ -53,7 +57,7 @@ def present_mask(missing: Sequence[pc.CounterId]) -> np.ndarray:
     return mask
 
 
-def robust_scale(matrix: np.ndarray, floor: float = 1.0) -> np.ndarray:
+def robust_scale(matrix: np.ndarray) -> np.ndarray:
     """Per-dimension scale for distance normalization.
 
     Uses the standard deviation across all training vectors — the
@@ -61,9 +65,9 @@ def robust_scale(matrix: np.ndarray, floor: float = 1.0) -> np.ndarray:
     primitive counts) still contribute rather than dividing by zero.
     """
     if matrix.size == 0:
-        return np.full(DIMENSIONS, floor, dtype=float)
+        return np.full(DIMENSIONS, SCALE_FLOOR, dtype=float)
     spread = np.std(matrix, axis=0)
-    return np.maximum(spread, floor)
+    return np.maximum(spread, SCALE_FLOOR)
 
 
 def normalized_distance(a: np.ndarray, b: np.ndarray, scale: np.ndarray) -> float:

@@ -41,17 +41,11 @@ class PositionHypotheses:
 class CandidateGenerator:
     """Enumerates credential guesses in order of total penalty."""
 
-    def __init__(
-        self,
-        model: ClassificationModel,
-        alternatives: int = 4,
-        insertion_penalty: float = 3.0,
-    ) -> None:
-        if alternatives < 1:
-            raise ValueError("need at least one alternative per position")
+    #: Ranked key alternatives kept per inferred press position.
+    ALTERNATIVES = 4
+
+    def __init__(self, model: ClassificationModel) -> None:
         self.model = model
-        self.alternatives = alternatives
-        self.insertion_penalty = insertion_penalty
         self._key_rows = [
             i for i, label in enumerate(model.labels) if label.startswith(KEY_PREFIX)
         ]
@@ -64,7 +58,7 @@ class CandidateGenerator:
         keys = self.model._scaled[self._key_rows]
         diffs = keys - scaled
         dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-        order = np.argsort(dists, kind="stable")[: self.alternatives]
+        order = np.argsort(dists, kind="stable")[: self.ALTERNATIVES]
         chars = tuple(
             self.model.labels[self._key_rows[i]][len(KEY_PREFIX):] for i in order
         )

@@ -44,22 +44,18 @@ class LaunchDetector:
        (the app's cold-start render storm); followed by
     2. a delta that classifies into the target's field family (the login
        screen's cursor blink) — the app-specific confirmation.
+
+    The burst threshold is eight times the model's largest key-press
+    total (``1e7`` for a model without keys).
     """
 
-    def __init__(
-        self,
-        model: ClassificationModel,
-        burst_threshold: Optional[float] = None,
-        confirm_window_s: float = 3.0,
-    ) -> None:
+    #: How long after a burst a field-family delta still confirms it.
+    CONFIRM_WINDOW_S = 3.0
+
+    def __init__(self, model: ClassificationModel) -> None:
         self.model = model
-        if burst_threshold is None:
-            key_totals = [
-                float(model.centroid(label).sum()) for label in model.key_labels
-            ]
-            burst_threshold = 8.0 * max(key_totals) if key_totals else 1e7
-        self.burst_threshold = burst_threshold
-        self.confirm_window_s = confirm_window_s
+        key_totals = [float(model.centroid(label).sum()) for label in model.key_labels]
+        self.burst_threshold = 8.0 * max(key_totals) if key_totals else 1e7
         self._burst_t: Optional[float] = None
         self.launches: List[LaunchEvent] = []
 
@@ -72,7 +68,7 @@ class LaunchDetector:
             return None
         if (
             self._burst_t is not None
-            and delta.t - self._burst_t <= self.confirm_window_s
+            and delta.t - self._burst_t <= self.CONFIRM_WINDOW_S
         ):
             classification = self.model.classify(delta)
             if classification.is_field:
@@ -80,7 +76,7 @@ class LaunchDetector:
                 self.launches.append(event)
                 self._burst_t = None
                 return event
-        elif self._burst_t is not None and delta.t - self._burst_t > self.confirm_window_s:
+        elif self._burst_t is not None and delta.t - self._burst_t > self.CONFIRM_WINDOW_S:
             self._burst_t = None
         return None
 
@@ -90,8 +86,7 @@ class LaunchWatchStage:
     Feeds every slow-poll delta to a :class:`LaunchDetector`; when the
     launch is confirmed, invokes ``on_launch(session, event)`` — which
     typically calls :meth:`~repro.runtime.session.Session.switch_mode`
-    to escalate the session into the 8 ms attack mode.  The stage
-    consumes its input (nothing flows past the idle watch).
+    to escalate the session into the 8 ms attack mode.
     """
 
     name = "launch-watch"
@@ -105,9 +100,9 @@ class LaunchWatchStage:
         self.on_launch = on_launch
         self.launch: Optional[LaunchEvent] = None
 
-    def on_event(self, session, t: float, delta: PcDelta):
+    def on_event(self, session, t: float, delta: PcDelta) -> None:
         if self.launch is not None:
-            return None
+            return
         event = self.detector.observe(delta)
         if event is not None:
             self.launch = event
@@ -115,7 +110,6 @@ class LaunchWatchStage:
                 t, session.id, self.name, "launch_detected", score=event.score
             )
             self.on_launch(session, event)
-        return None
 
-    def on_end(self, session, t: float):
-        return None
+    def on_end(self, session, t: float) -> None:
+        pass

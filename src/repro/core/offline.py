@@ -40,6 +40,9 @@ from repro.kgsl.interpose import open_sampler
 from repro.kgsl.sampler import DEFAULT_INTERVAL_S, PcDelta
 from repro.runtime.source import ATTACK_SOURCE_CHUNK, SamplerDeltaSource
 
+#: Characters the ladder session types, one field length per key.
+LADDER_LENGTH = 16
+
 
 def frame_to_class_label(frame_label: str) -> Optional[str]:
     """Map a ground-truth frame label to a training class label.
@@ -161,12 +164,13 @@ class OfflineTrainer:
                 t += 0.55
         return events, t + 0.5
 
-    def _ladder_events(self, length: int = 16) -> Tuple[List[UserEvent], float]:
-        """Type a full-length string slowly to cover field:1..length."""
+    def _ladder_events(self) -> Tuple[List[UserEvent], float]:
+        """Type a :data:`LADDER_LENGTH` string slowly to cover every
+        field length up to it."""
         events: List[UserEvent] = []
         chars = self.trainable_characters()
         t = 0.8
-        for i in range(length):
+        for i in range(LADDER_LENGTH):
             events.append(KeyPress(t=t, char=chars[i % len(chars)], duration=0.08))
             t += 1.35  # slow enough to catch cursor blinks at each length
         return events, t + 2.0

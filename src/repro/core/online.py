@@ -62,7 +62,7 @@ from repro.core.appswitch import AppSwitchDetector
 from repro.core.classifier import Classification, ClassificationModel
 from repro.core.corrections import CorrectionTracker
 from repro.core import features
-from repro.core.dedup import DEDUP_WINDOW_S, DuplicationFilter
+from repro.core.dedup import DuplicationFilter
 from repro.kgsl.sampler import PcDelta
 from repro.obs import Histogram, MetricsRegistry, new_latency_histogram, resolve_registry
 from repro.runtime.trace import RuntimeTrace
@@ -150,25 +150,22 @@ class OnlineEngine:
         self,
         model: ClassificationModel,
         interval_s: float = 0.008,
-        dedup_window_s: float = DEDUP_WINDOW_S,
         detect_switches: bool = True,
         track_corrections: bool = True,
         recover_collisions: bool = True,
         trace: Optional[RuntimeTrace] = None,
         session: str = "",
-        stage_name: str = "engine",
         metrics: Optional[MetricsRegistry] = None,
         collect_evidence: bool = False,
     ) -> None:
         self.model = model
         self.interval_s = interval_s
-        self.dedup = DuplicationFilter(window_s=dedup_window_s)
+        self.dedup = DuplicationFilter()
         self.track_corrections = track_corrections
         self.corrections = CorrectionTracker()
         self.recover_collisions = recover_collisions
         self.trace = trace
         self.session = session
-        self.stage_name = stage_name
         self.metrics = resolve_registry(metrics)
         # resolved once: with the null registry this is the shared no-op
         # instrument, so a batch's flush is one call either way
@@ -221,7 +218,7 @@ class OnlineEngine:
     def _emit(self, t: float, kind: str, **detail) -> None:
         """Record one engine decision in the shared runtime event log."""
         if self.trace is not None:
-            self.trace.emit(t, self.session, self.stage_name, kind, **detail)
+            self.trace.emit(t, self.session, "engine", kind, **detail)
 
     def _flush_latency(self) -> None:
         """The consumed lookups' latencies since the last flush, into the

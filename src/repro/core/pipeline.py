@@ -31,7 +31,11 @@ from repro import faults as faults_mod
 from repro.android.apps import AppSpec
 from repro.android.device import SessionTrace, VictimDevice
 from repro.android.os_config import DeviceConfig
-from repro.core.device_recognition import DeviceRecognizer, RecognitionResult
+from repro.core.device_recognition import (
+    MAX_RECOGNITION_DELTAS,
+    DeviceRecognizer,
+    RecognitionResult,
+)
 from repro.core.model_store import ModelStore
 from repro.core.offline import OfflineTrainer
 from repro.core.online import InferredKey, OnlineEngine, OnlineResult
@@ -60,6 +64,9 @@ from repro.runtime.source import ATTACK_SOURCE_CHUNK
 from repro.workloads.background import render_slowdown, with_background_load
 from repro.workloads.behavior import typing_events
 from repro.workloads.typing_model import TypingModel
+
+#: Quiet time a simulated entry keeps rendering after its last key.
+SESSION_TAIL_S = 1.2
 
 
 def train_model(
@@ -103,16 +110,16 @@ def simulate_credential_entry(
     text: str,
     seed: int = 1,
     speed_tier: Optional[str] = None,
-    tail_s: float = 1.2,
     gpu_utilization: float = 0.0,
 ) -> SessionTrace:
-    """Compile a victim session where ``text`` is typed into ``app``."""
+    """Compile a victim session where ``text`` is typed into ``app``;
+    sampling runs :data:`SESSION_TAIL_S` past the last key."""
     rng = np.random.default_rng(seed)
     typing = TypingModel(rng)
     events = typing_events(text, typing, start_s=0.6, speed_tier=speed_tier)
     slowdown = render_slowdown(gpu_utilization) if gpu_utilization else 1.0
     device = VictimDevice(config, app, rng=rng, render_slowdown=slowdown)
-    end = (events[-1].t if events else 0.6) + tail_s
+    end = (events[-1].t if events else 0.6) + SESSION_TAIL_S
     trace = device.compile(events, end_time_s=end)
     if gpu_utilization:
         trace.timeline = with_background_load(
@@ -196,7 +203,7 @@ class AttackStage:
         self._pending: List = []
         self._primed: Tuple = ()
         self._recognize_after = (
-            DeviceRecognizer(attack.store).max_deltas
+            MAX_RECOGNITION_DELTAS
             if model_key is None
             and attack.recognize_device
             and len(attack.store) > 1
@@ -269,7 +276,7 @@ class AttackStage:
             if count_events:
                 self.metrics.counter(f"faults.events.{kind}").inc()
 
-    def on_event(self, session, t: float, delta):
+    def on_event(self, session, t: float, delta) -> None:
         self._drain_faults(session, t)
         if self.faults is not None and getattr(delta, "degraded", False):
             session.mark_degraded(t, "masked_delta" if delta.missing else "gap")
@@ -277,7 +284,7 @@ class AttackStage:
             self._pending.append(delta)
             if len(self._pending) >= max(1, self._recognize_after):
                 self._resolve(session)
-            return None
+            return
         source = self.source
         if source.batch is not self._primed:
             # the first delta of a read batch, or the first one after
@@ -285,9 +292,8 @@ class AttackStage:
             self._primed = source.batch
             self.engine.prime(source.batch[source.cursor :])
         self.engine.feed(delta)
-        return None
 
-    def on_end(self, session, t: float):
+    def on_end(self, session, t: float) -> None:
         self._drain_faults(session, t)
         if self.engine is None and (self._pending or not self._recognize_after):
             self._resolve(session)
@@ -334,7 +340,6 @@ class AttackStage:
             degraded=session.degraded or (faults is not None and faults.total > 0),
             trace=session.trace,
         )
-        return None
 
 
 class EavesdropAttack:
@@ -351,7 +356,7 @@ class EavesdropAttack:
         fault_plan: Union[faults_mod.FaultPlan, None, str] = "auto",
         metrics: Optional[MetricsRegistry] = None,
         mitigation: Union[MitigationPolicy, None, str] = None,
-        drift: Union[DriftPlan, None, str] = "auto",
+        drift: Union[DriftPlan, None, str] = None,
         calibration: Union[CalibrationPolicy, None, str] = None,
     ) -> None:
         if len(store) == 0:
@@ -393,9 +398,8 @@ class EavesdropAttack:
         load: SystemLoad = IDLE,
         seed: int = 99,
         model_key: Optional[str] = None,
-        chunk: int = ATTACK_SOURCE_CHUNK,
-    ) -> Tuple[SamplerDeltaSource, List[AttackStage]]:
-        """Build the (source, stages) pair for one attack-mode session.
+    ) -> Tuple[SamplerDeltaSource, AttackStage]:
+        """Build the (source, stage) pair for one attack-mode session.
 
         Opens a fresh KGSL fd on the victim timeline with this attack's
         interposer chain seeded from ``seed``, wires up the 8 ms sampler,
@@ -410,10 +414,10 @@ class EavesdropAttack:
             build_chain(self.fault_plan, self.mitigation, self.drift_plan, seed),
         )
         source = SamplerDeltaSource(
-            sampler, 0.0, trace.end_time_s, load=load, chunk=chunk,
+            sampler, 0.0, trace.end_time_s, load=load, chunk=ATTACK_SOURCE_CHUNK,
             metrics=self.metrics,
         )
-        return source, [AttackStage(self, source, model_key=model_key)]
+        return source, AttackStage(self, source, model_key=model_key)
 
     def run_on_trace(
         self,
@@ -434,10 +438,10 @@ class EavesdropAttack:
             runtime_trace: optional shared event log to record decisions in.
         """
         runtime = SessionRuntime(trace=runtime_trace, metrics=self.metrics)
-        source, stages = self.session_spec(
+        source, stage = self.session_spec(
             trace, load=load, seed=seed, model_key=model_key
         )
-        session = runtime.add_session(Session("attack", source, stages))
+        session = runtime.add_session(Session("attack", source, stage))
         runtime.run()
         result = session.result
         if self.metrics.enabled:
@@ -471,10 +475,8 @@ def run_sessions(
     runtime = SessionRuntime(trace=runtime_trace, metrics=attack.metrics)
     sessions = []
     for i, trace in enumerate(traces):
-        source, stages = attack.session_spec(trace, load=load, seed=seed + i)
-        sessions.append(
-            runtime.add_session(Session(f"attack-{i}", source, stages))
-        )
+        source, stage = attack.session_spec(trace, load=load, seed=seed + i)
+        sessions.append(runtime.add_session(Session(f"attack-{i}", source, stage)))
     runtime.run()
     batch = SessionBatch(s.result for s in sessions)
     if attack.metrics.enabled:

@@ -54,13 +54,11 @@ class ServiceReport:
     """What the service sends back — results only, never raw traces.
 
     Satisfies the :class:`~repro.core.results.SessionResult` protocol
-    (``keys`` / ``text`` / ``stats`` / ``trace``).  ``inferred_text`` is
-    the pre-protocol name of :attr:`text`; it remains a real field for
-    one release, but new code should read ``text``.
+    (``keys`` / ``text`` / ``stats`` / ``trace``).
     """
 
     launch_detected_at: Optional[float]
-    inferred_text: str
+    text: str
     key_times: List[float] = field(default_factory=list)
     deletions_detected: int = 0
     model_key: str = ""
@@ -72,11 +70,6 @@ class ServiceReport:
     faults: Optional[faults_mod.FaultStats] = None
     degraded: bool = False
     manifest: Optional[RunManifest] = None
-
-    @property
-    def text(self) -> str:
-        """The inferred credential (canonical protocol accessor)."""
-        return self.inferred_text
 
     @property
     def reads_saved_vs_always_on(self) -> float:
@@ -153,13 +146,13 @@ class MonitoringService:
 
         def escalate(session: Session, event: LaunchEvent) -> None:
             """Idle watch → attack mode: swap the session's source and
-            stages; the rest of the slow poll is abandoned unread."""
+            stage; the rest of the slow poll is abandoned unread."""
             launch_info["event"] = event
             launch_info["idle_reads"] = watcher.reads_issued
             window = _window(trace, event.t, self.attack_window_s)
             # a fresh fd and clock: the attack samples the remaining window
-            source, stages = attack.session_spec(window, load=load, seed=seed + 1)
-            session.switch_mode(source, stages)
+            source, stage = attack.session_spec(window, load=load, seed=seed + 1)
+            session.switch_mode(source, stage)
 
         # the idle watch streams read-by-read (chunk=1) so the mode
         # switch lands exactly on the confirming poll
@@ -170,7 +163,7 @@ class MonitoringService:
         stage = LaunchWatchStage(detector, on_launch=escalate)
 
         runtime = SessionRuntime(trace=runtime_trace, metrics=self.metrics)
-        session = runtime.add_session(Session("service", source, [stage]))
+        session = runtime.add_session(Session("service", source, stage))
         runtime.run()
 
         # the idle watcher's tallies join the run-wide rollup (the attack
@@ -183,7 +176,7 @@ class MonitoringService:
         if launch is None:
             report = ServiceReport(
                 launch_detected_at=None,
-                inferred_text="",
+                text="",
                 idle_reads=watcher.reads_issued,
                 trace=runtime.trace,
                 faults=idle_injector.stats if idle_injector is not None else None,
@@ -205,7 +198,7 @@ class MonitoringService:
             faults = idle_injector.stats
         report = ServiceReport(
             launch_detected_at=launch.t,
-            inferred_text=attack_result.text,
+            text=attack_result.text,
             key_times=attack_result.online.key_times(),
             deletions_detected=attack_result.online.stats.deletions_detected,
             model_key=attack_result.model_key,

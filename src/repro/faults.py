@@ -218,7 +218,7 @@ PROFILES: Dict[str, FaultPlan] = {
 #: How the public ``fault_plan`` argument resolves: ``"auto"`` reads
 #: ``REPRO_FAULT_PROFILE``, a name selects a profile, ``None`` (or a plan
 #: that cannot inject) means no fault machinery at all.
-FAULT_SPEC = SpecType(FaultPlan, FAULT_PROFILE_ENV, FaultPlan.from_profile)
+FAULT_SPEC = SpecType(FaultPlan, FaultPlan.from_profile, env=FAULT_PROFILE_ENV)
 
 
 class FaultInjector(Interposer):

@@ -97,22 +97,21 @@ def build_chain(
     mitigation=None,
     drift=None,
     seed: int = 0,
-    drift_seed: Optional[int] = None,
     time_offset: float = 0.0,
 ) -> Tuple[Interposer, ...]:
     """The interposers for one fd, inner to outer: drift → policy → faults.
 
     Each resolved spec builds its runtime seeded from ``seed``; a spec
     that cannot act there builds nothing, so an all-``None`` call is the
-    empty chain and the undefended read path.  ``drift_seed`` and
-    ``time_offset`` let successive fds of one device continue one drift
-    trajectory (the lifecycle runner).
+    empty chain and the undefended read path.  ``time_offset`` lets
+    successive fds of one device, built with one ``seed``, continue one
+    drift trajectory (the lifecycle runner).
     """
     chain = []
     if drift is not None:
         chain.append(
             drift.injector(
-                seed_offset=seed if drift_seed is None else drift_seed,
+                seed_offset=seed,
                 time_offset=time_offset,
             )
         )

@@ -610,6 +610,10 @@ def nonzero_deltas_vectorized(
     return out
 
 
+#: Keystroke inferences per second the power model charges for.
+INFERENCES_PER_S = 0.5
+
+
 @dataclass(frozen=True)
 class PowerModel:
     """Analytic battery-overhead model for the attack service (Fig 26).
@@ -629,12 +633,11 @@ class PowerModel:
         elapsed_s: float,
         interval_s: float = DEFAULT_INTERVAL_S,
         gpu_sample_power_mw: float = 8.5,
-        inferences_per_s: float = 0.5,
     ) -> float:
         reads = elapsed_s / interval_s
         energy_mj = (
             reads * self.ioctl_energy_uj / 1000.0
-            + elapsed_s * inferences_per_s * self.inference_energy_uj / 1000.0
+            + elapsed_s * INFERENCES_PER_S * self.inference_energy_uj / 1000.0
         )
         energy_mwh = energy_mj / 3600.0
         standby_mwh = (self.wakeup_power_mw + gpu_sample_power_mw) * elapsed_s / 3600.0

@@ -39,10 +39,6 @@ from repro.core.model_store import ModelStore, VersionedModelStore
 from repro.obs import MetricsRegistry, resolve_registry
 from repro.registry import SpecType, spec_from_dict, spec_to_dict
 
-#: Environment variable selecting the default calibration profile;
-#: mirrors ``REPRO_FAULT_PROFILE`` / ``REPRO_DRIFT_PROFILE``.
-CALIBRATION_ENV = "REPRO_CALIBRATION"
-
 #: Ratio estimates are clipped into this band: a dimension whose
 #: centroid coordinate is ~0 carries no ratio information, and one
 #: corrupted read must not swing a centroid by orders of magnitude.
@@ -141,12 +137,10 @@ CALIBRATION_PROFILES: Dict[str, CalibrationPolicy] = {
 }
 
 
-#: How the public ``calibration`` argument resolves: ``"auto"`` reads
-#: ``REPRO_CALIBRATION``, a name selects a profile, ``None`` (or a policy
-#: that cannot re-fit, like ``"off"``) keeps models frozen.
-CALIBRATION_SPEC = SpecType(
-    CalibrationPolicy, CALIBRATION_ENV, CalibrationPolicy.from_profile
-)
+#: How the public ``calibration`` argument resolves: a name selects a
+#: profile, ``None`` (or a policy that cannot re-fit, like ``"off"``)
+#: keeps models frozen.
+CALIBRATION_SPEC = SpecType(CalibrationPolicy, CalibrationPolicy.from_profile)
 
 
 def estimate_refit(

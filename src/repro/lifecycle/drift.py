@@ -40,10 +40,6 @@ from repro.kgsl.device_file import SLOT_COLUMN
 from repro.kgsl.interpose import Interposer
 from repro.registry import SpecType, spec_from_dict, spec_to_dict
 
-#: Environment variable selecting the default drift profile; read by
-#: ``drift="auto"`` (:data:`DRIFT_SPEC`, mirrors ``REPRO_FAULT_PROFILE``).
-DRIFT_PROFILE_ENV = "REPRO_DRIFT_PROFILE"
-
 #: Thermal factor curve shapes.
 THERMAL_MODES = ("ramp", "step")
 
@@ -152,7 +148,7 @@ class DriftPlan:
         return DriftInjector(self, seed_offset=seed_offset, time_offset=time_offset)
 
 
-#: Named drift profiles (``REPRO_DRIFT_PROFILE`` selects one).
+#: Named drift profiles (``drift=<name>`` selects one).
 DRIFT_PROFILES: Dict[str, DriftPlan] = {
     "none": DriftPlan(profile="none"),
     # gentle throttle: accuracy dips but mostly survives
@@ -190,10 +186,9 @@ DRIFT_PROFILES: Dict[str, DriftPlan] = {
 }
 
 
-#: How the public ``drift`` argument resolves: ``"auto"`` reads
-#: ``REPRO_DRIFT_PROFILE``, a name selects a profile, ``None`` (or a plan
-#: that cannot drift) means no drift machinery at all.
-DRIFT_SPEC = SpecType(DriftPlan, DRIFT_PROFILE_ENV, DriftPlan.from_profile)
+#: How the public ``drift`` argument resolves: a name selects a profile,
+#: ``None`` (or a plan that cannot drift) means no drift machinery at all.
+DRIFT_SPEC = SpecType(DriftPlan, DriftPlan.from_profile)
 
 
 class DriftInjector(Interposer):

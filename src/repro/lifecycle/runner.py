@@ -43,6 +43,14 @@ from repro.lifecycle.drift import DRIFT_SPEC, DriftInjector, DriftPlan, DriftSta
 from repro.obs import MetricsRegistry, resolve_registry
 from repro.runtime.source import ATTACK_SOURCE_CHUNK, SamplerDeltaSource
 
+#: Stream-clock pause between two credential entries.
+SEGMENT_GAP_S = 0.4
+#: The one victim device the stream models; its calibration window and
+#: every re-fit's lineage are keyed by this id.
+DEVICE_ID = "device-0"
+#: Offline seed of the store trained when none is passed.
+TRAIN_SEED = 7
+
 
 @dataclass
 class SegmentReport:
@@ -110,18 +118,10 @@ def run_lifecycle(
     segments: int = 6,
     seed: int = 24,
     store: Optional[ModelStore] = None,
-    device_config=None,
-    target=None,
     drift: Union[DriftPlan, None, str] = "thermal-harsh",
     calibration: Union[CalibrationPolicy, None, str] = "default",
-    fault_plan=None,
-    speed_tier: Optional[str] = None,
-    interval_s: float = DEFAULT_INTERVAL_S,
-    segment_gap_s: float = 0.4,
-    device_id: str = "device-0",
     metrics: Optional[MetricsRegistry] = None,
     model_dir=None,
-    train_seed: int = 7,
 ) -> LifecycleReport:
     """Stream repeated credential entries through one engine under drift.
 
@@ -129,44 +129,36 @@ def run_lifecycle(
         credential: the text the victim types, once per segment.
         segments: how many entries the stream spans.
         seed: base RNG seed (segment ``i`` simulates with ``seed + i``).
-        store: preloaded model store; trained on the fly when ``None``.
-        device_config / target: victim configuration; default Pixel 5 /
-            Chase when omitted (and ``store`` is ``None``).
+        store: preloaded model store; trained on the fly for the default
+            configuration and Chase when ``None``.  The victim is always
+            the default configuration typing into Chase.
         drift: a :class:`DriftPlan`, a profile name, or ``None``.
         calibration: a :class:`CalibrationPolicy`, a profile name, or
             ``None`` to run the frozen-model control arm.
-        fault_plan: optional :class:`~repro.faults.FaultPlan` active
-            alongside the drift (the lifecycle-smoke CI arm runs both).
         model_dir: when set, every model generation — the offline
             original and each re-fit — lands in a
             :class:`VersionedModelStore` rooted there, with lineage.
     """
-    from repro import faults as faults_mod
+    from repro.android.apps import app
+    from repro.android.os_config import default_config
     from repro.core.pipeline import simulate_credential_entry, train_store
 
     if not credential:
         raise ValueError("run_lifecycle() needs a non-empty credential")
     if segments < 1:
         raise ValueError("segments must be >= 1")
-    if device_config is None:
-        from repro.android.os_config import default_config
-
-        device_config = default_config()
-    if target is None:
-        from repro.android.apps import app
-
-        target = app("chase")
+    device_config = default_config()
+    target = app("chase")
     if store is None:
-        store = train_store([(device_config, target)], seed=train_seed)
+        store = train_store([(device_config, target)], seed=TRAIN_SEED)
     metrics = resolve_registry(metrics)
     drift_plan = DRIFT_SPEC.resolve(drift)
     policy = CALIBRATION_SPEC.resolve(calibration)
-    resolved_faults = faults_mod.FAULT_SPEC.resolve(fault_plan)
 
     versioned: Optional[VersionedModelStore] = None
     if model_dir is not None:
         versioned = VersionedModelStore(model_dir)
-        versioned.save(store, lineage={"reason": "offline", "seed": train_seed})
+        versioned.save(store, lineage={"reason": "offline", "seed": TRAIN_SEED})
 
     service: Optional[CalibrationService] = None
     if policy is not None:
@@ -175,7 +167,7 @@ def run_lifecycle(
     model = store.get(store.keys()[0])
     engine = OnlineEngine(
         model,
-        interval_s=interval_s,
+        interval_s=DEFAULT_INTERVAL_S,
         detect_switches=True,
         # each segment re-enters the credential from an empty field; the
         # correction tracker would read every restart as mass deletion
@@ -196,25 +188,15 @@ def run_lifecycle(
     generation = 0  # model generations applied so far (swaps)
     for index in range(segments):
         trace = simulate_credential_entry(
-            device_config,
-            target,
-            credential,
-            seed=seed + index,
-            speed_tier=speed_tier,
+            device_config, target, credential, seed=seed + index
         )
         # one device: the drift trajectory keeps the run's seed and
-        # continues at the stream clock, while faults vary per segment
+        # continues at the stream clock
         sampler = open_sampler(
             trace,
-            interval_s,
+            DEFAULT_INTERVAL_S,
             np.random.default_rng(1000 + seed + index),
-            build_chain(
-                fault_plan=resolved_faults,
-                drift=drift_plan,
-                seed=seed + index,
-                drift_seed=seed,
-                time_offset=cursor,
-            ),
+            build_chain(drift=drift_plan, seed=seed, time_offset=cursor),
         )
         kgsl = sampler.device_file
         drift_injector = kgsl.interposer(DriftInjector)
@@ -257,9 +239,9 @@ def run_lifecycle(
         recalibrated = False
         if service is not None:
             evidence = engine.drain_evidence()
-            service.observe(device_id, seg_stats, evidence=evidence)
-            if service.should_recalibrate(device_id):
-                refit = service.recalibrate(device_id, engine.model)
+            service.observe(DEVICE_ID, seg_stats, evidence=evidence)
+            if service.should_recalibrate(DEVICE_ID):
+                refit = service.recalibrate(DEVICE_ID, engine.model)
                 if refit is not None:
                     engine.swap_model(refit)
                     generation += 1
@@ -287,7 +269,7 @@ def run_lifecycle(
                 model_version=segment_generation,
             )
         )
-        cursor += trace.end_time_s + segment_gap_s
+        cursor += trace.end_time_s + SEGMENT_GAP_S
 
     engine.finish()
     report.model_swaps = engine.model_swaps

@@ -51,11 +51,6 @@ from repro.kgsl.interpose import Interposer
 from repro.kgsl.ioctl import IoctlError
 from repro.registry import Registry, SpecType, spec_from_dict, spec_to_dict
 
-#: Environment variable naming the fleet-wide default policy, honored by
-#: ``AttackConfig(mitigation="auto")`` — the same precedence shape as
-#: ``REPRO_FAULT_PROFILE`` for fault plans.
-MITIGATION_ENV = "REPRO_MITIGATION"
-
 #: SELinux contexts normally allowed to touch global GPU counters.
 DEFAULT_PRIVILEGED_CONTEXTS = frozenset(
     {"system_server", "platform_app", "shell", "su", "graphics_profiler"}
@@ -391,7 +386,7 @@ class PolicyEnforcer(Interposer):
 MITIGATION_REGISTRY: Registry[MitigationPolicy] = Registry("mitigation")
 
 
-def register_mitigation(spec: MitigationPolicy, replace: bool = False) -> MitigationPolicy:
+def register_mitigation(spec: MitigationPolicy) -> MitigationPolicy:
     """Validate and register a mitigation policy.
 
     Validation exercises both runtime forms — the enforcer builds and
@@ -403,7 +398,7 @@ def register_mitigation(spec: MitigationPolicy, replace: bool = False) -> Mitiga
     if MitigationPolicy.from_dict(spec.to_dict()) != spec:
         raise ValueError(f"mitigation {spec.name!r} does not round-trip to_dict/from_dict")
     spec.enforcer(seed=0)  # must build (or legitimately be None)
-    return MITIGATION_REGISTRY.register(spec, tags=spec.tags, replace=replace)
+    return MITIGATION_REGISTRY.register(spec, tags=spec.tags)
 
 
 def mitigation(name: str) -> MitigationPolicy:
@@ -421,10 +416,10 @@ def mitigation_names() -> List[str]:
     return MITIGATION_REGISTRY.names()
 
 
-#: How the public ``mitigation`` argument resolves: ``"auto"`` reads
-#: ``REPRO_MITIGATION``, a name is a registry lookup, ``None`` (or a
-#: policy that does nothing, like ``allow-all``) is the undefended device.
-MITIGATION_SPEC = SpecType(MitigationPolicy, MITIGATION_ENV, mitigation)
+#: How the public ``mitigation`` argument resolves: a name is a registry
+#: lookup, ``None`` (or a policy that does nothing, like ``allow-all``) is
+#: the undefended device.
+MITIGATION_SPEC = SpecType(MitigationPolicy, mitigation)
 
 
 # -- builtin policies -----------------------------------------------------

@@ -180,10 +180,10 @@ class Histogram:
             self.max = float(other_max)  # type: ignore[arg-type]
 
 
-def new_latency_histogram(name: str = "latency_s", keep_samples: bool = True) -> Histogram:
-    """A standalone latency histogram (default buckets), detached from any
-    registry — the per-result accumulator type."""
-    return Histogram(name, DEFAULT_LATENCY_BUCKETS_S, keep_samples=keep_samples)
+def new_latency_histogram() -> Histogram:
+    """A standalone latency histogram (default buckets, samples kept),
+    detached from any registry — the per-result accumulator type."""
+    return Histogram("latency_s", DEFAULT_LATENCY_BUCKETS_S, keep_samples=True)
 
 
 class _NullInstrument:
@@ -253,22 +253,13 @@ class MetricsRegistry:
 
     # -- spans ----------------------------------------------------------
 
-    def span(
-        self,
-        name: str,
-        clock=None,
-        trace=None,
-        session: str = "",
-        stage: str = "obs",
-    ) -> Span:
+    def span(self, name: str, clock=None) -> Span:
         """A timed section.  ``clock`` is anything with a ``now`` attribute
         (virtual or device clock); ``None`` falls back to the process
         monotonic clock and therefore belongs only at run boundaries,
-        never in a hot path.  With ``trace`` given, completion is also
-        emitted into the shared :class:`RuntimeTrace` as a ``span``
-        event, which is how spans attach to the runtime's event log.
+        never in a hot path.
         """
-        return Span(self, name, clock=clock, trace=trace, session=session, stage=stage)
+        return Span(self, name, clock=clock)
 
     # Span internals (called from Span.__enter__/__exit__) --------------
 
@@ -362,7 +353,7 @@ class NullRegistry(MetricsRegistry):
     def histogram(self, name: str, buckets=DEFAULT_LATENCY_BUCKETS_S):  # type: ignore[override]
         return _NULL_INSTRUMENT
 
-    def span(self, name, clock=None, trace=None, session="", stage="obs"):
+    def span(self, name, clock=None):
         return NULL_SPAN
 
 

@@ -65,23 +65,12 @@ class Span:
     sessions on the runtime would violate.
     """
 
-    __slots__ = ("_registry", "name", "_clock", "_trace", "_session", "_stage", "_path", "_start")
+    __slots__ = ("_registry", "name", "_clock", "_path", "_start")
 
-    def __init__(
-        self,
-        registry,
-        name: str,
-        clock=None,
-        trace=None,
-        session: str = "",
-        stage: str = "obs",
-    ) -> None:
+    def __init__(self, registry, name: str, clock=None) -> None:
         self._registry = registry
         self.name = name
         self._clock = clock
-        self._trace = trace
-        self._session = session
-        self._stage = stage
         self._path: Optional[str] = None
         self._start = 0.0
 
@@ -95,18 +84,8 @@ class Span:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        end = self._now()
-        duration = max(0.0, end - self._start)
+        duration = max(0.0, self._now() - self._start)
         self._registry._span_exit(self._path, duration)
-        if self._trace is not None:
-            self._trace.emit(
-                end,
-                self._session,
-                self._stage,
-                "span",
-                name=self._path,
-                duration_s=duration,
-            )
 
 
 class _NullSpan:

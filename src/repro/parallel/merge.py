@@ -80,7 +80,7 @@ def merge_attack_outputs(
         cursors[index] += 1
         for event in events_of[index][e0:e1]:
             trace.replay(event)
-        if kind in ("event", "end_switch"):
+        if kind == "event":
             seq += 1
             heapq.heappush(heap, (t, seq, index))
         elif kind != "end":
@@ -91,9 +91,7 @@ def merge_attack_outputs(
     return results
 
 
-def synthesize_crashed_shard(
-    shard: int, indices: Iterable[int], seed: int, reason: str = "worker_crashed"
-) -> ShardOutput:
+def synthesize_crashed_shard(shard: int, indices: Iterable[int]) -> ShardOutput:
     """A stand-in output for a shard whose worker died.
 
     Every lost session becomes a degraded placeholder: a ``session_start``
@@ -114,7 +112,7 @@ def synthesize_crashed_shard(
         e0 = len(events)
         events.append(RuntimeEvent(0.0, sid, "runtime", "session_start"))
         start_end = len(events)
-        events.append(RuntimeEvent(0.0, sid, "runtime", "degraded", {"detail": reason}))
+        events.append(RuntimeEvent(0.0, sid, "runtime", "degraded", {"detail": "worker_crashed"}))
         events.append(RuntimeEvent(0.0, sid, "runtime", "session_end"))
         session_logs.append(
             SessionStepLog(

@@ -69,10 +69,6 @@ class ShardedRuntime:
         mp_context: ``"fork"`` / ``"spawn"`` / ``"forkserver"`` to force
             a start method, ``"inline"`` to run shards in-process, or
             ``None`` for the platform default.
-        fail_shards / fail_mode: deterministic failure injection for
-            tests — the listed shard ids fail in the given mode
-            (``"raise"``, ``"mid"``, or ``"exit"``; see
-            :mod:`repro.parallel.worker`).
     """
 
     def __init__(
@@ -82,13 +78,9 @@ class ShardedRuntime:
         workers: int = 2,
         metrics: Optional[MetricsRegistry] = None,
         mp_context: Optional[str] = None,
-        fail_shards: Sequence[int] = (),
-        fail_mode: str = "raise",
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if fail_mode not in ("raise", "mid", "exit"):
-            raise ValueError(f"unknown fail_mode {fail_mode!r}")
         if config is None:
             from repro.api import AttackConfig
 
@@ -97,8 +89,6 @@ class ShardedRuntime:
         self.workers = workers
         self.metrics = resolve_registry(metrics)
         self.mp_context = mp_context
-        self.fail_shards = frozenset(fail_shards)
-        self.fail_mode = fail_mode
         if isinstance(store, (str, Path)):
             self._store_path: Optional[str] = str(store)
             self._store_dict = None
@@ -111,7 +101,7 @@ class ShardedRuntime:
     def _payload(
         self, shard: int, indices: List[int], traces, seed: int
     ) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+        return {
             "shard": shard,
             "config": self.config.to_dict(),
             "store_path": self._store_path,
@@ -121,9 +111,6 @@ class ShardedRuntime:
             "seed": seed,
             "metrics": self.metrics.enabled,
         }
-        if shard in self.fail_shards:
-            payload["fail"] = self.fail_mode
-        return payload
 
     def _execute(self, payloads: List[Dict[str, object]]):
         """Run every shard payload; returns (outputs, crashed_payloads)."""
@@ -176,11 +163,7 @@ class ShardedRuntime:
         wall_start = time.perf_counter()
         outputs, crashed = self._execute(payloads)
         for payload in crashed:
-            outputs.append(
-                synthesize_crashed_shard(
-                    payload["shard"], payload["indices"], payload["seed"]
-                )
-            )
+            outputs.append(synthesize_crashed_shard(payload["shard"], payload["indices"]))
         if self.metrics.enabled:
             for output in sorted(outputs, key=lambda o: o.shard):
                 if output.snapshot is not None:

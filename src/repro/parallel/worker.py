@@ -23,17 +23,10 @@ the parent reattaches the merged trace), the shard's raw events, the
 per-session scheduler step logs the merge replays, and a metrics
 snapshot when instrumentation is on.
 
-Fault injection for tests rides in the payload's ``fail`` field
-(mirroring the :mod:`repro.faults` idiom of deterministic, declared
-failures): ``"raise"`` fails before any session runs, ``"mid"`` fails
-after the shard's work is done but before its output is returned (a
-worker dying mid-shard — the work is lost), and ``"exit"`` hard-kills
-the process, breaking the pool.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -48,7 +41,7 @@ class SessionStepLog:
     """One session's ordered scheduler decisions inside its shard.
 
     ``steps`` entries are ``(kind, t, e0, e1)``: the step kind
-    (``start`` / ``event`` / ``end_switch`` / ``end``), the session's
+    (``start`` / ``event`` / ``end``), the session's
     heap key after the step, and the half-open range of shard-trace
     event ordinals the step emitted.
     """
@@ -84,22 +77,10 @@ def _rebuild(payload: Dict[str, object]):
     return config, store, metrics
 
 
-def _inject_failure(payload: Dict[str, object], point: str) -> None:
-    if payload.get("fail") == "exit" and point == "pre":
-        os._exit(13)
-    if payload.get("fail") == "raise" and point == "pre":
-        raise RuntimeError(f"injected worker fault in shard {payload.get('shard')}")
-    if payload.get("fail") == "mid" and point == "post":
-        raise RuntimeError(
-            f"injected mid-shard worker fault in shard {payload.get('shard')}"
-        )
-
-
 def run_shard(payload: Dict[str, object]) -> ShardOutput:
     """Run one shard's sessions; the process-pool entry point."""
     import repro.api as api
 
-    _inject_failure(payload, "pre")
     config, store, metrics = _rebuild(payload)
     # same construction the serial facade uses, so a shard of one is the
     # serial pipeline
@@ -116,11 +97,11 @@ def run_shard(payload: Dict[str, object]) -> ShardOutput:
         # identical naming and seeding to the serial run_sessions path:
         # session i is always "attack-i" seeded seed+i, whichever shard
         # (or single process) it lands on
-        source, stages = attack.session_spec(
+        source, stage = attack.session_spec(
             victim, load=config.load, seed=seed + global_i
         )
         sessions.append(
-            runtime.add_session(Session(f"attack-{global_i}", source, stages))
+            runtime.add_session(Session(f"attack-{global_i}", source, stage))
         )
     runtime.run()
 
@@ -141,7 +122,7 @@ def run_shard(payload: Dict[str, object]) -> ShardOutput:
             result.online.trace = None
         results.append(result)
 
-    output = ShardOutput(
+    return ShardOutput(
         shard=int(payload.get("shard", 0)),  # type: ignore[arg-type]
         indices=indices,
         session_logs=[per_session[s.id] for s in sessions],
@@ -149,5 +130,3 @@ def run_shard(payload: Dict[str, object]) -> ShardOutput:
         results=results,
         snapshot=metrics.snapshot() if metrics is not None else None,
     )
-    _inject_failure(payload, "post")
-    return output

@@ -12,8 +12,8 @@ gives them one shared mechanism:
   raises, with a consistent message and a closest-match ("did you
   mean") suggestion;
 * :class:`SpecType` — the one resolver for public arguments that take
-  ``"auto"``, a name, a spec instance or ``None`` (fault plans,
-  mitigations, drift plans, calibration policies).
+  a name, a spec instance or ``None`` (fault plans, mitigations, drift
+  plans, calibration policies; fault plans also take ``"auto"``).
 
 Producers (``repro.android.keyboard``, ``repro.android.apps``,
 ``repro.android.os_config``, ``repro.scenarios``) instantiate one
@@ -73,34 +73,30 @@ class Registry(Generic[T]):
     """A name-keyed table of spec objects.
 
     Specs are expected to be frozen (hashable, equality-comparable)
-    dataclasses with a ``name`` attribute; an alternative key function
-    can be supplied.  Registration is strict: a second spec under an
-    existing name raises unless it is *equal* to the first (idempotent
-    re-import) or ``replace=True`` is passed.
+    dataclasses with a ``name`` attribute.  Registration is strict: a
+    second spec under an existing name raises unless it is *equal* to
+    the first (idempotent re-import).
     """
 
-    def __init__(self, kind: str, key: Callable[[T], str] = lambda s: s.name) -> None:
+    def __init__(self, kind: str) -> None:
         self.kind = kind
-        self._key = key
         self._specs: Dict[str, T] = {}
         self._tags: Dict[str, Tuple[str, ...]] = {}
 
     # -- registration ---------------------------------------------------
 
-    def register(
-        self, spec: T, tags: Tuple[str, ...] = (), replace: bool = False
-    ) -> T:
+    def register(self, spec: T, tags: Tuple[str, ...] = ()) -> T:
         """Add ``spec`` under its name; returns the registered spec."""
-        name = self._key(spec)
+        name = spec.name
         if not isinstance(name, str) or not name:
             raise ValueError(f"{self.kind} spec has no usable name: {spec!r}")
         existing = self._specs.get(name)
-        if existing is not None and not replace:
+        if existing is not None:
             if existing == spec:
                 return existing  # idempotent re-registration
             raise ValueError(
                 f"{self.kind} {name!r} is already registered with a "
-                f"different spec; pass replace=True to override"
+                f"different spec"
             )
         self._specs[name] = spec
         self._tags[name] = tuple(tags)
@@ -183,13 +179,14 @@ class SpecType:
     """How a frozen, serializable spec class is named in public arguments.
 
     ``cls`` provides ``enabled``, ``to_dict`` and ``from_dict``;
-    ``lookup`` maps a name to an instance; ``env`` names the environment
-    variable ``"auto"`` reads.
+    ``lookup`` maps a name to an instance; ``env``, when set, names the
+    environment variable ``"auto"`` reads (only the fault spec has one;
+    elsewhere ``"auto"`` is an unknown name like any other).
     """
 
     cls: type
-    env: str
     lookup: Callable[[str], object]
+    env: Optional[str] = None
 
     def resolve(self, value):
         """``"auto"`` → the name in ``env`` (unset or empty: ``None``);
@@ -197,7 +194,7 @@ class SpecType:
         ``None``.  A spec that cannot do anything resolves to ``None``,
         so callers treat "no spec" and "an all-off spec" alike."""
         if isinstance(value, str):
-            if value == "auto":
+            if value == "auto" and self.env is not None:
                 value = os.environ.get(self.env, "").strip().lower()
                 if not value:
                     return None
@@ -208,7 +205,7 @@ class SpecType:
 
     def validate(self, value) -> None:
         """Fail on a mistyped name now rather than mid-run."""
-        if isinstance(value, str) and value != "auto":
+        if isinstance(value, str) and not (value == "auto" and self.env is not None):
             self.lookup(value)
 
     def to_json(self, value):

@@ -34,8 +34,8 @@ class VirtualClock:
     ``VirtualClock`` can stand in for a ``DeviceClock``.
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        self.now = float(start)
+    def __init__(self) -> None:
+        self.now = 0.0
 
     def advance_to(self, t: float) -> None:
         if t > self.now:

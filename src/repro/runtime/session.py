@@ -4,7 +4,7 @@ The paper's online phase is a stream — the monitoring service reads
 counters every 8 ms and feeds nonzero deltas to Algorithm 1 as they
 appear.  :class:`SessionRuntime` is that loop, generalized: every victim
 session is a :class:`Session` (an :class:`~repro.runtime.source.EventSource`
-plus a chain of :class:`Stage` objects), and the runtime merges all
+plus the one :class:`Stage` that consumes it), and the runtime merges all
 sessions onto one :class:`~repro.runtime.clock.VirtualClock` timeline,
 always advancing the session whose stream is furthest behind.
 
@@ -15,7 +15,7 @@ last dispatched event time, which makes the global dispatch order
 near-sorted — exact within a session, off by at most one in-flight event
 across sessions, which is all independent victim devices need.
 
-A stage can replace its session's source and stage chain mid-stream via
+A stage can replace its session's source and stage mid-stream via
 :meth:`Session.switch_mode`; the swap is applied after the current
 dispatch completes.  This is how the monitoring service escalates from
 the 4 Hz idle watch to the 8 ms attack loop without a hand-rolled outer
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Callable, Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple
+from typing import Iterator, List, Optional, Protocol, Tuple
 
 from repro.obs import MetricsRegistry, resolve_registry
 from repro.runtime.clock import VirtualClock
@@ -35,39 +35,27 @@ from repro.runtime.trace import RuntimeTrace
 
 
 class Stage(Protocol):
-    """One processing step in a session's chain.
+    """The consumer of a session's event stream.
 
-    ``on_event`` receives each upstream event and may return events for
-    the next stage (or ``None`` to consume).  ``on_end`` is called once
-    when the session's source is exhausted; its emissions also flow
-    downstream before the later stages' own ``on_end``.
+    ``on_event`` receives each source event.  ``on_end`` is called once
+    when the session's source is exhausted; it publishes the session's
+    result and may not switch modes.
     """
 
     name: str
 
-    def on_event(
-        self, session: "Session", t: float, payload: object
-    ) -> Optional[Iterable[SourceEvent]]: ...
+    def on_event(self, session: "Session", t: float, payload: object) -> None: ...
 
-    def on_end(
-        self, session: "Session", t: float
-    ) -> Optional[Iterable[SourceEvent]]: ...
+    def on_end(self, session: "Session", t: float) -> None: ...
 
 
 class Session:
     """One victim session scheduled by the runtime."""
 
-    def __init__(
-        self,
-        session_id: str,
-        source: EventSource,
-        stages: Sequence[Stage],
-        on_finish: Optional[Callable[["Session"], None]] = None,
-    ) -> None:
+    def __init__(self, session_id: str, source: EventSource, stage: Stage) -> None:
         self.id = session_id
         self.source = source
-        self.stages: List[Stage] = list(stages)
-        self.on_finish = on_finish
+        self.stage = stage
         self.result: object = None
         self.finished = False
         self.last_t = float(getattr(source, "start_t", 0.0))
@@ -77,7 +65,7 @@ class Session:
         self.degraded_reasons: List[str] = []
         self.runtime: Optional["SessionRuntime"] = None
         self._iter: Optional[Iterator[SourceEvent]] = None
-        self._replacement: Optional[Tuple[EventSource, List[Stage]]] = None
+        self._replacement: Optional[Tuple[EventSource, Stage]] = None
 
     # -- stage-facing API ----------------------------------------------
 
@@ -99,13 +87,15 @@ class Session:
         self.degraded_reasons.append(reason)
         self.trace.emit(t, self.id, "runtime", "degraded", detail=reason)
 
-    def switch_mode(self, source: EventSource, stages: Sequence[Stage]) -> None:
-        """Replace this session's source and stage chain.
+    def switch_mode(self, source: EventSource, stage: Stage) -> None:
+        """Replace this session's source and stage.
 
         Takes effect after the current dispatch; the remainder of the old
-        source is abandoned unread (its sampler stops polling).
+        source is abandoned unread (its sampler stops polling).  Only
+        ``on_event`` may switch: a session whose source has ended has
+        nothing left to escalate.
         """
-        self._replacement = (source, list(stages))
+        self._replacement = (source, stage)
 
     # -- runtime-facing internals --------------------------------------
 
@@ -117,7 +107,7 @@ class Session:
     def _apply_switch(self) -> bool:
         if self._replacement is None:
             return False
-        self.source, self.stages = self._replacement
+        self.source, self.stage = self._replacement
         self._replacement = None
         self._iter = None
         self.mode_switches += 1
@@ -128,7 +118,7 @@ _END = object()
 
 #: One scheduler decision recorded in a step log:
 #: ``(kind, session_id, t, e0, e1)`` where ``kind`` is ``start`` /
-#: ``event`` / ``end_switch`` / ``end``, ``t`` is the session's heap key
+#: ``event`` / ``end``, ``t`` is the session's heap key
 #: after the step, and ``[e0, e1)`` is the half-open range of trace
 #: ordinals (:attr:`RuntimeTrace.emitted`) this step produced.
 StepRecord = Tuple[str, str, float, int, int]
@@ -147,12 +137,11 @@ class SessionRuntime:
 
     def __init__(
         self,
-        clock: Optional[VirtualClock] = None,
         trace: Optional[RuntimeTrace] = None,
         metrics: Optional[MetricsRegistry] = None,
         step_log: Optional[List[StepRecord]] = None,
     ) -> None:
-        self.clock = clock if clock is not None else VirtualClock()
+        self.clock = VirtualClock()
         self.trace = trace if trace is not None else RuntimeTrace()
         self.metrics = resolve_registry(metrics)
         self.sessions: List[Session] = []
@@ -165,12 +154,6 @@ class SessionRuntime:
         session.runtime = self
         self.sessions.append(session)
         return session
-
-    def session(self, session_id: str) -> Session:
-        for s in self.sessions:
-            if s.id == session_id:
-                return s
-        raise KeyError(session_id)
 
     # ------------------------------------------------------------------
 
@@ -202,23 +185,20 @@ class SessionRuntime:
             e0 = self.trace.emitted
             event = next(session._events(), _END)
             if event is _END:
-                self._end_session(session)
-                if session._apply_switch():
-                    # a stage escalated exactly at end-of-stream
-                    self.trace.emit(
-                        session.last_t, session.id, "runtime", "mode_switch"
+                session.stage.on_end(session, session.last_t)
+                if session._replacement is not None:
+                    raise RuntimeError(
+                        f"session {session.id!r}: switch_mode called from on_end"
                     )
-                    self._record("end_switch", session, session.last_t, e0)
-                    self._push(heap, session)
-                    continue
-                self._finish(session)
+                session.finished = True
+                self.trace.emit(session.last_t, session.id, "runtime", "session_end")
                 self._record("end", session, session.last_t, e0)
                 continue
             t, payload = event
             self.clock.advance_to(t)
             session.last_t = t
             session.events_dispatched += 1
-            self._dispatch(session, t, payload)
+            session.stage.on_event(session, t, payload)
             if session._apply_switch():
                 self.trace.emit(t, session.id, "runtime", "mode_switch")
             self._record("event", session, t, e0)
@@ -251,39 +231,3 @@ class SessionRuntime:
     def _push(self, heap: List[Tuple[float, int, Session]], session: Session) -> None:
         self._seq += 1
         heapq.heappush(heap, (session.last_t, self._seq, session))
-
-    def _dispatch(self, session: Session, t: float, payload: object) -> None:
-        items: List[SourceEvent] = [(t, payload)]
-        for stage in session.stages:
-            emitted: List[SourceEvent] = []
-            for item_t, item in items:
-                out = stage.on_event(session, item_t, item)
-                if out:
-                    emitted.extend(out)
-            items = emitted
-            if not items:
-                break
-
-    def _end_session(self, session: Session) -> None:
-        t = session.last_t
-        for i, stage in enumerate(session.stages):
-            out = stage.on_end(session, t)
-            if not out:
-                continue
-            # late emissions flow through the rest of the chain first
-            items = list(out)
-            for later in session.stages[i + 1 :]:
-                emitted: List[SourceEvent] = []
-                for item_t, item in items:
-                    nxt = later.on_event(session, item_t, item)
-                    if nxt:
-                        emitted.extend(nxt)
-                items = emitted
-                if not items:
-                    break
-
-    def _finish(self, session: Session) -> None:
-        session.finished = True
-        self.trace.emit(session.last_t, session.id, "runtime", "session_end")
-        if session.on_finish is not None:
-            session.on_finish(session)

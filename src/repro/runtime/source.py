@@ -39,7 +39,7 @@ from repro.kgsl.sampler import (
 )
 from repro.obs import MetricsRegistry, resolve_registry
 
-#: One timestamped payload flowing through a session's stage chain.
+#: One timestamped payload a session's source hands its stage.
 SourceEvent = Tuple[float, object]
 
 #: Reads pulled per step by the attack-phase source (and the offline
@@ -63,16 +63,15 @@ class SamplerDeltaSource:
         load: concurrent CPU/GPU load during the window.
         chunk: reads pulled and differenced per step; ``1`` yields each
             delta on the read that completes it.
-        gap_factor: a delta spanning more than ``gap_factor`` nominal
-            sampling intervals is flagged ``gap=True`` (reads between
-            its endpoints were dropped or deferred).
         metrics: optional :class:`repro.obs.MetricsRegistry`.  Emission
             and gap tallies are flushed once when the stream closes
             (also on abandonment by a mode switch); each extraction is
             additionally timed under a ``source.extract`` span.
     """
 
-    #: Default sample-spacing multiple beyond which a delta is a gap.
+    #: A delta spanning more than this many nominal sampling intervals
+    #: is flagged ``gap=True`` (reads between its endpoints were dropped
+    #: or deferred).
     GAP_FACTOR = 3.0
 
     def __init__(
@@ -82,19 +81,15 @@ class SamplerDeltaSource:
         t1: float,
         load: SystemLoad = IDLE,
         chunk: int = 1,
-        gap_factor: float = GAP_FACTOR,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if chunk < 1:
             raise ValueError("chunk must be >= 1")
-        if gap_factor <= 1.0:
-            raise ValueError("gap_factor must exceed 1")
         self.sampler = sampler
         self.t0 = t0
         self.t1 = t1
         self.load = load
         self.chunk = chunk
-        self.gap_factor = gap_factor
         self.metrics = resolve_registry(metrics)
         self.deltas_emitted = 0
         self.gaps_detected = 0
@@ -118,7 +113,7 @@ class SamplerDeltaSource:
             self.t0, self.t1, load=self.load, chunk=self.chunk
         )
         prev: Optional[ReadBatch] = None
-        limit = self.gap_factor * self.sampler.interval_s
+        limit = self.GAP_FACTOR * self.sampler.interval_s
         try:
             for batch in batches:
                 # the span brackets only the extraction call — it must not

@@ -80,13 +80,10 @@ class RuntimeTrace:
 
     # ------------------------------------------------------------------
 
-    def count(self, kind: Optional[str] = None, stage: Optional[str] = None) -> int:
-        """Exact tally over the whole run (ring truncation never applies)."""
-        return sum(
-            n
-            for (s, k), n in self.counters.items()
-            if (stage is None or s == stage) and (kind is None or k == kind)
-        )
+    def count(self, kind: Optional[str] = None) -> int:
+        """Exact tally of ``kind`` events over the whole run, every stage
+        summed (ring truncation never applies); ``None`` counts all."""
+        return sum(n for (_, k), n in self.counters.items() if kind is None or k == kind)
 
     def summary(self) -> Dict[str, int]:
         """Flat ``stage.kind -> count`` mapping, sorted for stable output."""

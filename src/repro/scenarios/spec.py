@@ -114,11 +114,11 @@ class Scenario:
 
         return DeviceConfig(phone=self.phone_spec(), keyboard=self.keyboard_spec())
 
-    def fault_plan(self, seed: int = 0):
+    def fault_plan(self):
         """The scenario's default :class:`~repro.faults.FaultPlan`."""
         from repro.faults import FaultPlan
 
-        return FaultPlan.from_profile(self.fault_profile, seed=seed)
+        return FaultPlan.from_profile(self.fault_profile)
 
     def credential_pool(self) -> str:
         """Characters credentials draw from: the explicit charset, or
@@ -169,7 +169,7 @@ class Scenario:
 SCENARIO_REGISTRY: Registry[Scenario] = Registry("scenario")
 
 
-def register_scenario(spec: Scenario, replace: bool = False) -> Scenario:
+def register_scenario(spec: Scenario) -> Scenario:
     """Validate and register a scenario.
 
     Validation resolves every axis through its registry (so a typo'd
@@ -197,7 +197,7 @@ def register_scenario(spec: Scenario, replace: bool = False) -> Scenario:
                 f"scenario {spec.name!r}: charset characters {missing!r} "
                 f"have no key on keyboard {spec.keyboard!r}"
             )
-    return SCENARIO_REGISTRY.register(spec, tags=spec.tags, replace=replace)
+    return SCENARIO_REGISTRY.register(spec, tags=spec.tags)
 
 
 def scenario(name: str) -> Scenario:
@@ -235,10 +235,8 @@ def discover() -> List[str]:
         if module:
             importlib.import_module(module)
             imported.append(module)
-    try:
-        from importlib.metadata import entry_points
-    except ImportError:  # pragma: no cover - py<3.8 fallback, not shipped
-        return imported
+    from importlib.metadata import entry_points
+
     try:
         eps = entry_points(group=ENTRY_POINT_GROUP)  # py3.10+
     except TypeError:  # pragma: no cover - py3.9 API

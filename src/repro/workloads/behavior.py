@@ -31,6 +31,14 @@ from repro.android.events import (
 from repro.workloads.credentials import PASSWORD_POOL, random_credential
 from repro.workloads.typing_model import TypingModel
 
+#: Section 8 volunteer behaviour: mean rates of app switches, notification
+#: shade views and background notifications, and the chance of a typo
+#: (corrected by backspace) per credential character.
+SWITCH_RATE_HZ = 1.0 / 25.0
+SHADE_RATE_HZ = 1.0 / 45.0
+NOTIFICATION_RATE_HZ = 1.0 / 30.0
+PRACTICAL_TYPO_PROB = 0.07
+
 
 def typing_events(
     text: str,
@@ -51,20 +59,19 @@ def typing_with_corrections(
     text: str,
     typing: TypingModel,
     rng: np.random.Generator,
-    start_s: float = 0.5,
     typo_prob: float = 0.08,
-    pool: str = PASSWORD_POOL,
 ) -> Tuple[List[UserEvent], str]:
-    """Entry of ``text`` with occasional typos corrected by backspace.
+    """Entry of ``text``, from t = 0.5 s, with occasional typos from the
+    password pool corrected by backspace.
 
     Returns the event list and the final text (== ``text``: every typo is
     corrected).  Mirrors Section 5.3's input-correction behaviour.
     """
     events: List[UserEvent] = []
-    t = start_s
+    t = 0.5
     for char in text:
         if rng.random() < typo_prob:
-            wrong = pool[int(rng.integers(len(pool)))]
+            wrong = PASSWORD_POOL[int(rng.integers(len(PASSWORD_POOL)))]
             duration = typing.profiles[0].sample_duration(rng)
             events.append(KeyPress(t=t, char=wrong, duration=duration))
             t += max(0.35, float(rng.normal(0.5, 0.1)))  # noticing the typo
@@ -94,21 +101,16 @@ def practical_session(
     typing: TypingModel,
     volunteer_index: int = 0,
     duration_s: float = 180.0,
-    credential: Optional[str] = None,
-    switch_rate_hz: float = 1.0 / 25.0,
-    shade_rate_hz: float = 1.0 / 45.0,
-    typo_prob: float = 0.07,
-    notification_rate_hz: float = 1.0 / 30.0,
 ) -> PracticalSession:
     """One 3-minute practical session (Section 8).
 
-    The volunteer types a credential in the target app, occasionally makes
-    corrections, randomly switches to other apps and comes back, views the
-    notification bar, and receives background notifications.
+    The volunteer types a random credential in the target app,
+    occasionally makes corrections, randomly switches to other apps and
+    comes back, views the notification bar, and receives background
+    notifications.
     """
     profile = typing.profiles[volunteer_index % len(typing.profiles)]
-    if credential is None:
-        credential = random_credential(rng)
+    credential = random_credential(rng)
 
     events: List[UserEvent] = []
     session = PracticalSession(
@@ -125,7 +127,7 @@ def practical_session(
 
     while index < len(credential) and t < duration_s - 8.0:
         roll = rng.random()
-        if roll < switch_rate_hz * 4.0 and away_until is None and index > 0:
+        if roll < SWITCH_RATE_HZ * 4.0 and away_until is None and index > 0:
             # wander off to another app for a while, then come back
             events.append(AppSwitchAway(t=t))
             away = float(rng.uniform(3.0, 12.0))
@@ -133,14 +135,14 @@ def practical_session(
             session.switches += 1
             t += away + 1.2
             continue
-        if roll < (switch_rate_hz + shade_rate_hz) * 4.0:
+        if roll < (SWITCH_RATE_HZ + SHADE_RATE_HZ) * 4.0:
             events.append(ViewNotificationShade(t=t))
             session.shade_views += 1
             t += float(rng.uniform(1.5, 3.0))
             continue
 
         char = credential[index]
-        if rng.random() < typo_prob:
+        if rng.random() < PRACTICAL_TYPO_PROB:
             wrong = PASSWORD_POOL[int(rng.integers(len(PASSWORD_POOL)))]
             events.append(KeyPress(t=t, char=wrong, duration=profile.sample_duration(rng)))
             t += max(0.35, float(rng.normal(0.55, 0.12)))
@@ -159,10 +161,10 @@ def practical_session(
         session.switches += 1
 
     # background notifications arrive throughout
-    notif_t = float(rng.exponential(1.0 / notification_rate_hz))
+    notif_t = float(rng.exponential(1.0 / NOTIFICATION_RATE_HZ))
     while notif_t < duration_s:
         events.append(NotificationArrival(t=notif_t))
-        notif_t += float(rng.exponential(1.0 / notification_rate_hz))
+        notif_t += float(rng.exponential(1.0 / NOTIFICATION_RATE_HZ))
 
     session.credential = "".join(final_chars)
     return session

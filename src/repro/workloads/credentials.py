@@ -59,10 +59,9 @@ def credential_batch(
     rng: np.random.Generator,
     count: int,
     length: Optional[int] = None,
-    pool: str = PASSWORD_POOL,
 ) -> List[str]:
     """``count`` random credentials, as in '300 random texts per length'."""
-    return [random_credential(rng, length=length, pool=pool) for _ in range(count)]
+    return [random_credential(rng, length=length) for _ in range(count)]
 
 
 def character_group(char: str) -> str:
@@ -84,8 +83,9 @@ def balanced_character_stream(rng: np.random.Generator, repeats: int) -> List[st
     return [chars[i] for i in order]
 
 
-def pool_for_keyboard(spec, display=None) -> str:
-    """Every PASSWORD_POOL character with a key on ``spec``'s layout.
+def pool_for_keyboard(spec) -> str:
+    """Every PASSWORD_POOL character with a key on ``spec``'s layout
+    (on the default display).
 
     This is the scenario-resolved replacement for assuming the global
     Fig 18 pool: a qwerty keyboard returns the full pool, the PIN pad
@@ -95,7 +95,7 @@ def pool_for_keyboard(spec, display=None) -> str:
     from repro.android.display import Display
     from repro.android.keyboard import keyboard_layout
 
-    layout = keyboard_layout(spec, display if display is not None else Display())
+    layout = keyboard_layout(spec, Display())
     return "".join(c for c in PASSWORD_POOL if layout.has_key(c))
 
 

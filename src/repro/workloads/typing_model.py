@@ -14,7 +14,7 @@ speed-tier split by resampling the pooled intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -80,21 +80,14 @@ class TypingModel:
     (Section 7: "To mimic real human inputs ...").
     """
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        profiles: Sequence[VolunteerProfile] = VOLUNTEERS,
-    ) -> None:
-        if not profiles:
-            raise ValueError("need at least one volunteer profile")
+    def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
-        self.profiles = list(profiles)
+        self.profiles = list(VOLUNTEERS)
 
     def timings(
         self,
         n_keys: int,
         start_s: float = 0.0,
-        profile: Optional[VolunteerProfile] = None,
         interval_range: Optional[Tuple[float, float]] = None,
     ) -> List[KeyTiming]:
         """Timing for ``n_keys`` presses.
@@ -102,14 +95,13 @@ class TypingModel:
         Args:
             n_keys: number of key presses.
             start_s: time of the first press.
-            profile: fix one volunteer; default draws one at random per
-                string, like the paper's per-trace emulation.
             interval_range: optional (lo, hi) clamp used to emulate a
                 speed tier (Section 7.2).
         """
         if n_keys <= 0:
             return []
-        chosen = profile if profile is not None else self.profiles[self.rng.integers(len(self.profiles))]
+        # one volunteer per string, like the paper's per-trace emulation
+        chosen = self.profiles[self.rng.integers(len(self.profiles))]
         timings: List[KeyTiming] = []
         t = start_s
         for i in range(n_keys):

@@ -8,6 +8,7 @@ export list in which every name has a consumer.
 
 import ast
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -161,6 +162,187 @@ def unreferenced_definitions(root):
     return out
 
 
+#: Defaulted parameters that no non-test code passes, each with the
+#: consumer or test that needs it to stay an option.
+ALLOWED_OPTIONS = {
+    "repro.api:simulate(speed_tier)": "facade parameter, documented in docs/api.md",
+    "repro.api:attack(model_key)": "facade parameter, documented in docs/api.md",
+    "repro.api:attack(runtime_trace)": "facade parameter, documented in docs/api.md",
+    "repro.api:monitor(watch_model_key)": "facade parameter, documented in docs/api.md",
+    "repro.api:monitor(runtime_trace)": "facade parameter, documented in docs/api.md",
+    "repro.api:monitor(metrics)": "facade parameter, documented in docs/api.md",
+    "repro.api:run_fleet(device_threads)": "facade parameter, documented in docs/api.md",
+    "repro.parallel.sharded:ShardedRuntime.__init__(mp_context)": (
+        "test seam: 'inline' runs the shards in-process, so tests substitute "
+        "a failing run_shard without a process pool"
+    ),
+    "repro.collector.client:CollectorClient.__init__(sleep)": (
+        "test seam: a no-op sleeper makes retry backoff schedules instantaneous"
+    ),
+}
+
+#: The only environment variables ``src/repro`` may read: the CI fault
+#: matrix's profile and the scenario plugin path.
+ENVIRONMENT = {"REPRO_FAULT_PROFILE", "REPRO_SCENARIO_MODULES"}
+
+
+def doctest_source(text):
+    """The code of every ``>>>``/``...`` line in a text, dedented."""
+    return "\n".join(
+        match.group(1) for match in re.finditer(r"^\s*(?:>>>|\.\.\.) ?(.*)$", text, flags=re.M)
+    )
+
+
+def callables(body, prefix=""):
+    """``(qualname, node, is_method)`` of every function and method in a
+    module body, nested classes included (not functions nested in
+    functions)."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node, bool(prefix)
+        elif isinstance(node, ast.ClassDef):
+            yield from callables(node.body, f"{prefix}{node.name}.")
+
+
+def defaulted_parameters(node, is_method):
+    """``(name, index)`` of each parameter with a default: ``index`` is
+    its position in a call (``self``/``cls`` not counted), ``None`` for
+    keyword-only parameters."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    static = any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+    )
+    bound = 1 if is_method and not static else 0
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, i - bound
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def option_setters(sources):
+    """Per callee name: the keywords some call passes, the most
+    positional arguments one passes, the first index a ``*args`` covers
+    and whether a ``**kwargs`` passes anything.  ``import … as``
+    aliases resolve to the imported name."""
+    setters = {}
+    for text in sources:
+        tree = ast.parse(text)
+        aliases = {
+            alias.asname: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.asname
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                name = aliases.get(node.func.id, node.func.id)
+            elif isinstance(node.func, ast.Attribute):
+                name = node.func.attr
+            else:
+                continue
+            entry = setters.setdefault(name, {"keywords": set(), "positional": 0,
+                                              "star": math.inf, "double_star": False})
+            for i, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    entry["star"] = min(entry["star"], i)
+                    break
+                entry["positional"] = max(entry["positional"], i + 1)
+            for keyword in node.keywords:
+                if keyword.arg is None:
+                    entry["double_star"] = True
+                else:
+                    entry["keywords"].add(keyword.arg)
+    return setters
+
+
+def unset_options(root):
+    """``module:Qual.name(param)`` of each defaulted parameter of a
+    ``src/repro`` function or method that no call in non-test code (or in
+    the doctests of docs/api.md and the package docstring) passes, by
+    keyword, by position or through ``*args``/``**kwargs``.  Calls match
+    by callee name; an ``__init__`` is called by its class name."""
+    sources = [
+        path.read_text()
+        for folder in NON_TEST_FOLDERS
+        for path in (root / folder).rglob("*.py")
+    ] + [
+        doctest_source((root / "docs" / "api.md").read_text()),
+        doctest_source((root / "src" / "repro" / "__init__.py").read_text()),
+    ]
+    setters = option_setters(sources)
+    src = root / "src"
+    out = set()
+    for path in (src / "repro").rglob("*.py"):
+        parts = path.relative_to(src).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        for qualname, node, is_method in callables(ast.parse(path.read_text()).body):
+            callee = qualname.split(".")[-2] if node.name == "__init__" else node.name
+            entry = setters.get(callee)
+            for param, index in defaulted_parameters(node, is_method):
+                if entry is not None and (
+                    param in entry["keywords"]
+                    or entry["double_star"]
+                    or (index is not None and not entry["positional"] <= index < entry["star"])
+                ):
+                    continue
+                out.add(f"{module}:{qualname}({param})")
+    return out
+
+
+def environment_reads(root):
+    """Names of the environment variables ``src/repro`` reads through
+    ``os.environ`` or ``os.getenv``.  A key that is a module constant
+    resolves to its value; an attribute key resolves to every value some
+    call passes for a keyword of that name; anything else reads as
+    ``<unresolved>``."""
+    trees = [ast.parse(p.read_text()) for p in (root / "src" / "repro").rglob("*.py")]
+    constants, keyword_values, keys = {}, {}, []
+
+    def is_environ(node):
+        return isinstance(node, ast.Attribute) and node.attr == "environ"
+
+    for tree in trees:
+        for node in tree.body:
+            if (
+                isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, str)
+            ):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        constants[target.id] = node.value.value
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                for keyword in node.keywords:
+                    keyword_values.setdefault(keyword.arg, []).append(keyword.value)
+                func = node.func
+                if isinstance(func, ast.Attribute) and (
+                    (func.attr == "get" and is_environ(func.value)) or func.attr == "getenv"
+                ):
+                    keys.append(node.args[0])
+            elif isinstance(node, ast.Subscript) and is_environ(node.value):
+                keys.append(node.slice)
+            elif isinstance(node, ast.Compare) and any(map(is_environ, node.comparators)):
+                keys.append(node.left)
+
+    def resolve(key):
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            return {key.value}
+        if isinstance(key, ast.Name) and key.id in constants:
+            return {constants[key.id]}
+        if isinstance(key, ast.Attribute) and key.attr in keyword_values:
+            return set().union(*map(resolve, keyword_values[key.attr]))
+        return {"<unresolved>"}
+
+    return set().union(*map(resolve, keys))
+
+
 CREDENTIAL = "secretpw1"
 
 
@@ -224,6 +406,27 @@ class TestAttackConfig:
         assert AttackConfig().resolved_fault_plan() is None
         plan = AttackConfig(fault_plan="harsh").resolved_fault_plan()
         assert plan is not None and plan.profile == "harsh"
+
+    def test_only_the_fault_profile_reads_the_environment(
+        self, chase_store, trace, monkeypatch
+    ):
+        # the mitigation, drift and calibration defaults are None: setting
+        # the variables an earlier release read changes nothing, and
+        # "auto" is no name for those fields
+        monkeypatch.delenv(FAULT_PROFILE_ENV, raising=False)
+        plain = AttackConfig(recognize_device=False)
+        unset = attack(chase_store, trace, seed=77, config=plain)
+        monkeypatch.setenv("REPRO_MITIGATION", "rbac")
+        monkeypatch.setenv("REPRO_DRIFT_PROFILE", "thermal-harsh")
+        monkeypatch.setenv("REPRO_CALIBRATION", "eager")
+        cfg = AttackConfig(recognize_device=False)
+        assert cfg.resolved_mitigation() is None
+        assert cfg.resolved_drift_plan() is None
+        assert cfg.resolved_calibration() is None
+        assert attack(chase_store, trace, seed=77, config=cfg).keys == unset.keys
+        for field in ("mitigation", "drift", "calibration"):
+            with pytest.raises((KeyError, ValueError)):
+                AttackConfig(**{field: "auto"})
 
 
 class TestFacade:
@@ -302,7 +505,6 @@ class TestResultProtocol:
     def test_service_report_satisfies_protocol(self, chase_store, config):
         report = monitor(chase_store, launch_session(config), seed=77)
         assert isinstance(report, SessionResult)
-        assert report.text == report.inferred_text
 
 
 class TestConsumersUseOnlyTheFacade:
@@ -386,3 +588,16 @@ class TestConsumersUseOnlyTheFacade:
         unreferenced = unreferenced_definitions(REPO_ROOT)
         assert sorted(unreferenced - ALLOWED.keys()) == [], "no non-test caller"
         assert sorted(ALLOWED.keys() - unreferenced) == [], "stale ALLOWED entry"
+
+    def test_every_option_has_a_non_test_setter(self):
+        # keep-rule: a defaulted parameter is an option only if production,
+        # the bench, the benchmarks, the examples, the tools or the doctests
+        # pass it; a value only tests change is a module or class constant
+        # they monkeypatch.  Matching by callee name can keep an option
+        # that a same-named call passes, but it never drops a used one.
+        unset = unset_options(REPO_ROOT)
+        assert sorted(unset - ALLOWED_OPTIONS.keys()) == [], "no non-test setter"
+        assert sorted(ALLOWED_OPTIONS.keys() - unset) == [], "stale ALLOWED_OPTIONS entry"
+        assert sorted(environment_reads(REPO_ROOT) - ENVIRONMENT) == [], (
+            "src/repro reads an environment variable nothing sets"
+        )

@@ -54,7 +54,7 @@ class TestBurstDetection:
         assert d.bursts_seen == 2
 
     def test_short_run_is_not_a_burst(self):
-        d = AppSwitchDetector(big_threshold=1000, min_burst_length=3)
+        d = AppSwitchDetector(big_threshold=1000)
         d.observe(delta(1.000, 5000), NOISE)
         d.observe(delta(1.016, 5000), NOISE)
         obs = d.observe(delta(2.0, 10), NOISE)

@@ -104,7 +104,7 @@ class TestRandomForest:
         needs two threshold cuts; the tree finds both modes."""
         xs = np.array([0.0, 10.0] * 20 + [5.0] * 20)[:, None]
         y = ["a"] * 40 + ["b"] * 20
-        tree = DecisionTree(max_depth=4, max_features=1, rng=np.random.default_rng(0))
+        tree = DecisionTree(max_depth=4, rng=np.random.default_rng(0))
         tree.fit(xs, y)
         assert tree.predict(np.array([[5.0]])) == ["b"]
         assert tree.predict(np.array([[0.0]])) == ["a"]

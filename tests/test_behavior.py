@@ -95,8 +95,9 @@ class TestPracticalSession:
         ordered = sort_events(session.events)  # must not raise
         assert ordered
 
-    def test_credential_matches_typed_keys(self, rng):
-        session = practical_session(rng, TypingModel(rng), duration_s=120.0, typo_prob=0.0)
+    def test_credential_matches_typed_keys(self, rng, monkeypatch):
+        monkeypatch.setattr("repro.workloads.behavior.PRACTICAL_TYPO_PROB", 0.0)
+        session = practical_session(rng, TypingModel(rng), duration_s=120.0)
         presses = [e for e in session.events if isinstance(e, KeyPress)]
         assert "".join(e.char for e in presses) == session.credential
 

@@ -101,7 +101,7 @@ class TestBuildModel:
             "key:a": [vec(d0=10), vec(d0=30)],  # radius 10 around median 20
             "key:b": [vec(d0=1000)],
         }
-        model = build_model(samples, cth_margin=2.0)
+        model = build_model(samples)
         # every training sample must classify back to its own class
         for label, vectors in samples.items():
             for v in vectors:

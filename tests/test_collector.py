@@ -907,6 +907,45 @@ class TestBatchedPipeline:
                 endpoint, "device-0000", config=cfg, sleep=NO_SLEEP
             ).send_results(payloads_for("device-0000", 3))
 
+    @staticmethod
+    def counted_payloads(n):
+        # 11 counter deltas each: the frame body of one result is 137
+        # bytes, of a batch of two 287, of a batch of eight 1133
+        return [
+            SessionResultPayload("device-0000", i, "pw", 2, deltas=tuple(range(11)))
+            for i in range(n)
+        ]
+
+    def test_burst_over_the_frame_cap_fails_at_once(self):
+        """The client encodes under the configured cap: a burst too big
+        for one frame cannot fit on any resend, so it fails with nothing
+        sent and no retry, instead of resending until the budget is gone."""
+        cfg = fast_cfg(max_frame_bytes=300, pipeline_depth=8)
+        sleeps = []
+        with CollectorHandle(cfg) as handle:
+            client = CollectorClient(
+                handle.endpoint, "device-0000", config=cfg, sleep=sleeps.append
+            )
+            with client, pytest.raises(CollectorClientError, match="do not fit one frame"):
+                client.send_results(self.counted_payloads(8))
+        assert client.stats.retries == 0
+        assert client.stats.frames_sent == 0
+        assert sleeps == []
+        assert handle.server.results == []
+        assert handle.server.registry.counter("collector.sessions_ingested").value == 0
+
+    def test_burst_within_the_frame_cap_delivers(self):
+        cfg = fast_cfg(max_frame_bytes=300, pipeline_depth=2)
+        with CollectorHandle(cfg) as handle:
+            with CollectorClient(
+                handle.endpoint, "device-0000", config=cfg, sleep=NO_SLEEP
+            ) as client:
+                acked = client.send_results(self.counted_payloads(8))
+        assert acked == 8
+        assert client.stats.retries == 0
+        assert len(handle.server.results) == 8
+        assert handle.server.registry.counter("collector.batch_frames").value == 4
+
     def test_admit_batch_overlap_admits_only_unseen_members(self):
         """A resent batch overlapping an admitted one contributes only its
         unseen members — per-member dedup, one queue item, one record."""

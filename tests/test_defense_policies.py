@@ -37,7 +37,7 @@ from repro.api import (
 from repro.core.service import MonitoringService
 from repro.kgsl.device_file import DeviceClock, open_kgsl
 from repro.kgsl.sampler import PerfCounterSampler
-from repro.mitigations.policy import MITIGATION_ENV, PolicyEnforcer
+from repro.mitigations.policy import PolicyEnforcer
 from repro.scenarios import scenario
 
 UNTRUSTED = ProcessContext()  # default context is an untrusted app
@@ -282,17 +282,15 @@ class TestEaccesPropagation:
 
 
 class TestConfigThreading:
-    def test_default_auto_resolves_to_none(self, monkeypatch):
-        monkeypatch.delenv(MITIGATION_ENV, raising=False)
+    def test_default_auto_resolves_to_none(self):
+        # the default is the undefended pipeline
+        assert AttackConfig().mitigation is None
         assert AttackConfig().resolved_mitigation() is None
 
-    def test_auto_honors_environment(self, monkeypatch):
-        monkeypatch.setenv(MITIGATION_ENV, "rbac")
-        assert AttackConfig().resolved_mitigation().name == "rbac"
-
     def test_explicit_none_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(MITIGATION_ENV, "rbac")
+        monkeypatch.setenv("REPRO_MITIGATION", "rbac")
         assert AttackConfig(mitigation=None).resolved_mitigation() is None
+        assert AttackConfig().resolved_mitigation() is None
 
     def test_typo_fails_at_construction(self):
         with pytest.raises(UnknownNameError):

@@ -64,7 +64,7 @@ class TestPerKeySweep:
 class TestPracticalSessions:
     def test_reports_per_volunteer(self, config):
         reports = run_practical_sessions(
-            config, app("chase"), volunteers=2, repeats=1, duration_s=60.0, seed=61
+            config, app("chase"), volunteers=2, repeats=1, duration_s=60.0
         )
         assert set(reports) == {"volunteer1", "volunteer2"}
         for report in reports.values():

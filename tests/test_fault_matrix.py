@@ -12,7 +12,7 @@ both the cases they must survive and the documented failure modes.
 import numpy as np
 import pytest
 
-from repro.core.appswitch import AppSwitchDetector, BURST_GAP_S
+from repro.core.appswitch import BURST_COOLDOWN_S, BURST_GAP_S, AppSwitchDetector
 from repro.core.classifier import Classification
 from repro.core.corrections import CorrectionTracker
 from repro.gpu import counters as pc
@@ -130,7 +130,7 @@ class TestAppSwitchDetectorUnderDrops:
         """Losing all but min_burst_length-1 frames hides the burst —
         the detector stays in-target.  This is the degradation mode the
         engine reports via the session's degraded flag, not a crash."""
-        detector = AppSwitchDetector(big_threshold=1000, min_burst_length=3)
+        detector = AppSwitchDetector(big_threshold=1000)
         detector.observe(delta(1.000, 10_000_000), NOISE)
         detector.observe(delta(1.016, 10_000_000), NOISE)
         detector.observe(delta(2.0, 10), NOISE)
@@ -167,7 +167,7 @@ class TestAppSwitchDetectorUnderJitter:
         detector = AppSwitchDetector(big_threshold=1000)
         for t in burst_times(1.0, frames=4):
             detector.observe(delta(t, 10_000_000), NOISE)
-        stalled = 1.0 + 3 * 0.016 + detector.cooldown_s + 0.05
+        stalled = 1.0 + 3 * 0.016 + BURST_COOLDOWN_S + 0.05
         for t in burst_times(stalled, frames=4):
             detector.observe(delta(t, 10_000_000), NOISE)
         detector.observe(delta(stalled + 1.0, 10), NOISE)

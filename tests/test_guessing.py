@@ -51,16 +51,18 @@ class TestEnumeration:
         guesses = generator.guesses(result, max_candidates=30)
         assert len(guesses) == len(set(guesses))
 
-    def test_uncertain_positions_vary_first(self, model):
-        generator = CandidateGenerator(model, alternatives=3)
+    def test_uncertain_positions_vary_first(self, model, monkeypatch):
+        monkeypatch.setattr(CandidateGenerator, "ALTERNATIVES", 3)
+        generator = CandidateGenerator(model)
         # position 0 confident, position 1 very uncertain
         result = result_with([("a", 0.01), ("a", 1.9)])
         guesses = generator.guesses(result, max_candidates=4)
         # the second position should be the first to flip to its rival 'b'
         assert "ab" in guesses[:3]
 
-    def test_candidate_count_respected(self, model):
-        generator = CandidateGenerator(model, alternatives=3)
+    def test_candidate_count_respected(self, model, monkeypatch):
+        monkeypatch.setattr(CandidateGenerator, "ALTERNATIVES", 3)
+        generator = CandidateGenerator(model)
         result = result_with([("a", 1.0)] * 4)
         assert len(generator.guesses(result, max_candidates=7)) == 7
 
@@ -81,10 +83,6 @@ class TestEnumeration:
         rank_b = generator.rank_of(result, "b")
         assert rank_b is not None and rank_b >= 2
         assert generator.rank_of(result, "zzz") is None
-
-    def test_validation(self, model):
-        with pytest.raises(ValueError):
-            CandidateGenerator(model, alternatives=0)
 
 
 class TestAgainstTrainedModel:

@@ -281,8 +281,8 @@ SPEC_STRATEGIES = {
         sweep_repeats=st.integers(1, 6),
         train_seed=st.integers(0, 1000),
         fault_plan=st.sampled_from([None, "auto", "mild"]) | fault_plans,
-        mitigation=st.sampled_from([None, "auto"]) | mitigation_policies,
-        calibration=st.sampled_from([None, "auto"]) | calibration_policies,
+        mitigation=st.sampled_from([None, "rbac"]) | mitigation_policies,
+        calibration=st.sampled_from([None, "eager"]) | calibration_policies,
         scenario=st.sampled_from([None, *scenario_names()]),
     ),
 }

@@ -52,12 +52,14 @@ class TestLaunchDetector:
         detector = LaunchDetector(chase_model)
         assert [e for e in map(detector.observe, deltas) if e is not None] == []
 
-    def test_burst_without_confirmation_expires(self, chase_model, launch_stream):
-        detector = LaunchDetector(chase_model, confirm_window_s=0.0)
+    def test_burst_without_confirmation_expires(self, chase_model, launch_stream, monkeypatch):
+        monkeypatch.setattr(LaunchDetector, "CONFIRM_WINDOW_S", 0.0)
+        detector = LaunchDetector(chase_model)
         assert [e for e in map(detector.observe, launch_stream) if e is not None] == []
 
     def test_custom_threshold(self, chase_model, launch_stream):
-        detector = LaunchDetector(chase_model, burst_threshold=1e12)
+        detector = LaunchDetector(chase_model)
+        detector.burst_threshold = 1e12
         assert [e for e in map(detector.observe, launch_stream) if e is not None] == []
 
     def test_empty_deltas_ignored(self, chase_model):

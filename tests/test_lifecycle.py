@@ -79,19 +79,13 @@ class TestDriftPlan:
         with pytest.raises(ValueError, match="unknown DriftPlan fields"):
             DriftPlan.from_dict({"thermal_scale": 0.5, "bogus": 1})
 
-    def test_resolve_semantics(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DRIFT_PROFILE", raising=False)
+    def test_resolve_semantics(self):
         assert resolve_drift_plan(None) is None
-        assert resolve_drift_plan("auto") is None
         assert resolve_drift_plan("none") is None  # disabled profile
         plan = resolve_drift_plan("thermal-mild")
         assert plan is not None and plan.enabled
         assert resolve_drift_plan(plan) is plan
-
-    def test_env_profile(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DRIFT_PROFILE", "thermal-harsh")
-        assert resolve_drift_plan("auto") == DRIFT_PROFILES["thermal-harsh"]
-        monkeypatch.setenv("REPRO_DRIFT_PROFILE", "bogus")
+        # only fault plans read the environment: "auto" names no profile
         with pytest.raises(ValueError, match="unknown drift profile"):
             resolve_drift_plan("auto")
 
@@ -258,16 +252,15 @@ class TestCalibrationPolicy:
             assert CalibrationPolicy.from_profile(name) == policy
             assert CalibrationPolicy.from_dict(policy.to_dict()) == policy
 
-    def test_resolve_semantics(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CALIBRATION", raising=False)
+    def test_resolve_semantics(self):
         assert resolve_calibration(None) is None
-        assert resolve_calibration("auto") is None
         assert resolve_calibration("off") is None  # max_refits=0
         policy = resolve_calibration("eager")
         assert policy is not None and policy.enabled
         assert resolve_calibration(policy) is policy
-        monkeypatch.setenv("REPRO_CALIBRATION", "conservative")
-        assert resolve_calibration("auto") == CALIBRATION_PROFILES["conservative"]
+        # only fault plans read the environment: "auto" names no profile
+        with pytest.raises(ValueError, match="unknown calibration profile"):
+            resolve_calibration("auto")
 
 
 class TestEstimateRefit:

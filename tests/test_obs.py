@@ -32,7 +32,6 @@ from repro.obs import (
     resolve_registry,
 )
 from repro.obs.manifest import SCHEMA
-from repro.runtime.trace import RuntimeTrace
 from repro.api import AttackConfig
 from repro.faults import FAULT_PROFILE_ENV
 
@@ -205,20 +204,6 @@ class TestRegistry:
             clock.now = 2.5
         assert reg.spans["timed"].total_s == pytest.approx(2.5)
         assert reg.spans["timed"].max_s == pytest.approx(2.5)
-
-    def test_span_emits_into_runtime_trace(self):
-        class FakeClock:
-            now = 1.0
-
-        trace = RuntimeTrace()
-        reg = MetricsRegistry()
-        with reg.span("work", clock=FakeClock(), trace=trace, session="s0", stage="obs"):
-            pass
-        events = [e for e in trace.events if e.kind == "span"]
-        assert len(events) == 1
-        assert events[0].session == "s0"
-        assert events[0].detail["name"] == "work"
-        assert events[0].detail["duration_s"] == pytest.approx(0.0)
 
 
 class TestNullRegistry:

@@ -11,6 +11,9 @@ never lost sessions).
 
 from __future__ import annotations
 
+import functools
+import os
+
 import pytest
 
 from repro.android.apps import app
@@ -28,6 +31,8 @@ from repro.parallel import (
     merge_attack_outputs,
     synthesize_crashed_shard,
 )
+from repro.parallel import sharded as sharded_module
+from repro.parallel.worker import run_shard
 from repro.runtime.trace import RuntimeTrace
 
 CREDENTIALS = ["pw0aa", "pw1bb", "pw2cc", "pw3dd", "pw4ee", "pw5ff"]
@@ -169,12 +174,31 @@ def test_workers1_facade_stays_serial(store, traces, cfg):
 # Crash containment
 
 
-@pytest.mark.parametrize("fail_mode", ["raise", "mid"])
-def test_worker_failure_degrades_only_its_shard(store, traces, cfg, fail_mode):
-    sharded = ShardedRuntime(
-        store, config=cfg, workers=2, mp_context="inline",
-        fail_shards=[1], fail_mode=fail_mode,
+def _failing_shard(mode, shards, payload):
+    """``run_shard``, except that the listed shards fail: ``raise``
+    before any session runs, ``mid`` after the shard's work is done (a
+    worker dying mid-shard: the work is lost), ``exit`` by hard-killing
+    the process, which breaks the pool.  Module-level, so a partial of it
+    pickles by name into a forked pool worker."""
+    if payload["shard"] not in shards:
+        return run_shard(payload)
+    if mode == "exit":
+        os._exit(13)
+    if mode == "mid":
+        run_shard(payload)
+    raise RuntimeError(f"injected {mode} fault in shard {payload['shard']}")
+
+
+def fail_shards(monkeypatch, shards, mode="raise"):
+    monkeypatch.setattr(
+        sharded_module, "run_shard", functools.partial(_failing_shard, mode, tuple(shards))
     )
+
+
+@pytest.mark.parametrize("fail_mode", ["raise", "mid"])
+def test_worker_failure_degrades_only_its_shard(store, traces, cfg, fail_mode, monkeypatch):
+    fail_shards(monkeypatch, [1], fail_mode)
+    sharded = ShardedRuntime(store, config=cfg, workers=2, mp_context="inline")
     batch = sharded.run_sessions(traces, seed=99)
     plan = ShardPlan(len(traces), 2, seed=99)
     lost = set(plan.shards()[1])
@@ -194,32 +218,30 @@ def test_worker_failure_degrades_only_its_shard(store, traces, cfg, fail_mode):
     assert sorted(starts) == sorted(f"attack-{i}" for i in range(len(traces)))
 
 
-def test_worker_crash_counted_in_metrics(store, traces, cfg):
+def test_worker_crash_counted_in_metrics(store, traces, cfg, monkeypatch):
+    fail_shards(monkeypatch, [0, 2])
     metrics = MetricsRegistry()
     sharded = ShardedRuntime(
-        store, config=cfg, workers=3, metrics=metrics, mp_context="inline",
-        fail_shards=[0, 2],
+        store, config=cfg, workers=3, metrics=metrics, mp_context="inline"
     )
     sharded.run_sessions(traces, seed=99)
     assert metrics.counter("parallel.worker_crashes").value == 2
 
 
-def test_hard_exit_breaks_pool_but_not_batch(store, traces, cfg):
+def test_hard_exit_breaks_pool_but_not_batch(store, traces, cfg, monkeypatch):
     """os._exit in a worker breaks the whole pool; every session still
     comes back, the lost shard's as degraded placeholders."""
-    sharded = ShardedRuntime(
-        store, config=cfg, workers=2, fail_shards=[0], fail_mode="exit",
-    )
+    fail_shards(monkeypatch, [0], "exit")
+    sharded = ShardedRuntime(store, config=cfg, workers=2)
     batch = sharded.run_sessions(traces[:4], seed=99)
     assert len(batch) == 4
     assert any(r.degraded for r in batch)
 
 
-def test_process_raise_degrades_shard(store, traces, cfg):
+def test_process_raise_degrades_shard(store, traces, cfg, monkeypatch):
     """Same containment through a real process pool."""
-    sharded = ShardedRuntime(
-        store, config=cfg, workers=2, fail_shards=[1], fail_mode="raise",
-    )
+    fail_shards(monkeypatch, [1])
+    sharded = ShardedRuntime(store, config=cfg, workers=2)
     batch = sharded.run_sessions(traces[:4], seed=99)
     lost = set(ShardPlan(4, 2, seed=99).shards()[1])
     assert [r.degraded for r in batch] == [i in lost for i in range(4)]
@@ -228,8 +250,6 @@ def test_process_raise_degrades_shard(store, traces, cfg):
 def test_invalid_construction():
     with pytest.raises(ValueError):
         ShardedRuntime("store.json", workers=0)
-    with pytest.raises(ValueError):
-        ShardedRuntime("store.json", fail_mode="explode")
 
 
 # ----------------------------------------------------------------------
@@ -237,15 +257,15 @@ def test_invalid_construction():
 
 
 def test_merge_rejects_duplicate_session_index():
-    a = synthesize_crashed_shard(0, [0, 1], seed=0)
-    b = synthesize_crashed_shard(1, [1, 2], seed=0)
+    a = synthesize_crashed_shard(0, [0, 1])
+    b = synthesize_crashed_shard(1, [1, 2])
     with pytest.raises(ValueError, match="two shards"):
         merge_attack_outputs([a, b], RuntimeTrace())
 
 
 def test_merge_of_synthesized_shards_orders_by_index():
-    a = synthesize_crashed_shard(0, [2, 0], seed=0)
-    b = synthesize_crashed_shard(1, [1], seed=0)
+    a = synthesize_crashed_shard(0, [2, 0])
+    b = synthesize_crashed_shard(1, [1])
     rt = RuntimeTrace()
     results = merge_attack_outputs([b, a], rt)
     assert sorted(results) == [0, 1, 2]

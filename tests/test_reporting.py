@@ -1,6 +1,7 @@
 """Tests for the ASCII figure rendering helpers."""
 
 from repro.analysis.report import (
+    BAR_WIDTH,
     bar_chart,
     grouped_bar_chart,
     sparkline,
@@ -10,35 +11,31 @@ from repro.analysis.report import (
 
 class TestBarChart:
     def test_rows_and_values_rendered(self):
-        out = bar_chart({"alpha": 0.5, "beta": 1.0}, title="T", width=10)
+        out = bar_chart({"alpha": 0.5, "beta": 1.0}, title="T")
         assert out.startswith("T")
         assert "alpha" in out and "beta" in out
         assert "0.500" in out and "1.000" in out
 
     def test_bar_length_proportional(self):
-        out = bar_chart({"half": 0.5, "full": 1.0}, width=10, vmax=1.0)
+        out = bar_chart({"half": 0.5, "full": 1.0}, vmax=1.0)
         lines = out.splitlines()
         half_bar = lines[0].split("│")[1]
         full_bar = lines[1].split("│")[1]
-        assert full_bar.count("█") == 10
-        assert half_bar.count("█") == 5
+        assert full_bar.count("█") == BAR_WIDTH
+        assert half_bar.count("█") == BAR_WIDTH // 2
 
     def test_empty_rows(self):
         assert bar_chart({}, title="only title") == "only title"
 
     def test_vmax_zero_safe(self):
-        out = bar_chart({"z": 0.0}, width=10)
+        out = bar_chart({"z": 0.0})
         assert "z" in out
-
-    def test_custom_format(self):
-        out = bar_chart({"x": 0.1234}, fmt="{:.1%}")
-        assert "12.3%" in out
 
 
 class TestGroupedBarChart:
     def test_two_series_per_label(self):
         out = grouped_bar_chart(
-            {"chase": (0.8, 0.98)}, series=("text", "key"), width=10
+            {"chase": (0.8, 0.98)}, series=("text", "key")
         )
         assert "0.800" in out and "0.980" in out
         assert "░" in out and "█" in out

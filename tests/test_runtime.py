@@ -56,7 +56,8 @@ class TestVirtualClock:
         assert clock.now == 1.5
 
     def test_advance_to_clamps_backwards(self):
-        clock = VirtualClock(start=2.0)
+        clock = VirtualClock()
+        clock.advance_to(2.0)
         clock.advance_to(1.0)
         assert clock.now == 2.0
 
@@ -78,7 +79,7 @@ class TestRuntimeTrace:
         trace.emit(0.2, "s1", "engine", "key", char="b")
         trace.emit(0.3, "s2", "engine", "noise")
         assert trace.count(kind="key") == 2
-        assert trace.count(stage="engine") == 3
+        assert trace.count() == 3
         assert [
             e.detail["char"] for e in trace.events if e.kind == "key" and e.session == "s1"
         ] == ["a", "b"]
@@ -180,13 +181,14 @@ class TestSamplerDeltaSource:
         next(stream)  # first nonzero delta, around t=0.1
         assert sampler.reads_issued < 30, "reads beyond the first event not issued"
 
-    def test_abandoned_batch_counts_only_yielded_deltas(self):
+    def test_abandoned_batch_counts_only_yielded_deltas(self, monkeypatch):
         """The source stamps a whole batch's gap flags before yielding
         it; a mode switch that abandons the batch part way must still
         leave the tallies counting only the deltas actually yielded."""
         sampler = make_sampler(timeline_with_frames(np.arange(0.05, 0.9, 0.004)), seed=8)
-        source = SamplerDeltaSource(sampler, 0.0, 1.0, chunk=64, gap_factor=1.02)
-        limit = source.gap_factor * sampler.interval_s
+        monkeypatch.setattr(SamplerDeltaSource, "GAP_FACTOR", 1.02)
+        source = SamplerDeltaSource(sampler, 0.0, 1.0, chunk=64)
+        limit = source.GAP_FACTOR * sampler.interval_s
         stream = source.events()
         yielded = [next(stream)[1] for _ in range(10)]
         stream.close()
@@ -213,24 +215,10 @@ class _Collect:
 
     def on_event(self, session, t, payload):
         self.seen.append((session.id, t, payload))
-        return None
 
     def on_end(self, session, t):
         self.ended_at = t
         session.result = [p for (_, _, p) in self.seen]
-        return None
-
-
-class _Double:
-    """Pass-through stage that re-emits each payload twice."""
-
-    name = "double"
-
-    def on_event(self, session, t, payload):
-        return [(t, payload), (t, payload)]
-
-    def on_end(self, session, t):
-        return None
 
 
 class TestSessionRuntime:
@@ -238,7 +226,7 @@ class TestSessionRuntime:
         collect = _Collect()
         runtime = SessionRuntime()
         session = runtime.add_session(
-            Session("s", IterableSource([(0.1, "a"), (0.2, "b")]), [collect])
+            Session("s", IterableSource([(0.1, "a"), (0.2, "b")]), collect)
         )
         trace = runtime.run()
         assert session.finished
@@ -248,15 +236,6 @@ class TestSessionRuntime:
         assert trace.count(kind="session_start") == 1
         assert trace.count(kind="session_end") == 1
 
-    def test_stage_chain_emissions_flow_downstream(self):
-        collect = _Collect()
-        runtime = SessionRuntime()
-        runtime.add_session(
-            Session("s", IterableSource([(0.1, "x")]), [_Double(), collect])
-        )
-        runtime.run()
-        assert [p for (_, _, p) in collect.seen] == ["x", "x"]
-
     def test_sessions_interleave_in_time_order(self):
         order = []
 
@@ -265,17 +244,16 @@ class TestSessionRuntime:
 
             def on_event(self, session, t, payload):
                 order.append((session.id, t))
-                return None
 
             def on_end(self, session, t):
-                return None
+                pass
 
         runtime = SessionRuntime()
         runtime.add_session(
-            Session("slow", IterableSource([(0.5, 1), (1.5, 2)]), [Record()])
+            Session("slow", IterableSource([(0.5, 1), (1.5, 2)]), Record())
         )
         runtime.add_session(
-            Session("fast", IterableSource([(0.1, 1), (0.2, 2), (0.3, 3)]), [Record()])
+            Session("fast", IterableSource([(0.1, 1), (0.2, 2), (0.3, 3)]), Record())
         )
         runtime.run()
         # the scheduler always advances the session furthest behind, so
@@ -293,19 +271,18 @@ class TestSessionRuntime:
                 if payload == "go":
                     session.switch_mode(
                         IterableSource([(t + 1.0, "after1"), (t + 2.0, "after2")]),
-                        [collect],
+                        collect,
                     )
-                return None
 
             def on_end(self, session, t):
-                return None
+                pass
 
         runtime = SessionRuntime()
         session = runtime.add_session(
             Session(
                 "svc",
                 IterableSource([(0.1, "idle"), (0.2, "go"), (0.3, "abandoned")]),
-                [Escalate()],
+                Escalate(),
             )
         )
         trace = runtime.run()
@@ -318,26 +295,20 @@ class TestSessionRuntime:
     def test_empty_source_still_finishes(self):
         collect = _Collect()
         runtime = SessionRuntime()
-        session = runtime.add_session(Session("s", IterableSource([]), [collect]))
+        session = runtime.add_session(Session("s", IterableSource([]), collect))
         runtime.run()
         assert session.finished
         assert session.result == []
 
-    def test_on_finish_callback(self):
-        done = []
-        runtime = SessionRuntime()
-        runtime.add_session(
-            Session("s", IterableSource([(0.1, "a")]), [_Collect()], on_finish=lambda s: done.append(s.id))
-        )
-        runtime.run()
-        assert done == ["s"]
+    def test_mode_switch_from_on_end_raises(self):
+        class EscalateAtEnd(_Collect):
+            def on_end(self, session, t):
+                session.switch_mode(IterableSource([(t + 1.0, "late")]), _Collect())
 
-    def test_session_lookup(self):
         runtime = SessionRuntime()
-        session = runtime.add_session(Session("s", IterableSource([]), [_Collect()]))
-        assert runtime.session("s") is session
-        with pytest.raises(KeyError):
-            runtime.session("missing")
+        runtime.add_session(Session("s", IterableSource([(0.1, "a")]), EscalateAtEnd()))
+        with pytest.raises(RuntimeError, match="switch_mode called from on_end"):
+            runtime.run()
 
 
 class TestFeedBatchParity:
@@ -402,7 +373,7 @@ class TestPipelineOnRuntime:
         log = RuntimeTrace()
         result = attack.run_on_trace(trace, seed=22, runtime_trace=log)
         assert result.text == "secretpw1"
-        assert log.count(kind="key", stage="engine") >= len("secretpw1")
+        assert log.counters[("engine", "key")] >= len("secretpw1")
         assert log.count(kind="session_end") == 1
 
     def test_batch_matches_individual_runs(self, chase_store, config):
@@ -437,7 +408,7 @@ class TestPipelineOnRuntime:
         log = RuntimeTrace()
         service = MonitoringService(EavesdropAttack(chase_store))
         report = service.run(trace, seed=77, runtime_trace=log)
-        assert report.inferred_text == "secret12"
+        assert report.text == "secret12"
         assert log.count(kind="mode_switch") == 1
-        assert log.count(kind="launch_detected", stage="launch-watch") == 1
-        assert log.count(kind="key", stage="engine") >= len("secret12")
+        assert log.counters[("launch-watch", "launch_detected")] == 1
+        assert log.counters[("engine", "key")] >= len("secret12")

@@ -28,13 +28,13 @@ class TestMonitoringService:
         report = service.run(trace, seed=77)
         assert report.launch_detected_at is not None
         assert 1.2 < report.launch_detected_at < 3.0, "detection precedes typing"
-        assert report.inferred_text == "secret12"
+        assert report.text == "secret12"
         assert report.model_key.endswith("/chase")
 
     def test_results_only_no_raw_traces(self, service, config):
         report = service.run(session(config), seed=78)
         fields = set(vars(report))
-        assert "inferred_text" in fields
+        assert "text" in fields
         assert not any("sample" in name or "delta" in name for name in fields)
 
     def test_idle_watch_saves_reads(self, service, config):
@@ -61,12 +61,12 @@ class TestMonitoringService:
         )
         report = service.run(trace, seed=80)
         assert report.launch_detected_at is None
-        assert report.inferred_text == ""
+        assert report.text == ""
         assert report.attack_reads == 0
 
     def test_key_times_reported(self, service, config):
         report = service.run(session(config), seed=81)
-        assert len(report.key_times) == len(report.inferred_text)
+        assert len(report.key_times) == len(report.text)
         assert report.key_times == sorted(report.key_times)
 
     def test_empty_store_rejected(self):
@@ -79,4 +79,4 @@ class TestMonitoringService:
         report = short.run(trace, seed=82)
         # only the first ~2 seconds of typing fit in the window
         assert report.launch_detected_at is not None
-        assert len(report.inferred_text) < 8
+        assert len(report.text) < 8

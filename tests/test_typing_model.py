@@ -79,10 +79,6 @@ class TestTypingModel:
         # median must be in the fast band
         assert np.median(intervals) <= FAST_MAX_INTERVAL_S + 0.05
 
-    def test_empty_profile_list_rejected(self, rng):
-        with pytest.raises(ValueError):
-            TypingModel(rng, profiles=[])
-
 
 class TestFig16Collection:
     def test_collection_shape(self, rng):

@@ -17,16 +17,14 @@ from repro.workloads.credentials import credential_batch
 
 
 def _with_jitter_scale(scale_factor, fn):
-    base = dict(device_mod.VictimDevice._JITTER_SIGMA)
-    device_mod.VictimDevice._JITTER_SIGMA = {
-        k: v * scale_factor for k, v in base.items()
-    }
+    base = device_mod.JITTER_SIGMA
+    device_mod.JITTER_SIGMA = tuple((cid, sigma * scale_factor) for cid, sigma in base)
     device_mod._RENDER_CACHE.clear()
     experiments._MODEL_CACHE.clear()
     try:
         return fn()
     finally:
-        device_mod.VictimDevice._JITTER_SIGMA = base
+        device_mod.JITTER_SIGMA = base
         device_mod._RENDER_CACHE.clear()
         experiments._MODEL_CACHE.clear()
 

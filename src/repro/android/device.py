@@ -71,6 +71,22 @@ WAKEUP_RENDER_S = 0.0015
 #: Counter jitter multiplier for cold (post-collapse) frames.
 COLD_JITTER_FACTOR = 1.0
 
+#: Per-counter multiplicative jitter (sigma), as ``(counter_id, sigma)``
+#: in ``SELECTED_COUNTERS`` order.  Primitive counts are exactly
+#: deterministic on real hardware; pixel/tile counts wobble a little with
+#: dithering and bin-walk order; cycle counters depend on DRAM timing and
+#: wobble the most.  This is what makes near-identical popups (',' vs '.')
+#: genuinely confusable, as in the paper's Fig 18.
+JITTER_SIGMA: Tuple[Tuple[pc.CounterId, float], ...] = (
+    (pc.LRZ_FULL_8X8_TILES.counter_id, 0.0010),
+    (pc.LRZ_PARTIAL_8X8_TILES.counter_id, 0.0010),
+    (pc.LRZ_VISIBLE_PIXEL_AFTER_LRZ.counter_id, 0.0012),
+    (pc.RAS_SUPERTILE_ACTIVE_CYCLES.counter_id, 0.010),
+    (pc.RAS_SUPER_TILES.counter_id, 0.0016),
+    (pc.RAS_8X4_TILES.counter_id, 0.0010),
+    (pc.RAS_FULLY_COVERED_8X4_TILES.counter_id, 0.0010),
+)
+
 #: Process-wide cache of rendered frame statistics.  Scene geometry is
 #: fully determined by (device configuration, app, frame identity), and
 #: experiment batches compile hundreds of sessions on the same
@@ -134,6 +150,8 @@ class VictimDevice:
         self.builder = SceneBuilder(config)
         self.pipeline = AdrenoPipeline(config.gpu)
         self._requests: List[_RenderRequest] = []
+        #: what, besides a frame's identity, keys its cached render
+        self._cache_scope = (config.config_key(), app.name, render_slowdown)
 
     # ------------------------------------------------------------------
 
@@ -149,39 +167,17 @@ class VictimDevice:
             render_time_s=stats.render_time_s * self.render_slowdown,
         )
 
-    #: Per-counter multiplicative jitter (sigma).  Primitive counts are
-    #: exactly deterministic on real hardware; pixel/tile counts wobble a
-    #: little with dithering and bin-walk order; cycle counters depend on
-    #: DRAM timing and wobble the most.  This is what makes near-identical
-    #: popups (',' vs '.') genuinely confusable, as in the paper's Fig 18.
-    _JITTER_SIGMA = {
-        "PERF_RAS_SUPERTILE_ACTIVE_CYCLES": 0.010,
-        "PERF_LRZ_VISIBLE_PIXEL_AFTER_LRZ": 0.0012,
-        "PERF_RAS_8X4_TILES": 0.0010,
-        "PERF_RAS_FULLY_COVERED_8X4_TILES": 0.0010,
-        "PERF_LRZ_FULL_8X8_TILES": 0.0010,
-        "PERF_LRZ_PARTIAL_8X8_TILES": 0.0010,
-        "PERF_RAS_SUPER_TILES": 0.0016,
-    }
-
-    def _jitter(self, stats: FrameStats, factor: float = 1.0) -> FrameStats:
-        values = dict(stats.increment.values)
-        for spec in pc.SELECTED_COUNTERS:
-            sigma = self._JITTER_SIGMA.get(spec.name)
-            if not sigma:
-                continue
-            cid = spec.counter_id
-            amount = values.get(cid, 0)
-            if amount:
-                noisy = int(
-                    round(amount * (1.0 + float(self.rng.normal(0.0, sigma * factor))))
-                )
-                values[cid] = max(0, noisy)
-        return FrameStats(
-            increment=CounterIncrement(values=values),
-            pixels_touched=stats.pixels_touched,
-            render_time_s=stats.render_time_s,
-        )
+    def _jitter(self, increment: CounterIncrement, factor: float) -> CounterIncrement:
+        """A frame's increments with per-counter multiplicative noise: one
+        standard normal per jittered nonzero counter, all drawn in one
+        call, in ``SELECTED_COUNTERS`` order."""
+        values = dict(increment.values)
+        jittered = [(cid, sigma) for cid, sigma in JITTER_SIGMA if values.get(cid)]
+        if jittered:
+            noise = self.rng.standard_normal(len(jittered)).tolist()
+            for (cid, sigma), z in zip(jittered, noise):
+                values[cid] = max(0, int(round(values[cid] * (1.0 + sigma * factor * z))))
+        return CounterIncrement(values=values)
 
     def _render(self, timeline: RenderTimeline, t: float, scene, label: str) -> None:
         """Schedule an uncacheable (randomly generated) frame."""
@@ -200,12 +196,7 @@ class VictimDevice:
     def _base_stats(self, request: _RenderRequest) -> FrameStats:
         if request.cache_key is None:
             return self._slow(self.pipeline.render(request.scene_fn()))
-        full_key = (
-            self.config.config_key(),
-            self.app.name,
-            self.render_slowdown,
-            request.cache_key,
-        )
+        full_key = (self._cache_scope, request.cache_key)
         stats = _RENDER_CACHE.get(full_key)
         if stats is None:
             stats = self._slow(self.pipeline.render(request.scene_fn()))
@@ -216,24 +207,26 @@ class VictimDevice:
         """Render all scheduled frames in chronological order, applying the
         GPU power-collapse model: a frame starting more than
         ``GPU_IDLE_COLLAPSE_S`` after the previous render finished pays a
-        wake-up latency and renders with noisier counters."""
+        wake-up latency, and its counters jitter ``COLD_JITTER_FACTOR``
+        times as much (1: no noisier than a warm frame's)."""
         last_end = -1e9
+        uniform = self.rng.uniform
         for request in sorted(self._requests, key=lambda r: r.t):
             # GPU work starts after the CPU side records and submits the
             # frame — a fraction of a frame after vsync, varying per frame.
             # Without this, frame starts quantize to a handful of phases
             # relative to the attacker's sampling grid.
-            submit_delay = float(self.rng.uniform(0.0005, 0.0030))
-            start = self._vsync(request.t) + submit_delay
+            start = self._vsync(request.t) + float(uniform(0.0005, 0.0030))
             stats = self._base_stats(request)
+            render_time_s = stats.render_time_s
             cold = start - last_end > GPU_IDLE_COLLAPSE_S
             if cold:
-                stats = FrameStats(
-                    increment=stats.increment,
-                    pixels_touched=stats.pixels_touched,
-                    render_time_s=stats.render_time_s + WAKEUP_RENDER_S,
-                )
-            stats = self._jitter(stats, factor=COLD_JITTER_FACTOR if cold else 1.0)
+                render_time_s += WAKEUP_RENDER_S
+            stats = FrameStats(
+                increment=self._jitter(stats.increment, COLD_JITTER_FACTOR if cold else 1.0),
+                pixels_touched=stats.pixels_touched,
+                render_time_s=render_time_s,
+            )
             frame = timeline.add_render(start, stats, label=request.label)
             last_end = max(last_end, frame.end_s)
         self._requests = []
@@ -265,7 +258,6 @@ class VictimDevice:
         state = UiState(app=self.app)
         in_target = True
         away_since: Optional[float] = None
-        anim_phase = 0
 
         # launch: cold-start full render of the login screen
         self._render_cached(
@@ -303,10 +295,7 @@ class VictimDevice:
         self._compile_cursor_blinks(
             timeline, trace, state, ordered, end_time_s, launch_at_s=launch_at_s
         )
-        anim_phase = self._compile_login_animation(
-            timeline, state, ordered, end_time_s, launch_at_s=launch_at_s
-        )
-        del anim_phase
+        self._compile_login_animation(timeline, state, end_time_s, launch_at_s=launch_at_s)
         self._materialize(timeline)
         return trace
 
@@ -547,13 +536,12 @@ class VictimDevice:
         self,
         timeline: RenderTimeline,
         state: UiState,
-        events: Sequence[UserEvent],
         end_time_s: float,
         launch_at_s: float = 0.0,
-    ) -> int:
+    ) -> None:
         anim = self.app.animation
         if anim is None:
-            return 0
+            return
         phase = 0
         t = launch_at_s + anim.frame_interval_s
         while t < end_time_s:
@@ -568,4 +556,3 @@ class VictimDevice:
             )
             phase += 1
             t += anim.frame_interval_s
-        return phase

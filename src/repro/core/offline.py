@@ -38,10 +38,14 @@ from repro.core.classifier import ClassificationModel, build_model
 from repro.gpu.timeline import RenderTimeline
 from repro.kgsl.interpose import open_sampler
 from repro.kgsl.sampler import DEFAULT_INTERVAL_S, PcDelta
-from repro.runtime.source import ATTACK_SOURCE_CHUNK, SamplerDeltaSource
+from repro.runtime.source import SamplerDeltaSource
 
 #: Characters the ladder session types, one field length per key.
 LADDER_LENGTH = 16
+#: Reads pulled per step while collecting.  Collection reads whole
+#: sessions with no mode switch, so batches only need to stay bounded in
+#: memory; every chunk size yields the same deltas.
+OFFLINE_SOURCE_CHUNK = 1024
 
 
 def frame_to_class_label(frame_label: str) -> Optional[str]:
@@ -149,7 +153,7 @@ class OfflineTrainer:
         # sampled exactly as the online attack samples: same fd, same
         # extractor, the trainer's RNG driving the reads
         sampler = open_sampler(trace, self.interval_s, self.rng)
-        source = SamplerDeltaSource(sampler, 0.0, end_time_s, chunk=ATTACK_SOURCE_CHUNK)
+        source = SamplerDeltaSource(sampler, 0.0, end_time_s, chunk=OFFLINE_SOURCE_CHUNK)
         deltas = [delta for _, delta in source.events()]
         label_samples(trace.timeline, deltas, data)
 

@@ -180,8 +180,10 @@ class PerfCounterSampler:
     :meth:`~repro.kgsl.device_file.KgslDeviceFile.perfcounter_read_many`
     call, where the chain rewrites them as arrays.  On an fd whose chain
     is empty, with every counter held, no request can fail or be delayed,
-    so the loop skips the request step and only draws the batch's wakeup
-    times.  Both draw the same scheduling randomness in the same order.
+    so the loop skips the request step: one tight loop draws the batch's
+    wakeup times and updates the read tallies once per batch.  Both paths
+    take their wakeups from the one scheduling law (:meth:`_delays`), so
+    they draw the same randomness in the same order.
     """
 
     #: Transient-read retries before the failure is considered permanent.
@@ -468,25 +470,30 @@ class PerfCounterSampler:
             times, np.array(served, dtype=bool).reshape(-1, _N_COUNTERS), kept
         )
 
-    def _scheduling_delay(self, load: SystemLoad) -> Optional[float]:
-        """Actual-minus-nominal read latency; None if the read is skipped.
+    def _delays(self, load: SystemLoad) -> Iterator[Optional[float]]:
+        """Each wakeup's actual-minus-nominal read latency, ``None`` when
+        the read is skipped: the scheduling law, one wakeup per ``next()``.
 
         With n busy threads per core the service's chance of running on
         time falls; past ~50 % CPU utilization preemptions dominate and at
         very high load entire reads are lost — the mechanism behind the
-        accuracy cliff of Fig 22a.
+        accuracy cliff of Fig 22a.  A wakeup draws its variates only when
+        it is taken, in a fixed order, so the sampler can share its RNG
+        with other users between wakeups.
         """
         cpu = load.cpu_utilization
-        delay = float(self.rng.exponential(_BASE_JITTER_S))
-        if self.rng.random() < _COALESCE_PROB:
-            delay += float(self.rng.exponential(_COALESCE_DELAY_S))
-        if cpu > 0 and self.rng.random() < cpu * 0.75:
-            contention = cpu * cpu
-            delay += float(self.rng.exponential(_PREEMPT_DELAY_S * (0.2 + 2.0 * contention)))
+        exponential = self.rng.standard_exponential
+        uniform = self.rng.random
+        preempt_prob = cpu * 0.75
+        preempt_s = _PREEMPT_DELAY_S * (0.2 + 2.0 * (cpu * cpu))
         drop_prob = max(0.0, cpu - 0.45) ** 2 * 0.55
-        if self.rng.random() < drop_prob:
-            return None
-        return delay
+        while True:
+            delay = _BASE_JITTER_S * exponential()
+            if uniform() < _COALESCE_PROB:
+                delay += _COALESCE_DELAY_S * exponential()
+            if cpu > 0 and uniform() < preempt_prob:
+                delay += preempt_s * exponential()
+            yield None if uniform() < drop_prob else delay
 
     def iter_batches(
         self, t0: float, t1: float, load: SystemLoad = IDLE, *, chunk: int
@@ -502,21 +509,52 @@ class PerfCounterSampler:
         decided from the fd as the batch starts (see the class docstring).
         """
         device = self.device_file
+        interval = self.interval_s
+        next_delay = self._delays(load).__next__
         nominal = t0
         last_t = -1.0
         while nominal < t1:
             if self._attempts:
                 # attempts of read_once calls made outside this loop
                 self._serve_attempts()
-            requests = not self._skips_requests()
+            nominals: List[float] = []
+            times: List[float] = []
+            if self._skips_requests():
+                # nothing can fail or delay a request: only the wakeup
+                # times are drawn.  Reads are issued by one thread, so they
+                # stay monotone even when a coalesced wakeup overshoots the
+                # next nominal tick; the clock stands still until the value
+                # step below.
+                floor = max(last_t + 1e-5, device.clock.now)
+                dropped = 0
+                while nominal < t1 and len(times) < chunk:
+                    delay = next_delay()
+                    if delay is None:
+                        dropped += 1
+                    else:
+                        read_t = nominal + delay
+                        if read_t < floor:
+                            read_t = floor
+                        nominals.append(nominal)
+                        times.append(read_t)
+                        floor = read_t + 1e-5
+                    nominal += interval
+                self.reads_dropped += dropped
+                if not times:
+                    return
+                self.reads_issued += len(times)
+                self._read_index += len(times)
+                last_t = times[-1]
+                rows = device.perfcounter_read_many(times)
+                mask = np.zeros(rows.shape, dtype=bool)
+                yield ReadBatch(np.array(nominals), np.array(times), rows, mask)
+                continue
             # a wakeup is a request like any ioctl: it visits the chain
             # outer to inner, and any stage may drop or defer it
             wakeup_chain = device.interposers[::-1]
-            nominals: List[float] = []
-            times: List[float] = []
             served: List[np.ndarray] = []
             while nominal < t1 and len(times) < chunk:
-                delay = self._scheduling_delay(load)
+                delay = next_delay()
                 for stage in wakeup_chain:
                     if delay is None:
                         break
@@ -529,39 +567,30 @@ class PerfCounterSampler:
                         self._note("clock_jitter", nominal_t=nominal, jitter_s=extra)
                 if delay is None:
                     self.reads_dropped += 1
-                    nominal += self.interval_s
+                    nominal += interval
                     continue
-                # reads are issued by one thread, so they stay monotone even
-                # when a coalesced wakeup overshoots the next nominal tick
-                read_t = max(nominal + delay, last_t + 1e-5, device.clock.now)
-                if requests:
-                    device.clock.set(read_t)
-                    row = self.read_once()
-                    if row is None:
-                        # retries exhausted: the wakeup produced no data
-                        self.reads_dropped += 1
-                        nominal += self.interval_s
-                        continue
-                    served.append(row)
-                    # retry backoff consumed device time: the observation
-                    # really happened when the read finally succeeded
-                    read_t = device.clock.now
+                # the monotone read time, as on the chain-free path
+                device.clock.set(max(nominal + delay, last_t + 1e-5, device.clock.now))
+                row = self.read_once()
+                if row is None:
+                    # retries exhausted: the wakeup produced no data
+                    self.reads_dropped += 1
+                    nominal += interval
+                    continue
+                served.append(row)
+                # retry backoff consumed device time: the observation
+                # really happened when the read finally succeeded
+                last_t = device.clock.now
                 self.reads_issued += 1
                 nominals.append(nominal)
-                times.append(read_t)
-                last_t = read_t
-                nominal += self.interval_s
+                times.append(last_t)
+                nominal += interval
             if not times:
                 return
-            if requests:
-                mask = ~np.array(served)
-                rows = np.zeros(mask.shape, dtype=np.int64)
-                # a read of nothing made no request and serves no row
-                rows[~mask.all(axis=1)] = self._serve_attempts()
-            else:
-                self._read_index += len(times)
-                rows = device.perfcounter_read_many(times)
-                mask = np.zeros(rows.shape, dtype=bool)
+            mask = ~np.array(served)
+            rows = np.zeros(mask.shape, dtype=np.int64)
+            # a read of nothing made no request and serves no row
+            rows[~mask.all(axis=1)] = self._serve_attempts()
             yield ReadBatch(np.array(nominals), np.array(times), rows, mask)
 
 

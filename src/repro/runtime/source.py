@@ -16,9 +16,10 @@ one :class:`~repro.kgsl.sampler.ReadBatch` of ``int64`` rows and a
 missing-counter mask, and differences each batch with the one
 extractor, :func:`~repro.kgsl.sampler.nonzero_deltas_vectorized`, which
 masks unknown counters itself.  A larger chunk
-trades mode-switch granularity for throughput (the attack uses 64); the
-monitoring service's idle watch uses ``chunk=1``, a batch of one, so
-escalation happens on the confirming read.  While it yields a batch's
+trades mode-switch granularity for throughput: the attack uses 64, the
+offline trainer, which never switches mode, 1024; the monitoring
+service's idle watch uses ``chunk=1``, a batch of one, so escalation
+happens on the confirming read.  While it yields a batch's
 deltas one event at a time, the source exposes the whole batch
 (:attr:`SamplerDeltaSource.batch`), so the attack stage can hand it to
 the online engine at its first delta.
@@ -42,8 +43,7 @@ from repro.obs import MetricsRegistry, resolve_registry
 #: One timestamped payload a session's source hands its stage.
 SourceEvent = Tuple[float, object]
 
-#: Reads pulled per step by the attack-phase source (and the offline
-#: trainer, which samples exactly as the attack does).
+#: Reads pulled per step by the attack-phase source.
 ATTACK_SOURCE_CHUNK = 64
 
 

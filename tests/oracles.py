@@ -17,10 +17,20 @@ from repro.core.classifier import (
     Classification,
     ClassificationModel,
 )
+from repro.android.device import JITTER_SIGMA, VictimDevice
 from repro.core.corrections import CorrectionTracker
 from repro.gpu import counters as pc
 from repro.gpu.timeline import COUNTER_ORDER
-from repro.kgsl.sampler import IDLE, PcDelta, PerfCounterSampler, SystemLoad
+from repro.kgsl.sampler import (
+    _BASE_JITTER_S,
+    _COALESCE_DELAY_S,
+    _COALESCE_PROB,
+    _PREEMPT_DELAY_S,
+    IDLE,
+    PcDelta,
+    PerfCounterSampler,
+    SystemLoad,
+)
 from repro.lifecycle.drift import DriftInjector
 
 
@@ -73,6 +83,65 @@ def merge_increments(a: pc.CounterIncrement, b: pc.CounterIncrement) -> pc.Count
     for counter_id, amount in b.values.items():
         merged.values[counter_id] = merged.values.get(counter_id, 0) + amount
     return merged
+
+
+# ---------------------------------------------------------------------------
+# the scalar randomness laws: wakeup scheduling and frame jitter
+
+
+def scheduling_delay(rng: np.random.Generator, load: SystemLoad) -> Optional[float]:
+    """One wakeup's actual-minus-nominal read latency, ``None`` if the
+    read is skipped: the scalar form of the sampler's ``_delays``, with
+    numpy's scaled exponential draws."""
+    cpu = load.cpu_utilization
+    delay = float(rng.exponential(_BASE_JITTER_S))
+    if rng.random() < _COALESCE_PROB:
+        delay += float(rng.exponential(_COALESCE_DELAY_S))
+    if cpu > 0 and rng.random() < cpu * 0.75:
+        contention = cpu * cpu
+        delay += float(rng.exponential(_PREEMPT_DELAY_S * (0.2 + 2.0 * contention)))
+    drop_prob = max(0.0, cpu - 0.45) ** 2 * 0.55
+    if rng.random() < drop_prob:
+        return None
+    return delay
+
+
+def wakeups(
+    rng: np.random.Generator, t0: float, t1: float, interval_s: float, load: SystemLoad = IDLE
+) -> Iterator[Tuple[float, Optional[float]]]:
+    """A chain-free sampler's wakeups over ``[t0, t1)``, one per ``next()``:
+    ``(nominal, read time)``, the read time ``None`` for a dropped read.
+    Reads stay 10 µs apart; a fresh device clock (at 0 <= ``t0``) never
+    holds one back."""
+    nominal = t0
+    last_t = -1.0
+    while nominal < t1:
+        delay = scheduling_delay(rng, load)
+        if delay is None:
+            yield nominal, None
+        else:
+            last_t = max(nominal + delay, last_t + 1e-5)
+            yield nominal, last_t
+        nominal += interval_s
+
+
+def jitter(
+    device: VictimDevice, increment: pc.CounterIncrement, factor: float
+) -> pc.CounterIncrement:
+    """A frame's jittered increments, one scalar normal draw per jittered
+    nonzero counter in ``SELECTED_COUNTERS`` order: the scalar form of
+    ``VictimDevice._jitter``."""
+    sigmas = dict(JITTER_SIGMA)
+    values = dict(increment.values)
+    for spec in pc.SELECTED_COUNTERS:
+        sigma = sigmas.get(spec.counter_id)
+        if not sigma:
+            continue
+        amount = values.get(spec.counter_id, 0)
+        if amount:
+            noisy = int(round(amount * (1.0 + float(device.rng.normal(0.0, sigma * factor)))))
+            values[spec.counter_id] = max(0, noisy)
+    return pc.CounterIncrement(values=values)
 
 
 # ---------------------------------------------------------------------------

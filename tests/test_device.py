@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.android.apps import app
+import repro.android.device as device_mod
 from repro.android.device import (
     CURSOR_BLINK_S,
+    GPU_IDLE_COLLAPSE_S,
     GroundTruthPress,
     VictimDevice,
 )
@@ -17,7 +19,20 @@ from repro.android.events import (
     NotificationArrival,
     ViewNotificationShade,
 )
-from repro.android.os_config import default_config
+from repro.android.keyboard import keyboard
+from repro.android.os_config import DeviceConfig, default_config, phone
+from repro.core.offline import OfflineTrainer
+from tests import oracles
+
+#: The six (phone, keyboard, app) configurations the train benchmark cycles.
+BENCH_CONFIGS = (
+    ("oneplus8pro", "gboard", "chase"),
+    ("oneplus7pro", "swift", "schwab"),
+    ("galaxy_s21", "sogou", "amex"),
+    ("oneplus9", "go", "fidelity"),
+    ("pixel2", "grammarly", "experian"),
+    ("lg_v30", "pinyin", "myfico"),
+)
 
 
 def device(config, target="chase", seed=0, **kw):
@@ -202,3 +217,48 @@ class TestRenderSlowdown:
         for frame in trace.timeline.frames:
             phase = frame.start_s % interval
             assert 0.0004 < phase < 0.0031, frame.label
+
+
+class OracleJitterDevice(VictimDevice):
+    """A victim whose frame jitter is the scalar per-counter law."""
+
+    _jitter = oracles.jitter
+
+
+class TestJitterLaw:
+    """The one-call jitter draw is the scalar law, draw for draw."""
+
+    @pytest.mark.parametrize("cold_factor", [None, 3.0])
+    @pytest.mark.parametrize("phone_name,keyboard_name,target", BENCH_CONFIGS)
+    def test_timeline_matches_scalar_jitter(
+        self, monkeypatch, phone_name, keyboard_name, target, cold_factor
+    ):
+        if cold_factor is not None:
+            # make cold frames draw at their own scale, not the default 1
+            monkeypatch.setattr(device_mod, "COLD_JITTER_FACTOR", cold_factor)
+        config = DeviceConfig(phone=phone(phone_name), keyboard=keyboard(keyboard_name))
+        chars = OfflineTrainer(config, app(target)).trainable_characters()[:6]
+        # presses far enough apart that the GPU collapses between them, a
+        # notification, and an app switch with random away activity
+        events = [KeyPress(t=0.5 + 0.3 * i, char=c, duration=0.08) for i, c in enumerate(chars)]
+        events += [
+            BackspacePress(t=2.45),
+            NotificationArrival(t=2.9),
+            AppSwitchAway(t=3.4),
+            AppSwitchBack(t=4.6),
+        ]
+
+        def frames(cls):
+            compiled = cls(config, app(target), rng=np.random.default_rng(31)).compile(
+                events, end_time_s=6.0
+            )
+            return [
+                (f.start_s, f.stats.render_time_s, f.stats.increment.values, f.label)
+                for f in compiled.timeline.frames
+            ]
+
+        ours = frames(VictimDevice)
+        assert ours == frames(OracleJitterDevice)
+        ends = np.maximum.accumulate([start + duration for start, duration, _, _ in ours])
+        cold = sum(start - end > GPU_IDLE_COLLAPSE_S for (start, *_), end in zip(ours[1:], ends))
+        assert 0 < cold < len(ours) - 1

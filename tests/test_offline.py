@@ -7,9 +7,11 @@ from repro.android.apps import app
 from repro.android.device import VictimDevice
 from repro.android.events import KeyPress
 from repro.android.os_config import default_config
+import repro.core.offline as offline
 from repro.core.offline import OfflineTrainer, TrainingData, frame_to_class_label, label_samples
 from repro.kgsl.interpose import open_sampler
 from repro.runtime import SamplerDeltaSource
+from repro.runtime.source import ATTACK_SOURCE_CHUNK
 
 
 def delta_stream(trace, end_s, seed=0):
@@ -108,6 +110,25 @@ class TestTrainer:
     def test_metadata_records_window_counts(self, chase_model):
         assert chase_model.metadata["clean_windows"] > 500
         assert chase_model.metadata["app"] == "chase"
+
+    @pytest.mark.parametrize("target", ["chase", "pnc"])
+    def test_collection_is_chunk_invariant(self, monkeypatch, config, target):
+        """Collection reads in larger batches than the attack; the
+        training data does not depend on the batch size."""
+
+        def collect(chunk):
+            monkeypatch.setattr(offline, "OFFLINE_SOURCE_CHUNK", chunk)
+            trainer = OfflineTrainer(config, app(target), rng=np.random.default_rng(5))
+            data = trainer.collect(sweep_repeats=1)
+            vectors = {label: np.array(v) for label, v in data.vectors_by_label.items()}
+            return vectors, data.clean_windows, data.discarded_windows
+
+        offline_vectors, *offline_counts = collect(offline.OFFLINE_SOURCE_CHUNK)
+        attack_vectors, *attack_counts = collect(ATTACK_SOURCE_CHUNK)
+        assert offline_counts == attack_counts
+        assert list(offline_vectors) == list(attack_vectors)
+        for label, vectors in offline_vectors.items():
+            assert np.array_equal(vectors, attack_vectors[label]), label
 
     def test_distinct_keys_have_distinct_centroids(self, chase_model):
         import itertools

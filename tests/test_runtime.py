@@ -161,7 +161,7 @@ class TestVectorizedExtraction:
 
 
 class TestSamplerDeltaSource:
-    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1024])
     def test_equivalent_to_batch_sampling(self, chunk):
         timeline = timeline_with_frames([0.1, 0.25, 0.4, 0.7])
         reference = make_sampler(timeline, seed=5)

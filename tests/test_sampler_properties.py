@@ -14,7 +14,7 @@ from repro.kgsl.device_file import DeviceClock, open_kgsl
 from repro.kgsl.interpose import Interposer
 from repro.kgsl.sampler import PerfCounterSampler, SystemLoad
 from repro.runtime.source import SamplerDeltaSource
-from tests.oracles import deltas, merge_increments, nonzero_deltas, sample_range
+from tests.oracles import deltas, merge_increments, nonzero_deltas, sample_range, wakeups
 
 CID = pc.RAS_8X4_TILES.counter_id
 
@@ -102,7 +102,7 @@ class TestReadPaths:
         ),
         st.integers(0, 1000),
         st.floats(0.0, 1.0),
-        st.sampled_from([1, 7, 64]),
+        st.sampled_from([1, 7, 64, 1024]),
     )
     @settings(max_examples=60, deadline=None)
     def test_batched_and_per_read_paths_agree(self, frames, seed, cpu, chunk):
@@ -144,6 +144,54 @@ class TestReadPaths:
         sampler = PerfCounterSampler(dev, rng=np.random.default_rng(seed))
         oracle = nonzero_deltas(sample_range(sampler, 0.0, 2.5, load=load))
         assert [replace(delta, gap=False) for delta in stream] == oracle
+
+
+class TestSchedulingLaw:
+    """A chain-free fd's wakeups follow the scalar scheduling law exactly:
+    the same nominals, read times and tallies, and not one draw more."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.floats(0.0, 1.0), st.floats(0.45, 1.0), st.sampled_from([0.0, 1.0])),
+        st.floats(0.001, 0.05),
+        st.floats(0.0, 2.0),
+        st.floats(0.0, 3.0),
+        st.one_of(st.sampled_from([1, 7, 64, 1024]), st.integers(1, 400)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_iter_batches_follows_the_scalar_law(self, seed, cpu, interval, t0, span, chunk):
+        load = SystemLoad(cpu_utilization=cpu)
+        t1 = t0 + span
+        dev = open_kgsl(build_timeline([(0.3, 50)]), clock=DeviceClock())
+        sampler = PerfCounterSampler(dev, interval_s=interval, rng=np.random.default_rng(seed))
+        batches = list(sampler.iter_batches(t0, t1, load, chunk=chunk))
+        oracle_rng = np.random.default_rng(seed)
+        law = list(wakeups(oracle_rng, t0, t1, interval, load))
+        reads = [(nominal, t) for nominal, t in law if t is not None]
+        assert [len(b.t) for b in batches[:-1]] == [chunk] * (len(batches) - 1)
+        assert [
+            (nominal, t) for b in batches for nominal, t in zip(b.nominal.tolist(), b.t.tolist())
+        ] == reads
+        assert (sampler.reads_issued, sampler.reads_dropped) == (len(reads), len(law) - len(reads))
+        assert sampler.rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.integers(1, 64))
+    @settings(max_examples=40, deadline=None)
+    def test_a_batch_draws_only_its_own_wakeups(self, seed, cpu, chunk):
+        """The trainer shares one RNG between the victim and the sampler,
+        so nothing past a batch's last wakeup may be drawn ahead."""
+        load = SystemLoad(cpu_utilization=cpu)
+        dev = open_kgsl(build_timeline([]), clock=DeviceClock())
+        sampler = PerfCounterSampler(dev, rng=np.random.default_rng(seed))
+        first = next(sampler.iter_batches(0.0, 1.0, load, chunk=chunk), None)
+        oracle_rng = np.random.default_rng(seed)
+        reads = 0
+        for _, t in wakeups(oracle_rng, 0.0, 1.0, sampler.interval_s, load):
+            reads += t is not None
+            if reads == chunk:
+                break
+        assert (0 if first is None else len(first.t)) == reads
+        assert sampler.rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestIncrementAlgebra:

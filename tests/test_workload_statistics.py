@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.android.apps import app
-from repro.android.device import AWAY_ACTIVITY_RATE_HZ, VictimDevice
+from repro.android.device import AWAY_ACTIVITY_RATE_HZ, JITTER_SIGMA, VictimDevice
 from repro.android.events import AppSwitchAway, AppSwitchBack, KeyPress
 from repro.android.keyboard import KEYBOARDS
 from repro.android.os_config import default_config
@@ -108,7 +108,7 @@ class TestJitterStatistics:
         ]
         values = np.array(values, dtype=float)
         rel_std = values.std() / values.mean()
-        sigma = VictimDevice._JITTER_SIGMA["PERF_RAS_8X4_TILES"]
+        sigma = dict(JITTER_SIGMA)[pc.RAS_8X4_TILES.counter_id]
         assert 0.4 * sigma < rel_std < 2.5 * sigma
 
     def test_primitive_counts_are_exact(self, config):

@@ -26,6 +26,10 @@ from repro.android.geometry import Rect
 from repro.registry import Registry
 
 
+#: Height of every app's credential field, as a fraction of the screen.
+FIELD_HEIGHT_FRACTION = 0.055
+
+
 @dataclass(frozen=True)
 class AnimationSpec:
     """A decorative animation running on the login screen.
@@ -57,8 +61,6 @@ class AppSpec:
         decor_widgets: count of decorative quads (logo, buttons, banners).
         decor_area_fraction: total screen fraction the decor covers.
         field_top_fraction: vertical position of the credential field.
-        field_height_fraction: height of the credential field.
-        masks_password: whether the field echoes bullets instead of glyphs.
         is_web: rendered inside Chrome (adds browser chrome to the scene).
         animation: decorative login animation, if any.
     """
@@ -69,16 +71,15 @@ class AppSpec:
     decor_widgets: int
     decor_area_fraction: float
     field_top_fraction: float
-    field_height_fraction: float = 0.055
-    masks_password: bool = True
     is_web: bool = False
     animation: Optional[AnimationSpec] = None
 
     def field_rect(self, display: Display) -> Rect:
-        """Pixel rectangle of the credential input field."""
+        """Pixel rectangle of the credential input field, every app's
+        ``FIELD_HEIGHT_FRACTION`` of the screen high."""
         screen = display.resolution
         top = int(screen.height * self.field_top_fraction)
-        height = int(screen.height * self.field_height_fraction)
+        height = int(screen.height * FIELD_HEIGHT_FRACTION)
         left = int(screen.width * 0.08)
         right = int(screen.width * 0.92)
         return Rect(left, top, right, top + height)

@@ -179,15 +179,13 @@ class VictimDevice:
                 values[cid] = max(0, int(round(values[cid] * (1.0 + sigma * factor * z))))
         return CounterIncrement(values=values)
 
-    def _render(self, timeline: RenderTimeline, t: float, scene, label: str) -> None:
+    def _render(self, t: float, scene, label: str) -> None:
         """Schedule an uncacheable (randomly generated) frame."""
         self._requests.append(
             _RenderRequest(t=t, cache_key=None, scene_fn=lambda s=scene: s, label=label)
         )
 
-    def _render_cached(
-        self, timeline: RenderTimeline, t: float, cache_key, scene_fn, label: str
-    ) -> None:
+    def _render_cached(self, t: float, cache_key, scene_fn, label: str) -> None:
         """Schedule a frame whose geometry is cacheable by identity."""
         self._requests.append(
             _RenderRequest(t=t, cache_key=cache_key, scene_fn=scene_fn, label=label)
@@ -261,7 +259,6 @@ class VictimDevice:
 
         # launch: cold-start full render of the login screen
         self._render_cached(
-            timeline,
             launch_at_s,
             ("initial",),
             lambda: self.builder.damage_scene(state, self.builder.display.bounds),
@@ -270,32 +267,30 @@ class VictimDevice:
 
         for event in ordered:
             if isinstance(event, KeyPress):
-                state = self._compile_keypress(timeline, trace, state, event)
+                state = self._compile_keypress(trace, state, event)
             elif isinstance(event, BackspacePress):
-                state = self._compile_backspace(timeline, trace, state, event)
+                state = self._compile_backspace(trace, state, event)
             elif isinstance(event, AppSwitchAway):
-                self._compile_switch_burst(timeline, event.t, direction="away")
+                self._compile_switch_burst(event.t, direction="away")
                 in_target = False
                 away_since = event.t + APP_SWITCH_ANIM_S
             elif isinstance(event, AppSwitchBack):
                 assert away_since is not None
-                self._compile_away_activity(timeline, away_since, event.t)
-                self._compile_switch_burst(timeline, event.t, direction="back")
+                self._compile_away_activity(away_since, event.t)
+                self._compile_switch_burst(event.t, direction="back")
                 trace.switch_intervals.append((away_since - APP_SWITCH_ANIM_S, event.t + APP_SWITCH_ANIM_S))
                 in_target = True
                 away_since = None
             elif isinstance(event, NotificationArrival):
-                state = self._compile_notification(timeline, state, event.t)
+                state = self._compile_notification(state, event.t)
             elif isinstance(event, ViewNotificationShade):
-                self._compile_shade(timeline, event.t)
+                self._compile_shade(event.t)
 
         if away_since is not None:
-            self._compile_away_activity(timeline, away_since, end_time_s)
+            self._compile_away_activity(away_since, end_time_s)
 
-        self._compile_cursor_blinks(
-            timeline, trace, state, ordered, end_time_s, launch_at_s=launch_at_s
-        )
-        self._compile_login_animation(timeline, state, end_time_s, launch_at_s=launch_at_s)
+        self._compile_cursor_blinks(trace, state, ordered, end_time_s, launch_at_s=launch_at_s)
+        self._compile_login_animation(state, end_time_s, launch_at_s=launch_at_s)
         self._materialize(timeline)
         return trace
 
@@ -305,7 +300,6 @@ class VictimDevice:
 
     def _compile_keypress(
         self,
-        timeline: RenderTimeline,
         trace: SessionTrace,
         state: UiState,
         event: KeyPress,
@@ -324,21 +318,20 @@ class VictimDevice:
         else:
             press_fn = lambda c=char: self.builder.ripple_scene(c)
         press_t = event.t + INPUT_LATENCY_S
-        self._render_cached(timeline, press_t, ("press", char), press_fn, label=f"press:{char}")
+        self._render_cached(press_t, ("press", char), press_fn, label=f"press:{char}")
 
         # Popup animation may emit a second identical frame (duplication).
         if self.rng.random() < self.config.keyboard.duplicate_popup_prob:
             dup_t = press_t + self.builder.display.frame_interval_s
             self._render_cached(
-                timeline, dup_t, ("press", char), press_fn, label=f"press_dup:{char}"
+                dup_t, ("press", char), press_fn, label=f"press_dup:{char}"
             )
 
         # 2nd change: key release, text echo appears in the field.
-        state = state.typed(char)
+        state = state.typed()
         echo_state = state.with_popup(char)
         release_t = event.t + event.duration + INPUT_LATENCY_S
         self._render_cached(
-            timeline,
             release_t,
             ("field", state.typed_len, True),
             lambda es=echo_state: self.builder.damage_scene(
@@ -353,7 +346,6 @@ class VictimDevice:
         else:
             dismiss_fn = lambda c=char: self.builder.ripple_scene(c)
         self._render_cached(
-            timeline,
             release_t + POPUP_LINGER_S,
             ("dismiss", char),
             dismiss_fn,
@@ -365,7 +357,6 @@ class VictimDevice:
 
     def _compile_backspace(
         self,
-        timeline: RenderTimeline,
         trace: SessionTrace,
         state: UiState,
         event: BackspacePress,
@@ -374,7 +365,6 @@ class VictimDevice:
             return state
         state = state.deleted()
         self._render_cached(
-            timeline,
             event.t + INPUT_LATENCY_S,
             ("field", state.typed_len, True),
             lambda bs=state: self.builder.damage_scene(
@@ -391,7 +381,7 @@ class VictimDevice:
                 break
         return state
 
-    def _compile_switch_burst(self, timeline: RenderTimeline, t: float, direction: str) -> None:
+    def _compile_switch_burst(self, t: float, direction: str) -> None:
         """The overview animation: a burst of large frames <50 ms apart."""
         interval = self.builder.display.frame_interval_s
         frames = max(8, int(APP_SWITCH_ANIM_S / interval))
@@ -400,14 +390,13 @@ class VictimDevice:
             if direction == "back":
                 progress = 1.0 - progress * 0.999
             self._render_cached(
-                timeline,
                 t + i * interval,
                 ("overview", round(progress, 6), 3),
                 lambda pr=progress: self.builder.overview_scene(pr),
                 label=f"switch_{direction}_{i}",
             )
 
-    def _compile_away_activity(self, timeline: RenderTimeline, t0: float, t1: float) -> None:
+    def _compile_away_activity(self, t0: float, t1: float) -> None:
         """Random screen updates while the user is in another app."""
         if t1 <= t0:
             return
@@ -431,14 +420,11 @@ class VictimDevice:
                     label="other_app_update",
                 )
             )
-            self._render(timeline, t, Scene([layer]), label="other_app")
+            self._render(t, Scene([layer]), label="other_app")
 
-    def _compile_notification(
-        self, timeline: RenderTimeline, state: UiState, t: float
-    ) -> UiState:
+    def _compile_notification(self, state: UiState, t: float) -> UiState:
         state = replace(state, notification_icons=state.notification_icons + 1)
         self._render_cached(
-            timeline,
             t,
             ("notif", state.notification_icons),
             lambda ns=state: self.builder.damage_scene(ns, self.builder.status_bar_damage()),
@@ -446,14 +432,13 @@ class VictimDevice:
         )
         return state
 
-    def _compile_shade(self, timeline: RenderTimeline, t: float) -> None:
+    def _compile_shade(self, t: float) -> None:
         """Pulling the notification shade: two animation bursts (down, up)
         separated by the time the user spends reading notifications."""
         interval = self.builder.display.frame_interval_s
         for i in range(6):
             progress = min(1.0, 0.3 + i * 0.14)
             self._render_cached(
-                timeline,
                 t + i * interval,
                 ("overview", round(progress, 6), 2),
                 lambda pr=progress: self.builder.overview_scene(pr, cards=2),
@@ -463,7 +448,6 @@ class VictimDevice:
         for i in range(6):
             progress = max(0.01, 1.0 - i * 0.17)
             self._render_cached(
-                timeline,
                 t + view_time + i * interval,
                 ("overview", round(progress, 6), 2),
                 lambda pr=progress: self.builder.overview_scene(pr, cards=2),
@@ -472,7 +456,6 @@ class VictimDevice:
 
     def _compile_cursor_blinks(
         self,
-        timeline: RenderTimeline,
         trace: SessionTrace,
         final_state: UiState,
         events: Sequence[UserEvent],
@@ -521,7 +504,6 @@ class VictimDevice:
                         key_highlight=None,
                     )
                     self._render_cached(
-                        timeline,
                         t,
                         ("field", current_len, visible),
                         lambda bs=blink_state: self.builder.damage_scene(
@@ -534,7 +516,6 @@ class VictimDevice:
 
     def _compile_login_animation(
         self,
-        timeline: RenderTimeline,
         state: UiState,
         end_time_s: float,
         launch_at_s: float = 0.0,
@@ -546,7 +527,6 @@ class VictimDevice:
         t = launch_at_s + anim.frame_interval_s
         while t < end_time_s:
             self._render_cached(
-                timeline,
                 t,
                 ("anim", phase % 105),
                 lambda st=state, ph=phase: self.builder.damage_scene(

@@ -191,7 +191,8 @@ class DeviceConfig:
 
     This is the unit the paper trains one classification model for: the
     same phone with a different keyboard or resolution counts as a
-    different configuration (Section 3.2).
+    different configuration (Section 3.2).  Every configuration renders
+    the dark theme, so its model key always ends in ``dark``.
     """
 
     phone: PhoneModel
@@ -199,7 +200,6 @@ class DeviceConfig:
     resolution: Resolution = None  # type: ignore[assignment]
     refresh_rate_hz: int = 0
     android: AndroidVersion = None  # type: ignore[assignment]
-    dark_theme: bool = True
 
     def __post_init__(self) -> None:
         if self.resolution is None:
@@ -231,7 +231,7 @@ class DeviceConfig:
                 self.resolution.name.lower(),
                 f"{self.refresh_rate_hz}hz",
                 self.keyboard.name,
-                "dark" if self.dark_theme else "light",
+                "dark",
             )
         )
 

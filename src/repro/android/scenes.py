@@ -26,7 +26,7 @@ from typing import List, Optional
 from repro.android.apps import AppSpec
 from repro.android.display import Display
 from repro.android.geometry import Rect
-from repro.android.glyphs import glyph, has_glyph
+from repro.android.glyphs import glyph
 from repro.android.keyboard import keyboard_layout
 from repro.android.layers import DrawOp, Layer, Scene, solid_quad
 from repro.android.os_config import DeviceConfig
@@ -45,13 +45,12 @@ class UiState:
     popup_char: Optional[str] = None
     key_highlight: Optional[str] = None
     notification_icons: int = 2
-    last_char: Optional[str] = None
 
     def with_popup(self, char: Optional[str]) -> "UiState":
         return replace(self, popup_char=char, key_highlight=char)
 
-    def typed(self, char: str) -> "UiState":
-        return replace(self, typed_len=self.typed_len + 1, last_char=char)
+    def typed(self) -> "UiState":
+        return replace(self, typed_len=self.typed_len + 1)
 
     def deleted(self) -> "UiState":
         return replace(self, typed_len=max(0, self.typed_len - 1))
@@ -147,13 +146,12 @@ class SceneBuilder:
             DrawOp(rect=field.inset(-2, -2), coverage=0.06, primitives=8, label="field_border")
         )
 
-        # Echoed content: bullets for password fields, glyphs otherwise.
+        # Echoed content: every credential field masks it with bullets.
         font = int(field.height * 0.55)
         advance = int(font * 0.62)
         x = field.left + int(font * 0.4)
+        metrics = glyph(MASK_CHAR)
         for i in range(state.typed_len):
-            shown = MASK_CHAR if app.masks_password else (state.last_char or "a")
-            metrics = glyph(shown if has_glyph(shown) else "a")
             g_rect = Rect.from_size(x, field.top + (field.height - font) // 2, advance, font)
             layer.add(
                 DrawOp(

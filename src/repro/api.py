@@ -70,7 +70,6 @@ from repro.collector import (
     SessionResultPayload,
 )
 from repro.core.guessing import CandidateGenerator
-from repro.core.launch import IDLE_POLL_INTERVAL_S
 from repro.core.model_store import ModelStore
 from repro.core.pipeline import (
     AttackResult,
@@ -248,10 +247,6 @@ class AttackConfig:
 
     #: Attack-mode sampling interval (the paper's 8 ms).
     interval_s: float = DEFAULT_INTERVAL_S
-    #: Idle-watch polling interval of the monitoring service.
-    idle_interval_s: float = IDLE_POLL_INTERVAL_S
-    #: How long the service stays in attack mode after a launch.
-    attack_window_s: float = 60.0
     #: Run device recognition before picking a model (multi-model stores).
     recognize_device: bool = True
     #: Engine toggles (Sections 5.2 / 5.3 / collision recovery).
@@ -283,10 +278,8 @@ class AttackConfig:
     calibration: Union[CalibrationPolicy, None, str] = None
 
     def __post_init__(self) -> None:
-        if self.interval_s <= 0 or self.idle_interval_s <= 0:
-            raise ValueError("sampling intervals must be positive")
-        if self.attack_window_s <= 0:
-            raise ValueError("attack_window_s must be positive")
+        if self.interval_s <= 0:
+            raise ValueError("interval_s must be positive")
         for name in ("cpu_utilization", "gpu_utilization"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
@@ -396,11 +389,7 @@ def _service(
 ) -> MonitoringService:
     """The monitoring service ``config`` describes, escalating into the
     same attack :func:`attack` runs."""
-    return MonitoringService(
-        _attacker(store, config, metrics),
-        idle_interval_s=config.idle_interval_s,
-        attack_window_s=config.attack_window_s,
-    )
+    return MonitoringService(_attacker(store, config, metrics))
 
 
 def _attach_manifest(result, metrics, config: AttackConfig, **meta) -> None:

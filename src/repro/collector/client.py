@@ -16,9 +16,10 @@ results — frames left over from a failed cycle first, then fresh ones —
 writes them as one wire frame (a lone ``result``, or a ``batch`` of two
 or more) and blocks on that frame's one ``ack``.  Window 1 is the
 degenerate case: one ``result``, one ``ack``, the classic lock-step
-round trip.  Frames are written and read under the config's
-``max_frame_bytes``: a burst too big for one frame fails at once, with
-nothing sent, because no resend can make it fit.
+round trip.  Frames are written and read under
+:data:`~repro.collector.frames.MAX_FRAME_BYTES`: a burst too big for one
+frame fails at once, with nothing sent, because no resend can make it
+fit.
 
 Reliability discipline:
 
@@ -170,7 +171,6 @@ class CollectorClient:
         self.config = config
         self.retry = config.retry
         self.timeout_s = config.timeout_s
-        self.max_frame_bytes = config.max_frame_bytes
         self.sleep = sleep
         self.stats = ClientStats()
         plan = faults.FAULT_SPEC.resolve(fault_plan)
@@ -219,11 +219,11 @@ class CollectorClient:
             self._sock = None
 
     def _roundtrip(self, frame: Frame) -> Frame:
-        self._sock.sendall(BINARY_CODEC.encode(frame, self.max_frame_bytes))
+        self._sock.sendall(BINARY_CODEC.encode(frame))
         return self._read_reply()
 
     def _read_reply(self) -> Frame:
-        return decode_any(read_body_sock(self._sock, self.max_frame_bytes))
+        return decode_any(read_body_sock(self._sock))
 
     # -- delivery -------------------------------------------------------
 
@@ -297,7 +297,7 @@ class CollectorClient:
         result, one :class:`Batch` for two or more."""
         frame = burst[0] if len(burst) == 1 else BatchFrame(frames=tuple(burst))
         try:
-            return BINARY_CODEC.encode(frame, self.max_frame_bytes)
+            return BINARY_CODEC.encode(frame)
         except FrameTooLarge as exc:
             raise CollectorClientError(
                 f"device {self.device_id}: results seq {burst[0].seq}..{burst[-1].seq} "

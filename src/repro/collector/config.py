@@ -20,9 +20,14 @@ from typing import Dict, Mapping, Optional
 
 import numpy as np
 
-from repro.collector.frames import MAX_FRAME_BYTES
 from repro.collector.journal import JOURNAL_SYNC_MODES
 from repro.registry import spec_from_dict, spec_to_dict
+
+
+#: Growth factor of the retry backoff per attempt, and the largest random
+#: stretch jitter adds to one delay (as a fraction of it).
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_JITTER_FRAC = 0.5
 
 
 @dataclass(frozen=True)
@@ -30,7 +35,7 @@ class RetryPolicy:
     """Jittered exponential backoff between delivery attempts.
 
     Attempt ``k`` (0-based) sleeps
-    ``min(max_delay_s, base_delay_s * multiplier**k) * (1 + jitter_frac*u)``
+    ``min(max_delay_s, base_delay_s * BACKOFF_MULTIPLIER**k) * (1 + BACKOFF_JITTER_FRAC*u)``
     with ``u`` uniform in ``[0, 1)`` from a seeded RNG — jitter
     de-synchronizes a fleet of devices retrying into the same collector
     without making any single device's schedule nondeterministic.
@@ -39,20 +44,16 @@ class RetryPolicy:
     max_attempts: int = 8
     base_delay_s: float = 0.05
     max_delay_s: float = 2.0
-    multiplier: float = 2.0
-    jitter_frac: float = 0.5
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.base_delay_s < 0 or self.max_delay_s < 0 or self.jitter_frac < 0:
-            raise ValueError("delays and jitter must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
+        if self.base_delay_s < 0 or self.max_delay_s < 0:
+            raise ValueError("delays must be non-negative")
 
     def delay_s(self, attempt: int, rng: np.random.Generator) -> float:
-        base = min(self.max_delay_s, self.base_delay_s * self.multiplier ** attempt)
-        return base * (1.0 + self.jitter_frac * float(rng.random()))
+        base = min(self.max_delay_s, self.base_delay_s * BACKOFF_MULTIPLIER ** attempt)
+        return base * (1.0 + BACKOFF_JITTER_FRAC * float(rng.random()))
 
     def to_dict(self) -> Dict[str, object]:
         return spec_to_dict(self)
@@ -68,7 +69,9 @@ class CollectorConfig:
 
     Consumed by the server, the client, the fleet driver and the facade;
     serializes round-trip through :meth:`to_dict` / :meth:`from_dict`
-    (the nested retry policy serializes as its field dict).
+    (the nested retry policy serializes as its field dict).  The frame
+    cap is no knob: every end encodes and reads frames under
+    :data:`~repro.collector.frames.MAX_FRAME_BYTES`.
 
     Attributes:
         transport: ``"tcp"`` or ``"unix"``.
@@ -83,9 +86,6 @@ class CollectorConfig:
         drain_timeout_s: how long a stopping server waits for in-flight
             connections.
         timeout_s: client-side socket timeout for connect/send/ack.
-        max_frame_bytes: hard cap on one frame body; a length prefix
-            beyond it is a protocol error (``FrameTooLarge``), never an
-            allocation request.
         retry: the client's backoff schedule for failed deliveries.
         shards: how many collector processes the tier runs.  ``1``
             (default) is the in-process single collector; ``> 1``
@@ -125,7 +125,6 @@ class CollectorConfig:
     read_timeout_s: float = 30.0
     drain_timeout_s: float = 10.0
     timeout_s: float = 10.0
-    max_frame_bytes: int = MAX_FRAME_BYTES
     retry: RetryPolicy = RetryPolicy()
     shards: int = 1
     journal_dir: Optional[str] = None
@@ -145,8 +144,6 @@ class CollectorConfig:
             raise ValueError("timeouts must be positive")
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
-        if self.max_frame_bytes < 1:
-            raise ValueError("max_frame_bytes must be >= 1")
         if not isinstance(self.retry, RetryPolicy):
             raise TypeError("retry must be a RetryPolicy")
         if self.shards < 1:

@@ -69,6 +69,12 @@ DRILL_RETRY = RetryPolicy(max_attempts=16, base_delay_s=0.02, max_delay_s=0.5)
 #: How long the driver waits for the drill thread after devices finish.
 SHARD_JOIN_TIMEOUT_S = 60.0
 
+#: The kill drill's shard, how many journal records that shard must hold
+#: before the kill, and how long the drill waits before restarting it.
+KILL_DRILL_SHARD = 0
+KILL_DRILL_AFTER_RESULTS = 1
+KILL_DRILL_RESTART_DELAY_S = 0.1
+
 def trace_counter_deltas(trace) -> Tuple[int, ...]:
     """The session's cumulative counter values in Table-1 order.
 
@@ -99,9 +105,10 @@ class KillDrill:
     """A scripted SIGKILL/restart of one collector shard mid-fleet.
 
     The fault drill the durable tier exists to pass: once shard
-    ``shard``'s journal holds at least ``after_results`` records (i.e.
-    it has acked real work), the driver SIGKILLs that shard's process,
-    waits ``restart_delay_s``, and restarts it on the same endpoint.
+    ``KILL_DRILL_SHARD``'s journal holds at least
+    ``KILL_DRILL_AFTER_RESULTS`` records (i.e. it has acked real work),
+    the driver SIGKILLs that shard's process, waits
+    ``KILL_DRILL_RESTART_DELAY_S``, and restarts it on the same endpoint.
     Devices routed to the dead shard retry through the outage — size
     the collector's :class:`RetryPolicy` budget to cover the restart
     (spawning a fresh process takes on the order of a second).  If the
@@ -109,18 +116,6 @@ class KillDrill:
     fires anyway at the end, so the drill never silently degrades into
     a no-op.
     """
-
-    shard: int = 0
-    after_results: int = 1
-    restart_delay_s: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.shard < 0:
-            raise ValueError("shard must be >= 0")
-        if self.after_results < 1:
-            raise ValueError("after_results must be >= 1")
-        if self.restart_delay_s < 0:
-            raise ValueError("restart_delay_s must be >= 0")
 
 
 @dataclass
@@ -199,14 +194,8 @@ class FleetDriver:
             config = AttackConfig()
         if collector is None:
             collector = CollectorConfig(retry=FLEET_RETRY)
-        if drill is not None:
-            if collector.shards < 2:
-                raise ValueError("a kill drill requires collector.shards >= 2")
-            if drill.shard >= collector.shards:
-                raise ValueError(
-                    f"drill.shard {drill.shard} out of range for "
-                    f"{collector.shards} shards"
-                )
+        if drill is not None and collector.shards < 2:
+            raise ValueError("a kill drill requires collector.shards >= 2")
         self.store = store
         self.device_config = device_config
         self.target = target
@@ -392,21 +381,18 @@ class FleetDriver:
     def _run_drill(self, tier: CollectorTier, devices_done: threading.Event,
                    errors: List[BaseException]) -> None:
         """The kill/restart drill: trigger, SIGKILL, wait, respawn."""
-        drill = self.drill
-        wal = tier.journal_file(drill.shard)
+        shard = KILL_DRILL_SHARD
+        wal = tier.journal_file(shard)
         try:
             while not devices_done.is_set():
-                admitted = count_journal_records(
-                    wal, self.collector.max_frame_bytes
-                )
-                if admitted >= drill.after_results:
+                if count_journal_records(wal) >= KILL_DRILL_AFTER_RESULTS:
                     break
                 time.sleep(0.02)
             # fire even if the fleet beat us to the finish line: the
             # restarted shard must still replay to a correct manifest
-            tier.kill(drill.shard)
-            time.sleep(drill.restart_delay_s)
-            tier.restart(drill.shard)
+            tier.kill(shard)
+            time.sleep(KILL_DRILL_RESTART_DELAY_S)
+            tier.restart(shard)
         except BaseException as exc:
             errors.append(exc)
 

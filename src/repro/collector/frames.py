@@ -119,24 +119,24 @@ class ConnectionClosed(FrameError):
     """The peer closed the connection cleanly between frames."""
 
 
-def prefix_body(body: bytes, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
+def prefix_body(body: bytes) -> bytes:
     """Wrap an encoded frame body in its length prefix, enforcing the cap."""
-    if len(body) > max_bytes:
-        raise FrameTooLarge(f"frame body of {len(body)} bytes exceeds {max_bytes}")
+    if len(body) > MAX_FRAME_BYTES:
+        raise FrameTooLarge(f"frame body of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
     return _LEN.pack(len(body)) + body
 
 
-def parse_length(prefix: bytes, max_bytes: int = MAX_FRAME_BYTES) -> int:
+def parse_length(prefix: bytes) -> int:
     """Validate and unpack a 4-byte length prefix."""
     if len(prefix) != _LEN.size:
         raise FrameError(f"truncated length prefix ({len(prefix)} bytes)")
     (length,) = _LEN.unpack(prefix)
-    if length > max_bytes:
-        raise FrameTooLarge(f"frame length {length} exceeds cap {max_bytes}")
+    if length > MAX_FRAME_BYTES:
+        raise FrameTooLarge(f"frame length {length} exceeds cap {MAX_FRAME_BYTES}")
     return length
 
 
-async def read_body_async(reader, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
+async def read_body_async(reader) -> bytes:
     """Read one frame body from an :class:`asyncio.StreamReader`.
 
     Raises :class:`ConnectionClosed` on clean EOF between frames,
@@ -150,14 +150,14 @@ async def read_body_async(reader, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
         if not exc.partial:
             raise ConnectionClosed("peer closed between frames") from exc
         raise FrameTruncated("connection closed inside a length prefix") from exc
-    length = parse_length(prefix, max_bytes)
+    length = parse_length(prefix)
     try:
         return await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
         raise FrameTruncated("connection closed inside a frame body") from exc
 
 
-def read_body_sock(sock: socket.socket, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
+def read_body_sock(sock: socket.socket) -> bytes:
     """Read one frame body from a blocking socket (the client side)."""
 
     def read_exactly(n: int) -> bytes:
@@ -173,7 +173,7 @@ def read_body_sock(sock: socket.socket, max_bytes: int = MAX_FRAME_BYTES) -> byt
             remaining -= len(chunk)
         return b"".join(chunks)
 
-    length = parse_length(read_exactly(_LEN.size), max_bytes)
+    length = parse_length(read_exactly(_LEN.size))
     return read_exactly(length)
 
 
@@ -501,7 +501,7 @@ def _decode_json_tail(body: bytes, what: str) -> Dict[str, object]:
 class BinaryCodec:
     """The struct-packed wire codec every collector connection speaks."""
 
-    def encode(self, frame: Frame, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
+    def encode(self, frame: Frame) -> bytes:
         if isinstance(frame, Result):
             body = _encode_result_binary(frame)
         elif isinstance(frame, Batch):
@@ -536,7 +536,7 @@ class BinaryCodec:
             body = bytes([TAG_ERROR]) + frame.error.encode("utf-8")
         else:
             raise TypeError(f"not a frame: {frame!r}")
-        return prefix_body(body, max_bytes)
+        return prefix_body(body)
 
 
 BINARY_CODEC = BinaryCodec()

@@ -51,7 +51,6 @@ from typing import List, Optional, Tuple
 
 from repro.collector.frames import (
     BINARY_CODEC,
-    MAX_FRAME_BYTES,
     Batch,
     FrameError,
     Result,
@@ -88,7 +87,7 @@ class JournalRecovery:
         return self.truncated_bytes > 0
 
 
-def read_journal(path, max_frame_bytes: int = MAX_FRAME_BYTES) -> JournalRecovery:
+def read_journal(path) -> JournalRecovery:
     """Scan a journal file into its longest valid prefix of records.
 
     Returns every intact record in append order and the byte counts
@@ -106,9 +105,7 @@ def read_journal(path, max_frame_bytes: int = MAX_FRAME_BYTES) -> JournalRecover
     total = len(data)
     while total - offset >= _PREFIX_LEN:
         try:
-            length = parse_length(
-                data[offset:offset + _PREFIX_LEN], max_frame_bytes
-            )
+            length = parse_length(data[offset:offset + _PREFIX_LEN])
         except FrameError:
             break
         end = offset + _PREFIX_LEN + length
@@ -132,9 +129,9 @@ def read_journal(path, max_frame_bytes: int = MAX_FRAME_BYTES) -> JournalRecover
     )
 
 
-def count_journal_records(path, max_frame_bytes: int = MAX_FRAME_BYTES) -> int:
+def count_journal_records(path) -> int:
     """How many intact records a journal currently holds (cheap poll)."""
-    return len(read_journal(path, max_frame_bytes).records)
+    return len(read_journal(path).records)
 
 
 def dedupe_records(records: List[Result]) -> Tuple[List[Result], int]:
@@ -161,19 +158,13 @@ class CollectorJournal:
     server can rebuild its dedup set and re-aggregate in one pass.
     """
 
-    def __init__(
-        self,
-        path,
-        sync: str = "flush",
-        max_frame_bytes: int = MAX_FRAME_BYTES,
-    ) -> None:
+    def __init__(self, path, sync: str = "flush") -> None:
         if sync not in JOURNAL_SYNC_MODES:
             raise ValueError(
                 f"journal sync must be one of {JOURNAL_SYNC_MODES}, got {sync!r}"
             )
         self.path = Path(path)
         self.sync = sync
-        self.max_frame_bytes = max_frame_bytes
         self.appended = 0
         self._fh: Optional[object] = None
 
@@ -181,7 +172,7 @@ class CollectorJournal:
         """Recover the valid prefix, drop any torn tail, open for append."""
         if self._fh is not None:
             raise JournalError(f"journal {self.path} is already open")
-        recovery = read_journal(self.path, self.max_frame_bytes)
+        recovery = read_journal(self.path)
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             if recovery.torn:
@@ -198,7 +189,7 @@ class CollectorJournal:
         """Durably record one admitted result or batch (before its ack)."""
         if self._fh is None:
             raise JournalError(f"journal {self.path} is not open")
-        data = BINARY_CODEC.encode(frame, self.max_frame_bytes)
+        data = BINARY_CODEC.encode(frame)
         self._fh.write(data)
         if self.sync != "none":
             self._fh.flush()

@@ -324,9 +324,7 @@ class CollectorTier:
         payloads = []
         dupes = 0
         for k in range(self.shards):
-            records = read_journal(
-                self.journal_file(k), self.config.max_frame_bytes
-            ).records
+            records = read_journal(self.journal_file(k)).records
             unique, shard_dupes = dedupe_records(records)
             dupes += shard_dupes
             payloads.extend(frame.payload for frame in unique)

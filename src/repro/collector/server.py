@@ -140,7 +140,6 @@ class CollectorServer:
         self.queue_size = config.queue_size
         self.read_timeout_s = config.read_timeout_s
         self.drain_timeout_s = config.drain_timeout_s
-        self.max_frame_bytes = config.max_frame_bytes
         self.registry = metrics if metrics is not None else MetricsRegistry()
         self.keep_results = keep_results
         self.on_result = on_result
@@ -183,7 +182,6 @@ class CollectorServer:
             self._journal = CollectorJournal(
                 journal_path(self.config.journal_dir, self.shard_index),
                 sync=self.config.journal_sync,
-                max_frame_bytes=self.max_frame_bytes,
             )
             self._replay(self._journal.open())
         if self.transport == "unix":
@@ -283,7 +281,7 @@ class CollectorServer:
             while True:
                 try:
                     body = await asyncio.wait_for(
-                        read_body_async(reader, self.max_frame_bytes),
+                        read_body_async(reader),
                         timeout=self.read_timeout_s,
                     )
                     frame = decode_any(body)

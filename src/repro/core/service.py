@@ -48,6 +48,9 @@ from repro.kgsl.sampler import DEFAULT_INTERVAL_S, IDLE, SystemLoad
 from repro.obs import RunManifest
 from repro.runtime import RuntimeTrace, SamplerDeltaSource, Session, SessionRuntime
 
+#: How long the service stays in attack mode after a launch.
+ATTACK_WINDOW_S = 60.0
+
 
 @dataclass
 class ServiceReport:
@@ -91,19 +94,13 @@ class MonitoringService:
         attack: the attack the service escalates into.  Its interposer
             specs also build the idle watch's chain, and its
             calibration state spans every run of this service.
-        idle_interval_s: idle-watch polling interval.
-        attack_window_s: how long attack mode lasts after a launch.
+
+    The idle watch polls every ``IDLE_POLL_INTERVAL_S`` and attack mode
+    lasts ``ATTACK_WINDOW_S`` after a launch.
     """
 
-    def __init__(
-        self,
-        attack: EavesdropAttack,
-        idle_interval_s: float = IDLE_POLL_INTERVAL_S,
-        attack_window_s: float = 60.0,
-    ) -> None:
+    def __init__(self, attack: EavesdropAttack) -> None:
         self.attack = attack
-        self.idle_interval_s = idle_interval_s
-        self.attack_window_s = attack_window_s
         self.metrics = attack.metrics
 
     def run(
@@ -133,7 +130,7 @@ class MonitoringService:
         attack = self.attack
         watcher = open_sampler(
             trace,
-            self.idle_interval_s,
+            IDLE_POLL_INTERVAL_S,
             np.random.default_rng(seed),
             build_chain(attack.fault_plan, attack.mitigation, attack.drift_plan, seed),
         )
@@ -149,7 +146,7 @@ class MonitoringService:
             stage; the rest of the slow poll is abandoned unread."""
             launch_info["event"] = event
             launch_info["idle_reads"] = watcher.reads_issued
-            window = _window(trace, event.t, self.attack_window_s)
+            window = _window(trace, event.t, ATTACK_WINDOW_S)
             # a fresh fd and clock: the attack samples the remaining window
             source, stage = attack.session_spec(window, load=load, seed=seed + 1)
             session.switch_mode(source, stage)

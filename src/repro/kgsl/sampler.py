@@ -641,6 +641,11 @@ def nonzero_deltas_vectorized(
 
 #: Keystroke inferences per second the power model charges for.
 INFERENCES_PER_S = 0.5
+#: Energy of one counter-read ioctl, of one keystroke inference, and the
+#: power of keeping one little core awake for the service.
+IOCTL_ENERGY_UJ = 22.0
+INFERENCE_ENERGY_UJ = 60.0
+WAKEUP_POWER_MW = 6.0
 
 
 @dataclass(frozen=True)
@@ -653,9 +658,6 @@ class PowerModel:
     """
 
     battery_mwh: float = 17000.0  # ~4500 mAh at 3.85 V
-    ioctl_energy_uj: float = 22.0
-    inference_energy_uj: float = 60.0
-    wakeup_power_mw: float = 6.0
 
     def extra_consumption_percent(
         self,
@@ -665,9 +667,9 @@ class PowerModel:
     ) -> float:
         reads = elapsed_s / interval_s
         energy_mj = (
-            reads * self.ioctl_energy_uj / 1000.0
-            + elapsed_s * INFERENCES_PER_S * self.inference_energy_uj / 1000.0
+            reads * IOCTL_ENERGY_UJ / 1000.0
+            + elapsed_s * INFERENCES_PER_S * INFERENCE_ENERGY_UJ / 1000.0
         )
         energy_mwh = energy_mj / 3600.0
-        standby_mwh = (self.wakeup_power_mw + gpu_sample_power_mw) * elapsed_s / 3600.0
+        standby_mwh = (WAKEUP_POWER_MW + gpu_sample_power_mw) * elapsed_s / 3600.0
         return 100.0 * (energy_mwh + standby_mwh) / self.battery_mwh

@@ -48,6 +48,9 @@ RATIO_CLIP = (0.05, 20.0)
 #: the model it replaces (quantization headroom, not a blank check).
 CTH_INFLATION_CAP = 2.0
 
+#: Cosine gate for matching an evidence vector to a key centroid.
+MATCH_COSINE = 0.8
+
 
 @dataclass(frozen=True)
 class CalibrationPolicy:
@@ -68,8 +71,6 @@ class CalibrationPolicy:
     min_observations: int = 12
     #: Evidence vectors required before a re-fit is attempted.
     min_evidence: int = 6
-    #: Cosine gate for matching an evidence vector to a key centroid.
-    match_cosine: float = 0.8
     #: Upper bound on re-fits per device (0 disables recalibration).
     max_refits: int = 8
     #: Informational profile name ("" for hand-built policies).
@@ -84,8 +85,6 @@ class CalibrationPolicy:
             raise ValueError("min_observations must be >= 1")
         if self.min_evidence < 1:
             raise ValueError("min_evidence must be >= 1")
-        if not 0.0 < self.match_cosine <= 1.0:
-            raise ValueError("match_cosine must be in (0, 1]")
         if self.max_refits < 0:
             raise ValueError("max_refits must be >= 0")
 
@@ -146,7 +145,6 @@ CALIBRATION_SPEC = SpecType(CalibrationPolicy, CalibrationPolicy.from_profile)
 def estimate_refit(
     model: ClassificationModel,
     evidence: Sequence[np.ndarray],
-    match_cosine: float = 0.8,
 ) -> Optional[Tuple[np.ndarray, float]]:
     """Drift ratio *and* acceptance threshold for a re-fit of ``model``.
 
@@ -154,7 +152,7 @@ def estimate_refit(
     label: drift is physical, so key presses, popup dismissals, and
     field redraws all scale by the same per-counter factors, and every
     matched pair estimates the same ratio.  Vectors below
-    ``match_cosine`` against everything the model knows (app switches,
+    :data:`MATCH_COSINE` against everything the model knows (app switches,
     genuine noise) are discarded.  For the matched set, the
     per-dimension ratio ``observed / centroid`` is taken where the
     centroid coordinate is meaningfully nonzero, and the median over
@@ -188,7 +186,7 @@ def estimate_refit(
         v_norms[keep][:, None] * c_norms[usable][None, :]
     )
     best = np.argmax(cosines, axis=1)
-    matched = cosines[np.arange(len(best)), best] >= match_cosine
+    matched = cosines[np.arange(len(best)), best] >= MATCH_COSINE
     if not matched.any():
         return None
     obs = matrix[keep][matched]
@@ -394,9 +392,7 @@ class CalibrationService:
         # base × fresh_ratio every time keeps estimation noise from
         # compounding across generations
         base = self._base.setdefault(device_id, model)
-        refit_estimate = estimate_refit(
-            base, window.evidence, match_cosine=self.policy.match_cosine
-        )
+        refit_estimate = estimate_refit(base, window.evidence)
         evidence_used = len(window.evidence)
         lineage: Dict[str, object] = {
             "device_id": device_id,

@@ -61,7 +61,6 @@ class Scenario:
             constraining the victim's inter-key intervals.
         fault_profile: named fault profile (``repro.faults.PROFILES``)
             the scenario runs under by default.
-        locale: BCP-47-ish locale tag, informational for now.
         charset: optional explicit credential character pool; defaults
             to every trainable character on the keyboard's layout.
         description: one-line human description.
@@ -74,7 +73,6 @@ class Scenario:
     phone: str = "oneplus8pro"
     speed_tier: Optional[str] = None
     fault_profile: str = "none"
-    locale: str = "en_US"
     charset: Optional[str] = None
     description: str = ""
     tags: Tuple[str, ...] = ()

@@ -140,6 +140,15 @@ def name_uses(path, tree):
                     yield part, node.lineno
 
 
+def src_modules(root):
+    """``(dotted name, path, AST)`` of every ``src/repro`` module."""
+    src = root / "src"
+    for path in (src / "repro").rglob("*.py"):
+        parts = path.relative_to(src).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        yield module, path, ast.parse(path.read_text())
+
+
 def unreferenced_definitions(root):
     """``module:qualname`` of each ``src/repro`` definition whose name no
     non-test code under ``root`` uses outside the definition's own body."""
@@ -148,12 +157,9 @@ def unreferenced_definitions(root):
         for path in (root / folder).rglob("*.py"):
             for name, line in name_uses(path, ast.parse(path.read_text())):
                 uses.setdefault(name, []).append((path, line))
-    src = root / "src"
     out = set()
-    for path in (src / "repro").rglob("*.py"):
-        parts = path.relative_to(src).with_suffix("").parts
-        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-        for qualname, node in definitions(ast.parse(path.read_text()).body):
+    for module, path, tree in src_modules(root):
+        for qualname, node in definitions(tree.body):
             if not any(
                 where != path or not node.lineno <= line <= node.end_lineno
                 for where, line in uses.get(node.name, ())
@@ -162,8 +168,8 @@ def unreferenced_definitions(root):
     return out
 
 
-#: Defaulted parameters that no non-test code passes, each with the
-#: consumer or test that needs it to stay an option.
+#: Defaulted parameters and config fields that no non-test code sets,
+#: each with the consumer or test that needs it to stay an option.
 ALLOWED_OPTIONS = {
     "repro.api:simulate(speed_tier)": "facade parameter, documented in docs/api.md",
     "repro.api:attack(model_key)": "facade parameter, documented in docs/api.md",
@@ -178,6 +184,36 @@ ALLOWED_OPTIONS = {
     ),
     "repro.collector.client:CollectorClient.__init__(sleep)": (
         "test seam: a no-op sleeper makes retry backoff schedules instantaneous"
+    ),
+    # config fields
+    "repro.api:AttackConfig.interval_s": (
+        "facade field, documented in docs/api.md: the paper's sampling interval"
+    ),
+    "repro.api:AttackConfig.detect_switches": (
+        "facade field, documented in docs/api.md: the Section 5.2 engine toggle"
+    ),
+    "repro.api:AttackConfig.track_corrections": (
+        "facade field, documented in docs/api.md: the Section 5.3 engine toggle"
+    ),
+    "repro.api:AttackConfig.recover_collisions": (
+        "facade field, documented in docs/api.md: the collision-recovery toggle"
+    ),
+    "repro.api:AttackConfig.cpu_utilization": (
+        "facade field, documented in docs/api.md: Section 7.3 victim load"
+    ),
+    "repro.api:AttackConfig.gpu_utilization": (
+        "facade field, documented in docs/api.md: Section 7.3 victim load"
+    ),
+    "repro.collector.config:CollectorConfig.host": "deployment setting",
+    "repro.collector.config:CollectorConfig.port": (
+        "deployment setting; the router also re-pins it for shard children"
+    ),
+    "repro.collector.config:CollectorConfig.read_timeout_s": "deployment setting",
+    "repro.collector.config:CollectorConfig.drain_timeout_s": "deployment setting",
+    "repro.collector.config:CollectorConfig.timeout_s": "deployment setting",
+    "repro.scenarios.spec:Scenario.phone": "plugin field, documented in docs/scenarios.md",
+    "repro.scenarios.spec:Scenario.fault_profile": (
+        "plugin field, documented in docs/scenarios.md"
     ),
 }
 
@@ -222,30 +258,32 @@ def defaulted_parameters(node, is_method):
             yield arg.arg, None
 
 
+def calls(tree):
+    """``(callee name, node)`` of every call in a module whose callee is a
+    name or an attribute; ``import … as`` aliases resolve to the imported
+    name."""
+    aliases = {
+        alias.asname: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.asname
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                yield aliases.get(node.func.id, node.func.id), node
+            elif isinstance(node.func, ast.Attribute):
+                yield node.func.attr, node
+
+
 def option_setters(sources):
     """Per callee name: the keywords some call passes, the most
     positional arguments one passes, the first index a ``*args`` covers
-    and whether a ``**kwargs`` passes anything.  ``import … as``
-    aliases resolve to the imported name."""
+    and whether a ``**kwargs`` passes anything."""
     setters = {}
     for text in sources:
-        tree = ast.parse(text)
-        aliases = {
-            alias.asname: alias.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom)
-            for alias in node.names
-            if alias.asname
-        }
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if isinstance(node.func, ast.Name):
-                name = aliases.get(node.func.id, node.func.id)
-            elif isinstance(node.func, ast.Attribute):
-                name = node.func.attr
-            else:
-                continue
+        for name, node in calls(ast.parse(text)):
             entry = setters.setdefault(name, {"keywords": set(), "positional": 0,
                                               "star": math.inf, "double_star": False})
             for i, arg in enumerate(node.args):
@@ -261,13 +299,10 @@ def option_setters(sources):
     return setters
 
 
-def unset_options(root):
-    """``module:Qual.name(param)`` of each defaulted parameter of a
-    ``src/repro`` function or method that no call in non-test code (or in
-    the doctests of docs/api.md and the package docstring) passes, by
-    keyword, by position or through ``*args``/``**kwargs``.  Calls match
-    by callee name; an ``__init__`` is called by its class name."""
-    sources = [
+def non_test_sources(root):
+    """The code of every non-test module and of the doctests in
+    docs/api.md and the package docstring."""
+    return [
         path.read_text()
         for folder in NON_TEST_FOLDERS
         for path in (root / folder).rglob("*.py")
@@ -275,13 +310,18 @@ def unset_options(root):
         doctest_source((root / "docs" / "api.md").read_text()),
         doctest_source((root / "src" / "repro" / "__init__.py").read_text()),
     ]
-    setters = option_setters(sources)
-    src = root / "src"
+
+
+def unset_options(root):
+    """``module:Qual.name(param)`` of each defaulted parameter of a
+    ``src/repro`` function or method that no call in non-test code (or in
+    the doctests of docs/api.md and the package docstring) passes, by
+    keyword, by position or through ``*args``/``**kwargs``.  Calls match
+    by callee name; an ``__init__`` is called by its class name."""
+    setters = option_setters(non_test_sources(root))
     out = set()
-    for path in (src / "repro").rglob("*.py"):
-        parts = path.relative_to(src).with_suffix("").parts
-        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-        for qualname, node, is_method in callables(ast.parse(path.read_text()).body):
+    for module, _, tree in src_modules(root):
+        for qualname, node, is_method in callables(tree.body):
             callee = qualname.split(".")[-2] if node.name == "__init__" else node.name
             entry = setters.get(callee)
             for param, index in defaulted_parameters(node, is_method):
@@ -292,6 +332,168 @@ def unset_options(root):
                 ):
                     continue
                 out.add(f"{module}:{qualname}({param})")
+    return out
+
+
+#: The frozen dataclasses whose defaulted init fields are options.
+CONFIG_CLASS = re.compile(r"\w*(Config|Plan|Policy|Spec|Model|Drill)|Scenario")
+
+
+def config_fields(node):
+    """``(name, index, defaulted)`` of each init field of a frozen config
+    dataclass, ``index`` its position in a constructor call; nothing for
+    any other class."""
+    frozen = any(
+        isinstance(d, ast.Call)
+        and getattr(d.func, "id", None) == "dataclass"
+        and any(
+            k.arg == "frozen" and isinstance(k.value, ast.Constant) and k.value.value is True
+            for k in d.keywords
+        )
+        for d in node.decorator_list
+    )
+    if not (frozen and CONFIG_CLASS.fullmatch(node.name)):
+        return
+    index = 0
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(stmt.annotation):
+            continue
+        value = stmt.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            options = {k.arg: k.value for k in value.keywords}
+            if isinstance(options.get("init"), ast.Constant) and not options["init"].value:
+                continue
+            defaulted = "default" in options or "default_factory" in options
+        else:
+            defaulted = value is not None
+        yield stmt.target.id, index, defaulted
+        index += 1
+
+
+def field_setters(sources):
+    """Per callee name: the keywords that reach it, directly or through
+    functions that forward their ``**kwargs`` into a call of it.  A
+    ``cls(**data)`` whose mapping is no ``**kwargs`` parameter forwards
+    nothing, so the spec codec's ``from_dict`` sets no field."""
+    direct, forwards = {}, {}
+    for text in sources:
+        tree = ast.parse(text)
+        callee = {}
+        for name, node in calls(tree):
+            callee[node] = name
+            direct.setdefault(name, set()).update(k.arg for k in node.keywords if k.arg)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.args.kwarg:
+                for node in ast.walk(fn):
+                    if node in callee and any(
+                        k.arg is None and getattr(k.value, "id", None) == fn.args.kwarg.arg
+                        for k in node.keywords
+                    ):
+                        forwards.setdefault(fn.name, set()).add(callee[node])
+    changed = True
+    while changed:
+        changed = False
+        for forwarder, targets in forwards.items():
+            passed = direct.get(forwarder, set())
+            for target in targets:
+                entry = direct.setdefault(target, set())
+                if not passed <= entry:
+                    entry |= passed
+                    changed = True
+    return direct
+
+
+def unset_fields(root):
+    """``module:Class.field`` of each defaulted init field of a frozen
+    ``*Config``/``*Plan``/``*Policy``/``*Spec``/``*Model``/``*Drill``
+    dataclass or ``Scenario`` in ``src/repro`` that no non-test call sets:
+    by keyword or by position in a call of the class (a builtin profile or
+    registry table is such a call), by keyword to ``dataclasses.replace``
+    (which may copy any of them), or by keyword to a function forwarding
+    its ``**kwargs`` into one of those."""
+    sources = non_test_sources(root)
+    reach = field_setters(sources)
+    positional = option_setters(sources)
+    out = set()
+    for module, _, tree in src_modules(root):
+        for _, node in definitions(tree.body):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            entry = positional.get(node.name, {"positional": 0, "star": math.inf})
+            keywords = reach.get(node.name, set()) | reach.get("replace", set())
+            for name, index, defaulted in config_fields(node):
+                if defaulted and name not in keywords and (
+                    entry["positional"] <= index < entry["star"]
+                ):
+                    out.add(f"{module}:{node.name}.{name}")
+    return out
+
+
+#: Methods whose signature an interface fixes, so a body may ignore some
+#: of its parameters.
+INTERFACE_METHODS = {
+    "repro.faults:FaultInjector.after_read": "KGSL Interposer hook",
+    "repro.faults:FaultInjector.on_rows": "KGSL Interposer hook",
+    "repro.lifecycle.drift:DriftInjector.on_rows": "KGSL Interposer hook",
+    "repro.mitigations.policy:PolicyEnforcer.on_rows": "KGSL Interposer hook",
+    "repro.obs.registry:NullRegistry.counter": "MetricsRegistry method, null object",
+    "repro.obs.registry:NullRegistry.gauge": "MetricsRegistry method, null object",
+    "repro.obs.registry:NullRegistry.histogram": "MetricsRegistry method, null object",
+    "repro.obs.registry:NullRegistry.span": "MetricsRegistry method, null object",
+    "repro.cli:_cmd_devices": "CLI command handler: the dispatcher passes each one the parsed args",
+}
+
+
+def functions(node, prefix=""):
+    """``(qualname, node)`` of every function, method and nested function
+    under an AST node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from functions(child, f"{prefix}{child.name}.")
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+            yield from functions(child, f"{prefix}{child.name}.<locals>.")
+        else:
+            yield from functions(child, prefix)
+
+
+def is_stub(node):
+    """Whether a function body does nothing but document, pass or raise."""
+    body = node.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    return all(
+        isinstance(stmt, (ast.Pass, ast.Raise))
+        or (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))
+        for stmt in body
+    )
+
+
+def unread_parameters(root):
+    """``module:qualname(param)`` of each parameter that the body of a
+    non-stub, non-dunder function or method in ``src/repro`` never reads
+    (``self``/``cls`` aside)."""
+    out = set()
+    for module, _, tree in src_modules(root):
+        for qualname, node in functions(tree):
+            if is_stub(node) or (node.name.startswith("__") and node.name.endswith("__")):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            reads = {
+                name.id
+                for stmt in node.body
+                for name in ast.walk(stmt)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+            }
+            out |= {
+                f"{module}:{qualname}({param})"
+                for param in params
+                if param not in reads and param not in ("self", "cls")
+            }
     return out
 
 
@@ -372,8 +574,8 @@ class TestAttackConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"interval_s": 0.0},
-        {"idle_interval_s": -0.1},
-        {"attack_window_s": 0.0},
+        {"interval_s": -0.008},
+        {"cpu_utilization": -0.1},
         {"cpu_utilization": 1.5},
         {"gpu_utilization": -0.2},
         {"sweep_repeats": 0},
@@ -590,14 +792,59 @@ class TestConsumersUseOnlyTheFacade:
         assert sorted(ALLOWED.keys() - unreferenced) == [], "stale ALLOWED entry"
 
     def test_every_option_has_a_non_test_setter(self):
-        # keep-rule: a defaulted parameter is an option only if production,
-        # the bench, the benchmarks, the examples, the tools or the doctests
-        # pass it; a value only tests change is a module or class constant
-        # they monkeypatch.  Matching by callee name can keep an option
-        # that a same-named call passes, but it never drops a used one.
-        unset = unset_options(REPO_ROOT)
+        # keep-rule: a defaulted parameter or config field is an option
+        # only if production, the bench, the benchmarks, the examples, the
+        # tools or the doctests set it; a value only tests change is a
+        # module or class constant they monkeypatch.  Matching by callee
+        # name can keep an option that a same-named call passes, but it
+        # never drops a used one.
+        unset = unset_options(REPO_ROOT) | unset_fields(REPO_ROOT)
         assert sorted(unset - ALLOWED_OPTIONS.keys()) == [], "no non-test setter"
         assert sorted(ALLOWED_OPTIONS.keys() - unset) == [], "stale ALLOWED_OPTIONS entry"
         assert sorted(environment_reads(REPO_ROOT) - ENVIRONMENT) == [], (
             "src/repro reads an environment variable nothing sets"
         )
+
+    def test_field_guard_counts_calls_replace_and_forwarders_only(self, tmp_path):
+        # a field is set by a call of its class (positionally too), by
+        # dataclasses.replace and by a **kwargs forwarder; a cls(**data)
+        # codec sets none, and only frozen config-named classes count
+        (tmp_path / "src" / "repro").mkdir(parents=True)
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "api.md").write_text("")
+        (tmp_path / "src" / "repro" / "__init__.py").write_text("")
+        (tmp_path / "src" / "repro" / "mod.py").write_text(
+            "from dataclasses import dataclass, replace\n"
+            "@dataclass(frozen=True)\n"
+            "class FooConfig:\n"
+            "    name: str\n"
+            "    a: int = 1\n"
+            "    b: int = 2\n"
+            "    c: int = 3\n"
+            "    d: int = 4\n"
+            "    e: int = 5\n"
+            "@dataclass\n"
+            "class BarConfig:\n"
+            "    z: int = 0\n"
+            "def make(**overrides):\n"
+            "    return FooConfig('x', **overrides)\n"
+            "def load(cls, data):\n"
+            "    return cls(**data)\n"
+            "FOO = FooConfig('foo', 2)\n"
+            "FOO_B = make(b=3)\n"
+            "FOO_C = replace(FOO, c=4)\n"
+            "LOADED = load(FooConfig, {'name': 'y', 'd': 5})\n"
+        )
+        for folder in NON_TEST_FOLDERS[1:]:
+            (tmp_path / folder).mkdir()
+        assert unset_fields(tmp_path) == {"repro.mod:FooConfig.d", "repro.mod:FooConfig.e"}
+
+    def test_every_parameter_is_read(self):
+        # keep-rule: a function reads every parameter it takes, unless an
+        # interface fixes its signature; stubs and dunders are not scanned
+        unread = unread_parameters(REPO_ROOT)
+        owners = {entry.split("(")[0] for entry in unread}
+        assert sorted(e for e in unread if e.split("(")[0] not in INTERFACE_METHODS) == [], (
+            "parameter never read"
+        )
+        assert sorted(INTERFACE_METHODS.keys() - owners) == [], "stale INTERFACE_METHODS entry"

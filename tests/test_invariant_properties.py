@@ -248,15 +248,12 @@ retry_policies = st.builds(
     max_attempts=st.integers(1, 20),
     base_delay_s=st.floats(0.0, 1.0),
     max_delay_s=st.floats(0.0, 5.0),
-    multiplier=st.floats(1.0, 4.0),
-    jitter_frac=st.floats(0.0, 1.0),
 )
 calibration_policies = st.sampled_from(sorted(CALIBRATION_PROFILES)).map(
     CalibrationPolicy.from_profile
 ) | st.builds(
     CalibrationPolicy,
     min_evidence=st.integers(1, 20),
-    match_cosine=st.floats(0.05, 1.0),
     max_refits=st.integers(0, 10),
 )
 mitigation_policies = st.sampled_from(mitigation_names()).map(mitigation)

@@ -300,7 +300,7 @@ class TestEstimateRefit:
     def test_unmatched_evidence_returns_none(self, chase_model):
         noise = [np.full(chase_model.centroids.shape[1], -1.0)]
         # anti-correlated junk matches no centroid above the cosine gate
-        assert estimate_refit(chase_model, noise, match_cosine=0.99) is None
+        assert estimate_refit(chase_model, noise) is None
         assert estimate_refit(chase_model, []) is None
 
 

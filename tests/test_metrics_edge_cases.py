@@ -96,7 +96,7 @@ class TestSceneEdgeCases:
         assert len(shapes) <= 2
 
     def test_masked_field_renders_bullets(self, builder):
-        layer = builder.app_layer(UiState(app=app("chase"), typed_len=3, last_char="x"))
+        layer = builder.app_layer(UiState(app=app("chase"), typed_len=3))
         echoes = [op for op in layer.ops if op.label.startswith("echo_")]
         assert len({op.fragment_pixels for op in echoes}) == 1, (
             "masked echoes must be identical regardless of typed characters"

@@ -6,6 +6,7 @@ import pytest
 from repro.android.apps import app
 from repro.android.device import VictimDevice
 from repro.android.events import KeyPress
+from repro.core import service as service_mod
 from repro.core.model_store import ModelStore
 from repro.core.pipeline import EavesdropAttack
 from repro.core.service import MonitoringService, ServiceReport
@@ -73,8 +74,9 @@ class TestMonitoringService:
         with pytest.raises(ValueError):
             MonitoringService(EavesdropAttack(ModelStore()))
 
-    def test_attack_window_truncates(self, chase_store, config):
-        short = MonitoringService(EavesdropAttack(chase_store), attack_window_s=2.0)
+    def test_attack_window_truncates(self, chase_store, config, monkeypatch):
+        monkeypatch.setattr(service_mod, "ATTACK_WINDOW_S", 2.0)
+        short = MonitoringService(EavesdropAttack(chase_store))
         trace = session(config, text="abcdefgh", start=2.0, end=8.0, launch=0.8)
         report = short.run(trace, seed=82)
         # only the first ~2 seconds of typing fit in the window

@@ -13,7 +13,7 @@ The paper reports two granularities:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.workloads.credentials import character_group
 

@@ -48,7 +48,7 @@ import time
 from dataclasses import dataclass
 from hashlib import blake2b
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.collector.config import CollectorConfig
 from repro.collector.journal import dedupe_records, journal_path, read_journal

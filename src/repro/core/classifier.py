@@ -21,7 +21,7 @@ positives".  Distances above ``cth`` classify as ``None`` (system noise).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -577,42 +577,33 @@ def build_model(
     identical key popups (',' vs '.') remain nearest-centroid rivals, which
     is exactly where the paper's Fig 18 errors concentrate.
     """
-    labels: List[str] = []
-    centroid_rows: List[np.ndarray] = []
-    key_rows: List[np.ndarray] = []
-    all_rows: List[np.ndarray] = []
-    for label, vectors in sorted(samples_by_label.items()):
-        if not len(vectors):
-            continue
-        matrix = np.vstack(vectors)
-        labels.append(label)
-        centroid_rows.append(np.median(matrix, axis=0))
-        all_rows.append(matrix)
-        if label.startswith(KEY_PREFIX):
-            key_rows.append(matrix)
-    if not labels:
+    matrices = {
+        label: np.vstack(vectors)
+        for label, vectors in sorted(samples_by_label.items())
+        if len(vectors)
+    }
+    if not matrices:
         raise ValueError("no labeled samples to build a model from")
-    centroids = np.vstack(centroid_rows)
-    # The normalization scale must reflect the *discriminative* spread —
-    # the differences between key popups — not the huge full-screen
+    labels = list(matrices)
+    centroids = np.vstack([np.median(matrix, axis=0) for matrix in matrices.values()])
+    # Only key classes matter for the scale and the threshold.  The
+    # normalization scale must reflect the *discriminative* spread — the
+    # differences between key popups — not the huge full-screen
     # transition classes, which would otherwise collapse all key clusters
-    # onto each other in normalized space.
-    scale_rows = np.vstack(key_rows) if key_rows else np.vstack(all_rows)
-    scale = features.robust_scale(scale_rows)
+    # onto each other in normalized space.  And cth must accept every
+    # genuine key press; reject classes win by proximity, not by
+    # threshold.
+    relevant = [label for label in labels if label.startswith(KEY_PREFIX)] or labels
+    scale = features.robust_scale(np.vstack([matrices[label] for label in relevant]))
 
-    # Worst intra-class radius in normalized space.  Only key classes
-    # matter for the threshold: cth must accept every genuine key press;
-    # reject classes win by proximity, not by threshold.
-    key_labels = [label for label in labels if label.startswith(KEY_PREFIX)]
-    relevant = key_labels if key_labels else labels
+    # Worst intra-class radius in normalized space.
     intra = 0.0
     for label, row in zip(labels, centroids):
         if label not in relevant:
             continue
-        vectors = np.vstack(samples_by_label[label])
         # the online lookups' expansion, on the BLAS product the pinned
         # model bytes were fitted with
-        sq = scaled_sq_dists(vectors / scale, (row / scale)[None, :], blas=True)
+        sq = scaled_sq_dists(matrices[label] / scale, (row / scale)[None, :], blas=True)
         intra = max(intra, float(np.sqrt(np.max(sq))))
 
     cth = max(MIN_CTH, intra * CTH_MARGIN)

@@ -17,7 +17,7 @@ cleaning pass would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,16 +33,14 @@ from repro.android.events import (
 )
 from repro.android.glyphs import KEYBOARD_CHARACTERS
 from repro.android.os_config import DeviceConfig
-from repro.core import features
 from repro.core.classifier import ClassificationModel, build_model
 from repro.gpu.timeline import RenderTimeline
 from repro.kgsl.interpose import open_sampler
-from repro.kgsl.sampler import DEFAULT_INTERVAL_S, PcDelta
-from repro.runtime.source import SamplerDeltaSource
+from repro.kgsl.sampler import DEFAULT_INTERVAL_S, nonzero_delta_arrays
 
 #: Characters the ladder session types, one field length per key.
 LADDER_LENGTH = 16
-#: Reads pulled per step while collecting.  Collection reads whole
+#: Reads pulled per batch while collecting.  Collection reads whole
 #: sessions with no mode switch, so batches only need to stay bounded in
 #: memory; every chunk size yields the same deltas.
 OFFLINE_SOURCE_CHUNK = 1024
@@ -76,46 +74,48 @@ def frame_to_class_label(frame_label: str) -> Optional[str]:
 
 @dataclass
 class TrainingData:
-    """Labeled feature vectors collected during the offline phase."""
+    """Labeled feature rows from the offline phase: one float matrix per class label."""
 
-    vectors_by_label: Dict[str, List[np.ndarray]] = field(default_factory=dict)
+    vectors_by_label: Dict[str, np.ndarray] = field(default_factory=dict)
     discarded_windows: int = 0
     clean_windows: int = 0
 
-    def add(self, label: str, vector: np.ndarray) -> None:
-        self.vectors_by_label.setdefault(label, []).append(vector)
-
-    def merge(self, other: "TrainingData") -> None:
-        for label, vectors in other.vectors_by_label.items():
-            self.vectors_by_label.setdefault(label, []).extend(vectors)
-        self.discarded_windows += other.discarded_windows
-        self.clean_windows += other.clean_windows
-
-    def counts(self) -> Dict[str, int]:
-        return {label: len(v) for label, v in self.vectors_by_label.items()}
-
 
 def label_samples(
-    timeline: RenderTimeline, deltas: Iterable[PcDelta], data: TrainingData
+    timeline: RenderTimeline, prev_t: np.ndarray, t: np.ndarray, rows: np.ndarray, data: TrainingData
 ) -> None:
-    """Label each nonzero delta from the ground-truth frame log."""
-    for delta in deltas:
-        # frames contributing to this window: any overlap with (prev_t, t]
-        involved = timeline.frames_overlapping(delta.prev_t, delta.t)
-        if len(involved) != 1:
-            data.discarded_windows += 1
-            continue
-        frame = involved[0]
-        if frame.start_s <= delta.prev_t or frame.end_s > delta.t:
-            # partially accrued (split across reads) — discard for training
-            data.discarded_windows += 1
-            continue
-        label = frame_to_class_label(frame.label)
-        if label is None:
-            data.discarded_windows += 1
-            continue
-        data.clean_windows += 1
-        data.add(label, features.vectorize(delta))
+    """Label a session's nonzero deltas from the ground-truth frame log.
+
+    Window ``k`` spans ``(prev_t[k], t[k]]`` and moved by ``rows[k]``, as
+    :func:`~repro.kgsl.sampler.nonzero_delta_arrays` returns them.  It is
+    clean when exactly one frame overlaps it, that frame rendered wholly
+    inside it and its label maps to a class; every other window is
+    discarded.
+    """
+    frames = timeline.frames
+    if not frames:
+        data.discarded_windows += len(t)
+        return
+    starts = np.array([frame.start_s for frame in frames])
+    ends = np.array([frame.end_s for frame in frames])
+    labels = [frame_to_class_label(frame.label) for frame in frames]
+    classes = {label: c for c, label in enumerate(dict.fromkeys(filter(None, labels)))}
+    codes = np.array([classes.get(label, -1) for label in labels])
+    # frames overlapping (prev_t, t]: those started before t, less those
+    # that ended by prev_t (each of which also started before t)
+    hi = np.searchsorted(starts, t, side="left")
+    count = hi - np.searchsorted(np.sort(ends), prev_t, side="right")
+    # a lone frame rendered wholly inside the window is the last one
+    # started before t
+    last = np.maximum(hi - 1, 0)
+    clean = (count == 1) & (starts[last] > prev_t) & (ends[last] <= t) & (codes[last] >= 0)
+    data.clean_windows += int(np.count_nonzero(clean))
+    data.discarded_windows += int(np.count_nonzero(~clean))
+    code, matrix = codes[last[clean]], rows[clean].astype(float)
+    for label, c in classes.items():
+        if c in code:
+            old = data.vectors_by_label.get(label, matrix[:0])
+            data.vectors_by_label[label] = np.concatenate((old, matrix[code == c]))
 
 
 class OfflineTrainer:
@@ -139,7 +139,6 @@ class OfflineTrainer:
 
     def trainable_characters(self) -> List[str]:
         """Fig 18 characters that exist on this keyboard's layout."""
-        from repro.android.display import Display
         from repro.android.keyboard import keyboard_layout
 
         layout = keyboard_layout(self.config.keyboard, self.config.display)
@@ -153,9 +152,12 @@ class OfflineTrainer:
         # sampled exactly as the online attack samples: same fd, same
         # extractor, the trainer's RNG driving the reads
         sampler = open_sampler(trace, self.interval_s, self.rng)
-        source = SamplerDeltaSource(sampler, 0.0, end_time_s, chunk=OFFLINE_SOURCE_CHUNK)
-        deltas = [delta for _, delta in source.events()]
-        label_samples(trace.timeline, deltas, data)
+        moved, prev = [], None
+        for batch in sampler.iter_batches(0.0, end_time_s, chunk=OFFLINE_SOURCE_CHUNK):
+            moved.append(nonzero_delta_arrays(batch, prev))
+            prev = batch
+        prev_t, t, rows, _ = (np.concatenate(column) for column in zip(*moved))
+        label_samples(trace.timeline, prev_t, t, rows, data)
 
     def _key_sweep_events(self, chars: Sequence[str], repeats: int) -> Tuple[List[UserEvent], float]:
         """Press + backspace each character ``repeats`` times."""
@@ -203,12 +205,9 @@ class OfflineTrainer:
         self._run_session(events, end, data)
         return data
 
-    def train(
-        self, data: Optional[TrainingData] = None, sweep_repeats: int = 4
-    ) -> ClassificationModel:
-        """Collect (if needed) and fit the classification model."""
-        if data is None:
-            data = self.collect(sweep_repeats=sweep_repeats)
+    def train(self, sweep_repeats: int = 4) -> ClassificationModel:
+        """Collect the training data and fit the classification model."""
+        data = self.collect(sweep_repeats=sweep_repeats)
         missing = [
             c for c in self.trainable_characters() if f"key:{c}" not in data.vectors_by_label
         ]

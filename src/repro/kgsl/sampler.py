@@ -594,48 +594,55 @@ class PerfCounterSampler:
             yield ReadBatch(np.array(nominals), np.array(times), rows, mask)
 
 
-def nonzero_deltas_vectorized(
+def nonzero_delta_arrays(
     batch: ReadBatch, prev: Optional[ReadBatch] = None
-) -> List[PcDelta]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The nonzero-delta extractor: one numpy diff over a batch of reads.
 
-    Differences and filters all reads in one pass: each delta lists its
-    counters in ``COUNTER_ORDER``, and a register that wrapped between
-    two reads (at :data:`repro.gpu.counters.WRAP`) still reads as its
-    true change.  Tests check it against a pairwise scalar reference
-    over the same reads.  A counter masked at
-    either end of a delta is unknown over it: it is left out of
-    ``values`` and listed in ``missing``, so a register re-reserved after
-    a reclamation never reads as a change of its whole cumulative value.
-    ``prev`` optionally supplies the batch preceding ``batch`` so chunked
-    callers can difference across chunk boundaries from its last read.
+    Returns ``(prev_t, t, diffs, unknown)`` of the consecutive read pairs
+    where some counter moved: read times, ``int64`` changes in
+    ``COUNTER_ORDER`` and unknown-counter masks.  A register that wrapped
+    (at :data:`repro.gpu.counters.WRAP`) still reads as its true change.
+    A counter masked at either end of a pair is unknown over it and reads
+    0, so a register re-reserved after a reclamation never reads as a
+    change of its whole cumulative value.  ``prev`` optionally supplies
+    the batch preceding ``batch``, to difference across chunk boundaries.
     """
     t, rows, mask = batch.t, batch.rows, batch.mask
     if prev is not None and len(prev.t):
         t = np.concatenate((prev.t[-1:], t))
         rows = np.concatenate((prev.rows[-1:], rows))
         mask = np.concatenate((prev.mask[-1:], mask))
-    if len(t) < 2:
-        return []
-    diffs = np.diff(rows, axis=0)
+    diffs = rows[1:] - rows[:-1]
     np.add(diffs, pc.WRAP, out=diffs, where=diffs < 0)
     unknown = mask[:-1] | mask[1:]
-    masked = bool(unknown.any())
-    if masked:
+    if unknown.any():
         diffs[unknown] = 0
-    keep = np.flatnonzero(diffs.any(axis=1)).tolist()
-    if not keep:
+    keep = diffs.any(axis=1).nonzero()[0]
+    if not keep.size:
+        return t[:0], t[:0], diffs[:0], unknown[:0]
+    return t[keep], t[1:][keep], diffs[keep], unknown[keep]
+
+
+def nonzero_deltas_vectorized(
+    batch: ReadBatch, prev: Optional[ReadBatch] = None
+) -> List[PcDelta]:
+    """:func:`nonzero_delta_arrays` as :class:`PcDelta` objects, whose
+    unknown counters are left out of ``values`` and listed in
+    ``missing``.  Tests check it against a pairwise scalar reference."""
+    prev_t, t, diffs, unknown = nonzero_delta_arrays(batch, prev)
+    if not len(t):
         return []
-    times = t.tolist()
+    masked = bool(unknown.any())
     out: List[PcDelta] = []
-    for k in keep:
-        values = dict(zip(COUNTER_ORDER, diffs[k].tolist()))
+    for k, (start, end, row) in enumerate(zip(prev_t.tolist(), t.tolist(), diffs.tolist())):
+        values = dict(zip(COUNTER_ORDER, row))
         missing: Tuple[pc.CounterId, ...] = ()
         if masked and unknown[k].any():
             missing = tuple(sorted(COUNTER_ORDER[j] for j in np.flatnonzero(unknown[k])))
             for cid in missing:
                 del values[cid]
-        out.append(PcDelta(t=times[k + 1], prev_t=times[k], values=values, missing=missing))
+        out.append(PcDelta(t=end, prev_t=start, values=values, missing=missing))
     return out
 
 

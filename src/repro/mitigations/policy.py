@@ -40,7 +40,7 @@ invariant (tested in ``tests/test_defense_policies.py``).
 from __future__ import annotations
 
 import errno
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np

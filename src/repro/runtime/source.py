@@ -10,14 +10,14 @@ Android service dropping its idle poll when it escalates).
 :class:`SamplerDeltaSource` is the production source: it drives
 :meth:`~repro.kgsl.sampler.PerfCounterSampler.iter_batches` and yields
 only the nonzero counter deltas — the attack's raw event stream, and
-the one every consumer (online attack, offline trainer, lifecycle
-runner, trace inspection) reads.  It pulls ``chunk`` reads per step, as
+the one the online attack, monitoring service, lifecycle runner and
+trace inspection read; the offline trainer reads the batches' arrays
+itself.  It pulls ``chunk`` reads per step, as
 one :class:`~repro.kgsl.sampler.ReadBatch` of ``int64`` rows and a
-missing-counter mask, and differences each batch with the one
-extractor, :func:`~repro.kgsl.sampler.nonzero_deltas_vectorized`, which
-masks unknown counters itself.  A larger chunk
-trades mode-switch granularity for throughput: the attack uses 64, the
-offline trainer, which never switches mode, 1024; the monitoring
+missing-counter mask, and differences each batch with
+:func:`~repro.kgsl.sampler.nonzero_deltas_vectorized`, which masks
+unknown counters itself.  A larger chunk trades mode-switch
+granularity for throughput: the attack uses 64; the monitoring
 service's idle watch uses ``chunk=1``, a batch of one, so escalation
 happens on the confirming read.  While it yields a batch's
 deltas one event at a time, the source exposes the whole batch

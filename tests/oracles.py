@@ -12,6 +12,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.android.geometry import Rect
+from repro.core import features
 from repro.core.classifier import (
     COMPOSITE_CTH_FACTOR,
     Classification,
@@ -19,8 +20,9 @@ from repro.core.classifier import (
 )
 from repro.android.device import JITTER_SIGMA, VictimDevice
 from repro.core.corrections import CorrectionTracker
+from repro.core.offline import frame_to_class_label
 from repro.gpu import counters as pc
-from repro.gpu.timeline import COUNTER_ORDER
+from repro.gpu.timeline import COUNTER_ORDER, RenderTimeline
 from repro.kgsl.sampler import (
     _BASE_JITTER_S,
     _COALESCE_DELAY_S,
@@ -29,6 +31,7 @@ from repro.kgsl.sampler import (
     IDLE,
     PcDelta,
     PerfCounterSampler,
+    ReadBatch,
     SystemLoad,
 )
 from repro.lifecycle.drift import DriftInjector
@@ -177,6 +180,21 @@ class PcSample:
     missing: Tuple[pc.CounterId, ...] = ()
 
 
+def batch_samples(batch: ReadBatch) -> List[PcSample]:
+    """Each read of one batch as a :class:`PcSample` view."""
+    return [
+        PcSample(
+            nominal_t=nominal,
+            t=t,
+            values={cid: v for cid, v, m in zip(COUNTER_ORDER, row, mask) if not m},
+            missing=tuple(sorted(cid for cid, m in zip(COUNTER_ORDER, mask) if m)),
+        )
+        for nominal, t, row, mask in zip(
+            batch.nominal.tolist(), batch.t.tolist(), batch.rows.tolist(), batch.mask.tolist()
+        )
+    ]
+
+
 def sample_range(
     sampler: PerfCounterSampler, t0: float, t1: float, load: SystemLoad = IDLE
 ) -> List[PcSample]:
@@ -185,17 +203,7 @@ def sample_range(
     chunk = max(1, int((t1 - t0) / sampler.interval_s) + 1)
     samples = []
     for batch in sampler.iter_batches(t0, t1, load=load, chunk=chunk):
-        for nominal, t, row, mask in zip(
-            batch.nominal.tolist(), batch.t.tolist(), batch.rows.tolist(), batch.mask.tolist()
-        ):
-            samples.append(
-                PcSample(
-                    nominal_t=nominal,
-                    t=t,
-                    values={cid: v for cid, v, m in zip(COUNTER_ORDER, row, mask) if not m},
-                    missing=tuple(sorted(cid for cid, m in zip(COUNTER_ORDER, mask) if m)),
-                )
-            )
+        samples += batch_samples(batch)
     return samples
 
 
@@ -232,6 +240,39 @@ def nonzero_deltas(samples: Sequence[PcSample]) -> List[PcDelta]:
     """The reference for :func:`~repro.kgsl.sampler.nonzero_deltas_vectorized`:
     only the deltas where some counter moved (screen changed)."""
     return [d for d in deltas(samples) if d]
+
+
+# ---------------------------------------------------------------------------
+# the offline labeller, one delta at a time
+
+
+def label_deltas(
+    timeline: RenderTimeline, deltas: Iterable[PcDelta]
+) -> Tuple[Dict[str, List[np.ndarray]], int, int]:
+    """The reference for :func:`~repro.core.offline.label_samples`: each
+    delta's window checked against the frames overlapping it.  Returns
+    the feature vectors per class label and the clean and discarded
+    window counts."""
+    vectors: Dict[str, List[np.ndarray]] = {}
+    clean = discarded = 0
+    for delta in deltas:
+        # frames contributing to this window: any overlap with (prev_t, t]
+        involved = timeline.frames_overlapping(delta.prev_t, delta.t)
+        if len(involved) != 1:
+            discarded += 1
+            continue
+        frame = involved[0]
+        if frame.start_s <= delta.prev_t or frame.end_s > delta.t:
+            # partially accrued (split across reads)
+            discarded += 1
+            continue
+        label = frame_to_class_label(frame.label)
+        if label is None:
+            discarded += 1
+            continue
+        clean += 1
+        vectors.setdefault(label, []).append(features.vectorize(delta))
+    return vectors, clean, discarded
 
 
 # ---------------------------------------------------------------------------

@@ -497,6 +497,54 @@ def unread_parameters(root):
     return out
 
 
+def annotation_strings(tree):
+    """Names used by the string annotations of a module (``"Cls"`` and
+    ``Optional["Cls"]``)."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    return {
+        name.id
+        for annotation in annotations
+        if annotation is not None
+        for text in ast.walk(annotation)
+        if isinstance(text, ast.Constant) and isinstance(text.value, str)
+        for name in ast.walk(ast.parse(text.value, mode="eval"))
+        if isinstance(name, ast.Name)
+    }
+
+
+def unused_imports(root):
+    """``module:name`` of each name a non-package ``src/repro`` module
+    imports and neither its code nor a string annotation uses
+    (``__future__`` imports aside).  A name the module lists in
+    ``__all__`` is a re-export, which is a use."""
+    out = set()
+    for module, path, tree in src_modules(root):
+        if path.name == "__init__.py":
+            continue
+        imported, used = set(), annotation_strings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            ):
+                used |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+        out |= {f"{module}:{name}" for name in imported - used}
+    return out
+
+
 def environment_reads(root):
     """Names of the environment variables ``src/repro`` reads through
     ``os.environ`` or ``os.getenv``.  A key that is a module constant
@@ -838,6 +886,32 @@ class TestConsumersUseOnlyTheFacade:
         for folder in NON_TEST_FOLDERS[1:]:
             (tmp_path / folder).mkdir()
         assert unset_fields(tmp_path) == {"repro.mod:FooConfig.d", "repro.mod:FooConfig.e"}
+
+    def test_every_import_is_used(self):
+        # keep-rule: a module imports only the names it uses; package
+        # __init__ files re-export, so they are not scanned
+        assert sorted(unused_imports(REPO_ROOT)) == [], "imported but never used"
+
+    def test_import_guard_counts_code_annotations_and_reexports(self, tmp_path):
+        # a name is used by code, by a string annotation or by __all__;
+        # __future__ imports and package __init__ files are exempt
+        (tmp_path / "src" / "repro" / "pkg").mkdir(parents=True)
+        (tmp_path / "src" / "repro" / "__init__.py").write_text("import os\n")
+        (tmp_path / "src" / "repro" / "pkg" / "__init__.py").write_text("")
+        (tmp_path / "src" / "repro" / "pkg" / "mod.py").write_text(
+            "from __future__ import annotations\n"
+            "import os.path\n"
+            "import json as codec\n"
+            "from typing import List, Optional, Sequence\n"
+            "from dataclasses import dataclass, field\n"
+            "__all__ = ['List']\n"
+            "@dataclass\n"
+            "class Box:\n"
+            "    items: 'Optional[Sequence]' = None\n"
+            "def dump(box) -> 'Box':\n"
+            "    return os.path.join(box)\n"
+        )
+        assert unused_imports(tmp_path) == {"repro.pkg.mod:codec", "repro.pkg.mod:field"}
 
     def test_every_parameter_is_read(self):
         # keep-rule: a function reads every parameter it takes, unless an

@@ -2,22 +2,100 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.android.apps import app
 from repro.android.device import VictimDevice
 from repro.android.events import KeyPress
-from repro.android.os_config import default_config
 import repro.core.offline as offline
 from repro.core.offline import OfflineTrainer, TrainingData, frame_to_class_label, label_samples
+from repro.gpu import counters as pc
+from repro.gpu.pipeline import FrameStats
+from repro.gpu.timeline import COUNTER_ORDER, RenderTimeline
 from repro.kgsl.interpose import open_sampler
-from repro.runtime import SamplerDeltaSource
+from repro.kgsl.sampler import PcDelta, nonzero_delta_arrays, nonzero_deltas_vectorized
 from repro.runtime.source import ATTACK_SOURCE_CHUNK
+from tests.oracles import label_deltas
 
 
-def delta_stream(trace, end_s, seed=0):
-    """The trace's nonzero deltas, read the way the trainer reads them."""
+def read_session(trace, end_s, seed=0):
+    """The trace's read batches, sampled the way the trainer samples."""
     sampler = open_sampler(trace, 0.008, np.random.default_rng(seed))
-    return [delta for _, delta in SamplerDeltaSource(sampler, 0.0, end_s).events()]
+    return list(sampler.iter_batches(0.0, end_s, chunk=ATTACK_SOURCE_CHUNK))
+
+
+def moved_windows(batches):
+    """``(prev_t, t, rows)`` of the read pairs that moved, over batches."""
+    parts = [nonzero_delta_arrays(b, prev) for prev, b in zip([None] + batches, batches)]
+    prev_t, t, rows, _ = (np.concatenate(column) for column in zip(*parts))
+    return prev_t, t, rows
+
+
+def labelled(trace, end_s):
+    data = TrainingData()
+    label_samples(trace.timeline, *moved_windows(read_session(trace, end_s)), data)
+    return data
+
+
+def assert_matches_oracle(data, timeline, deltas):
+    vectors, clean, discarded = label_deltas(timeline, deltas)
+    assert (data.clean_windows, data.discarded_windows) == (clean, discarded)
+    assert data.vectors_by_label.keys() == vectors.keys()
+    for label, rows in vectors.items():
+        assert np.array_equal(data.vectors_by_label[label], np.vstack(rows)), label
+
+
+GRID_S = 0.001
+FRAME_LABELS = (
+    "press:a",
+    "press_dup:b",
+    "echo:3",
+    "cursor_blink:2:on",
+    "dismiss:a",
+    "notification",
+    "other_app",
+    "mystery_frame",
+)
+
+
+@st.composite
+def labelled_windows(draw):
+    """A frame log and read windows over it: frames overlap, some render
+    in zero time, and read times land on grid points and exactly on
+    frame starts and ends."""
+    timeline = RenderTimeline()
+    for start, length, label in draw(
+        st.lists(
+            st.tuples(st.integers(0, 40), st.integers(0, 6), st.sampled_from(FRAME_LABELS)),
+            max_size=12,
+        )
+    ):
+        stats = FrameStats(
+            increment=pc.CounterIncrement(), pixels_touched=0, render_time_s=length * GRID_S
+        )
+        timeline.add_render(start * GRID_S, stats, label=label)
+    edges = [f.start_s for f in timeline.frames] + [f.end_s for f in timeline.frames]
+    on_grid = st.integers(0, 50).map(lambda k: k * GRID_S)
+    times = sorted(
+        draw(
+            st.lists(
+                st.one_of(on_grid, st.sampled_from(edges)) if edges else on_grid,
+                min_size=2,
+                max_size=24,
+                unique=True,
+            )
+        )
+    )
+    n = len(times) - 1
+    row = st.lists(st.integers(0, 999), min_size=11, max_size=11)
+    rows = np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=np.int64)
+    cut = draw(st.integers(0, n))
+    return timeline, np.array(times[:-1]), np.array(times[1:]), rows, cut
+
+
+#: Two moved windows, for the empty frame log example.
+ROWS_2 = np.ones((2, 11), dtype=np.int64)
 
 
 class TestFrameLabelMapping:
@@ -56,9 +134,7 @@ class TestLabelSamples:
     def test_clean_windows_labeled(self, config):
         device = VictimDevice(config, app("chase"), rng=np.random.default_rng(0))
         events = [KeyPress(t=0.5 + 0.55 * i, char="w") for i in range(6)]
-        trace = device.compile(events, end_time_s=4.2)
-        data = TrainingData()
-        label_samples(trace.timeline, delta_stream(trace, 4.2), data)
+        data = labelled(device.compile(events, end_time_s=4.2), 4.2)
         assert "key:w" in data.vectors_by_label
         assert data.clean_windows > 0
 
@@ -68,21 +144,37 @@ class TestLabelSamples:
         trace = device.compile(
             [KeyPress(t=0.5, char="w"), KeyPress(t=0.502, char="n")], end_time_s=1.5
         )
-        data = TrainingData()
-        label_samples(trace.timeline, delta_stream(trace, 1.5), data)
-        assert data.discarded_windows > 0
+        assert labelled(trace, 1.5).discarded_windows > 0
 
-    def test_training_data_merge(self):
-        a = TrainingData()
-        a.add("key:a", np.zeros(11))
-        a.clean_windows = 1
-        b = TrainingData()
-        b.add("key:a", np.ones(11))
-        b.add("key:b", np.ones(11))
-        b.discarded_windows = 2
-        a.merge(b)
-        assert a.counts() == {"key:a": 2, "key:b": 1}
-        assert a.discarded_windows == 2
+    def test_session_matches_the_per_delta_oracle(self, config):
+        device = VictimDevice(config, app("chase"), rng=np.random.default_rng(0))
+        events = [KeyPress(t=0.5 + 0.3 * i, char=c) for i, c in enumerate("wnwq,.")]
+        trace = device.compile(events, end_time_s=2.6)
+        batches = read_session(trace, 2.6)
+        data = TrainingData()
+        label_samples(trace.timeline, *moved_windows(batches), data)
+        deltas = [
+            delta
+            for prev, batch in zip([None] + batches, batches)
+            for delta in nonzero_deltas_vectorized(batch, prev)
+        ]
+        assert data.clean_windows > 0 and data.discarded_windows > 0
+        assert_matches_oracle(data, trace.timeline, deltas)
+
+    @given(labelled_windows())
+    @example((RenderTimeline(), np.array([0.0, 0.008]), np.array([0.008, 0.016]), ROWS_2, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_delta_oracle(self, windows):
+        # labelled in two calls, as sessions are: rows accumulate per label
+        timeline, prev_t, t, rows, cut = windows
+        data = TrainingData()
+        for part in (slice(0, cut), slice(cut, None)):
+            label_samples(timeline, prev_t[part], t[part], rows[part], data)
+        deltas = [
+            PcDelta(t=end, prev_t=start, values=dict(zip(COUNTER_ORDER, row)))
+            for start, end, row in zip(prev_t.tolist(), t.tolist(), rows.tolist())
+        ]
+        assert_matches_oracle(data, timeline, deltas)
 
 
 class TestTrainer:

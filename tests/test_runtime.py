@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.android.apps import app
 from repro.core.pipeline import (
@@ -19,6 +21,7 @@ from repro.kgsl.sampler import (
     DEFAULT_INTERVAL_S,
     PerfCounterSampler,
     ReadBatch,
+    nonzero_delta_arrays,
     nonzero_deltas_vectorized,
 )
 from repro.runtime import (
@@ -28,7 +31,7 @@ from repro.runtime import (
     SessionRuntime,
     VirtualClock,
 )
-from tests.oracles import IterableSource, nonzero_deltas, sample_range
+from tests.oracles import IterableSource, batch_samples, nonzero_deltas, sample_range
 
 CID = pc.RAS_8X4_TILES.counter_id
 
@@ -149,6 +152,37 @@ class TestVectorizedExtraction:
             got += nonzero_deltas_vectorized(batch, prev=prev)
             prev = batch
         assert got == expected
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 40),
+        st.floats(0.0, 0.6),
+        st.integers(1, 16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_array_core_matches_scalar_path_on_masked_batches(self, seed, n, masked, chunk):
+        # few distinct values, some at the wrap, so pairs stand still,
+        # wrap and meet masks at either end
+        rng = np.random.default_rng(seed)
+        values = np.array([0, 1, 2, pc.WRAP - 2, pc.WRAP - 1], dtype=np.int64)
+        shape = (n, len(COUNTER_ORDER))
+        rows = values[rng.integers(0, len(values), shape)]
+        mask = rng.random(shape) < masked
+        rows[mask] = 0
+        times = np.cumsum(rng.uniform(0.001, 0.02, n))
+        whole = ReadBatch(times, times, rows, mask)
+        expected = nonzero_deltas(batch_samples(whole))
+        batches = [
+            ReadBatch(*(column[i : i + chunk] for column in whole)) for i in range(0, n, chunk)
+        ]
+        parts = [nonzero_delta_arrays(b, prev) for prev, b in zip([None] + batches, batches)]
+        prev_t, t, diffs, unknown = (
+            np.concatenate(column) for column in zip(*parts or [nonzero_delta_arrays(whole)])
+        )
+        assert prev_t.tolist() == [d.prev_t for d in expected]
+        assert t.tolist() == [d.t for d in expected]
+        assert unknown.tolist() == [[cid in d.missing for cid in COUNTER_ORDER] for d in expected]
+        assert diffs.tolist() == [[d.values.get(cid, 0) for cid in COUNTER_ORDER] for d in expected]
 
     def test_wraparound_handled(self):
         wrap = pc.WRAP

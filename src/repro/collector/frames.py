@@ -18,35 +18,48 @@ the connection, never a raw ``asyncio.IncompleteReadError`` traceback.
 Wire format
 -----------
 
-A body's first byte is its kind tag (0x81–0x8A); :func:`decode_any`
-dispatches on it.  The hot frame is ``Result``: one
-:class:`struct.Struct` pack of a fixed header
+A body's first byte is its kind tag (0x81–0x8B); :func:`decode_any`
+dispatches on it.  The hot frames carry results, and every result is one
+fixed *row* followed by its strings:
 
 ====== ======== ===========================================
-offset format   field
+offset format   field (offsets within the row)
 ====== ======== ===========================================
-0      ``B``    tag ``0x81``
-1      ``B``    flags (bit 0 degraded, bit 1 exact present,
+0      ``B``    flags (bit 0 degraded, bit 1 exact present,
                 bit 2 exact true, bit 3 deltas present,
                 bit 4 extra JSON present)
-2      ``>H``   counter mask (11 bits)
-4      ``>I``   seq
-8      ``>I``   session_index
-12     ``>q``   seed
-20     ``>I``   n_keys
-24     ``>I``   device_id byte length
-28     ``>I``   text byte length
-32     ``>I``   extra byte length
-36     ``>11Q`` the 11 counter deltas (Table-1 order)
+1      ``>H``   counter mask (11 bits)
+3      ``>I``   seq
+7      ``>I``   session_index
+11     ``>q``   seed
+19     ``>I``   n_keys
+23     ``>I``   device_id byte length
+27     ``>I``   text byte length
+31     ``>I``   extra byte length
+35     ``>11Q`` the 11 counter deltas (Table-1 order)
 ====== ======== ===========================================
 
-followed by the UTF-8 ``device_id`` and ``text`` bytes and an optional
-JSON tail (``metrics`` / ``meta`` — cold fields that stay out of the
-hot pack).  The counter deltas ship as 11 fixed u64s plus the mask —
-no per-field JSON encode on the fleet's hot path.  The cold control
-frames (``hello``, ``metrics``, ``bye``) are the tag byte plus a JSON
-object tail; ``hello_ok``, ``metrics_ok`` and ``bye_ok`` are the bare
-tag.
+A member's *heap* is its UTF-8 ``device_id`` and ``text`` bytes and an
+optional JSON tail (``metrics`` / ``meta`` — cold fields that stay out
+of the hot pack).  The counter deltas ship as 11 fixed u64s plus the
+mask — no per-field JSON encode on the fleet's hot path.
+
+* ``result`` (``0x81``) is the tag, one row, then that member's heap.
+* ``batch`` (``0x8B``) is columnar: the tag, a ``>I`` member count,
+  ``count`` rows back to back, then one heap holding every member's
+  strings in member order.  The rows pack in one :func:`struct.pack`
+  and unpack in one :func:`struct.unpack_from` of the row format
+  repeated ``count`` times; a lone result is the one-row case of the
+  same packer and unpacker.
+
+Protocol 2's batch (``0x88``: a count, then a ``u32`` length and a whole
+``result`` body per member) is retired; :func:`decode_any` refuses it
+with a :class:`FrameError` naming protocol 3.  A lone ``result`` body is
+byte-identical in both revisions.
+
+The cold control frames (``hello``, ``metrics``, ``bye``) are the tag
+byte plus a JSON object tail; ``hello_ok``, ``metrics_ok`` and
+``bye_ok`` are the bare tag.
 """
 
 from __future__ import annotations
@@ -56,10 +69,10 @@ import json
 import socket
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 #: Protocol revision carried in the ``hello`` frame.
-PROTO_VERSION = 2
+PROTO_VERSION = 3
 
 #: Hard cap on one frame's body; a length prefix beyond this is
 #: treated as a corrupt stream, not an allocation request.
@@ -77,9 +90,12 @@ TAG_BYE = 0x84
 TAG_METRICS_OK = 0x85
 TAG_BYE_OK = 0x86
 TAG_ERROR = 0x87
-TAG_BATCH = 0x88
 TAG_HELLO = 0x89
 TAG_HELLO_OK = 0x8A
+TAG_BATCH = 0x8B
+
+#: Protocol 2's per-member length-prefixed batch tag, refused since 3.
+TAG_RETIRED_BATCH = 0x88
 
 _FLAG_DEGRADED = 1
 _FLAG_EXACT_PRESENT = 2
@@ -89,15 +105,16 @@ _FLAG_HAS_EXTRA = 16
 
 _LEN = struct.Struct(">I")
 
-#: The one pack of a binary result: tag, flags, mask, seq, session_index,
-#: seed, n_keys, three tail lengths, 11 counter deltas.
-_RESULT = struct.Struct(">BBHIIqIIII11Q")
+#: One result member's fixed row: flags, mask, seq, session_index, seed,
+#: n_keys, three heap lengths, 11 counter deltas.
+_ROW_FORMAT = "BHIIqIIII11Q"
+_ROW_SIZE = struct.calcsize(">" + _ROW_FORMAT)
+_ROW_FIELDS = 9 + N_COUNTERS
 _ACK = struct.Struct(">BI")
 _BATCH_HEAD = struct.Struct(">BI")
-_BATCH_ITEM_LEN = struct.Struct(">I")
 
 _U32_MAX = 2 ** 32 - 1
-_U64_MAX = 2 ** 64 - 1
+_NO_DELTAS = (0,) * N_COUNTERS
 
 
 # -- transport ----------------------------------------------------------
@@ -195,8 +212,8 @@ class SessionResultPayload:
     ``mask`` a bitmask of counters whose aggregate is unknown (bit *i*
     set = counter *i* masked).  The pair is exactly the fixed-width
     block the binary codec packs as ``11×u64`` + ``u16`` — the reason
-    a result frame needs one :class:`struct.Struct` pack and no
-    per-field JSON encoding.
+    a frame's rows need one :func:`struct.pack` and no per-field JSON
+    encoding.
     """
 
     device_id: str
@@ -213,13 +230,12 @@ class SessionResultPayload:
 
     def __post_init__(self) -> None:
         if self.deltas is not None:
-            self.deltas = tuple(int(v) for v in self.deltas)
-            if len(self.deltas) != N_COUNTERS:
+            deltas = self.deltas = tuple(map(int, self.deltas))
+            if len(deltas) != N_COUNTERS:
                 raise ValueError(
-                    f"deltas must carry {N_COUNTERS} counter values, "
-                    f"got {len(self.deltas)}"
+                    f"deltas must carry {N_COUNTERS} counter values, got {len(deltas)}"
                 )
-            if any(v < 0 for v in self.deltas):
+            if min(deltas) < 0:
                 raise ValueError("counter deltas are non-negative")
         if not 0 <= self.mask < (1 << N_COUNTERS):
             raise ValueError(f"mask must fit {N_COUNTERS} bits, got {self.mask}")
@@ -343,143 +359,117 @@ Frame = Union[
 # -- the codec ----------------------------------------------------------
 
 
-def _encode_result_binary(frame: Result) -> bytes:
-    p = frame.payload
-    device_b = p.device_id.encode("utf-8")
-    text_b = p.text.encode("utf-8")
-    extra: Dict[str, object] = {}
-    if p.metrics is not None:
-        extra["metrics"] = p.metrics
-    if p.meta:
-        extra["meta"] = p.meta
-    extra_b = (
-        json.dumps(extra, separators=(",", ":"), sort_keys=True).encode("utf-8")
-        if extra
-        else b""
-    )
-    flags = 0
-    if p.degraded:
-        flags |= _FLAG_DEGRADED
-    if p.exact is not None:
-        flags |= _FLAG_EXACT_PRESENT
-        if p.exact:
-            flags |= _FLAG_EXACT_TRUE
-    deltas = p.deltas
-    if deltas is not None:
-        flags |= _FLAG_HAS_DELTAS
-    else:
-        deltas = (0,) * N_COUNTERS
-    if extra_b:
-        flags |= _FLAG_HAS_EXTRA
-    if not 0 <= frame.seq <= _U32_MAX:
-        raise FrameError(f"seq {frame.seq} does not fit u32")
-    if not 0 <= p.session_index <= _U32_MAX:
-        raise FrameError(f"session_index {p.session_index} does not fit u32")
-    if not 0 <= p.n_keys <= _U32_MAX:
-        raise FrameError(f"n_keys {p.n_keys} does not fit u32")
-    if any(v > _U64_MAX for v in deltas):
-        raise FrameError("counter delta does not fit u64")
-    header = _RESULT.pack(
-        TAG_RESULT,
-        flags,
-        p.mask,
-        frame.seq,
-        p.session_index,
-        p.seed,
-        p.n_keys,
-        len(device_b),
-        len(text_b),
-        len(extra_b),
-        *deltas,
-    )
-    return header + device_b + text_b + extra_b
+def _pack_members(head: str, head_values: Tuple, frames: Sequence[Result]) -> bytes:
+    """Pack ``head`` and one row per member in a single ``struct.pack``,
+    then append every member's heap in member order."""
+    values = list(head_values)
+    heap = []
+    for frame in frames:
+        p = frame.payload
+        device_b = p.device_id.encode("utf-8")
+        text_b = p.text.encode("utf-8")
+        extra_b = b""
+        flags = 0
+        if p.metrics is not None or p.meta:
+            extra: Dict[str, object] = {}
+            if p.metrics is not None:
+                extra["metrics"] = p.metrics
+            if p.meta:
+                extra["meta"] = p.meta
+            extra_b = json.dumps(extra, separators=(",", ":"), sort_keys=True).encode("utf-8")
+            flags |= _FLAG_HAS_EXTRA
+        if p.degraded:
+            flags |= _FLAG_DEGRADED
+        if p.exact is not None:
+            flags |= _FLAG_EXACT_PRESENT | (_FLAG_EXACT_TRUE if p.exact else 0)
+        deltas = p.deltas
+        if deltas is None:
+            deltas = _NO_DELTAS
+        else:
+            flags |= _FLAG_HAS_DELTAS
+        values += (flags, p.mask, frame.seq, p.session_index, p.seed, p.n_keys,
+                   len(device_b), len(text_b), len(extra_b))
+        values += deltas
+        heap += (device_b, text_b, extra_b)
+    try:
+        rows = struct.pack(head + _ROW_FORMAT * len(frames), *values)
+    except struct.error as exc:
+        raise FrameError(f"result field out of range: {exc}") from exc
+    return rows + b"".join(heap)
 
 
-def _decode_result_binary(body: bytes) -> Result:
-    if len(body) < _RESULT.size:
-        raise FrameError(f"binary result header truncated ({len(body)} bytes)")
-    fields = _RESULT.unpack_from(body)
-    (_tag, flags, mask, seq, session_index, seed, n_keys,
-     device_len, text_len, extra_len) = fields[:10]
-    deltas = fields[10:]
-    expected = _RESULT.size + device_len + text_len + extra_len
-    if len(body) != expected:
+def _unpack_members(body: bytes, offset: int, count: int) -> Tuple[Result, ...]:
+    """Decode ``count`` rows starting at ``offset`` and the heap after
+    them, which must end exactly at the end of ``body``."""
+    rows_end = offset + count * _ROW_SIZE
+    if rows_end > len(body):
         raise FrameError(
-            f"binary result length mismatch: {len(body)} bytes, expected {expected}"
+            f"binary result rows truncated: {count} rows need {rows_end} bytes, "
+            f"body has {len(body)}"
         )
-    offset = _RESULT.size
-    try:
-        device_id = body[offset:offset + device_len].decode("utf-8")
-        offset += device_len
-        text = body[offset:offset + text_len].decode("utf-8")
-        offset += text_len
-    except UnicodeDecodeError as exc:
-        raise FrameError(f"binary result strings are not UTF-8: {exc}") from exc
-    metrics = None
-    meta: Dict[str, object] = {}
-    if flags & _FLAG_HAS_EXTRA:
+    # one flat tuple, not a tuple per row: CPython keeps up to 2,000 freed
+    # 20-tuples on a free list, which would hold ~0.4 MB after a run
+    fields = struct.unpack_from(">" + _ROW_FORMAT * count, body, offset)
+    heap = sum(fields[6::_ROW_FIELDS]) + sum(fields[7::_ROW_FIELDS]) + sum(fields[8::_ROW_FIELDS])
+    if rows_end + heap != len(body):
+        raise FrameError(
+            f"binary result length mismatch: {len(body)} bytes, "
+            f"expected {rows_end + heap}"
+        )
+    members = []
+    pos = rows_end
+    for at in range(0, len(fields), _ROW_FIELDS):
+        flags, mask, seq, session_index, seed, n_keys, device_len, text_len, extra_len = (
+            fields[at:at + 9]
+        )
+        text_at = pos + device_len
+        extra_at = text_at + text_len
+        end = extra_at + extra_len
         try:
-            extra = json.loads(body[offset:offset + extra_len].decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise FrameError(f"binary result extra tail is not JSON: {exc}") from exc
-        if not isinstance(extra, dict):
-            raise FrameError("binary result extra tail must be a JSON object")
-        metrics = extra.get("metrics")
-        meta = extra.get("meta", {})
-    exact = bool(flags & _FLAG_EXACT_TRUE) if flags & _FLAG_EXACT_PRESENT else None
-    try:
-        payload = SessionResultPayload(
-            device_id=device_id,
-            session_index=session_index,
-            text=text,
-            n_keys=n_keys,
-            degraded=bool(flags & _FLAG_DEGRADED),
-            exact=exact,
-            seed=seed,
-            deltas=tuple(deltas) if flags & _FLAG_HAS_DELTAS else None,
-            mask=mask,
-            metrics=metrics,
-            meta=meta,
-        )
-    except (ValueError, TypeError) as exc:
-        raise FrameError(f"binary result payload invalid: {exc}") from exc
-    return Result(seq=seq, payload=payload)
+            device_id = body[pos:text_at].decode("utf-8")
+            text = body[text_at:extra_at].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FrameError(f"binary result strings are not UTF-8: {exc}") from exc
+        metrics = None
+        meta: Dict[str, object] = {}
+        if flags & _FLAG_HAS_EXTRA:
+            try:
+                extra = json.loads(body[extra_at:end].decode("utf-8"))
+            except (ValueError, UnicodeDecodeError) as exc:
+                raise FrameError(f"binary result extra tail is not JSON: {exc}") from exc
+            if not isinstance(extra, dict):
+                raise FrameError("binary result extra tail must be a JSON object")
+            metrics = extra.get("metrics")
+            meta = extra.get("meta", {})
+        pos = end
+        exact = bool(flags & _FLAG_EXACT_TRUE) if flags & _FLAG_EXACT_PRESENT else None
+        try:
+            payload = SessionResultPayload(
+                device_id,
+                session_index,
+                text,
+                n_keys,
+                bool(flags & _FLAG_DEGRADED),
+                exact,
+                seed,
+                fields[at + 9:at + _ROW_FIELDS] if flags & _FLAG_HAS_DELTAS else None,
+                mask,
+                metrics,
+                meta,
+            )
+        except (ValueError, TypeError) as exc:
+            raise FrameError(f"binary result payload invalid: {exc}") from exc
+        members.append(Result(seq, payload))
+    return tuple(members)
 
 
-def _encode_batch_binary(frame: Batch) -> bytes:
-    if not frame.frames:
-        raise FrameError("batch frame must carry at least one result")
-    parts = [_BATCH_HEAD.pack(TAG_BATCH, len(frame.frames))]
-    for item in frame.frames:
-        body = _encode_result_binary(item)
-        parts.append(_BATCH_ITEM_LEN.pack(len(body)))
-        parts.append(body)
-    return b"".join(parts)
-
-
-def _decode_batch_binary(body: bytes) -> Batch:
+def _decode_batch(body: bytes) -> Batch:
     if len(body) < _BATCH_HEAD.size:
         raise FrameError(f"binary batch header truncated ({len(body)} bytes)")
     _tag, count = _BATCH_HEAD.unpack_from(body)
     if count < 1:
         raise FrameError("binary batch must carry at least one result")
-    members = []
-    offset = _BATCH_HEAD.size
-    for _ in range(count):
-        if len(body) - offset < _BATCH_ITEM_LEN.size:
-            raise FrameError("binary batch member length truncated")
-        (item_len,) = _BATCH_ITEM_LEN.unpack_from(body, offset)
-        offset += _BATCH_ITEM_LEN.size
-        end = offset + item_len
-        if end > len(body):
-            raise FrameError("binary batch member body truncated")
-        members.append(_decode_result_binary(body[offset:end]))
-        offset = end
-    if offset != len(body):
-        raise FrameError(
-            f"binary batch length mismatch: {len(body) - offset} trailing bytes"
-        )
-    return Batch(frames=tuple(members))
+    return Batch(frames=_unpack_members(body, _BATCH_HEAD.size, count))
 
 
 def _json_tail_frame(tag: int, obj: Dict[str, object]) -> bytes:
@@ -503,9 +493,11 @@ class BinaryCodec:
 
     def encode(self, frame: Frame) -> bytes:
         if isinstance(frame, Result):
-            body = _encode_result_binary(frame)
+            body = _pack_members(">B", (TAG_RESULT,), (frame,))
         elif isinstance(frame, Batch):
-            body = _encode_batch_binary(frame)
+            if not frame.frames:
+                raise FrameError("batch frame must carry at least one result")
+            body = _pack_members(">BI", (TAG_BATCH, len(frame.frames)), frame.frames)
         elif isinstance(frame, Ack):
             if not 0 <= frame.seq <= _U32_MAX:
                 raise FrameError(f"seq {frame.seq} does not fit u32")
@@ -555,9 +547,14 @@ def decode_any(body: bytes) -> Frame:
         raise FrameError("empty frame body")
     first = body[0]
     if first == TAG_RESULT:
-        return _decode_result_binary(body)
+        return _unpack_members(body, 1, 1)[0]
     if first == TAG_BATCH:
-        return _decode_batch_binary(body)
+        return _decode_batch(body)
+    if first == TAG_RETIRED_BATCH:
+        raise FrameError(
+            f"batch tag 0x{first:02x} was retired in proto {PROTO_VERSION}: "
+            f"a proto 2 peer or journal sent it"
+        )
     if first == TAG_ACK:
         if len(body) != _ACK.size:
             raise FrameError(f"binary ack must be {_ACK.size} bytes, got {len(body)}")

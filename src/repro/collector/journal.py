@@ -19,16 +19,21 @@ exactly as the wire codec packs it (:mod:`repro.collector.frames`) — a
 separate journal schema to version: the journal *is* the wire format,
 so a record round-trips through :func:`~repro.collector.frames.decode_any`
 like any received frame, and torn tails are detected the same way
-truncated connections are.  Readers flatten batch records into their
-member results, so replay and :func:`count_journal_records` always
-operate per session regardless of how the sessions arrived.
+truncated connections are.  The server journals the bytes it received
+whenever every member of a frame is fresh, and re-encodes only the fresh
+members of a resend that overlapped earlier admissions.  Readers flatten
+batch records into their member results, so replay and
+:func:`count_journal_records` always operate per session regardless of
+how the sessions arrived.
 
 Torn tails: a process killed mid-``write`` leaves a partial record at
 the end of the file.  On open the journal scans forward record by
 record, keeps the longest valid prefix, truncates the torn bytes, and
 appends new records after the last intact one.  A SIGKILL can therefore
 cost at most the one record whose ack never went out — which the client
-resends anyway.
+resends anyway.  A *complete* record in protocol 2's retired batch layout
+is no torn tail: it holds acked results, so the scan raises
+:class:`JournalError` instead of cutting them off.
 
 Sync policy (``CollectorConfig.journal_sync``):
 
@@ -50,7 +55,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from repro.collector.frames import (
-    BINARY_CODEC,
+    TAG_RETIRED_BATCH,
     Batch,
     FrameError,
     Result,
@@ -111,9 +116,15 @@ def read_journal(path) -> JournalRecovery:
         end = offset + _PREFIX_LEN + length
         if end > total:
             break
+        body = data[offset + _PREFIX_LEN:end]
         try:
-            frame = decode_any(data[offset + _PREFIX_LEN:end])
-        except FrameError:
+            frame = decode_any(body)
+        except FrameError as exc:
+            if body[:1] == bytes([TAG_RETIRED_BATCH]):
+                raise JournalError(
+                    f"journal {path} holds a protocol 2 batch record at byte "
+                    f"{offset}: {exc}"
+                ) from exc
             break
         if isinstance(frame, Batch):
             # batch records flatten to their member results, so every
@@ -153,9 +164,9 @@ class CollectorJournal:
     """Append-only journal of admitted results for one collector shard.
 
     Usage is ``open()`` (scan + truncate torn tail + position for
-    append), then ``append(frame)`` per admitted result, then
-    ``close()``.  ``open()`` returns the :class:`JournalRecovery` so the
-    server can rebuild its dedup set and re-aggregate in one pass.
+    append), then ``append(data)`` per admission, then ``close()``.
+    ``open()`` returns the :class:`JournalRecovery` so the server can
+    rebuild its dedup set and re-aggregate in one pass.
     """
 
     def __init__(self, path, sync: str = "flush") -> None:
@@ -169,7 +180,11 @@ class CollectorJournal:
         self._fh: Optional[object] = None
 
     def open(self) -> JournalRecovery:
-        """Recover the valid prefix, drop any torn tail, open for append."""
+        """Recover the valid prefix, drop any torn tail, open for append.
+
+        Raises :class:`JournalError` if a complete record is in protocol
+        2's retired batch layout; the file is left untouched.
+        """
         if self._fh is not None:
             raise JournalError(f"journal {self.path} is already open")
         recovery = read_journal(self.path)
@@ -185,11 +200,11 @@ class CollectorJournal:
             raise JournalError(f"cannot open journal {self.path}: {exc}") from exc
         return recovery
 
-    def append(self, frame) -> None:
-        """Durably record one admitted result or batch (before its ack)."""
+    def append(self, data: bytes) -> None:
+        """Durably record one admission (before its ack): ``data`` is a
+        ``result`` or ``batch`` frame's length-prefixed wire bytes."""
         if self._fh is None:
             raise JournalError(f"journal {self.path} is not open")
-        data = BINARY_CODEC.encode(frame)
         self._fh.write(data)
         if self.sync != "none":
             self._fh.flush()

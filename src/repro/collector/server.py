@@ -85,6 +85,7 @@ from repro.collector.frames import (
     Result,
     SessionResultPayload,
     decode_any,
+    prefix_body,
     read_body_async,
 )
 from repro.collector.journal import (
@@ -98,8 +99,9 @@ from repro.obs import MetricsRegistry, RunManifest
 #: Endpoint tuples: ``("tcp", host, port)`` or ``("unix", path)``.
 Endpoint = Tuple
 
-#: What :meth:`MetricsRegistry.merge_snapshot` raises on a malformed snapshot.
-_SNAPSHOT_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+#: What :meth:`MetricsRegistry.merge_snapshot` raises on a malformed snapshot
+#: (``OverflowError``: a JSON ``1e999`` counter decodes to ``inf``).
+_SNAPSHOT_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 
 
 class CollectorServer:
@@ -108,9 +110,6 @@ class CollectorServer:
     Args:
         config: the :class:`~repro.collector.config.CollectorConfig`
             holding every transport/backpressure knob.
-        metrics: the registry aggregation lands in; defaults to a fresh
-            enabled :class:`MetricsRegistry` (the collector always
-            counts — its report *is* the product).
         keep_results: retain ingested payloads on :attr:`results`
             (aggregation-only deployments can turn this off).
         on_result: optional callback invoked by the aggregator for every
@@ -126,7 +125,6 @@ class CollectorServer:
         self,
         config: Optional[CollectorConfig] = None,
         *,
-        metrics: Optional[MetricsRegistry] = None,
         keep_results: bool = True,
         on_result=None,
         shard_index: int = 0,
@@ -140,7 +138,9 @@ class CollectorServer:
         self.queue_size = config.queue_size
         self.read_timeout_s = config.read_timeout_s
         self.drain_timeout_s = config.drain_timeout_s
-        self.registry = metrics if metrics is not None else MetricsRegistry()
+        # a fresh enabled registry: the collector always counts, its
+        # report *is* the product
+        self.registry = MetricsRegistry()
         self.keep_results = keep_results
         self.on_result = on_result
         self.shard_index = shard_index
@@ -311,7 +311,7 @@ class CollectorServer:
                     )
                     return
                 if isinstance(frame, (Result, Batch)):
-                    members = await self._admit(frame)
+                    members = await self._admit(frame, body)
                     device_id = members[-1].device_id or device_id
                     # a batch's ack is cumulative: the last member's seq
                     # acknowledges every member
@@ -383,17 +383,19 @@ class CollectorServer:
         except (ConnectionError, OSError):
             pass
 
-    async def _admit(self, frame: Union[Result, Batch]) -> Tuple[Result, ...]:
+    async def _admit(self, frame: Union[Result, Batch], body: bytes) -> Tuple[Result, ...]:
         """Dedup-check a frame's members and enqueue the fresh ones.
 
-        The members are a batch's ``frames``, or the lone result itself.
-        Each carries its own ``(device_id, seq)`` identity and is
-        deduplicated on its own — a resent batch overlapping an earlier
-        one admits only the unseen members.  The fresh members ride the
-        bounded queue as **one** item and land in the journal as **one**
-        record (a lone result as itself, a batch as the batch of its
-        fresh members), so the per-result flush/enqueue/ack cost is paid
-        once per wire frame.  Returns the members.
+        The members are a batch's ``frames``, or the lone result itself;
+        ``body`` is the wire body ``frame`` was decoded from.  Each member
+        carries its own ``(device_id, seq)`` identity and is deduplicated
+        on its own — a resent batch overlapping an earlier one admits
+        only the unseen members.  The fresh members ride the bounded
+        queue as **one** item and land in the journal as **one** record:
+        the received bytes when every member is fresh (always so for a
+        lone result), else a re-encoded batch of the fresh members.  The
+        per-result flush/enqueue/ack cost is paid once per wire frame.
+        Returns the members.
 
         The enqueue is the backpressure point: with the queue full this
         awaits, the connection stops reading, and the client blocks in
@@ -440,9 +442,12 @@ class CollectorServer:
                 # no awaits from here to the claims' release: admission
                 # is atomic once the payloads are in the queue
                 if self._journal is not None:
-                    record = frame if isinstance(frame, Result) else Batch(frames=tuple(fresh))
                     try:
-                        self._journal.append(record)
+                        self._journal.append(
+                            prefix_body(body)
+                            if len(fresh) == len(members)
+                            else BINARY_CODEC.encode(Batch(frames=tuple(fresh)))
+                        )
                     except (JournalError, OSError):
                         counters("collector.journal.errors").inc()
                 for item in fresh:
@@ -470,7 +475,7 @@ class CollectorServer:
         totals must include them) but skip the bounded queue and the
         ``on_result`` callback: they already happened.
         """
-        unique = 0
+        unique: List[SessionResultPayload] = []
         for frame in recovery.records:
             seen = self._seen.setdefault(frame.payload.device_id, set())
             if frame.seq in seen:
@@ -479,10 +484,10 @@ class CollectorServer:
                 self.registry.counter("collector.journal.replay_dupes").inc()
                 continue
             seen.add(frame.seq)
-            self._aggregate_payload(frame.payload)
-            unique += 1
+            unique.append(frame.payload)
         if unique:
-            self.registry.counter("collector.journal.replayed").inc(unique)
+            self._aggregate_payloads(unique)
+            self.registry.counter("collector.journal.replayed").inc(len(unique))
         if recovery.torn:
             self.registry.counter("collector.journal.truncated_bytes").inc(
                 recovery.truncated_bytes
@@ -493,21 +498,24 @@ class CollectorServer:
     async def _aggregate(self) -> None:
         """The queue consumer: the only writer of run-level aggregation.
 
-        Each queue item is the list of one admission's fresh payloads;
-        each payload aggregates individually.
+        Each queue item is the list of one admission's fresh payloads: it
+        rolls up in one :meth:`_aggregate_payloads`, then ``on_result``
+        fires per payload.
         """
         while True:
             payloads = await self._queue.get()
             try:
-                for payload in payloads:
-                    try:
-                        await self._aggregate_one(payload)
-                    except asyncio.CancelledError:
-                        raise
-                    except Exception:
-                        # an aggregation callback failure must not wedge
-                        # the queue (stop() joins it) or kill the consumer
-                        self.registry.counter("collector.aggregation_errors").inc()
+                self._aggregate_payloads(payloads)
+                if self.on_result is not None:
+                    for payload in payloads:
+                        try:
+                            maybe_awaitable = self.on_result(payload)
+                            if asyncio.iscoroutine(maybe_awaitable):
+                                await maybe_awaitable
+                        except Exception:
+                            # a callback failure must not wedge the queue
+                            # (stop() joins it) or kill the consumer
+                            self.registry.counter("collector.aggregation_errors").inc()
             finally:
                 self._queue.task_done()
                 self.registry.gauge("collector.queue_depth").set(self._queue.qsize())
@@ -525,32 +533,36 @@ class CollectorServer:
             return False
         return True
 
-    def _aggregate_payload(self, payload: SessionResultPayload) -> None:
+    def _aggregate_payloads(self, payloads: List[SessionResultPayload]) -> None:
         """The synchronous rollups shared by live ingest and replay.
 
+        Each ``collector.sessions_*`` counter moves once by its tally
+        over ``payloads``; piggybacked metrics merge payload by payload.
         Never raises on payload content: a result whose piggybacked
         metrics cannot merge still counts as ingested (it was acked and
         journaled) and tallies ``collector.aggregation_errors`` instead,
         so a replayed journal rebuilds exactly the live run's state.
         """
-        self.registry.counter("collector.sessions_ingested").inc()
-        if payload.degraded:
-            self.registry.counter("collector.sessions_degraded").inc()
-        if payload.exact is not None:
-            self.registry.counter("collector.sessions_scored").inc()
-            if payload.exact:
-                self.registry.counter("collector.sessions_exact").inc()
-        if payload.metrics is not None and not self._merge_metrics(payload.metrics):
-            self.registry.counter("collector.aggregation_errors").inc()
+        counter = self.registry.counter
+        degraded = scored = exact = 0
+        for payload in payloads:
+            if payload.degraded:
+                degraded += 1
+            if payload.exact is not None:
+                scored += 1
+                if payload.exact:
+                    exact += 1
+            if payload.metrics is not None and not self._merge_metrics(payload.metrics):
+                counter("collector.aggregation_errors").inc()
+        counter("collector.sessions_ingested").inc(len(payloads))
+        if degraded:
+            counter("collector.sessions_degraded").inc(degraded)
+        if scored:
+            counter("collector.sessions_scored").inc(scored)
+        if exact:
+            counter("collector.sessions_exact").inc(exact)
         if self.keep_results:
-            self.results.append(payload)
-
-    async def _aggregate_one(self, payload: SessionResultPayload) -> None:
-        self._aggregate_payload(payload)
-        if self.on_result is not None:
-            maybe_awaitable = self.on_result(payload)
-            if asyncio.iscoroutine(maybe_awaitable):
-                await maybe_awaitable
+            self.results.extend(payloads)
 
 
 class CollectorHandle:

@@ -65,7 +65,6 @@ class RunManifest:
     def merge(
         cls,
         manifests: "Sequence[RunManifest]",
-        config: Optional[Mapping[str, object]] = None,
         **meta: object,
     ) -> "RunManifest":
         """Recombine per-shard manifests into one run-level manifest.
@@ -74,8 +73,9 @@ class RunManifest:
         :meth:`~repro.obs.registry.MetricsRegistry.merge_snapshot`:
         counters sum (colliding names add), gauges are last-wins,
         histograms add bucket-wise (layout mismatches raise), spans add
-        counts/totals and keep the max.  ``config``/``meta`` default to
-        the first manifest's values when not given.
+        counts/totals and keep the max.  ``config`` is the first
+        manifest's; ``meta`` defaults to the first manifest's when not
+        given.
         """
         from repro.obs.registry import MetricsRegistry
 
@@ -89,8 +89,7 @@ class RunManifest:
                     "spans": manifest.spans,
                 }
             )
-        if config is None and manifests:
-            config = manifests[0].config
+        config = manifests[0].config if manifests else None
         if not meta and manifests:
             meta = dict(manifests[0].meta)  # type: ignore[assignment]
         return cls.from_registry(registry, config=config, **meta)

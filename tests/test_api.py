@@ -185,6 +185,10 @@ ALLOWED_OPTIONS = {
     "repro.collector.client:CollectorClient.__init__(sleep)": (
         "test seam: a no-op sleeper makes retry backoff schedules instantaneous"
     ),
+    "repro.collector.server:CollectorServer.__init__(on_result)": (
+        "test seam: a slow callback holds the aggregator, so the backpressure "
+        "and drain tests can fill the bounded queue"
+    ),
     # config fields
     "repro.api:AttackConfig.interval_s": (
         "facade field, documented in docs/api.md: the paper's sampling interval"
@@ -277,25 +281,48 @@ def calls(tree):
                 yield node.func.attr, node
 
 
+def kwargs_forwards(tree):
+    """``(forwarder, call)`` of each call that passes its enclosing
+    function's own ``**kwargs`` parameter on; an ``__init__`` forwards
+    under its class name, the name its callers call it by."""
+    inits = {
+        fn: cls.name
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+    }
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.args.kwarg:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and any(
+                    k.arg is None and getattr(k.value, "id", None) == fn.args.kwarg.arg
+                    for k in node.keywords
+                ):
+                    yield inits.get(fn, fn.name), node
+
+
 def option_setters(sources):
-    """Per callee name: the keywords some call passes, the most
-    positional arguments one passes, the first index a ``*args`` covers
-    and whether a ``**kwargs`` passes anything."""
+    """Per callee name: the keywords that reach it (directly, or through
+    functions forwarding their ``**kwargs`` into a call of it, as
+    :func:`field_setters` resolves them), the most positional arguments
+    one call passes, the first index a ``*args`` covers and whether a
+    ``**mapping`` that is no forwarded ``**kwargs`` passes anything."""
+    reach = field_setters(sources)
     setters = {}
     for text in sources:
-        for name, node in calls(ast.parse(text)):
-            entry = setters.setdefault(name, {"keywords": set(), "positional": 0,
+        tree = ast.parse(text)
+        forwarded = {node for _, node in kwargs_forwards(tree)}
+        for name, node in calls(tree):
+            entry = setters.setdefault(name, {"keywords": reach.get(name, set()), "positional": 0,
                                               "star": math.inf, "double_star": False})
             for i, arg in enumerate(node.args):
                 if isinstance(arg, ast.Starred):
                     entry["star"] = min(entry["star"], i)
                     break
                 entry["positional"] = max(entry["positional"], i + 1)
-            for keyword in node.keywords:
-                if keyword.arg is None:
-                    entry["double_star"] = True
-                else:
-                    entry["keywords"].add(keyword.arg)
+            if node not in forwarded and any(k.arg is None for k in node.keywords):
+                entry["double_star"] = True
     return setters
 
 
@@ -316,8 +343,9 @@ def unset_options(root):
     """``module:Qual.name(param)`` of each defaulted parameter of a
     ``src/repro`` function or method that no call in non-test code (or in
     the doctests of docs/api.md and the package docstring) passes, by
-    keyword, by position or through ``*args``/``**kwargs``.  Calls match
-    by callee name; an ``__init__`` is called by its class name."""
+    keyword (also through ``**kwargs`` forwarders), by position, through
+    ``*args`` or through a ``**mapping``.  Calls match by callee name; an
+    ``__init__`` is called by its class name."""
     setters = option_setters(non_test_sources(root))
     out = set()
     for module, _, tree in src_modules(root):
@@ -374,9 +402,10 @@ def config_fields(node):
 
 def field_setters(sources):
     """Per callee name: the keywords that reach it, directly or through
-    functions that forward their ``**kwargs`` into a call of it.  A
-    ``cls(**data)`` whose mapping is no ``**kwargs`` parameter forwards
-    nothing, so the spec codec's ``from_dict`` sets no field."""
+    functions that forward their ``**kwargs`` into a call of it (see
+    :func:`kwargs_forwards`).  A ``cls(**data)`` whose mapping is no
+    ``**kwargs`` parameter forwards nothing, so the spec codec's
+    ``from_dict`` sets no field."""
     direct, forwards = {}, {}
     for text in sources:
         tree = ast.parse(text)
@@ -384,14 +413,9 @@ def field_setters(sources):
         for name, node in calls(tree):
             callee[node] = name
             direct.setdefault(name, set()).update(k.arg for k in node.keywords if k.arg)
-        for fn in ast.walk(tree):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.args.kwarg:
-                for node in ast.walk(fn):
-                    if node in callee and any(
-                        k.arg is None and getattr(k.value, "id", None) == fn.args.kwarg.arg
-                        for k in node.keywords
-                    ):
-                        forwards.setdefault(fn.name, set()).add(callee[node])
+        for forwarder, node in kwargs_forwards(tree):
+            if node in callee:
+                forwards.setdefault(forwarder, set()).add(callee[node])
     changed = True
     while changed:
         changed = False
@@ -886,6 +910,34 @@ class TestConsumersUseOnlyTheFacade:
         for folder in NON_TEST_FOLDERS[1:]:
             (tmp_path / folder).mkdir()
         assert unset_fields(tmp_path) == {"repro.mod:FooConfig.d", "repro.mod:FooConfig.e"}
+
+    def test_option_guard_resolves_kwargs_forwarders(self, tmp_path):
+        # a **kwargs forwarder sets only the keywords its callers pass it,
+        # an __init__ forwards under its class name, and a **mapping that
+        # is no forwarded **kwargs may set any option
+        (tmp_path / "src" / "repro").mkdir(parents=True)
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "api.md").write_text("")
+        (tmp_path / "src" / "repro" / "__init__.py").write_text("")
+        (tmp_path / "src" / "repro" / "mod.py").write_text(
+            "class Server:\n"
+            "    def __init__(self, a=1, b=2, c=3):\n"
+            "        pass\n"
+            "class Handle:\n"
+            "    def __init__(self, **kwargs):\n"
+            "        self.server = Server(**kwargs)\n"
+            "def load(a=1, b=2):\n"
+            "    pass\n"
+            "HANDLE = Handle(a=5)\n"
+            "OPTIONS = {'b': 1}\n"
+            "LOADED = load(**OPTIONS)\n"
+        )
+        for folder in NON_TEST_FOLDERS[1:]:
+            (tmp_path / folder).mkdir()
+        assert unset_options(tmp_path) == {
+            "repro.mod:Server.__init__(b)",
+            "repro.mod:Server.__init__(c)",
+        }
 
     def test_every_import_is_used(self):
         # keep-rule: a module imports only the names it uses; package

@@ -30,6 +30,8 @@ from repro.collector.frames import (
     TAG_HELLO,
     TAG_HELLO_OK,
     TAG_METRICS,
+    TAG_RESULT,
+    TAG_RETIRED_BATCH,
     Ack,
     Batch,
     Bye,
@@ -77,6 +79,11 @@ def send_frame(sock, frame):
 
 def read_frame(sock):
     return decode_any(read_body_sock(sock))
+
+
+def admit(server, frame):
+    """Admit ``frame`` as the server's read loop does: with its wire body."""
+    return server._admit(frame, BINARY_CODEC.encode(frame)[4:])
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +484,7 @@ class TestWireCodecs:
         assert decode_any(wire[4:]) == frame
 
     def test_control_frames_round_trip_on_both_codecs(self):
-        # protocol 2 has one codec; the control frames round-trip on it
+        # the wire has one codec; the control frames round-trip on it
         frames = [
             Ack(seq=123),
             Metrics(snapshot={"counters": {"x": 1}}),
@@ -517,6 +524,146 @@ class TestWireCodecs:
             SessionResultPayload("d", 0, "pw", 2, deltas=(-1,) * N_COUNTERS)
         with pytest.raises(ValueError, match="mask"):
             SessionResultPayload("d", 0, "pw", 2, mask=1 << N_COUNTERS)
+
+
+#: Member payloads for the columnar property: a few device ids (one
+#: non-ASCII) mixed within a batch, deltas absent or reaching the u64 top.
+member_payload_strategy = st.builds(
+    SessionResultPayload,
+    device_id=st.sampled_from(["device-0000", "device-0001", "appareil-é", "设备"]),
+    session_index=u32,
+    text=st.text(max_size=16),
+    n_keys=u32,
+    degraded=st.booleans(),
+    exact=st.sampled_from([None, True, False]),
+    seed=st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1),
+    deltas=st.one_of(
+        st.none(),
+        st.tuples(*[st.one_of(st.just(2 ** 64 - 1), u64)] * N_COUNTERS),
+    ),
+    mask=st.integers(min_value=0, max_value=(1 << N_COUNTERS) - 1),
+    metrics=st.one_of(st.none(), st.dictionaries(st.text(max_size=4), st.integers(), max_size=2)),
+    meta=st.dictionaries(st.text(max_size=4), st.text(max_size=4), max_size=2),
+)
+
+#: One ``result`` body, packed by protocol 2 and protocol 3 alike.
+PINNED_RESULT = Result(
+    seq=258,
+    payload=SessionResultPayload(
+        "dev-π", 7, "pw1x5", 5, degraded=True, exact=False, seed=-3,
+        deltas=(0, 1, 2 ** 64 - 1) + (5,) * 8, mask=0x401, meta={"k": "v"},
+    ),
+)
+PINNED_RESULT_HEX = (
+    "811b04010000010200000007fffffffffffffffd000000050000000600000005"
+    "0000001200000000000000000000000000000001ffffffffffffffff00000000"
+    "0000000500000000000000050000000000000005000000000000000500000000"
+    "0000000500000000000000050000000000000005000000000000000564657"
+    "62dcf8070773178357b226d657461223a7b226b223a2276227d7d"
+)
+
+#: Bytes of one member's fixed row in a ``result`` or ``batch`` body.
+ROW_BYTES = 123
+
+
+def batch_head(count):
+    return bytes([TAG_BATCH]) + count.to_bytes(4, "big")
+
+
+class TestColumnarCodec:
+    """The columnar ``batch`` body and its one-row case, the ``result``."""
+
+    @given(members=st.lists(member_payload_strategy, min_size=1, max_size=64), lone=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_decode_inverts_encode(self, members, lone):
+        if lone:
+            members = members[:1]
+        frames = tuple(Result(seq=i, payload=p) for i, p in enumerate(members))
+        frame = frames[0] if lone else Batch(frames=frames)
+        body = BINARY_CODEC.encode(frame)[4:]
+        decoded = decode_any(body)
+        assert decoded == frame
+        items = (decoded,) if lone else decoded.frames
+        # exact is the same object, not merely an equal one (1 == True)
+        assert [m.payload.exact for m in items] == [p.exact for p in members]
+        assert all(m.payload.exact is p.exact for m, p in zip(items, members))
+        heap = sum(
+            len(m.payload.device_id.encode()) + len(m.payload.text.encode())
+            for m in items
+        )
+        head = 1 if lone else 5
+        assert len(body) >= head + ROW_BYTES * len(members) + heap
+        assert body[0] == (TAG_RESULT if lone else TAG_BATCH)
+
+    def test_lone_result_bytes_are_pinned(self):
+        body = BINARY_CODEC.encode(PINNED_RESULT)[4:]
+        assert body.hex() == PINNED_RESULT_HEX
+        assert decode_any(bytes.fromhex(PINNED_RESULT_HEX)) == PINNED_RESULT
+
+    def test_batch_rows_precede_one_heap(self):
+        frames = tuple(
+            Result(seq=i, payload=p) for i, p in enumerate(payloads_for("d", 3, text="ab"))
+        )
+        body = BINARY_CODEC.encode(Batch(frames=frames))[4:]
+        assert body[:5] == batch_head(3)
+        assert body[5 + 3 * ROW_BYTES:] == b"dab" * 3
+        # a member row is the lone result's header without the tag
+        lone = BINARY_CODEC.encode(frames[1])[4:]
+        assert body[5 + ROW_BYTES:5 + 2 * ROW_BYTES] == lone[1:1 + ROW_BYTES]
+
+    def batch_body(self, n=2):
+        frames = tuple(
+            Result(seq=i, payload=p) for i, p in enumerate(payloads_for("d", n))
+        )
+        return BINARY_CODEC.encode(Batch(frames=frames))[4:]
+
+    def test_zero_count_is_rejected(self):
+        with pytest.raises(FrameError, match="at least one"):
+            decode_any(batch_head(0))
+
+    def test_hostile_count_is_rejected_before_allocating(self):
+        with pytest.raises(FrameError, match="rows truncated"):
+            decode_any(batch_head(0xFFFFFFFF))
+
+    def test_short_heap_is_rejected(self):
+        with pytest.raises(FrameError, match="length mismatch"):
+            decode_any(self.batch_body()[:-1])
+
+    def test_trailing_bytes_are_rejected(self):
+        with pytest.raises(FrameError, match="length mismatch"):
+            decode_any(self.batch_body() + b"x")
+        lone = BINARY_CODEC.encode(PINNED_RESULT)[4:]
+        with pytest.raises(FrameError, match="length mismatch"):
+            decode_any(lone + b"x")
+
+    def test_bad_utf8_is_rejected(self):
+        body = self.batch_body()
+        # the heap's last byte is the second member's text "pw"
+        with pytest.raises(FrameError, match="not UTF-8"):
+            decode_any(body[:-1] + b"\xff")
+
+    def test_non_object_tail_is_rejected(self):
+        payload = SessionResultPayload("d", 0, "pw", 2, meta={"k": 1})
+        body = BINARY_CODEC.encode(Batch(frames=(Result(0, payload),)))[4:]
+        tail = b'{"meta":{"k":1}}'
+        assert body.endswith(tail)
+        swapped = body[: -len(tail)] + b"[" + b" " * (len(tail) - 2) + b"]"
+        with pytest.raises(FrameError, match="JSON object"):
+            decode_any(swapped)
+
+    def test_negative_seq_is_refused_on_encode(self):
+        frame = Result(seq=-1, payload=SessionResultPayload("d", 0, "pw", 2))
+        with pytest.raises(FrameError, match="out of range"):
+            BINARY_CODEC.encode(frame)
+        with pytest.raises(FrameError, match="out of range"):
+            BINARY_CODEC.encode(Batch(frames=(frame,)))
+
+    def test_retired_batch_tag_names_the_protocol(self):
+        member = BINARY_CODEC.encode(PINNED_RESULT)[4:]
+        v2 = bytes([TAG_RETIRED_BATCH]) + (1).to_bytes(4, "big")
+        v2 += len(member).to_bytes(4, "big") + member
+        with pytest.raises(FrameError, match="retired in proto 3"):
+            decode_any(v2)
 
 
 class TestMixedFleet:
@@ -646,7 +793,7 @@ class TestExactlyOnceGaps:
             victim = SessionResultPayload("device-0000", 1, "pw", 2, exact=True)
             # fill the queue so the next admission blocks in put()
             await server._queue.put(blocker)
-            task = asyncio.create_task(server._admit(Result(1, victim)))
+            task = asyncio.create_task(admit(server, Result(1, victim)))
             await asyncio.sleep(0)  # let it reach the blocked put
             task.cancel()
             with pytest.raises(asyncio.CancelledError):
@@ -654,7 +801,7 @@ class TestExactlyOnceGaps:
             # the drain-timeout path emptied the queue; the resend arrives
             server._queue.get_nowait()
             server._queue.task_done()
-            assert await server._admit(Result(1, victim))
+            assert await admit(server, Result(1, victim))
             return server
 
         server = asyncio.run(scenario())
@@ -672,9 +819,9 @@ class TestExactlyOnceGaps:
             server._queue = asyncio.Queue(maxsize=1)
             payload = SessionResultPayload("device-0000", 1, "pw", 2)
             await server._queue.put(SessionResultPayload("device-0000", 0, "x", 1))
-            original = asyncio.create_task(server._admit(Result(1, payload)))
+            original = asyncio.create_task(admit(server, Result(1, payload)))
             await asyncio.sleep(0)
-            resend = asyncio.create_task(server._admit(Result(1, payload)))
+            resend = asyncio.create_task(admit(server, Result(1, payload)))
             await asyncio.sleep(0)
             assert not original.done() and not resend.done()
             server._queue.get_nowait()  # unblock the original
@@ -820,6 +967,24 @@ class TestMalformedMetrics:
         assert lives[0] == lives[1] == (2, 1, [("dev", 0), ("dev", 1)])
         assert second.server.registry.counter("collector.journal.replayed").value == 2
 
+    def test_overflowing_metrics_tail_counts_like_a_malformed_one(self, tmp_path):
+        """A JSON ``Infinity`` counter decodes to ``inf``, which no counter
+        can hold: the result still lands, live and in the journal replay."""
+        cfg = fast_cfg(journal_dir=str(tmp_path))
+        bad = SessionResultPayload("dev", 0, "pw", 2, metrics={"counters": {"x": float("inf")}})
+        with CollectorHandle(cfg) as first:
+            with CollectorClient(
+                first.endpoint, "dev", config=cfg, sleep=NO_SLEEP
+            ) as client:
+                client.send_result(bad)
+        with CollectorHandle(cfg) as second:  # start() replays the journal
+            pass
+        for handle in (first, second):
+            counter = handle.server.registry.counter
+            assert counter("collector.sessions_ingested").value == 1
+            assert counter("collector.aggregation_errors").value == 1
+            assert handle.server.results == [bad]
+
 
 # ---------------------------------------------------------------------------
 # batched pipelined delivery
@@ -829,7 +994,7 @@ class TestBatchedPipeline:
     """The batch wire frame and the pipelined client that rides it."""
 
     def test_batch_frame_round_trips_both_codecs(self):
-        # protocol 2 has one codec; a batch round-trips on it
+        # the wire has one codec; a batch round-trips on it
         batch = Batch(
             frames=tuple(
                 Result(seq=i, payload=p)
@@ -959,8 +1124,8 @@ class TestBatchedPipeline:
                 Result(seq=i, payload=p)
                 for i, p in enumerate(payloads_for("device-0000", 6))
             ]
-            await server._admit(Batch(frames=tuple(frames[0:4])))
-            await server._admit(Batch(frames=tuple(frames[2:6])))
+            await admit(server, Batch(frames=tuple(frames[0:4])))
+            await admit(server, Batch(frames=tuple(frames[2:6])))
             return server
 
         server = asyncio.run(scenario())
@@ -984,8 +1149,8 @@ class TestBatchedPipeline:
                     for i, p in enumerate(payloads_for("device-0000", 3))
                 )
             )
-            await server._admit(batch)
-            await server._admit(batch)
+            await admit(server, batch)
+            await admit(server, batch)
             return server
 
         server = asyncio.run(scenario())

@@ -12,9 +12,12 @@ it was built for, so these tests escalate through three layers:
    double-aggregation in the merged report.
 """
 
+import socket
+
 import pytest
 
 from repro.collector import (
+    BINARY_CODEC,
     DRILL_RETRY,
     CollectorClient,
     CollectorConfig,
@@ -32,7 +35,17 @@ from repro.collector import (
     read_journal,
 )
 from repro.collector import fleet
-from repro.collector.frames import Result
+from repro.collector.frames import (
+    TAG_RETIRED_BATCH,
+    Ack,
+    Batch,
+    Hello,
+    HelloOk,
+    Result,
+    decode_any,
+    parse_length,
+    read_body_sock,
+)
 from repro.faults import FaultPlan
 
 NO_SLEEP = lambda s: None  # noqa: E731 — instant backoff for tests
@@ -51,6 +64,22 @@ def frames_for(device_id, n, start_seq=0):
     ]
 
 
+def wire(frame):
+    """A frame's length-prefixed wire bytes: what a journal record holds."""
+    return BINARY_CODEC.encode(frame)
+
+
+def journal_bodies(path):
+    """The record bodies of a journal file, in append order."""
+    data = path.read_bytes()
+    bodies, offset = [], 0
+    while offset < len(data):
+        end = offset + 4 + parse_length(data[offset:offset + 4])
+        bodies.append(data[offset + 4:end])
+        offset = end
+    return bodies
+
+
 # ---------------------------------------------------------------------------
 # layer 1: the journal file
 
@@ -61,7 +90,7 @@ class TestJournal:
         frames = frames_for("device-0000", 5)
         with CollectorJournal(path) as journal:
             for frame in frames:
-                journal.append(frame)
+                journal.append(wire(frame))
             assert journal.appended == 5
         recovery = read_journal(path)
         assert recovery.records == frames
@@ -77,7 +106,7 @@ class TestJournal:
         frames = frames_for("device-0000", 3)
         with CollectorJournal(path) as journal:
             for frame in frames:
-                journal.append(frame)
+                journal.append(wire(frame))
         intact = path.stat().st_size
         # a SIGKILL mid-write leaves a partial record at the tail
         with open(path, "ab") as fh:
@@ -88,7 +117,7 @@ class TestJournal:
         assert recovery.torn
         assert recovery.valid_bytes == intact
         # the torn bytes are gone; appends after recovery stay parseable
-        journal.append(frames_for("device-0000", 1, start_seq=3)[0])
+        journal.append(wire(frames_for("device-0000", 1, start_seq=3)[0]))
         journal.close()
         reread = read_journal(path)
         assert not reread.torn
@@ -109,13 +138,49 @@ class TestJournal:
     def test_append_requires_open(self, tmp_path):
         journal = CollectorJournal(journal_path(tmp_path, 0))
         with pytest.raises(JournalError, match="not open"):
-            journal.append(frames_for("d", 1)[0])
+            journal.append(wire(frames_for("d", 1)[0]))
 
     def test_fsync_mode_round_trips(self, tmp_path):
         path = journal_path(tmp_path, 1)
         with CollectorJournal(path, sync="fsync") as journal:
-            journal.append(frames_for("device-0001", 1)[0])
+            journal.append(wire(frames_for("device-0001", 1)[0]))
         assert count_journal_records(path) == 1
+
+    @staticmethod
+    def protocol_2_batch(frames):
+        """A protocol 2 batch record: a count, then a length-prefixed
+        ``result`` body per member (lone result bodies did not change)."""
+        body = bytes([TAG_RETIRED_BATCH]) + len(frames).to_bytes(4, "big")
+        for frame in frames:
+            member = wire(frame)[4:]
+            body += len(member).to_bytes(4, "big") + member
+        return len(body).to_bytes(4, "big") + body
+
+    def test_protocol_2_batch_record_is_refused_not_truncated(self, tmp_path):
+        path = journal_path(tmp_path, 0)
+        frames = frames_for("device-0000", 4)
+        path.write_bytes(
+            wire(frames[0]) + self.protocol_2_batch(frames[1:3]) + wire(frames[3])
+        )
+        before = path.read_bytes()
+        at = len(wire(frames[0]))
+        with pytest.raises(JournalError, match=f"protocol 2 batch record at byte {at}"):
+            CollectorJournal(path).open()
+        with pytest.raises(JournalError, match="protocol 2"):
+            count_journal_records(path)
+        # the acked results after the old record are still on disk
+        assert path.read_bytes() == before
+
+    def test_torn_tail_with_the_retired_tag_is_still_truncated(self, tmp_path):
+        path = journal_path(tmp_path, 0)
+        frames = frames_for("device-0000", 3)
+        torn = self.protocol_2_batch(frames[1:])[:-5]
+        path.write_bytes(wire(frames[0]) + torn)
+        journal = CollectorJournal(path)
+        recovery = journal.open()
+        journal.close()
+        assert recovery.records == frames[:1]
+        assert recovery.truncated_bytes == len(torn)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +240,83 @@ class TestServerJournalReplay:
         # replay restored the count but did not re-fire the callback
         assert revived.server.registry.counter("collector.journal.replayed").value == 1
         assert seen == []
+
+    def test_fresh_admission_journals_the_received_bytes(self, tmp_path):
+        """The journal writes what arrived, not a re-encoding of it: a
+        body whose JSON tail is spaced differently from the codec's own
+        lands in the journal byte for byte."""
+        frame = Result(0, SessionResultPayload("device-0000", 0, "pw", 2, meta={"k": "v"}))
+        canonical = wire(frame)[4:]
+        tail = b'{"meta": {"k": "v"}}'
+        assert canonical.endswith(b'{"meta":{"k":"v"}}')
+        # the extra length is the row's last u32 before the 11 deltas
+        extra_len_at = 1 + 31
+        body = (
+            canonical[:extra_len_at]
+            + len(tail).to_bytes(4, "big")
+            + canonical[extra_len_at + 4:-len(b'{"meta":{"k":"v"}}')]
+            + tail
+        )
+        cfg = self.cfg(tmp_path)
+        with CollectorHandle(cfg) as handle:
+            with socket.create_connection(handle.endpoint[1:], timeout=5.0) as sock:
+                sock.sendall(wire(Hello("device-0000")))
+                assert decode_any(read_body_sock(sock)) == HelloOk()
+                sock.sendall(len(body).to_bytes(4, "big") + body)
+                assert decode_any(read_body_sock(sock)) == Ack(0)
+        assert handle.server.results == [frame.payload]
+        assert journal_path(tmp_path, 0).read_bytes() == len(body).to_bytes(4, "big") + body
+
+    def test_pipelined_restart_replays_received_and_resent_batches(self, tmp_path):
+        """At window 8 a journal holds batch records of two kinds: the
+        bytes a client sent, when every member was fresh, and a re-encoded
+        batch of the fresh members of a resend that overlapped the replayed
+        dedup set.  A restart replays both, once each."""
+        cfg = CollectorConfig(
+            retry=FAST_RETRY, journal_dir=str(tmp_path), pipeline_depth=8
+        )
+        path = journal_path(tmp_path, 0)
+        payloads = [
+            SessionResultPayload("device-0000", i, "pw", 2, exact=i % 2 == 0)
+            for i in range(10)
+        ]
+        sent = [Result(seq=i, payload=p) for i, p in enumerate(payloads)]
+        with CollectorHandle(cfg) as handle:
+            with CollectorClient(
+                handle.endpoint, "device-0000", config=cfg, sleep=NO_SLEEP
+            ) as client:
+                client.send_results(payloads[:5])
+        # an all-fresh admission journals exactly the bytes that were sent
+        assert path.read_bytes() == wire(Batch(frames=tuple(sent[:5])))
+
+        revived = CollectorHandle(cfg)
+        endpoint = revived.start()
+        # a client that never saw its ack resends seqs 0-4 inside its
+        # first burst of 8, then sends 8 and 9 as a second burst
+        with CollectorClient(
+            endpoint, "device-0000", config=cfg, sleep=NO_SLEEP
+        ) as client:
+            client.send_results(payloads)
+        revived.stop()
+        counter = revived.server.registry.counter
+        assert counter("collector.dupes_dropped").value == 5
+        assert counter("collector.sessions_ingested").value == 10
+        assert journal_bodies(path) == [
+            wire(Batch(frames=tuple(sent[:5])))[4:],
+            wire(Batch(frames=tuple(sent[5:8])))[4:],  # re-encoded fresh subset
+            wire(Batch(frames=tuple(sent[8:])))[4:],  # the received bytes
+        ]
+
+        third = CollectorHandle(cfg)
+        third.start()
+        third.stop()
+        counter = third.server.registry.counter
+        assert counter("collector.journal.replayed").value == 10
+        assert counter("collector.journal.replay_dupes").value == 0
+        assert counter("collector.sessions_ingested").value == 10
+        assert counter("collector.sessions_scored").value == 10
+        assert counter("collector.sessions_exact").value == 5
+        assert third.server.results == payloads
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import numpy as np
 from conftest import read_window, run_once
 from repro.android.device import VictimDevice
 from repro.android.events import KeyPress
+from repro.core.features import counter_index
 from repro.gpu import counters as pc
 from repro.kgsl.device_file import DeviceClock, open_kgsl
 from repro.kgsl.sampler import PerfCounterSampler, nonzero_deltas_vectorized
@@ -29,26 +30,24 @@ def test_fig05_pc_trace(benchmark, config, chase):
     trace, batch = run_once(benchmark, lambda: _trace(config, chase))
 
     frames = trace.timeline.frames
-    press_deltas = {"w": [], "n": []}
+    press_totals = {"w": [], "n": []}
+    lrz13 = counter_index(pc.LRZ_VISIBLE_PRIM_AFTER_LRZ)
+    deltas = nonzero_deltas_vectorized(batch)
     print("\nFig 5 — PERF_LRZ_VISIBLE_PRIM_AFTER_LRZ changes:")
-    for delta in nonzero_deltas_vectorized(batch):
-        labels = [f.label for f in frames if f.start_s < delta.t and f.end_s > delta.prev_t]
-        lrz13 = delta.get(pc.LRZ_VISIBLE_PRIM_AFTER_LRZ, default=0)
+    for prev_t, t, row in zip(deltas.prev_t.tolist(), deltas.t.tolist(), deltas.rows.tolist()):
+        labels = [f.label for f in frames if f.start_s < t and f.end_s > prev_t]
         if len(labels) == 1 and labels[0].startswith("press:"):
             char = labels[0].split(":")[1]
-            press_deltas[char].append(delta.values)
-            print(f"  t={delta.t:7.3f}s  key '{char}'  dLRZ13={lrz13}")
+            press_totals[char].append(sum(row))
+            print(f"  t={t:7.3f}s  key '{char}'  dLRZ13={row[lrz13]}")
 
     # 1) no screen change -> no PC change: zero deltas dominate idle time
     zero = int((batch.rows[1:] == batch.rows[:-1]).all(axis=1).sum())
     assert zero > len(batch.t) * 0.5
 
     # 2) per-key uniqueness and repeatability of the first change
-    def totals(char):
-        return [sum(v.values()) for v in press_deltas[char]]
-
-    assert len(press_deltas["w"]) >= 2 and len(press_deltas["n"]) >= 2
-    w_totals, n_totals = totals("w"), totals("n")
+    w_totals, n_totals = press_totals["w"], press_totals["n"]
+    assert len(w_totals) >= 2 and len(n_totals) >= 2
     assert np.std(w_totals) / np.mean(w_totals) < 0.02, "repeated 'w' must match"
     assert abs(np.mean(w_totals) - np.mean(n_totals)) > 3 * (
         np.std(w_totals) + np.std(n_totals) + 1

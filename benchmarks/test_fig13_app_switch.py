@@ -36,13 +36,14 @@ def _session(config, chase):
 def test_fig13_burst_structure(benchmark, config, chase):
     trace, deltas = run_once(benchmark, lambda: _session(config, chase))
 
-    typing = [d for d in deltas if 0.5 < d.t < 2.8]  # skip the initial full render
-    burst_away = [d for d in deltas if 3.0 <= d.t < 3.36]
-    burst_back = [d for d in deltas if 7.0 <= d.t < 7.36]
+    t, total = deltas.t, deltas.rows.sum(axis=1)
+    typing = (0.5 < t) & (t < 2.8)  # skip the initial full render
+    burst_away = (3.0 <= t) & (t < 3.36)
+    burst_back = (7.0 <= t) & (t < 7.36)
 
-    typing_peak = max(d.total for d in typing)
-    away_peak = max(d.total for d in burst_away)
-    back_peak = max(d.total for d in burst_back)
+    typing_peak = int(total[typing].max())
+    away_peak = int(total[burst_away].max())
+    back_peak = int(total[burst_back].max())
     print(
         f"\nFig 13 — peak PC change: typing={typing_peak}, "
         f"switch-away burst={away_peak}, switch-back burst={back_peak}"
@@ -50,19 +51,18 @@ def test_fig13_burst_structure(benchmark, config, chase):
     assert away_peak > 3 * typing_peak
     assert back_peak > 3 * typing_peak
 
-    gaps = [b.t - a.t for a, b in zip(burst_away, burst_away[1:])]
-    assert gaps and max(gaps) < 0.05, "burst inter-change gaps must be <50 ms"
+    gaps = np.diff(t[burst_away])
+    assert gaps.size and gaps.max() < 0.05, "burst inter-change gaps must be <50 ms"
 
 
 def test_fig13_detector_tracks_switch(benchmark, config, chase):
     trace, deltas = run_once(benchmark, lambda: _session(config, chase))
-    detector = AppSwitchDetector(
-        big_threshold=5 * max(d.total for d in deltas if 0.5 < d.t < 2.8)
-    )
+    t, total = deltas.t, deltas.rows.sum(axis=1)
+    detector = AppSwitchDetector(big_threshold=5 * int(total[(0.5 < t) & (t < 2.8)].max()))
     away_states = []
-    for delta in deltas:
-        obs = detector.observe(delta, Classification(label=None, distance=9.9))
-        away_states.append((delta.t, obs.in_target))
+    for when, magnitude in zip(t.tolist(), total.tolist()):
+        obs = detector.observe(when, magnitude, Classification(label=None, distance=9.9))
+        away_states.append((when, obs.in_target))
     detector.flush(10.0)
     # in-target before, away in the middle, back at the end
     assert all(state for t, state in away_states if t < 2.9)

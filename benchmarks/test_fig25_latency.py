@@ -39,7 +39,7 @@ def test_fig25_bare_classification_benchmark(benchmark, config, chase):
     model = cached_model(config, chase)
     vec = model.centroid("key:w") * 1.001
 
-    result = benchmark(model.classify_vector, vec)
+    result = benchmark(model.classify, vec)
     assert result.label == "key:w"
     # pytest-benchmark reports the distribution; assert the mean is sane
     assert benchmark.stats.stats.mean < 1e-3

@@ -3,7 +3,7 @@
 Two measurements back the ``repro.parallel`` tentpole:
 
 1. **classify_batch speedup** — one (256, 11) GEMM against every
-   centroid versus 256 single-row ``classify_vector`` calls.  This is
+   centroid versus 256 single-row ``classify`` calls.  This is
    pure compute, so the >=5x assertion holds even on a one-core
    container.
 2. **Sharded throughput** — a 100-session batch through
@@ -47,7 +47,7 @@ def test_classify_batch_speedup(benchmark, config, chase):
     )
 
     def looped():
-        return [model.classify_vector(row) for row in rows]
+        return [model.classify(row) for row in rows]
 
     def batched():
         return model.classify_batch(rows)
@@ -59,7 +59,7 @@ def test_classify_batch_speedup(benchmark, config, chase):
     run_once(benchmark, batched)
 
     speedup = t_loop / t_batch
-    print(f"\nclassify_batch vs looped classify_vector, batch={BATCH}:")
+    print(f"\nclassify_batch vs looped classify, batch={BATCH}:")
     print(f"  looped : {1e3 * t_loop:7.2f} ms  ({BATCH / t_loop:,.0f} rows/s)")
     print(f"  batched: {1e3 * t_batch:7.2f} ms  ({BATCH / t_batch:,.0f} rows/s)")
     print(f"  speedup: {speedup:.1f}x")

@@ -29,7 +29,7 @@ from repro.kgsl.device_file import DeviceClock, open_kgsl
 from repro.kgsl.sampler import PerfCounterSampler, nonzero_deltas_vectorized
 from repro.obs import MetricsRegistry
 from repro.runtime import RuntimeTrace
-from tests.oracles import nonzero_deltas, sample_range
+from tests.oracles import batch_deltas, nonzero_deltas, sample_range
 
 pytestmark = pytest.mark.bench
 
@@ -103,7 +103,7 @@ def test_vectorized_delta_extraction(benchmark, config, chase):
     def vectorized():
         return nonzero_deltas_vectorized(batch)
 
-    assert vectorized() == scalar()
+    assert batch_deltas(vectorized()) == scalar()
 
     repeats = scaled(20)
     t0 = time.perf_counter()

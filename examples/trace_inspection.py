@@ -50,7 +50,7 @@ def main() -> None:
     sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(2))
     source = SamplerDeltaSource(sampler, 0.0, end)
 
-    annotated = annotate(trace, (delta for _, delta in source.events()), model=model)
+    annotated = annotate(trace, (payload for _, payload in source.events()), model=model)
     print(
         f"\nsession: typed {text!r} then backspace — "
         f"{len(trace.timeline.frames)} frames, {source.reads_issued} counter reads, "

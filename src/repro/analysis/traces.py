@@ -10,12 +10,15 @@ tooling that produced the paper's Figs 5, 11 and 13.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from itertools import groupby
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.android.device import SessionTrace
 from repro.core.classifier import ClassificationModel
+from repro.core.features import counter_index
 from repro.gpu import counters as pc
-from repro.kgsl.sampler import PcDelta
+from repro.kgsl.sampler import DeltaBatch
 
 
 @dataclass(frozen=True)
@@ -38,38 +41,51 @@ class AnnotatedDelta:
 
 def annotate(
     trace: SessionTrace,
-    deltas: Iterable[PcDelta],
+    deltas: Iterable[Tuple[DeltaBatch, int]],
     model: Optional[ClassificationModel] = None,
 ) -> List[AnnotatedDelta]:
-    """Align every nonzero delta with its ground truth."""
+    """Align every nonzero delta with its ground truth.
+
+    ``deltas`` are ``(batch, row)`` payloads as a
+    :class:`~repro.runtime.source.SamplerDeltaSource` yields them.  The
+    rows of each batch are classified in one pass, their unknown
+    counters masked out as the engine masks them.
+    """
     out: List[AnnotatedDelta] = []
-    for delta in deltas:
-        involved = trace.timeline.frames_overlapping(delta.prev_t, delta.t)
-        # a frame is split if a read boundary lands inside its render; the
-        # reads bracketing a delta are consecutive, so only its own two
-        # endpoints can
-        split = any(
-            frame.start_s < delta.prev_t or frame.end_s > delta.t
-            for frame in involved
-        )
-        label, distance = None, float("nan")
+    column = counter_index(pc.LRZ_VISIBLE_PRIM_AFTER_LRZ)
+    for batch, group in groupby(deltas, key=itemgetter(0)):
+        rows = [row for _, row in group]
+        matrix = batch.rows[rows]
+        labels: List[Tuple[Optional[str], float]] = [(None, float("nan"))] * len(rows)
         if model is not None:
-            classification = model.classify(delta)
-            label, distance = classification.label, classification.distance
-        out.append(
-            AnnotatedDelta(
-                t=delta.t,
-                prev_t=delta.prev_t,
-                total=delta.total,
-                # display-only: a masked counter renders as 0 here, but the
-                # mask still travels in the delta for real consumers
-                lrz13=delta.get(pc.LRZ_VISIBLE_PRIM_AFTER_LRZ, default=0),
-                truth_labels=tuple(f.label for f in involved),
-                classified=label,
-                distance=distance,
-                is_split=split,
+            labels = [
+                (c.label, c.distance)
+                for c in model.classify_batch(matrix, ~batch.unknown[rows])
+            ]
+        for start, end, total, lrz13, (label, distance) in zip(
+            batch.prev_t[rows].tolist(),
+            batch.t[rows].tolist(),
+            matrix.sum(axis=1).tolist(),
+            # display-only: a masked counter renders as 0 here
+            matrix[:, column].tolist(),
+            labels,
+        ):
+            involved = trace.timeline.frames_overlapping(start, end)
+            out.append(
+                AnnotatedDelta(
+                    t=end,
+                    prev_t=start,
+                    total=total,
+                    lrz13=lrz13,
+                    truth_labels=tuple(f.label for f in involved),
+                    classified=label,
+                    distance=distance,
+                    # a frame is split if a read boundary lands inside its
+                    # render; the reads bracketing a delta are
+                    # consecutive, so only its own two endpoints can
+                    is_split=any(f.start_s < start or f.end_s > end for f in involved),
+                )
             )
-        )
     return out
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.classifier import Classification
-from repro.kgsl.sampler import PcDelta
 
 #: Maximum gap between burst frames (paper: "<50 ms").
 BURST_GAP_S = 0.050
@@ -66,21 +65,18 @@ class AppSwitchDetector:
             self.bursts_seen += 1
 
     def observe(
-        self,
-        delta: PcDelta,
-        classification: Classification,
-        magnitude: Optional[float] = None,
+        self, t: float, magnitude: float, classification: Classification
     ) -> SwitchObservation:
-        """Update state with one nonzero delta; say whether to suppress it.
+        """Update state with the nonzero delta read at ``t``; say whether
+        to suppress it.
 
-        ``magnitude`` overrides the raw total — the engine passes the
-        ambient-corrected magnitude so a steady background workload does
-        not masquerade as an app-switch burst.
+        ``magnitude`` is the delta's size: the engine passes the
+        ambient-corrected total so a steady background workload does not
+        masquerade as an app-switch burst.
         """
-        t = delta.t
         self._finish_burst_if_quiet(t)
 
-        is_big = (magnitude if magnitude is not None else delta.total) >= self.big_threshold
+        is_big = magnitude >= self.big_threshold
         if is_big:
             if self._last_big_t is not None and t - self._last_big_t <= BURST_GAP_S:
                 self._run_length += 1
@@ -89,10 +85,8 @@ class AppSwitchDetector:
             self._last_big_t = t
             if self._run_length >= MIN_BURST_LENGTH:
                 self._burst_active = True
-        elif self._burst_active and self._last_big_t is not None:
-            # small changes inside an active burst window do not end it;
-            # quiet time does (checked on the next observation)
-            pass
+        # small changes inside an active burst window do not end it;
+        # quiet time does (checked on the next observation)
 
         # Self-healing: the text-field family only exists in the target app.
         if classification.is_field and not self._burst_active:

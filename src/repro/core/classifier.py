@@ -298,7 +298,7 @@ class ClassificationModel:
 
     # ------------------------------------------------------------------
 
-    def classify_vector(self, vec: np.ndarray) -> Classification:
+    def classify(self, vec: np.ndarray) -> Classification:
         """Nearest centroid with threshold; O(classes x dims) vectorized.
 
         This is the "inference" the paper times at <0.1 ms (Fig 25).
@@ -307,9 +307,6 @@ class ClassificationModel:
         drift.
         """
         return self.classify_batch(vec[None, :])[0]
-
-    def classify(self, delta) -> Classification:
-        return self.classify_vector(features.vectorize(delta))
 
     def classify_vector_masked(
         self, vec: np.ndarray, present: np.ndarray
@@ -323,7 +320,7 @@ class ClassificationModel:
         (the expected squared distance grows linearly with dimensions).
         Deflation is skipped: the deflate direction is not meaningful in
         a subspace.  ``confidence`` reports the observed fraction d/D.
-        Like :meth:`classify_vector`, a one-row :meth:`classify_batch`.
+        Like :meth:`classify`, a one-row :meth:`classify_batch`.
         """
         present = np.asarray(present, dtype=bool)
         return self.classify_batch(vec[None, :], present[None, :])[0]
@@ -339,7 +336,7 @@ class ClassificationModel:
         split into two vectorized sub-batches:
 
         * **full rows** (all dimensions present) go through the deflated
-          scaled space exactly like ``classify_vector`` always has;
+          scaled space exactly like :meth:`classify` always has;
         * **masked rows** compute distances over their present dimensions
           only — the per-row dimension counts ``d`` give the ``sqrt(D/d)``
           threshold correction and the ``d/D`` confidence — using a

@@ -14,14 +14,13 @@ changes snap onto its centroids, and picks the best-scoring model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core import features
 from repro.core.classifier import ClassificationModel
+from repro.core.features import DIMENSIONS
 from repro.core.model_store import ModelStore
-from repro.kgsl.sampler import PcDelta
 
 
 @dataclass(frozen=True)
@@ -69,18 +68,21 @@ class DeviceRecognizer:
         return total / len(scaled)
 
     def recognize(
-        self, deltas: Sequence[PcDelta], adreno_model: Optional[int] = None
+        self, rows: np.ndarray, adreno_model: Optional[int] = None
     ) -> RecognitionResult:
-        """Pick the stored model whose centroids best explain ``deltas``.
+        """Pick the stored model whose centroids best explain ``rows``.
 
         Args:
-            deltas: the first nonzero PC changes observed on the victim.
+            rows: the first PC changes observed on the victim, one
+                counter row each (unknown counters read 0); zero rows
+                are skipped.
             adreno_model: GPU model from ``KGSL_PROP_DEVICE_INFO`` (the
                 unprivileged chip-id query); when given, only models for
                 phones with that GPU are considered.
         """
-        observed = [d for d in deltas if d][:MAX_RECOGNITION_DELTAS]
-        if not observed:
+        rows = np.asarray(rows, dtype=float).reshape(-1, DIMENSIONS)
+        vectors = rows[rows.any(axis=1)][:MAX_RECOGNITION_DELTAS]
+        if not len(vectors):
             raise ValueError("no nonzero PC changes to recognize from")
         candidates = list(self.store)
         if adreno_model is not None:
@@ -95,7 +97,6 @@ class DeviceRecognizer:
             ]
             if matching:
                 candidates = matching
-        vectors = features.vectorize_many(observed)
         scores = {model.model_key: self._score(model, vectors) for model in candidates}
         best_key = min(scores, key=scores.get)
         return RecognitionResult(model_key=best_key, score=scores[best_key], scores=scores)

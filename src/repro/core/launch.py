@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.core.classifier import ClassificationModel
-from repro.kgsl.sampler import PcDelta
+from repro.kgsl.sampler import DeltaBatch
 
 #: Cheap pre-detection polling cadence (vs the attack's 8 ms).
 IDLE_POLL_INTERVAL_S = 0.25
@@ -59,26 +59,27 @@ class LaunchDetector:
         self._burst_t: Optional[float] = None
         self.launches: List[LaunchEvent] = []
 
-    def observe(self, delta: PcDelta) -> Optional[LaunchEvent]:
-        """Feed one slow-poll delta; returns a launch when confirmed."""
-        if not delta:
+    def observe(self, deltas: DeltaBatch, row: int) -> Optional[LaunchEvent]:
+        """Feed one slow-poll delta, ``deltas`` row ``row``; returns a
+        launch when confirmed."""
+        vec = deltas.rows[row]
+        if not vec.any():
             return None
-        if delta.total >= self.burst_threshold:
-            self._burst_t = delta.t
+        total = int(vec.sum())
+        t = float(deltas.t[row])
+        if total >= self.burst_threshold:
+            self._burst_t = t
             return None
-        if (
-            self._burst_t is not None
-            and delta.t - self._burst_t <= self.CONFIRM_WINDOW_S
-        ):
-            classification = self.model.classify(delta)
-            if classification.is_field:
-                event = LaunchEvent(t=delta.t, score=float(delta.total))
+        if self._burst_t is not None and t - self._burst_t <= self.CONFIRM_WINDOW_S:
+            if self.model.classify(vec).is_field:
+                event = LaunchEvent(t=t, score=float(total))
                 self.launches.append(event)
                 self._burst_t = None
                 return event
-        elif self._burst_t is not None and delta.t - self._burst_t > self.CONFIRM_WINDOW_S:
+        elif self._burst_t is not None:
             self._burst_t = None
         return None
+
 
 class LaunchWatchStage:
     """The idle-watch mode of the monitoring service as a runtime stage.
@@ -100,10 +101,10 @@ class LaunchWatchStage:
         self.on_launch = on_launch
         self.launch: Optional[LaunchEvent] = None
 
-    def on_event(self, session, t: float, delta: PcDelta) -> None:
+    def on_event(self, session, t: float, payload) -> None:
         if self.launch is not None:
             return
-        event = self.detector.observe(delta)
+        event = self.detector.observe(*payload)
         if event is not None:
             self.launch = event
             session.trace.emit(

@@ -36,7 +36,7 @@ from repro.android.os_config import DeviceConfig
 from repro.core.classifier import ClassificationModel, build_model
 from repro.gpu.timeline import RenderTimeline
 from repro.kgsl.interpose import open_sampler
-from repro.kgsl.sampler import DEFAULT_INTERVAL_S, nonzero_delta_arrays
+from repro.kgsl.sampler import DEFAULT_INTERVAL_S, nonzero_deltas_vectorized
 
 #: Characters the ladder session types, one field length per key.
 LADDER_LENGTH = 16
@@ -87,7 +87,7 @@ def label_samples(
     """Label a session's nonzero deltas from the ground-truth frame log.
 
     Window ``k`` spans ``(prev_t[k], t[k]]`` and moved by ``rows[k]``, as
-    :func:`~repro.kgsl.sampler.nonzero_delta_arrays` returns them.  It is
+    :func:`~repro.kgsl.sampler.nonzero_deltas_vectorized` returns them.  It is
     clean when exactly one frame overlaps it, that frame rendered wholly
     inside it and its label maps to a class; every other window is
     discarded.
@@ -154,9 +154,11 @@ class OfflineTrainer:
         sampler = open_sampler(trace, self.interval_s, self.rng)
         moved, prev = [], None
         for batch in sampler.iter_batches(0.0, end_time_s, chunk=OFFLINE_SOURCE_CHUNK):
-            moved.append(nonzero_delta_arrays(batch, prev))
+            moved.append(nonzero_deltas_vectorized(batch, prev))
             prev = batch
-        prev_t, t, rows, _ = (np.concatenate(column) for column in zip(*moved))
+        prev_t, t, rows = (
+            np.concatenate([getattr(d, name) for d in moved]) for name in ("prev_t", "t", "rows")
+        )
         label_samples(trace.timeline, prev_t, t, rows, data)
 
     def _key_sweep_events(self, chars: Sequence[str], repeats: int) -> Tuple[List[UserEvent], float]:

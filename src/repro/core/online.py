@@ -28,11 +28,15 @@ offline phase already knows):
   same read as its press doubles the delta; an unexplained change that
   classifies as a key press at half magnitude is such a merge.
 
-The engine's unit of work is a primed batch of deltas (:meth:`OnlineEngine.prime`):
-every decision above runs per delta, in order, but the nearest-centroid
-lookups are scored in one pass per stage over the batch's rows.  The
-batch keeps each lookup kind's results in row-indexed arrays, so a step
-reads its lookups, the scans that choose a pass's rows are masks, and
+The engine reads the sampler's :class:`~repro.kgsl.sampler.DeltaBatch`
+arrays.  Its unit of work is the rest of one such batch:
+:meth:`OnlineEngine.feed` takes one delta as ``(batch, row)`` and, when
+the batch is not the one it holds or the row is not the next one,
+primes itself with the batch's rows from ``row`` on.  Every decision
+above runs per delta, in order, but the nearest-centroid lookups are
+scored in one pass per stage over the batch's rows.  The batch keeps
+each lookup kind's results in row-indexed arrays, so a step reads its
+lookups, the scans that choose a pass's rows are masks, and
 a composite pass picks all its rows at once per field-length
 restriction.  Each pass is timed with a monotonic clock and divided by
 the lookups it scored; every lookup a step consumes records that share,
@@ -63,7 +67,7 @@ from repro.core.classifier import Classification, ClassificationModel
 from repro.core.corrections import CorrectionTracker
 from repro.core import features
 from repro.core.dedup import DuplicationFilter
-from repro.kgsl.sampler import PcDelta
+from repro.kgsl.sampler import DeltaBatch
 from repro.obs import Histogram, MetricsRegistry, new_latency_histogram, resolve_registry
 from repro.runtime.trace import RuntimeTrace
 
@@ -206,7 +210,8 @@ class OnlineEngine:
         self._lengths: Optional[Tuple[int, ...]] = None
         self._result: Optional[OnlineResult] = None
         self._batch: Optional[_Batch] = None
-        self._prev: Optional[PcDelta] = None
+        #: the delta held for split recombination, as (batch, index)
+        self._prev: Optional[Tuple[_Batch, int]] = None
         self._prev_consumed = True
         self._last_fed_t: Optional[float] = None
         self.switch_detector: Optional[AppSwitchDetector] = None
@@ -242,16 +247,6 @@ class OnlineEngine:
 
     # ------------------------------------------------------------------
 
-    def feed_many(self, deltas: Sequence[PcDelta]) -> OnlineResult:
-        """Consume a batch of deltas: :meth:`prime`, then one :meth:`feed`
-        per delta.  Opens the stream if needed; returns the live result
-        (:meth:`finish` closes it)."""
-        deltas = list(deltas)
-        self.prime(deltas)
-        for delta in deltas:
-            self.feed(delta)
-        return self._result
-
     def begin(self) -> OnlineResult:
         """Open a new stream; returns the (live) result accumulator."""
         if self._result is not None:
@@ -263,20 +258,6 @@ class OnlineEngine:
         self._batch = None
         return self._result
 
-    def prime(self, deltas: Sequence[PcDelta]) -> None:
-        """Hand the engine the deltas its next :meth:`feed` calls will
-        bring, in that order, and score their plain lookups in one pass.
-
-        The batch is the engine's unit of work: each later step reads its
-        lookups from the batch, which scores the half-scaled, split-merged
-        and composite candidates the first time a step asks for one of
-        them, over every remaining row that could need it.
-        """
-        if self._result is None:
-            self.begin()
-        self._flush_latency()
-        self._batch = _Batch(self._active_model, deltas, self._prev)
-
     def swap_model(self, model: ClassificationModel) -> None:
         """Hot-swap the classification model mid-session.
 
@@ -284,7 +265,7 @@ class OnlineEngine:
         previous delta, app-switch burst state — carries over untouched;
         only the classifier view changes.  An active ambient-deflation
         direction is re-applied to the new model, and the app-switch
-        burst threshold is re-derived from the new centroids.  A primed
+        burst threshold is re-derived from the new centroids.  The held
         batch notices the swap through the ``_active_model`` identity
         check and re-scores its remaining rows against the new model, so
         no delta is ever classified twice or skipped.
@@ -311,44 +292,49 @@ class OnlineEngine:
         evidence, self.evidence = self.evidence, []
         return evidence
 
-    def feed(self, delta: PcDelta) -> OnlineResult:
-        """Consume one PC delta incrementally (Algorithm 1, one step).
+    def feed(self, deltas: DeltaBatch, row: int) -> OnlineResult:
+        """Consume delta ``row`` of ``deltas`` (Algorithm 1, one step).
 
         This is the streaming entry point the session runtime drives;
         state between calls (the unconsumed previous delta, the dedup
-        window, the correction tracker) lives on the engine.  A delta
-        that is not the next one of the primed batch is a batch of one.
-        The latency histograms are current once a batch's last delta
-        has stepped.
+        window, the correction tracker) lives on the engine.  When
+        ``deltas`` is not the batch the engine holds, or ``row`` is not
+        its next row, the engine primes itself with the batch's rows from
+        ``row`` on, scoring their plain lookups in one pass; later steps
+        score the other lookups on first demand.  The latency histograms
+        are current once the batch's last row has stepped.
         """
         batch = self._batch
-        if batch is None or not batch.holds_next(delta):
-            self.prime((delta,))
-            batch = self._batch
-        row = batch.pos
+        if batch is None or batch.deltas is not deltas or row - batch.base != batch.pos:
+            if self._result is None:
+                self.begin()
+            self._flush_latency()
+            batch = self._batch = _Batch(self._active_model, deltas, row, self._prev)
+        index = batch.pos
         batch.pos += 1
-        self._step(batch, row, delta)
-        if batch.pos == len(batch.deltas):
+        self._step(batch, index)
+        if batch.pos == batch.size:
             self._flush_latency()
         return self._result
 
-    def _step(self, batch: "_Batch", row: int, delta: PcDelta) -> None:
-        """Algorithm 1 for the batch's ``row``, which holds ``delta``."""
+    def _step(self, batch: "_Batch", i: int) -> None:
+        """Algorithm 1 for the batch's row ``i``."""
         result = self._result
-        self._last_fed_t = delta.t
-        if delta.gap:
+        t = batch.times[i]
+        self._last_fed_t = t
+        if batch.gap[i]:
             # dropped/deferred reads between the endpoints: events in the
             # hole were merged or lost — record it even if the delta is
             # otherwise unremarkable
             result.stats.gaps_seen += 1
-            self._emit(delta.t, "gap", span_s=delta.t - delta.prev_t)
-        if not batch.live[row]:
+            self._emit(t, "gap", span_s=t - batch.starts[i])
+        if not batch.live[i]:
             return
         result.stats.deltas_seen += 1
-        masked = bool(delta.missing)
+        masked = batch.masked[i]
         if masked:
             result.stats.masked_deltas += 1
-            self._emit(delta.t, "masked_delta", missing=len(delta.missing))
+            self._emit(t, "masked_delta", missing=batch.missing[i])
 
         # Ambient-workload correction (Fig 22b): a background app adds
         # an increment of unknown magnitude but stable *direction* to
@@ -357,23 +343,26 @@ class OnlineEngine:
         # deflated model view that projects it out of observations and
         # centroids alike, cleaning the whole pipeline at once.
         if self.recover_collisions:
-            self._refresh_deflation(t=delta.t)
+            self._refresh_deflation(t=t)
 
-        classification = self._lookup(batch, PLAIN, row)
-        prev, prev_consumed = self._prev, self._prev_consumed
+        classification = self._lookup(batch, PLAIN, i)
+        # the held delta, if any, is the batch's last live row before i
+        prev = batch.pred[i] if self._prev is not None else None
+        prev_consumed = self._prev_consumed
+        self._prev = (batch, i)
 
         if self.switch_detector is not None:
-            magnitude = self._effective_magnitude(delta, batch.rows[row])
-            observation = self.switch_detector.observe(delta, classification, magnitude=magnitude)
+            magnitude = self._effective_magnitude(batch.totals[i], batch.rows[i])
+            observation = self.switch_detector.observe(t, magnitude, classification)
             if observation.suppress:
                 result.stats.suppressed_by_switch += 1
-                self._emit(delta.t, "switch_suppressed")
-                if classification.label is None:
+                self._emit(t, "switch_suppressed")
+                if classification.label is None and not masked:
                     # suppressed-but-unexplained changes still inform
                     # the ambient-workload estimate (a login animation
                     # can otherwise starve it into permanent suppression)
-                    self._note_noise(delta, batch.rows[row])
-                self._prev, self._prev_consumed = delta, True
+                    self._note_noise(batch.rows[i])
+                self._prev_consumed = True
                 return
 
         # Split recombination (Algorithm 1 lines 7-10): when the
@@ -382,45 +371,43 @@ class OnlineEngine:
         # merged interpretation whenever it explains the data strictly
         # better than the change alone.
         merged_cls = None
-        event_t = delta.t
-        if prev is not None and not prev_consumed and self._mergeable(prev, delta):
-            merged_cls = self._lookup(batch, MERGED, row)
+        event_t = t
+        if prev is not None and not prev_consumed and self._mergeable(batch, prev, i):
+            merged_cls = self._lookup(batch, MERGED, i)
         if merged_cls is not None and merged_cls.label is not None and (
             classification.label is None
             or merged_cls.distance < classification.distance
         ):
             classification = merged_cls
-            event_t = prev.t
+            event_t = batch.times[prev]
             result.stats.splits_recovered += 1
-            self._emit(delta.t, "split_merge", merged_from=prev.t)
+            self._emit(t, "split_merge", merged_from=event_t)
 
         if classification.label is None and self.recover_collisions and not masked:
             # collision heuristics (halving, composite subtraction) need
             # the full feature vector — a masked delta would fabricate
             # evidence in the unobserved dimensions
-            recovered = self._recover_collision(batch, row)
+            recovered = self._recover_collision(batch, i)
             if recovered is not None:
                 classification = recovered
-                self._emit(delta.t, "collision_recovered")
+                self._emit(t, "collision_recovered")
             elif (
                 merged_cls is not None
                 and merged_cls.label is None
-                and not prev.missing
+                and not batch.masked[prev]
             ):
                 # a composite event (press + dismiss/field) itself split
                 # across two reads: recombine, then decompose
-                merged_composite = self._lookup(batch, MERGED_COMPOSITE, row)
+                merged_composite = self._lookup(batch, MERGED_COMPOSITE, i)
                 if merged_composite.is_key:
                     classification = merged_composite
-                    event_t = prev.t
+                    event_t = batch.times[prev]
                     result.stats.splits_recovered += 1
-                    self._emit(delta.t, "split_merge", merged_from=prev.t)
+                    self._emit(t, "split_merge", merged_from=event_t)
 
         if classification.is_key:
-            self._infer_key(
-                result, event_t, classification, from_split=event_t != delta.t
-            )
-            self._prev, self._prev_consumed = delta, True
+            self._infer_key(result, event_t, classification, from_split=event_t != t)
+            self._prev_consumed = True
             return
 
         if classification.is_field:
@@ -428,7 +415,7 @@ class OnlineEngine:
             # field redraws stay available for split recombination: a
             # partially-read blink can masquerade as a shorter field,
             # and its tail may arrive merged with a key press
-            self._prev, self._prev_consumed = delta, False
+            self._prev_consumed = False
             return
 
         # Reject classes and unexplained noise both leave the delta
@@ -436,10 +423,10 @@ class OnlineEngine:
         # first half of a split key press often masquerades as a
         # dismiss-like reject before its tail arrives.
         result.stats.noise_events += 1
-        self._emit(delta.t, "noise", label=classification.label)
-        if classification.label is None:
-            self._note_noise(delta, batch.rows[row])
-        self._prev, self._prev_consumed = delta, False
+        self._emit(t, "noise", label=classification.label)
+        if classification.label is None and not masked:
+            self._note_noise(batch.rows[i])
+        self._prev_consumed = False
 
     def finish(self) -> OnlineResult:
         """Close the stream: flush pending burst state, detach the result."""
@@ -485,12 +472,12 @@ class OnlineEngine:
             return composite_cls
         return None
 
-    def _mergeable(self, prev: PcDelta, delta: PcDelta) -> bool:
-        """Whether ``delta`` may be the tail of a render split whose head
-        is ``prev`` (consecutive reads, in order)."""
+    def _mergeable(self, batch: "_Batch", prev: int, i: int) -> bool:
+        """Whether the batch's row ``i`` may be the tail of a render split
+        whose head is row ``prev`` (consecutive reads, in order)."""
         return (
-            0.0 <= delta.t - prev.t <= self.interval_s * SPLIT_MERGE_FACTOR
-            and prev.prev_t <= delta.prev_t
+            0.0 <= batch.times[i] - batch.times[prev] <= self.interval_s * SPLIT_MERGE_FACTOR
+            and batch.starts[prev] <= batch.starts[i]
         )
 
     # ------------------------------------------------------------------
@@ -524,7 +511,7 @@ class OnlineEngine:
         if stage != "A":
             masks = (self._stage_b if stage == "B" else self._stage_c)(batch, row)
         if kind not in masks:
-            masks[kind] = np.zeros(len(batch.deltas) - row, dtype=bool)
+            masks[kind] = np.zeros(batch.size - row, dtype=bool)
         masks[kind][0] = True
         batch.score(
             [(k, r) for k, mask in masks.items() for r in (np.flatnonzero(mask) + row).tolist()]
@@ -576,14 +563,12 @@ class OnlineEngine:
 
     # ------------------------------------------------------------------
 
-    def _effective_magnitude(self, delta: PcDelta, vec: Optional[np.ndarray] = None) -> float:
-        """Raw magnitude with the ambient direction's share removed, so a
-        steady background or animation never masquerades as an app-switch
-        burst.  ``vec`` is the delta's feature row, if at hand."""
+    def _effective_magnitude(self, total: int, vec: np.ndarray) -> float:
+        """A delta's magnitude (``total``, its feature row ``vec``'s sum)
+        with the ambient direction's share removed, so a steady background
+        or animation never masquerades as an app-switch burst."""
         if self._deflation_u is None:
-            return float(delta.total)
-        if vec is None:
-            vec = features.vectorize(delta)
+            return float(total)
         scaled = vec / self.model.scale
         cleaned = (scaled - float(scaled @ self._deflation_u) * self._deflation_u) * self.model.scale
         return float(np.clip(cleaned, 0.0, None).sum())
@@ -680,18 +665,14 @@ class OnlineEngine:
     #: Calibration-evidence vectors retained between drains.
     EVIDENCE_CAP = 512
 
-    def _note_noise(self, delta: PcDelta, vec: Optional[np.ndarray] = None) -> None:
-        """Retain an unexplained delta (feature row ``vec``, if at hand)
-        for the ambient fit, and update the refit skip's state in place:
-        the zero-unit count, the slot's cosine to the last fit's
-        direction, and the unit sum's displacement, re-summed exactly
-        every :attr:`AMBIENT_WINDOW` notes."""
-        if delta.missing:
-            # zeros in unobserved dimensions would bend the ambient
-            # direction estimate toward the observed subspace
-            return
-        if vec is None:
-            vec = features.vectorize(delta)
+    def _note_noise(self, vec: np.ndarray) -> None:
+        """Retain an unexplained delta's feature row ``vec`` for the
+        ambient fit, and update the refit skip's state in place: the
+        zero-unit count, the slot's cosine to the last fit's direction,
+        and the unit sum's displacement, re-summed exactly every
+        :attr:`AMBIENT_WINDOW` notes.  Masked rows are never noted: zeros
+        in unobserved dimensions would bend the ambient direction
+        estimate toward the observed subspace."""
         if self._ring_len < self.AMBIENT_WINDOW:
             self._ring_len += 1
         slot = self._ring_version % self.AMBIENT_WINDOW
@@ -792,10 +773,6 @@ class OnlineEngine:
 PLAIN, MERGED, HALF, COMPOSITE, MERGED_COMPOSITE = range(5)
 _STAGE = ("A", "B", "B", "C", "C")
 
-#: Row 0 of a batch primed while the engine holds no previous delta.
-_NO_DELTA = PcDelta(t=0.0, prev_t=0.0, values={})
-
-
 #: What a composite lookup reads for a row no restriction can read as a
 #: key: a step only asks a composite lookup whether it is a key.
 _NO_KEY = Classification(label=None, distance=math.inf)
@@ -828,14 +805,15 @@ class _CompositePass:
 
 
 class _Batch:
-    """One primed batch: its deltas, their feature rows, and every lookup
-    scored for them so far.
+    """The rest of one :class:`DeltaBatch` the engine primed itself with:
+    its feature rows, and every lookup scored for them so far.
 
     Row 0 is the delta the engine held when the batch was primed (a zero
-    delta if none), rows 1.. are the batch's deltas, and ``pred[r]`` is
-    the row whose delta the engine will hold when row ``r`` steps.
-    Feature rows hold exact counts below 2**53, so a split-merged row is
-    the float sum of the two rows.
+    row if none), rows 1.. are the batch's deltas from its row
+    ``base + 1`` on, and ``pred[r]`` is the row whose delta the engine
+    will hold when row ``r`` steps.  Feature rows hold exact counts below
+    2**53, so a split-merged row is the float sum of the two rows.  The
+    per-step fields are lists, read once per step.
 
     ``lookups[kind][row]`` is ``(value, seconds)`` once scored, else
     ``None``: the value is a :class:`Classification`, or for the composite
@@ -847,35 +825,46 @@ class _Batch:
     def __init__(
         self,
         model: ClassificationModel,
-        deltas: Sequence[PcDelta],
-        prev: Optional[PcDelta],
+        deltas: DeltaBatch,
+        start: int,
+        prev: Optional[Tuple["_Batch", int]],
     ) -> None:
-        self.deltas = [prev if prev is not None else _NO_DELTA, *deltas]
+        self.deltas = deltas
+        self.base = start - 1
         self.pos = 1
-        self.live = np.array([False] + [bool(delta) for delta in deltas])
-        self.masked = np.array([bool(delta.missing) for delta in self.deltas])
-        self.t = np.array([delta.t for delta in self.deltas])
-        self.prev_t = np.array([delta.prev_t for delta in self.deltas])
-        self.rows = features.vectorize_many(self.deltas)
-        self.present: Optional[np.ndarray] = None
-        if self.masked.any():
-            self.present = np.ones(self.rows.shape, dtype=bool)
-            for row in np.flatnonzero(self.masked).tolist():
-                self.present[row] = features.present_mask(self.deltas[row].missing)
+        self.size = n = len(deltas) - self.base
+        self.rows = np.zeros((n, features.DIMENSIONS))
+        self.unknown = np.zeros((n, features.DIMENSIONS), dtype=bool)
+        self.t = np.zeros(n)
+        self.prev_t = np.zeros(n)
+        if prev is not None:
+            held, r = prev
+            self.rows[0], self.unknown[0] = held.rows[r], held.unknown[r]
+            self.t[0], self.prev_t[0] = held.t[r], held.prev_t[r]
+        self.rows[1:] = deltas.rows[start:]
+        self.unknown[1:] = deltas.unknown[start:]
+        self.t[1:] = deltas.t[start:]
+        self.prev_t[1:] = deltas.prev_t[start:]
+        self.live = self.rows.any(axis=1)
+        self.live[0] = False
+        self.masked = self.unknown.any(axis=1)
+        self.present = ~self.unknown if self.masked.any() else None
         # the last live row before each row, or row 0
-        live_rows = np.where(self.live, np.arange(len(self.deltas)), 0)
-        self.pred = np.zeros(len(self.deltas), dtype=np.intp)
+        live_rows = np.where(self.live, np.arange(n), 0)
+        self.pred = np.zeros(n, dtype=np.intp)
         self.pred[1:] = np.maximum.accumulate(live_rows)[:-1]
+        self.times = self.t.tolist()
+        self.starts = self.prev_t.tolist()
+        self.gap = [False, *deltas.gap[start:].tolist()]
+        self.totals = [0, *deltas.rows[start:].sum(axis=1).tolist()]
+        self.missing = self.unknown.sum(axis=1).tolist()
         self.rescore(model, 1)
-
-    def holds_next(self, delta: PcDelta) -> bool:
-        return self.pos < len(self.deltas) and self.deltas[self.pos] is delta
 
     def rescore(self, model: ClassificationModel, row: int) -> None:
         """Drop every lookup and score the plain lookups of the rows from
         ``row`` on against ``model`` (stage A)."""
         self.model = model
-        n = len(self.deltas)
+        n = self.size
         self.lookups: List[List[Optional[Tuple[object, float]]]] = [[None] * n for _ in _STAGE]
         self.scored, self.is_key, self.unexplained = np.zeros((3, len(_STAGE), n), dtype=bool)
         self.score([(PLAIN, r) for r in (np.flatnonzero(self.live[row:]) + row).tolist()])

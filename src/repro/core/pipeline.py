@@ -50,6 +50,7 @@ from repro.lifecycle.drift import DRIFT_SPEC, DriftPlan
 from repro.kgsl.sampler import (
     DEFAULT_INTERVAL_S,
     IDLE,
+    DeltaBatch,
     SystemLoad,
 )
 from repro.mitigations.policy import MITIGATION_SPEC, MitigationPolicy
@@ -170,16 +171,14 @@ class AttackResult:
 class AttackStage:
     """Device recognition + the Algorithm 1 engine as one runtime stage.
 
-    The stage consumes the nonzero-delta stream of ``source``.  While the
-    model is unresolved it buffers deltas; once enough have arrived for
+    The stage consumes the nonzero-delta stream of ``source``, one
+    ``(batch, row)`` event per delta.  While the model is unresolved it
+    buffers the events; once enough have arrived for
     :class:`DeviceRecognizer` (or immediately, when recognition is
     disabled or a model key is forced), it instantiates the engine,
-    replays the buffer through :meth:`OnlineEngine.feed_many`, and
-    streams from there on: at the first delta of each of the source's
-    read batches it primes the engine with the whole batch, then feeds
-    the batch's deltas one event at a time.  ``on_end`` closes the
-    engine and publishes the :class:`AttackResult` as the session's
-    result.
+    replays the buffer into it, and streams from there on, one
+    :meth:`OnlineEngine.feed` per event.  ``on_end`` closes the engine
+    and publishes the :class:`AttackResult` as the session's result.
     """
 
     name = "attack"
@@ -191,7 +190,6 @@ class AttackStage:
         model_key: Optional[str] = None,
     ) -> None:
         self.attack = attack
-        self.source = source
         self.sampler = source.sampler
         self.kgsl = self.sampler.device_file
         self.faults = self.kgsl.interposer(faults_mod.FaultInjector)
@@ -200,8 +198,8 @@ class AttackStage:
         self.model_key: Optional[str] = None
         self.recognition: Optional[RecognitionResult] = None
         self.engine: Optional[OnlineEngine] = None
-        self._pending: List = []
-        self._primed: Tuple = ()
+        #: buffered ``(batch, row)`` events, replayed once resolved
+        self._pending: List[Tuple[DeltaBatch, int]] = []
         self._recognize_after = (
             MAX_RECOGNITION_DELTAS
             if model_key is None
@@ -229,7 +227,8 @@ class AttackStage:
             self.kgsl.ioctl(IOCTL_KGSL_DEVICE_GETPROPERTY, prop)
             recognizer = DeviceRecognizer(attack.store)
             self.recognition = recognizer.recognize(
-                self._pending, adreno_model=prop.value.adreno_model
+                [batch.rows[row] for batch, row in self._pending],
+                adreno_model=prop.value.adreno_model,
             )
             self.model_key = self.recognition.model_key
             session.trace.emit(
@@ -255,7 +254,8 @@ class AttackStage:
             collect_evidence=attack.calibration is not None,
         )
         self.engine.begin()
-        self.engine.feed_many(self._pending)
+        for batch, row in self._pending:
+            self.engine.feed(batch, row)
         self._pending = []
 
     # ------------------------------------------------------------------
@@ -276,22 +276,20 @@ class AttackStage:
             if count_events:
                 self.metrics.counter(f"faults.events.{kind}").inc()
 
-    def on_event(self, session, t: float, delta) -> None:
+    def on_event(self, session, t: float, payload: Tuple[DeltaBatch, int]) -> None:
         self._drain_faults(session, t)
-        if self.faults is not None and getattr(delta, "degraded", False):
-            session.mark_degraded(t, "masked_delta" if delta.missing else "gap")
+        batch, row = payload
+        if self.faults is not None:
+            if batch.unknown[row].any():
+                session.mark_degraded(t, "masked_delta")
+            elif batch.gap[row]:
+                session.mark_degraded(t, "gap")
         if self.engine is None:
-            self._pending.append(delta)
+            self._pending.append(payload)
             if len(self._pending) >= max(1, self._recognize_after):
                 self._resolve(session)
             return
-        source = self.source
-        if source.batch is not self._primed:
-            # the first delta of a read batch, or the first one after
-            # the buffered replay: hand the engine the rest of the batch
-            self._primed = source.batch
-            self.engine.prime(source.batch[source.cursor :])
-        self.engine.feed(delta)
+        self.engine.feed(batch, row)
 
     def on_end(self, session, t: float) -> None:
         self._drain_faults(session, t)

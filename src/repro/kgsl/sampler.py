@@ -99,58 +99,30 @@ class ReadBatch(NamedTuple):
     mask: np.ndarray  #: bool[n, 11]
 
 
-@dataclass(frozen=True)
-class PcDelta:
-    """Per-counter change between two consecutive samples.
+@dataclass(frozen=True, eq=False)
+class DeltaBatch:
+    """The nonzero counter deltas of consecutive reads, in read order.
 
-    ``missing`` carries counters whose change over this interval is
-    unknown (absent from at least one endpoint sample) — downstream
-    classification must mask those dimensions rather than read them as
-    zero.  ``gap`` marks a delta spanning noticeably more than one
+    Delta ``k`` is the change over ``(prev_t[k], t[k]]``; ``rows[k]``
+    holds its counter changes, columns in
+    :data:`~repro.gpu.timeline.COUNTER_ORDER`.  ``unknown[k, j]`` is set
+    when counter ``j`` was not held at one of the delta's two reads: its
+    change is *unknown*, ``rows[k, j]`` is 0, and a consumer excludes the
+    cell with the present mask ``~unknown`` rather than read it as no
+    change.  ``gap[k]`` marks a delta spanning noticeably more than one
     nominal sampling interval (dropped or deferred reads in between).
+    ``len()`` is the number of deltas.  Equality is identity: a consumer
+    tells two batches apart by object.
     """
 
-    t: float
-    prev_t: float
-    values: Dict[pc.CounterId, int]
-    missing: Tuple[pc.CounterId, ...] = ()
-    gap: bool = False
+    prev_t: np.ndarray  #: float64[n]
+    t: np.ndarray  #: float64[n]
+    rows: np.ndarray  #: int64[n, 11]
+    unknown: np.ndarray  #: bool[n, 11]
+    gap: np.ndarray  #: bool[n]
 
-    @property
-    def total(self) -> int:
-        return sum(self.values.values())
-
-    @property
-    def degraded(self) -> bool:
-        return bool(self.missing) or self.gap
-
-    def get(self, spec: pc.CounterSpec, default: Optional[int] = None) -> int:
-        """Change of one counter over this interval.
-
-        A counter listed in :attr:`missing` has an *unknown* change —
-        reading it silently as 0 is exactly the error downstream masking
-        exists to prevent — so a masked counter raises :class:`KeyError`
-        unless an explicit ``default`` is supplied.  A counter that was
-        simply never selected (absent from both ``values`` and
-        ``missing``) still reads as zero change, or ``default`` when one
-        is given.
-        """
-        counter_id = spec.counter_id
-        if counter_id in self.values:
-            return self.values[counter_id]
-        if counter_id in self.missing:
-            if default is None:
-                raise KeyError(
-                    f"counter {spec.name} is masked over "
-                    f"[{self.prev_t:.4f}, {self.t:.4f}] — its change is "
-                    "unknown, not zero; pass an explicit default= or "
-                    "check `missing` first"
-                )
-            return default
-        return 0 if default is None else default
-
-    def __bool__(self) -> bool:
-        return any(self.values.values())
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 class PerfCounterSampler:
@@ -307,7 +279,7 @@ class PerfCounterSampler:
         policy denial is deterministic, and hammering the driver with
         doomed ``PERFCOUNTER_GET`` retries is exactly the auditd noise a
         real attack service would avoid.  The session continues blind;
-        downstream deltas carry the counter in ``missing``.
+        downstream deltas mark the counter ``unknown``.
         """
         if spec in self._denied:
             return
@@ -594,16 +566,16 @@ class PerfCounterSampler:
             yield ReadBatch(np.array(nominals), np.array(times), rows, mask)
 
 
-def nonzero_delta_arrays(
+def nonzero_deltas_vectorized(
     batch: ReadBatch, prev: Optional[ReadBatch] = None
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> DeltaBatch:
     """The nonzero-delta extractor: one numpy diff over a batch of reads.
 
-    Returns ``(prev_t, t, diffs, unknown)`` of the consecutive read pairs
-    where some counter moved: read times, ``int64`` changes in
-    ``COUNTER_ORDER`` and unknown-counter masks.  A register that wrapped
-    (at :data:`repro.gpu.counters.WRAP`) still reads as its true change.
-    A counter masked at either end of a pair is unknown over it and reads
+    Returns the consecutive read pairs where some counter moved, as a
+    :class:`DeltaBatch` whose ``gap`` flags are all clear (the caller
+    knows the nominal interval).  A register that wrapped (at
+    :data:`repro.gpu.counters.WRAP`) still reads as its true change.  A
+    counter masked at either end of a pair is unknown over it and reads
     0, so a register re-reserved after a reclamation never reads as a
     change of its whole cumulative value.  ``prev`` optionally supplies
     the batch preceding ``batch``, to difference across chunk boundaries.
@@ -619,31 +591,9 @@ def nonzero_delta_arrays(
     if unknown.any():
         diffs[unknown] = 0
     keep = diffs.any(axis=1).nonzero()[0]
-    if not keep.size:
-        return t[:0], t[:0], diffs[:0], unknown[:0]
-    return t[keep], t[1:][keep], diffs[keep], unknown[keep]
-
-
-def nonzero_deltas_vectorized(
-    batch: ReadBatch, prev: Optional[ReadBatch] = None
-) -> List[PcDelta]:
-    """:func:`nonzero_delta_arrays` as :class:`PcDelta` objects, whose
-    unknown counters are left out of ``values`` and listed in
-    ``missing``.  Tests check it against a pairwise scalar reference."""
-    prev_t, t, diffs, unknown = nonzero_delta_arrays(batch, prev)
-    if not len(t):
-        return []
-    masked = bool(unknown.any())
-    out: List[PcDelta] = []
-    for k, (start, end, row) in enumerate(zip(prev_t.tolist(), t.tolist(), diffs.tolist())):
-        values = dict(zip(COUNTER_ORDER, row))
-        missing: Tuple[pc.CounterId, ...] = ()
-        if masked and unknown[k].any():
-            missing = tuple(sorted(COUNTER_ORDER[j] for j in np.flatnonzero(unknown[k])))
-            for cid in missing:
-                del values[cid]
-        out.append(PcDelta(t=end, prev_t=start, values=values, missing=missing))
-    return out
+    return DeltaBatch(
+        t[keep], t[1:][keep], diffs[keep], unknown[keep], np.zeros(len(keep), dtype=bool)
+    )
 
 
 #: Keystroke inferences per second the power model charges for.

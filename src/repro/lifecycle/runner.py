@@ -204,20 +204,19 @@ def run_lifecycle(
             sampler, 0.0, trace.end_time_s, chunk=ATTACK_SOURCE_CHUNK,
             metrics=metrics,
         )
-        deltas = [delta for _, delta in source.events()]
+        batches = list(dict.fromkeys(batch for _, (batch, _) in source.events()))
         for stage in kgsl.interposers:
             stage.flush_metrics(metrics)
-        # the engine lives on one stream clock: shift this segment's
-        # device-local timestamps to where the stream currently is
-        shifted = [
-            replace(delta, t=delta.t + cursor, prev_t=delta.prev_t + cursor)
-            for delta in deltas
-        ]
 
         keys_before = len(live.keys)
         stats_before = replace(live.stats)
         segment_generation = generation
-        engine.feed_many(shifted)
+        for batch in batches:
+            # the engine lives on one stream clock: shift this segment's
+            # device-local timestamps to where the stream currently is
+            shifted = replace(batch, t=batch.t + cursor, prev_t=batch.prev_t + cursor)
+            for row in range(len(shifted)):
+                engine.feed(shifted, row)
         inferred = "".join(
             key.char for key in live.keys[keys_before:] if not key.deleted
         )

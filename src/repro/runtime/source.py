@@ -15,14 +15,13 @@ trace inspection read; the offline trainer reads the batches' arrays
 itself.  It pulls ``chunk`` reads per step, as
 one :class:`~repro.kgsl.sampler.ReadBatch` of ``int64`` rows and a
 missing-counter mask, and differences each batch with
-:func:`~repro.kgsl.sampler.nonzero_deltas_vectorized`, which masks
-unknown counters itself.  A larger chunk trades mode-switch
-granularity for throughput: the attack uses 64; the monitoring
-service's idle watch uses ``chunk=1``, a batch of one, so escalation
-happens on the confirming read.  While it yields a batch's
-deltas one event at a time, the source exposes the whole batch
-(:attr:`SamplerDeltaSource.batch`), so the attack stage can hand it to
-the online engine at its first delta.
+:func:`~repro.kgsl.sampler.nonzero_deltas_vectorized` into one
+:class:`~repro.kgsl.sampler.DeltaBatch`.  Each delta is one event whose
+payload is ``(batch, row)``: a consumer reads the row from the batch's
+arrays, and can take the rest of the batch with it.  A larger chunk
+trades mode-switch granularity for throughput: the attack uses 64; the
+monitoring service's idle watch uses ``chunk=1``, a batch of one, so
+escalation happens on the confirming read.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from typing import Iterator, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.kgsl.sampler import (
     IDLE,
-    PcDelta,
     PerfCounterSampler,
     ReadBatch,
     SystemLoad,
@@ -93,11 +91,6 @@ class SamplerDeltaSource:
         self.metrics = resolve_registry(metrics)
         self.deltas_emitted = 0
         self.gaps_detected = 0
-        #: The deltas of the read batch being yielded, and the position
-        #: of the latest yielded one in it: a consumer can take the
-        #: whole batch at its first delta.
-        self.batch: Tuple[PcDelta, ...] = ()
-        self.cursor = 0
 
     @property
     def start_t(self) -> float:
@@ -120,20 +113,16 @@ class SamplerDeltaSource:
                 # cross the yields below (interleaved sessions would
                 # corrupt the registry's nesting stack)
                 with self.metrics.span("source.extract"):
-                    extracted = nonzero_deltas_vectorized(batch, prev=prev)
-                # a delta spanning missed reads carries the gap flag (the
-                # extractor never sets it, so the flag marks exactly those)
-                self.batch = tuple(
-                    replace(delta, gap=True) if delta.t - delta.prev_t > limit else delta
-                    for delta in extracted
-                )
-                for cursor, delta in enumerate(self.batch):
-                    self.cursor = cursor
+                    deltas = nonzero_deltas_vectorized(batch, prev=prev)
+                # a delta spanning missed reads carries the gap flag
+                deltas = replace(deltas, gap=deltas.t - deltas.prev_t > limit)
+                gaps = deltas.gap.tolist()
+                for row, t in enumerate(deltas.t.tolist()):
                     # tallies count yielded deltas only: a mode switch
                     # may abandon the batch part way
                     self.deltas_emitted += 1
-                    self.gaps_detected += delta.gap
-                    yield (delta.t, delta)
+                    self.gaps_detected += gaps[row]
+                    yield (t, (deltas, row))
                 prev = batch
         finally:
             # runs on natural exhaustion AND on generator close (a mode

@@ -1,7 +1,9 @@
 """Reference implementations that tests check production code against:
-the scalar forms of the vectorised kernels in ``src/``, scalar views of
-internal state, and a minimal event source.  They live here, next to the
-properties that use them, because no production path calls them."""
+the scalar forms of the vectorised kernels in ``src/``, the per-delta
+record they are written in and a builder of the delta arrays the
+production path reads, scalar views of internal state, and a minimal
+event source.  They live here, next to the properties that use them,
+because no production path calls them."""
 
 from __future__ import annotations
 
@@ -12,7 +14,6 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.android.geometry import Rect
-from repro.core import features
 from repro.core.classifier import (
     COMPOSITE_CTH_FACTOR,
     Classification,
@@ -29,7 +30,7 @@ from repro.kgsl.sampler import (
     _COALESCE_PROB,
     _PREEMPT_DELAY_S,
     IDLE,
-    PcDelta,
+    DeltaBatch,
     PerfCounterSampler,
     ReadBatch,
     SystemLoad,
@@ -145,6 +146,100 @@ def jitter(
             noisy = int(round(amount * (1.0 + float(device.rng.normal(0.0, sigma * factor)))))
             values[spec.counter_id] = max(0, noisy)
     return pc.CounterIncrement(values=values)
+
+
+# ---------------------------------------------------------------------------
+# the per-delta record, and the delta arrays built from it
+
+
+@dataclass(frozen=True)
+class PcDelta:
+    """Per-counter change between two consecutive samples: the scalar
+    view of one :class:`~repro.kgsl.sampler.DeltaBatch` row.
+
+    ``missing`` lists counters whose change over this interval is
+    unknown (absent from at least one endpoint sample); ``gap`` marks a
+    delta spanning noticeably more than one nominal sampling interval.
+    """
+
+    t: float
+    prev_t: float
+    values: Dict[pc.CounterId, int]
+    missing: Tuple[pc.CounterId, ...] = ()
+    gap: bool = False
+
+    @property
+    def total(self) -> int:
+        return sum(self.values.values())
+
+    def __bool__(self) -> bool:
+        return any(self.values.values())
+
+
+def vectorize(delta: PcDelta) -> np.ndarray:
+    """One delta as a float feature row in ``COUNTER_ORDER``: unknown and
+    unselected counters read 0."""
+    return np.array([delta.values.get(cid, 0) for cid in COUNTER_ORDER], dtype=float)
+
+
+def present_mask(delta: PcDelta) -> np.ndarray:
+    """``bool[11]``: the counters whose change ``delta`` observed."""
+    return np.array([cid not in delta.missing for cid in COUNTER_ORDER])
+
+
+def delta_batch(deltas: Sequence[PcDelta]) -> DeltaBatch:
+    """The batch builder: ``deltas`` as the arrays the engine reads, an
+    unknown counter's cell 0 as the extractor leaves it."""
+    rows = np.array(
+        [[d.values.get(cid, 0) for cid in COUNTER_ORDER] for d in deltas], dtype=np.int64
+    ).reshape(-1, len(COUNTER_ORDER))
+    unknown = ~np.array([present_mask(d) for d in deltas], dtype=bool).reshape(rows.shape)
+    rows[unknown] = 0
+    return DeltaBatch(
+        prev_t=np.array([d.prev_t for d in deltas], dtype=float),
+        t=np.array([d.t for d in deltas], dtype=float),
+        rows=rows,
+        unknown=unknown,
+        gap=np.array([d.gap for d in deltas], dtype=bool),
+    )
+
+
+def batch_deltas(batch: DeltaBatch) -> List[PcDelta]:
+    """Each row of ``batch`` as a :class:`PcDelta`, its unknown counters
+    left out of ``values`` and listed in ``missing``."""
+    out = []
+    for prev_t, t, row, unknown, gap in zip(
+        batch.prev_t.tolist(),
+        batch.t.tolist(),
+        batch.rows.tolist(),
+        batch.unknown.tolist(),
+        batch.gap.tolist(),
+    ):
+        out.append(
+            PcDelta(
+                t=t,
+                prev_t=prev_t,
+                values={cid: v for cid, v, u in zip(COUNTER_ORDER, row, unknown) if not u},
+                missing=tuple(sorted(cid for cid, u in zip(COUNTER_ORDER, unknown) if u)),
+                gap=gap,
+            )
+        )
+    return out
+
+
+def feed_deltas(engine, deltas: Sequence[PcDelta], chunk: Optional[int] = None):
+    """Feed ``deltas`` to an :class:`~repro.core.online.OnlineEngine` row
+    by row, built into batches of ``chunk`` (one batch when ``None``);
+    opens the stream if needed and returns the live result."""
+    deltas = list(deltas)
+    size = chunk or max(1, len(deltas))
+    if engine._result is None:
+        engine.begin()
+    for lo in range(0, len(deltas), size):
+        batch = delta_batch(deltas[lo : lo + size])
+        for row in range(len(batch)):
+            engine.feed(batch, row)
+    return engine._result
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +366,7 @@ def label_deltas(
             discarded += 1
             continue
         clean += 1
-        vectors.setdefault(label, []).append(features.vectorize(delta))
+        vectors.setdefault(label, []).append(vectorize(delta))
     return vectors, clean, discarded
 
 
@@ -401,8 +496,8 @@ def current_length(tracker: CorrectionTracker) -> Optional[int]:
 
 class IterableSource:
     """An event source over precomputed ``(t, payload)`` pairs or payloads
-    with a ``.t`` attribute (e.g. a list of ``PcDelta``): the minimal
-    harness for driving the session runtime in tests."""
+    with a ``.t`` attribute: the minimal harness for driving the session
+    runtime in tests."""
 
     def __init__(self, items: Iterable) -> None:
         self._items = items

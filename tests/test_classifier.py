@@ -36,20 +36,20 @@ def toy_model(cth=5.0):
 class TestClassification:
     def test_nearest_centroid_wins(self):
         model = toy_model()
-        result = model.classify_vector(vec(d0=101, d1=10))
+        result = model.classify(vec(d0=101, d1=10))
         assert result.label == "key:a"
         assert result.is_key
         assert result.key_char == "a"
 
     def test_threshold_rejects_far_points(self):
         model = toy_model(cth=2.0)
-        result = model.classify_vector(vec(d0=150, d1=15))
+        result = model.classify(vec(d0=150, d1=15))
         assert result.label is None
         assert not result.is_key
 
     def test_field_parsing(self):
         model = toy_model()
-        result = model.classify_vector(vec(d0=50, d2=5))
+        result = model.classify(vec(d0=50, d2=5))
         assert result.is_field
         assert result.field_length == 3
         assert result.key_char is None
@@ -60,7 +60,7 @@ class TestClassification:
 
     def test_reject_class_is_neither_key_nor_field(self):
         model = toy_model()
-        result = model.classify_vector(vec(d0=80, d3=8))
+        result = model.classify(vec(d0=80, d3=8))
         assert result.label == "reject:dismiss:a"
         assert not result.is_key and not result.is_field
 
@@ -105,7 +105,7 @@ class TestBuildModel:
         # every training sample must classify back to its own class
         for label, vectors in samples.items():
             for v in vectors:
-                assert model.classify_vector(v).label == label
+                assert model.classify(v).label == label
 
     def test_reject_spread_does_not_inflate_cth(self):
         tight = {
@@ -142,7 +142,7 @@ class TestSerialization:
         assert clone.labels == model.labels
         assert clone.cth == model.cth
         assert np.allclose(clone.centroids, model.centroids)
-        result = clone.classify_vector(vec(d0=101, d1=10))
+        result = clone.classify(vec(d0=101, d1=10))
         assert result.label == "key:a"
 
     def test_size_bytes_positive(self):
@@ -153,7 +153,7 @@ class TestCompositeClassification:
     def test_subtracting_dismiss_reveals_key(self):
         model = toy_model()
         composite = vec(d0=180, d1=10, d3=8)  # key:a + reject:dismiss:a
-        direct = model.classify_vector(composite)
+        direct = model.classify(composite)
         assert direct.label is None or not direct.is_key
         recovered = classify_composite(model, composite)
         assert recovered.label == "key:a"
@@ -186,7 +186,7 @@ class TestRealModel:
         for label in chase_model.labels:
             if label.startswith("reject:transient"):
                 continue  # transient class has huge spread by design
-            got = chase_model.classify_vector(chase_model.centroid(label))
+            got = chase_model.classify(chase_model.centroid(label))
             assert got.label == label, label
 
     def test_key_class_count_covers_keyboard(self, chase_model):

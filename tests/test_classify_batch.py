@@ -1,9 +1,9 @@
 """Tests for the vectorized classifier hot path.
 
 ``ClassificationModel.classify_batch`` scores an (n, 11) matrix against
-every centroid in one pass; ``classify_vector`` / ``classify_vector_masked``
-are one-row delegates, and ``OnlineEngine.feed_many`` primes a batch
-whose lookups feed the unchanged Algorithm-1 sequential pass.  The
+every centroid in one pass; ``classify`` / ``classify_vector_masked``
+are one-row delegates, and ``OnlineEngine.feed`` primes itself with a
+batch whose lookups feed the unchanged Algorithm-1 sequential pass.  The
 kernels sum each entry in one fixed order, so distances match the
 looped path bit for bit (``tests/test_engine_batching.py`` pins it for
 the engine; the tests here keep ``pytest.approx`` on distances).
@@ -21,8 +21,8 @@ from repro.core.classifier import Classification, ClassificationModel, scaled_sq
 from repro.core.online import OnlineEngine
 from repro.gpu import counters as pc
 from repro.kgsl.device_file import DeviceClock, open_kgsl
-from repro.kgsl.sampler import PcDelta, PerfCounterSampler
-from tests.oracles import nonzero_deltas, sample_range
+from repro.kgsl.sampler import PerfCounterSampler
+from tests.oracles import PcDelta, feed_deltas, nonzero_deltas, sample_range
 
 D0 = pc.SELECTED_COUNTERS[0].counter_id
 D1 = pc.SELECTED_COUNTERS[1].counter_id
@@ -81,7 +81,7 @@ def test_scaled_sq_dists_matches_naive(rng):
 
 def test_batch_matches_looped_classify(model, rows):
     batch = model.classify_batch(rows)
-    looped = [model.classify_vector(row) for row in rows]
+    looped = [model.classify(row) for row in rows]
     assert [c.label for c in batch] == [c.label for c in looped]
     assert [c.confidence for c in batch] == [c.confidence for c in looped]
     for b, l in zip(batch, looped):
@@ -161,12 +161,10 @@ def test_feed_many_matches_feed_loop(model):
         return out
 
     looped_engine = OnlineEngine(model, detect_switches=False)
-    for delta in deltas():
-        looped_engine.feed(delta)
+    feed_deltas(looped_engine, deltas(), chunk=1)
     looped = looped_engine.finish()
     batched_engine = OnlineEngine(model, detect_switches=False)
-    batched_engine.begin()
-    batched = batched_engine.feed_many(deltas())
+    feed_deltas(batched_engine, deltas())
     batched = batched_engine.finish()
     assert [(k.char, k.t, k.low_confidence) for k in batched.keys] == [
         (k.char, k.t, k.low_confidence) for k in looped.keys
@@ -183,12 +181,10 @@ def test_feed_many_end_to_end_matches_process(config, chase_model):
     deltas = nonzero_deltas(sample_range(sampler, 0.0, trace.end_time_s))
 
     serial_engine = OnlineEngine(chase_model)
-    for delta in deltas:
-        serial_engine.feed(delta)
+    feed_deltas(serial_engine, deltas, chunk=1)
     serial = serial_engine.finish()
     engine = OnlineEngine(chase_model)
-    engine.begin()
-    engine.feed_many(deltas)
+    feed_deltas(engine, deltas)
     batched = engine.finish()
     assert batched.text == serial.text
     assert [(k.char, k.t, k.low_confidence) for k in batched.keys] == [

@@ -11,7 +11,7 @@ from repro.core.model_store import ModelStore
 from repro.core.pipeline import simulate_credential_entry, train_model
 from repro.kgsl.device_file import DeviceClock, open_kgsl
 from repro.kgsl.sampler import PerfCounterSampler
-from tests.oracles import nonzero_deltas, sample_range
+from tests.oracles import delta_batch, nonzero_deltas, sample_range
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +32,7 @@ def observed_deltas(config, target, seed=77):
     trace = simulate_credential_entry(config, target, "hunter2secret", seed=seed)
     kgsl = open_kgsl(trace.timeline, clock=DeviceClock())
     sampler = PerfCounterSampler(kgsl, rng=np.random.default_rng(seed))
-    return nonzero_deltas(sample_range(sampler, 0.0, trace.end_time_s))
+    return delta_batch(nonzero_deltas(sample_range(sampler, 0.0, trace.end_time_s))).rows
 
 
 class TestRecognition:

@@ -1,7 +1,7 @@
 """The batch is the engine's unit of work: batching must never change a
 decision.
 
-``OnlineEngine.prime`` scores a batch's lookups in demand-driven passes
+``OnlineEngine.feed`` scores a batch's lookups in demand-driven passes
 (plain rows first, then half-scaled and split-merged rows, then the
 composite grid), while every Algorithm-1 decision still runs per delta.
 These properties pin that any chunking of a stream infers exactly what
@@ -25,9 +25,17 @@ from repro.core import features
 from repro.core.classifier import COMPOSITE_CTH_FACTOR, ClassificationModel, _cross
 from repro.core.online import OnlineEngine
 from repro.gpu.timeline import COUNTER_ORDER
-from repro.kgsl.sampler import PcDelta
 from repro.runtime import RuntimeTrace
-from tests.oracles import classify_composite, merge, pick_composite, scaled
+from tests.oracles import (
+    PcDelta,
+    classify_composite,
+    delta_batch,
+    merge,
+    pick_composite,
+    present_mask,
+    scaled,
+    vectorize,
+)
 
 DIMS = features.DIMENSIONS
 
@@ -136,8 +144,8 @@ def make_stream(seed, n_events, ambient, mask_p, gap_p):
 
 
 def run(deltas, chunks=None, swap_at=None, recover=True):
-    """Feed ``deltas`` one at a time (``chunks=None``) or primed in
-    consecutive chunks of the given sizes (cycled)."""
+    """Feed ``deltas`` one at a time (``chunks=None``, batches of one) or
+    in consecutive batches of the given sizes (cycled)."""
     trace = RuntimeTrace()
     engine = OnlineEngine(toy_model(), trace=trace, session="s", recover_collisions=recover)
     engine.begin()
@@ -145,13 +153,11 @@ def run(deltas, chunks=None, swap_at=None, recover=True):
     while i < len(deltas):
         size = 1 if chunks is None else chunks[k % len(chunks)]
         k += 1
-        chunk = deltas[i : i + size]
-        if chunks is not None:
-            engine.prime(chunk)
-        for delta in chunk:
+        batch = delta_batch(deltas[i : i + size])
+        for row in range(len(batch)):
             if i == swap_at:
                 engine.swap_model(toy_model(1.02))
-            engine.feed(delta)
+            engine.feed(batch, row)
             i += 1
     result = engine.finish()
     events = [(e.t, e.stage, e.kind, dict(e.detail)) for e in trace.events]
@@ -203,6 +209,21 @@ def test_swap_mid_batch_rescores_the_tail():
     assert_same(run(deltas, chunks=[64], swap_at=30), run(deltas, swap_at=30))
 
 
+def test_a_skipped_row_reprimes_from_the_fed_one():
+    """Feeding a batch's rows with gaps primes the engine again at each
+    row that is not the next one: it infers what the fed rows infer."""
+    deltas = make_stream(7, 60, ambient=0, mask_p=0.1, gap_p=0.05)
+    fed = [row for row in range(len(deltas)) if row % 7 != 3]
+    trace = RuntimeTrace()
+    engine = OnlineEngine(toy_model(), trace=trace, session="s")
+    batch = delta_batch(deltas)
+    for row in fed:
+        engine.feed(batch, row)
+    result = engine.finish()
+    events = [(e.t, e.stage, e.kind, dict(e.detail)) for e in trace.events]
+    assert_same((result, events), run([deltas[row] for row in fed]))
+
+
 def test_batch_rows_score_what_pcdelta_merge_and_scaled_score():
     """A batch builds split-merged rows as ``V[j] + V[pred]`` and
     half-scaled rows by truncating ``V[j] / 2``; they must classify
@@ -213,19 +234,20 @@ def test_batch_rows_score_what_pcdelta_merge_and_scaled_score():
     model = toy_model()
     deltas = make_stream(9, 40, ambient=0, mask_p=0.2, gap_p=0.0)
     deltas.append(PcDelta(t=9.0, prev_t=8.992, values={COUNTER_ORDER[0]: -3, COUNTER_ORDER[1]: 7}))
-    batch = _Batch(model, deltas, prev=None)
-    rows = [r for r in range(2, len(batch.deltas)) if batch.live[r]]
+    batch = _Batch(model, delta_batch(deltas), 0, None)
+    # batch row r holds deltas[r - 1]; row 0 is the zero delta of a
+    # batch primed while the engine held none
+    held = [PcDelta(t=0.0, prev_t=0.0, values={}), *deltas]
+    rows = [r for r in range(2, batch.size) if batch.live[r]]
     batch.score([(MERGED, r) for r in rows])
     batch.score([(HALF, r) for r in rows if not batch.masked[r]])
     for r in rows:
-        delta, prev = batch.deltas[r], batch.deltas[batch.pred[r]]
+        delta, prev = held[r], held[batch.pred[r]]
         merged = merge(delta, prev)
-        want = model.classify_batch(
-            features.vectorize(merged)[None, :], features.present_mask(merged.missing)[None, :]
-        )[0]
+        want = model.classify_batch(vectorize(merged)[None, :], present_mask(merged)[None, :])[0]
         assert batch.lookups[MERGED][r][0] == want
         if not batch.masked[r]:
-            half = model.classify_vector(features.vectorize(scaled(delta, 0.5)))
+            half = model.classify(vectorize(scaled(delta, 0.5)))
             assert batch.lookups[HALF][r][0] == half
 
 
@@ -487,10 +509,9 @@ def test_engines_on_threads_sharing_one_model_infer_what_each_infers_alone():
         engine.begin()
         start.wait()
         for lo in range(0, len(deltas), 16):
-            chunk = deltas[lo : lo + 16]
-            engine.prime(chunk)
-            for delta in chunk:
-                engine.feed(delta)
+            batch = delta_batch(deltas[lo : lo + 16])
+            for row in range(len(batch)):
+                engine.feed(batch, row)
         result = engine.finish()
         return result, [(e.t, e.stage, e.kind, dict(e.detail)) for e in trace.events]
 

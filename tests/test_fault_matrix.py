@@ -15,16 +15,9 @@ import pytest
 from repro.core.appswitch import BURST_COOLDOWN_S, BURST_GAP_S, AppSwitchDetector
 from repro.core.classifier import Classification
 from repro.core.corrections import CorrectionTracker
-from repro.gpu import counters as pc
-from repro.kgsl.sampler import PcDelta
 from tests.oracles import current_length
 
-CID = pc.RAS_8X4_TILES.counter_id
 NOISE = Classification(label=None, distance=99.0)
-
-
-def delta(t, total):
-    return PcDelta(t=t, prev_t=t - 0.008, values={CID: total})
 
 
 def typing_observations(chars, blink_s=0.5, key_s=0.45):
@@ -121,8 +114,8 @@ class TestAppSwitchDetectorUnderDrops:
         for t in burst_times(1.0, frames=10):
             if rng.random() < 0.3:  # injected drop
                 continue
-            detector.observe(delta(t, 10_000_000), NOISE)
-        detector.observe(delta(2.0, 10), NOISE)  # quiet closes the burst
+            detector.observe(t, 10_000_000, NOISE)
+        detector.observe(2.0, 10, NOISE)  # quiet closes the burst
         assert detector.bursts_seen == 1
         assert not detector.in_target
 
@@ -131,9 +124,9 @@ class TestAppSwitchDetectorUnderDrops:
         the detector stays in-target.  This is the degradation mode the
         engine reports via the session's degraded flag, not a crash."""
         detector = AppSwitchDetector(big_threshold=1000)
-        detector.observe(delta(1.000, 10_000_000), NOISE)
-        detector.observe(delta(1.016, 10_000_000), NOISE)
-        detector.observe(delta(2.0, 10), NOISE)
+        detector.observe(1.000, 10_000_000, NOISE)
+        detector.observe(1.016, 10_000_000, NOISE)
+        detector.observe(2.0, 10, NOISE)
         assert detector.bursts_seen == 0
         assert detector.in_target
 
@@ -142,8 +135,8 @@ class TestAppSwitchDetectorUnderDrops:
         50 ms burst gap, so the run is not split in two."""
         detector = AppSwitchDetector(big_threshold=1000)
         for t in (1.000, 1.016, 1.048, 1.064):  # frame at 1.032 dropped
-            detector.observe(delta(t, 10_000_000), NOISE)
-        detector.observe(delta(2.0, 10), NOISE)
+            detector.observe(t, 10_000_000, NOISE)
+        detector.observe(2.0, 10, NOISE)
         assert detector.bursts_seen == 1
 
 
@@ -156,8 +149,8 @@ class TestAppSwitchDetectorUnderJitter:
         t = 1.0
         for _ in range(8):
             t += 0.016 + float(rng.exponential(0.002))
-            detector.observe(delta(t, 10_000_000), NOISE)
-        detector.observe(delta(t + 1.0, 10), NOISE)
+            detector.observe(t, 10_000_000, NOISE)
+        detector.observe(t + 1.0, 10, NOISE)
         assert detector.bursts_seen == 1
 
     def test_pathological_jitter_splits_the_burst(self):
@@ -166,11 +159,11 @@ class TestAppSwitchDetectorUnderJitter:
         and the state flips twice — the documented harsh-profile hazard."""
         detector = AppSwitchDetector(big_threshold=1000)
         for t in burst_times(1.0, frames=4):
-            detector.observe(delta(t, 10_000_000), NOISE)
+            detector.observe(t, 10_000_000, NOISE)
         stalled = 1.0 + 3 * 0.016 + BURST_COOLDOWN_S + 0.05
         for t in burst_times(stalled, frames=4):
-            detector.observe(delta(t, 10_000_000), NOISE)
-        detector.observe(delta(stalled + 1.0, 10), NOISE)
+            detector.observe(t, 10_000_000, NOISE)
+        detector.observe(stalled + 1.0, 10, NOISE)
         assert detector.bursts_seen == 2
         assert detector.in_target  # two toggles land back in-target
 
@@ -180,9 +173,9 @@ class TestAppSwitchDetectorUnderJitter:
         burst — the two halves still count as one switch."""
         detector = AppSwitchDetector(big_threshold=1000)
         for t in burst_times(1.0, frames=4):
-            detector.observe(delta(t, 10_000_000), NOISE)
+            detector.observe(t, 10_000_000, NOISE)
         stalled = 1.0 + 3 * 0.016 + BURST_GAP_S + 0.02
         for t in burst_times(stalled, frames=4):
-            detector.observe(delta(t, 10_000_000), NOISE)
-        detector.observe(delta(stalled + 1.0, 10), NOISE)
+            detector.observe(t, 10_000_000, NOISE)
+        detector.observe(stalled + 1.0, 10, NOISE)
         assert detector.bursts_seen == 1

@@ -1,4 +1,4 @@
-"""Tests for feature extraction."""
+"""Tests for the feature space, and for the delta rows tests build."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.core import features
 from repro.gpu import counters as pc
 from repro.gpu.timeline import COUNTER_ORDER
-from repro.kgsl.sampler import PcDelta
+from tests.oracles import PcDelta, delta_batch, vectorize
 
 
 class TestVectorize:
@@ -16,25 +16,30 @@ class TestVectorize:
 
     def test_vectorize_places_values_in_canonical_order(self):
         delta = PcDelta(t=1.0, prev_t=0.9, values={pc.RAS_8X4_TILES.counter_id: 42})
-        vec = features.vectorize(delta)
+        vec = vectorize(delta)
         index = features.counter_index(pc.RAS_8X4_TILES)
         assert vec[index] == 42
         assert vec.sum() == 42
+        assert delta_batch([delta]).rows[0].tolist() == vec.tolist()
 
     def test_unknown_counter_ids_ignored(self):
         delta = PcDelta(t=1.0, prev_t=0.9, values={(pc.CounterGroup.RAS, 99): 10})
-        assert features.vectorize(delta).sum() == 0
+        assert vectorize(delta).sum() == 0
+        assert not delta_batch([delta]).rows.any()
 
     def test_vectorize_many_shape(self):
         ds = [
             PcDelta(t=float(i), prev_t=float(i) - 0.1, values={pc.RAS_8X4_TILES.counter_id: i})
             for i in range(1, 4)
         ]
-        matrix = features.vectorize_many(ds)
-        assert matrix.shape == (3, 11)
+        batch = delta_batch(ds)
+        assert len(batch) == 3
+        assert batch.rows.shape == batch.unknown.shape == (3, 11)
 
     def test_vectorize_many_empty(self):
-        assert features.vectorize_many([]).shape == (0, 11)
+        batch = delta_batch([])
+        assert len(batch) == 0
+        assert batch.rows.shape == (0, 11)
 
 
 class TestScaleAndDistance:

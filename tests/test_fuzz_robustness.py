@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.core.online import OnlineEngine
 from repro.gpu import counters as pc
 from repro.gpu.timeline import COUNTER_ORDER
-from repro.kgsl.sampler import PcDelta
+from tests.oracles import PcDelta, feed_deltas
 
 
 def random_delta(t, rng, magnitude):
@@ -30,7 +30,7 @@ class TestGarbageStreams:
             random_delta(0.1 + i * 0.008, rng, 10**magnitude_exp) for i in range(60)
         ]
         engine = OnlineEngine(chase_model)
-        result = engine.feed_many(deltas)
+        result = feed_deltas(engine, deltas)
         assert result.stats.deltas_seen <= 60
         assert len(result.text) <= result.stats.keys_inferred
 
@@ -40,20 +40,20 @@ class TestGarbageStreams:
         rng = np.random.default_rng(99)
         deltas = [random_delta(0.1 + i * 0.05, rng, 10**6) for i in range(300)]
         engine = OnlineEngine(chase_model)
-        result = engine.feed_many(deltas)
+        result = feed_deltas(engine, deltas)
         assert result.stats.keys_inferred < 0.05 * len(deltas)
 
     def test_zero_deltas_stream(self, chase_model):
         deltas = [PcDelta(t=0.1 + i * 0.008, prev_t=0.1 + i * 0.008 - 0.008, values={})
                   for i in range(20)]
         engine = OnlineEngine(chase_model)
-        result = engine.feed_many(deltas)
+        result = feed_deltas(engine, deltas)
         assert result.stats.deltas_seen == 0
         assert result.text == ""
 
     def test_empty_stream(self, chase_model):
         engine = OnlineEngine(chase_model)
-        result = engine.feed_many([])
+        result = feed_deltas(engine, [])
         assert result.text == ""
 
     def test_monotone_violating_timestamps_tolerated(self, chase_model):
@@ -63,14 +63,14 @@ class TestGarbageStreams:
         deltas = [random_delta(1.0, rng, 1000) for _ in range(5)]
         deltas += [random_delta(0.5, rng, 1000) for _ in range(5)]
         engine = OnlineEngine(chase_model)
-        engine.feed_many(deltas)  # must not raise
+        feed_deltas(engine, deltas)  # must not raise
 
 
 class TestExtremeValues:
     def test_saturated_counters(self, chase_model):
         huge = {cid: (1 << 47) for cid in COUNTER_ORDER}
         engine = OnlineEngine(chase_model)
-        result = engine.feed_many([PcDelta(t=1.0, prev_t=0.99, values=huge)])
+        result = feed_deltas(engine, [PcDelta(t=1.0, prev_t=0.99, values=huge)])
         assert result.stats.keys_inferred == 0
 
     def test_single_unit_deltas(self, chase_model):
@@ -80,7 +80,7 @@ class TestExtremeValues:
             for i in range(50)
         ]
         engine = OnlineEngine(chase_model)
-        result = engine.feed_many(tiny)
+        result = feed_deltas(engine, tiny)
         assert result.stats.keys_inferred == 0
 
 
@@ -95,6 +95,6 @@ class TestAdversarialVictim:
         a = PcDelta(t=1.000, prev_t=0.992, values=values)
         b = PcDelta(t=1.016, prev_t=1.008, values=values)
         engine = OnlineEngine(chase_model)
-        result = engine.feed_many([a, b])
+        result = feed_deltas(engine, [a, b])
         assert result.text == "w"
         assert result.stats.duplicates_suppressed == 1

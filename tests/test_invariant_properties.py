@@ -3,11 +3,11 @@
 Two algebras carry correctness arguments elsewhere in the codebase and
 were only example-tested until now:
 
-* :class:`~repro.kgsl.sampler.PcDelta` — Algorithm 1's split recovery
-  assumes ``merge``/``scaled``/``split`` (the oracles in
-  ``tests/oracles.py``) behave like exact interval
-  arithmetic (no events lost or invented), and masked-counter reads
-  must *fail loudly* rather than read as zero;
+* the per-delta record of ``tests/oracles.py`` — Algorithm 1's split
+  recovery assumes ``merge``/``scaled``/``split`` (the oracles there)
+  behave like exact interval arithmetic (no events lost or invented),
+  and a masked counter must reach the engine's rows as an *unknown*
+  cell, never as a zero change;
 * :class:`~repro.parallel.plan.ShardPlan` — the sharded runtime's
   byte-parity merge assumes the partition is a permutation of the
   session indices, deterministic under its seed, and balanced within
@@ -33,10 +33,11 @@ from repro.lifecycle.calibration import CALIBRATION_PROFILES, CalibrationPolicy
 from repro.mitigations.policy import MitigationPolicy, mitigation, mitigation_names
 from repro.android.keyboard import KeyboardLayout
 from repro.gpu import counters as pc
-from repro.kgsl.sampler import PcDelta
+from repro.gpu.timeline import COUNTER_ORDER
 from repro.parallel.plan import ShardPlan
 from repro.scenarios import Scenario, scenario, scenario_names
 from tests import oracles
+from tests.oracles import PcDelta
 
 SPECS = list(pc.SELECTED_COUNTERS)
 
@@ -122,29 +123,27 @@ class TestPcDeltaAlgebra:
 
     @given(pc_deltas())
     @settings(max_examples=80)
-    def test_masked_counters_raise_instead_of_reading_zero(self, delta):
-        masked = set(delta.missing)
-        for spec in SPECS:
-            cid = spec.counter_id
-            if cid in delta.values:
-                assert delta.get(spec) == delta.values[cid]
-                # an explicit default never shadows a real value
-                assert delta.get(spec, default=-1) == delta.values[cid]
-            elif cid in masked:
-                with pytest.raises(KeyError, match="masked"):
-                    delta.get(spec)
-                assert delta.get(spec, default=17) == 17
-            else:
-                # never selected: zero change is a fact, not a guess
-                assert delta.get(spec) == 0
-                assert delta.get(spec, default=17) == 17
+    def test_masked_counters_are_unknown_not_zero(self, delta):
+        batch = oracles.delta_batch([delta])
+        for j, cid in enumerate(COUNTER_ORDER):
+            masked = cid in delta.missing
+            assert batch.unknown[0, j] == masked
+            # a masked cell holds 0, which only the mask tells apart
+            # from a counter that stood still
+            assert batch.rows[0, j] == (0 if masked else delta.values.get(cid, 0))
+        assert oracles.batch_deltas(batch)[0].missing == delta.missing
 
     @given(pc_deltas())
     @settings(max_examples=40)
     def test_truthiness_and_degraded_flags(self, delta):
         assert bool(delta) == any(delta.values.values())
-        assert delta.degraded == (bool(delta.missing) or delta.gap)
         assert delta.total == sum(delta.values.values())
+        batch = oracles.delta_batch([delta])
+        assert bool(batch.rows[0].any()) == bool(delta)
+        # what the attack stage reads as a degraded delta
+        assert bool(batch.unknown[0].any() or batch.gap[0]) == (
+            bool(delta.missing) or delta.gap
+        )
 
 
 class TestShardPlanProperties:

@@ -9,7 +9,13 @@ from repro.android.events import KeyPress
 from repro.core.launch import IDLE_POLL_INTERVAL_S, LaunchDetector
 from repro.kgsl.device_file import DeviceClock, open_kgsl
 from repro.kgsl.sampler import PerfCounterSampler
-from tests.oracles import nonzero_deltas, sample_range
+from tests.oracles import PcDelta, delta_batch, nonzero_deltas, sample_range
+
+
+def launches(detector, batch):
+    """Every launch ``detector`` confirms over the rows of ``batch``."""
+    events = (detector.observe(batch, row) for row in range(len(batch)))
+    return [event for event in events if event is not None]
 
 
 @pytest.fixture(scope="module")
@@ -24,13 +30,13 @@ def launch_stream(config):
         kgsl, interval_s=IDLE_POLL_INTERVAL_S, rng=np.random.default_rng(22)
     )
     samples = sample_range(sampler, 0.0, 6.0)
-    return nonzero_deltas(samples)
+    return delta_batch(nonzero_deltas(samples))
 
 
 class TestLaunchDetector:
     def test_detects_the_launch(self, chase_model, launch_stream):
         detector = LaunchDetector(chase_model)
-        events = [e for e in map(detector.observe, launch_stream) if e is not None]
+        events = launches(detector, launch_stream)
         assert events, "the app launch must be detected"
         assert events[0].t < 3.0, "detection must precede the credential typing"
 
@@ -48,22 +54,20 @@ class TestLaunchDetector:
         sampler = PerfCounterSampler(
             kgsl, interval_s=IDLE_POLL_INTERVAL_S, rng=np.random.default_rng(24)
         )
-        deltas = nonzero_deltas(sample_range(sampler, 0.0, 5.0))
+        deltas = delta_batch(nonzero_deltas(sample_range(sampler, 0.0, 5.0)))
         detector = LaunchDetector(chase_model)
-        assert [e for e in map(detector.observe, deltas) if e is not None] == []
+        assert launches(detector, deltas) == []
 
     def test_burst_without_confirmation_expires(self, chase_model, launch_stream, monkeypatch):
         monkeypatch.setattr(LaunchDetector, "CONFIRM_WINDOW_S", 0.0)
         detector = LaunchDetector(chase_model)
-        assert [e for e in map(detector.observe, launch_stream) if e is not None] == []
+        assert launches(detector, launch_stream) == []
 
     def test_custom_threshold(self, chase_model, launch_stream):
         detector = LaunchDetector(chase_model)
         detector.burst_threshold = 1e12
-        assert [e for e in map(detector.observe, launch_stream) if e is not None] == []
+        assert launches(detector, launch_stream) == []
 
     def test_empty_deltas_ignored(self, chase_model):
-        from repro.kgsl.sampler import PcDelta
-
         detector = LaunchDetector(chase_model)
-        assert detector.observe(PcDelta(t=1.0, prev_t=0.9, values={})) is None
+        assert detector.observe(delta_batch([PcDelta(t=1.0, prev_t=0.9, values={})]), 0) is None

@@ -9,9 +9,8 @@ Covers the four legs the lifecycle stands on:
   triggers, the self-supervised ratio re-fit, lineage, and persistence
   into the versioned store;
 * **hot model swap** (:meth:`OnlineEngine.swap_model`) — stream state
-  carries over, deflation is re-applied, and a swap mid
-  :meth:`feed_many` re-scores the tail without double-classifying or
-  skipping a delta;
+  carries over, deflation is re-applied, and a swap mid batch
+  re-scores the tail without double-classifying or skipping a delta;
 * **the full arc** (:func:`run_lifecycle`) — accuracy degrades under
   drift, the service trips, the engine swaps mid-session, accuracy
   recovers (the ≥ 0.9 floor itself is pinned by
@@ -42,7 +41,7 @@ from repro.lifecycle import (
 resolve_drift_plan = DRIFT_SPEC.resolve
 resolve_calibration = CALIBRATION_SPEC.resolve
 from repro.lifecycle.calibration import estimate_refit, rescale_model
-from tests.oracles import geometry_factor, nonzero_deltas, sample_range
+from tests.oracles import feed_deltas, geometry_factor, nonzero_deltas, sample_range
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +225,7 @@ class TestDriftDegradesAccuracy:
             engine = OnlineEngine(
                 chase_model, track_corrections=False, recover_collisions=False
             )
-            engine.begin()
-            engine.feed_many(deltas)
+            feed_deltas(engine, deltas)
             return engine.finish()
 
         assert infer(clean).text == credential
@@ -285,7 +283,7 @@ class TestEstimateRefit:
         for i in (0, 5, 11):
             label = chase_model.labels[i]
             drifted_press = chase_model.centroids[i] * 0.55
-            result = refit.classify_vector(drifted_press)
+            result = refit.classify(drifted_press)
             assert result.label == label
             assert result.distance == pytest.approx(0.0, abs=1e-9)
 
@@ -408,7 +406,7 @@ class TestCalibrationService:
 
 class _SwapOnFirstBatch:
     """Model proxy that hot-swaps the engine on its first batch call —
-    simulating a recalibration landing while feed_many is mid-batch."""
+    simulating a recalibration landing while the engine is mid-batch."""
 
     def __init__(self, inner, replacement):
         self._inner = inner
@@ -434,10 +432,10 @@ class TestSwapModel:
         )
         engine.begin()
         half = len(deltas) // 2
-        engine.feed_many(deltas[:half])
+        feed_deltas(engine, deltas[:half])
         keys_before = engine._result.stats.keys_inferred
         engine.swap_model(chase_model)
-        engine.feed_many(deltas[half:])
+        feed_deltas(engine, deltas[half:])
         result = engine.finish()
         assert engine.model_swaps == 1
         # swapping in the same model must not perturb the inference
@@ -457,16 +455,15 @@ class TestSwapModel:
         assert any(e.kind == "model_swap" for e in trace.events)
 
     def test_swap_mid_feed_many_rebatches_tail(self, config, chase_model):
-        """A swap landing inside a feed_many batch re-scores the tail
-        against the new model: every delta classified exactly once."""
+        """A swap landing inside a batch re-scores the tail against the
+        new model: every delta classified exactly once."""
         deltas, _ = _drifted_deltas(config, "pw123456", 3, None)
         proxy = _SwapOnFirstBatch(chase_model, chase_model)
         engine = OnlineEngine(
             proxy, track_corrections=False, recover_collisions=False
         )
         proxy.engine = engine
-        engine.begin()
-        engine.feed_many(deltas)
+        feed_deltas(engine, deltas)
         result = engine.finish()
         assert engine.model_swaps == 1
         # the tail was re-batched against the (identical) replacement,

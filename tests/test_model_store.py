@@ -90,7 +90,7 @@ class TestPersistence:
         store.save(path)
         loaded = ModelStore.load(path).get(chase_model.model_key)
         centroid = chase_model.centroid("key:w")
-        assert loaded.classify_vector(centroid).label == "key:w"
+        assert loaded.classify(centroid).label == "key:w"
 
 
 class TestIntegrity:

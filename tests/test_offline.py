@@ -14,9 +14,9 @@ from repro.gpu import counters as pc
 from repro.gpu.pipeline import FrameStats
 from repro.gpu.timeline import COUNTER_ORDER, RenderTimeline
 from repro.kgsl.interpose import open_sampler
-from repro.kgsl.sampler import PcDelta, nonzero_delta_arrays, nonzero_deltas_vectorized
+from repro.kgsl.sampler import nonzero_deltas_vectorized
 from repro.runtime.source import ATTACK_SOURCE_CHUNK
-from tests.oracles import label_deltas
+from tests.oracles import PcDelta, batch_deltas, label_deltas
 
 
 def read_session(trace, end_s, seed=0):
@@ -27,9 +27,10 @@ def read_session(trace, end_s, seed=0):
 
 def moved_windows(batches):
     """``(prev_t, t, rows)`` of the read pairs that moved, over batches."""
-    parts = [nonzero_delta_arrays(b, prev) for prev, b in zip([None] + batches, batches)]
-    prev_t, t, rows, _ = (np.concatenate(column) for column in zip(*parts))
-    return prev_t, t, rows
+    parts = [nonzero_deltas_vectorized(b, prev) for prev, b in zip([None] + batches, batches)]
+    return tuple(
+        np.concatenate([getattr(part, name) for part in parts]) for name in ("prev_t", "t", "rows")
+    )
 
 
 def labelled(trace, end_s):
@@ -156,7 +157,7 @@ class TestLabelSamples:
         deltas = [
             delta
             for prev, batch in zip([None] + batches, batches)
-            for delta in nonzero_deltas_vectorized(batch, prev)
+            for delta in batch_deltas(nonzero_deltas_vectorized(batch, prev))
         ]
         assert data.clean_windows > 0 and data.discarded_windows > 0
         assert_matches_oracle(data, trace.timeline, deltas)

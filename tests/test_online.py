@@ -7,7 +7,7 @@ from repro.core import features
 from repro.core.classifier import ClassificationModel
 from repro.core.online import OnlineEngine
 from repro.gpu import counters as pc
-from repro.kgsl.sampler import PcDelta
+from tests.oracles import PcDelta, feed_deltas
 
 D0 = pc.SELECTED_COUNTERS[0].counter_id
 D1 = pc.SELECTED_COUNTERS[1].counter_id
@@ -79,37 +79,37 @@ def engine(model, **kw):
 
 class TestBasicInference:
     def test_clean_key_sequence(self, model):
-        result = engine(model).feed_many([key_a(1.0), key_b(1.5), key_a(2.0)])
+        result = feed_deltas(engine(model), [key_a(1.0), key_b(1.5), key_a(2.0)])
         assert result.text == "aba"
         assert result.stats.keys_inferred == 3
 
     def test_timestamps_recorded(self, model):
-        result = engine(model).feed_many([key_a(1.25)])
+        result = feed_deltas(engine(model), [key_a(1.25)])
         assert result.keys[0].t == pytest.approx(1.25)
 
     def test_noise_rejected(self, model):
-        result = engine(model).feed_many([delta(1.0, {D0: 123456, D1: 9999})])
+        result = feed_deltas(engine(model), [delta(1.0, {D0: 123456, D1: 9999})])
         assert result.text == ""
         assert result.stats.noise_events == 1
 
     def test_empty_deltas_skipped(self, model):
-        result = engine(model).feed_many([delta(1.0, {D0: 0})])
+        result = feed_deltas(engine(model), [delta(1.0, {D0: 0})])
         assert result.stats.deltas_seen == 0
 
     def test_inference_times_recorded(self, model):
-        result = engine(model).feed_many([key_a(1.0), key_b(1.5)])
+        result = feed_deltas(engine(model), [key_a(1.0), key_b(1.5)])
         assert result.latency.count >= 2
         assert all(t0 >= 0 for t0 in result.latency.samples)
 
 
 class TestDuplication:
     def test_duplicate_press_suppressed(self, model):
-        result = engine(model).feed_many([key_a(1.0), key_a(1.016)])
+        result = feed_deltas(engine(model), [key_a(1.0), key_a(1.016)])
         assert result.text == "a"
         assert result.stats.duplicates_suppressed == 1
 
     def test_distinct_keys_outside_window_kept(self, model):
-        result = engine(model).feed_many([key_a(1.0), key_b(1.2)])
+        result = feed_deltas(engine(model), [key_a(1.0), key_b(1.2)])
         assert result.text == "ab"
 
 
@@ -117,7 +117,7 @@ class TestSplitRecovery:
     def test_split_key_press_recombined(self, model):
         half1 = delta(1.000, {D0: 520, D1: 50})
         half2 = delta(1.008, {D0: 480, D1: 50})
-        result = engine(model).feed_many([half1, half2])
+        result = feed_deltas(engine(model), [half1, half2])
         assert result.text == "a"
         assert result.stats.splits_recovered == 1
         assert result.keys[0].from_split
@@ -126,7 +126,7 @@ class TestSplitRecovery:
     def test_split_too_far_apart_not_merged(self, model):
         half1 = delta(1.000, {D0: 520, D1: 50})
         half2 = delta(1.200, {D0: 480, D1: 50})
-        result = engine(model).feed_many([half1, half2])
+        result = feed_deltas(engine(model), [half1, half2])
         assert result.text == ""
 
     def test_merged_preferred_over_weak_direct_match(self, model):
@@ -136,28 +136,28 @@ class TestSplitRecovery:
         part2 = delta(1.008, {D0: 1015 + 2000 - 985, D1: 2 + 250 - 98})
         # part2 alone is close-ish to key:b but merged with part1's rest is exact
         stream = [part1, part2]
-        result = engine(model).feed_many(stream)
+        result = feed_deltas(engine(model), stream)
         assert "a" in result.text
 
 
 class TestCollisionRecovery:
     def test_doubled_press_halved(self, model):
-        result = engine(model).feed_many([delta(1.0, {D0: 2000, D1: 200})])
+        result = feed_deltas(engine(model), [delta(1.0, {D0: 2000, D1: 200})])
         # 2x key:a is exactly key:b's D0 but not D1; halving matches key:a
         assert result.text in ("a", "")  # must not be 'b'... see below
-        strict = engine(model, recover_collisions=True).feed_many(
-            [delta(1.0, {D0: 2004, D1: 202})]
+        strict = feed_deltas(
+            engine(model, recover_collisions=True), [delta(1.0, {D0: 2004, D1: 202})]
         )
         assert strict.text in ("a", "")
 
     def test_dismiss_plus_press_composite(self, model):
         composite = delta(1.0, {D0: 1000 + 400, D1: 100 + 37})
-        result = engine(model).feed_many([composite])
+        result = feed_deltas(engine(model), [composite])
         assert result.text == "a"
 
     def test_recovery_can_be_disabled(self, model):
         composite = delta(1.0, {D0: 1000 + 400, D1: 100 + 37})
-        result = engine(model, recover_collisions=False).feed_many([composite])
+        result = feed_deltas(engine(model, recover_collisions=False), [composite])
         assert result.text == ""
 
 
@@ -173,7 +173,7 @@ class TestCorrectionsIntegration:
             field(3.0, 1),  # backspace
             field(3.5, 1),  # blink confirms
         ]
-        result = engine(model).feed_many(stream)
+        result = feed_deltas(engine(model), stream)
         assert result.text == "a"
         assert result.stats.deletions_detected == 1
 
@@ -186,7 +186,7 @@ class TestCorrectionsIntegration:
             field(2.3, 1),            # echo of 'b' validates the dip
             field(2.8, 1),
         ]
-        result = engine(model).feed_many(stream)
+        result = feed_deltas(engine(model), stream)
         assert result.text == "b"
 
     def test_corrections_can_be_disabled(self, model):
@@ -195,7 +195,7 @@ class TestCorrectionsIntegration:
             field(2.0, 0),
             field(2.5, 0),
         ]
-        result = engine(model, track_corrections=False).feed_many(stream)
+        result = feed_deltas(engine(model, track_corrections=False), stream)
         assert result.text == "a"
 
     def test_unattributed_growth_flags_missed_press(self, model):
@@ -204,7 +204,7 @@ class TestCorrectionsIntegration:
             # a press was missed here: field grows without an inferred key
             field(1.5, 1), field(1.9, 1),
         ]
-        result = engine(model).feed_many(stream)
+        result = feed_deltas(engine(model), stream)
         assert result.stats.unattributed_growth == 1
 
 
@@ -216,6 +216,6 @@ class TestSwitchSuppression:
         away_key = [key_a(3.0)]
         burst2 = [delta(5.0 + i * 0.016, {D0: big}) for i in range(5)]
         in_target_key = [key_b(7.0)]
-        result = eng.feed_many(burst1 + away_key + burst2 + in_target_key)
+        result = feed_deltas(eng, burst1 + away_key + burst2 + in_target_key)
         assert result.text == "b"
         assert result.stats.suppressed_by_switch > 0

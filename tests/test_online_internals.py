@@ -11,8 +11,7 @@ from repro.core import features
 from repro.core.classifier import ClassificationModel
 from repro.core.online import OnlineEngine
 from repro.gpu import counters as pc
-from repro.gpu.timeline import COUNTER_ORDER
-from repro.kgsl.sampler import PcDelta
+from tests.oracles import PcDelta, vectorize
 
 D0 = pc.SELECTED_COUNTERS[0].counter_id
 D1 = pc.SELECTED_COUNTERS[1].counter_id
@@ -58,14 +57,14 @@ class TestAmbientDirection:
     def test_no_direction_until_ring_full(self, model):
         engine = OnlineEngine(model, detect_switches=False)
         for i in range(engine.AMBIENT_WINDOW - 1):
-            engine._note_noise(ambient_delta(i * 0.01, 10))
+            engine._note_noise(vectorize(ambient_delta(i * 0.01, 10)))
         assert engine._ambient_direction() is None
 
     def test_coherent_ring_yields_direction(self, model):
         engine = OnlineEngine(model, detect_switches=False)
         rng = np.random.default_rng(0)
         for i in range(engine.AMBIENT_WINDOW):
-            engine._note_noise(ambient_delta(i * 0.01, 5 + 20 * rng.random()))
+            engine._note_noise(vectorize(ambient_delta(i * 0.01, 5 + 20 * rng.random())))
         direction = engine._ambient_direction()
         assert direction is not None
         raw_dir, scaled_dir = direction
@@ -82,13 +81,13 @@ class TestAmbientDirection:
             values = {D0: int(rng.integers(1, 5000)), D1: int(rng.integers(1, 5000))}
             if i % 2:
                 values = {D2: int(rng.integers(1, 5000))}
-            engine._note_noise(delta(i * 0.01, values))
+            engine._note_noise(vectorize(delta(i * 0.01, values)))
         assert engine._ambient_direction() is None
 
     def test_ring_is_bounded(self, model):
         engine = OnlineEngine(model, detect_switches=False)
         for i in range(engine.AMBIENT_WINDOW * 3):
-            engine._note_noise(ambient_delta(i * 0.01, 10))
+            engine._note_noise(vectorize(ambient_delta(i * 0.01, 10)))
         assert len(engine._ring[: engine._ring_len]) == engine.AMBIENT_WINDOW
 
 
@@ -152,11 +151,9 @@ def run_noise_segments(model, segments):
     )
     cluster = vec(d0=60, d1=37, d2=11, d5=5)
     skipped = directions = 0
-    t = 0.0
     for kind, steps, magnitude, seed in segments:
         rng = np.random.default_rng(seed)
         for _ in range(1 if kind == "swap" else steps):
-            t += 0.01
             if kind == "swap":
                 engine.swap_model(other if engine.model is model else model)
             else:
@@ -169,9 +166,7 @@ def run_noise_segments(model, segments):
                 else:
                     values = np.round(cluster * magnitude * rng.uniform(0.5, 2.0))
                     values = values + rng.integers(0, 3, features.DIMENSIONS)
-                engine._note_noise(
-                    delta(t, {cid: int(x) for cid, x in zip(COUNTER_ORDER, values) if x})
-                )
+                engine._note_noise(np.asarray(values, dtype=float))
             full = engine._ring_len == engine.AMBIENT_WINDOW
             skipped += full and engine._refit_cannot_pass()
             want = scratch_fit(engine)
@@ -228,15 +223,13 @@ def drive_skip_state(segments):
     )
     engine = OnlineEngine(model, detect_switches=False)
     cluster = vec(d0=60, d1=37, d2=11, d5=5)
-    t = 0.0
     for kind, steps, magnitude, seed in segments:
         rng = np.random.default_rng(seed)
         for _ in range(1 if kind == "swap" else steps):
-            t += 0.01
             if kind == "swap":
                 engine.swap_model(other if engine.model is model else model)
             elif kind == "zero":
-                engine._note_noise(delta(t, {}))
+                engine._note_noise(np.zeros(features.DIMENSIONS))
             else:
                 if kind == "random" or (kind == "mixed" and rng.random() < 0.5):
                     values = rng.integers(0, 5000, features.DIMENSIONS)
@@ -244,9 +237,7 @@ def drive_skip_state(segments):
                 else:
                     # a tight cluster: near-parallel units
                     values = np.round(cluster * magnitude * rng.uniform(0.5, 2.0))
-                engine._note_noise(
-                    delta(t, {cid: int(x) for cid, x in zip(COUNTER_ORDER, values) if x})
-                )
+                engine._note_noise(np.asarray(values, dtype=float))
             assert_skip_state(engine)
             engine._ambient_direction()
             assert_skip_state(engine)
@@ -279,7 +270,7 @@ class TestDeflationLifecycle:
     def _prime(self, engine):
         rng = np.random.default_rng(2)
         for i in range(engine.AMBIENT_WINDOW):
-            engine._note_noise(ambient_delta(i * 0.01, 5 + 20 * rng.random()))
+            engine._note_noise(vectorize(ambient_delta(i * 0.01, 5 + 20 * rng.random())))
         engine._refresh_deflation()
 
     def test_refresh_adopts_deflated_model(self, model):
@@ -301,17 +292,16 @@ class TestDeflationLifecycle:
         engine = OnlineEngine(model, detect_switches=False)
         self._prime(engine)
         contaminated = vec(d0=1000 + 600, d1=100 + 370, d2=110)  # key:a + 10x ambient
-        got = engine._active_model.classify_vector(contaminated)
+        got = engine._active_model.classify(contaminated)
         assert got.label == "key:a"
 
     def test_effective_magnitude_shrinks_ambient(self, model):
         engine = OnlineEngine(model, detect_switches=False)
-        assert engine._effective_magnitude(ambient_delta(1.0, 10)) == pytest.approx(
-            ambient_delta(1.0, 10).total
-        )
+        ambient = ambient_delta(1.0, 10)
+        assert engine._effective_magnitude(ambient.total, vectorize(ambient)) == ambient.total
         self._prime(engine)
-        residual = engine._effective_magnitude(ambient_delta(1.0, 10))
-        assert residual < 0.1 * ambient_delta(1.0, 10).total
+        residual = engine._effective_magnitude(ambient.total, vectorize(ambient))
+        assert residual < 0.1 * ambient.total
 
 
 class TestPlausibleLengths:

@@ -13,8 +13,7 @@ from repro.gpu import counters as pc
 from repro.gpu.adreno import adreno
 from repro.gpu.pipeline import AdrenoPipeline
 from repro.gpu.timeline import FrameRender, RenderTimeline
-from repro.kgsl.sampler import PcDelta
-from tests.oracles import merge, merge_increments, scaled
+from tests.oracles import PcDelta, merge, merge_increments, scaled
 
 PIPE = AdrenoPipeline(adreno(650))
 
@@ -174,7 +173,7 @@ class TestClassifierProperties:
         model = build_model(samples, model_key="prop")
         for label, vectors in samples.items():
             for vec in vectors:
-                assert model.classify_vector(vec).label == label
+                assert model.classify(vec).label == label
 
     @given(st.floats(1.0, 100.0))
     def test_serialization_roundtrip_preserves_decisions(self, spread):
@@ -186,7 +185,7 @@ class TestClassifierProperties:
         model = build_model({"key:a": [a], "key:b": [b]}, model_key="rt")
         clone = ClassificationModel.from_json(model.to_json())
         probe = b * 0.98
-        assert model.classify_vector(probe).label == clone.classify_vector(probe).label
+        assert model.classify(probe).label == clone.classify(probe).label
 
     @given(st.floats(0.0, 3.0))
     def test_deflation_keeps_orthogonal_separation(self, direction_weight):
@@ -200,5 +199,5 @@ class TestClassifierProperties:
         direction = np.zeros(features.DIMENSIONS)
         direction[0] = 1.0
         deflated = model.with_deflation(direction)
-        assert deflated.classify_vector(b).label == "key:b"
-        assert deflated.classify_vector(a).label == "key:a"
+        assert deflated.classify(b).label == "key:b"
+        assert deflated.classify(a).label == "key:a"

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.android.apps import app
+from repro.core.model_store import ModelStore
 from repro.core.pipeline import (
+    AttackStage,
     EavesdropAttack,
     run_sessions,
     simulate_credential_entry,
+    train_model,
 )
 from repro.core.service import MonitoringService
 from repro.faults import FaultPlan
@@ -17,11 +20,11 @@ from repro.gpu import counters as pc
 from repro.gpu.pipeline import FrameStats
 from repro.gpu.timeline import COUNTER_ORDER, RenderTimeline
 from repro.kgsl.device_file import DeviceClock, open_kgsl
+from repro.kgsl.interpose import open_sampler
 from repro.kgsl.sampler import (
     DEFAULT_INTERVAL_S,
     PerfCounterSampler,
     ReadBatch,
-    nonzero_delta_arrays,
     nonzero_deltas_vectorized,
 )
 from repro.runtime import (
@@ -31,7 +34,15 @@ from repro.runtime import (
     SessionRuntime,
     VirtualClock,
 )
-from tests.oracles import IterableSource, batch_samples, nonzero_deltas, sample_range
+from repro.runtime.source import ATTACK_SOURCE_CHUNK
+from tests.oracles import (
+    IterableSource,
+    batch_deltas,
+    batch_samples,
+    feed_deltas,
+    nonzero_deltas,
+    sample_range,
+)
 
 CID = pc.RAS_8X4_TILES.counter_id
 
@@ -117,14 +128,16 @@ class TestVectorizedExtraction:
         )
         sampler = make_sampler(timeline_with_frames([0.1, 0.3, 0.5]), seed=11)
         [batch] = sampler.iter_batches(0.0, 1.0, chunk=len(samples))
-        assert nonzero_deltas_vectorized(batch) == nonzero_deltas(samples)
+        assert batch_deltas(nonzero_deltas_vectorized(batch)) == nonzero_deltas(samples)
 
     def test_chunk_boundary_with_prev(self):
         samples = sample_range(make_sampler(timeline_with_frames([0.1, 0.3]), seed=12), 0.0, 0.6)
         expected = nonzero_deltas(samples)
         sampler = make_sampler(timeline_with_frames([0.1, 0.3]), seed=12)
         first, second = sampler.iter_batches(0.0, 0.6, chunk=len(samples) // 2 + 1)
-        got = nonzero_deltas_vectorized(first) + nonzero_deltas_vectorized(second, prev=first)
+        got = batch_deltas(nonzero_deltas_vectorized(first)) + batch_deltas(
+            nonzero_deltas_vectorized(second, prev=first)
+        )
         assert got == expected
 
     def test_masked_counters_match_scalar_path(self):
@@ -149,7 +162,7 @@ class TestVectorizedExtraction:
         assert any(delta.missing for delta in expected)
         got, prev = [], None
         for batch in sampler().iter_batches(0.0, 1.0, chunk=7):
-            got += nonzero_deltas_vectorized(batch, prev=prev)
+            got += batch_deltas(nonzero_deltas_vectorized(batch, prev=prev))
             prev = batch
         assert got == expected
 
@@ -175,9 +188,11 @@ class TestVectorizedExtraction:
         batches = [
             ReadBatch(*(column[i : i + chunk] for column in whole)) for i in range(0, n, chunk)
         ]
-        parts = [nonzero_delta_arrays(b, prev) for prev, b in zip([None] + batches, batches)]
+        parts = [nonzero_deltas_vectorized(b, prev) for prev, b in zip([None] + batches, batches)]
+        parts = parts or [nonzero_deltas_vectorized(whole)]
         prev_t, t, diffs, unknown = (
-            np.concatenate(column) for column in zip(*parts or [nonzero_delta_arrays(whole)])
+            np.concatenate([getattr(part, name) for part in parts])
+            for name in ("prev_t", "t", "rows", "unknown")
         )
         assert prev_t.tolist() == [d.prev_t for d in expected]
         assert t.tolist() == [d.t for d in expected]
@@ -186,12 +201,12 @@ class TestVectorizedExtraction:
 
     def test_wraparound_handled(self):
         wrap = pc.WRAP
-        [delta] = nonzero_deltas_vectorized(read_batch([0.0, 0.008], [wrap - 5, 3]))
+        [delta] = batch_deltas(nonzero_deltas_vectorized(read_batch([0.0, 0.008], [wrap - 5, 3])))
         assert delta.values[CID] == 8
 
     def test_short_inputs(self):
-        assert nonzero_deltas_vectorized(read_batch([], [])) == []
-        assert nonzero_deltas_vectorized(read_batch([0.0], [1])) == []
+        assert len(nonzero_deltas_vectorized(read_batch([], []))) == 0
+        assert len(nonzero_deltas_vectorized(read_batch([0.0], [1]))) == 0
 
 
 class TestSamplerDeltaSource:
@@ -203,8 +218,10 @@ class TestSamplerDeltaSource:
 
         streamed_sampler = make_sampler(timeline_with_frames([0.1, 0.25, 0.4, 0.7]), seed=5)
         source = SamplerDeltaSource(streamed_sampler, 0.0, 1.0, chunk=chunk)
-        got = [payload for _, payload in source.events()]
+        events = list(source.events())
+        got = [batch_deltas(batch)[row] for _, (batch, row) in events]
         assert got == expected
+        assert [t for t, _ in events] == [delta.t for delta in expected]
         assert source.deltas_emitted == len(expected)
         assert source.reads_issued == reference.reads_issued
 
@@ -226,11 +243,13 @@ class TestSamplerDeltaSource:
         stream = source.events()
         yielded = [next(stream)[1] for _ in range(10)]
         stream.close()
-        rest = source.batch[source.cursor + 1 :]
-        assert any(d.t - d.prev_t > limit for d in rest), "the abandoned tail holds gaps"
+        batch, last = yielded[-1]
+        assert all(b is batch for b, _ in yielded), "the ten deltas share one batch"
+        span = batch.t - batch.prev_t
+        assert (span[last + 1 :] > limit).any(), "the abandoned tail holds gaps"
         assert source.deltas_emitted == 10
-        assert source.gaps_detected == sum(d.t - d.prev_t > limit for d in yielded)
-        assert all(d.gap for d in yielded if d.t - d.prev_t > limit)
+        assert source.gaps_detected == int((span[: last + 1] > limit).sum())
+        assert batch.gap.tolist() == (span > limit).tolist()
 
     def test_chunk_validation(self):
         sampler = make_sampler(timeline_with_frames([]))
@@ -346,7 +365,8 @@ class TestSessionRuntime:
 
 
 class TestFeedBatchParity:
-    """`feed()`-driven inference must equal batch `feed_many()` exactly."""
+    """Feeding a stream as batches of one must infer exactly what feeding
+    it as one batch infers."""
 
     @pytest.mark.parametrize(
         "text,seed",
@@ -365,13 +385,11 @@ class TestFeedBatchParity:
         stream = nonzero_deltas(sample_range(sampler, 0.0, trace.end_time_s))
 
         batch_engine = OnlineEngine(chase_model)
-        batch_engine.feed_many(stream)
+        feed_deltas(batch_engine, stream)
         batch = batch_engine.finish()
 
         streaming_engine = OnlineEngine(chase_model)
-        streaming_engine.begin()
-        for delta in stream:
-            streaming_engine.feed(delta)
+        feed_deltas(streaming_engine, stream, chunk=1)
         streamed = streaming_engine.finish()
 
         assert streamed.keys == batch.keys
@@ -390,14 +408,67 @@ class TestFeedBatchParity:
         stream = nonzero_deltas(sample_range(sampler, 0.0, trace.end_time_s))
 
         batch_engine = OnlineEngine(chase_model)
-        batch_engine.feed_many(stream)
+        feed_deltas(batch_engine, stream)
         batch = batch_engine.finish()
         engine = OnlineEngine(chase_model)
-        for delta in stream:
-            engine.feed(delta)
+        feed_deltas(engine, stream, chunk=1)
         streamed = engine.finish()
         assert streamed.keys == batch.keys
         assert streamed.stats == batch.stats
+
+
+class _ReplayProbe(AttackStage):
+    """The attack stage, keeping the buffered events it replays once
+    recognition resolves the model."""
+
+    replayed = ()
+
+    def _resolve(self, session):
+        self.replayed = list(self._pending)
+        super()._resolve(session)
+
+
+class TestRecognitionReplay:
+    """With more than one stored model the attack stage buffers deltas
+    until recognition resolves, then replays them into the engine; at
+    ``ATTACK_SOURCE_CHUNK`` the buffer spans read batches and resolves
+    part way into one.  Whatever the chunking, the session infers what
+    it infers delta by delta."""
+
+    @pytest.fixture(scope="class")
+    def two_model_store(self, chase_model, config):
+        store = ModelStore()
+        store.add(chase_model)
+        store.add(train_model(config, app("amex"), seed=8))
+        return store
+
+    def run(self, store, trace, chunk):
+        attack = EavesdropAttack(store, fault_plan=None)
+        sampler = open_sampler(trace, attack.interval_s, np.random.default_rng(12))
+        source = SamplerDeltaSource(sampler, 0.0, trace.end_time_s, chunk=chunk)
+        stage = _ReplayProbe(attack, source)
+        log = RuntimeTrace()
+        runtime = SessionRuntime(trace=log)
+        session = runtime.add_session(Session("attack", source, stage))
+        runtime.run()
+        events = [(e.t, e.kind, dict(e.detail)) for e in log.events if e.stage == "engine"]
+        return session.result, events, stage.replayed
+
+    def test_replay_across_batches_infers_what_batches_of_one_infer(
+        self, two_model_store, chase_model, config
+    ):
+        trace = simulate_credential_entry(config, app("chase"), "hunter2secret", seed=11)
+        one, one_events, _ = self.run(two_model_store, trace, chunk=1)
+        got, got_events, replayed = self.run(two_model_store, trace, ATTACK_SOURCE_CHUNK)
+        batches = list(dict.fromkeys(batch for batch, _ in replayed))
+        last_batch, last_row = replayed[-1]
+        assert len(batches) >= 2, "the buffer must span read batches"
+        assert last_row < len(last_batch) - 1, "recognition must resolve mid-batch"
+        assert got.model_key == one.model_key == chase_model.model_key
+        assert got.keys == one.keys
+        assert got.stats == one.stats
+        assert got_events == one_events
+        assert got.text == "hunter2secret"
 
 
 class TestPipelineOnRuntime:

@@ -5,17 +5,19 @@ import pytest
 
 from repro.gpu import counters as pc
 from repro.gpu.pipeline import FrameStats
+from repro.core.features import counter_index
 from repro.gpu.timeline import RenderTimeline
 from repro.kgsl.device_file import DeviceClock, open_kgsl
 from repro.kgsl.sampler import (
     DEFAULT_INTERVAL_S,
     IDLE,
-    PcDelta,
     PerfCounterSampler,
     PowerModel,
+    ReadBatch,
     SystemLoad,
+    nonzero_deltas_vectorized,
 )
-from tests.oracles import deltas, merge, nonzero_deltas, sample_range, scaled, split
+from tests.oracles import PcDelta, deltas, merge, nonzero_deltas, sample_range, scaled, split
 
 
 def timeline_with_frames(times, amount=100, render_time=0.0005):
@@ -138,32 +140,46 @@ class TestDeltas:
         assert len(deltas(samples)) == len(samples) - 1
 
 
-class TestMaskedGet:
-    SPEC = pc.RAS_8X4_TILES
+class TestUnknownCells:
+    """A counter not held at one of a delta's two reads has an unknown
+    change: its cell in the extractor's rows is 0, and the unknown mask
+    marks it so a consumer excludes it rather than read it as 0."""
 
-    def test_present_counter_reads_value(self):
-        d = PcDelta(t=1.0, prev_t=0.9, values={CID: 42})
-        assert d.get(self.SPEC) == 42
+    COLUMN = counter_index(pc.RAS_8X4_TILES)
 
-    def test_absent_unmasked_counter_reads_zero(self):
-        # never-selected counter: no change was observed because none happened
-        d = PcDelta(t=1.0, prev_t=0.9, values={})
-        assert d.get(self.SPEC) == 0
+    def extract(self, values):
+        """The deltas of reads of ``CID`` with cumulative ``values``."""
+        rows = np.zeros((len(values), len(pc.SELECTED_COUNTERS)), dtype=np.int64)
+        rows[:, self.COLUMN] = values
+        times = np.arange(len(values)) * 0.008
+        return nonzero_deltas_vectorized(ReadBatch(times, times, rows, np.zeros(rows.shape, bool)))
 
-    def test_masked_counter_raises_without_default(self):
-        # reclaimed counter: the change over the window is unknown, not zero
-        d = PcDelta(t=1.0, prev_t=0.9, values={}, missing=(CID,))
-        with pytest.raises(KeyError, match="masked"):
-            d.get(self.SPEC)
+    def test_held_counter_reads_its_change(self):
+        deltas = self.extract([10, 52])
+        assert deltas.rows[0, self.COLUMN] == 42
+        assert not deltas.unknown.any()
 
-    def test_masked_counter_honors_explicit_default(self):
-        d = PcDelta(t=1.0, prev_t=0.9, values={}, missing=(CID,))
-        assert d.get(self.SPEC, default=0) == 0
-        assert d.get(self.SPEC, default=-1) == -1
+    def test_still_counter_reads_zero_and_is_known(self):
+        # every other selected counter stood still: a known change of 0
+        deltas = self.extract([10, 52])
+        assert np.delete(deltas.rows[0], self.COLUMN).tolist() == [0] * 10
 
-    def test_present_value_wins_over_default(self):
-        d = PcDelta(t=1.0, prev_t=0.9, values={CID: 5}, missing=(CID,))
-        assert d.get(self.SPEC, default=99) == 5
+    def test_reclaimed_counter_reads_zero_and_is_unknown(self):
+        # the register re-reserved at read 1 reads 0 from scratch: both
+        # deltas touching it are unknown there, never a huge change
+        other = counter_index(pc.SELECTED_COUNTERS[0])
+        rows = np.zeros((3, len(pc.SELECTED_COUNTERS)), dtype=np.int64)
+        rows[:, self.COLUMN] = [500, 0, 900]
+        rows[:, other] = [1, 2, 3]
+        mask = np.zeros(rows.shape, dtype=bool)
+        mask[1, self.COLUMN] = True
+        times = np.array([0.0, 0.008, 0.016])
+        deltas = nonzero_deltas_vectorized(ReadBatch(times, times, rows, mask))
+        assert len(deltas) == 2
+        assert deltas.rows[:, self.COLUMN].tolist() == [0, 0]
+        assert deltas.unknown[:, self.COLUMN].all()
+        assert deltas.rows[:, other].tolist() == [1, 1]
+        assert deltas.unknown.sum() == 2
 
 
 class TestLoadEffects:

@@ -14,7 +14,14 @@ from repro.kgsl.device_file import DeviceClock, open_kgsl
 from repro.kgsl.interpose import Interposer
 from repro.kgsl.sampler import PerfCounterSampler, SystemLoad
 from repro.runtime.source import SamplerDeltaSource
-from tests.oracles import deltas, merge_increments, nonzero_deltas, sample_range, wakeups
+from tests.oracles import (
+    batch_deltas,
+    deltas,
+    merge_increments,
+    nonzero_deltas,
+    sample_range,
+    wakeups,
+)
 
 CID = pc.RAS_8X4_TILES.counter_id
 
@@ -130,7 +137,8 @@ class TestReadPaths:
             ) or read_many(times, *step)
             sampler = PerfCounterSampler(dev, rng=np.random.default_rng(seed))
             source = SamplerDeltaSource(sampler, 0.0, 2.5, load=load, chunk=chunk)
-            stream = [delta for _, delta in source.events()]
+            batches = dict.fromkeys(batch for _, (batch, _) in source.events())
+            stream = [delta for batch in batches for delta in batch_deltas(batch)]
             tally = (sampler.reads_issued, sampler.reads_dropped, dev.ioctl_count, dev.clock.now)
             return stream, tally, sum(batched)
 

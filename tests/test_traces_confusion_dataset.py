@@ -8,7 +8,9 @@ from repro.analysis.traces import TraceSummary, annotate, render_trace
 from repro.android.apps import app
 from repro.android.device import VictimDevice
 from repro.android.events import KeyPress
-from repro.kgsl.interpose import open_sampler
+from repro.core.online import PLAIN, _Batch
+from repro.faults import FaultPlan
+from repro.kgsl.interpose import build_chain, open_sampler
 from repro.runtime import SamplerDeltaSource
 
 
@@ -19,7 +21,7 @@ def annotated_session(config, chase_model):
     trace = device.compile(events, end_time_s=2.8)
     sampler = open_sampler(trace, 0.008, np.random.default_rng(4))
     source = SamplerDeltaSource(sampler, 0.0, 2.8)
-    return annotate(trace, (delta for _, delta in source.events()), model=chase_model)
+    return annotate(trace, (payload for _, payload in source.events()), model=chase_model)
 
 
 class TestAnnotate:
@@ -58,6 +60,31 @@ class TestAnnotate:
         assert summary.deltas == len(annotated_session)
         assert summary.classified + summary.rejected == summary.deltas
         assert "press" in summary.by_truth_kind
+
+    def test_masked_rows_classify_as_the_engine_looks_them_up(self, config, chase_model):
+        """A delta over a reclaimed counter is classified over the
+        counters it observed, exactly as the engine's plain lookup
+        classifies that row, never with the unknown cell read as 0."""
+        device = VictimDevice(config, app("chase"), rng=np.random.default_rng(3))
+        events = [KeyPress(t=0.6 + 0.4 * i, char=c) for i, c in enumerate("wnqw")]
+        trace = device.compile(events, end_time_s=2.4)
+        plan = FaultPlan(reclaim_rate_hz=8.0, reclaim_window_s=0.05)
+        sampler = open_sampler(trace, 0.008, np.random.default_rng(4), build_chain(plan, seed=4))
+        source = SamplerDeltaSource(sampler, 0.0, 2.4, chunk=64)
+        payloads = [payload for _, payload in source.events()]
+        annotated = annotate(trace, payloads, model=chase_model)
+        masked = [k for k, (batch, row) in enumerate(payloads) if batch.unknown[row].any()]
+        assert masked, "the reclaims must mask some deltas"
+        read_as_zero = 0
+        for k in masked:
+            batch, row = payloads[k]
+            lookup, _ = _Batch(chase_model, batch, row, None).lookups[PLAIN][1]
+            assert (annotated[k].classified, annotated[k].distance) == (
+                lookup.label,
+                lookup.distance,
+            )
+            read_as_zero += chase_model.classify(batch.rows[row]).distance != lookup.distance
+        assert read_as_zero, "masking must change what a masked row classifies as"
 
 
 class TestConfusionMatrix:

@@ -32,7 +32,7 @@ def _field_series(config, chase):
                     frame.start_s,
                     head,
                     int(frame.label.split(":")[1]),
-                    frame.stats.increment.get(pc.LRZ_VISIBLE_PRIM_AFTER_LRZ),
+                    frame.increment.get(pc.LRZ_VISIBLE_PRIM_AFTER_LRZ),
                 )
             )
     return series

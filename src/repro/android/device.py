@@ -16,11 +16,19 @@ execute, including:
 
 The output is a :class:`SessionTrace` with the render timeline and the
 ground truth needed to score the attack.
+
+Compilation schedules frames as ``(t, cache key, scene function, label)``
+tuples; a scene function builds its screen state and damage only when
+its frame misses the process-wide render cache, which holds each frame
+identity's counter row and render time.  :meth:`VictimDevice._materialize`
+then draws every frame's start and jitter in time order and writes the
+whole session into the timeline's columns in one append.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,9 +49,8 @@ from repro.android.layers import DrawOp, Layer, Scene
 from repro.android.scenes import SceneBuilder, UiState
 from repro.android.os_config import DeviceConfig
 from repro.gpu import counters as pc
-from repro.gpu.counters import CounterIncrement
-from repro.gpu.pipeline import AdrenoPipeline, FrameStats
-from repro.gpu.timeline import RenderTimeline
+from repro.gpu.pipeline import AdrenoPipeline
+from repro.gpu.timeline import COUNTER_ORDER, RenderTimeline, increment_row
 
 #: Touch-to-render latency before a press popup reaches the screen.
 INPUT_LATENCY_S = 0.030
@@ -87,21 +94,13 @@ JITTER_SIGMA: Tuple[Tuple[pc.CounterId, float], ...] = (
     (pc.RAS_FULLY_COVERED_8X4_TILES.counter_id, 0.0010),
 )
 
-#: Process-wide cache of rendered frame statistics.  Scene geometry is
-#: fully determined by (device configuration, app, frame identity), and
-#: experiment batches compile hundreds of sessions on the same
-#: configuration, so pre-jitter render results are shared globally.
+#: Process-wide cache of rendered frames: ``(scope, frame identity)`` ->
+#: ``(int64[11] counter row, render time)``, before jitter and GPU
+#: wake-up.  Scene geometry is fully determined by (device configuration,
+#: app, frame identity), and experiment batches compile hundreds of
+#: sessions on the same configuration, so render results are shared
+#: globally.
 _RENDER_CACHE: dict = {}
-
-
-@dataclass(frozen=True)
-class _RenderRequest:
-    """A frame scheduled during compilation, materialized in time order."""
-
-    t: float
-    cache_key: Optional[tuple]
-    scene_fn: object
-    label: str
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,9 @@ class VictimDevice:
         self.render_slowdown = render_slowdown
         self.builder = SceneBuilder(config)
         self.pipeline = AdrenoPipeline(config.gpu)
-        self._requests: List[_RenderRequest] = []
+        #: frames scheduled during compilation, as ``(t, cache key or None,
+        #: scene_fn, label)``; materialized in time order
+        self._requests: List[tuple] = []
         #: what, besides a frame's identity, keys its cached render
         self._cache_scope = (config.config_key(), app.name, render_slowdown)
 
@@ -158,76 +159,91 @@ class VictimDevice:
     def _vsync(self, t: float) -> float:
         return self.builder.display.next_vsync(t)
 
-    def _slow(self, stats: FrameStats) -> FrameStats:
-        if self.render_slowdown == 1.0:
-            return stats
-        return FrameStats(
-            increment=stats.increment,
-            pixels_touched=stats.pixels_touched,
-            render_time_s=stats.render_time_s * self.render_slowdown,
+    def _ui(
+        self, typed_len: int, icons: int, popup: Optional[str] = None, cursor_on: bool = True
+    ) -> UiState:
+        """The screen state a frame draws; scene functions build it only
+        when their frame misses the render cache."""
+        return UiState(
+            app=self.app,
+            typed_len=typed_len,
+            cursor_on=cursor_on,
+            popup_char=popup,
+            key_highlight=popup,
+            notification_icons=icons,
         )
-
-    def _jitter(self, increment: CounterIncrement, factor: float) -> CounterIncrement:
-        """A frame's increments with per-counter multiplicative noise: one
-        standard normal per jittered nonzero counter, all drawn in one
-        call, in ``SELECTED_COUNTERS`` order."""
-        values = dict(increment.values)
-        jittered = [(cid, sigma) for cid, sigma in JITTER_SIGMA if values.get(cid)]
-        if jittered:
-            noise = self.rng.standard_normal(len(jittered)).tolist()
-            for (cid, sigma), z in zip(jittered, noise):
-                values[cid] = max(0, int(round(values[cid] * (1.0 + sigma * factor * z))))
-        return CounterIncrement(values=values)
 
     def _render(self, t: float, scene, label: str) -> None:
         """Schedule an uncacheable (randomly generated) frame."""
-        self._requests.append(
-            _RenderRequest(t=t, cache_key=None, scene_fn=lambda s=scene: s, label=label)
-        )
+        self._requests.append((t, None, lambda s=scene: s, label))
 
     def _render_cached(self, t: float, cache_key, scene_fn, label: str) -> None:
         """Schedule a frame whose geometry is cacheable by identity."""
-        self._requests.append(
-            _RenderRequest(t=t, cache_key=cache_key, scene_fn=scene_fn, label=label)
-        )
+        self._requests.append((t, cache_key, scene_fn, label))
 
-    def _base_stats(self, request: _RenderRequest) -> FrameStats:
-        if request.cache_key is None:
-            return self._slow(self.pipeline.render(request.scene_fn()))
-        full_key = (self._cache_scope, request.cache_key)
-        stats = _RENDER_CACHE.get(full_key)
-        if stats is None:
-            stats = self._slow(self.pipeline.render(request.scene_fn()))
-            _RENDER_CACHE[full_key] = stats
-        return stats
+    def _base_render(self, cache_key, scene_fn) -> Tuple[np.ndarray, float]:
+        """A frame's counter row and render time before jitter and wake-up."""
+        if cache_key is not None:
+            entry = _RENDER_CACHE.get((self._cache_scope, cache_key))
+            if entry is not None:
+                return entry
+        stats = self.pipeline.render(scene_fn())
+        entry = (increment_row(stats.increment), stats.render_time_s * self.render_slowdown)
+        if cache_key is not None:
+            _RENDER_CACHE[(self._cache_scope, cache_key)] = entry
+        return entry
 
     def _materialize(self, timeline: RenderTimeline) -> None:
         """Render all scheduled frames in chronological order, applying the
         GPU power-collapse model: a frame starting more than
         ``GPU_IDLE_COLLAPSE_S`` after the previous render finished pays a
         wake-up latency, and its counters jitter ``COLD_JITTER_FACTOR``
-        times as much (1: no noisier than a warm frame's)."""
+        times as much (1: no noisier than a warm frame's).
+
+        Jitter is multiplicative per counter: one standard normal per
+        jittered nonzero counter, drawn per frame in ``JITTER_SIGMA``
+        order right after the frame's submit delay, and applied to the
+        whole session's counter rows at once as
+        ``max(0, rint(amount * (1 + sigma * factor * z)))``.
+        """
+        requests = sorted(self._requests, key=itemgetter(0))
+        self._requests = []
+        n = len(requests)
+        amounts = np.empty((n, len(COUNTER_ORDER)), dtype=np.int64)
+        durations = np.empty(n)
+        for i, (_, cache_key, scene_fn, _) in enumerate(requests):
+            amounts[i], durations[i] = self._base_render(cache_key, scene_fn)
+        columns = [COUNTER_ORDER.index(cid) for cid, _ in JITTER_SIGMA]
+        sigma = np.array([s for _, s in JITTER_SIGMA])
+        jittered = amounts[:, columns]
+        draws = np.count_nonzero(jittered, axis=1).tolist()
+
+        starts = np.empty(n)
+        factor = np.ones(n)
+        noise = []
         last_end = -1e9
-        uniform = self.rng.uniform
-        for request in sorted(self._requests, key=lambda r: r.t):
+        uniform, standard_normal = self.rng.uniform, self.rng.standard_normal
+        for i, ((t, *_), k, duration) in enumerate(zip(requests, draws, durations.tolist())):
             # GPU work starts after the CPU side records and submits the
             # frame — a fraction of a frame after vsync, varying per frame.
             # Without this, frame starts quantize to a handful of phases
             # relative to the attacker's sampling grid.
-            start = self._vsync(request.t) + float(uniform(0.0005, 0.0030))
-            stats = self._base_stats(request)
-            render_time_s = stats.render_time_s
-            cold = start - last_end > GPU_IDLE_COLLAPSE_S
-            if cold:
-                render_time_s += WAKEUP_RENDER_S
-            stats = FrameStats(
-                increment=self._jitter(stats.increment, COLD_JITTER_FACTOR if cold else 1.0),
-                pixels_touched=stats.pixels_touched,
-                render_time_s=render_time_s,
-            )
-            frame = timeline.add_render(start, stats, label=request.label)
-            last_end = max(last_end, frame.end_s)
-        self._requests = []
+            start = starts[i] = self._vsync(t) + float(uniform(0.0005, 0.0030))
+            if start - last_end > GPU_IDLE_COLLAPSE_S:
+                duration = durations[i] = duration + WAKEUP_RENDER_S
+                factor[i] = COLD_JITTER_FACTOR
+            if k:
+                noise.append(standard_normal(k))
+            last_end = max(last_end, start + duration)
+
+        z = np.zeros(jittered.shape)
+        if noise:
+            # row-major over the nonzero cells: frame by frame, each
+            # frame's counters in JITTER_SIGMA order, as they were drawn
+            z[jittered != 0] = np.concatenate(noise)
+        scaled = np.rint(jittered * (1.0 + sigma * factor[:, None] * z)).astype(np.int64)
+        amounts[:, columns] = np.maximum(0, scaled)
+        timeline.append(starts, durations, amounts, map(itemgetter(3), requests))
 
     # ------------------------------------------------------------------
 
@@ -253,7 +269,9 @@ class VictimDevice:
             timeline=timeline, config=self.config, app=self.app, end_time_s=end_time_s
         )
 
-        state = UiState(app=self.app)
+        # the screen state between events: the input length and the
+        # status bar's notification icons
+        typed_len, icons = 0, UiState.notification_icons
         in_target = True
         away_since: Optional[float] = None
 
@@ -261,15 +279,17 @@ class VictimDevice:
         self._render_cached(
             launch_at_s,
             ("initial",),
-            lambda: self.builder.damage_scene(state, self.builder.display.bounds),
+            lambda: self.builder.damage_scene(
+                self._ui(0, UiState.notification_icons), self.builder.display.bounds
+            ),
             label="initial",
         )
 
         for event in ordered:
             if isinstance(event, KeyPress):
-                state = self._compile_keypress(trace, state, event)
+                typed_len = self._compile_keypress(trace, typed_len, icons, event)
             elif isinstance(event, BackspacePress):
-                state = self._compile_backspace(trace, state, event)
+                typed_len = self._compile_backspace(trace, typed_len, icons, event)
             elif isinstance(event, AppSwitchAway):
                 self._compile_switch_burst(event.t, direction="away")
                 in_target = False
@@ -282,39 +302,43 @@ class VictimDevice:
                 in_target = True
                 away_since = None
             elif isinstance(event, NotificationArrival):
-                state = self._compile_notification(state, event.t)
+                icons = self._compile_notification(typed_len, icons, event.t)
             elif isinstance(event, ViewNotificationShade):
                 self._compile_shade(event.t)
 
         if away_since is not None:
             self._compile_away_activity(away_since, end_time_s)
 
-        self._compile_cursor_blinks(trace, state, ordered, end_time_s, launch_at_s=launch_at_s)
-        self._compile_login_animation(state, end_time_s, launch_at_s=launch_at_s)
+        self._compile_cursor_blinks(trace, icons, ordered, end_time_s, launch_at_s=launch_at_s)
+        self._compile_login_animation(typed_len, icons, end_time_s, launch_at_s=launch_at_s)
         self._materialize(timeline)
         return trace
 
     # ------------------------------------------------------------------
-    # Per-event compilation
+    # Per-event compilation.  Each frame's scene function builds its
+    # screen state and damage itself, so a frame whose render is cached
+    # builds neither.
     # ------------------------------------------------------------------
 
     def _compile_keypress(
         self,
         trace: SessionTrace,
-        state: UiState,
+        typed_len: int,
+        icons: int,
         event: KeyPress,
-    ) -> UiState:
+    ) -> int:
         char = event.char
         if not self.builder.layout.has_key(char):
             raise KeyError(f"keyboard {self.config.keyboard.name!r} has no key {char!r}")
-        damage = self.builder.popup_damage(char)
+        supports_popup = self.config.keyboard.supports_popup
 
         # 1st change: popup appears (the change used for eavesdropping).
         # With popups disabled the only press feedback is the overlay
         # ripple, whose geometry is the same for every key (Section 9.1).
-        press_state = state.with_popup(char)
-        if self.config.keyboard.supports_popup:
-            press_fn = lambda ps=press_state, dm=damage: self.builder.damage_scene(ps, dm)
+        if supports_popup:
+            press_fn = lambda n=typed_len, c=char: self.builder.damage_scene(
+                self._ui(n, icons, popup=c), self.builder.popup_damage(c)
+            )
         else:
             press_fn = lambda c=char: self.builder.ripple_scene(c)
         press_t = event.t + INPUT_LATENCY_S
@@ -328,21 +352,22 @@ class VictimDevice:
             )
 
         # 2nd change: key release, text echo appears in the field.
-        state = state.typed()
-        echo_state = state.with_popup(char)
+        typed_len += 1
         release_t = event.t + event.duration + INPUT_LATENCY_S
         self._render_cached(
             release_t,
-            ("field", state.typed_len, True),
-            lambda es=echo_state: self.builder.damage_scene(
-                es, self.builder.field_damage(self.app)
+            ("field", typed_len, True),
+            lambda n=typed_len, c=char: self.builder.damage_scene(
+                self._ui(n, icons, popup=c), self.builder.field_damage(self.app)
             ),
-            label=f"echo:{state.typed_len}",
+            label=f"echo:{typed_len}",
         )
 
         # 3rd change: popup disappears (or the ripple fades on its overlay).
-        if self.config.keyboard.supports_popup:
-            dismiss_fn = lambda ds=state, dm=damage: self.builder.damage_scene(ds, dm)
+        if supports_popup:
+            dismiss_fn = lambda n=typed_len, c=char: self.builder.damage_scene(
+                self._ui(n, icons), self.builder.popup_damage(c)
+            )
         else:
             dismiss_fn = lambda c=char: self.builder.ripple_scene(c)
         self._render_cached(
@@ -353,24 +378,25 @@ class VictimDevice:
         )
 
         trace.presses.append(GroundTruthPress(t=event.t, char=char))
-        return state
+        return typed_len
 
     def _compile_backspace(
         self,
         trace: SessionTrace,
-        state: UiState,
+        typed_len: int,
+        icons: int,
         event: BackspacePress,
-    ) -> UiState:
-        if state.typed_len == 0:
-            return state
-        state = state.deleted()
+    ) -> int:
+        if typed_len == 0:
+            return typed_len
+        typed_len -= 1
         self._render_cached(
             event.t + INPUT_LATENCY_S,
-            ("field", state.typed_len, True),
-            lambda bs=state: self.builder.damage_scene(
-                bs, self.builder.field_damage(self.app)
+            ("field", typed_len, True),
+            lambda n=typed_len: self.builder.damage_scene(
+                self._ui(n, icons), self.builder.field_damage(self.app)
             ),
-            label=f"backspace:{state.typed_len}",
+            label=f"backspace:{typed_len}",
         )
         trace.backspaces.append(event.t)
         # mark the most recent un-deleted press as deleted
@@ -379,8 +405,7 @@ class VictimDevice:
             if not press.deleted:
                 trace.presses[i] = GroundTruthPress(t=press.t, char=press.char, deleted=True)
                 break
-        return state
-
+        return typed_len
     def _compile_switch_burst(self, t: float, direction: str) -> None:
         """The overview animation: a burst of large frames <50 ms apart."""
         interval = self.builder.display.frame_interval_s
@@ -422,15 +447,17 @@ class VictimDevice:
             )
             self._render(t, Scene([layer]), label="other_app")
 
-    def _compile_notification(self, state: UiState, t: float) -> UiState:
-        state = replace(state, notification_icons=state.notification_icons + 1)
+    def _compile_notification(self, typed_len: int, icons: int, t: float) -> int:
+        icons += 1
         self._render_cached(
             t,
-            ("notif", state.notification_icons),
-            lambda ns=state: self.builder.damage_scene(ns, self.builder.status_bar_damage()),
+            ("notif", icons),
+            lambda n=typed_len, i=icons: self.builder.damage_scene(
+                self._ui(n, i), self.builder.status_bar_damage()
+            ),
             label="notification",
         )
-        return state
+        return icons
 
     def _compile_shade(self, t: float) -> None:
         """Pulling the notification shade: two animation bursts (down, up)
@@ -457,7 +484,7 @@ class VictimDevice:
     def _compile_cursor_blinks(
         self,
         trace: SessionTrace,
-        final_state: UiState,
+        icons: int,
         events: Sequence[UserEvent],
         end_time_s: float,
         launch_at_s: float = 0.0,
@@ -496,18 +523,11 @@ class VictimDevice:
             visible = False  # the first blink after idleness hides the cursor
             while t < next_t:
                 if not any(a <= t < b for a, b in away):
-                    blink_state = replace(
-                        final_state,
-                        typed_len=current_len,
-                        cursor_on=visible,
-                        popup_char=None,
-                        key_highlight=None,
-                    )
                     self._render_cached(
                         t,
                         ("field", current_len, visible),
-                        lambda bs=blink_state: self.builder.damage_scene(
-                            bs, self.builder.field_damage(self.app)
+                        lambda n=current_len, on=visible: self.builder.damage_scene(
+                            self._ui(n, icons, cursor_on=on), self.builder.field_damage(self.app)
                         ),
                         label=f"cursor_blink:{current_len}:{'on' if visible else 'off'}",
                     )
@@ -516,13 +536,15 @@ class VictimDevice:
 
     def _compile_login_animation(
         self,
-        state: UiState,
+        typed_len: int,
+        icons: int,
         end_time_s: float,
         launch_at_s: float = 0.0,
     ) -> None:
         anim = self.app.animation
         if anim is None:
             return
+        state = self._ui(typed_len, icons)
         phase = 0
         t = launch_at_s + anim.frame_interval_s
         while t < end_time_s:

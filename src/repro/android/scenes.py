@@ -49,12 +49,6 @@ class UiState:
     def with_popup(self, char: Optional[str]) -> "UiState":
         return replace(self, popup_char=char, key_highlight=char)
 
-    def typed(self) -> "UiState":
-        return replace(self, typed_len=self.typed_len + 1)
-
-    def deleted(self) -> "UiState":
-        return replace(self, typed_len=max(0, self.typed_len - 1))
-
 
 class SceneBuilder:
     """Builds damage-clipped scenes for one device configuration."""

@@ -557,6 +557,20 @@ class ClassificationModel:
         return cls.from_dict(json.loads(text))
 
 
+def _group_median(matrix: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Column medians of consecutive row groups, ``counts[g]`` rows for
+    group ``g``: one row per group, bit for bit ``np.median(group,
+    axis=0)``.  Each group's columns are sorted, then the two middle
+    values (the one middle value twice, for an odd count) are averaged
+    as ``(a + b) / 2``, the mean of two that ``np.median`` takes."""
+    ends = np.cumsum(counts)
+    first = ends - counts
+    ranked = np.empty_like(matrix)
+    for lo, hi in zip(first.tolist(), ends.tolist()):
+        ranked[lo:hi] = np.sort(matrix[lo:hi], axis=0)
+    return (ranked[first + (counts - 1) // 2] + ranked[first + counts // 2]) / 2
+
+
 def build_model(
     samples_by_label: Mapping[str, Sequence[np.ndarray]],
     model_key: str = "",
@@ -574,15 +588,11 @@ def build_model(
     identical key popups (',' vs '.') remain nearest-centroid rivals, which
     is exactly where the paper's Fig 18 errors concentrate.
     """
-    matrices = {
-        label: np.vstack(vectors)
-        for label, vectors in sorted(samples_by_label.items())
-        if len(vectors)
-    }
-    if not matrices:
+    labels = sorted(label for label, vectors in samples_by_label.items() if len(vectors))
+    if not labels:
         raise ValueError("no labeled samples to build a model from")
-    labels = list(matrices)
-    centroids = np.vstack([np.median(matrix, axis=0) for matrix in matrices.values()])
+    blocks = [np.asarray(samples_by_label[label], dtype=float) for label in labels]
+    centroids = _group_median(np.concatenate(blocks), np.array([len(b) for b in blocks]))
     # Only key classes matter for the scale and the threshold.  The
     # normalization scale must reflect the *discriminative* spread — the
     # differences between key popups — not the huge full-screen
@@ -590,17 +600,16 @@ def build_model(
     # onto each other in normalized space.  And cth must accept every
     # genuine key press; reject classes win by proximity, not by
     # threshold.
-    relevant = [label for label in labels if label.startswith(KEY_PREFIX)] or labels
-    scale = features.robust_scale(np.vstack([matrices[label] for label in relevant]))
+    relevant = [i for i, label in enumerate(labels) if label.startswith(KEY_PREFIX)]
+    relevant = relevant or list(range(len(labels)))
+    scale = features.robust_scale(np.concatenate([blocks[i] for i in relevant]))
 
     # Worst intra-class radius in normalized space.
     intra = 0.0
-    for label, row in zip(labels, centroids):
-        if label not in relevant:
-            continue
+    for i in relevant:
         # the online lookups' expansion, on the BLAS product the pinned
         # model bytes were fitted with
-        sq = scaled_sq_dists(matrices[label] / scale, (row / scale)[None, :], blas=True)
+        sq = scaled_sq_dists(blocks[i] / scale, (centroids[i] / scale)[None, :], blas=True)
         intra = max(intra, float(np.sqrt(np.max(sq))))
 
     cth = max(MIN_CTH, intra * CTH_MARGIN)

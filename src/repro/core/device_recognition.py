@@ -55,33 +55,49 @@ class DeviceRecognizer:
             raise ValueError("model store is empty")
         self.store = store
 
-    def _score(self, model: ClassificationModel, vectors: np.ndarray) -> float:
+    def _score(
+        self, model: ClassificationModel, vectors: np.ndarray, present: np.ndarray
+    ) -> float:
         scaled_centroids = model.centroids / model.scale
         scaled = vectors / model.scale
-        # distance of each observation to its nearest centroid, clipped so
-        # a few out-of-vocabulary events cannot dominate the score
+        # distance of each observation to its nearest centroid over its
+        # observed counters (scaled by sqrt(D/d) to stay comparable, as
+        # the classifier's masked lookup does), clipped so a few
+        # out-of-vocabulary events cannot dominate the score
+        correction = np.sqrt(DIMENSIONS / present.sum(axis=1)).tolist()
         total = 0.0
-        for row in scaled:
-            diffs = scaled_centroids - row
-            dist = float(np.min(np.sqrt(np.einsum("ij,ij->i", diffs, diffs))))
+        for row, seen, factor in zip(scaled, present, correction):
+            diffs = (scaled_centroids - row) * seen
+            dist = float(np.min(np.sqrt(np.einsum("ij,ij->i", diffs, diffs)))) * factor
             total += min(dist, SCORE_CLIP)
         return total / len(scaled)
 
     def recognize(
-        self, rows: np.ndarray, adreno_model: Optional[int] = None
+        self,
+        rows: np.ndarray,
+        present: Optional[np.ndarray] = None,
+        adreno_model: Optional[int] = None,
     ) -> RecognitionResult:
         """Pick the stored model whose centroids best explain ``rows``.
 
         Args:
             rows: the first PC changes observed on the victim, one
-                counter row each (unknown counters read 0); zero rows
-                are skipped.
+                counter row each; zero rows are skipped.
+            present: ``bool`` per cell, set where the counter's change
+                was observed (a delta batch's ``~unknown``); unknown
+                counters are left out of the distances.  ``None`` means
+                every counter was observed.
             adreno_model: GPU model from ``KGSL_PROP_DEVICE_INFO`` (the
                 unprivileged chip-id query); when given, only models for
                 phones with that GPU are considered.
         """
         rows = np.asarray(rows, dtype=float).reshape(-1, DIMENSIONS)
-        vectors = rows[rows.any(axis=1)][:MAX_RECOGNITION_DELTAS]
+        if present is None:
+            present = np.ones(rows.shape, dtype=bool)
+        present = np.asarray(present, dtype=bool).reshape(rows.shape)
+        nonzero = rows.any(axis=1)
+        vectors = rows[nonzero][:MAX_RECOGNITION_DELTAS]
+        present = present[nonzero][:MAX_RECOGNITION_DELTAS]
         if not len(vectors):
             raise ValueError("no nonzero PC changes to recognize from")
         candidates = list(self.store)
@@ -97,6 +113,6 @@ class DeviceRecognizer:
             ]
             if matching:
                 candidates = matching
-        scores = {model.model_key: self._score(model, vectors) for model in candidates}
+        scores = {model.model_key: self._score(model, vectors, present) for model in candidates}
         best_key = min(scores, key=scores.get)
         return RecognitionResult(model_key=best_key, score=scores[best_key], scores=scores)

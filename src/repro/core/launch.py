@@ -71,7 +71,7 @@ class LaunchDetector:
             self._burst_t = t
             return None
         if self._burst_t is not None and t - self._burst_t <= self.CONFIRM_WINDOW_S:
-            if self.model.classify(vec).is_field:
+            if self.model.classify_vector_masked(vec, ~deltas.unknown[row]).is_field:
                 event = LaunchEvent(t=t, score=float(total))
                 self.launches.append(event)
                 self._burst_t = None

@@ -92,15 +92,16 @@ def label_samples(
     inside it and its label maps to a class; every other window is
     discarded.
     """
-    frames = timeline.frames
-    if not frames:
+    starts, ends = timeline.starts, timeline.ends
+    if not len(starts):
         data.discarded_windows += len(t)
         return
-    starts = np.array([frame.start_s for frame in frames])
-    ends = np.array([frame.end_s for frame in frames])
-    labels = [frame_to_class_label(frame.label) for frame in frames]
-    classes = {label: c for c, label in enumerate(dict.fromkeys(filter(None, labels)))}
-    codes = np.array([classes.get(label, -1) for label in labels])
+    # class labels in order of first appearance, mapped once per distinct
+    # frame label
+    names = {name: frame_to_class_label(name) for name in dict.fromkeys(timeline.labels)}
+    classes = {label: c for c, label in enumerate(dict.fromkeys(filter(None, names.values())))}
+    code_of = {name: classes.get(label, -1) for name, label in names.items()}
+    codes = np.array([code_of[name] for name in timeline.labels])
     # frames overlapping (prev_t, t]: those started before t, less those
     # that ended by prev_t (each of which also started before t)
     hi = np.searchsorted(starts, t, side="left")

@@ -228,6 +228,7 @@ class AttackStage:
             recognizer = DeviceRecognizer(attack.store)
             self.recognition = recognizer.recognize(
                 [batch.rows[row] for batch, row in self._pending],
+                present=[~batch.unknown[row] for batch, row in self._pending],
                 adreno_model=prop.value.adreno_model,
             )
             self.model_key = self.recognition.model_key

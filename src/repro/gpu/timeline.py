@@ -1,12 +1,21 @@
 """Cumulative counter values over time: the render timeline.
 
-A :class:`RenderTimeline` is the ordered list of frame renders executed by
-the GPU during a session.  Each frame starts at a wall-clock time and takes
-``render_time_s`` to complete; its counter increments accrue *linearly over
-the render interval*.  This is the mechanism behind the paper's *split*
-readings (Section 5.1): "if a PC is being read when the GPU is in the
-process of drawing the key press popup, the change of this PC could be
+A :class:`RenderTimeline` holds the frame renders executed by the GPU
+during a session as columns: ``starts`` (wall-clock seconds),
+``durations`` (render time), ``amounts`` (``int64[n, 11]``, each frame's
+counter increments in :data:`COUNTER_ORDER`) and ``labels`` (ground truth
+for scoring), kept in start order.  A frame's increments accrue *linearly
+over its render interval*.  This is the mechanism behind the paper's
+*split* readings (Section 5.1): "if a PC is being read when the GPU is in
+the process of drawing the key press popup, the change of this PC could be
 split into multiple consecutive changes with smaller amounts".
+
+Frames arrive through one path, :meth:`RenderTimeline.append`, a block of
+rows at a time; :meth:`RenderTimeline.add_render` is its one-row case.
+The first query after an append orders the rows by a stable sort on start,
+so frames that start together keep their arrival order.
+:attr:`RenderTimeline.frames` is a per-frame :class:`FrameRender` view of
+the columns, built on first access, for scoring and inspection.
 
 Queries are O(log n + k) via per-counter prefix sums, where k is the small
 number of frames still in flight at the query time.  One vectorised
@@ -29,17 +38,26 @@ COUNTER_ORDER: List[pc.CounterId] = [spec.counter_id for spec in pc.SELECTED_COU
 _COLUMN: Dict[pc.CounterId, int] = {cid: i for i, cid in enumerate(COUNTER_ORDER)}
 
 
+def increment_row(increment: pc.CounterIncrement) -> np.ndarray:
+    """A frame's increments as one ``int64[11]`` row in :data:`COUNTER_ORDER`."""
+    row = np.zeros(len(COUNTER_ORDER), dtype=np.int64)
+    for cid, amount in increment.values.items():
+        row[_COLUMN[cid]] = amount
+    return row
+
+
 @dataclass(frozen=True)
 class FrameRender:
-    """One frame render scheduled on the GPU."""
+    """One frame render on the GPU: a row of a :class:`RenderTimeline`."""
 
     start_s: float
-    stats: FrameStats
+    render_time_s: float
+    increment: pc.CounterIncrement
     label: str = ""
 
     @property
     def end_s(self) -> float:
-        return self.start_s + self.stats.render_time_s
+        return self.start_s + self.render_time_s
 
     def progress(self, t: float) -> float:
         """Fraction of this frame's increments accrued by time ``t``."""
@@ -47,66 +65,132 @@ class FrameRender:
             return 0.0
         if t >= self.end_s:
             return 1.0
-        duration = self.stats.render_time_s
+        duration = self.render_time_s
         if duration <= 0:
             return 1.0
         return (t - self.start_s) / duration
 
 
 class RenderTimeline:
-    """Ordered frame renders with fast cumulative-counter queries."""
+    """Frame renders as start-ordered columns, with fast cumulative-counter
+    queries."""
 
     def __init__(self) -> None:
-        self._frames: List[FrameRender] = []
-        self._sorted = True
-        self._starts: Optional[np.ndarray] = None
-        self._durations: Optional[np.ndarray] = None
-        self._amounts: Optional[np.ndarray] = None
+        self._starts = np.zeros(0)
+        self._durations = np.zeros(0)
+        self._amounts = np.zeros((0, len(COUNTER_ORDER)), dtype=np.int64)
+        self._labels: List[str] = []
+        #: appended blocks not yet merged into the columns
+        self._pending: list = []
+        self._ends = self._starts
         self._prefix: Optional[np.ndarray] = None
         self._max_duration = 0.0
+        self._frames: Optional[List[FrameRender]] = None
 
-    def add(self, frame: FrameRender) -> None:
-        if self._frames and frame.start_s < self._frames[-1].start_s:
-            self._sorted = False
-        self._frames.append(frame)
-        self._starts = None
+    def append(
+        self,
+        starts: Sequence[float],
+        durations: Sequence[float],
+        amounts: np.ndarray,
+        labels: Sequence[str],
+    ) -> None:
+        """Add a block of frames: ``amounts`` is ``int64[n, 11]`` in
+        :data:`COUNTER_ORDER`, one row per start."""
+        self._pending.append(
+            (
+                np.asarray(starts, dtype=float),
+                np.asarray(durations, dtype=float),
+                np.asarray(amounts, dtype=np.int64).reshape(-1, len(COUNTER_ORDER)),
+                list(labels),
+            )
+        )
+        self._prefix = None
+        self._frames = None
 
-    def add_render(self, start_s: float, stats: FrameStats, label: str = "") -> FrameRender:
-        frame = FrameRender(start_s=start_s, stats=stats, label=label)
-        self.add(frame)
-        return frame
+    def add_render(self, start_s: float, stats: FrameStats, label: str = "") -> None:
+        """Add one rendered frame: the one-row :meth:`append`."""
+        self.append((start_s,), (stats.render_time_s,), increment_row(stats.increment), (label,))
+
+    def _ensure_index(self) -> None:
+        if self._prefix is not None:
+            return
+        if self._pending:
+            blocks = [(self._starts, self._durations, self._amounts, self._labels)]
+            blocks += self._pending
+            self._pending = []
+            starts, durations, amounts = (
+                np.concatenate([block[c] for block in blocks]) for c in range(3)
+            )
+            labels = [label for block in blocks for label in block[3]]
+            if np.any(starts[1:] < starts[:-1]):
+                order = np.argsort(starts, kind="stable")
+                starts, durations, amounts = starts[order], durations[order], amounts[order]
+                labels = [labels[i] for i in order.tolist()]
+            self._starts, self._durations, self._amounts = starts, durations, amounts
+            self._labels = labels
+        self._ends = self._starts + self._durations
+        self._prefix = np.vstack(
+            [np.zeros((1, len(COUNTER_ORDER)), dtype=np.int64), np.cumsum(self._amounts, axis=0)]
+        )
+        self._max_duration = float(self._durations.max()) if len(self._durations) else 0.0
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Frame start times (seconds), ascending."""
+        self._ensure_index()
+        return self._starts
+
+    @property
+    def durations(self) -> np.ndarray:
+        """Frame render times (seconds), in start order."""
+        self._ensure_index()
+        return self._durations
+
+    @property
+    def ends(self) -> np.ndarray:
+        """Frame end times, ``starts + durations``."""
+        self._ensure_index()
+        return self._ends
+
+    @property
+    def amounts(self) -> np.ndarray:
+        """``int64[n, 11]`` counter increments per frame, in start order."""
+        self._ensure_index()
+        return self._amounts
+
+    @property
+    def labels(self) -> List[str]:
+        """Ground-truth frame labels, in start order."""
+        self._ensure_index()
+        return self._labels
 
     @property
     def frames(self) -> List[FrameRender]:
+        """The columns as one :class:`FrameRender` per frame, in start order."""
         self._ensure_index()
+        if self._frames is None:
+            self._frames = [
+                FrameRender(
+                    start_s=start,
+                    render_time_s=duration,
+                    increment=pc.CounterIncrement(
+                        values={cid: a for cid, a in zip(COUNTER_ORDER, row) if a}
+                    ),
+                    label=label,
+                )
+                for start, duration, row, label in zip(
+                    self._starts.tolist(),
+                    self._durations.tolist(),
+                    self._amounts.tolist(),
+                    self._labels,
+                )
+            ]
         return self._frames
 
     @property
     def end_time_s(self) -> float:
-        if not self._frames:
-            return 0.0
-        return max(f.end_s for f in self._frames)
-
-    def _ensure_index(self) -> None:
-        if self._starts is not None:
-            return
-        if not self._sorted:
-            self._frames.sort(key=lambda f: f.start_s)
-            self._sorted = True
-        n = len(self._frames)
-        self._starts = np.array([f.start_s for f in self._frames], dtype=float)
-        self._durations = np.array([f.stats.render_time_s for f in self._frames], dtype=float)
-        matrix = np.zeros((n, len(COUNTER_ORDER)), dtype=np.int64)
-        for i, frame in enumerate(self._frames):
-            for cid, amount in frame.stats.increment.values.items():
-                matrix[i, _COLUMN[cid]] = amount
-        self._amounts = matrix
-        self._prefix = np.vstack(
-            [np.zeros((1, len(COUNTER_ORDER)), dtype=np.int64), np.cumsum(matrix, axis=0)]
-        )
-        self._max_duration = max(
-            (f.stats.render_time_s for f in self._frames), default=0.0
-        )
+        ends = self.ends
+        return float(ends.max()) if len(ends) else 0.0
 
     def values_at_many(self, times: Sequence[float]) -> np.ndarray:
         """Cumulative counter values at each of ``times`` (seconds).
@@ -119,9 +203,9 @@ class RenderTimeline:
         """
         self._ensure_index()
         times = np.asarray(times, dtype=float)
-        if not self._frames:
-            return np.zeros((len(times), len(COUNTER_ORDER)), dtype=np.int64)
         starts = self._starts
+        if not len(starts):
+            return np.zeros((len(times), len(COUNTER_ORDER)), dtype=np.int64)
         idx = starts.searchsorted(times, side="right")
         rows = self._prefix[idx]
         # Only frames started within max_duration of t can be unfinished.
@@ -150,8 +234,8 @@ class RenderTimeline:
         the dict view of one :meth:`values_at_many` row."""
         return dict(zip(COUNTER_ORDER, self.values_at_many((t,))[0].tolist()))
 
-    def frames_overlapping(self, t0: float, t1: float) -> List[FrameRender]:
-        """Frames whose render overlaps ``(t0, t1)``, in start order.
+    def _overlapping(self, t0: float, t1: float) -> np.ndarray:
+        """Indices of the frames whose render overlaps ``(t0, t1)``.
 
         A frame overlaps when ``start_s < t1`` and ``end_s > t0``.  Only
         frames started within ``max_duration`` of ``t0`` can still be
@@ -159,33 +243,32 @@ class RenderTimeline:
         the rounding of ``start_s + render_time_s``).
         """
         self._ensure_index()
-        assert self._starts is not None
         lo = int(
             np.searchsorted(self._starts, t0 - self._max_duration - 1e-9, side="left")
         )
         hi = int(np.searchsorted(self._starts, t1, side="left"))
-        return [f for f in self._frames[lo:hi] if f.end_s > t0]
+        return lo + np.flatnonzero(self._ends[lo:hi] > t0)
+
+    def frames_overlapping(self, t0: float, t1: float) -> List[FrameRender]:
+        """Frames whose render overlaps ``(t0, t1)``, in start order."""
+        frames = self.frames
+        return [frames[i] for i in self._overlapping(t0, t1).tolist()]
 
     def busy_fraction(self, t0: float, t1: float) -> float:
-        """Fraction of ``[t0, t1)`` the GPU spends rendering.
-
-        Used by the contention model and exposed to the victim OS the way
-        Android exposes ``gpu_busy_percentage`` (paper footnote 10).
-        """
+        """Fraction of ``[t0, t1)`` the GPU spends rendering: the share
+        Android exposes as ``gpu_busy_percentage`` (paper footnote 10),
+        and the OS-noise cost the Section 9.3 sweep reports."""
         if t1 <= t0:
             return 0.0
-        busy = 0.0
-        for frame in self.frames_overlapping(t0, t1):
-            busy += min(t1, frame.end_s) - max(t0, frame.start_s)
-        return min(1.0, busy / (t1 - t0))
+        i = self._overlapping(t0, t1)
+        spans = np.minimum(t1, self._ends[i]) - np.maximum(t0, self._starts[i])
+        return min(1.0, sum(spans.tolist()) / (t1 - t0))
 
 
 def merge_timelines(timelines: List[RenderTimeline]) -> RenderTimeline:
-    """Combine several timelines (e.g. app rendering + background GPU load)."""
+    """Combine several timelines (e.g. app rendering + background GPU load):
+    their columns concatenated, then stably sorted on start."""
     merged = RenderTimeline()
-    all_frames: List[FrameRender] = []
     for timeline in timelines:
-        all_frames.extend(timeline.frames)
-    for frame in sorted(all_frames, key=lambda f: f.start_s):
-        merged.add(frame)
+        merged.append(timeline.starts, timeline.durations, timeline.amounts, timeline.labels)
     return merged

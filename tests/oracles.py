@@ -1,9 +1,10 @@
 """Reference implementations that tests check production code against:
 the scalar forms of the vectorised kernels in ``src/``, the per-delta
 record they are written in and a builder of the delta arrays the
-production path reads, scalar views of internal state, and a minimal
-event source.  They live here, next to the properties that use them,
-because no production path calls them."""
+production path reads, the per-frame render timeline and session
+materialize that the columnar ones replaced, scalar views of internal
+state, and a minimal event source.  They live here, next to the
+properties that use them, because no production path calls them."""
 
 from __future__ import annotations
 
@@ -19,11 +20,13 @@ from repro.core.classifier import (
     Classification,
     ClassificationModel,
 )
-from repro.android.device import JITTER_SIGMA, VictimDevice
+import repro.android.device as device_mod
+from repro.android.device import VictimDevice
 from repro.core.corrections import CorrectionTracker
 from repro.core.offline import frame_to_class_label
 from repro.gpu import counters as pc
-from repro.gpu.timeline import COUNTER_ORDER, RenderTimeline
+from repro.gpu.pipeline import FrameStats
+from repro.gpu.timeline import COUNTER_ORDER, FrameRender, RenderTimeline
 from repro.kgsl.sampler import (
     _BASE_JITTER_S,
     _COALESCE_DELAY_S,
@@ -133,19 +136,97 @@ def jitter(
     device: VictimDevice, increment: pc.CounterIncrement, factor: float
 ) -> pc.CounterIncrement:
     """A frame's jittered increments, one scalar normal draw per jittered
-    nonzero counter in ``SELECTED_COUNTERS`` order: the scalar form of
-    ``VictimDevice._jitter``."""
-    sigmas = dict(JITTER_SIGMA)
+    nonzero counter in ``SELECTED_COUNTERS`` order, with the
+    ``JITTER_SIGMA`` in force when it runs."""
+    sigmas = dict(device_mod.JITTER_SIGMA)
     values = dict(increment.values)
     for spec in pc.SELECTED_COUNTERS:
         sigma = sigmas.get(spec.counter_id)
-        if not sigma:
+        if sigma is None:
             continue
         amount = values.get(spec.counter_id, 0)
         if amount:
             noisy = int(round(amount * (1.0 + float(device.rng.normal(0.0, sigma * factor)))))
             values[spec.counter_id] = max(0, noisy)
     return pc.CounterIncrement(values=values)
+
+
+def materialize(device: VictimDevice, timeline: RenderTimeline) -> None:
+    """The per-frame form of ``VictimDevice._materialize``: each scheduled
+    frame, in time order, gets its submit delay, is rendered afresh (no
+    render cache), pays the wake-up latency and the cold jitter factor
+    after GPU power collapse, has its counters jittered by :func:`jitter`
+    and is added as one row."""
+    last_end = -1e9
+    for t, _, scene_fn, label in sorted(device._requests, key=lambda r: r[0]):
+        start = device.builder.display.next_vsync(t) + float(device.rng.uniform(0.0005, 0.0030))
+        stats = device.pipeline.render(scene_fn())
+        render_time_s = stats.render_time_s * device.render_slowdown
+        cold = start - last_end > device_mod.GPU_IDLE_COLLAPSE_S
+        if cold:
+            render_time_s += device_mod.WAKEUP_RENDER_S
+        factor = device_mod.COLD_JITTER_FACTOR if cold else 1.0
+        increment = jitter(device, stats.increment, factor)
+        stats = FrameStats(increment, stats.pixels_touched, render_time_s)
+        timeline.add_render(start, stats, label)
+        last_end = max(last_end, start + render_time_s)
+    device._requests = []
+
+
+def without_label(timeline: RenderTimeline, label: str) -> RenderTimeline:
+    """``timeline``'s frames but those labelled ``label``, as a new timeline."""
+    keep = np.array([name != label for name in timeline.labels], dtype=bool)
+    out = RenderTimeline()
+    out.append(
+        timeline.starts[keep],
+        timeline.durations[keep],
+        timeline.amounts[keep],
+        [name for name in timeline.labels if name != label],
+    )
+    return out
+
+
+class FrameListTimeline:
+    """The per-frame render timeline the columnar one replaced: a list of
+    :class:`FrameRender` kept in start order by a stable sort, answering
+    every query with a scalar loop over it."""
+
+    def __init__(self) -> None:
+        self._frames: List[FrameRender] = []
+
+    def add(self, frame: FrameRender) -> None:
+        self._frames.append(frame)
+        self._frames.sort(key=lambda f: f.start_s)
+
+    @property
+    def frames(self) -> List[FrameRender]:
+        return list(self._frames)
+
+    def values_at(self, t: float) -> List[int]:
+        """Counter values at ``t``, in ``COUNTER_ORDER``: every frame
+        started by ``t`` adds its increments, less the unaccrued share of
+        each one still in flight."""
+        column = {cid: j for j, cid in enumerate(COUNTER_ORDER)}
+        totals = [0] * len(COUNTER_ORDER)
+        started = [f for f in self._frames if f.start_s <= t]
+        for frame in started:
+            for cid, amount in frame.increment.values.items():
+                totals[column[cid]] += amount
+        max_duration = max((f.render_time_s for f in self._frames), default=0.0)
+        window_start = t - max_duration - 1e-12
+        for frame in started:
+            if frame.start_s < window_start:
+                continue
+            progress = frame.progress(t)
+            if progress >= 1.0:
+                continue
+            for cid, amount in frame.increment.values.items():
+                accrued = int(round(amount * progress))
+                totals[column[cid]] -= amount - accrued
+        return totals
+
+    def frames_overlapping(self, t0: float, t1: float) -> List[FrameRender]:
+        return [f for f in self._frames if f.start_s < t1 and f.end_s > t0]
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,11 @@ class TestNoOracleAccess:
         from repro.gpu.timeline import RenderTimeline
 
         trace = simulate_credential_entry(config, app("chase"), "oracle12", seed=61)
+        timeline = trace.timeline
         stripped = RenderTimeline()
-        for frame in trace.timeline.frames:
-            from repro.gpu.timeline import FrameRender
-
-            stripped.add(
-                FrameRender(start_s=frame.start_s, stats=frame.stats, label="?")
-            )
+        stripped.append(
+            timeline.starts, timeline.durations, timeline.amounts, ["?"] * len(timeline.starts)
+        )
         original_text = attack.run_on_trace(trace, seed=62).text
         trace.timeline = stripped
         stripped_text = attack.run_on_trace(trace, seed=62).text

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import features
 from repro.core.classifier import (
     Classification,
     ClassificationModel,
+    _group_median,
     build_model,
 )
 from tests.oracles import classify_composite
@@ -133,6 +136,36 @@ class TestBuildModel:
     def test_metadata_preserved(self):
         model = build_model({"key:a": [vec(d0=1)]}, metadata={"app": "chase"})
         assert model.metadata["app"] == "chase"
+
+
+#: A cell: a small count (ties are common), a count near the 2**48
+#: counter wrap, or any non-negative float.
+cells = st.one_of(
+    st.integers(0, 6).map(float),
+    st.integers(2**48 - 5, 2**48 + 5).map(float),
+    st.floats(0, 1e12, allow_nan=False).map(abs),
+)
+
+
+class TestGroupMedian:
+    @given(
+        st.lists(
+            st.integers(1, 9).flatmap(
+                lambda n: st.lists(st.lists(cells, min_size=3, max_size=3), min_size=n, max_size=n)
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=300)
+    # odd and even counts, a single row, a tie across the middle pair
+    @example([[[1.0, 2.0, 3.0]], [[4.0, 4.0, 4.0], [4.0, 5.0, 2.0**48 + 1]], [[0.0] * 3] * 3])
+    def test_each_group_is_np_median_bit_for_bit(self, groups):
+        blocks = [np.array(group) for group in groups]
+        got = _group_median(np.concatenate(blocks), np.array([len(b) for b in blocks]))
+        assert got.shape == (len(blocks), 3)
+        for block, row in zip(blocks, got):
+            assert row.tobytes() == np.median(block, axis=0).tobytes()
 
 
 class TestSerialization:

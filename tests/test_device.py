@@ -22,6 +22,7 @@ from repro.android.events import (
 from repro.android.keyboard import keyboard
 from repro.android.os_config import DeviceConfig, default_config, phone
 from repro.core.offline import OfflineTrainer
+from repro.gpu.timeline import COUNTER_ORDER
 from tests import oracles
 
 #: The six (phone, keyboard, app) configurations the train benchmark cycles.
@@ -66,14 +67,14 @@ class TestKeyPressCompilation:
             [KeyPress(t=0.5, char="w"), KeyPress(t=1.5, char="w")], end_time_s=2.5
         )
         presses = [f for f in trace.timeline.frames if f.label == "press:w"]
-        a, b = presses[0].stats.increment.total, presses[1].stats.increment.total
+        a, b = presses[0].increment.total, presses[1].increment.total
         assert abs(a - b) / a < 0.02
 
     def test_different_keys_different_increments(self, config):
         trace = device(config, seed=2).compile(
             [KeyPress(t=0.5, char="w"), KeyPress(t=1.5, char="n")], end_time_s=2.5
         )
-        by_label = {f.label: f.stats.increment.total for f in trace.timeline.frames}
+        by_label = {f.label: f.increment.total for f in trace.timeline.frames}
         assert by_label["press:w"] != by_label["press:n"]
 
     def test_duplication_rate_close_to_keyboard_spec(self, config):
@@ -151,9 +152,9 @@ class TestSwitchesAndNoise:
         gaps = [b.start_s - a.start_s for a, b in zip(away, away[1:])]
         assert all(g < 0.05 for g in gaps)  # paper: "<50ms"
         typing_scale = max(
-            (f.stats.increment.total for f in trace.timeline.frames if f.label == "initial")
+            (f.increment.total for f in trace.timeline.frames if f.label == "initial")
         )
-        assert all(f.stats.increment.total > typing_scale * 0.3 for f in away)
+        assert all(f.increment.total > typing_scale * 0.3 for f in away)
 
     def test_away_activity_generated(self, config):
         trace = device(config, seed=5).compile(
@@ -201,8 +202,8 @@ class TestRenderSlowdown:
         f = next(fr for fr in fast.timeline.frames if fr.label == "press:a")
         s = next(fr for fr in slow.timeline.frames if fr.label == "press:a")
         # both presses pay at most one GPU wake-up; the base render is 3x
-        base_fast = f.stats.render_time_s
-        base_slow = s.stats.render_time_s
+        base_fast = f.render_time_s
+        base_slow = s.render_time_s
         assert base_slow > 2.0 * base_fast
         assert base_slow <= 3.0 * base_fast + WAKEUP_RENDER_S + 1e-9
 
@@ -219,14 +220,45 @@ class TestRenderSlowdown:
             assert 0.0004 < phase < 0.0031, frame.label
 
 
-class OracleJitterDevice(VictimDevice):
-    """A victim whose frame jitter is the scalar per-counter law."""
+class OracleDevice(VictimDevice):
+    """A victim whose scheduled frames materialize through the per-frame
+    oracle: fresh renders, scalar jitter draws, one row at a time."""
 
-    _jitter = oracles.jitter
+    oracle_frames = 0
+
+    def _materialize(self, timeline):
+        self.oracle_frames += len(self._requests)
+        oracles.materialize(self, timeline)
+
+
+def jitter_events(config, target):
+    """Presses far enough apart that the GPU collapses between them, a
+    notification, and an app switch with random away activity."""
+    chars = OfflineTrainer(config, app(target)).trainable_characters()[:6]
+    events = [KeyPress(t=0.5 + 0.3 * i, char=c, duration=0.08) for i, c in enumerate(chars)]
+    return events + [
+        BackspacePress(t=2.45),
+        NotificationArrival(t=2.9),
+        AppSwitchAway(t=3.4),
+        AppSwitchBack(t=4.6),
+    ]
+
+
+def compiled(cls, config, target, events, seed=31, **kw):
+    return cls(config, app(target), rng=np.random.default_rng(seed), **kw).compile(
+        events, end_time_s=6.0
+    ).timeline
+
+
+def assert_same_columns(ours, theirs):
+    assert ours.labels == theirs.labels
+    assert ours.starts.tolist() == theirs.starts.tolist()
+    assert ours.durations.tolist() == theirs.durations.tolist()
+    assert ours.amounts.tolist() == theirs.amounts.tolist()
 
 
 class TestJitterLaw:
-    """The one-call jitter draw is the scalar law, draw for draw."""
+    """The session-wide jitter is the per-frame scalar law, draw for draw."""
 
     @pytest.mark.parametrize("cold_factor", [None, 3.0])
     @pytest.mark.parametrize("phone_name,keyboard_name,target", BENCH_CONFIGS)
@@ -237,28 +269,39 @@ class TestJitterLaw:
             # make cold frames draw at their own scale, not the default 1
             monkeypatch.setattr(device_mod, "COLD_JITTER_FACTOR", cold_factor)
         config = DeviceConfig(phone=phone(phone_name), keyboard=keyboard(keyboard_name))
-        chars = OfflineTrainer(config, app(target)).trainable_characters()[:6]
-        # presses far enough apart that the GPU collapses between them, a
-        # notification, and an app switch with random away activity
-        events = [KeyPress(t=0.5 + 0.3 * i, char=c, duration=0.08) for i, c in enumerate(chars)]
-        events += [
-            BackspacePress(t=2.45),
-            NotificationArrival(t=2.9),
-            AppSwitchAway(t=3.4),
-            AppSwitchBack(t=4.6),
-        ]
+        events = jitter_events(config, target)
+        ours = compiled(VictimDevice, config, target, events)
+        oracle = OracleDevice(config, app(target), rng=np.random.default_rng(31))
+        theirs = oracle.compile(events, end_time_s=6.0).timeline
+        assert oracle.oracle_frames == len(theirs.starts) > 0
+        assert_same_columns(ours, theirs)
+        ends = np.maximum.accumulate(ours.ends)
+        cold = int(np.count_nonzero(ours.starts[1:] - ends[:-1] > GPU_IDLE_COLLAPSE_S))
+        assert 0 < cold < len(ours.starts) - 1
 
-        def frames(cls):
-            compiled = cls(config, app(target), rng=np.random.default_rng(31)).compile(
-                events, end_time_s=6.0
-            )
-            return [
-                (f.start_s, f.stats.render_time_s, f.stats.increment.values, f.label)
-                for f in compiled.timeline.frames
-            ]
+    def test_slowed_renders_match_the_oracle(self, config):
+        events = jitter_events(config, "chase")
+        ours = compiled(VictimDevice, config, "chase", events, render_slowdown=2.5)
+        theirs = compiled(OracleDevice, config, "chase", events, render_slowdown=2.5)
+        assert_same_columns(ours, theirs)
 
-        ours = frames(VictimDevice)
-        assert ours == frames(OracleJitterDevice)
-        ends = np.maximum.accumulate([start + duration for start, duration, _, _ in ours])
-        cold = sum(start - end > GPU_IDLE_COLLAPSE_S for (start, *_), end in zip(ours[1:], ends))
-        assert 0 < cold < len(ours) - 1
+    def test_patched_sigma_moves_only_the_jittered_columns(self, config, monkeypatch):
+        """The sigma in force when a session compiles is the one applied,
+        also to frames rendered before it changed (what the substrate
+        ablation bench relies on)."""
+        events = jitter_events(config, "chase")
+        before = compiled(VictimDevice, config, "chase", events)
+        monkeypatch.setattr(
+            device_mod,
+            "JITTER_SIGMA",
+            tuple((cid, sigma * 4.0) for cid, sigma in device_mod.JITTER_SIGMA),
+        )
+        device_mod._RENDER_CACHE.clear()
+        after = compiled(VictimDevice, config, "chase", events)
+        assert_same_columns(after, compiled(OracleDevice, config, "chase", events))
+        sigmas = dict(device_mod.JITTER_SIGMA)
+        jittered = np.array([cid in sigmas for cid in COUNTER_ORDER])
+        moved = (before.amounts != after.amounts).any(axis=0)
+        assert moved[jittered].all()
+        assert not moved[~jittered].any()
+        assert before.starts.tolist() == after.starts.tolist()

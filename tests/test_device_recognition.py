@@ -11,6 +11,7 @@ from repro.core.model_store import ModelStore
 from repro.core.pipeline import simulate_credential_entry, train_model
 from repro.kgsl.device_file import DeviceClock, open_kgsl
 from repro.kgsl.sampler import PerfCounterSampler
+from repro.gpu.timeline import COUNTER_ORDER
 from tests.oracles import delta_batch, nonzero_deltas, sample_range
 
 
@@ -74,3 +75,30 @@ class TestRecognition:
     def test_empty_store_rejected(self):
         with pytest.raises(ValueError):
             DeviceRecognizer(ModelStore())
+
+
+class TestUnknownCounters:
+    def test_an_unknown_counter_is_left_out_not_read_as_zero(self):
+        """Model A explains an observation whose second counter was lost;
+        read as a change of 0, that counter would make model B the nearer
+        one."""
+        from repro.core.classifier import build_model
+
+        def row(d0, d1):
+            out = np.zeros(len(COUNTER_ORDER))
+            out[:2] = d0, d1
+            return out
+
+        store = ModelStore()
+        store.add(build_model({"key:a": [row(100, 100), row(102, 102)]}, model_key="A"))
+        store.add(build_model({"key:a": [row(90, 0), row(92, 2)]}, model_key="B"))
+        observed = row(101, 0)[None, :]
+        present = np.ones(observed.shape, dtype=bool)
+        present[0, 1] = False
+        recognizer = DeviceRecognizer(store)
+        assert recognizer.recognize(observed).model_key == "B"
+        assert recognizer.recognize(observed, present=present).model_key == "A"
+        # every counter observed: the mask changes nothing
+        assert recognizer.recognize(observed, present=~np.zeros_like(present)).scores == (
+            recognizer.recognize(observed).scores
+        )

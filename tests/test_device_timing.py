@@ -28,8 +28,8 @@ class TestPowerCollapse:
         )
         presses = [f for f in trace.timeline.frames if f.label == "press:a"]
         cold, warm = presses[0], presses[1]
-        assert cold.stats.render_time_s > warm.stats.render_time_s
-        assert cold.stats.render_time_s - warm.stats.render_time_s == pytest.approx(
+        assert cold.render_time_s > warm.render_time_s
+        assert cold.render_time_s - warm.render_time_s == pytest.approx(
             WAKEUP_RENDER_S, rel=0.01
         )
 
@@ -44,7 +44,7 @@ class TestPowerCollapse:
             gap = frame.start_s - last_end
             if 0 < gap <= GPU_IDLE_COLLAPSE_S and frame.label.startswith(("echo", "dismiss")):
                 # warm frames: echo follows press within the threshold
-                assert frame.stats.render_time_s < WAKEUP_RENDER_S + 0.0012
+                assert frame.render_time_s < WAKEUP_RENDER_S + 0.0012
             last_end = max(last_end, frame.end_s)
 
 
@@ -72,8 +72,8 @@ class TestRipplePressFeedback:
             [KeyPress(t=0.6, char="q"), KeyPress(t=1.2, char="m")], end_time_s=2.2
         )
         presses = {f.label: f for f in trace.timeline.frames if f.label.startswith("press:")}
-        q = presses["press:q"].stats.increment.total
-        m = presses["press:m"].stats.increment.total
+        q = presses["press:q"].increment.total
+        m = presses["press:m"].increment.total
         assert abs(q - m) / max(q, m) < 0.05, "ripples must look alike across keys"
 
     def test_popup_frames_are_key_dependent(self, config):
@@ -81,8 +81,8 @@ class TestRipplePressFeedback:
             [KeyPress(t=0.6, char="q"), KeyPress(t=1.2, char="m")], end_time_s=2.2
         )
         presses = {f.label: f for f in trace.timeline.frames if f.label.startswith("press:")}
-        q = presses["press:q"].stats.increment.total
-        m = presses["press:m"].stats.increment.total
+        q = presses["press:q"].increment.total
+        m = presses["press:m"].increment.total
         assert abs(q - m) / max(q, m) > 0.05
 
     def test_ripple_much_cheaper_than_popup(self):
@@ -96,7 +96,7 @@ class TestRipplePressFeedback:
         )
         popup = next(f for f in popup_trace.timeline.frames if f.label == "press:g")
         ripple = next(f for f in ripple_trace.timeline.frames if f.label == "press:g")
-        assert ripple.stats.increment.total < 0.2 * popup.stats.increment.total
+        assert ripple.increment.total < 0.2 * popup.increment.total
 
 
 class TestBlinkTimerReset:

@@ -9,6 +9,8 @@ from repro.android.events import KeyPress
 from repro.core.launch import IDLE_POLL_INTERVAL_S, LaunchDetector
 from repro.kgsl.device_file import DeviceClock, open_kgsl
 from repro.kgsl.sampler import PerfCounterSampler
+from repro.gpu.timeline import COUNTER_ORDER
+from tests import oracles
 from tests.oracles import PcDelta, delta_batch, nonzero_deltas, sample_range
 
 
@@ -44,12 +46,7 @@ class TestLaunchDetector:
         device = VictimDevice(config, app("chase"), rng=np.random.default_rng(23))
         trace = device.compile([], end_time_s=5.0)
         # drop the initial render to simulate 'some other app idling'
-        frames = [f for f in trace.timeline.frames if f.label != "initial"]
-        from repro.gpu.timeline import RenderTimeline
-
-        idle = RenderTimeline()
-        for frame in frames:
-            idle.add(frame)
+        idle = oracles.without_label(trace.timeline, "initial")
         kgsl = open_kgsl(idle, clock=DeviceClock())
         sampler = PerfCounterSampler(
             kgsl, interval_s=IDLE_POLL_INTERVAL_S, rng=np.random.default_rng(24)
@@ -71,3 +68,25 @@ class TestLaunchDetector:
     def test_empty_deltas_ignored(self, chase_model):
         detector = LaunchDetector(chase_model)
         assert detector.observe(delta_batch([PcDelta(t=1.0, prev_t=0.9, values={})]), 0) is None
+
+
+class TestUnknownCounters:
+    def test_an_unknown_counter_is_left_out_not_read_as_zero(self, chase_model):
+        """A login-field change whose strongest counter was lost still
+        confirms the launch; read as a change of 0, that counter would
+        make it no field change at all."""
+        field = next(label for label in chase_model.labels if label.startswith("field:"))
+        centroid = chase_model.centroid(field)
+        lost = COUNTER_ORDER[int(np.argmax(centroid / chase_model.scale))]
+        values = {cid: int(round(v)) for cid, v in zip(COUNTER_ORDER, centroid.tolist())}
+        threshold = int(LaunchDetector(chase_model).burst_threshold)
+        burst = PcDelta(t=1.0, prev_t=0.75, values={COUNTER_ORDER[0]: threshold + 1})
+        masked = PcDelta(
+            t=1.25,
+            prev_t=1.0,
+            values={cid: v for cid, v in values.items() if cid != lost},
+            missing=(lost,),
+        )
+        zeroed = PcDelta(t=1.25, prev_t=1.0, values={**values, lost: 0})
+        assert launches(LaunchDetector(chase_model), delta_batch([burst, masked]))
+        assert not launches(LaunchDetector(chase_model), delta_batch([burst, zeroed]))

@@ -10,6 +10,7 @@ from repro.core import service as service_mod
 from repro.core.model_store import ModelStore
 from repro.core.pipeline import EavesdropAttack
 from repro.core.service import MonitoringService, ServiceReport
+from tests import oracles
 
 
 @pytest.fixture(scope="module")
@@ -46,14 +47,10 @@ class TestMonitoringService:
 
     def test_no_launch_no_attack(self, service, config):
         """A session whose launch render is missing never escalates."""
-        from repro.gpu.timeline import RenderTimeline
         from repro.android.device import SessionTrace
 
         original = session(config)
-        quiet = RenderTimeline()
-        for frame in original.timeline.frames:
-            if frame.label != "initial":
-                quiet.add(frame)
+        quiet = oracles.without_label(original.timeline, "initial")
         trace = SessionTrace(
             timeline=quiet,
             config=original.config,

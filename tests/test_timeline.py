@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from repro.gpu import counters as pc
 from repro.gpu.pipeline import FrameStats
-from repro.gpu.timeline import COUNTER_ORDER, FrameRender, RenderTimeline, merge_timelines
+from repro.gpu.timeline import (
+    COUNTER_ORDER,
+    FrameRender,
+    RenderTimeline,
+    increment_row,
+    merge_timelines,
+)
+from tests import oracles
 
 
 def make_stats(amount=100, render_time=0.001, spec=pc.RAS_8X4_TILES):
@@ -19,29 +26,12 @@ def make_stats(amount=100, render_time=0.001, spec=pc.RAS_8X4_TILES):
 CID = pc.RAS_8X4_TILES.counter_id
 
 
-def scalar_values_at(timeline, t):
-    """The per-frame scalar loop :meth:`RenderTimeline.values_at_many`
-    replaced, kept as its parity oracle: prefix sums of the frames started
-    by ``t``, less the unaccrued share of each frame still in flight."""
-    frames = timeline.frames
-    column = {cid: j for j, cid in enumerate(COUNTER_ORDER)}
-    totals = [0] * len(COUNTER_ORDER)
-    started = [f for f in frames if f.start_s <= t]
-    for frame in started:
-        for cid, amount in frame.stats.increment.values.items():
-            totals[column[cid]] += amount
-    max_duration = max((f.stats.render_time_s for f in frames), default=0.0)
-    window_start = t - max_duration - 1e-12
-    for frame in started:
-        if frame.start_s < window_start:
-            continue
-        progress = frame.progress(t)
-        if progress >= 1.0:
-            continue
-        for cid, amount in frame.stats.increment.values.items():
-            accrued = int(round(amount * progress))
-            totals[column[cid]] -= amount - accrued
-    return totals
+def frame_list(timeline):
+    """The per-frame oracle timeline holding ``timeline``'s frames."""
+    oracle = oracles.FrameListTimeline()
+    for frame in timeline.frames:
+        oracle.add(frame)
+    return oracle
 
 
 #: A frame: start, render time (zero-duration frames included) and an
@@ -55,20 +45,22 @@ frame_specs = st.tuples(
 )
 
 
+def frame(start_s, render_time_s, amount=100):
+    return FrameRender(start_s, render_time_s, make_stats(amount).increment)
+
+
 class TestFrameRender:
     def test_end_time(self):
-        frame = FrameRender(start_s=1.0, stats=make_stats(render_time=0.002))
-        assert frame.end_s == pytest.approx(1.002)
+        assert frame(1.0, 0.002).end_s == pytest.approx(1.002)
 
     def test_progress_clamps(self):
-        frame = FrameRender(start_s=1.0, stats=make_stats(render_time=0.002))
-        assert frame.progress(0.5) == 0.0
-        assert frame.progress(1.001) == pytest.approx(0.5)
-        assert frame.progress(2.0) == 1.0
+        f = frame(1.0, 0.002)
+        assert f.progress(0.5) == 0.0
+        assert f.progress(1.001) == pytest.approx(0.5)
+        assert f.progress(2.0) == 1.0
 
     def test_zero_duration_completes_instantly(self):
-        frame = FrameRender(start_s=1.0, stats=make_stats(render_time=0.0))
-        assert frame.progress(1.0 + 1e-12) == 1.0
+        assert frame(1.0, 0.0).progress(1.0 + 1e-12) == 1.0
 
 
 class TestValuesAt:
@@ -163,8 +155,9 @@ class TestValuesAtMany:
         rows = timeline.values_at_many(times)
         assert rows.dtype == np.int64
         assert rows.shape == (len(times), len(COUNTER_ORDER))
+        oracle = frame_list(timeline)
         for k, t in enumerate(times):
-            assert rows[k].tolist() == scalar_values_at(timeline, t), t
+            assert rows[k].tolist() == oracle.values_at(t), t
             assert timeline.values_at(t) == dict(zip(COUNTER_ORDER, rows[k].tolist()))
 
 
@@ -218,3 +211,72 @@ class TestQueries:
         merged = merge_timelines([a, b])
         assert merged.values_at(2.0)[CID] == 15
         assert [f.start_s for f in merged.frames] == [0.5, 1.0]
+
+
+#: A labelled frame: start drawn from a coarse grid, so equal starts are
+#: common, render time zero or positive, and up to three counters.
+grid_frames = st.tuples(
+    st.integers(0, 8).map(lambda k: k * 0.25),
+    st.one_of(st.just(0.0), st.floats(0.0001, 0.6)),
+    st.dictionaries(st.sampled_from(pc.SELECTED_COUNTERS), st.integers(1, 10**6), max_size=3),
+)
+
+
+class TestColumnarAppends:
+    """Any mix of one-row and block appends, with queries in between,
+    builds the timeline the per-frame list builds."""
+
+    @given(
+        st.lists(st.tuples(st.booleans(), st.lists(grid_frames, max_size=6)), max_size=5),
+        st.lists(st.floats(-0.5, 3.0), max_size=8),
+    )
+    @settings(max_examples=200)
+    # equal starts across two blocks, a query between them
+    @example(
+        [(False, [(0.5, 0.1, {pc.RAS_8X4_TILES: 3})]), (True, [(0.5, 0.0, {pc.RAS_8X4_TILES: 4})])],
+        [0.5, 0.55],
+    )
+    def test_any_mix_of_appends_matches_the_frame_list(self, blocks, times):
+        timeline, oracle = RenderTimeline(), oracles.FrameListTimeline()
+        count = 0
+        for one_row, specs in blocks:
+            frames = []
+            for start, render_time, amounts in specs:
+                inc = pc.CounterIncrement()
+                for spec, amount in amounts.items():
+                    inc.add(spec, amount)
+                frames.append(FrameRender(start, render_time, inc, label=f"f{count}"))
+                count += 1
+            if one_row:
+                for f in frames:
+                    stats = FrameStats(f.increment, 0, f.render_time_s)
+                    timeline.add_render(f.start_s, stats, f.label)
+            else:
+                timeline.append(
+                    [f.start_s for f in frames],
+                    [f.render_time_s for f in frames],
+                    np.array([increment_row(f.increment) for f in frames]).reshape(-1, 11),
+                    [f.label for f in frames],
+                )
+            for f in frames:
+                oracle.add(f)
+            # a query between appends: the next one merges into sorted rows
+            timeline.values_at_many(times)
+
+        assert timeline.frames == oracle.frames
+        assert timeline.labels == [f.label for f in oracle.frames]
+        assert timeline.values_at_many(times).tolist() == [oracle.values_at(t) for t in times]
+        for t0 in times:
+            for width in (0.0, 0.1, 1.0):
+                assert timeline.frames_overlapping(t0, t0 + width) == oracle.frames_overlapping(
+                    t0, t0 + width
+                )
+        assert timeline.end_time_s == max((f.end_s for f in oracle.frames), default=0.0)
+
+    def test_merge_keeps_each_timelines_order_on_equal_starts(self):
+        a, b = RenderTimeline(), RenderTimeline()
+        a.add_render(1.0, make_stats(1), label="a0")
+        b.add_render(1.0, make_stats(2), label="b0")
+        a.add_render(1.0, make_stats(3), label="a1")
+        b.add_render(0.5, make_stats(4), label="b1")
+        assert merge_timelines([a, b]).labels == ["b1", "a0", "a1", "b0"]

@@ -102,7 +102,7 @@ class TestJitterStatistics:
         events = [KeyPress(t=0.6 + 0.5 * i, char="w") for i in range(300)]
         trace = device.compile(events, end_time_s=0.6 + 150.5)
         values = [
-            f.stats.increment.get(pc.RAS_8X4_TILES)
+            f.increment.get(pc.RAS_8X4_TILES)
             for f in trace.timeline.frames
             if f.label == "press:w"
         ]
@@ -118,7 +118,7 @@ class TestJitterStatistics:
         events = [KeyPress(t=0.6 + 0.5 * i, char="w") for i in range(50)]
         trace = device.compile(events, end_time_s=27.0)
         prims = {
-            f.stats.increment.get(pc.VPC_PC_PRIMITIVES)
+            f.increment.get(pc.VPC_PC_PRIMITIVES)
             for f in trace.timeline.frames
             if f.label == "press:w"
         }

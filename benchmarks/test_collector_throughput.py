@@ -12,7 +12,8 @@ Three measurements back the collector tier:
    Every payload carries the full 11-counter delta vector the attack
    loop ships, so this measures exactly what the binary codec was built
    for: one ``struct`` pack/unpack per result.  The floor is **>= 5000
-   sessions/s**.
+   sessions/s**, held by the median of ``BINARY_ROUNDS`` fleet runs: a
+   single run on a loaded host can dip under a floor the code clears.
 
 3. **Sharded tier ingestion** — 100k simulated devices (multiplexed
    over sender connections) streaming one journaled result each into a
@@ -36,6 +37,7 @@ artifact.
 """
 
 import dataclasses
+import statistics
 import threading
 import time
 
@@ -58,6 +60,8 @@ pytestmark = pytest.mark.bench
 MIN_INGEST_RATE = 1000.0
 #: Floor for delta-carrying payloads with no faults (sessions/s).
 MIN_BINARY_INGEST_RATE = 5000.0
+#: Fleet runs whose median rate is held to the binary floor.
+BINARY_ROUNDS = 5
 
 DEVICES = 4
 SESSIONS_PER_DEVICE = scaled(400)
@@ -160,14 +164,20 @@ def test_collector_sustains_fleet_ingestion():
 
 def test_binary_ingest_floor():
     sent = DEVICES * SESSIONS_PER_DEVICE
-    registry, _, elapsed = _run_fleet()
-    ingested = registry.counter("collector.sessions_ingested").value
-    assert ingested == sent
-    rate = ingested / elapsed
+    rates = []
+    for _ in range(BINARY_ROUNDS):
+        registry, _, elapsed = _run_fleet()
+        ingested = registry.counter("collector.sessions_ingested").value
+        assert ingested == sent
+        rates.append(ingested / elapsed)
+    rate = statistics.median(rates)
 
     print(f"\nbinary ingest: {DEVICES} devices x {SESSIONS_PER_DEVICE} sessions,")
     print("  full 11-counter delta payloads, no faults")
-    print(f"  {rate:8.0f} sessions/s (floor {MIN_BINARY_INGEST_RATE:.0f}/s)")
+    print(
+        f"  {rate:8.0f} sessions/s, median of {BINARY_ROUNDS} runs "
+        f"({min(rates):.0f}-{max(rates):.0f}; floor {MIN_BINARY_INGEST_RATE:.0f}/s)"
+    )
     assert rate >= MIN_BINARY_INGEST_RATE
 
     bench = getattr(

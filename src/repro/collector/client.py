@@ -256,12 +256,13 @@ class CollectorClient:
     def _deliver(self, source: Iterator[SessionResultPayload], window: int) -> int:
         """The one delivery loop: burst, write, await the ack, repeat.
 
-        ``todo`` holds the unacked frames, oldest first: a failed cycle
+        ``todo`` holds the unacked payloads, oldest first: a failed cycle
         leaves its burst there to be resent, topped up with fresh
-        frames to ``window``.  The retry budget counts consecutive
+        payloads to ``window``.  Their seqs are the ``len(todo)`` seqs
+        before ``self._seq``.  The retry budget counts consecutive
         cycles without an ack, so at window 1 it is per result.
         """
-        todo: List[ResultFrame] = []
+        todo: List[SessionResultPayload] = []
         acked = 0
         failures = 0
         while True:
@@ -269,20 +270,21 @@ class CollectorClient:
                 payload = next(source, None)
                 if payload is None:
                     break
-                todo.append(ResultFrame(seq=self._seq, payload=payload))
+                todo.append(payload)
                 self._seq += 1
             if not todo:
                 return acked
-            wire = self._encode_burst(todo)
+            seqs = range(self._seq - len(todo), self._seq)
+            wire = self._encode_burst(seqs, todo)
             try:
                 self._ensure_connected()
-                self._send_burst(todo, wire)
+                self._send_burst(len(todo), seqs[-1], wire)
             except (OSError, FrameError, ConnectionClosed) as exc:
                 self._drop_connection()
                 failures += 1
                 if failures >= self.retry.max_attempts:
                     raise CollectorClientError(
-                        f"device {self.device_id}: result seq {todo[0].seq} "
+                        f"device {self.device_id}: result seq {seqs[0]} "
                         f"undelivered after {failures} attempts: {exc}"
                     ) from exc
                 self.stats.retries += 1
@@ -292,20 +294,24 @@ class CollectorClient:
             todo.clear()
             failures = 0
 
-    def _encode_burst(self, burst: List[ResultFrame]) -> bytes:
+    def _encode_burst(self, seqs: range, burst: List[SessionResultPayload]) -> bytes:
         """``burst`` as one wire frame: a ``result`` frame for one
         result, one :class:`Batch` for two or more."""
-        frame = burst[0] if len(burst) == 1 else BatchFrame(frames=tuple(burst))
+        if len(burst) == 1:
+            frame = ResultFrame(seqs[0], burst[0])
+        else:
+            frame = BatchFrame(tuple(seqs), tuple(burst))
         try:
             return BINARY_CODEC.encode(frame)
         except FrameTooLarge as exc:
             raise CollectorClientError(
-                f"device {self.device_id}: results seq {burst[0].seq}..{burst[-1].seq} "
+                f"device {self.device_id}: results seq {seqs[0]}..{seqs[-1]} "
                 f"do not fit one frame: {exc}"
             ) from exc
 
-    def _send_burst(self, burst: List[ResultFrame], wire: bytes) -> None:
-        """Write ``burst``, encoded as ``wire``, and read its ack.
+    def _send_burst(self, count: int, seq: int, wire: bytes) -> None:
+        """Write a burst of ``count`` results, encoded as ``wire``, and
+        read its ack, whose ``seq`` must be the last member's.
 
         One send, one server-side admission, one cumulative ack carrying
         the last member's seq.  The fault
@@ -317,7 +323,7 @@ class CollectorClient:
         fault = self._injector.connection_fault() if self._injector else None
         if fault != "drop_before":
             self._sock.sendall(wire)
-            self.stats.frames_sent += len(burst)
+            self.stats.frames_sent += count
         if fault:
             # after a drop_after the burst is on the wire but its ack is
             # lost: the server may have admitted it, and the resend must
@@ -329,11 +335,10 @@ class CollectorClient:
             if delay > 0:
                 self.stats.injected_slow_reads += 1
                 self.sleep(delay)
-        seq = burst[-1].seq
         reply = self._read_reply()
         if not isinstance(reply, Ack) or reply.seq != seq:
             raise FrameError(f"expected ack for seq {seq}, got {reply}")
-        self.stats.acks_received += len(burst)
+        self.stats.acks_received += count
 
     def send_metrics(self, snapshot: Dict[str, object]) -> None:
         """Ship a device-side ``MetricsRegistry.snapshot()`` for merging.

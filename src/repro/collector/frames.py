@@ -52,6 +52,16 @@ mask — no per-field JSON encode on the fleet's hot path.
   repeated ``count`` times; a lone result is the one-row case of the
   same packer and unpacker.
 
+Decoding is columnar.  :func:`_unpack_members` checks the row bytes
+against the count, the heap against the rows' lengths, and every mask
+against the 11 bits a payload holds (the wire's ``>H`` would carry 16),
+each once per frame over the unpacked columns, and each string and JSON
+tail as it decodes it.  It builds each slotted
+:class:`SessionResultPayload` without its validating constructor, since
+the unpack already bounds everything else.
+A ``batch`` decodes to its ``seqs`` and ``payloads`` columns, not to a
+:class:`Result` per member.
+
 Protocol 2's batch (``0x88``: a count, then a ``u32`` length and a whole
 ``result`` body per member) is retired; :func:`decode_any` refuses it
 with a :class:`FrameError` naming protocol 3.  A lone ``result`` body is
@@ -68,6 +78,7 @@ import asyncio
 import json
 import socket
 import struct
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple, Union
 
@@ -115,6 +126,10 @@ _BATCH_HEAD = struct.Struct(">BI")
 
 _U32_MAX = 2 ** 32 - 1
 _NO_DELTAS = (0,) * N_COUNTERS
+
+#: A row's two exact bits -> the payload's ``exact``.
+_EXACT_FLAGS = _FLAG_EXACT_PRESENT | _FLAG_EXACT_TRUE
+_EXACT_BY_FLAGS = {0: None, _FLAG_EXACT_TRUE: None, _FLAG_EXACT_PRESENT: False, _EXACT_FLAGS: True}
 
 
 # -- transport ----------------------------------------------------------
@@ -197,7 +212,11 @@ def read_body_sock(sock: socket.socket) -> bytes:
 # -- the payload --------------------------------------------------------
 
 
-@dataclass
+#: ``dataclass(slots=True)`` where the interpreter has it (3.10+).
+_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
+
+
+@dataclass(**_SLOTS)
 class SessionResultPayload:
     """The serializable unit one device reports per finished session.
 
@@ -214,6 +233,12 @@ class SessionResultPayload:
     block the binary codec packs as ``11×u64`` + ``u16`` — the reason
     a frame's rows need one :func:`struct.pack` and no per-field JSON
     encoding.
+
+    The constructor validates ``deltas`` and ``mask``.  The decoder
+    builds payloads without it: it has checked a frame's columns once
+    (see :func:`_unpack_members`).  Slots spare each payload a
+    ``__dict__``, which matters to a collector that holds every result
+    it ingests.
     """
 
     device_id: str
@@ -296,9 +321,14 @@ class Result:
 class Batch:
     """Many results on one wire frame, acked together.
 
+    A batch is its two columns, ``seqs`` and ``payloads`` (member *i* is
+    ``Result(seqs[i], payloads[i])``): the decoder fills them, and the
+    server admits them, without a :class:`Result` per member.
+    :attr:`frames` builds those results for the readers that want them.
+
     The client's delivery loop writes each burst of two or more
-    :class:`Result` frames — each with its own ``seq`` and dedup
-    identity — as one batch (a burst of one goes out as the lone
+    results — each with its own ``seq`` and dedup identity — as one
+    batch (a burst of one goes out as the lone
     result, so ``CollectorConfig.pipeline_depth == 1`` never sends a
     batch).  The server admits a batch through the same path as a lone
     result and answers with a single :class:`Ack` carrying the *last*
@@ -309,7 +339,19 @@ class Batch:
     individually).
     """
 
-    frames: Tuple[Result, ...]
+    seqs: Tuple[int, ...]
+    payloads: Tuple[SessionResultPayload, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.seqs) != len(self.payloads):
+            raise ValueError(
+                f"batch has {len(self.seqs)} seqs for {len(self.payloads)} payloads"
+            )
+
+    @property
+    def frames(self) -> Tuple[Result, ...]:
+        """The members as :class:`Result` frames (built on each access)."""
+        return tuple(map(Result, self.seqs, self.payloads))
 
 
 @dataclass(frozen=True)
@@ -359,13 +401,17 @@ Frame = Union[
 # -- the codec ----------------------------------------------------------
 
 
-def _pack_members(head: str, head_values: Tuple, frames: Sequence[Result]) -> bytes:
+def _pack_members(
+    head: str,
+    head_values: Tuple,
+    seqs: Sequence[int],
+    payloads: Sequence[SessionResultPayload],
+) -> bytes:
     """Pack ``head`` and one row per member in a single ``struct.pack``,
     then append every member's heap in member order."""
     values = list(head_values)
     heap = []
-    for frame in frames:
-        p = frame.payload
+    for seq, p in zip(seqs, payloads):
         device_b = p.device_id.encode("utf-8")
         text_b = p.text.encode("utf-8")
         extra_b = b""
@@ -387,20 +433,31 @@ def _pack_members(head: str, head_values: Tuple, frames: Sequence[Result]) -> by
             deltas = _NO_DELTAS
         else:
             flags |= _FLAG_HAS_DELTAS
-        values += (flags, p.mask, frame.seq, p.session_index, p.seed, p.n_keys,
+        values += (flags, p.mask, seq, p.session_index, p.seed, p.n_keys,
                    len(device_b), len(text_b), len(extra_b))
         values += deltas
         heap += (device_b, text_b, extra_b)
     try:
-        rows = struct.pack(head + _ROW_FORMAT * len(frames), *values)
+        rows = struct.pack(head + _ROW_FORMAT * len(payloads), *values)
     except struct.error as exc:
         raise FrameError(f"result field out of range: {exc}") from exc
     return rows + b"".join(heap)
 
 
-def _unpack_members(body: bytes, offset: int, count: int) -> Tuple[Result, ...]:
+def _unpack_members(
+    body: bytes, offset: int, count: int
+) -> Tuple[Tuple[int, ...], Tuple[SessionResultPayload, ...]]:
     """Decode ``count`` rows starting at ``offset`` and the heap after
-    them, which must end exactly at the end of ``body``."""
+    them, which must end exactly at the end of ``body``, into the
+    frame's ``(seqs, payloads)`` columns.
+
+    The heap length and the mask bound (the wire's ``>H`` holds 16
+    bits, a payload's mask 11) are checked once per frame over the
+    unpacked columns; the strings and JSON tails as they are decoded.
+    What the row unpack already bounds — 11 non-negative ``u64`` deltas,
+    ints everywhere — is not checked again: the payloads are built
+    without :meth:`SessionResultPayload.__post_init__`.
+    """
     rows_end = offset + count * _ROW_SIZE
     if rows_end > len(body):
         raise FrameError(
@@ -416,17 +473,25 @@ def _unpack_members(body: bytes, offset: int, count: int) -> Tuple[Result, ...]:
             f"binary result length mismatch: {len(body)} bytes, "
             f"expected {rows_end + heap}"
         )
-    members = []
+    mask_top = max(fields[1::_ROW_FIELDS])
+    if mask_top >= 1 << N_COUNTERS:
+        raise FrameError(f"binary result mask must fit {N_COUNTERS} bits, got {mask_top}")
+    payloads = []
+    new = object.__new__
     pos = rows_end
+    device_b = device_id = None
     for at in range(0, len(fields), _ROW_FIELDS):
-        flags, mask, seq, session_index, seed, n_keys, device_len, text_len, extra_len = (
+        flags, mask, _seq, session_index, seed, n_keys, device_len, text_len, extra_len = (
             fields[at:at + 9]
         )
         text_at = pos + device_len
         extra_at = text_at + text_len
         end = extra_at + extra_len
+        raw_device = body[pos:text_at]
         try:
-            device_id = body[pos:text_at].decode("utf-8")
+            if raw_device != device_b:
+                # members from one device share its id string
+                device_b, device_id = raw_device, raw_device.decode("utf-8")
             text = body[text_at:extra_at].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FrameError(f"binary result strings are not UTF-8: {exc}") from exc
@@ -442,25 +507,20 @@ def _unpack_members(body: bytes, offset: int, count: int) -> Tuple[Result, ...]:
             metrics = extra.get("metrics")
             meta = extra.get("meta", {})
         pos = end
-        exact = bool(flags & _FLAG_EXACT_TRUE) if flags & _FLAG_EXACT_PRESENT else None
-        try:
-            payload = SessionResultPayload(
-                device_id,
-                session_index,
-                text,
-                n_keys,
-                bool(flags & _FLAG_DEGRADED),
-                exact,
-                seed,
-                fields[at + 9:at + _ROW_FIELDS] if flags & _FLAG_HAS_DELTAS else None,
-                mask,
-                metrics,
-                meta,
-            )
-        except (ValueError, TypeError) as exc:
-            raise FrameError(f"binary result payload invalid: {exc}") from exc
-        members.append(Result(seq, payload))
-    return tuple(members)
+        payload = new(SessionResultPayload)
+        payload.device_id = device_id
+        payload.session_index = session_index
+        payload.text = text
+        payload.n_keys = n_keys
+        payload.degraded = flags & _FLAG_DEGRADED == _FLAG_DEGRADED
+        payload.exact = _EXACT_BY_FLAGS[flags & _EXACT_FLAGS]
+        payload.seed = seed
+        payload.deltas = fields[at + 9:at + _ROW_FIELDS] if flags & _FLAG_HAS_DELTAS else None
+        payload.mask = mask
+        payload.metrics = metrics
+        payload.meta = meta
+        payloads.append(payload)
+    return fields[2::_ROW_FIELDS], tuple(payloads)
 
 
 def _decode_batch(body: bytes) -> Batch:
@@ -469,7 +529,7 @@ def _decode_batch(body: bytes) -> Batch:
     _tag, count = _BATCH_HEAD.unpack_from(body)
     if count < 1:
         raise FrameError("binary batch must carry at least one result")
-    return Batch(frames=_unpack_members(body, _BATCH_HEAD.size, count))
+    return Batch(*_unpack_members(body, _BATCH_HEAD.size, count))
 
 
 def _json_tail_frame(tag: int, obj: Dict[str, object]) -> bytes:
@@ -493,11 +553,13 @@ class BinaryCodec:
 
     def encode(self, frame: Frame) -> bytes:
         if isinstance(frame, Result):
-            body = _pack_members(">B", (TAG_RESULT,), (frame,))
+            body = _pack_members(">B", (TAG_RESULT,), (frame.seq,), (frame.payload,))
         elif isinstance(frame, Batch):
-            if not frame.frames:
+            if not frame.seqs:
                 raise FrameError("batch frame must carry at least one result")
-            body = _pack_members(">BI", (TAG_BATCH, len(frame.frames)), frame.frames)
+            body = _pack_members(
+                ">BI", (TAG_BATCH, len(frame.seqs)), frame.seqs, frame.payloads
+            )
         elif isinstance(frame, Ack):
             if not 0 <= frame.seq <= _U32_MAX:
                 raise FrameError(f"seq {frame.seq} does not fit u32")
@@ -547,7 +609,8 @@ def decode_any(body: bytes) -> Frame:
         raise FrameError("empty frame body")
     first = body[0]
     if first == TAG_RESULT:
-        return _unpack_members(body, 1, 1)[0]
+        (seq,), (payload,) = _unpack_members(body, 1, 1)
+        return Result(seq, payload)
     if first == TAG_BATCH:
         return _decode_batch(body)
     if first == TAG_RETIRED_BATCH:

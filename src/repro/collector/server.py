@@ -16,11 +16,13 @@ device instead of growing server memory without limit.  The ``ack`` for
 a result frame is written only *after* the enqueue succeeds, so a
 client's retry discipline composes with the server's admission control.
 
-There is one admission path.  A lone ``result`` frame and a ``batch``
-both reach :meth:`CollectorServer._admit` as a sequence of members (the
-result alone, or the batch's frames) that share one dedup, claim,
-enqueue, journal and mark-seen sequence, and each wire frame is
-answered by one ``ack`` carrying its last member's seq.
+A lone ``result`` frame and a ``batch`` both reach
+:meth:`CollectorServer._admit` as ``(seqs, payloads)`` columns: slotted
+payloads whose masks the decoder (:mod:`repro.collector.frames`) checked
+once per frame, and no :class:`Result` per member.  They share one
+dedup, enqueue, journal and mark-seen sequence, which takes no claims
+when nothing else is in flight and the queue has room, and each wire
+frame is answered by one ``ack`` carrying its last member's seq.
 
 Delivery contract: resends are deduplicated by ``(device_id, seq)``
 (counted as ``collector.dupes_dropped`` and re-acked), so a client that
@@ -63,7 +65,7 @@ import asyncio
 import os
 import threading
 import time
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.collector.config import CollectorConfig
 from repro.collector.frames import (
@@ -276,7 +278,6 @@ class CollectorServer:
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         counters = self.registry.counter
         counters("collector.connections_opened").inc()
-        device_id = "?"
         try:
             while True:
                 try:
@@ -311,13 +312,9 @@ class CollectorServer:
                     )
                     return
                 if isinstance(frame, (Result, Batch)):
-                    members = await self._admit(frame, body)
-                    device_id = members[-1].device_id or device_id
-                    # a batch's ack is cumulative: the last member's seq
-                    # acknowledges every member
-                    writer.write(BINARY_CODEC.encode(Ack(seq=members[-1].seq)))
+                    # one ack per frame: a batch's is cumulative
+                    writer.write(BINARY_CODEC.encode(await self._admit(frame, body)))
                 elif isinstance(frame, Hello):
-                    device_id = frame.device_id
                     if frame.proto != PROTO_VERSION:
                         counters("collector.proto_rejected").inc()
                         await self._reply_best_effort(
@@ -383,86 +380,147 @@ class CollectorServer:
         except (ConnectionError, OSError):
             pass
 
-    async def _admit(self, frame: Union[Result, Batch], body: bytes) -> Tuple[Result, ...]:
+    async def _admit(self, frame: Union[Result, Batch], body: bytes) -> Ack:
         """Dedup-check a frame's members and enqueue the fresh ones.
 
-        The members are a batch's ``frames``, or the lone result itself;
-        ``body`` is the wire body ``frame`` was decoded from.  Each member
-        carries its own ``(device_id, seq)`` identity and is deduplicated
-        on its own — a resent batch overlapping an earlier one admits
-        only the unseen members.  The fresh members ride the bounded
-        queue as **one** item and land in the journal as **one** record:
-        the received bytes when every member is fresh (always so for a
-        lone result), else a re-encoded batch of the fresh members.  The
-        per-result flush/enqueue/ack cost is paid once per wire frame.
-        Returns the members.
+        The members are a batch's ``(seqs, payloads)`` columns, or the
+        lone result itself; ``body`` is the wire body ``frame`` was
+        decoded from.  Each member carries its own ``(device_id, seq)``
+        identity and is deduplicated on its own — a resent batch
+        overlapping an earlier one admits only the unseen members.  The
+        fresh members ride the bounded queue as **one** item and land in
+        the journal as **one** record: the received bytes when every
+        member is fresh (always so for a lone result), else a re-encoded
+        batch of the fresh members.  The per-result flush/enqueue/ack
+        cost is paid once per wire frame.  Returns the frame's ack: it
+        carries the last member's seq, which acknowledges every member.
 
         The enqueue is the backpressure point: with the queue full this
         awaits, the connection stops reading, and the client blocks in
         ``send`` until the aggregator catches up.
 
         Ordering is the whole contract: a seq is marked seen (and
-        journaled, and acked) only *after* its ``put`` succeeds.  A
-        handler cancelled mid-``put`` — the drain-timeout path of
-        :meth:`stop` — has admitted nothing, so the client's resend
-        must aggregate rather than dupe-ack.  While an admission is
-        blocked in ``put``, a concurrent resend of the same ``(device,
-        seq)`` waits on its claim future instead of double-admitting:
-        once the original lands the resend is a dupe; if it was
-        abandoned, the resend claims the member itself.
+        journaled, and acked) only *after* its enqueue succeeds.  When no
+        other admission holds a claim and the queue has room, nothing
+        from the dedup check to mark-seen awaits, so the admission is
+        atomic on the event loop and takes no claims (the common case);
+        otherwise :meth:`_admit_claimed` claims the fresh members first.
         """
-        members = frame.frames if isinstance(frame, Batch) else (frame,)
-        counters = self.registry.counter
-        counters("collector.frames_ingested").inc(len(members))
         if isinstance(frame, Batch):
-            counters("collector.batch_frames").inc()
+            seqs, payloads = frame.seqs, frame.payloads
+            self.registry.counter("collector.batch_frames").inc()
+        else:
+            seqs, payloads = (frame.seq,), (frame.payload,)
+        self.registry.counter("collector.frames_ingested").inc(len(seqs))
+        if self._pending or self._queue.full():
+            await self._admit_claimed(seqs, payloads, body)
+        else:
+            fresh = self._fresh(seqs, payloads)
+            if fresh[0]:
+                self._queue.put_nowait(fresh[1])
+                self._commit(seqs, fresh, body)
+        depth = self._queue.qsize()
+        if depth > self._queue_peak:
+            self._queue_peak = depth
+        self.registry.gauge("collector.queue_depth").set(depth)
+        return Ack(seqs[-1])
+
+    def _fresh(
+        self, seqs: Sequence[int], payloads: Sequence[SessionResultPayload]
+    ) -> Tuple[Sequence[int], Sequence[SessionResultPayload]]:
+        """The members not yet seen, as columns; the rest count as dupes.
+
+        A frame from one device whose seqs are distinct and unseen is
+        fresh as a whole and comes back as it is (the same ``seqs`` and
+        ``payloads`` objects).  Otherwise each member is checked against
+        ``_seen`` and against the members before it.
+        """
+        device = payloads[0].device_id
+        if all(payload.device_id == device for payload in payloads):
+            distinct = set(seqs)
+            if len(distinct) == len(seqs) and distinct.isdisjoint(self._seen.get(device, ())):
+                return seqs, payloads
+        fresh_seqs: List[int] = []
+        fresh_payloads: List[SessionResultPayload] = []
+        keys: Set[Tuple[str, int]] = set()
+        for seq, payload in zip(seqs, payloads):
+            key = (payload.device_id, seq)
+            if key in keys or seq in self._seen.get(payload.device_id, ()):
+                # a resend of something already admitted (its ack was
+                # lost), or a member repeated within a batch: re-ack
+                # without re-aggregating
+                continue
+            keys.add(key)
+            fresh_seqs.append(seq)
+            fresh_payloads.append(payload)
+        self.registry.counter("collector.dupes_dropped").inc(len(seqs) - len(fresh_seqs))
+        return fresh_seqs, fresh_payloads
+
+    async def _admit_claimed(
+        self, seqs: Sequence[int], payloads: Sequence[SessionResultPayload], body: bytes
+    ) -> None:
+        """Admission while another admission holds claims or the queue is full.
+
+        It first waits until no member is claimed by another admission:
+        a resend racing an original still blocked in ``put`` waits for
+        the original to land (the resend is then a dupe) or be abandoned.
+        Then, with no await in between, it dedups and claims every fresh
+        member with its own future before the ``put`` that may block.  An
+        admission never holds a claim while it waits for one, so two
+        admissions cannot wait on each other.  A handler cancelled
+        mid-``put`` — the drain-timeout path of :meth:`stop` — has
+        admitted nothing: its claims are released and the client's
+        resend aggregates rather than dupe-acks.
+        """
+        keys = [(payload.device_id, seq) for seq, payload in zip(seqs, payloads)]
+        while True:
+            claim = next((self._pending[key] for key in keys if key in self._pending), None)
+            if claim is None:
+                break
+            await asyncio.shield(claim)
+        fresh = self._fresh(seqs, payloads)
+        if not fresh[0]:
+            return
         loop = asyncio.get_running_loop()
-        claims: Dict[Tuple[str, int], asyncio.Future] = {}
-        fresh: List[Result] = []
+        claims = {(payload.device_id, seq): loop.create_future() for seq, payload in zip(*fresh)}
+        self._pending.update(claims)
         try:
-            for item in members:
-                key = (item.device_id, item.seq)
-                while True:
-                    if key in claims or item.seq in self._seen.get(item.device_id, ()):
-                        # a resend of something already admitted (its ack
-                        # was lost), or a member repeated within a batch:
-                        # re-ack without re-aggregating
-                        counters("collector.dupes_dropped").inc()
-                        break
-                    claim = self._pending.get(key)
-                    if claim is None:
-                        claims[key] = self._pending[key] = loop.create_future()
-                        fresh.append(item)
-                        break
-                    # the original admission is blocked in put: wait
-                    # for it to land or be abandoned, then check again
-                    await asyncio.shield(claim)
-            if fresh:
-                await self._queue.put([item.payload for item in fresh])
-                # no awaits from here to the claims' release: admission
-                # is atomic once the payloads are in the queue
-                if self._journal is not None:
-                    try:
-                        self._journal.append(
-                            prefix_body(body)
-                            if len(fresh) == len(members)
-                            else BINARY_CODEC.encode(Batch(frames=tuple(fresh)))
-                        )
-                    except (JournalError, OSError):
-                        counters("collector.journal.errors").inc()
-                for item in fresh:
-                    self._seen.setdefault(item.device_id, set()).add(item.seq)
+            await self._queue.put(fresh[1])
+            self._commit(seqs, fresh, body)
         finally:
             # waiters check again: admitted members are seen, abandoned
             # ones are free to claim
             for key, claim in claims.items():
                 self._pending.pop(key, None)
                 claim.set_result(None)
-        depth = self._queue.qsize()
-        if depth > self._queue_peak:
-            self._queue_peak = depth
-        self.registry.gauge("collector.queue_depth").set(depth)
-        return members
+
+    def _commit(
+        self,
+        seqs: Sequence[int],
+        fresh: Tuple[Sequence[int], Sequence[SessionResultPayload]],
+        body: bytes,
+    ) -> None:
+        """Journal and mark seen the fresh members of a frame just enqueued.
+
+        The record is the received ``body`` when every member was fresh,
+        else the fresh members re-encoded as one batch.
+        """
+        fresh_seqs, fresh_payloads = fresh
+        if self._journal is not None:
+            try:
+                self._journal.append(
+                    prefix_body(body)
+                    if len(fresh_seqs) == len(seqs)
+                    else BINARY_CODEC.encode(Batch(tuple(fresh_seqs), tuple(fresh_payloads)))
+                )
+            except (JournalError, OSError):
+                self.registry.counter("collector.journal.errors").inc()
+        if fresh_seqs is seqs:
+            # fresh as a whole, from one device
+            self._seen.setdefault(fresh_payloads[0].device_id, set()).update(seqs)
+        else:
+            for seq, payload in zip(fresh_seqs, fresh_payloads):
+                self._seen.setdefault(payload.device_id, set()).add(seq)
 
     # -- journal replay -------------------------------------------------
 
@@ -498,7 +556,7 @@ class CollectorServer:
     async def _aggregate(self) -> None:
         """The queue consumer: the only writer of run-level aggregation.
 
-        Each queue item is the list of one admission's fresh payloads: it
+        Each queue item holds one admission's fresh payloads: it
         rolls up in one :meth:`_aggregate_payloads`, then ``on_result``
         fires per payload.
         """
@@ -533,7 +591,7 @@ class CollectorServer:
             return False
         return True
 
-    def _aggregate_payloads(self, payloads: List[SessionResultPayload]) -> None:
+    def _aggregate_payloads(self, payloads: Sequence[SessionResultPayload]) -> None:
         """The synchronous rollups shared by live ingest and replay.
 
         Each ``collector.sessions_*`` counter moves once by its tally

@@ -59,6 +59,12 @@ def fast_cfg(**overrides):
     return FAST_CFG.with_overrides(**overrides)
 
 
+def batch_of(frames):
+    """The :class:`Batch` of ``frames``, in order."""
+    frames = tuple(frames)
+    return Batch(tuple(f.seq for f in frames), tuple(f.payload for f in frames))
+
+
 def payloads_for(device_id, n, text="pw", exact=True):
     return [
         SessionResultPayload(device_id, i, text, len(text), exact=exact)
@@ -456,9 +462,7 @@ result_strategy = st.builds(Result, seq=u32, payload=payload_strategy)
 #: Every frame kind the wire carries.
 frame_strategy = st.one_of(
     result_strategy,
-    st.lists(result_strategy, min_size=1, max_size=4).map(
-        lambda items: Batch(frames=tuple(items))
-    ),
+    st.lists(result_strategy, min_size=1, max_size=4).map(batch_of),
     st.builds(Ack, seq=u32),
     st.builds(Hello, device_id=st.text(max_size=24), proto=st.integers()),
     st.builds(Metrics, snapshot=st.dictionaries(st.text(max_size=8), st.integers())),
@@ -579,7 +583,7 @@ class TestColumnarCodec:
         if lone:
             members = members[:1]
         frames = tuple(Result(seq=i, payload=p) for i, p in enumerate(members))
-        frame = frames[0] if lone else Batch(frames=frames)
+        frame = frames[0] if lone else batch_of(frames)
         body = BINARY_CODEC.encode(frame)[4:]
         decoded = decode_any(body)
         assert decoded == frame
@@ -604,7 +608,7 @@ class TestColumnarCodec:
         frames = tuple(
             Result(seq=i, payload=p) for i, p in enumerate(payloads_for("d", 3, text="ab"))
         )
-        body = BINARY_CODEC.encode(Batch(frames=frames))[4:]
+        body = BINARY_CODEC.encode(batch_of(frames))[4:]
         assert body[:5] == batch_head(3)
         assert body[5 + 3 * ROW_BYTES:] == b"dab" * 3
         # a member row is the lone result's header without the tag
@@ -615,7 +619,7 @@ class TestColumnarCodec:
         frames = tuple(
             Result(seq=i, payload=p) for i, p in enumerate(payloads_for("d", n))
         )
-        return BINARY_CODEC.encode(Batch(frames=frames))[4:]
+        return BINARY_CODEC.encode(batch_of(frames))[4:]
 
     def test_zero_count_is_rejected(self):
         with pytest.raises(FrameError, match="at least one"):
@@ -644,7 +648,7 @@ class TestColumnarCodec:
 
     def test_non_object_tail_is_rejected(self):
         payload = SessionResultPayload("d", 0, "pw", 2, meta={"k": 1})
-        body = BINARY_CODEC.encode(Batch(frames=(Result(0, payload),)))[4:]
+        body = BINARY_CODEC.encode(batch_of((Result(0, payload),)))[4:]
         tail = b'{"meta":{"k":1}}'
         assert body.endswith(tail)
         swapped = body[: -len(tail)] + b"[" + b" " * (len(tail) - 2) + b"]"
@@ -656,7 +660,7 @@ class TestColumnarCodec:
         with pytest.raises(FrameError, match="out of range"):
             BINARY_CODEC.encode(frame)
         with pytest.raises(FrameError, match="out of range"):
-            BINARY_CODEC.encode(Batch(frames=(frame,)))
+            BINARY_CODEC.encode(batch_of((frame,)))
 
     def test_retired_batch_tag_names_the_protocol(self):
         member = BINARY_CODEC.encode(PINNED_RESULT)[4:]
@@ -664,6 +668,43 @@ class TestColumnarCodec:
         v2 += len(member).to_bytes(4, "big") + member
         with pytest.raises(FrameError, match="retired in proto 3"):
             decode_any(v2)
+
+    def test_out_of_range_mask_is_rejected(self):
+        """The wire's mask field holds 16 bits, a payload's mask 11: the
+        decoder's once-per-frame bound refuses the rest in any member,
+        and a live connection admits none of such a frame."""
+
+        def with_mask(body, at, mask):
+            return body[:at] + mask.to_bytes(2, "big") + body[at + 2:]
+
+        batch = self.batch_body(n=5)
+        lone = BINARY_CODEC.encode(Result(0, SessionResultPayload("d", 0, "pw", 2)))[4:]
+        # a row's mask sits one byte into it (after the flags)
+        spots = [(batch, 5 + member * ROW_BYTES + 1) for member in (0, 2, 4)]
+        spots.append((lone, 2))
+        top = (1 << N_COUNTERS) - 1
+        for body, at in spots:
+            assert decode_any(with_mask(body, at, top))  # the largest 11-bit mask
+        bad = [
+            with_mask(body, at, mask)
+            for body, at in spots
+            for mask in (1 << N_COUNTERS, 0xFFFF)
+        ]
+        for body in bad:
+            with pytest.raises(FrameError, match="mask"):
+                decode_any(body)
+        with CollectorHandle(fast_cfg()) as handle:
+            for body in bad:
+                sock = raw_connect(handle.endpoint)
+                sock.sendall(prefix_body(body))
+                assert isinstance(read_frame(sock), ProtocolError)
+                assert sock.recv(1) == b""
+                sock.close()
+        registry = handle.server.registry
+        assert registry.counter("collector.malformed_frames").value == len(bad)
+        assert registry.counter("collector.frames_ingested").value == 0
+        assert registry.counter("collector.sessions_ingested").value == 0
+        assert handle.server.results == []
 
 
 class TestMixedFleet:
@@ -780,6 +821,23 @@ class TestFleet:
 # exactly-once contract gaps (regression suite for the PR-8 bugfixes)
 
 
+async def drain_admissions(server, tasks):
+    """Take queue items, one per loop turn, until every admission task has
+    finished and the queue is empty; returns the items taken.  Fails,
+    instead of hanging, if the admissions stop making progress."""
+    import asyncio
+
+    items = []
+    for _ in range(10_000):
+        if all(task.done() for task in tasks) and server._queue.empty():
+            return items
+        if not server._queue.empty():
+            items.append(server._queue.get_nowait())
+            server._queue.task_done()
+        await asyncio.sleep(0)
+    pytest.fail("admissions still blocked with the queue drained")
+
+
 class TestExactlyOnceGaps:
     def test_cancelled_put_does_not_poison_dedup(self):
         """A handler cancelled mid-``queue.put`` admitted nothing, so the
@@ -833,6 +891,35 @@ class TestExactlyOnceGaps:
         # exactly one admission, one dupe-ack
         assert server._queue.qsize() == 1
         assert server.registry.counter("collector.dupes_dropped").value == 1
+
+    def test_crossed_resends_do_not_wait_on_each_other(self):
+        """Two resends overlapping in opposite orders, both behind an
+        original blocked in put, each wait for it without holding a
+        claim of their own, so neither waits on the other: every member
+        lands once."""
+        import asyncio
+
+        def batch(seqs):
+            return batch_of(
+                Result(seq, SessionResultPayload("device-0000", seq, "pw", 2))
+                for seq in seqs
+            )
+
+        async def scenario():
+            server = CollectorServer(fast_cfg(queue_size=1))
+            server._queue = asyncio.Queue(maxsize=1)
+            await server._queue.put(("blocker",))
+            tasks = []
+            for seqs in ([0], [0, 2, 1], [1, 0, 2]):
+                tasks.append(asyncio.create_task(admit(server, batch(seqs))))
+                await asyncio.sleep(0)
+            items = await drain_admissions(server, tasks)
+            return server, items[1:]
+
+        server, items = asyncio.run(scenario())
+        assert sorted(p.session_index for item in items for p in item) == [0, 1, 2]
+        assert server.registry.counter("collector.dupes_dropped").value == 4
+        assert server._pending == {}
 
     def test_restart_resets_volatile_state(self):
         """A second life of the same server is a fresh run: last run's
@@ -910,6 +997,196 @@ class TestExactlyOnceGaps:
                 sock.close()
         assert isinstance(reply, ProtocolError)
         assert "cap" in reply.error
+
+
+#: Admission property members: ``(device index, seq)`` over a small seq
+#: range, so repeats inside a frame and overlapping resends are common.
+#: A frame's members come from one device (as a client sends them), or
+#: from up to three.
+frame_keys_strategy = st.one_of(
+    st.integers(0, 2).flatmap(
+        lambda device: st.lists(
+            st.integers(0, 9).map(lambda seq: (device, seq)), min_size=1, max_size=6
+        )
+    ),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 9)), min_size=1, max_size=6),
+)
+
+#: A wire frame's members, whether a one-member frame goes out as a lone
+#: result (else a batch of one), and whether a contended run takes one
+#: queue item off just as the frame arrives.
+admission_frame_strategy = st.tuples(frame_keys_strategy, st.booleans(), st.booleans())
+
+
+def key_payload(key):
+    """The one payload a member key stands for (a resend repeats it)."""
+    device, seq = key
+    return SessionResultPayload(
+        f"device-{device:04d}", seq, f"t{seq}", seq, exact=True,
+        deltas=tuple(range(seq, seq + N_COUNTERS)), mask=seq,
+    )
+
+
+def admission_frame(keys, lone):
+    members = [Result(seq, key_payload((device, seq))) for device, seq in keys]
+    return members[0] if lone and len(members) == 1 else batch_of(members)
+
+
+def payload_key(payload):
+    return int(payload.device_id.rsplit("-", 1)[1]), payload.session_index
+
+
+class TestAdmissionPaths:
+    """Admission is exactly-once on the claim-free path (nothing in
+    flight, room in the queue) and on the claim path (a full queue or
+    another admission holding claims), and wherever they interleave."""
+
+    @staticmethod
+    async def counting_futures():
+        """Count the claim futures the running loop creates from now on."""
+        import asyncio
+
+        loop = asyncio.get_running_loop()
+        made = []
+        create = loop.create_future
+
+        def counted():
+            made.append(1)
+            return create()
+
+        loop.create_future = counted
+        return made
+
+    @given(
+        frames=st.lists(admission_frame_strategy, min_size=1, max_size=12),
+        contended=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_admission_is_exactly_once_on_both_paths(self, frames, contended):
+        import asyncio
+        import tempfile
+
+        from repro.collector import CollectorJournal, read_journal
+
+        blocker = (SessionResultPayload("blocker", 0, "", 0),)
+
+        async def run_uncontended(server):
+            made = await self.counting_futures()
+            for keys, lone, _drain in frames:
+                frame = admission_frame(keys, lone)
+                ack = await admit(server, frame)
+                assert ack == Ack(keys[-1][1])
+            # nothing was in flight and the queue had room: no claims
+            assert made == []
+            items = []
+            while not server._queue.empty():
+                items.append(server._queue.get_nowait())
+            return items
+
+        async def run_contended(server):
+            made = await self.counting_futures()
+            # a full queue: the first admission blocks in put holding
+            # claims, and the admissions behind it take the claim path
+            await server._queue.put(blocker)
+            items = []
+
+            def take():
+                items.append(server._queue.get_nowait())
+                server._queue.task_done()
+
+            tasks = []
+            for keys, lone, drain in frames:
+                tasks.append(asyncio.create_task(admit(server, admission_frame(keys, lone))))
+                if drain and len(tasks) > 1 and not server._queue.empty():
+                    # the new admission runs before the put this wakes:
+                    # it finds room in the queue while claims are pending
+                    take()
+                await asyncio.sleep(0)
+            assert made, "the first admission must have claimed its members"
+            items += await drain_admissions(server, tasks)
+            for task, (keys, _lone, _drain) in zip(tasks, frames):
+                assert task.result() == Ack(keys[-1][1])
+            assert items[0] is blocker
+            return items[1:]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            server = CollectorServer(fast_cfg(queue_size=1 if contended else 64))
+            server._journal = CollectorJournal(f"{tmp}/shard.wal")
+            server._journal.open()
+
+            async def scenario():
+                server._queue = asyncio.Queue(maxsize=server.queue_size)
+                run = run_contended if contended else run_uncontended
+                return await run(server)
+
+            items = asyncio.run(scenario())
+            server._journal.close()
+            records = read_journal(f"{tmp}/shard.wal").records
+
+        # the per-member oracle: first arrival admits, any repeat is a dupe
+        admitted, oracle_items = set(), []
+        for keys, _lone, _drain in frames:
+            fresh = []
+            for key in keys:
+                if key not in admitted:
+                    admitted.add(key)
+                    fresh.append(key)
+            if fresh:
+                oracle_items.append(fresh)
+        members = sum(len(keys) for keys, _lone, _drain in frames)
+
+        queued = [payload_key(p) for item in items for p in item]
+        assert sorted(queued) == sorted(admitted)  # every member exactly once
+        if not contended:
+            # in arrival order, one queue item per frame with fresh members
+            assert [[payload_key(p) for p in item] for item in items] == oracle_items
+        # each queue item is one frame's fresh members, in frame order
+        for item in items:
+            keys = [payload_key(p) for p in item]
+            assert any(
+                keys == [key for key in dict.fromkeys(frame_keys) if key in keys]
+                for frame_keys, _lone, _drain in frames
+            )
+        # the journal holds the admitted members in queue order
+        assert [(payload_key(r.payload), r.seq) for r in records] == [
+            (key, key[1]) for key in queued
+        ]
+        assert [r.payload for r in records] == [p for item in items for p in item]
+        counter = server.registry.counter
+        assert counter("collector.frames_ingested").value == members
+        assert counter("collector.dupes_dropped").value == members - len(admitted)
+        assert counter("collector.batch_frames").value == sum(
+            1 for keys, lone, _drain in frames if not (lone and len(keys) == 1)
+        )
+        assert server._pending == {}
+        assert server._seen == {
+            f"device-{d:04d}": {seq for dd, seq in admitted if dd == d}
+            for d in {dd for dd, _ in admitted}
+        }
+
+    def test_uncontended_admission_takes_no_claim(self):
+        """With nothing in flight and room in the queue, a fresh batch,
+        a lone result and a resend admit without a claim future."""
+        import asyncio
+
+        async def scenario():
+            server = CollectorServer(fast_cfg(queue_size=8))
+            server._queue = asyncio.Queue(maxsize=8)
+            made = await self.counting_futures()
+            frames = [
+                Result(seq=i, payload=p)
+                for i, p in enumerate(payloads_for("device-0000", 4))
+            ]
+            await admit(server, batch_of(frames[:3]))
+            await admit(server, frames[3])
+            await admit(server, batch_of(frames[2:]))
+            return server, made
+
+        server, made = asyncio.run(scenario())
+        assert made == []
+        assert server._queue.qsize() == 2
+        assert server._seen == {"device-0000": {0, 1, 2, 3}}
+        assert server.registry.counter("collector.dupes_dropped").value == 2
 
 
 class TestMalformedMetrics:
@@ -995,18 +1272,16 @@ class TestBatchedPipeline:
 
     def test_batch_frame_round_trips_both_codecs(self):
         # the wire has one codec; a batch round-trips on it
-        batch = Batch(
-            frames=tuple(
-                Result(seq=i, payload=p)
-                for i, p in enumerate(payloads_for("device-0000", 3))
-            )
+        batch = batch_of(
+            Result(seq=i, payload=p)
+            for i, p in enumerate(payloads_for("device-0000", 3))
         )
         wire = BINARY_CODEC.encode(batch)  # 4-byte length prefix + body
         assert decode_any(wire[4:]) == batch
 
     def test_empty_batch_is_rejected(self):
         with pytest.raises(FrameError, match="at least one"):
-            BINARY_CODEC.encode(Batch(frames=()))
+            BINARY_CODEC.encode(batch_of(()))
         with pytest.raises(FrameError, match="at least one"):
             decode_any(bytes([TAG_BATCH]) + (0).to_bytes(4, "big"))
 
@@ -1124,8 +1399,8 @@ class TestBatchedPipeline:
                 Result(seq=i, payload=p)
                 for i, p in enumerate(payloads_for("device-0000", 6))
             ]
-            await admit(server, Batch(frames=tuple(frames[0:4])))
-            await admit(server, Batch(frames=tuple(frames[2:6])))
+            await admit(server, batch_of(frames[0:4]))
+            await admit(server, batch_of(frames[2:6]))
             return server
 
         server = asyncio.run(scenario())
@@ -1143,11 +1418,9 @@ class TestBatchedPipeline:
         async def scenario():
             server = CollectorServer(fast_cfg(queue_size=8))
             server._queue = asyncio.Queue(maxsize=8)
-            batch = Batch(
-                frames=tuple(
-                    Result(seq=i, payload=p)
-                    for i, p in enumerate(payloads_for("device-0000", 3))
-                )
+            batch = batch_of(
+                Result(seq=i, payload=p)
+                for i, p in enumerate(payloads_for("device-0000", 3))
             )
             await admit(server, batch)
             await admit(server, batch)

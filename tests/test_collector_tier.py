@@ -54,6 +54,12 @@ FAST_RETRY = RetryPolicy(max_attempts=8, base_delay_s=0.001, max_delay_s=0.01)
 PATIENT_RETRY = RetryPolicy(max_attempts=20, base_delay_s=0.05, max_delay_s=0.5)
 
 
+def batch_of(frames):
+    """The :class:`Batch` of ``frames``, in order."""
+    frames = tuple(frames)
+    return Batch(tuple(f.seq for f in frames), tuple(f.payload for f in frames))
+
+
 def frames_for(device_id, n, start_seq=0):
     return [
         Result(
@@ -287,7 +293,7 @@ class TestServerJournalReplay:
             ) as client:
                 client.send_results(payloads[:5])
         # an all-fresh admission journals exactly the bytes that were sent
-        assert path.read_bytes() == wire(Batch(frames=tuple(sent[:5])))
+        assert path.read_bytes() == wire(batch_of(sent[:5]))
 
         revived = CollectorHandle(cfg)
         endpoint = revived.start()
@@ -302,9 +308,9 @@ class TestServerJournalReplay:
         assert counter("collector.dupes_dropped").value == 5
         assert counter("collector.sessions_ingested").value == 10
         assert journal_bodies(path) == [
-            wire(Batch(frames=tuple(sent[:5])))[4:],
-            wire(Batch(frames=tuple(sent[5:8])))[4:],  # re-encoded fresh subset
-            wire(Batch(frames=tuple(sent[8:])))[4:],  # the received bytes
+            wire(batch_of(sent[:5]))[4:],
+            wire(batch_of(sent[5:8]))[4:],  # re-encoded fresh subset
+            wire(batch_of(sent[8:]))[4:],  # the received bytes
         ]
 
         third = CollectorHandle(cfg)

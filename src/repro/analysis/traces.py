@@ -10,8 +10,6 @@ tooling that produced the paper's Figs 5, 11 and 13.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.android.device import SessionTrace
@@ -41,22 +39,22 @@ class AnnotatedDelta:
 
 def annotate(
     trace: SessionTrace,
-    deltas: Iterable[Tuple[DeltaBatch, int]],
+    deltas: Iterable[Tuple[DeltaBatch, int, int]],
     model: Optional[ClassificationModel] = None,
 ) -> List[AnnotatedDelta]:
     """Align every nonzero delta with its ground truth.
 
-    ``deltas`` are ``(batch, row)`` payloads as a
-    :class:`~repro.runtime.source.SamplerDeltaSource` yields them.  The
-    rows of each batch are classified in one pass, their unknown
+    ``deltas`` are ``(batch, lo, hi)`` slices of delta rows, as the
+    payloads a :class:`~repro.runtime.source.SamplerDeltaSource` yields.
+    The rows of each slice are classified in one pass, their unknown
     counters masked out as the engine masks them.
     """
     out: List[AnnotatedDelta] = []
     column = counter_index(pc.LRZ_VISIBLE_PRIM_AFTER_LRZ)
-    for batch, group in groupby(deltas, key=itemgetter(0)):
-        rows = [row for _, row in group]
+    for batch, lo, hi in deltas:
+        rows = slice(lo, hi)
         matrix = batch.rows[rows]
-        labels: List[Tuple[Optional[str], float]] = [(None, float("nan"))] * len(rows)
+        labels: List[Tuple[Optional[str], float]] = [(None, float("nan"))] * len(matrix)
         if model is not None:
             labels = [
                 (c.label, c.distance)

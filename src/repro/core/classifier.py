@@ -89,8 +89,13 @@ SUBTRACT_PREFIXES = ("reject:dismiss", FIELD_PREFIX)
 #: chunk's two gather buffers hold 16 x 108 x 80 cells, ~1 MB, together.
 COMPOSITE_CHUNK = 16
 
-#: Rounding slack of the composite block bound, per unit of the terms'
-#: magnitude: several times the float error of either side of the bound.
+#: The fewest full rows a bounded :meth:`ClassificationModel.classify_batch`
+#: tests against the centroid box before scoring.
+_BOUNDED_MIN_ROWS = 16
+
+#: Rounding slack of the box and composite block bounds, per unit of the
+#: terms' magnitude: several times the float error of either side of a
+#: bound.
 _BOUND_SLACK = 256 * np.finfo(float).eps
 
 
@@ -232,6 +237,11 @@ def _classification(
     return result
 
 
+#: What a lookup reads for a row no centroid explains, or no composite
+#: restriction can read as a key, when a bound rules it out unscored.
+UNEXPLAINED = Classification(label=None, distance=math.inf)
+
+
 class ClassificationModel:
     """Nearest-centroid model for one (device configuration, app) pair."""
 
@@ -264,6 +274,13 @@ class ClassificationModel:
         )
         self._scaled = self._transform_rows(self.centroids / self.scale)
         self._scaled_sq = np.einsum("ij,ij->i", self._scaled, self._scaled)
+        #: the box the scaled centroids span, and the squared box distance
+        #: beyond which a row is no centroid's (:meth:`_beyond_reach`)
+        self._box = (self._scaled.min(axis=0), self._scaled.max(axis=0))
+        self._far = (
+            self.cth * self.cth * (1.0 + _BOUND_SLACK)
+            + 2.0 * _BOUND_SLACK * float(self._scaled_sq.max())
+        )
         # raw (undeflated) scaled centroids for the masked path, which
         # operates in a subspace where the deflate direction is meaningless
         self._unit = self.centroids / self.scale
@@ -326,7 +343,7 @@ class ClassificationModel:
         return self.classify_batch(vec[None, :], present[None, :])[0]
 
     def classify_batch(
-        self, matrix: np.ndarray, present: Optional[np.ndarray] = None
+        self, matrix: np.ndarray, present: Optional[np.ndarray] = None, bounded: bool = False
     ) -> List[Classification]:
         """Classify ``n`` feature rows against every centroid in one pass.
 
@@ -346,6 +363,14 @@ class ClassificationModel:
 
         The single-vector entry points delegate here, which is what makes
         the ≥5x batch speedup at n=256 free of semantic drift.
+
+        With ``bounded``, a full row the centroid box bound rules out
+        (:meth:`_beyond_reach`) is not scored: it reads as
+        :data:`UNEXPLAINED`, label ``None`` at an infinite distance, the
+        label scoring gives it.  A call with fewer than
+        :data:`_BOUNDED_MIN_ROWS` full rows scores them all, which costs
+        about what the bound does.  The online engine, which reads no
+        distance of an unexplained lookup, scores this way.
         """
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[1] != features.DIMENSIONS:
@@ -370,10 +395,17 @@ class ClassificationModel:
         confidence = np.ones(n)
         if full_rows.any():
             scaled = self._transform_rows(matrix[full_rows] / self.scale)
+            scored = full_rows
+            if bounded and len(scaled) >= _BOUNDED_MIN_ROWS:
+                far = self._beyond_reach(scaled)
+                if far.any():
+                    distances[full_rows] = np.inf
+                    scored = np.flatnonzero(full_rows)[~far]
+                    scaled = scaled[~far]
             sq = scaled_sq_dists(scaled, self._scaled, self._scaled_sq)
             idx = np.argmin(sq, axis=1)
-            distances[full_rows] = np.sqrt(sq[np.arange(len(idx)), idx])
-            best[full_rows] = idx
+            distances[scored] = np.sqrt(sq[np.arange(len(idx)), idx])
+            best[scored] = idx
         if present is not None and not full_rows.all():
             masked_rows = ~full_rows & (counts > 0)
             if masked_rows.any():
@@ -397,11 +429,26 @@ class ClassificationModel:
             confidence[empty_rows] = 0.0
         labels, cth = self.labels, self.cth
         return [
-            _classification(labels[index] if distance <= cth else None, distance, conf)
+            UNEXPLAINED
+            if distance == math.inf and conf == 1.0
+            else _classification(labels[index] if distance <= cth else None, distance, conf)
             for index, distance, conf in zip(
                 best.tolist(), distances.tolist(), confidence.tolist()
             )
         ]
+
+    def _beyond_reach(self, scaled: np.ndarray) -> np.ndarray:
+        """Which scaled full rows no centroid explains, by a bound.
+
+        A row's squared distance to the box the centroids span bounds its
+        squared distance to every centroid from below.  A scored squared
+        distance ``|r|^2 - 2 r.c + |c|^2`` errs by a few ulps of
+        ``(|r| + |c|)^2 <= 2 (|r|^2 + |c|^2)``; the mask is ``True`` only
+        for rows whose box distance, less that slack, lies beyond ``cth``.
+        """
+        gap = _row_sq(np.clip(scaled, *self._box) - scaled)
+        gap -= (2.0 * _BOUND_SLACK) * _row_sq(scaled)
+        return gap > self._far
 
     def composite_reachable(self, matrix: np.ndarray) -> np.ndarray:
         """Which of ``n`` full rows :meth:`pick_composites` may read as a

@@ -84,10 +84,11 @@ class LaunchDetector:
 class LaunchWatchStage:
     """The idle-watch mode of the monitoring service as a runtime stage.
 
-    Feeds every slow-poll delta to a :class:`LaunchDetector`; when the
-    launch is confirmed, invokes ``on_launch(session, event)`` — which
-    typically calls :meth:`~repro.runtime.session.Session.switch_mode`
-    to escalate the session into the 8 ms attack mode.
+    Feeds every slow-poll delta of a slice to a :class:`LaunchDetector`;
+    when the launch is confirmed, invokes ``on_launch(session, event)``
+    — which typically calls
+    :meth:`~repro.runtime.session.Session.switch_mode` to escalate the
+    session into the 8 ms attack mode — and ends the slice at that row.
     """
 
     name = "launch-watch"
@@ -101,16 +102,20 @@ class LaunchWatchStage:
         self.on_launch = on_launch
         self.launch: Optional[LaunchEvent] = None
 
-    def on_event(self, session, t: float, payload) -> None:
+    def on_event(self, session, t: float, rows) -> Optional[int]:
+        batch, lo, hi = rows
         if self.launch is not None:
-            return
-        event = self.detector.observe(*payload)
-        if event is not None:
-            self.launch = event
-            session.trace.emit(
-                t, session.id, self.name, "launch_detected", score=event.score
-            )
-            self.on_launch(session, event)
+            return None
+        for row in range(lo, hi):
+            event = self.detector.observe(batch, row)
+            if event is not None:
+                self.launch = event
+                session.trace.emit(
+                    event.t, session.id, self.name, "launch_detected", score=event.score
+                )
+                self.on_launch(session, event)
+                return row + 1
+        return None
 
     def on_end(self, session, t: float) -> None:
         pass

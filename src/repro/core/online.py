@@ -30,9 +30,9 @@ offline phase already knows):
 
 The engine reads the sampler's :class:`~repro.kgsl.sampler.DeltaBatch`
 arrays.  Its unit of work is the rest of one such batch:
-:meth:`OnlineEngine.feed` takes one delta as ``(batch, row)`` and, when
-the batch is not the one it holds or the row is not the next one,
-primes itself with the batch's rows from ``row`` on.  Every decision
+:meth:`OnlineEngine.feed` takes a slice of rows as ``(batch, lo, hi)``
+and, when the batch is not the one it holds or ``lo`` is not the next
+row, primes itself with the batch's rows from ``lo`` on.  Every decision
 above runs per delta, in order, but the nearest-centroid lookups are
 scored in one pass per stage over the batch's rows.  The batch keeps
 each lookup kind's results in row-indexed arrays, so a step reads its
@@ -43,9 +43,11 @@ the lookups it scored; every lookup a step consumes records that share,
 and the shares reach the Fig 25 latency histograms (the paper's >95 %
 under 0.1 ms) in one call per batch, once its last row has stepped.
 
-Unexplained deltas stay cheap.  The composite pass skips the rows no
-composite can read as a key (:meth:`ClassificationModel.composite_reachable`)
-and prunes the others' subtraction blocks by two lower bounds
+Unexplained deltas stay cheap.  The passes leave unscored the full
+rows no centroid can explain (``classify_batch(bounded=True)``); the
+composite pass skips the rows no composite can read as a key
+(:meth:`ClassificationModel.composite_reachable`) and prunes the others'
+subtraction blocks by two lower bounds
 (:meth:`ClassificationModel.composite_scores`); the ambient fit skips a
 refit that provably cannot find enough inliers
 (:meth:`OnlineEngine._refit_cannot_pass`), from state each noise note
@@ -63,7 +65,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.appswitch import AppSwitchDetector
-from repro.core.classifier import Classification, ClassificationModel
+from repro.core.classifier import UNEXPLAINED, Classification, ClassificationModel
 from repro.core.corrections import CorrectionTracker
 from repro.core import features
 from repro.core.dedup import DuplicationFilter
@@ -292,28 +294,30 @@ class OnlineEngine:
         evidence, self.evidence = self.evidence, []
         return evidence
 
-    def feed(self, deltas: DeltaBatch, row: int) -> OnlineResult:
-        """Consume delta ``row`` of ``deltas`` (Algorithm 1, one step).
+    def feed(self, deltas: DeltaBatch, lo: int, hi: int) -> OnlineResult:
+        """Consume rows ``[lo, hi)`` of ``deltas`` (Algorithm 1, one step
+        per row).
 
         This is the streaming entry point the session runtime drives;
         state between calls (the unconsumed previous delta, the dedup
         window, the correction tracker) lives on the engine.  When
-        ``deltas`` is not the batch the engine holds, or ``row`` is not
+        ``deltas`` is not the batch the engine holds, or ``lo`` is not
         its next row, the engine primes itself with the batch's rows from
-        ``row`` on, scoring their plain lookups in one pass; later steps
+        ``lo`` on, scoring their plain lookups in one pass; later steps
         score the other lookups on first demand.  The latency histograms
         are current once the batch's last row has stepped.
         """
         batch = self._batch
-        if batch is None or batch.deltas is not deltas or row - batch.base != batch.pos:
+        if batch is None or batch.deltas is not deltas or lo - batch.base != batch.pos:
             if self._result is None:
                 self.begin()
             self._flush_latency()
-            batch = self._batch = _Batch(self._active_model, deltas, row, self._prev)
-        index = batch.pos
-        batch.pos += 1
-        self._step(batch, index)
-        if batch.pos == batch.size:
+            batch = self._batch = _Batch(self._active_model, deltas, lo, self._prev)
+        end = hi - batch.base
+        for i in range(batch.pos, end):
+            batch.pos = i + 1
+            self._step(batch, i)
+        if end == batch.size:
             self._flush_latency()
         return self._result
 
@@ -514,7 +518,8 @@ class OnlineEngine:
             masks[kind] = np.zeros(batch.size - row, dtype=bool)
         masks[kind][0] = True
         batch.score(
-            [(k, r) for k, mask in masks.items() for r in (np.flatnonzero(mask) + row).tolist()]
+            [(k, r) for k, mask in masks.items() for r in (np.flatnonzero(mask) + row).tolist()],
+            bounded=True,
         )
 
     def _stage_b(self, batch: "_Batch", row: int) -> Dict[int, np.ndarray]:
@@ -773,16 +778,12 @@ class OnlineEngine:
 PLAIN, MERGED, HALF, COMPOSITE, MERGED_COMPOSITE = range(5)
 _STAGE = ("A", "B", "B", "C", "C")
 
-#: What a composite lookup reads for a row no restriction can read as a
-#: key: a step only asks a composite lookup whether it is a key.
-_NO_KEY = Classification(label=None, distance=math.inf)
-
 
 class _CompositePass:
     """One stage-C pass over a matrix of rows: the block scores of the
     rows that may read as a key, and every row's pick per field-length
     restriction, made on first demand.  The other rows are not scored
-    and read as :data:`_NO_KEY`."""
+    and read as :data:`UNEXPLAINED`."""
 
     __slots__ = ("model", "size", "reachable", "scores", "_picks")
 
@@ -796,7 +797,7 @@ class _CompositePass:
     def picks(self, lengths: Optional[Tuple[int, ...]]) -> List[Classification]:
         picks = self._picks.get(lengths)
         if picks is None:
-            picks = self._picks[lengths] = [_NO_KEY] * self.size
+            picks = self._picks[lengths] = [UNEXPLAINED] * self.size
             if self.scores is not None:
                 scored = self.model.pick_composites(*self.scores, lengths)
                 for row, pick in zip(self.reachable, scored):
@@ -867,11 +868,16 @@ class _Batch:
         n = self.size
         self.lookups: List[List[Optional[Tuple[object, float]]]] = [[None] * n for _ in _STAGE]
         self.scored, self.is_key, self.unexplained = np.zeros((3, len(_STAGE), n), dtype=bool)
-        self.score([(PLAIN, r) for r in (np.flatnonzero(self.live[row:]) + row).tolist()])
+        self.score(
+            [(PLAIN, r) for r in (np.flatnonzero(self.live[row:]) + row).tolist()], bounded=True
+        )
 
-    def score(self, wanted: List[Tuple[int, int]]) -> None:
+    def score(self, wanted: List[Tuple[int, int]], bounded: bool = False) -> None:
         """One pass over ``wanted`` ``(kind, row)`` lookups of one stage;
-        each records the pass's wall time per lookup."""
+        each records the pass's wall time per lookup.  ``bounded`` passes
+        the flag on to :meth:`ClassificationModel.classify_batch`: the
+        engine's passes leave the rows no centroid can explain unscored,
+        since a step reads no distance of an unexplained lookup."""
         if not wanted:
             return
         t0 = time.perf_counter()
@@ -896,7 +902,7 @@ class _Batch:
                 present = self.present[rows]
                 if merged:
                     present[merged] &= self.present[preds]
-            values = self.model.classify_batch(matrix, present)
+            values = self.model.classify_batch(matrix, present, bounded=bounded)
         per_lookup_s = (time.perf_counter() - t0) / len(wanted)
         lookups = self.lookups
         for kind, row, value in zip(kinds, rows, values):

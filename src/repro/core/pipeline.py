@@ -172,13 +172,15 @@ class AttackStage:
     """Device recognition + the Algorithm 1 engine as one runtime stage.
 
     The stage consumes the nonzero-delta stream of ``source``, one
-    ``(batch, row)`` event per delta.  While the model is unresolved it
-    buffers the events; once enough have arrived for
-    :class:`DeviceRecognizer` (or immediately, when recognition is
+    ``(batch, lo, hi)`` slice of a batch's rows per event.  While the
+    model is unresolved it buffers slices; once enough rows have arrived
+    for :class:`DeviceRecognizer` (or immediately, when recognition is
     disabled or a model key is forced), it instantiates the engine,
     replays the buffer into it, and streams from there on, one
-    :meth:`OnlineEngine.feed` per event.  ``on_end`` closes the engine
-    and publishes the :class:`AttackResult` as the session's result.
+    :meth:`OnlineEngine.feed` per slice, split where a row raises a new
+    degraded reason so its event lands between the same engine events
+    as delta by delta.  ``on_end`` closes the engine and publishes the
+    :class:`AttackResult` as the session's result.
     """
 
     name = "attack"
@@ -198,8 +200,10 @@ class AttackStage:
         self.model_key: Optional[str] = None
         self.recognition: Optional[RecognitionResult] = None
         self.engine: Optional[OnlineEngine] = None
-        #: buffered ``(batch, row)`` events, replayed once resolved
-        self._pending: List[Tuple[DeltaBatch, int]] = []
+        #: buffered ``(batch, lo, hi)`` slices and their row count,
+        #: replayed once resolved
+        self._pending: List[Tuple[DeltaBatch, int, int]] = []
+        self._buffered = 0
         self._recognize_after = (
             MAX_RECOGNITION_DELTAS
             if model_key is None
@@ -210,8 +214,9 @@ class AttackStage:
 
     # ------------------------------------------------------------------
 
-    def _resolve(self, session) -> None:
-        """Pick the classification model and spin up the engine."""
+    def _resolve(self, session, t: float) -> None:
+        """Pick the classification model and spin up the engine; ``t`` is
+        the time of the row that completed the recognition buffer."""
         attack = self.attack
         if self.forced_model_key is not None:
             self.model_key = self.forced_model_key
@@ -227,13 +232,15 @@ class AttackStage:
             self.kgsl.ioctl(IOCTL_KGSL_DEVICE_GETPROPERTY, prop)
             recognizer = DeviceRecognizer(attack.store)
             self.recognition = recognizer.recognize(
-                [batch.rows[row] for batch, row in self._pending],
-                present=[~batch.unknown[row] for batch, row in self._pending],
+                np.concatenate([batch.rows[lo:hi] for batch, lo, hi in self._pending]),
+                present=~np.concatenate(
+                    [batch.unknown[lo:hi] for batch, lo, hi in self._pending]
+                ),
                 adreno_model=prop.value.adreno_model,
             )
             self.model_key = self.recognition.model_key
             session.trace.emit(
-                session.last_t,
+                t,
                 session.id,
                 self.name,
                 "device_recognized",
@@ -255,8 +262,8 @@ class AttackStage:
             collect_evidence=attack.calibration is not None,
         )
         self.engine.begin()
-        for batch, row in self._pending:
-            self.engine.feed(batch, row)
+        for batch, lo, hi in self._pending:
+            self.engine.feed(batch, lo, hi)
         self._pending = []
 
     # ------------------------------------------------------------------
@@ -277,32 +284,60 @@ class AttackStage:
             if count_events:
                 self.metrics.counter(f"faults.events.{kind}").inc()
 
-    def on_event(self, session, t: float, payload: Tuple[DeltaBatch, int]) -> None:
+    def on_event(self, session, t: float, rows: Tuple[DeltaBatch, int, int]) -> None:
         self._drain_faults(session, t)
-        batch, row = payload
+        batch, lo, hi = rows
         if self.faults is not None:
-            if batch.unknown[row].any():
-                session.mark_degraded(t, "masked_delta")
-            elif batch.gap[row]:
-                session.mark_degraded(t, "gap")
-        if self.engine is None:
-            self._pending.append(payload)
-            if len(self._pending) >= max(1, self._recognize_after):
-                self._resolve(session)
+            for row, reason in self._new_reasons(session, batch, lo, hi):
+                self._feed(session, batch, lo, row)
+                session.mark_degraded(float(batch.t[row]), reason)
+                lo = row
+        self._feed(session, batch, lo, hi)
+
+    @staticmethod
+    def _new_reasons(session, batch: DeltaBatch, lo: int, hi: int) -> List[Tuple[int, str]]:
+        """The first row of ``[lo, hi)`` to raise each degraded reason the
+        session has not recorded yet (a masked delta, else a gap), in row
+        order."""
+        recorded = session.degraded_reasons
+        if "masked_delta" in recorded and "gap" in recorded:
+            return []
+        masked = batch.unknown[lo:hi].any(axis=1)
+        firsts = []
+        for reason, mask in (("masked_delta", masked), ("gap", batch.gap[lo:hi] & ~masked)):
+            if reason not in recorded and mask.any():
+                firsts.append((lo + int(mask.argmax()), reason))
+        return sorted(firsts)
+
+    def _feed(self, session, batch: DeltaBatch, lo: int, hi: int) -> None:
+        """Rows ``[lo, hi)`` into the engine, or the recognition buffer
+        until it resolves."""
+        if lo == hi:
             return
-        self.engine.feed(batch, row)
+        if self.engine is None:
+            wanted = max(1, self._recognize_after)
+            take = min(hi - lo, wanted - self._buffered)
+            self._pending.append((batch, lo, lo + take))
+            self._buffered += take
+            if self._buffered < wanted:
+                return
+            lo += take
+            self._resolve(session, float(batch.t[lo - 1]))
+            if lo == hi:
+                return
+        self.engine.feed(batch, lo, hi)
 
     def on_end(self, session, t: float) -> None:
         self._drain_faults(session, t)
         if self.engine is None and (self._pending or not self._recognize_after):
-            self._resolve(session)
+            self._resolve(session, session.last_t)
         if self.engine is None:
             if self.sampler.counters_denied:
                 # an access policy blinded the sampler: there is nothing
                 # to recognize from, so fall back to the first model and
                 # report an empty inference instead of crashing the run
                 self._recognize_after = 0
-                self._resolve(session)
+                self._resolve(session, session.last_t)
             else:
                 # recognition was required but the stream stayed empty
                 raise ValueError("no nonzero PC changes to recognize from")

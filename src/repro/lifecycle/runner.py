@@ -204,7 +204,7 @@ def run_lifecycle(
             sampler, 0.0, trace.end_time_s, chunk=ATTACK_SOURCE_CHUNK,
             metrics=metrics,
         )
-        batches = list(dict.fromkeys(batch for _, (batch, _) in source.events()))
+        batches = [batch for _, (batch, _, _) in source.events()]
         for stage in kgsl.interposers:
             stage.flush_metrics(metrics)
 
@@ -215,8 +215,7 @@ def run_lifecycle(
             # the engine lives on one stream clock: shift this segment's
             # device-local timestamps to where the stream currently is
             shifted = replace(batch, t=batch.t + cursor, prev_t=batch.prev_t + cursor)
-            for row in range(len(shifted)):
-                engine.feed(shifted, row)
+            engine.feed(shifted, 0, len(shifted))
         inferred = "".join(
             key.char for key in live.keys[keys_before:] if not key.deleted
         )

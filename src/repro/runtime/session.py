@@ -37,14 +37,21 @@ from repro.runtime.trace import RuntimeTrace
 class Stage(Protocol):
     """The consumer of a session's event stream.
 
-    ``on_event`` receives each source event.  ``on_end`` is called once
-    when the session's source is exhausted; it publishes the session's
-    result and may not switch modes.
+    ``on_event`` receives each slice ``(batch, lo, hi)`` of a source
+    batch's rows the runtime dispatches, ``t`` the time of row ``lo``.
+    A stage that calls :meth:`Session.switch_mode` at a row stops there
+    and returns the row after it (the runtime raises if it returns
+    ``None`` from a slice of several rows); otherwise it consumes the
+    slice and returns ``None``.  ``on_end`` is called once when the
+    session's source is exhausted; it publishes the session's result and
+    may not switch modes.
     """
 
     name: str
 
-    def on_event(self, session: "Session", t: float, payload: object) -> None: ...
+    def on_event(
+        self, session: "Session", t: float, rows: Tuple[object, int, int]
+    ) -> Optional[int]: ...
 
     def on_end(self, session: "Session", t: float) -> None: ...
 
@@ -65,6 +72,9 @@ class Session:
         self.degraded_reasons: List[str] = []
         self.runtime: Optional["SessionRuntime"] = None
         self._iter: Optional[Iterator[SourceEvent]] = None
+        #: the undispatched rows of the current batch: (batch, row times,
+        #: next row, end)
+        self._cursor: Optional[Tuple[object, List[float], int, int]] = None
         self._replacement: Optional[Tuple[EventSource, Stage]] = None
 
     # -- stage-facing API ----------------------------------------------
@@ -107,9 +117,16 @@ class Session:
     def _apply_switch(self) -> bool:
         if self._replacement is None:
             return False
+        abandon = getattr(self.source, "abandon", None)
+        if self._cursor is not None and abandon is not None:
+            batch, _, lo, hi = self._cursor
+            abandon(batch, lo, hi)
+        if self._iter is not None:
+            self._iter.close()
         self.source, self.stage = self._replacement
         self._replacement = None
         self._iter = None
+        self._cursor = None
         self.mode_switches += 1
         return True
 
@@ -120,7 +137,9 @@ _END = object()
 #: ``(kind, session_id, t, e0, e1)`` where ``kind`` is ``start`` /
 #: ``event`` / ``end``, ``t`` is the session's heap key
 #: after the step, and ``[e0, e1)`` is the half-open range of trace
-#: ordinals (:attr:`RuntimeTrace.emitted`) this step produced.
+#: ordinals (:attr:`RuntimeTrace.emitted`) this step produced.  A
+#: runtime that keeps a step log dispatches one row per ``event``, so
+#: that sharded logs interleave row by row.
 StepRecord = Tuple[str, str, float, int, int]
 
 
@@ -173,32 +192,63 @@ class SessionRuntime:
             self._flush_metrics(time.perf_counter() - wall_start)
         return self.trace
 
-    def _run(self, heap: List[Tuple[float, int, Session]]) -> None:
+    def _start(self, heap: List[Tuple[float, int, Session]]) -> None:
         for session in self.sessions:
             if not session.finished:
                 e0 = self.trace.emitted
                 self.trace.emit(session.last_t, session.id, "runtime", "session_start")
                 self._record("start", session, session.last_t, e0)
                 self._push(heap, session)
+
+    def _end(self, session: Session, e0: int) -> None:
+        session.stage.on_end(session, session.last_t)
+        if session._replacement is not None:
+            raise RuntimeError(f"session {session.id!r}: switch_mode called from on_end")
+        session.finished = True
+        self.trace.emit(session.last_t, session.id, "runtime", "session_end")
+        self._record("end", session, session.last_t, e0)
+
+    def _run(self, heap: List[Tuple[float, int, Session]]) -> None:
+        self._start(heap)
+        step_log = self.step_log
         while heap:
             _, _, session = heapq.heappop(heap)
             e0 = self.trace.emitted
-            event = next(session._events(), _END)
-            if event is _END:
-                session.stage.on_end(session, session.last_t)
-                if session._replacement is not None:
-                    raise RuntimeError(
-                        f"session {session.id!r}: switch_mode called from on_end"
-                    )
-                session.finished = True
-                self.trace.emit(session.last_t, session.id, "runtime", "session_end")
-                self._record("end", session, session.last_t, e0)
-                continue
-            t, payload = event
+            cursor = session._cursor
+            if cursor is None:
+                event = next(session._events(), _END)
+                if event is _END:
+                    self._end(session, e0)
+                    continue
+                _, (batch, lo, hi) = event
+                times = batch.t.tolist()
+            else:
+                batch, times, lo, hi = cursor
+            # per-row dispatch would pop this session again after a row
+            # while the row's time is below the next key: re-pushed, it
+            # carries the largest seq and so loses ties.  A step log
+            # records each row as its own dispatch.
+            end = lo + 1
+            if step_log is None:
+                if not heap:
+                    end = hi
+                else:
+                    top = heap[0][0]
+                    while end < hi and times[end - 1] < top:
+                        end += 1
+            session.last_t = times[lo]
+            stop = session.stage.on_event(session, times[lo], (batch, lo, end))
+            if stop is not None:
+                end = stop
+            elif session._replacement is not None and end - lo > 1:
+                raise RuntimeError(
+                    f"session {session.id!r}: its stage switched modes without ending the slice"
+                )
+            session._cursor = (batch, times, end, hi) if end < hi else None
+            t = times[end - 1]
             self.clock.advance_to(t)
             session.last_t = t
-            session.events_dispatched += 1
-            session.stage.on_event(session, t, payload)
+            session.events_dispatched += end - lo
             if session._apply_switch():
                 self.trace.emit(t, session.id, "runtime", "mode_switch")
             self._record("event", session, t, e0)

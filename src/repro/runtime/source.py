@@ -16,12 +16,14 @@ itself.  It pulls ``chunk`` reads per step, as
 one :class:`~repro.kgsl.sampler.ReadBatch` of ``int64`` rows and a
 missing-counter mask, and differences each batch with
 :func:`~repro.kgsl.sampler.nonzero_deltas_vectorized` into one
-:class:`~repro.kgsl.sampler.DeltaBatch`.  Each delta is one event whose
-payload is ``(batch, row)``: a consumer reads the row from the batch's
-arrays, and can take the rest of the batch with it.  A larger chunk
-trades mode-switch granularity for throughput: the attack uses 64; the
-monitoring service's idle watch uses ``chunk=1``, a batch of one, so
-escalation happens on the confirming read.
+:class:`~repro.kgsl.sampler.DeltaBatch`.  Each batch with deltas is one
+event whose payload is the slice ``(batch, 0, len(batch))``; the
+session runtime dispatches its rows to the stage in slices
+``(batch, lo, hi)``, and a consumer reads the rows from the batch's
+arrays.  A larger chunk trades mode-switch granularity for throughput:
+the attack uses 64; the monitoring service's idle watch uses
+``chunk=1``, a batch of one, so escalation happens on the confirming
+read.
 """
 
 from __future__ import annotations
@@ -29,8 +31,11 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterator, Optional, Protocol, Tuple, runtime_checkable
 
+import numpy as np
+
 from repro.kgsl.sampler import (
     IDLE,
+    DeltaBatch,
     PerfCounterSampler,
     ReadBatch,
     SystemLoad,
@@ -47,7 +52,11 @@ ATTACK_SOURCE_CHUNK = 64
 
 @runtime_checkable
 class EventSource(Protocol):
-    """A stream of timestamped payloads in non-decreasing time order."""
+    """A stream of row batches in non-decreasing time order: each event
+    is ``(t, (batch, 0, len(batch)))``, ``t`` the first row's time and
+    ``batch.t`` every row's.  A source may also define
+    ``abandon(batch, lo, hi)``, which the runtime calls with the rows of
+    a yielded batch that a mode switch leaves undelivered."""
 
     def events(self) -> Iterator[SourceEvent]: ...
 
@@ -101,6 +110,12 @@ class SamplerDeltaSource:
         """Counter reads actually performed so far (dropped reads excluded)."""
         return self.sampler.reads_issued
 
+    def abandon(self, deltas: DeltaBatch, lo: int, hi: int) -> None:
+        """Take rows ``[lo, hi)`` of a yielded batch, which a mode switch
+        left undelivered, off the tallies: they count delivered rows."""
+        self.deltas_emitted -= hi - lo
+        self.gaps_detected -= int(np.count_nonzero(deltas.gap[lo:hi]))
+
     def events(self) -> Iterator[SourceEvent]:
         batches = self.sampler.iter_batches(
             self.t0, self.t1, load=self.load, chunk=self.chunk
@@ -116,13 +131,12 @@ class SamplerDeltaSource:
                     deltas = nonzero_deltas_vectorized(batch, prev=prev)
                 # a delta spanning missed reads carries the gap flag
                 deltas = replace(deltas, gap=deltas.t - deltas.prev_t > limit)
-                gaps = deltas.gap.tolist()
-                for row, t in enumerate(deltas.t.tolist()):
-                    # tallies count yielded deltas only: a mode switch
-                    # may abandon the batch part way
-                    self.deltas_emitted += 1
-                    self.gaps_detected += gaps[row]
-                    yield (t, (deltas, row))
+                if len(deltas):
+                    # tallies count every row now; the runtime returns the
+                    # rows a mode switch leaves undelivered (abandon)
+                    self.deltas_emitted += len(deltas)
+                    self.gaps_detected += int(np.count_nonzero(deltas.gap))
+                    yield (float(deltas.t[0]), (deltas, 0, len(deltas)))
                 prev = batch
         finally:
             # runs on natural exhaustion AND on generator close (a mode

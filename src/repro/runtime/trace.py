@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Mapping, Optional, Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuntimeEvent:
     """One timestamped decision or observation in the runtime."""
 
@@ -31,6 +31,28 @@ class RuntimeEvent:
     stage: str
     kind: str
     detail: Mapping[str, object] = field(default_factory=dict)
+
+
+_set_t, _set_session, _set_stage, _set_kind, _set_detail = (
+    RuntimeEvent.__dict__[name].__set__ for name in ("t", "session", "stage", "kind", "detail")
+)
+
+
+def _event(
+    t: float, session: str, stage: str, kind: str, detail: Mapping[str, object]
+) -> RuntimeEvent:
+    """A :class:`RuntimeEvent` filled through its slot setters, without
+    the frozen dataclass ``__init__``, which goes through
+    ``object.__setattr__`` once per field at about three times the cost:
+    the engine emits one per noise row.  Fields, equality and frozenness
+    stay the dataclass's own."""
+    event = object.__new__(RuntimeEvent)
+    _set_t(event, t)
+    _set_session(event, session)
+    _set_stage(event, stage)
+    _set_kind(event, kind)
+    _set_detail(event, detail)
+    return event
 
 
 class RuntimeTrace:
@@ -53,7 +75,7 @@ class RuntimeTrace:
         self, t: float, session: str, stage: str, kind: str, **detail: object
     ) -> RuntimeEvent:
         """Record one event; returns it for convenience."""
-        event = RuntimeEvent(t=t, session=session, stage=stage, kind=kind, detail=detail)
+        event = _event(t, session, stage, kind, detail)
         if self.capacity is not None and len(self.events) == self.capacity:
             self.events_dropped += 1
         self.events.append(event)

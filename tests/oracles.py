@@ -3,11 +3,14 @@ the scalar forms of the vectorised kernels in ``src/``, the per-delta
 record they are written in and a builder of the delta arrays the
 production path reads, the per-frame render timeline and session
 materialize that the columnar ones replaced, scalar views of internal
-state, and a minimal event source.  They live here, next to the
-properties that use them, because no production path calls them."""
+state, a minimal event source, and the one-row-per-event dispatch loop
+the session runtime's slice dispatch is checked against.  They live
+here, next to the properties that use them, because no production path
+calls them."""
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -39,6 +42,7 @@ from repro.kgsl.sampler import (
     SystemLoad,
 )
 from repro.lifecycle.drift import DriftInjector
+from repro.runtime.session import _END, Session, SessionRuntime
 
 
 def pick_composite(
@@ -319,7 +323,7 @@ def feed_deltas(engine, deltas: Sequence[PcDelta], chunk: Optional[int] = None):
     for lo in range(0, len(deltas), size):
         batch = delta_batch(deltas[lo : lo + size])
         for row in range(len(batch)):
-            engine.feed(batch, row)
+            engine.feed(batch, row, row + 1)
     return engine._result
 
 
@@ -575,17 +579,69 @@ def current_length(tracker: CorrectionTracker) -> Optional[int]:
     return tracker._validated.length if tracker._validated is not None else None
 
 
+class Rows:
+    """A batch of arbitrary payloads at row times ``t``: the minimal row
+    batch a session runtime slices."""
+
+    def __init__(self, t: Sequence[float], items: Sequence[object]) -> None:
+        self.t = np.asarray(t, dtype=float)
+        self.items = list(items)
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+
 class IterableSource:
     """An event source over precomputed ``(t, payload)`` pairs or payloads
-    with a ``.t`` attribute: the minimal harness for driving the session
-    runtime in tests."""
+    with a ``.t`` attribute, each yielded as a one-row :class:`Rows`
+    batch: the minimal harness for driving the session runtime in
+    tests."""
 
     def __init__(self, items: Iterable) -> None:
         self._items = items
 
     def events(self) -> Iterator[Tuple[float, object]]:
         for item in self._items:
-            if isinstance(item, tuple):
-                yield item
-            else:
-                yield (float(item.t), item)
+            t, payload = item if isinstance(item, tuple) else (float(item.t), item)
+            yield (t, (Rows([t], [payload]), 0, 1))
+
+
+class PerDeltaRuntime(SessionRuntime):
+    """The session runtime as it dispatched one row per event: every row
+    pops its session off the heap, is dispatched as a one-row slice, and
+    pushes the session back keyed by the row's time.  A mode switch
+    abandons the rest of the batch.  Slice dispatch must reproduce its
+    trace, counters, results and step log."""
+
+    def _run(self, heap: List[Tuple[float, int, Session]]) -> None:
+        self._start(heap)
+        rows: Dict[str, List] = {}
+        while heap:
+            _, _, session = heapq.heappop(heap)
+            e0 = self.trace.emitted
+            if session.id not in rows:
+                event = next(session._events(), _END)
+                if event is _END:
+                    self._end(session, e0)
+                    continue
+                _, (batch, lo, hi) = event
+                rows[session.id] = [batch, lo, hi]
+            cursor = rows[session.id]
+            batch, row, hi = cursor
+            cursor[1] += 1
+            if cursor[1] == hi:
+                del rows[session.id]
+            t = float(batch.t[row])
+            self.clock.advance_to(t)
+            session.last_t = t
+            session.events_dispatched += 1
+            session.stage.on_event(session, t, (batch, row, row + 1))
+            if session._replacement is not None and session.id in rows:
+                abandon = getattr(session.source, "abandon", None)
+                if abandon is not None:
+                    abandon(*rows[session.id])
+                del rows[session.id]
+            if session._apply_switch():
+                self.trace.emit(t, session.id, "runtime", "mode_switch")
+            self._record("event", session, t, e0)
+            self._push(heap, session)

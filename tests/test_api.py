@@ -467,6 +467,7 @@ INTERFACE_METHODS = {
     "repro.obs.registry:NullRegistry.histogram": "MetricsRegistry method, null object",
     "repro.obs.registry:NullRegistry.span": "MetricsRegistry method, null object",
     "repro.cli:_cmd_devices": "CLI command handler: the dispatcher passes each one the parsed args",
+    "repro.core.launch:LaunchWatchStage.on_event": "runtime Stage method: t is the slice's first row time",
 }
 
 

@@ -145,7 +145,8 @@ def make_stream(seed, n_events, ambient, mask_p, gap_p):
 
 def run(deltas, chunks=None, swap_at=None, recover=True):
     """Feed ``deltas`` one at a time (``chunks=None``, batches of one) or
-    in consecutive batches of the given sizes (cycled)."""
+    as consecutive batches of the given sizes (cycled), each batch in one
+    slice, or two around a swap."""
     trace = RuntimeTrace()
     engine = OnlineEngine(toy_model(), trace=trace, session="s", recover_collisions=recover)
     engine.begin()
@@ -154,11 +155,15 @@ def run(deltas, chunks=None, swap_at=None, recover=True):
         size = 1 if chunks is None else chunks[k % len(chunks)]
         k += 1
         batch = delta_batch(deltas[i : i + size])
-        for row in range(len(batch)):
-            if i == swap_at:
-                engine.swap_model(toy_model(1.02))
-            engine.feed(batch, row)
-            i += 1
+        cut = swap_at - i if swap_at is not None and i <= swap_at < i + len(batch) else None
+        if cut is None:
+            engine.feed(batch, 0, len(batch))
+        else:
+            if cut:
+                engine.feed(batch, 0, cut)
+            engine.swap_model(toy_model(1.02))
+            engine.feed(batch, cut, len(batch))
+        i += len(batch)
     result = engine.finish()
     events = [(e.t, e.stage, e.kind, dict(e.detail)) for e in trace.events]
     return result, events
@@ -218,7 +223,7 @@ def test_a_skipped_row_reprimes_from_the_fed_one():
     engine = OnlineEngine(toy_model(), trace=trace, session="s")
     batch = delta_batch(deltas)
     for row in fed:
-        engine.feed(batch, row)
+        engine.feed(batch, row, row + 1)
     result = engine.finish()
     events = [(e.t, e.stage, e.kind, dict(e.detail)) for e in trace.events]
     assert_same((result, events), run([deltas[row] for row in fed]))
@@ -487,6 +492,40 @@ def test_rows_the_box_bound_rules_out_pick_no_key_under_any_restriction(seed, ti
             assert not pick.is_key
 
 
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    tied=st.booleans(),
+    deflate=st.booleans(),
+    n=st.integers(16, 48),
+)
+@settings(max_examples=100, deadline=None)
+def test_bounded_classify_leaves_only_unexplained_rows_unscored(seed, tied, deflate, n):
+    """``classify_batch(bounded=True)`` gives every row the label full
+    scoring gives it, and differs only by reading a row full scoring
+    leaves unexplained as :data:`UNEXPLAINED`: also for rows a hair
+    inside or outside ``cth`` of the centroid box, and masked rows."""
+    from repro.core.classifier import UNEXPLAINED
+
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, tied, deflate)
+    low, high = model._box
+    edge = []
+    for _ in range(8):
+        k = rng.integers(DIMS)
+        out = high.copy()
+        out[k] += model.cth * (1 + rng.choice([-1e-9, 0.0, 1e-9]))
+        edge.append(out * model.scale)
+    rows = np.vstack([composite_rows(rng, model, n), model.centroids, np.array(edge)])
+    present = rng.random(rows.shape) > 0.05
+    for mask in (None, present):
+        exact = model.classify_batch(rows, mask)
+        bounded = model.classify_batch(rows, mask, bounded=True)
+        assert [b.label for b in bounded] == [e.label for e in exact]
+        for e, b in zip(exact, bounded):
+            assert b == e or (b is UNEXPLAINED and e.label is None)
+    assert any(b is UNEXPLAINED for b in model.classify_batch(rows, bounded=True))
+
+
 def test_box_bound_keeps_composites_and_drops_far_rows():
     model = toy_model()
     rows = np.vstack([CENTROIDS[0] + CENTROIDS[7], CENTROIDS[1] + CENTROIDS[4], vec(d9=5000)])
@@ -510,8 +549,7 @@ def test_engines_on_threads_sharing_one_model_infer_what_each_infers_alone():
         start.wait()
         for lo in range(0, len(deltas), 16):
             batch = delta_batch(deltas[lo : lo + 16])
-            for row in range(len(batch)):
-                engine.feed(batch, row)
+            engine.feed(batch, 0, len(batch))
         result = engine.finish()
         return result, [(e.t, e.stage, e.kind, dict(e.detail)) for e in trace.events]
 
@@ -525,3 +563,133 @@ def test_engines_on_threads_sharing_one_model_infer_what_each_infers_alone():
     assert shared._composite is not None, "the streams must reach the composite grid"
     for g, w in zip(got, want):
         assert_same(g, w)
+
+
+# ---------------------------------------------------------------------------
+# long runs of noise
+
+
+AMBIENT_UNIT = AMBIENT / np.linalg.norm(AMBIENT)
+
+
+def make_quiet_stream(seed, n_events, pure_p, angle_deg, event_p):
+    """Long runs of unexplained noise riding on the ambient direction:
+    a ``pure_p`` share along it, the rest ``angle_deg`` (jittered) off
+    it, near the ``acos(0.9)`` inlier cone, so the refit skip's verdict
+    sits near its bound.  An ``event_p`` share of the deltas are keys,
+    fields, zero or masked deltas and gaps, which end a run."""
+    rng = np.random.default_rng(seed)
+    keys, fields = CENTROIDS[:3], CENTROIDS[3:7]
+    deltas = []
+    t = 0.1
+    for _ in range(n_events):
+        span = 0.008
+        missing = ()
+        kind = rng.choice(["noise", "key", "field", "zero", "masked", "gap"], p=[
+            1 - event_p, event_p * 0.3, event_p * 0.2, event_p * 0.1, event_p * 0.2, event_p * 0.2
+        ])
+        if kind == "key":
+            v = keys[rng.integers(len(keys))]
+        elif kind == "field":
+            v = fields[rng.integers(len(fields))]
+        elif kind == "zero":
+            v = np.zeros(DIMS)
+        else:
+            off = vec(d8=rng.normal(), d9=rng.normal(), d10=rng.normal())
+            off /= np.linalg.norm(off)
+            angle = 0.0 if rng.random() < pure_p else np.radians(angle_deg + rng.normal(0.0, 2.0))
+            v = np.round(rng.uniform(200, 1500) * (np.cos(angle) * AMBIENT_UNIT + np.sin(angle) * off))
+            v = np.abs(v)
+        if kind == "gap":
+            span = 0.03
+        t += span
+        values = _values(v)
+        if kind == "masked" and values:
+            gone = COUNTER_ORDER[int(rng.integers(5, DIMS))]
+            values.pop(gone, None)
+            missing = (gone,)
+        deltas.append(PcDelta(t=t, prev_t=t - span, values=values, missing=missing, gap=span > 0.02))
+    return deltas
+
+
+def ring_state(engine):
+    fit = engine._fit_inputs
+    return (
+        engine._slots.tobytes(),
+        engine._units.tobytes(),
+        engine._cosines.tobytes(),
+        engine._shift.tobytes(),
+        engine._zero_units,
+        engine._ring_version,
+        engine._ring_len,
+        list(engine._unit_norms),
+        None if fit is None else (fit[0], fit[1].model_key),
+        [v.tobytes() for v in engine.evidence],
+    )
+
+
+def run_states(deltas, chunks=None, swap_at=None, recover=True, evidence_cap=40):
+    """:func:`run` with calibration evidence on (capped at
+    ``evidence_cap``), also returning the ring state after every feed,
+    keyed by the deltas fed so far."""
+    trace = RuntimeTrace()
+    engine = OnlineEngine(
+        toy_model(), trace=trace, session="s", recover_collisions=recover, collect_evidence=True
+    )
+    engine.EVIDENCE_CAP = evidence_cap
+    engine.begin()
+    states = {}
+    i = k = 0
+
+    def feed(batch, lo, hi):
+        engine.feed(batch, lo, hi)
+        states[i + hi] = ring_state(engine)
+
+    while i < len(deltas):
+        size = 1 if chunks is None else chunks[k % len(chunks)]
+        k += 1
+        batch = delta_batch(deltas[i : i + size])
+        cut = swap_at - i if swap_at is not None and i <= swap_at < i + len(batch) else None
+        if cut is None:
+            feed(batch, 0, len(batch))
+        else:
+            if cut:
+                feed(batch, 0, cut)
+            engine.swap_model(toy_model(1.02))
+            feed(batch, cut, len(batch))
+        i += len(batch)
+    evidence = [v.tobytes() for v in engine.evidence]
+    result = engine.finish()
+    events = [(e.t, e.stage, e.kind, dict(e.detail)) for e in trace.events]
+    return (result, events), states, evidence
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    chunks=st.lists(st.integers(1, 64), min_size=1, max_size=4),
+    pure_p=st.sampled_from([0.35, 0.45, 0.5]),
+    angle_deg=st.sampled_from([45.0, 60.0, 75.0]),
+    event_p=st.sampled_from([0.0, 0.03, 0.08]),
+    swap_at=st.one_of(st.none(), st.integers(0, 160)),
+    recover=st.booleans(),
+    evidence_cap=st.sampled_from([10, 40, 100]),
+)
+@settings(max_examples=60, deadline=None)
+def test_slices_of_noise_runs_step_as_one_delta_at_a_time(
+    seed, chunks, pure_p, angle_deg, event_p, swap_at, recover, evidence_cap
+):
+    """Feeding long runs of noise as slices of bounded passes leaves
+    exactly what feeding them one delta at a time leaves: keys, stats,
+    events, latency counts, the calibration evidence, and the ambient
+    ring's state after every feed."""
+    deltas = make_quiet_stream(seed, 160, pure_p, angle_deg, event_p)
+    want, want_states, want_evidence = run_states(
+        deltas, swap_at=swap_at, recover=recover, evidence_cap=evidence_cap
+    )
+    got, got_states, got_evidence = run_states(
+        deltas, chunks=chunks, swap_at=swap_at, recover=recover, evidence_cap=evidence_cap
+    )
+    assert_same(got, want)
+    assert got_evidence == want_evidence
+    for fed, state in got_states.items():
+        assert state == want_states[fed], f"ring state after {fed} deltas"

@@ -417,11 +417,11 @@ class _SwapOnFirstBatch:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def classify_batch(self, matrix, masks):
+    def classify_batch(self, matrix, masks, **options):
         self.batch_calls += 1
         if self.batch_calls == 1 and self.engine is not None:
             self.engine.swap_model(self._replacement)
-        return self._inner.classify_batch(matrix, masks)
+        return self._inner.classify_batch(matrix, masks, **options)
 
 
 class TestSwapModel:

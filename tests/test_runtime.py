@@ -37,6 +37,7 @@ from repro.runtime import (
 from repro.runtime.source import ATTACK_SOURCE_CHUNK
 from tests.oracles import (
     IterableSource,
+    Rows,
     batch_deltas,
     batch_samples,
     feed_deltas,
@@ -219,9 +220,10 @@ class TestSamplerDeltaSource:
         streamed_sampler = make_sampler(timeline_with_frames([0.1, 0.25, 0.4, 0.7]), seed=5)
         source = SamplerDeltaSource(streamed_sampler, 0.0, 1.0, chunk=chunk)
         events = list(source.events())
-        got = [batch_deltas(batch)[row] for _, (batch, row) in events]
+        got = [delta for _, (batch, lo, hi) in events for delta in batch_deltas(batch)[lo:hi]]
         assert got == expected
-        assert [t for t, _ in events] == [delta.t for delta in expected]
+        assert all(lo == 0 and hi == len(batch) > 0 for _, (batch, lo, hi) in events)
+        assert [t for t, _ in events] == [float(batch.t[0]) for _, (batch, _, _) in events]
         assert source.deltas_emitted == len(expected)
         assert source.reads_issued == reference.reads_issued
 
@@ -233,18 +235,37 @@ class TestSamplerDeltaSource:
         assert sampler.reads_issued < 30, "reads beyond the first event not issued"
 
     def test_abandoned_batch_counts_only_yielded_deltas(self, monkeypatch):
-        """The source stamps a whole batch's gap flags before yielding
-        it; a mode switch that abandons the batch part way must still
-        leave the tallies counting only the deltas actually yielded."""
+        """The source yields a whole batch with its gap flags stamped; a
+        mode switch that abandons the batch part way must still leave the
+        tallies counting only the deltas the runtime delivered."""
         sampler = make_sampler(timeline_with_frames(np.arange(0.05, 0.9, 0.004)), seed=8)
         monkeypatch.setattr(SamplerDeltaSource, "GAP_FACTOR", 1.02)
         source = SamplerDeltaSource(sampler, 0.0, 1.0, chunk=64)
         limit = source.GAP_FACTOR * sampler.interval_s
-        stream = source.events()
-        yielded = [next(stream)[1] for _ in range(10)]
-        stream.close()
-        batch, last = yielded[-1]
-        assert all(b is batch for b, _ in yielded), "the ten deltas share one batch"
+
+        class SwitchAtTenth:
+            name = "switch"
+            delivered = []
+
+            def on_event(self, session, t, rows):
+                batch, lo, hi = rows
+                for row in range(lo, hi):
+                    self.delivered.append((batch, row))
+                    if len(self.delivered) == 10:
+                        session.switch_mode(IterableSource([]), _Collect())
+                        return row + 1
+                return None
+
+            def on_end(self, session, t):
+                pass
+
+        stage = SwitchAtTenth()
+        runtime = SessionRuntime()
+        session = runtime.add_session(Session("s", source, stage))
+        runtime.run()
+        assert session.events_dispatched == 10
+        batch, last = stage.delivered[-1]
+        assert all(b is batch for b, _ in stage.delivered), "the ten deltas share one batch"
         span = batch.t - batch.prev_t
         assert (span[last + 1 :] > limit).any(), "the abandoned tail holds gaps"
         assert source.deltas_emitted == 10
@@ -266,8 +287,10 @@ class _Collect:
         self.seen = []
         self.ended_at = None
 
-    def on_event(self, session, t, payload):
-        self.seen.append((session.id, t, payload))
+    def on_event(self, session, t, rows):
+        batch, lo, hi = rows
+        for row in range(lo, hi):
+            self.seen.append((session.id, float(batch.t[row]), batch.items[row]))
 
     def on_end(self, session, t):
         self.ended_at = t
@@ -295,8 +318,9 @@ class TestSessionRuntime:
         class Record:
             name = "record"
 
-            def on_event(self, session, t, payload):
-                order.append((session.id, t))
+            def on_event(self, session, t, rows):
+                batch, lo, hi = rows
+                order.extend((session.id, t) for t in batch.t[lo:hi].tolist())
 
             def on_end(self, session, t):
                 pass
@@ -320,12 +344,15 @@ class TestSessionRuntime:
         class Escalate:
             name = "escalate"
 
-            def on_event(self, session, t, payload):
-                if payload == "go":
+            def on_event(self, session, t, rows):
+                batch, lo, _ = rows
+                if batch.items[lo] == "go":
                     session.switch_mode(
                         IterableSource([(t + 1.0, "after1"), (t + 2.0, "after2")]),
                         collect,
                     )
+                    return lo + 1
+                return None
 
             def on_end(self, session, t):
                 pass
@@ -361,6 +388,24 @@ class TestSessionRuntime:
         runtime = SessionRuntime()
         runtime.add_session(Session("s", IterableSource([(0.1, "a")]), EscalateAtEnd()))
         with pytest.raises(RuntimeError, match="switch_mode called from on_end"):
+            runtime.run()
+
+    def test_switch_that_leaves_its_slice_open_raises(self):
+        """A stage that switches modes part way through a multi-row slice
+        must return the row after the switch; returning ``None`` would
+        hand the rest of the slice to the old stage unreported."""
+
+        class SwitchWithoutStop(_Collect):
+            def on_event(self, session, t, rows):
+                session.switch_mode(IterableSource([]), _Collect())
+
+        class OneBatch:
+            def events(self):
+                yield (0.1, (Rows([0.1, 0.2, 0.3], ["a", "b", "c"]), 0, 3))
+
+        runtime = SessionRuntime()
+        runtime.add_session(Session("s", OneBatch(), SwitchWithoutStop()))
+        with pytest.raises(RuntimeError, match="without ending the slice"):
             runtime.run()
 
 
@@ -423,9 +468,9 @@ class _ReplayProbe(AttackStage):
 
     replayed = ()
 
-    def _resolve(self, session):
+    def _resolve(self, session, t):
         self.replayed = list(self._pending)
-        super()._resolve(session)
+        super()._resolve(session, t)
 
 
 class TestRecognitionReplay:
@@ -460,10 +505,10 @@ class TestRecognitionReplay:
         trace = simulate_credential_entry(config, app("chase"), "hunter2secret", seed=11)
         one, one_events, _ = self.run(two_model_store, trace, chunk=1)
         got, got_events, replayed = self.run(two_model_store, trace, ATTACK_SOURCE_CHUNK)
-        batches = list(dict.fromkeys(batch for batch, _ in replayed))
-        last_batch, last_row = replayed[-1]
+        batches = list(dict.fromkeys(batch for batch, _, _ in replayed))
+        last_batch, _, last_end = replayed[-1]
         assert len(batches) >= 2, "the buffer must span read batches"
-        assert last_row < len(last_batch) - 1, "recognition must resolve mid-batch"
+        assert last_end < len(last_batch), "recognition must resolve mid-batch"
         assert got.model_key == one.model_key == chase_model.model_key
         assert got.keys == one.keys
         assert got.stats == one.stats

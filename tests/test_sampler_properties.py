@@ -137,7 +137,7 @@ class TestReadPaths:
             ) or read_many(times, *step)
             sampler = PerfCounterSampler(dev, rng=np.random.default_rng(seed))
             source = SamplerDeltaSource(sampler, 0.0, 2.5, load=load, chunk=chunk)
-            batches = dict.fromkeys(batch for _, (batch, _) in source.events())
+            batches = [batch for _, (batch, _, _) in source.events()]
             stream = [delta for batch in batches for delta in batch_deltas(batch)]
             tally = (sampler.reads_issued, sampler.reads_dropped, dev.ioctl_count, dev.clock.now)
             return stream, tally, sum(batched)

@@ -73,11 +73,12 @@ class TestAnnotate:
         source = SamplerDeltaSource(sampler, 0.0, 2.4, chunk=64)
         payloads = [payload for _, payload in source.events()]
         annotated = annotate(trace, payloads, model=chase_model)
-        masked = [k for k, (batch, row) in enumerate(payloads) if batch.unknown[row].any()]
+        rows = [(batch, row) for batch, lo, hi in payloads for row in range(lo, hi)]
+        masked = [k for k, (batch, row) in enumerate(rows) if batch.unknown[row].any()]
         assert masked, "the reclaims must mask some deltas"
         read_as_zero = 0
         for k in masked:
-            batch, row = payloads[k]
+            batch, row = rows[k]
             lookup, _ = _Batch(chase_model, batch, row, None).lookups[PLAIN][1]
             assert (annotated[k].classified, annotated[k].distance) == (
                 lookup.label,

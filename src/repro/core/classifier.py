@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -559,6 +560,15 @@ class ClassificationModel:
     @property
     def key_labels(self) -> List[str]:
         return [label for label in self.labels if label.startswith(KEY_PREFIX)]
+
+    @cached_property
+    def key_totals(self) -> List[float]:
+        """Each key centroid's raw total, in label order."""
+        return [
+            float(row.sum())
+            for label, row in zip(self.labels, self.centroids)
+            if label.startswith(KEY_PREFIX)
+        ]
 
     def centroid(self, label: str) -> np.ndarray:
         return self.centroids[self.labels.index(label)]

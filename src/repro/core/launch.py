@@ -54,7 +54,7 @@ class LaunchDetector:
 
     def __init__(self, model: ClassificationModel) -> None:
         self.model = model
-        key_totals = [float(model.centroid(label).sum()) for label in model.key_labels]
+        key_totals = model.key_totals
         self.burst_threshold = 8.0 * max(key_totals) if key_totals else 1e7
         self._burst_t: Optional[float] = None
         self.launches: List[LaunchEvent] = []

@@ -240,12 +240,8 @@ class OnlineEngine:
     def _switch_threshold(model: ClassificationModel) -> float:
         """Raw-magnitude threshold separating full-screen transitions from
         typing-scale changes: above every key centroid's total."""
-        key_totals = [
-            float(model.centroid(label).sum()) for label in model.key_labels
-        ]
-        if not key_totals:
-            return 1e7
-        return 2.5 * max(key_totals)
+        key_totals = model.key_totals
+        return 2.5 * max(key_totals) if key_totals else 1e7
 
     # ------------------------------------------------------------------
 

@@ -39,6 +39,7 @@ from repro.kgsl.ioctl import (
     KgslPerfcounterRead,
     KgslPerfcounterReadGroup,
 )
+from repro.kgsl.ziggurat import KE, WE
 
 #: Default sampling interval: 8 ms (Section 4 / Section 7.4).
 DEFAULT_INTERVAL_S = 0.008
@@ -55,6 +56,16 @@ _COALESCE_PROB = 0.08
 _COALESCE_DELAY_S = 5e-3
 #: Mean preemption delay when the service loses the CPU.
 _PREEMPT_DELAY_S = 2.2e-3
+#: numpy's exponential ziggurat tables, as arrays (see ``_WakeupDraws``).
+_WE = np.array(WE)
+_KE = np.array(KE, dtype=np.uint64)
+_COPY_SEED = np.random.SeedSequence(0)
+#: The fewest words decoded at once, so batches of a few reads share one
+#: decode.
+_MIN_DECODE = 256
+#: More words than a wakeup's draws read, bar ~60 ziggurat rejections in
+#: a row: counting past it means the decode and numpy disagree.
+_MAX_SLOW_WORDS = 64
 
 #: Column of each selected counter in a read row (``COUNTER_ORDER``).
 _COLUMN: Dict[pc.CounterSpec, int] = {spec: j for j, spec in enumerate(pc.SELECTED_COUNTERS)}
@@ -152,10 +163,16 @@ class PerfCounterSampler:
     :meth:`~repro.kgsl.device_file.KgslDeviceFile.perfcounter_read_many`
     call, where the chain rewrites them as arrays.  On an fd whose chain
     is empty, with every counter held, no request can fail or be delayed,
-    so the loop skips the request step: one tight loop draws the batch's
-    wakeup times and updates the read tallies once per batch.  Both paths
-    take their wakeups from the one scheduling law (:meth:`_delays`), so
-    they draw the same randomness in the same order.
+    so the loop skips the request step: a batch's wakeup times are built
+    as arrays and the read tallies updated once per batch.
+
+    Both paths take their wakeups from the one scheduling law
+    (``_WakeupDraws``), which decodes each batch's draws from raw words
+    of ``rng`` and then moves ``rng`` past exactly the words those
+    wakeups read: the same draws, in the same order and bit for bit, as
+    one scalar numpy call per variate.  ``rng`` must run on ``PCG64``,
+    as ``default_rng`` does (``TypeError`` otherwise), and nothing else
+    may draw from it while a batch is drawn.
     """
 
     #: Transient-read retries before the failure is considered permanent.
@@ -178,6 +195,11 @@ class PerfCounterSampler:
         self.counters = list(pc.SELECTED_COUNTERS)
         self.interval_s = interval_s
         self.rng = rng if rng is not None else np.random.default_rng(0)
+        if not isinstance(self.rng.bit_generator, np.random.PCG64):
+            # the wakeup draws are decoded from PCG64's raw words
+            raise TypeError(
+                f"the sampler draws from PCG64, not {type(self.rng.bit_generator).__name__}"
+            )
         self.reads_issued = 0
         self.reads_dropped = 0
         # -- resilience bookkeeping ------------------------------------
@@ -442,31 +464,6 @@ class PerfCounterSampler:
             times, np.array(served, dtype=bool).reshape(-1, _N_COUNTERS), kept
         )
 
-    def _delays(self, load: SystemLoad) -> Iterator[Optional[float]]:
-        """Each wakeup's actual-minus-nominal read latency, ``None`` when
-        the read is skipped: the scheduling law, one wakeup per ``next()``.
-
-        With n busy threads per core the service's chance of running on
-        time falls; past ~50 % CPU utilization preemptions dominate and at
-        very high load entire reads are lost — the mechanism behind the
-        accuracy cliff of Fig 22a.  A wakeup draws its variates only when
-        it is taken, in a fixed order, so the sampler can share its RNG
-        with other users between wakeups.
-        """
-        cpu = load.cpu_utilization
-        exponential = self.rng.standard_exponential
-        uniform = self.rng.random
-        preempt_prob = cpu * 0.75
-        preempt_s = _PREEMPT_DELAY_S * (0.2 + 2.0 * (cpu * cpu))
-        drop_prob = max(0.0, cpu - 0.45) ** 2 * 0.55
-        while True:
-            delay = _BASE_JITTER_S * exponential()
-            if uniform() < _COALESCE_PROB:
-                delay += _COALESCE_DELAY_S * exponential()
-            if cpu > 0 and uniform() < preempt_prob:
-                delay += preempt_s * exponential()
-            yield None if uniform() < drop_prob else delay
-
     def iter_batches(
         self, t0: float, t1: float, load: SystemLoad = IDLE, *, chunk: int
     ) -> Iterator[ReadBatch]:
@@ -482,88 +479,294 @@ class PerfCounterSampler:
         """
         device = self.device_file
         interval = self.interval_s
-        next_delay = self._delays(load).__next__
+        draws = _WakeupDraws(self.rng, load)
         nominal = t0
         last_t = -1.0
         while nominal < t1:
             if self._attempts:
                 # attempts of read_once calls made outside this loop
                 self._serve_attempts()
-            nominals: List[float] = []
-            times: List[float] = []
+            draws.begin()
             if self._skips_requests():
                 # nothing can fail or delay a request: only the wakeup
-                # times are drawn.  Reads are issued by one thread, so they
-                # stay monotone even when a coalesced wakeup overshoots the
-                # next nominal tick; the clock stands still until the value
-                # step below.
-                floor = max(last_t + 1e-5, device.clock.now)
-                dropped = 0
-                while nominal < t1 and len(times) < chunk:
-                    delay = next_delay()
-                    if delay is None:
-                        dropped += 1
-                    else:
-                        read_t = nominal + delay
-                        if read_t < floor:
-                            read_t = floor
-                        nominals.append(nominal)
-                        times.append(read_t)
-                        floor = read_t + 1e-5
-                    nominal += interval
-                self.reads_dropped += dropped
-                if not times:
+                # times are drawn, as arrays.  Tick k is the k-th partial
+                # sum of the interval, the same sequential adds as a
+                # ``nominal += interval`` loop; the batch ends at its
+                # chunk-th kept read or at the first tick past t1.
+                ticks_left = (t1 - nominal) / interval
+                delays = np.array(draws.take(chunk if ticks_left >= chunk else int(ticks_left) + 1))
+                while True:
+                    ticks = np.full(len(delays) + 1, interval)
+                    ticks[0] = nominal
+                    ticks = ticks.cumsum()
+                    live = int(ticks.searchsorted(t1))  # the ticks before t1
+                    kept = (delays == delays).nonzero()[0]  # NaN: dropped
+                    if len(kept) >= chunk and kept[chunk - 1] < live:
+                        kept = kept[:chunk]
+                        wakeups = int(kept[-1]) + 1
+                        break
+                    if live <= len(delays):
+                        kept = kept[: kept.searchsorted(live)]
+                        wakeups = live
+                        break
+                    delays = np.concatenate((delays, draws.take(chunk - len(kept))))
+                draws.commit(wakeups)
+                self.reads_dropped += wakeups - len(kept)
+                nominal = float(ticks[wakeups])
+                if not len(kept):
                     return
+                # the clock stands still until the value step below
+                nominals = ticks[kept]
+                times = _monotone(nominals + delays[kept], max(last_t + 1e-5, device.clock.now))
                 self.reads_issued += len(times)
                 self._read_index += len(times)
-                last_t = times[-1]
+                last_t = float(times[-1])
                 rows = device.perfcounter_read_many(times)
                 mask = np.zeros(rows.shape, dtype=bool)
-                yield ReadBatch(np.array(nominals), np.array(times), rows, mask)
+                yield ReadBatch(nominals, times, rows, mask)
                 continue
             # a wakeup is a request like any ioctl: it visits the chain
             # outer to inner, and any stage may drop or defer it
             wakeup_chain = device.interposers[::-1]
+            nominal_list: List[float] = []
+            time_list: List[float] = []
             served: List[np.ndarray] = []
-            while nominal < t1 and len(times) < chunk:
-                delay = next_delay()
-                for stage in wakeup_chain:
-                    if delay is None:
-                        break
-                    extra = stage.on_wakeup()
-                    if extra is None:
+            wakeups = 0
+            try:
+                while nominal < t1 and len(time_list) < chunk:
+                    [delay] = draws.take(1)
+                    wakeups += 1
+                    if delay != delay:
                         delay = None
-                        self._note("sample_dropped", nominal_t=nominal)
-                    elif extra:
-                        delay += extra
-                        self._note("clock_jitter", nominal_t=nominal, jitter_s=extra)
-                if delay is None:
-                    self.reads_dropped += 1
+                    for stage in wakeup_chain:
+                        if delay is None:
+                            break
+                        extra = stage.on_wakeup()
+                        if extra is None:
+                            delay = None
+                            self._note("sample_dropped", nominal_t=nominal)
+                        elif extra:
+                            delay += extra
+                            self._note("clock_jitter", nominal_t=nominal, jitter_s=extra)
+                    if delay is None:
+                        self.reads_dropped += 1
+                        nominal += interval
+                        continue
+                    # the monotone read time, as on the chain-free path
+                    device.clock.set(max(nominal + delay, last_t + 1e-5, device.clock.now))
+                    row = self.read_once()
+                    if row is None:
+                        # retries exhausted: the wakeup produced no data
+                        self.reads_dropped += 1
+                        nominal += interval
+                        continue
+                    served.append(row)
+                    # retry backoff consumed device time: the observation
+                    # really happened when the read finally succeeded
+                    last_t = device.clock.now
+                    self.reads_issued += 1
+                    nominal_list.append(nominal)
+                    time_list.append(last_t)
                     nominal += interval
-                    continue
-                # the monotone read time, as on the chain-free path
-                device.clock.set(max(nominal + delay, last_t + 1e-5, device.clock.now))
-                row = self.read_once()
-                if row is None:
-                    # retries exhausted: the wakeup produced no data
-                    self.reads_dropped += 1
-                    nominal += interval
-                    continue
-                served.append(row)
-                # retry backoff consumed device time: the observation
-                # really happened when the read finally succeeded
-                last_t = device.clock.now
-                self.reads_issued += 1
-                nominals.append(nominal)
-                times.append(last_t)
-                nominal += interval
-            if not times:
+            finally:
+                draws.commit(wakeups)
+            if not time_list:
                 return
             mask = ~np.array(served)
             rows = np.zeros(mask.shape, dtype=np.int64)
             # a read of nothing made no request and serves no row
             rows[~mask.all(axis=1)] = self._serve_attempts()
-            yield ReadBatch(np.array(nominals), np.array(times), rows, mask)
+            yield ReadBatch(np.array(nominal_list), np.array(time_list), rows, mask)
+
+
+def _monotone(reads: np.ndarray, floor: float) -> np.ndarray:
+    """Read times of one thread: each read no earlier than ``floor`` (the
+    first) or 10 µs after the read before it.
+
+    A coalesced or preempted wakeup can overshoot the next tick, so the
+    next read waits for it.  One compare finds the reads that land early;
+    only the runs those start are walked, each until a read lands on time
+    again, with the sequential recurrence's own float adds.
+    """
+    early = ((reads[1:] < reads[:-1] + 1e-5).nonzero()[0] + 1).tolist()
+    if reads[0] < floor:
+        early.insert(0, 0)
+    if not early:
+        return reads
+    out = reads.tolist()
+    done = 0
+    for k in early:
+        if k < done:
+            continue
+        # the read before k is on time, so its own bound holds
+        bound = out[k - 1] + 1e-5 if k else floor
+        while k < len(out) and out[k] < bound:
+            out[k] = bound
+            bound += 1e-5
+            k += 1
+        done = k
+    return np.array(out)
+
+
+class _WakeupDraws:
+    """The scheduling law: each wakeup's actual-minus-nominal read
+    latency, NaN when the read is skipped, decoded from raw words of the
+    sampler's generator.
+
+    With n busy threads per core the service's chance of running on time
+    falls; past ~50 % CPU utilization preemptions dominate and at very
+    high load entire reads are lost — the mechanism behind the accuracy
+    cliff of Fig 22a.  A wakeup draws, in order: a standard exponential
+    (base jitter), a uniform (coalesced?) and, if coalesced, an
+    exponential; under CPU load a uniform (preempted?) and, if
+    preempted, an exponential; last a uniform (dropped?).  A wakeup
+    draws only when it is taken, so the sampler can share its generator
+    with other users between batches.
+
+    The draws are decoded, not made one numpy call at a time.  For a raw
+    64-bit word ``w`` numpy's ``random()`` is ``(w >> 11) * 2**-53`` and
+    ``standard_exponential()`` is ``(w >> 11) * WE[(w >> 3) & 0xFF]``
+    when ``w >> 11 < KE[...]`` (its ziggurat's fast path, see
+    :mod:`repro.kgsl.ziggurat`).  A batch reads words ahead from a copy
+    of the generator, decodes them as arrays and walks them in draw
+    order with the scalar law's own float expressions.  A wakeup that
+    meets a word off the fast path is drawn by the scalar law itself, on
+    a second copy set to that word; comparing generator states counts
+    the words it read.  :meth:`commit` then moves the generator past
+    exactly the words the batch's wakeups read (``random_raw`` is the
+    same state transition as the draws), so the stream is the one the
+    scalar law would leave, bit for bit.
+    """
+
+    def __init__(self, rng: np.random.Generator, load: SystemLoad) -> None:
+        self._shared = rng.bit_generator
+        # private copies, seeded with a constant (cheaper than OS entropy)
+        # as each batch sets their states: one reads words ahead of the
+        # shared generator, one draws a slow wakeup by the scalar law and
+        # one counts the words that wakeup read
+        bit_generator = type(self._shared)
+        self._ahead = bit_generator(_COPY_SEED)
+        self._scalar_bits = bit_generator(_COPY_SEED)
+        self._scalar = np.random.Generator(self._scalar_bits)
+        self._count_bits = bit_generator(_COPY_SEED)
+        cpu = load.cpu_utilization
+        self._contended = cpu > 0
+        self._preempt_prob = cpu * 0.75
+        self._preempt_s = _PREEMPT_DELAY_S * (0.2 + 2.0 * (cpu * cpu))
+        self._drop_prob = max(0.0, cpu - 0.45) ** 2 * 0.55
+        #: the most words a wakeup reads on the fast path, and the least
+        #: a wakeup with a slow exponential reads (its fallback reads one
+        #: more word)
+        self._span = 6 if self._contended else 4
+        self._least_slow = 5 if self._contended else 4
+        #: the generator's state after the last commit
+        self._committed: Optional[Dict[str, object]] = None
+
+    def begin(self) -> None:
+        """Start a batch at the shared generator's position.
+
+        When nothing has drawn from the generator since the last batch's
+        :meth:`commit`, the words read ahead past it are kept."""
+        state = self._shared.state
+        if state == self._committed:
+            del self._uniform[: self._at], self._exponential[: self._at]
+        else:
+            self._ahead.state = state
+            #: each word as a uniform and as an exponential (NaN: slow path)
+            self._uniform: List[float] = []
+            self._exponential: List[float] = []
+        self._start = state
+        self._at = 0
+        #: the words read by the end of each wakeup taken
+        self._ends: List[int] = []
+        #: where the scalar and counting copies stand (-1: not yet set)
+        self._scalar_at = -1
+
+    def _decode(self, words: int) -> None:
+        raw = self._ahead.random_raw(words)
+        ri = raw >> 11
+        idx = (raw >> 3) & 0xFF
+        value = ri.astype(np.float64)
+        exponential = value * _WE[idx]
+        exponential[ri >= _KE[idx]] = np.nan
+        self._uniform += (value * 2.0**-53).tolist()
+        self._exponential += exponential.tolist()
+
+    def take(self, n: int) -> List[float]:
+        """The next ``n`` wakeups' delays, NaN for a skipped read."""
+        uniform, exponential = self._uniform, self._exponential
+        span = self._span
+        contended = self._contended
+        preempt_prob, preempt_s, drop_prob = self._preempt_prob, self._preempt_s, self._drop_prob
+        at = self._at
+        # a fast-path wakeup reads at most ``span`` words: decode enough
+        # for n of them, and again after a slow one
+        if at + n * span > len(uniform):
+            self._decode(max(at + n * span - len(uniform), _MIN_DECODE))
+        out: List[float] = []
+        append, end = out.append, self._ends.append
+        for left in range(n - 1, -1, -1):
+            delay = _BASE_JITTER_S * exponential[at]
+            k = at + 1
+            if uniform[k] < _COALESCE_PROB:
+                delay += _COALESCE_DELAY_S * exponential[k + 1]
+                k += 2
+            else:
+                k += 1
+            if contended:
+                if uniform[k] < preempt_prob:
+                    delay += preempt_s * exponential[k + 1]
+                    k += 2
+                else:
+                    k += 1
+            if delay != delay:
+                # an exponential word off the fast path
+                delay, at = self._draw_scalar(at)
+                if at + left * span > len(uniform):
+                    self._decode(max(at + left * span - len(uniform), _MIN_DECODE))
+            else:
+                if uniform[k] < drop_prob:
+                    delay = np.nan
+                at = k + 1
+            append(delay)
+            end(at)
+        self._at = at
+        return out
+
+    def _draw_scalar(self, at: int) -> Tuple[float, int]:
+        """The wakeup at word ``at`` by the scalar law, and the word after
+        it.  Wakeups come in word order, so the copies only move forward."""
+        bits, count = self._scalar_bits, self._count_bits
+        if self._scalar_at < 0:
+            bits.state = count.state = self._start
+            self._scalar_at = 0
+        bits.random_raw(at - self._scalar_at)
+        draw = self._scalar
+        delay = _BASE_JITTER_S * draw.standard_exponential()
+        if draw.random() < _COALESCE_PROB:
+            delay += _COALESCE_DELAY_S * draw.standard_exponential()
+        if self._contended and draw.random() < self._preempt_prob:
+            delay += self._preempt_s * draw.standard_exponential()
+        if draw.random() < self._drop_prob:
+            delay = np.nan
+        # the words read: step the counting copy until the states agree
+        after = bits.state
+        at += self._least_slow
+        count.random_raw(at - self._scalar_at)
+        for _ in range(_MAX_SLOW_WORDS):
+            if count.state == after:
+                self._scalar_at = at
+                return delay, at
+            count.random_raw()
+            at += 1
+        raise RuntimeError("a wakeup drawn by the scalar law read words the decode cannot place")
+
+    def commit(self, wakeups: int) -> None:
+        """Move the shared generator past the words of this batch's first
+        ``wakeups`` wakeups, and no further."""
+        self._at = self._ends[wakeups - 1] if wakeups else 0
+        self._shared.random_raw(self._at)
+        self._committed = self._shared.state
 
 
 def nonzero_deltas_vectorized(

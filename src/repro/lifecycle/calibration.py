@@ -266,7 +266,11 @@ class DeviceWindow:
     noise_events: int = 0
     low_confidence_keys: int = 0
     keys_inferred: int = 0
+    #: the window's evidence vectors, kept while a re-fit can still use
+    #: them (see :meth:`CalibrationService.observe`)
     evidence: List[np.ndarray] = field(default_factory=list)
+    #: how many evidence vectors the window has seen, kept or not
+    evidence_seen: int = 0
     refits: int = 0
     observations: int = 0
 
@@ -280,7 +284,7 @@ class DeviceWindow:
         """
         if not self.deltas_seen:
             return 0.0
-        return (len(self.evidence) + self.low_confidence_keys) / self.deltas_seen
+        return (self.evidence_seen + self.low_confidence_keys) / self.deltas_seen
 
     def reset_window(self) -> None:
         self.deltas_seen = 0
@@ -288,6 +292,7 @@ class DeviceWindow:
         self.low_confidence_keys = 0
         self.keys_inferred = 0
         self.evidence = []
+        self.evidence_seen = 0
 
 
 class CalibrationService:
@@ -336,14 +341,22 @@ class CalibrationService:
         stats,
         evidence: Sequence[np.ndarray] = (),
     ) -> DeviceWindow:
-        """Fold one observation window's engine stats + evidence in."""
+        """Fold one observation window's engine stats + evidence in.
+
+        Evidence vectors are counted always but kept only while the
+        device can still be re-fit: once the policy is off or the
+        device's refits reach ``max_refits``, nothing would ever read
+        them, and a long-lived service must not grow without bound.
+        """
         window = self.window(device_id)
         window.observations += 1
         window.deltas_seen += int(getattr(stats, "deltas_seen", 0))
         window.noise_events += int(getattr(stats, "noise_events", 0))
         window.low_confidence_keys += int(getattr(stats, "low_confidence_keys", 0))
         window.keys_inferred += int(getattr(stats, "keys_inferred", 0))
-        window.evidence.extend(np.asarray(vec, dtype=float) for vec in evidence)
+        window.evidence_seen += len(evidence)
+        if self.policy.enabled and window.refits < self.policy.max_refits:
+            window.evidence.extend(np.asarray(vec, dtype=float) for vec in evidence)
         if self.metrics.enabled:
             self.metrics.counter("calibration.observations").inc()
             if getattr(stats, "low_confidence_keys", 0):
@@ -364,7 +377,7 @@ class CalibrationService:
         window = self.window(device_id)
         if window.refits >= policy.max_refits:
             return False
-        if len(window.evidence) < policy.min_evidence:
+        if window.evidence_seen < policy.min_evidence:
             return False
         if window.low_confidence_keys >= policy.low_confidence_threshold:
             return True

@@ -18,6 +18,8 @@ from __future__ import annotations
 import bisect
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.obs.spans import NULL_SPAN, Span, SpanStats
 
 #: Default histogram bucket upper bounds for latency-style observations,
@@ -114,10 +116,16 @@ class Histogram:
         counts, extremes and samples, and a bit-equal ``sum``."""
         if not values:
             return
-        counts, buckets = self.counts, self.buckets
+        array = np.asarray(values, dtype=float)
+        found = np.searchsorted(self.buckets, array, side="left")
+        # bisect_left files NaN, which compares false, in the first bucket
+        found[np.isnan(array)] = 0
+        counts = self.counts
+        for bucket, n in enumerate(np.bincount(found, minlength=len(counts)).tolist()):
+            counts[bucket] += n
+        # the left fold observe makes (sum() compensates on Python >= 3.12)
         total = self.sum
         for value in values:
-            counts[bisect.bisect_left(buckets, value)] += 1
             total += value
         self.sum = total
         self.count += len(values)

@@ -3,8 +3,9 @@ the scalar forms of the vectorised kernels in ``src/``, the per-delta
 record they are written in and a builder of the delta arrays the
 production path reads, the per-frame render timeline and session
 materialize that the columnar ones replaced, scalar views of internal
-state, a minimal event source, and the one-row-per-event dispatch loop
-the session runtime's slice dispatch is checked against.  They live
+state, a minimal event source, the one-row-per-event dispatch loop
+the session runtime's slice dispatch is checked against, and a ``PCG64``
+state builder that puts a chosen raw word where a test needs it.  They live
 here, next to the properties that use them, because no production path
 calls them."""
 
@@ -102,8 +103,8 @@ def merge_increments(a: pc.CounterIncrement, b: pc.CounterIncrement) -> pc.Count
 
 def scheduling_delay(rng: np.random.Generator, load: SystemLoad) -> Optional[float]:
     """One wakeup's actual-minus-nominal read latency, ``None`` if the
-    read is skipped: the scalar form of the sampler's ``_delays``, with
-    numpy's scaled exponential draws."""
+    read is skipped: the scalar form of the sampler's decoded scheduling
+    law (``_WakeupDraws``), with numpy's scaled exponential draws."""
     cpu = load.cpu_utilization
     delay = float(rng.exponential(_BASE_JITTER_S))
     if rng.random() < _COALESCE_PROB:
@@ -134,6 +135,32 @@ def wakeups(
             last_t = max(nominal + delay, last_t + 1e-5)
             yield nominal, last_t
         nominal += interval_s
+
+
+#: PCG64's 128-bit LCG (``state' = state * mult + inc``) and the inverse
+#: of its multiplier, to step a state backwards
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_INVERSE = pow(_PCG_MULT, -1, 1 << 128)
+_PCG_INC = 0xDA3E39CB94B95BDB4C60F8F0D5A2A0B1 | 1
+_MASK_128 = (1 << 128) - 1
+
+
+def pcg64_emitting(word: int, at: int = 0, high: int = 1) -> np.random.Generator:
+    """A ``PCG64`` generator whose raw word number ``at`` (0: the next)
+    is ``word``.  The state that outputs it is ``high:high ^ word``,
+    whose output rotation (``high >> 58``) is 0; ``high`` picks the words
+    before and after it."""
+    state = (high << 64) | (high ^ word)
+    for _ in range(at + 1):
+        state = ((state - _PCG_INC) * _PCG_INVERSE) & _MASK_128
+    bits = np.random.PCG64()
+    bits.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": _PCG_INC},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bits)
 
 
 def jitter(

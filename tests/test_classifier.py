@@ -225,6 +225,14 @@ class TestRealModel:
     def test_key_class_count_covers_keyboard(self, chase_model):
         assert len(chase_model.key_labels) == 80
 
+    def test_key_totals_are_each_key_centroids_sum(self, chase_model):
+        # the thresholds the engine and the launch detector derive from
+        # them are the per-label lookups' bit for bit
+        expected = [float(chase_model.centroid(label).sum()) for label in chase_model.key_labels]
+        assert chase_model.key_totals == expected
+        deflated = chase_model.with_deflation(np.eye(features.DIMENSIONS)[0])
+        assert deflated.key_totals == expected
+
     def test_model_size_is_kilobytes(self, chase_model):
         """The paper reports ~3.6 KB models; ours carry ~200 classes of
         11 rounded floats, landing in the same order of magnitude."""

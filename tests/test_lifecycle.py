@@ -354,6 +354,25 @@ class TestCalibrationService:
         service.observe("d0", self.Stats(deltas=30, lowconf=3), evidence=evidence)
         assert not service.should_recalibrate("d0")  # cap reached
 
+    @pytest.mark.parametrize("policy", ["capped", "off"])
+    def test_evidence_is_not_kept_once_no_refit_can_use_it(self, chase_model, policy):
+        service = CalibrationService(
+            CalibrationPolicy(min_evidence=1, max_refits=1)
+            if policy == "capped"
+            else CalibrationPolicy(max_refits=0)
+        )
+        evidence = [chase_model.centroids[i] * 0.6 for i in range(8)]
+        if policy == "capped":
+            service.observe("d0", self.Stats(deltas=30, lowconf=3), evidence=evidence)
+            assert service.recalibrate("d0", chase_model) is not None
+        for _ in range(300):
+            service.observe("d0", self.Stats(deltas=16, lowconf=1), evidence=evidence)
+        window = service.window("d0")
+        assert window.evidence == []
+        assert window.evidence_seen == 300 * len(evidence)
+        assert window.suspect_fraction == (300 * len(evidence) + 300) / (300 * 16)
+        assert not service.should_recalibrate("d0")
+
     def test_rejected_refit_resets_window(self, chase_model):
         service = CalibrationService(CalibrationPolicy(min_evidence=1))
         junk = [np.full(chase_model.centroids.shape[1], -1.0)] * 6

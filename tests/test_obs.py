@@ -149,6 +149,41 @@ class TestObserveMany:
         else:
             assert many.samples is None
 
+    @given(
+        before=st.lists(FLOATS, max_size=3),
+        calls=st.lists(
+            st.lists(
+                st.one_of(st.sampled_from(DEFAULT_LATENCY_BUCKETS_S), FLOATS).flatmap(
+                    lambda value: st.lists(st.just(value), min_size=1, max_size=6)
+                ),
+                max_size=8,
+            ).map(lambda runs: [value for run in runs for value in run]),
+            max_size=4,
+        ),
+        keep_samples=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_runs_on_bucket_bounds_equal_observing_each(self, before, calls, keep_samples):
+        # the engine hands over runs of one per-lookup share; a value on a
+        # bound belongs to that bound's bucket; a call may be empty
+        one, many = (Histogram("h", keep_samples=keep_samples) for _ in range(2))
+        for histogram in (one, many):
+            for value in before:
+                histogram.observe(value)
+        for values in calls:
+            for value in values:
+                one.observe(value)
+            many.observe_many(values)
+        assert many.counts == one.counts
+        assert many.count == one.count
+        assert _bits(many.sum) == _bits(one.sum)
+        assert _bits(many.min) == _bits(one.min)
+        assert _bits(many.max) == _bits(one.max)
+        if keep_samples:
+            assert [_bits(x) for x in many.samples] == [_bits(x) for x in one.samples]
+        else:
+            assert many.samples is None
+
     def test_empty_list_is_a_no_op(self):
         h = new_latency_histogram()
         h.observe(2e-5)

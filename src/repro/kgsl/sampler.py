@@ -60,8 +60,8 @@ _PREEMPT_DELAY_S = 2.2e-3
 _WE = np.array(WE)
 _KE = np.array(KE, dtype=np.uint64)
 _COPY_SEED = np.random.SeedSequence(0)
-#: The fewest words decoded at once, so batches of a few reads share one
-#: decode.
+#: The fewest words decoded at once, so that batches of a few reads, and
+#: the interposed path's one-wakeup takes, share one decode.
 _MIN_DECODE = 256
 #: More words than a wakeup's draws read, bar ~60 ziggurat rejections in
 #: a row: counting past it means the decode and numpy disagree.
@@ -172,7 +172,8 @@ class PerfCounterSampler:
     wakeups read: the same draws, in the same order and bit for bit, as
     one scalar numpy call per variate.  ``rng`` must run on ``PCG64``,
     as ``default_rng`` does (``TypeError`` otherwise), and nothing else
-    may draw from it while a batch is drawn.
+    may draw from it while a batch is drawn (``RuntimeError`` at the
+    batch's end otherwise).
     """
 
     #: Transient-read retries before the failure is considered permanent.
@@ -763,7 +764,13 @@ class _WakeupDraws:
 
     def commit(self, wakeups: int) -> None:
         """Move the shared generator past the words of this batch's first
-        ``wakeups`` wakeups, and no further."""
+        ``wakeups`` wakeups, and no further.
+
+        The words were read from where :meth:`begin` found the generator:
+        if anything else drew from it since (an interposer's hook, say),
+        they are no longer the words those wakeups would read."""
+        if self._shared.state != self._start:
+            raise RuntimeError("the sampler's generator was drawn from while a batch was drawn")
         self._at = self._ends[wakeups - 1] if wakeups else 0
         self._shared.random_raw(self._at)
         self._committed = self._shared.state

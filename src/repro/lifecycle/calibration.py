@@ -344,9 +344,10 @@ class CalibrationService:
         """Fold one observation window's engine stats + evidence in.
 
         Evidence vectors are counted always but kept only while the
-        device can still be re-fit: once the policy is off or the
-        device's refits reach ``max_refits``, nothing would ever read
-        them, and a long-lived service must not grow without bound.
+        device can still be re-fit: once the device's refits reach
+        ``max_refits`` (at once when the policy is off, ``max_refits ==
+        0``), nothing would ever read them, and a long-lived service must
+        not grow without bound.
         """
         window = self.window(device_id)
         window.observations += 1
@@ -355,7 +356,7 @@ class CalibrationService:
         window.low_confidence_keys += int(getattr(stats, "low_confidence_keys", 0))
         window.keys_inferred += int(getattr(stats, "keys_inferred", 0))
         window.evidence_seen += len(evidence)
-        if self.policy.enabled and window.refits < self.policy.max_refits:
+        if window.refits < self.policy.max_refits:
             window.evidence.extend(np.asarray(vec, dtype=float) for vec in evidence)
         if self.metrics.enabled:
             self.metrics.counter("calibration.observations").inc()

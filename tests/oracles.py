@@ -11,9 +11,12 @@ calls them."""
 
 from __future__ import annotations
 
+import functools
 import heapq
+import importlib.util
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -137,29 +140,22 @@ def wakeups(
         nominal += interval_s
 
 
-#: PCG64's 128-bit LCG (``state' = state * mult + inc``) and the inverse
-#: of its multiplier, to step a state backwards
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_INVERSE = pow(_PCG_MULT, -1, 1 << 128)
-_PCG_INC = 0xDA3E39CB94B95BDB4C60F8F0D5A2A0B1 | 1
-_MASK_128 = (1 << 128) - 1
+@functools.lru_cache(maxsize=None)
+def ziggurat_tool():
+    """``tools/gen_ziggurat_tables.py``, loaded as a module: the tables
+    probe and the ``PCG64`` state builder both live there."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "gen_ziggurat_tables.py"
+    spec = importlib.util.spec_from_file_location("gen_ziggurat_tables", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def pcg64_emitting(word: int, at: int = 0, high: int = 1) -> np.random.Generator:
     """A ``PCG64`` generator whose raw word number ``at`` (0: the next)
-    is ``word``.  The state that outputs it is ``high:high ^ word``,
-    whose output rotation (``high >> 58``) is 0; ``high`` picks the words
-    before and after it."""
-    state = (high << 64) | (high ^ word)
-    for _ in range(at + 1):
-        state = ((state - _PCG_INC) * _PCG_INVERSE) & _MASK_128
+    is ``word``; ``high`` picks the words before and after it."""
     bits = np.random.PCG64()
-    bits.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": _PCG_INC},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    bits.state = ziggurat_tool().state_before(word, high, at)
     return np.random.Generator(bits)
 
 

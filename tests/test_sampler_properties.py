@@ -336,6 +336,20 @@ class TestSchedulingLaw:
         assert (sampler.reads_issued, sampler.reads_dropped) == (len(expected), dropped)
         assert sampler.rng.bit_generator.state == oracle_rng.bit_generator.state
 
+    def test_a_draw_inside_a_batch_is_refused(self):
+        """A hook that draws from the sampler's own generator mid-batch
+        moves it off the words the batch's wakeups were decoded from."""
+
+        class DrawingHook(Interposer):
+            def on_wakeup(self):
+                sampler.rng.random()
+                return 0.0
+
+        dev = open_kgsl(build_timeline([]), clock=DeviceClock(), interposers=(DrawingHook(),))
+        sampler = PerfCounterSampler(dev, rng=np.random.default_rng(0))
+        with pytest.raises(RuntimeError, match="drawn from while a batch"):
+            next(sampler.iter_batches(0.0, 1.0, chunk=8))
+
     @pytest.mark.parametrize("case", sorted(CRAFTED))
     @pytest.mark.parametrize("chain", [(), (Interposer(),)], ids=["chain-free", "interposed"])
     @pytest.mark.parametrize("chunk", [1, 5, 64])

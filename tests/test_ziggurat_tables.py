@@ -6,28 +6,16 @@ every read time, so this guard re-probes numpy and names the version
 that disagrees.
 """
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kgsl.ziggurat import KE, WE
-from tests.oracles import pcg64_emitting
-
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "gen_ziggurat_tables.py"
-
-
-def load_tool():
-    spec = importlib.util.spec_from_file_location("gen_ziggurat_tables", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from tests.oracles import pcg64_emitting, ziggurat_tool
 
 
 def test_tables_are_numpys_own():
-    we, ke = load_tool().probe_tables()
+    we, ke = ziggurat_tool().probe_tables()
     assert len(we) == len(ke) == len(WE) == len(KE) == 256
     wrong = [f"WE[{i}]" for i in range(256) if we[i] != WE[i]]
     wrong += [f"KE[{i}]" for i in range(256) if ke[i] != KE[i]]

@@ -2,8 +2,7 @@
 
 Usage, from the repository root::
 
-    python tools/gen_ziggurat_tables.py           # rewrite the module
-    python tools/gen_ziggurat_tables.py --check   # exit 1 if it is stale
+    python tools/gen_ziggurat_tables.py
 
 ``Generator.standard_exponential`` draws one 64-bit word ``w``, splits it
 into ``ri = w >> 11`` and ``idx = (w >> 3) & 0xFF``, and returns
@@ -20,7 +19,6 @@ committed as generated source.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 from typing import Dict, List, Tuple
@@ -40,13 +38,16 @@ _INC = 0xDA3E39CB94B95BDB4C60F8F0D5A2A0B1 | 1
 _RI_LIMIT = 1 << 53
 
 
-def _state_before(word: int, high: int) -> Dict[str, object]:
-    """A PCG64 state whose next output is ``word``: the state after the
-    step is ``high:high ^ word``, whose rotation (``high >> 58``) is 0."""
-    after = (high << 64) | (high ^ word)
+def state_before(word: int, high: int = 1, at: int = 0) -> Dict[str, object]:
+    """A PCG64 state whose raw word number ``at`` (0: the next) is
+    ``word``: the state that outputs it is ``high:high ^ word``, whose
+    rotation (``high >> 58``) is 0; ``high`` picks the words around it."""
+    state = (high << 64) | (high ^ word)
+    for _ in range(at + 1):
+        state = ((state - _INC) * _INVERSE) & _MASK
     return {
         "bit_generator": "PCG64",
-        "state": {"state": ((after - _INC) * _INVERSE) & _MASK, "inc": _INC},
+        "state": {"state": state, "inc": _INC},
         "has_uint32": 0,
         "uinteger": 0,
     }
@@ -55,7 +56,7 @@ def _state_before(word: int, high: int) -> Dict[str, object]:
 def _exponential(gen: np.random.Generator, word: int, high: int = 1) -> Tuple[float, int]:
     """``standard_exponential`` when its first word is ``word``, and the
     words it read (1 on the fast path)."""
-    start = _state_before(word, high)
+    start = state_before(word, high)
     gen.bit_generator.state = start
     value = gen.standard_exponential()
     state, after = start["state"]["state"], gen.bit_generator.state["state"]["state"]
@@ -119,17 +120,8 @@ def render(we: List[float], ke: List[int]) -> str:
     )
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--check", action="store_true", help="exit 1 if the module is stale")
-    args = parser.parse_args(argv)
-    source = render(*probe_tables())
-    if args.check:
-        if MODULE.read_text() != source:
-            print(f"{MODULE} is stale for numpy {np.__version__}", file=sys.stderr)
-            return 1
-        return 0
-    MODULE.write_text(source)
+def main() -> int:
+    MODULE.write_text(render(*probe_tables()))
     return 0
 
 

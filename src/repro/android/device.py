@@ -51,6 +51,7 @@ from repro.android.os_config import DeviceConfig
 from repro.gpu import counters as pc
 from repro.gpu.pipeline import AdrenoPipeline
 from repro.gpu.timeline import COUNTER_ORDER, RenderTimeline, increment_row
+from repro.kgsl.ziggurat import require_pcg64, uniform_then_normals
 
 #: Touch-to-render latency before a press popup reaches the screen.
 INPUT_LATENCY_S = 0.030
@@ -77,6 +78,11 @@ GPU_IDLE_COLLAPSE_S = 0.12
 WAKEUP_RENDER_S = 0.0015
 #: Counter jitter multiplier for cold (post-collapse) frames.
 COLD_JITTER_FACTOR = 1.0
+#: GPU work starts after the CPU side records and submits the frame: a
+#: uniform delay in this range after vsync, drawn per frame.  Without it,
+#: frame starts quantize to a handful of phases relative to the
+#: attacker's sampling grid.
+SUBMIT_DELAY_S = (0.0005, 0.0030)
 
 #: Per-counter multiplicative jitter (sigma), as ``(counter_id, sigma)``
 #: in ``SELECTED_COUNTERS`` order.  Primitive counts are exactly
@@ -145,6 +151,7 @@ class VictimDevice:
         self.config = config
         self.app = app
         self.rng = rng if rng is not None else np.random.default_rng(0)
+        require_pcg64(self.rng, "the victim device")
         self.render_slowdown = render_slowdown
         self.builder = SceneBuilder(config)
         self.pipeline = AdrenoPipeline(config.gpu)
@@ -216,34 +223,34 @@ class VictimDevice:
         columns = [COUNTER_ORDER.index(cid) for cid, _ in JITTER_SIGMA]
         sigma = np.array([s for _, s in JITTER_SIGMA])
         jittered = amounts[:, columns]
-        draws = np.count_nonzero(jittered, axis=1).tolist()
+        submits, normals = self._jitter_draws(np.count_nonzero(jittered, axis=1).tolist())
 
         starts = np.empty(n)
         factor = np.ones(n)
-        noise = []
         last_end = -1e9
-        uniform, standard_normal = self.rng.uniform, self.rng.standard_normal
-        for i, ((t, *_), k, duration) in enumerate(zip(requests, draws, durations.tolist())):
-            # GPU work starts after the CPU side records and submits the
-            # frame — a fraction of a frame after vsync, varying per frame.
-            # Without this, frame starts quantize to a handful of phases
-            # relative to the attacker's sampling grid.
-            start = starts[i] = self._vsync(t) + float(uniform(0.0005, 0.0030))
+        for i, ((t, *_), submit, duration) in enumerate(zip(requests, submits, durations.tolist())):
+            start = starts[i] = self._vsync(t) + submit
             if start - last_end > GPU_IDLE_COLLAPSE_S:
                 duration = durations[i] = duration + WAKEUP_RENDER_S
                 factor[i] = COLD_JITTER_FACTOR
-            if k:
-                noise.append(standard_normal(k))
             last_end = max(last_end, start + duration)
 
         z = np.zeros(jittered.shape)
-        if noise:
-            # row-major over the nonzero cells: frame by frame, each
-            # frame's counters in JITTER_SIGMA order, as they were drawn
-            z[jittered != 0] = np.concatenate(noise)
+        # row-major over the nonzero cells: frame by frame, each frame's
+        # counters in JITTER_SIGMA order, as they were drawn
+        z[jittered != 0] = normals
         scaled = np.rint(jittered * (1.0 + sigma * factor[:, None] * z)).astype(np.int64)
         amounts[:, columns] = np.maximum(0, scaled)
         timeline.append(starts, durations, amounts, map(itemgetter(3), requests))
+
+    def _jitter_draws(self, counts: List[int]) -> Tuple[List[float], np.ndarray]:
+        """Each frame's submit delay (``uniform(*SUBMIT_DELAY_S)``), and
+        then its ``counts[i]`` standard normals: every frame's normals in
+        one array, frame by frame.  They are decoded from raw words of
+        ``self.rng``, bit for bit the per-frame scalar draws, and leave it
+        where those would (see :mod:`repro.kgsl.ziggurat`)."""
+        submits, normals = uniform_then_normals(self.rng.bit_generator, *SUBMIT_DELAY_S, counts)
+        return submits.tolist(), normals
 
     # ------------------------------------------------------------------
 

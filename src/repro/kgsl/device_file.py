@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import errno
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -338,6 +338,11 @@ class KgslDeviceFile:
     def reserved_counters(self) -> Tuple[Tuple[int, int], ...]:
         """The (groupid, countable) registers this fd currently holds."""
         return tuple(sorted(self._reserved))
+
+    def holds(self, keys: AbstractSet[Tuple[int, int]]) -> bool:
+        """Whether this fd holds every (groupid, countable) register of
+        ``keys``."""
+        return self._reserved.issuperset(keys)
 
     def revoke_counter(self, key: Tuple[int, int]) -> None:
         """Another client reclaimed this register: drop the reservation.

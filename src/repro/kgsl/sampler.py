@@ -39,7 +39,7 @@ from repro.kgsl.ioctl import (
     KgslPerfcounterRead,
     KgslPerfcounterReadGroup,
 )
-from repro.kgsl.ziggurat import KE, WE
+from repro.kgsl.ziggurat import exponentials, private_copy, require_pcg64, uniforms
 
 #: Default sampling interval: 8 ms (Section 4 / Section 7.4).
 DEFAULT_INTERVAL_S = 0.008
@@ -56,16 +56,14 @@ _COALESCE_PROB = 0.08
 _COALESCE_DELAY_S = 5e-3
 #: Mean preemption delay when the service loses the CPU.
 _PREEMPT_DELAY_S = 2.2e-3
-#: numpy's exponential ziggurat tables, as arrays (see ``_WakeupDraws``).
-_WE = np.array(WE)
-_KE = np.array(KE, dtype=np.uint64)
-_COPY_SEED = np.random.SeedSequence(0)
-#: The fewest words decoded at once, so that batches of a few reads, and
-#: the interposed path's one-wakeup takes, share one decode.
+#: The fewest words decoded at once, so that batches of a few reads
+#: share one decode.
 _MIN_DECODE = 256
-#: More words than a wakeup's draws read, bar ~60 ziggurat rejections in
-#: a row: counting past it means the decode and numpy disagree.
-_MAX_SLOW_WORDS = 64
+#: What a wakeup decoded near the last word reads past it: words that
+#: neither coalesce, preempt nor drop (a wakeup reads at most 6 of them).
+_PAD_UNIFORM = np.ones(8)
+_PAD_EXPONENTIAL = np.zeros(8)
+_PAD_WORDS = np.ones(8, dtype=np.intp)
 
 #: Column of each selected counter in a read row (``COUNTER_ORDER``).
 _COLUMN: Dict[pc.CounterSpec, int] = {spec: j for j, spec in enumerate(pc.SELECTED_COUNTERS)}
@@ -196,11 +194,7 @@ class PerfCounterSampler:
         self.counters = list(pc.SELECTED_COUNTERS)
         self.interval_s = interval_s
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        if not isinstance(self.rng.bit_generator, np.random.PCG64):
-            # the wakeup draws are decoded from PCG64's raw words
-            raise TypeError(
-                f"the sampler draws from PCG64, not {type(self.rng.bit_generator).__name__}"
-            )
+        require_pcg64(self.rng, "the sampler")
         self.reads_issued = 0
         self.reads_dropped = 0
         # -- resilience bookkeeping ------------------------------------
@@ -453,7 +447,7 @@ class PerfCounterSampler:
             not device.interposers
             and not self._lost
             and not self._denied
-            and _KEYS.issubset(device.reserved_counters())
+            and device.holds(_KEYS)
         )
 
     def _serve_attempts(self) -> np.ndarray:
@@ -495,7 +489,7 @@ class PerfCounterSampler:
                 # ``nominal += interval`` loop; the batch ends at its
                 # chunk-th kept read or at the first tick past t1.
                 ticks_left = (t1 - nominal) / interval
-                delays = np.array(draws.take(chunk if ticks_left >= chunk else int(ticks_left) + 1))
+                delays = draws.take(chunk if ticks_left >= chunk else int(ticks_left) + 1)
                 while True:
                     ticks = np.full(len(delays) + 1, interval)
                     ticks[0] = nominal
@@ -532,10 +526,13 @@ class PerfCounterSampler:
             nominal_list: List[float] = []
             time_list: List[float] = []
             served: List[np.ndarray] = []
+            taken: List[float] = []
             wakeups = 0
             try:
                 while nominal < t1 and len(time_list) < chunk:
-                    [delay] = draws.take(1)
+                    if wakeups == len(taken):
+                        taken += draws.take(chunk).tolist()
+                    delay = taken[wakeups]
                     wakeups += 1
                     if delay != delay:
                         delay = None
@@ -624,42 +621,26 @@ class _WakeupDraws:
     draws only when it is taken, so the sampler can share its generator
     with other users between batches.
 
-    The draws are decoded, not made one numpy call at a time.  For a raw
-    64-bit word ``w`` numpy's ``random()`` is ``(w >> 11) * 2**-53`` and
-    ``standard_exponential()`` is ``(w >> 11) * WE[(w >> 3) & 0xFF]``
-    when ``w >> 11 < KE[...]`` (its ziggurat's fast path, see
-    :mod:`repro.kgsl.ziggurat`).  A batch reads words ahead from a copy
-    of the generator, decodes them as arrays and walks them in draw
-    order with the scalar law's own float expressions.  A wakeup that
-    meets a word off the fast path is drawn by the scalar law itself, on
-    a second copy set to that word; comparing generator states counts
-    the words it read.  :meth:`commit` then moves the generator past
-    exactly the words the batch's wakeups read (``random_raw`` is the
-    same state transition as the draws), so the stream is the one the
-    scalar law would leave, bit for bit.
+    The draws are decoded, not made one numpy call at a time (see
+    :mod:`repro.kgsl.ziggurat`).  Words are read ahead on a private copy
+    of the generator and decoded as arrays: for every word, the delay of
+    a wakeup that starts there and the word after it, with the scalar
+    law's own float expressions.  The batch's wakeups are then the chain
+    ``at = after[at]`` from the generator's position, found for a whole
+    block at once by pointer doubling.  :meth:`commit` moves the
+    generator past exactly the words of the wakeups the batch used.
     """
 
     def __init__(self, rng: np.random.Generator, load: SystemLoad) -> None:
         self._shared = rng.bit_generator
-        # private copies, seeded with a constant (cheaper than OS entropy)
-        # as each batch sets their states: one reads words ahead of the
-        # shared generator, one draws a slow wakeup by the scalar law and
-        # one counts the words that wakeup read
-        bit_generator = type(self._shared)
-        self._ahead = bit_generator(_COPY_SEED)
-        self._scalar_bits = bit_generator(_COPY_SEED)
-        self._scalar = np.random.Generator(self._scalar_bits)
-        self._count_bits = bit_generator(_COPY_SEED)
+        self._ahead = private_copy(self._shared)
         cpu = load.cpu_utilization
         self._contended = cpu > 0
         self._preempt_prob = cpu * 0.75
         self._preempt_s = _PREEMPT_DELAY_S * (0.2 + 2.0 * (cpu * cpu))
         self._drop_prob = max(0.0, cpu - 0.45) ** 2 * 0.55
-        #: the most words a wakeup reads on the fast path, and the least
-        #: a wakeup with a slow exponential reads (its fallback reads one
-        #: more word)
+        #: the most words a wakeup reads on the fast path
         self._span = 6 if self._contended else 4
-        self._least_slow = 5 if self._contended else 4
         #: the generator's state after the last commit
         self._committed: Optional[Dict[str, object]] = None
 
@@ -669,98 +650,73 @@ class _WakeupDraws:
         When nothing has drawn from the generator since the last batch's
         :meth:`commit`, the words read ahead past it are kept."""
         state = self._shared.state
-        if state == self._committed:
-            del self._uniform[: self._at], self._exponential[: self._at]
-        else:
+        if state != self._committed:
             self._ahead.state = state
-            #: each word as a uniform and as an exponential (NaN: slow path)
-            self._uniform: List[float] = []
-            self._exponential: List[float] = []
+            #: the words read ahead, from the generator's position when
+            #: they were first read
+            self._raw = np.empty(0, dtype=np.uint64)
+            #: the words' offsets where the chain's wakeups start, the
+            #: last one the first wakeup not yet decoded
+            self._chain = np.zeros(1, dtype=np.intp)
+            #: the chain's wakeups' delays
+            self._delays = np.empty(0)
+            self._step = 0
         self._start = state
-        self._at = 0
-        #: the words read by the end of each wakeup taken
-        self._ends: List[int] = []
-        #: where the scalar and counting copies stand (-1: not yet set)
-        self._scalar_at = -1
+        #: the chain step of the batch's first wakeup
+        self._first = self._step
 
-    def _decode(self, words: int) -> None:
-        raw = self._ahead.random_raw(words)
-        ri = raw >> 11
-        idx = (raw >> 3) & 0xFF
-        value = ri.astype(np.float64)
-        exponential = value * _WE[idx]
-        exponential[ri >= _KE[idx]] = np.nan
-        self._uniform += (value * 2.0**-53).tolist()
-        self._exponential += exponential.tolist()
-
-    def take(self, n: int) -> List[float]:
+    def take(self, n: int) -> np.ndarray:
         """The next ``n`` wakeups' delays, NaN for a skipped read."""
-        uniform, exponential = self._uniform, self._exponential
-        span = self._span
-        contended = self._contended
-        preempt_prob, preempt_s, drop_prob = self._preempt_prob, self._preempt_s, self._drop_prob
-        at = self._at
-        # a fast-path wakeup reads at most ``span`` words: decode enough
-        # for n of them, and again after a slow one
-        if at + n * span > len(uniform):
-            self._decode(max(at + n * span - len(uniform), _MIN_DECODE))
-        out: List[float] = []
-        append, end = out.append, self._ends.append
-        for left in range(n - 1, -1, -1):
-            delay = _BASE_JITTER_S * exponential[at]
-            k = at + 1
-            if uniform[k] < _COALESCE_PROB:
-                delay += _COALESCE_DELAY_S * exponential[k + 1]
-                k += 2
-            else:
-                k += 1
-            if contended:
-                if uniform[k] < preempt_prob:
-                    delay += preempt_s * exponential[k + 1]
-                    k += 2
-                else:
-                    k += 1
-            if delay != delay:
-                # an exponential word off the fast path
-                delay, at = self._draw_scalar(at)
-                if at + left * span > len(uniform):
-                    self._decode(max(at + left * span - len(uniform), _MIN_DECODE))
-            else:
-                if uniform[k] < drop_prob:
-                    delay = np.nan
-                at = k + 1
-            append(delay)
-            end(at)
-        self._at = at
-        return out
+        if self._step + n > len(self._delays):
+            self._decode(n)
+        step = self._step
+        self._step = step + n
+        return self._delays[step : step + n]
 
-    def _draw_scalar(self, at: int) -> Tuple[float, int]:
-        """The wakeup at word ``at`` by the scalar law, and the word after
-        it.  Wakeups come in word order, so the copies only move forward."""
-        bits, count = self._scalar_bits, self._count_bits
-        if self._scalar_at < 0:
-            bits.state = count.state = self._start
-            self._scalar_at = 0
-        bits.random_raw(at - self._scalar_at)
-        draw = self._scalar
-        delay = _BASE_JITTER_S * draw.standard_exponential()
-        if draw.random() < _COALESCE_PROB:
-            delay += _COALESCE_DELAY_S * draw.standard_exponential()
-        if self._contended and draw.random() < self._preempt_prob:
-            delay += self._preempt_s * draw.standard_exponential()
-        if draw.random() < self._drop_prob:
-            delay = np.nan
-        # the words read: step the counting copy until the states agree
-        after = bits.state
-        at += self._least_slow
-        count.random_raw(at - self._scalar_at)
-        for _ in range(_MAX_SLOW_WORDS):
-            if count.state == after:
-                self._scalar_at = at
-                return delay, at
-            count.random_raw()
-            at += 1
-        raise RuntimeError("a wakeup drawn by the scalar law read words the decode cannot place")
+    def _decode(self, n: int) -> None:
+        """Read words ahead until the next ``n`` wakeups are known, and
+        decode them with the words of this batch's wakeups so far."""
+        known = len(self._chain) - 1 - self._first
+        raw = self._raw[self._chain[self._first] :]
+        self._step -= self._first
+        self._first = 0
+        while known < self._step + n:
+            # a fast-path wakeup reads at most ``span`` words
+            more = max((self._step + n - known) * self._span, _MIN_DECODE)
+            raw = np.concatenate((raw, self._ahead.random_raw(more)))
+            after, delay = self._wakeups_at(raw)
+            chain = _chase(after)
+            known = len(chain) - 1
+        self._raw, self._chain, self._delays = raw, chain, delay[chain[:-1]]
+
+    def _wakeups_at(self, raw: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """For every word of ``raw``, the offset of the word after a
+        wakeup that starts there (``len(raw) + 1`` if its draws run past
+        the words) and the wakeup's delay."""
+        n = len(raw)
+        uniform = uniforms(raw)
+        exponential, words = exponentials(raw, uniform)
+        # past the last word: words that neither coalesce, preempt nor drop
+        uniform = np.concatenate((uniform, _PAD_UNIFORM))
+        exponential = np.concatenate((exponential, _PAD_EXPONENTIAL))
+        words = np.concatenate((words, _PAD_WORDS))
+        unknown = (words[:n] == 0).nonzero()[0]
+        words[unknown] = n + 1 - unknown
+        after = np.arange(n) + words[:n]
+        delay = _BASE_JITTER_S * exponential[:n]
+        draws = ((_COALESCE_PROB, _COALESCE_DELAY_S),)
+        if self._contended:
+            draws += ((self._preempt_prob, self._preempt_s),)
+        for prob, scale in draws:
+            hit = (uniform[after] < prob).nonzero()[0]
+            after += 1
+            k = after[hit]
+            delay[hit] += scale * exponential[k]
+            after[hit] = k + words[k]
+        if self._drop_prob:
+            delay[uniform[after] < self._drop_prob] = np.nan
+        after += 1
+        return np.minimum(after, n + 1, out=after), delay
 
     def commit(self, wakeups: int) -> None:
         """Move the shared generator past the words of this batch's first
@@ -771,9 +727,22 @@ class _WakeupDraws:
         they are no longer the words those wakeups would read."""
         if self._shared.state != self._start:
             raise RuntimeError("the sampler's generator was drawn from while a batch was drawn")
-        self._at = self._ends[wakeups - 1] if wakeups else 0
-        self._shared.random_raw(self._at)
+        self._step = self._first + wakeups
+        self._shared.random_raw(int(self._chain[self._step] - self._chain[self._first]))
         self._committed = self._shared.state
+
+
+def _chase(after: np.ndarray) -> np.ndarray:
+    """The chain ``0, after[0], after[after[0]], ...`` up to the first
+    wakeup not known from the ``len(after)`` words decoded (one past the
+    last word, or one whose draws run past it), by pointer doubling."""
+    past = len(after) + 1
+    jump = np.concatenate((after, (past, past)))
+    chain = np.zeros(1, dtype=np.intp)
+    while chain[-1] != past:
+        chain = np.concatenate((chain, jump[chain]))
+        jump = jump[jump]
+    return chain[: chain.searchsorted(past)]
 
 
 def nonzero_deltas_vectorized(

@@ -4,8 +4,10 @@ record they are written in and a builder of the delta arrays the
 production path reads, the per-frame render timeline and session
 materialize that the columnar ones replaced, scalar views of internal
 state, a minimal event source, the one-row-per-event dispatch loop
-the session runtime's slice dispatch is checked against, and a ``PCG64``
-state builder that puts a chosen raw word where a test needs it.  They live
+the session runtime's slice dispatch is checked against, a ``PCG64``
+state builder that puts a chosen raw word where a test needs it, numpy's
+own draw and word count from such a state, and the per-frame jitter
+draws the decoded ones are checked against.  They live
 here, next to the properties that use them, because no production path
 calls them."""
 
@@ -159,6 +161,32 @@ def pcg64_emitting(word: int, at: int = 0, high: int = 1) -> np.random.Generator
     return np.random.Generator(bits)
 
 
+def numpy_draw(method: str, word: int, high: int = 1) -> Tuple[float, int]:
+    """``Generator.<method>()`` when its first raw word is ``word`` (of
+    :func:`pcg64_emitting`), and how many words it read."""
+    rng = pcg64_emitting(word, high=high)
+    value = getattr(rng, method)()
+    after = rng.bit_generator.state
+    count = pcg64_emitting(word, high=high).bit_generator
+    for words in range(1, 1000):
+        count.random_raw()
+        if count.state == after:
+            return value, words
+    raise AssertionError(f"{method} read more than 999 words")
+
+
+def jitter_draws(rng: np.random.Generator, counts: Sequence[int]) -> Tuple[List[float], np.ndarray]:
+    """The scalar form of ``VictimDevice._jitter_draws``: per frame, one
+    ``uniform`` submit delay and then ``standard_normal(k)``, one numpy
+    call each; every frame's normals in one array."""
+    submits, noise = [], []
+    for k in counts:
+        submits.append(float(rng.uniform(*device_mod.SUBMIT_DELAY_S)))
+        if k:
+            noise.append(rng.standard_normal(k))
+    return submits, np.concatenate(noise) if noise else np.empty(0)
+
+
 def jitter(
     device: VictimDevice, increment: pc.CounterIncrement, factor: float
 ) -> pc.CounterIncrement:
@@ -186,7 +214,9 @@ def materialize(device: VictimDevice, timeline: RenderTimeline) -> None:
     and is added as one row."""
     last_end = -1e9
     for t, _, scene_fn, label in sorted(device._requests, key=lambda r: r[0]):
-        start = device.builder.display.next_vsync(t) + float(device.rng.uniform(0.0005, 0.0030))
+        start = device.builder.display.next_vsync(t) + float(
+            device.rng.uniform(*device_mod.SUBMIT_DELAY_S)
+        )
         stats = device.pipeline.render(scene_fn())
         render_time_s = stats.render_time_s * device.render_slowdown
         cold = start - last_end > device_mod.GPU_IDLE_COLLAPSE_S

@@ -163,9 +163,6 @@ class VictimDevice:
 
     # ------------------------------------------------------------------
 
-    def _vsync(self, t: float) -> float:
-        return self.builder.display.next_vsync(t)
-
     def _ui(
         self, typed_len: int, icons: int, popup: Optional[str] = None, cursor_on: bool = True
     ) -> UiState:
@@ -216,24 +213,28 @@ class VictimDevice:
         requests = sorted(self._requests, key=itemgetter(0))
         self._requests = []
         n = len(requests)
-        amounts = np.empty((n, len(COUNTER_ORDER)), dtype=np.int64)
-        durations = np.empty(n)
-        for i, (_, cache_key, scene_fn, _) in enumerate(requests):
-            amounts[i], durations[i] = self._base_render(cache_key, scene_fn)
+        rendered = [self._base_render(key, scene_fn) for _, key, scene_fn, _ in requests]
+        amounts = np.array([row for row, _ in rendered], dtype=np.int64).reshape(n, len(COUNTER_ORDER))
+        durations = np.array([duration for _, duration in rendered])
         columns = [COUNTER_ORDER.index(cid) for cid, _ in JITTER_SIGMA]
         sigma = np.array([s for _, s in JITTER_SIGMA])
         jittered = amounts[:, columns]
         submits, normals = self._jitter_draws(np.count_nonzero(jittered, axis=1).tolist())
+        vsyncs = self.builder.display.next_vsyncs(np.array([t for t, *_ in requests]))
+        starts = vsyncs + submits
 
-        starts = np.empty(n)
-        factor = np.ones(n)
+        # only the collapse test runs frame by frame: it needs the
+        # latest end of the frames before
+        cold = []
         last_end = -1e9
-        for i, ((t, *_), submit, duration) in enumerate(zip(requests, submits, durations.tolist())):
-            start = starts[i] = self._vsync(t) + submit
+        for i, (start, duration) in enumerate(zip(starts.tolist(), durations.tolist())):
             if start - last_end > GPU_IDLE_COLLAPSE_S:
-                duration = durations[i] = duration + WAKEUP_RENDER_S
-                factor[i] = COLD_JITTER_FACTOR
+                duration += WAKEUP_RENDER_S
+                cold.append(i)
             last_end = max(last_end, start + duration)
+        durations[cold] += WAKEUP_RENDER_S
+        factor = np.ones(n)
+        factor[cold] = COLD_JITTER_FACTOR
 
         z = np.zeros(jittered.shape)
         # row-major over the nonzero cells: frame by frame, each frame's
@@ -243,14 +244,13 @@ class VictimDevice:
         amounts[:, columns] = np.maximum(0, scaled)
         timeline.append(starts, durations, amounts, map(itemgetter(3), requests))
 
-    def _jitter_draws(self, counts: List[int]) -> Tuple[List[float], np.ndarray]:
+    def _jitter_draws(self, counts: List[int]) -> Tuple[np.ndarray, np.ndarray]:
         """Each frame's submit delay (``uniform(*SUBMIT_DELAY_S)``), and
         then its ``counts[i]`` standard normals: every frame's normals in
         one array, frame by frame.  They are decoded from raw words of
         ``self.rng``, bit for bit the per-frame scalar draws, and leave it
         where those would (see :mod:`repro.kgsl.ziggurat`)."""
-        submits, normals = uniform_then_normals(self.rng.bit_generator, *SUBMIT_DELAY_S, counts)
-        return submits.tolist(), normals
+        return uniform_then_normals(self.rng.bit_generator, *SUBMIT_DELAY_S, counts)
 
     # ------------------------------------------------------------------
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from repro.android.geometry import Rect
 
 
@@ -66,14 +68,17 @@ class Display:
     def bounds(self) -> Rect:
         return Rect(0, 0, self.resolution.width, self.resolution.height)
 
+    def next_vsyncs(self, t: np.ndarray) -> np.ndarray:
+        """Earliest vsync boundary at or after each time of ``t``
+        (seconds): the whole frames before it, one more if that boundary
+        is more than 1e-12 s early."""
+        interval = self.frame_interval_s
+        boundary = np.trunc(t / interval) * interval
+        return np.where(boundary + 1e-12 < t, boundary + interval, boundary)
+
     def next_vsync(self, t: float) -> float:
         """Earliest vsync boundary at or after time ``t`` (seconds)."""
-        interval = self.frame_interval_s
-        frames = int(t / interval)
-        boundary = frames * interval
-        if boundary + 1e-12 < t:
-            boundary += interval
-        return boundary
+        return float(self.next_vsyncs(np.float64(t)))
 
     def scale(self, fraction_w: float, fraction_h: float) -> Rect:
         """Rectangle covering the given fraction of the panel, top-left

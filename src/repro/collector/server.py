@@ -106,6 +106,56 @@ Endpoint = Tuple
 _SNAPSHOT_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 
 
+class _IdleDeadline:
+    """A connection's idle deadline: a read that waits ``timeout_s`` for
+    its frame cancels the connection's handler task.
+
+    The deadline is armed only while a read is pending, so a handler
+    blocked in admission (a full queue) is never idle.  One timer serves
+    every read: arming moves the deadline, and a timer that fires before
+    it re-arms itself for the rest; no task or timer is made per frame.
+    """
+
+    __slots__ = ("_loop", "_task", "_timeout_s", "_due", "_timer", "expired")
+
+    def __init__(self, timeout_s: float) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._task = asyncio.current_task()
+        self._timeout_s = timeout_s
+        #: when the pending read times out; None while no read is pending
+        self._due: Optional[float] = None
+        self._timer: Optional[asyncio.TimerHandle] = None
+        #: whether the deadline cancelled the handler
+        self.expired = False
+
+    def arm(self) -> None:
+        """A read is about to wait: it times out ``timeout_s`` from now."""
+        self._due = self._loop.time() + self._timeout_s
+        if self._timer is None:
+            self._timer = self._loop.call_at(self._due, self._fire)
+
+    def disarm(self) -> None:
+        """The read returned: nothing is pending."""
+        self._due = None
+
+    def close(self) -> None:
+        """Drop the timer when the connection closes."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    def _fire(self) -> None:
+        when = self._timer.when()
+        self._timer = None
+        if self._due is None:
+            return  # no read pending: the next one arms a new timer
+        if self._due > when:
+            self._timer = self._loop.call_at(self._due, self._fire)
+            return
+        self.expired = True
+        self._task.cancel()
+
+
 class CollectorServer:
     """Bounded-queue frame ingestion over TCP or a unix socket.
 
@@ -278,17 +328,14 @@ class CollectorServer:
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         counters = self.registry.counter
         counters("collector.connections_opened").inc()
+        idle = _IdleDeadline(self.read_timeout_s)
         try:
             while True:
                 try:
-                    body = await asyncio.wait_for(
-                        read_body_async(reader),
-                        timeout=self.read_timeout_s,
-                    )
+                    idle.arm()
+                    body = await read_body_async(reader)
+                    idle.disarm()
                     frame = decode_any(body)
-                except asyncio.TimeoutError:
-                    counters("collector.connection_timeouts").inc()
-                    return
                 except ConnectionClosed:
                     return
                 except FrameTooLarge as exc:
@@ -354,10 +401,14 @@ class CollectorServer:
                     return
                 await writer.drain()
         except (ConnectionError, asyncio.CancelledError):
-            # client went away mid-reply, or stop() force-closed us; any
-            # un-acked frame will be resent to the next connection
+            # client went away mid-reply, the read sat idle past its
+            # deadline, or stop() force-closed us; any un-acked frame
+            # will be resent to the next connection
+            if idle.expired:
+                counters("collector.connection_timeouts").inc()
             return
         finally:
+            idle.close()
             counters("collector.connections_closed").inc()
             writer.close()
             try:

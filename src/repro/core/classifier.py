@@ -619,13 +619,21 @@ def _group_median(matrix: np.ndarray, counts: np.ndarray) -> np.ndarray:
     group ``g``: one row per group, bit for bit ``np.median(group,
     axis=0)``.  Each group's columns are sorted, then the two middle
     values (the one middle value twice, for an odd count) are averaged
-    as ``(a + b) / 2``, the mean of two that ``np.median`` takes."""
+    as ``(a + b) / 2``, the mean of two that ``np.median`` takes.
+
+    The columns are sorted all at once: each by value, and then, stably,
+    by group, which leaves each group's rows in value order.  Groups are
+    numbered in the smallest integer type that holds them, which numpy
+    sorts stably by radix up to 16 bits."""
     ends = np.cumsum(counts)
     first = ends - counts
-    ranked = np.empty_like(matrix)
-    for lo, hi in zip(first.tolist(), ends.tolist()):
-        ranked[lo:hi] = np.sort(matrix[lo:hi], axis=0)
-    return (ranked[first + (counts - 1) // 2] + ranked[first + counts // 2]) / 2
+    columns = matrix.T
+    group = np.repeat(np.arange(len(counts), dtype=np.min_scalar_type(len(counts))), counts)
+    by_value = columns.argsort(axis=1)
+    by_group = group[by_value].argsort(axis=1, kind="stable")
+    ranked = np.take_along_axis(columns, np.take_along_axis(by_value, by_group, axis=1), axis=1)
+    medians = (ranked[:, first + (counts - 1) // 2] + ranked[:, first + counts // 2]) / 2
+    return np.ascontiguousarray(medians.T)
 
 
 def build_model(

@@ -112,11 +112,18 @@ def label_samples(
     clean = (count == 1) & (starts[last] > prev_t) & (ends[last] <= t) & (codes[last] >= 0)
     data.clean_windows += int(np.count_nonzero(clean))
     data.discarded_windows += int(np.count_nonzero(~clean))
-    code, matrix = codes[last[clean]], rows[clean].astype(float)
-    for label, c in classes.items():
-        if c in code:
-            old = data.vectors_by_label.get(label, matrix[:0])
-            data.vectors_by_label[label] = np.concatenate((old, matrix[code == c]))
+    # each present class's rows, in window order: one stable sort by
+    # class, cut where the class changes
+    code = codes[last[clean]]
+    order = code.argsort(kind="stable")
+    present, first = np.unique(code[order], return_index=True)
+    matrix = rows[clean][order].astype(float)
+    labels = list(classes)
+    ends = [*first[1:].tolist(), len(matrix)]
+    for c, lo, hi in zip(present.tolist(), first.tolist(), ends):
+        old = data.vectors_by_label.get(labels[c])
+        block = matrix[lo:hi]
+        data.vectors_by_label[labels[c]] = block if old is None else np.concatenate((old, block))
 
 
 class OfflineTrainer:

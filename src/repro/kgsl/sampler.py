@@ -59,6 +59,18 @@ _PREEMPT_DELAY_S = 2.2e-3
 #: The fewest words decoded at once, so that batches of a few reads
 #: share one decode.
 _MIN_DECODE = 256
+#: The most words decoded at once.  It bounds what a stream that stops
+#: early (an idle watch escalating, say) reads ahead and never uses, and
+#: keeps a decode's temporary arrays, and so the process's peak memory,
+#: small; larger blocks decode no faster per word.
+_MAX_DECODE = 1 << 12
+#: The mean words of a ``standard_exponential()``: a word off the
+#: ziggurat's fast path (~2.2 %) reads one more, a rejection redraws.
+_EXPONENTIAL_WORDS = 1.034
+#: Words a block holds past the mean words of the wakeups left, so that
+#: a session's words are rarely a few words short: several standard
+#: deviations of the words of a block's wakeups.
+_SLACK_WORDS = 64
 #: What a wakeup decoded near the last word reads past it: words that
 #: neither coalesce, preempt nor drop (a wakeup reads at most 6 of them).
 _PAD_UNIFORM = np.ones(8)
@@ -197,6 +209,9 @@ class PerfCounterSampler:
         require_pcg64(self.rng, "the sampler")
         self.reads_issued = 0
         self.reads_dropped = 0
+        #: raw words the read schedule read ahead, and those its wakeups used
+        self.words_read_ahead = 0
+        self.words_used = 0
         # -- resilience bookkeeping ------------------------------------
         self.retries = 0
         self.reregistrations = 0
@@ -248,6 +263,8 @@ class PerfCounterSampler:
         metrics.counter("sampler.reregistrations").inc(self.reregistrations)
         metrics.counter("sampler.counters_lost").inc(self.counters_lost)
         metrics.counter("sampler.counters_denied").inc(self.counters_denied)
+        metrics.counter("sampler.words_read_ahead").inc(self.words_read_ahead)
+        metrics.counter("sampler.words_used").inc(self.words_used)
 
     def _note(self, kind: str, **detail: object) -> None:
         self.fault_log.append((kind, detail))
@@ -474,21 +491,21 @@ class PerfCounterSampler:
         """
         device = self.device_file
         interval = self.interval_s
-        draws = _WakeupDraws(self.rng, load)
+        draws = _WakeupDraws(self, load)
         nominal = t0
         last_t = -1.0
         while nominal < t1:
             if self._attempts:
                 # attempts of read_once calls made outside this loop
                 self._serve_attempts()
-            draws.begin()
+            ticks_left = (t1 - nominal) / interval
+            draws.begin(ticks_left + 1)
             if self._skips_requests():
                 # nothing can fail or delay a request: only the wakeup
                 # times are drawn, as arrays.  Tick k is the k-th partial
                 # sum of the interval, the same sequential adds as a
                 # ``nominal += interval`` loop; the batch ends at its
                 # chunk-th kept read or at the first tick past t1.
-                ticks_left = (t1 - nominal) / interval
                 delays = draws.take(chunk if ticks_left >= chunk else int(ticks_left) + 1)
                 while True:
                     ticks = np.full(len(delays) + 1, interval)
@@ -531,7 +548,8 @@ class PerfCounterSampler:
             try:
                 while nominal < t1 and len(time_list) < chunk:
                     if wakeups == len(taken):
-                        taken += draws.take(chunk).tolist()
+                        left = (t1 - nominal) / interval
+                        taken += draws.take(chunk if left >= chunk else int(left) + 1).tolist()
                     delay = taken[wakeups]
                     wakeups += 1
                     if delay != delay:
@@ -625,45 +643,54 @@ class _WakeupDraws:
     :mod:`repro.kgsl.ziggurat`).  Words are read ahead on a private copy
     of the generator and decoded as arrays: for every word, the delay of
     a wakeup that starts there and the word after it, with the scalar
-    law's own float expressions.  The batch's wakeups are then the chain
+    law's own float expressions.  The wakeups are then the chain
     ``at = after[at]`` from the generator's position, found for a whole
-    block at once by pointer doubling.  :meth:`commit` moves the
+    block at once by pointer doubling.  A block holds the mean words of
+    the wakeups the stream has left (:meth:`begin`), plus a little
+    slack, and at most ``_MAX_DECODE`` words.  A later block decodes
+    only its new words and those of the one wakeup that ran past the
+    last block.  :meth:`commit` moves the
     generator past exactly the words of the wakeups the batch used.
     """
 
-    def __init__(self, rng: np.random.Generator, load: SystemLoad) -> None:
-        self._shared = rng.bit_generator
+    def __init__(self, sampler: PerfCounterSampler, load: SystemLoad) -> None:
+        self._sampler = sampler
+        self._shared = sampler.rng.bit_generator
         self._ahead = private_copy(self._shared)
         cpu = load.cpu_utilization
         self._contended = cpu > 0
         self._preempt_prob = cpu * 0.75
         self._preempt_s = _PREEMPT_DELAY_S * (0.2 + 2.0 * (cpu * cpu))
         self._drop_prob = max(0.0, cpu - 0.45) ** 2 * 0.55
-        #: the most words a wakeup reads on the fast path
-        self._span = 6 if self._contended else 4
+        #: a wakeup's mean words: its uniforms, and its base exponential
+        #: plus the coalesce and preempt ones as often as they are drawn
+        hits = _COALESCE_PROB + (self._preempt_prob if self._contended else 0.0)
+        self._words = 2 + self._contended + (1 + hits) * _EXPONENTIAL_WORDS
         #: the generator's state after the last commit
         self._committed: Optional[Dict[str, object]] = None
 
-    def begin(self) -> None:
-        """Start a batch at the shared generator's position.
+    def begin(self, left: float) -> None:
+        """Start a batch at the shared generator's position, with at most
+        ``left`` wakeups left in the stream.
 
         When nothing has drawn from the generator since the last batch's
         :meth:`commit`, the words read ahead past it are kept."""
         state = self._shared.state
         if state != self._committed:
             self._ahead.state = state
-            #: the words read ahead, from the generator's position when
-            #: they were first read
+            #: the words read ahead from where the first wakeup not yet
+            #: decoded starts
             self._raw = np.empty(0, dtype=np.uint64)
-            #: the words' offsets where the chain's wakeups start, the
-            #: last one the first wakeup not yet decoded
+            #: the decoded wakeups' first words, as offsets from where the
+            #: generator stood, the last one the first wakeup not decoded
             self._chain = np.zeros(1, dtype=np.intp)
-            #: the chain's wakeups' delays
+            #: the decoded wakeups' delays
             self._delays = np.empty(0)
             self._step = 0
         self._start = state
         #: the chain step of the batch's first wakeup
         self._first = self._step
+        self._left = left
 
     def take(self, n: int) -> np.ndarray:
         """The next ``n`` wakeups' delays, NaN for a skipped read."""
@@ -675,19 +702,22 @@ class _WakeupDraws:
 
     def _decode(self, n: int) -> None:
         """Read words ahead until the next ``n`` wakeups are known, and
-        decode them with the words of this batch's wakeups so far."""
-        known = len(self._chain) - 1 - self._first
-        raw = self._raw[self._chain[self._first] :]
+        drop the wakeups before this batch's first."""
+        chain, delays = self._chain[self._first :], self._delays[self._first :]
         self._step -= self._first
         self._first = 0
-        while known < self._step + n:
-            # a fast-path wakeup reads at most ``span`` words
-            more = max((self._step + n - known) * self._span, _MIN_DECODE)
-            raw = np.concatenate((raw, self._ahead.random_raw(more)))
+        while len(delays) < self._step + n:
+            wanted = max(self._step + n, self._left) - len(delays)
+            more = min(wanted * self._words + _SLACK_WORDS, _MAX_DECODE)
+            more = max(int(more), _MIN_DECODE)
+            self._sampler.words_read_ahead += more
+            raw = np.concatenate((self._raw, self._ahead.random_raw(more)))
             after, delay = self._wakeups_at(raw)
-            chain = _chase(after)
-            known = len(chain) - 1
-        self._raw, self._chain, self._delays = raw, chain, delay[chain[:-1]]
+            block = _chase(after)
+            delays = np.concatenate((delays, delay[block[:-1]]))
+            chain = np.concatenate((chain[:-1], chain[-1] + block))
+            self._raw = raw[block[-1] :].copy()
+        self._chain, self._delays = chain, delays
 
     def _wakeups_at(self, raw: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """For every word of ``raw``, the offset of the word after a
@@ -728,7 +758,9 @@ class _WakeupDraws:
         if self._shared.state != self._start:
             raise RuntimeError("the sampler's generator was drawn from while a batch was drawn")
         self._step = self._first + wakeups
-        self._shared.random_raw(int(self._chain[self._step] - self._chain[self._first]))
+        used = int(self._chain[self._step] - self._chain[self._first])
+        self._shared.random_raw(used)
+        self._sampler.words_used += used
         self._committed = self._shared.state
 
 

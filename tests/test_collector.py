@@ -254,6 +254,59 @@ class TestDelivery:
         assert len(server.results) == 2
         assert client.stats.reconnects >= 1
 
+    def test_a_peer_that_stalls_after_one_frame_times_out(self):
+        timeout_s = 0.2
+        with CollectorHandle(fast_cfg(read_timeout_s=timeout_s)) as handle:
+            sock = raw_connect(handle.endpoint)
+            send_frame(sock, Result(0, SessionResultPayload("device-0000", 0, "pw", 2)))
+            assert read_frame(sock) == Ack(0)
+            acked = time.monotonic()
+            # the peer says nothing more: the server hangs up on it once
+            # the next read has waited the whole timeout
+            assert sock.recv(1) == b""
+            waited = time.monotonic() - acked
+            sock.close()
+        registry = handle.server.registry
+        assert waited >= timeout_s * 0.75
+        assert registry.counter("collector.connection_timeouts").value == 1
+        assert registry.counter("collector.sessions_ingested").value == 1
+
+    def test_stop_closing_a_waiting_read_is_not_a_timeout(self):
+        handle = CollectorHandle(fast_cfg(read_timeout_s=30.0, drain_timeout_s=0.05))
+        sock = raw_connect(handle.start())
+        send_frame(sock, Hello(device_id="device-0000", proto=PROTO_VERSION))
+        assert read_frame(sock) == HelloOk()
+        # the handler waits in its next read when stop() cancels it
+        handle.stop()
+        assert sock.recv(1) == b""
+        sock.close()
+        registry = handle.server.registry
+        assert registry.counter("collector.connections_closed").value == 1
+        assert registry.counter("collector.connection_timeouts").value == 0
+
+    def test_a_slow_admission_is_not_idle(self):
+        """A handler blocked in admission (full queue, slow aggregator)
+        reads nothing for longer than the read timeout, but is not idle."""
+        import asyncio
+
+        async def slow_consumer(payload):
+            await asyncio.sleep(0.4)
+
+        # the third result waits in admission until the first is
+        # aggregated, more than twice the read timeout
+        with CollectorHandle(
+            fast_cfg(queue_size=1, read_timeout_s=0.15), on_result=slow_consumer
+        ) as handle:
+            with CollectorClient(
+                handle.endpoint, "device-0000", config=FAST_CFG, sleep=NO_SLEEP
+            ) as client:
+                for payload in payloads_for("device-0000", 3):
+                    client.send_result(payload)
+        registry = handle.server.registry
+        assert registry.counter("collector.connection_timeouts").value == 0
+        assert len(handle.server.results) == 3
+        assert client.stats.reconnects == 0
+
     def test_oversized_prefix_is_rejected_cleanly(self):
         with CollectorHandle(fast_cfg()) as handle:
             sock = raw_connect(handle.endpoint)

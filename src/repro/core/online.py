@@ -122,6 +122,10 @@ class EngineStats:
     low_confidence_keys: int = 0
 
 
+#: Each :class:`EngineStats` field and the registry counter it rolls up into.
+_STAT_COUNTERS = tuple((f.name, f"engine.{f.name}") for f in fields(EngineStats))
+
+
 @dataclass
 class OnlineResult:
     """Full output of one eavesdropping run.
@@ -439,10 +443,10 @@ class OnlineEngine:
         if self.metrics.enabled:
             # end-of-stream flush: per-session decision tallies roll up
             # into the run-wide registry, away from the per-delta path
-            for stat_field in fields(EngineStats):
-                value = getattr(result.stats, stat_field.name)
+            for name, counter in _STAT_COUNTERS:
+                value = getattr(result.stats, name)
                 if value > 0:
-                    self.metrics.counter(f"engine.{stat_field.name}").inc(value)
+                    self.metrics.counter(counter).inc(value)
         self._result = None
         self._batch = None
         self._prev = None

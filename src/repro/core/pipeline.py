@@ -51,6 +51,7 @@ from repro.kgsl.sampler import (
     DEFAULT_INTERVAL_S,
     IDLE,
     DeltaBatch,
+    FaultNote,
     SystemLoad,
 )
 from repro.mitigations.policy import MITIGATION_SPEC, MitigationPolicy
@@ -177,10 +178,13 @@ class AttackStage:
     for :class:`DeviceRecognizer` (or immediately, when recognition is
     disabled or a model key is forced), it instantiates the engine,
     replays the buffer into it, and streams from there on, one
-    :meth:`OnlineEngine.feed` per slice, split where a row raises a new
-    degraded reason so its event lands between the same engine events
-    as delta by delta.  ``on_end`` closes the engine and publishes the
-    :class:`AttackResult` as the session's result.
+    :meth:`OnlineEngine.feed` per slice.  The slice is split where a
+    sampler fault note is due (just before the first row at or after
+    the read the note precedes) and where a row raises a new degraded
+    reason, so each event lands between the same engine events whatever
+    the batches' sizes.  ``on_end`` emits the notes past the last row,
+    closes the engine and publishes the :class:`AttackResult` as the
+    session's result.
     """
 
     name = "attack"
@@ -204,6 +208,8 @@ class AttackStage:
         #: replayed once resolved
         self._pending: List[Tuple[DeltaBatch, int, int]] = []
         self._buffered = 0
+        #: the sampler's fault notes not emitted yet, in log order
+        self._notes: List[FaultNote] = []
         self._recognize_after = (
             MAX_RECOGNITION_DELTAS
             if model_key is None
@@ -268,31 +274,53 @@ class AttackStage:
 
     # ------------------------------------------------------------------
 
-    def _drain_faults(self, session, t: float) -> None:
-        """Publish the sampler's resilience events into the shared trace.
-
-        Covers injected-fault recovery *and* access-policy denials — both
-        land in the sampler's fault log.  With neither active the log is
-        always empty and this returns after one attribute check.
-        """
-        if not self.sampler.fault_log:
-            return
-        count_events = self.metrics.enabled
-        for kind, detail in self.sampler.drain_fault_log():
-            session.trace.emit(t, session.id, self.name, kind, **detail)
-            session.mark_degraded(t, kind)
-            if count_events:
-                self.metrics.counter(f"faults.events.{kind}").inc()
+    def _emit(self, session, note: FaultNote) -> None:
+        """Publish one of the sampler's resilience events (injected-fault
+        recovery or an access-policy denial) into the shared trace, at
+        the device time it describes."""
+        session.trace.emit(note.t, session.id, self.name, note.kind, **note.detail)
+        session.mark_degraded(note.t, note.kind)
+        if self.metrics.enabled:
+            self.metrics.counter(f"faults.events.{note.kind}").inc()
 
     def on_event(self, session, t: float, rows: Tuple[DeltaBatch, int, int]) -> None:
-        self._drain_faults(session, t)
         batch, lo, hi = rows
-        if self.faults is not None:
-            for row, reason in self._new_reasons(session, batch, lo, hi):
+        if self.sampler.fault_log:
+            self._notes += self.sampler.drain_fault_log()
+        if self._notes or self.faults is not None:
+            for row, mark in self._marks(session, batch, lo, hi):
                 self._feed(session, batch, lo, row)
-                session.mark_degraded(float(batch.t[row]), reason)
                 lo = row
+                if isinstance(mark, str):
+                    session.mark_degraded(float(batch.t[row]), mark)
+                else:
+                    self._emit(session, mark)
         self._feed(session, batch, lo, hi)
+
+    def _marks(
+        self, session, batch: DeltaBatch, lo: int, hi: int
+    ) -> List[Tuple[int, Union[FaultNote, str]]]:
+        """What goes out before a row of ``[lo, hi)``, in row order: each
+        fault note due at the first row at or after its read, then each
+        degraded reason the session first sees at a row."""
+        marks: List[Tuple[int, Union[FaultNote, str]]] = []
+        notes = self._notes
+        if notes:
+            reads = batch.read[lo:hi]
+            last = int(reads[-1])
+            due = 0
+            while due < len(notes) and notes[due].read <= last:
+                due += 1
+            if due:
+                at = reads.searchsorted([note.read for note in notes[:due]]).tolist()
+                marks = [(lo + k, note) for k, note in zip(at, notes[:due])]
+                del notes[:due]
+        if self.faults is not None:
+            reasons = self._new_reasons(session, batch, lo, hi)
+            if reasons:
+                # stable: a note goes out before a reason at the same row
+                marks = sorted(marks + reasons, key=lambda mark: mark[0])
+        return marks
 
     @staticmethod
     def _new_reasons(session, batch: DeltaBatch, lo: int, hi: int) -> List[Tuple[int, str]]:
@@ -328,7 +356,11 @@ class AttackStage:
         self.engine.feed(batch, lo, hi)
 
     def on_end(self, session, t: float) -> None:
-        self._drain_faults(session, t)
+        # the notes past the last row: reads with no nonzero delta after
+        # them, and wakeups after the last read
+        for note in self._notes + self.sampler.drain_fault_log():
+            self._emit(session, note)
+        self._notes = []
         if self.engine is None and (self._pending or not self._recognize_after):
             self._resolve(session, session.last_t)
         if self.engine is None:

@@ -120,6 +120,18 @@ class ReadBatch(NamedTuple):
     mask: np.ndarray  #: bool[n, 11]
 
 
+class FaultNote(NamedTuple):
+    """One event of the sampler's resilience layer or of an access
+    policy, as :attr:`PerfCounterSampler.fault_log` holds it."""
+
+    kind: str
+    #: device time of the wakeup or request the event describes
+    t: float
+    #: ordinal of the next read to complete (``reads_issued`` then)
+    read: int
+    detail: Dict[str, object]
+
+
 @dataclass(frozen=True, eq=False)
 class DeltaBatch:
     """The nonzero counter deltas of consecutive reads, in read order.
@@ -132,8 +144,10 @@ class DeltaBatch:
     cell with the present mask ``~unknown`` rather than read it as no
     change.  ``gap[k]`` marks a delta spanning noticeably more than one
     nominal sampling interval (dropped or deferred reads in between).
-    ``len()`` is the number of deltas.  Equality is identity: a consumer
-    tells two batches apart by object.
+    ``read[k]``, when a live source sets it, is the ordinal of the read
+    that completes delta ``k`` (the sampler's ``reads_issued`` before
+    it).  ``len()`` is the number of deltas.  Equality is identity: a
+    consumer tells two batches apart by object.
     """
 
     prev_t: np.ndarray  #: float64[n]
@@ -141,6 +155,7 @@ class DeltaBatch:
     rows: np.ndarray  #: int64[n, 11]
     unknown: np.ndarray  #: bool[n, 11]
     gap: np.ndarray  #: bool[n]
+    read: Optional[np.ndarray] = None  #: int64[n]
 
     def __len__(self) -> int:
         return len(self.t)
@@ -154,9 +169,12 @@ class PerfCounterSampler:
     by another client is detected via the resulting ``EINVAL``, dropped
     from the active read set, and automatically re-registered with
     exponential backoff once the other client releases it.  Everything
-    the resilience layer does is recorded in :attr:`fault_log` so the
-    runtime stage can surface degraded-mode events in the shared
-    :class:`~repro.runtime.trace.RuntimeTrace`.
+    the resilience layer does is recorded in :attr:`fault_log`, as one
+    :class:`FaultNote` stamped with the device time of the wakeup or
+    request it describes and the ordinal of the next read to complete,
+    so the runtime stage can surface degraded-mode events in the shared
+    :class:`~repro.runtime.trace.RuntimeTrace` at the read they belong
+    to, whatever batch carried them.
 
     Access-policy denials are a separate, *permanent* failure class: a
     counter denied with ``EACCES`` (Section 9.2's RBAC; see
@@ -217,7 +235,7 @@ class PerfCounterSampler:
         self.reregistrations = 0
         self.counters_lost = 0
         self.counters_denied = 0
-        self.fault_log: List[Tuple[str, Dict[str, object]]] = []
+        self.fault_log: List[FaultNote] = []
         self._read_index = 0
         #: lost spec -> (read index of next re-registration attempt, failures)
         self._lost: Dict[pc.CounterSpec, Tuple[int, int]] = {}
@@ -242,7 +260,7 @@ class PerfCounterSampler:
             or self._lost
         )
 
-    def drain_fault_log(self) -> List[Tuple[str, Dict[str, object]]]:
+    def drain_fault_log(self) -> List[FaultNote]:
         """Hand pending resilience events to the caller (runtime stage)."""
         out, self.fault_log = self.fault_log, []
         return out
@@ -266,8 +284,12 @@ class PerfCounterSampler:
         metrics.counter("sampler.words_read_ahead").inc(self.words_read_ahead)
         metrics.counter("sampler.words_used").inc(self.words_used)
 
-    def _note(self, kind: str, **detail: object) -> None:
-        self.fault_log.append((kind, detail))
+    def _note(self, kind: str, t: Optional[float] = None, **detail: object) -> None:
+        """Log a resilience event at device time ``t`` (the clock's, by
+        default), before the read that completes next."""
+        if t is None:
+            t = self.device_file.clock.now
+        self.fault_log.append(FaultNote(kind, t, self.reads_issued, detail))
 
     def _reserve_counters(self) -> None:
         """PERFCOUNTER_GET for every selected counter (paper Fig 10)."""
@@ -560,10 +582,10 @@ class PerfCounterSampler:
                         extra = stage.on_wakeup()
                         if extra is None:
                             delay = None
-                            self._note("sample_dropped", nominal_t=nominal)
+                            self._note("sample_dropped", nominal, nominal_t=nominal)
                         elif extra:
                             delay += extra
-                            self._note("clock_jitter", nominal_t=nominal, jitter_s=extra)
+                            self._note("clock_jitter", nominal, nominal_t=nominal, jitter_s=extra)
                     if delay is None:
                         self.reads_dropped += 1
                         nominal += interval

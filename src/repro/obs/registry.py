@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.obs.manifest import RunManifest
 from repro.obs.spans import NULL_SPAN, Span, SpanStats
 
 #: Default histogram bucket upper bounds for latency-style observations,
@@ -69,6 +70,12 @@ class Gauge:
         self.value = float(value)
 
 
+#: The fewest values :meth:`Histogram.observe_many` bins in one numpy
+#: pass.  The pass costs ~6 µs at any length, and a bisect per value
+#: ~0.2 µs, so the bisects are cheaper below ~30 values.
+_NUMPY_BINNING_MIN = 30
+
+
 class Histogram:
     """A fixed-bucket distribution; no per-observation allocation.
 
@@ -116,13 +123,18 @@ class Histogram:
         counts, extremes and samples, and a bit-equal ``sum``."""
         if not values:
             return
-        array = np.asarray(values, dtype=float)
-        found = np.searchsorted(self.buckets, array, side="left")
-        # bisect_left files NaN, which compares false, in the first bucket
-        found[np.isnan(array)] = 0
         counts = self.counts
-        for bucket, n in enumerate(np.bincount(found, minlength=len(counts)).tolist()):
-            counts[bucket] += n
+        if len(values) < _NUMPY_BINNING_MIN:
+            buckets = self.buckets
+            for value in values:
+                counts[bisect.bisect_left(buckets, value)] += 1
+        else:
+            array = np.asarray(values, dtype=float)
+            found = np.searchsorted(self.buckets, array, side="left")
+            # bisect_left files NaN, which compares false, in the first bucket
+            found[np.isnan(array)] = 0
+            for bucket, n in enumerate(np.bincount(found, minlength=len(counts)).tolist()):
+                counts[bucket] += n
         # the left fold observe makes (sum() compensates on Python >= 3.12)
         total = self.sum
         for value in values:
@@ -334,8 +346,6 @@ class MetricsRegistry:
 
     def manifest(self, config=None, **meta):
         """Build the :class:`~repro.obs.manifest.RunManifest` for this run."""
-        from repro.obs.manifest import RunManifest
-
         return RunManifest.from_registry(self, config=config, **meta)
 
 

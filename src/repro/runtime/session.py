@@ -70,7 +70,10 @@ class Session:
         self.mode_switches = 0
         self.degraded = False
         self.degraded_reasons: List[str] = []
-        self.runtime: Optional["SessionRuntime"] = None
+        #: the shared event log of the runtime the session was added to
+        #: (the session keeps no reference to the runtime itself, so a
+        #: finished session graph is freed by reference counting)
+        self._trace: Optional[RuntimeTrace] = None
         self._iter: Optional[Iterator[SourceEvent]] = None
         #: the undispatched rows of the current batch: (batch, row times,
         #: next row, end)
@@ -81,8 +84,8 @@ class Session:
 
     @property
     def trace(self) -> RuntimeTrace:
-        assert self.runtime is not None, "session is not attached to a runtime"
-        return self.runtime.trace
+        assert self._trace is not None, "session is not attached to a runtime"
+        return self._trace
 
     def mark_degraded(self, t: float, reason: str) -> None:
         """Record that this session is running in degraded mode.
@@ -170,7 +173,7 @@ class SessionRuntime:
     # ------------------------------------------------------------------
 
     def add_session(self, session: Session) -> Session:
-        session.runtime = self
+        session._trace = self.trace
         self.sessions.append(session)
         return session
 

@@ -21,9 +21,12 @@ event whose payload is the slice ``(batch, 0, len(batch))``; the
 session runtime dispatches its rows to the stage in slices
 ``(batch, lo, hi)``, and a consumer reads the rows from the batch's
 arrays.  A larger chunk trades mode-switch granularity for throughput:
-the attack uses 64; the monitoring service's idle watch uses
-``chunk=1``, a batch of one, so escalation happens on the confirming
-read.
+the attack uses :data:`ATTACK_SOURCE_CHUNK`; the monitoring service's
+idle watch uses ``chunk=1``, a batch of one, so escalation happens on
+the confirming read.  Nothing a session records depends on the chunk:
+each delta carries the ordinal of the read that completes it, and the
+attack stage emits each of the sampler's fault notes at the first row
+at or after the read the note precedes.
 """
 
 from __future__ import annotations
@@ -46,8 +49,9 @@ from repro.obs import MetricsRegistry, resolve_registry
 #: One timestamped payload a session's source hands its stage.
 SourceEvent = Tuple[float, object]
 
-#: Reads pulled per step by the attack-phase source.
-ATTACK_SOURCE_CHUNK = 64
+#: Reads pulled per step by the attack-phase source.  Much of the online
+#: engine's cost is per batch; past ~512 reads the gain levels off.
+ATTACK_SOURCE_CHUNK = 512
 
 
 @runtime_checkable
@@ -129,8 +133,14 @@ class SamplerDeltaSource:
                 # corrupt the registry's nesting stack)
                 with self.metrics.span("source.extract"):
                     deltas = nonzero_deltas_vectorized(batch, prev=prev)
-                # a delta spanning missed reads carries the gap flag
-                deltas = replace(deltas, gap=deltas.t - deltas.prev_t > limit)
+                # a delta spanning missed reads carries the gap flag, and
+                # each delta the ordinal of the read that completes it
+                first = self.sampler.reads_issued - len(batch.t)
+                deltas = replace(
+                    deltas,
+                    gap=deltas.t - deltas.prev_t > limit,
+                    read=batch.t.searchsorted(deltas.t) + first,
+                )
                 if len(deltas):
                     # tallies count every row now; the runtime returns the
                     # rows a mode switch leaves undelivered (abandon)

@@ -468,6 +468,7 @@ INTERFACE_METHODS = {
     "repro.obs.registry:NullRegistry.span": "MetricsRegistry method, null object",
     "repro.cli:_cmd_devices": "CLI command handler: the dispatcher passes each one the parsed args",
     "repro.core.launch:LaunchWatchStage.on_event": "runtime Stage method: t is the slice's first row time",
+    "repro.core.pipeline:AttackStage.on_event": "runtime Stage method: t is the slice's first row time",
 }
 
 

@@ -184,6 +184,20 @@ class TestObserveMany:
         else:
             assert many.samples is None
 
+    @pytest.mark.parametrize("n", [1, 29, 30, 31, 64])
+    def test_both_binning_paths_equal_observing_each(self, n):
+        # short calls bin with a bisect per value, long ones in one numpy
+        # pass; either way bounds, NaN and infinities land as observe files them
+        pool = [*DEFAULT_LATENCY_BUCKETS_S, float("nan"), float("inf"), -float("inf"), 3e-5]
+        values = [pool[(7 * k) % len(pool)] for k in range(n)]
+        one, many = Histogram("h"), Histogram("h")
+        for value in values:
+            one.observe(value)
+        many.observe_many(values)
+        assert many.counts == one.counts
+        assert _bits(many.sum) == _bits(one.sum)
+        assert (_bits(many.min), _bits(many.max)) == (_bits(one.min), _bits(one.max))
+
     def test_empty_list_is_a_no_op(self):
         h = new_latency_histogram()
         h.observe(2e-5)

@@ -1,5 +1,7 @@
 """Tests for the streaming session runtime (clock → source → stages)."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,7 +36,6 @@ from repro.runtime import (
     SessionRuntime,
     VirtualClock,
 )
-from repro.runtime.source import ATTACK_SOURCE_CHUNK
 from tests.oracles import (
     IterableSource,
     Rows,
@@ -475,10 +476,10 @@ class _ReplayProbe(AttackStage):
 
 class TestRecognitionReplay:
     """With more than one stored model the attack stage buffers deltas
-    until recognition resolves, then replays them into the engine; at
-    ``ATTACK_SOURCE_CHUNK`` the buffer spans read batches and resolves
-    part way into one.  Whatever the chunking, the session infers what
-    it infers delta by delta."""
+    until recognition resolves, then replays them into the engine; at a
+    chunk of 64 reads the buffer spans read batches and resolves part
+    way into one.  Whatever the chunking, the session infers what it
+    infers delta by delta."""
 
     @pytest.fixture(scope="class")
     def two_model_store(self, chase_model, config):
@@ -504,7 +505,7 @@ class TestRecognitionReplay:
     ):
         trace = simulate_credential_entry(config, app("chase"), "hunter2secret", seed=11)
         one, one_events, _ = self.run(two_model_store, trace, chunk=1)
-        got, got_events, replayed = self.run(two_model_store, trace, ATTACK_SOURCE_CHUNK)
+        got, got_events, replayed = self.run(two_model_store, trace, chunk=64)
         batches = list(dict.fromkeys(batch for batch, _, _ in replayed))
         last_batch, _, last_end = replayed[-1]
         assert len(batches) >= 2, "the buffer must span read batches"
@@ -514,6 +515,53 @@ class TestRecognitionReplay:
         assert got.stats == one.stats
         assert got_events == one_events
         assert got.text == "hunter2secret"
+
+
+class TestSessionGraph:
+    """A finished session's objects hold no reference cycle, so they are
+    freed by reference counting when the caller drops the result: no
+    session leaves work for the cyclic garbage collector, whose
+    collections would otherwise fall on whichever later session
+    allocates past its threshold."""
+
+    @staticmethod
+    def cyclic_garbage(run):
+        run()  # warm caches, so only the second run's objects count
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run()
+            gc.collect()
+            return [type(obj).__qualname__ for obj in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("faults", [None, "mild"])
+    @pytest.mark.parametrize("metrics", [False, True], ids=["null-registry", "registry"])
+    def test_finished_sessions_leave_no_cyclic_garbage(self, chase_store, config, faults, metrics):
+        from repro.obs import MetricsRegistry
+
+        traces = [
+            simulate_credential_entry(config, app("chase"), text, seed=40 + i)
+            for i, text in enumerate(("pw1x5", "k9z"))
+        ]
+
+        def run():
+            attack = EavesdropAttack(
+                chase_store,
+                recognize_device=False,
+                fault_plan=faults,
+                metrics=MetricsRegistry() if metrics else None,
+            )
+            attack.run_on_trace(traces[0], seed=41)
+            run_sessions(attack, traces, seed=42)
+
+        assert self.cyclic_garbage(run) == []
 
 
 class TestPipelineOnRuntime:

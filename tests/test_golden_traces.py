@@ -309,3 +309,22 @@ class TestAttackGolden:
             runtime_trace=trace,
         )
         check_or_update(self.FIXTURE, canonicalize([result], trace), update_golden)
+
+
+class TestLifecycleGolden:
+    """The drift -> recalibrate -> recover arc, pinned as whole reports:
+    the CLI's default arm (calibration on) and its frozen-model control
+    arm, both over the CLI's six segments at seed 24."""
+
+    FIXTURE = "lifecycle_thermal_harsh.json"
+
+    def test_lifecycle_matches_golden(self, chase_store, update_golden):
+        from repro.lifecycle import run_lifecycle
+
+        payload = {
+            arm: run_lifecycle(
+                segments=6, seed=24, store=chase_store, calibration=calibration
+            ).as_dict()
+            for arm, calibration in (("calibrated", "default"), ("frozen", None))
+        }
+        check_or_update(self.FIXTURE, payload, update_golden)

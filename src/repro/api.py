@@ -393,10 +393,10 @@ def _service(
 
 
 def _attach_manifest(result, metrics, config: AttackConfig, **meta) -> None:
-    """Rebuild the run manifest with the resolved config embedded (the
-    lower layers attach a config-less one)."""
+    """Embed the resolved config and the facade's meta in the run
+    manifest the lower layer attached (its one registry snapshot)."""
     if metrics is not None and metrics.enabled:
-        result.manifest = metrics.manifest(config=config.to_dict(), **meta)
+        result.manifest.config, result.manifest.meta = config.to_dict(), meta
 
 
 def _device_and_target(

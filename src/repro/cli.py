@@ -7,7 +7,7 @@ Commands:
 * ``attack``   — online phase against a simulated victim, using a store
 * ``fleet``    — N simulated devices streaming into one collector
   service (backpressure, retries, dedup; see ``docs/collector.md``)
-* ``lifecycle`` — drift → recalibrate → recover demo: one long engine
+* ``lifecycle`` — drift → recalibrate → recover demo: one long runtime
   session under signature drift, with per-device re-fits and hot model
   swaps (see ``docs/lifecycle.md``)
 * ``survey``   — per-key weak-spot report for a keyboard
@@ -290,12 +290,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lifecycle_p = sub.add_parser(
         "lifecycle",
-        help="drift -> recalibrate -> recover demo on one long engine session",
+        help="drift -> recalibrate -> recover demo on one long runtime session",
     )
     lifecycle_p.add_argument("--credential", default="Tr0ub4dor&3")
     lifecycle_p.add_argument(
         "--segments", type=int, default=6,
-        help="credential entries streamed through the one engine (default 6)",
+        help="credential entries streamed through the one session (default 6)",
     )
     lifecycle_p.add_argument("--seed", type=int, default=24)
     lifecycle_p.add_argument(

@@ -59,7 +59,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -120,6 +120,12 @@ class EngineStats:
     gaps_seen: int = 0
     masked_deltas: int = 0
     low_confidence_keys: int = 0
+
+    def since(self, earlier: "EngineStats") -> "EngineStats":
+        """What accrued after ``earlier``, a copy of these stats."""
+        return EngineStats(
+            *(getattr(self, f.name) - getattr(earlier, f.name) for f in fields(self))
+        )
 
 
 #: Each :class:`EngineStats` field and the registry counter it rolls up into.
@@ -206,6 +212,9 @@ class OnlineEngine:
         #: fast path and golden traces are untouched.
         self.collect_evidence = collect_evidence
         self.evidence: List[np.ndarray] = []
+        #: the open (or last) stream's stats, and their copy at the last drain
+        self._stats = EngineStats()
+        self._drained = EngineStats()
         #: Hot swaps performed on this engine (kept off
         #: :class:`EngineStats` so existing result schemas don't shift).
         self.model_swaps = 0
@@ -254,6 +263,8 @@ class OnlineEngine:
         if self._result is not None:
             self._flush_latency()
         self._result = OnlineResult(trace=self.trace)
+        self._stats = self._result.stats
+        self._drained = EngineStats()
         self._prev = None
         self._prev_consumed = True
         self._last_fed_t = None
@@ -289,10 +300,18 @@ class OnlineEngine:
             model_key=model.model_key,
         )
 
-    def drain_evidence(self) -> List[np.ndarray]:
-        """Return and clear the collected calibration-evidence vectors."""
+    @property
+    def result(self) -> Optional[OnlineResult]:
+        """The open stream's live result; ``None`` once it is finished."""
+        return self._result
+
+    def drain(self) -> Tuple[EngineStats, List[np.ndarray]]:
+        """Take the stream's stats and the evidence vectors accrued since
+        the last drain (a finished stream's too)."""
+        since = self._stats.since(self._drained)
+        self._drained = replace(self._stats)
         evidence, self.evidence = self.evidence, []
-        return evidence
+        return since, evidence
 
     def feed(self, deltas: DeltaBatch, lo: int, hi: int) -> OnlineResult:
         """Consume rows ``[lo, hi)`` of ``deltas`` (Algorithm 1, one step

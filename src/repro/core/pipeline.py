@@ -172,8 +172,9 @@ class AttackResult:
 class AttackStage:
     """Device recognition + the Algorithm 1 engine as one runtime stage.
 
-    The stage consumes the nonzero-delta stream of ``source``, one
-    ``(batch, lo, hi)`` slice of a batch's rows per event.  While the
+    The stage consumes its session source's nonzero-delta stream, one
+    ``(batch, lo, hi)`` slice of a batch's rows per event, and reads the
+    source's current ``sampler`` (one per fd it chains).  While the
     model is unresolved it buffers slices; once enough rows have arrived
     for :class:`DeviceRecognizer` (or immediately, when recognition is
     disabled or a model key is forced), it instantiates the engine,
@@ -183,8 +184,8 @@ class AttackStage:
     the read the note precedes) and where a row raises a new degraded
     reason, so each event lands between the same engine events whatever
     the batches' sizes.  ``on_end`` emits the notes past the last row,
-    closes the engine and publishes the :class:`AttackResult` as the
-    session's result.
+    closes the engine, runs :meth:`calibrate` and publishes the
+    :class:`AttackResult` as the session's result.
     """
 
     name = "attack"
@@ -196,9 +197,7 @@ class AttackStage:
         model_key: Optional[str] = None,
     ) -> None:
         self.attack = attack
-        self.sampler = source.sampler
-        self.kgsl = self.sampler.device_file
-        self.faults = self.kgsl.interposer(faults_mod.FaultInjector)
+        self.faults = source.sampler.device_file.interposer(faults_mod.FaultInjector)
         self.metrics = attack.metrics
         self.forced_model_key = model_key
         self.model_key: Optional[str] = None
@@ -235,7 +234,7 @@ class AttackStage:
             )
 
             prop = KgslDeviceGetProperty(type=KGSL_PROP_DEVICE_INFO)
-            self.kgsl.ioctl(IOCTL_KGSL_DEVICE_GETPROPERTY, prop)
+            session.source.sampler.device_file.ioctl(IOCTL_KGSL_DEVICE_GETPROPERTY, prop)
             recognizer = DeviceRecognizer(attack.store)
             self.recognition = recognizer.recognize(
                 np.concatenate([batch.rows[lo:hi] for batch, lo, hi in self._pending]),
@@ -285,8 +284,9 @@ class AttackStage:
 
     def on_event(self, session, t: float, rows: Tuple[DeltaBatch, int, int]) -> None:
         batch, lo, hi = rows
-        if self.sampler.fault_log:
-            self._notes += self.sampler.drain_fault_log()
+        sampler = session.source.sampler
+        if sampler.fault_log:
+            self._notes += sampler.drain_fault_log()
         if self._notes or self.faults is not None:
             for row, mark in self._marks(session, batch, lo, hi):
                 self._feed(session, batch, lo, row)
@@ -355,16 +355,41 @@ class AttackStage:
                 return
         self.engine.feed(batch, lo, hi)
 
+    def calibrate(self, session, t: float) -> None:
+        """The calibration step on the engine's stats and evidence since
+        the last one: a re-fit becomes the model key's live generation, and
+        is hot-swapped into the engine while its stream is open.  ``on_end``
+        runs it; a source that chains streams runs it between them."""
+        service = self.attack.calibration
+        if service is None or self.engine is None:
+            return
+        key = self.model_key
+        stats, evidence = self.engine.drain()
+        service.observe(key, stats, evidence=evidence)
+        if not service.should_recalibrate(key):
+            return
+        refit = service.recalibrate(key, self.attack.current_model(key))
+        if refit is None:
+            return
+        self.attack._live_models[key] = refit
+        generation = refit.metadata["recalibration"]["generation"]
+        session.trace.emit(
+            t, session.id, self.name, "model_recalibrated", model_key=key, generation=generation
+        )
+        if self.engine.result is not None:
+            self.engine.swap_model(refit)
+
     def on_end(self, session, t: float) -> None:
+        sampler = session.source.sampler
         # the notes past the last row: reads with no nonzero delta after
         # them, and wakeups after the last read
-        for note in self._notes + self.sampler.drain_fault_log():
+        for note in self._notes + sampler.drain_fault_log():
             self._emit(session, note)
         self._notes = []
         if self.engine is None and (self._pending or not self._recognize_after):
             self._resolve(session, session.last_t)
         if self.engine is None:
-            if self.sampler.counters_denied:
+            if sampler.counters_denied:
                 # an access policy blinded the sampler: there is nothing
                 # to recognize from, so fall back to the first model and
                 # report an empty inference instead of crashing the run
@@ -374,34 +399,15 @@ class AttackStage:
                 # recognition was required but the stream stayed empty
                 raise ValueError("no nonzero PC changes to recognize from")
         online = self.engine.finish()
-        service = self.attack.calibration
-        if service is not None and self.model_key is not None:
-            evidence = self.engine.drain_evidence()
-            service.observe(self.model_key, online.stats, evidence=evidence)
-            if service.should_recalibrate(self.model_key):
-                refit = service.recalibrate(
-                    self.model_key, self.attack.current_model(self.model_key)
-                )
-                if refit is not None:
-                    self.attack._live_models[self.model_key] = refit
-                    session.trace.emit(
-                        t,
-                        session.id,
-                        self.name,
-                        "model_recalibrated",
-                        model_key=self.model_key,
-                        generation=refit.metadata["recalibration"]["generation"],
-                    )
-        self.sampler.flush_metrics(self.metrics)
-        for stage in self.kgsl.interposers:
-            stage.flush_metrics(self.metrics)
+        self.calibrate(session, t)
+        sampler.flush_metrics(self.metrics)
         faults = self.faults.stats if self.faults is not None else None
         session.result = AttackResult(
             online=online,
             model_key=self.model_key,
             recognition=self.recognition,
-            reads_issued=self.sampler.reads_issued,
-            reads_dropped=self.sampler.reads_dropped,
+            reads_issued=sampler.reads_issued,
+            reads_dropped=sampler.reads_dropped,
             faults=faults,
             degraded=session.degraded or (faults is not None and faults.total > 0),
             trace=session.trace,

@@ -166,8 +166,6 @@ class MonitoringService:
         # the idle watcher's tallies join the run-wide rollup (the attack
         # fd's are flushed by its stage at session end)
         watcher.flush_metrics(self.metrics)
-        for stage in idle_fd.interposers:
-            stage.flush_metrics(self.metrics)
 
         launch: Optional[LaunchEvent] = launch_info["event"]
         if launch is None:

@@ -266,7 +266,8 @@ class PerfCounterSampler:
         return out
 
     def flush_metrics(self, metrics) -> None:
-        """Publish the loop's cumulative tallies into a metrics registry.
+        """Publish the loop's cumulative tallies, then its fd's interposer
+        chain's, into a metrics registry.
 
         Called once at a stage boundary (session end, mode escalation) —
         never per read — so the 8 ms sampling loop carries no registry
@@ -283,6 +284,8 @@ class PerfCounterSampler:
         metrics.counter("sampler.counters_denied").inc(self.counters_denied)
         metrics.counter("sampler.words_read_ahead").inc(self.words_read_ahead)
         metrics.counter("sampler.words_used").inc(self.words_used)
+        for stage in self.device_file.interposers:
+            stage.flush_metrics(metrics)
 
     def _note(self, kind: str, t: Optional[float] = None, **detail: object) -> None:
         """Log a resilience event at device time ``t`` (the clock's, by

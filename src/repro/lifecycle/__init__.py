@@ -13,11 +13,11 @@ attack (and the fleet behind it) a model lifecycle:
   (``EngineStats.low_confidence_keys``, unexplained-noise explosions)
   and re-fitting per-device signatures once a threshold trips.
 * :mod:`repro.lifecycle.runner` — the headline demonstration:
-  :func:`run_lifecycle` streams one long session through a single
-  :class:`~repro.core.online.OnlineEngine` while drift degrades
-  accuracy, recalibration triggers, and a hot model swap (a primed
-  batch re-scores its remaining rows) restores it — without restarting
-  the session.
+  :func:`run_lifecycle` streams repeated entries as one runtime session
+  through the attack stage's engine while drift degrades accuracy,
+  recalibration triggers at a segment boundary, and a hot model swap
+  (a primed batch re-scores its remaining rows) restores it — without
+  restarting the session.
 
 The versioned, checksummed model store the service writes into lives in
 :mod:`repro.core.model_store` (:class:`VersionedModelStore`).  The

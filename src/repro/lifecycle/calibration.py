@@ -22,8 +22,8 @@ exactly under uniform scaling (``(v - r·c) / (r·s) = (v/r - c) / s``).
 
 Recalibrated models are written into a
 :class:`~repro.core.model_store.VersionedModelStore` (when one is
-attached) with full lineage metadata, and hot-swapped into the running
-engine by the caller — see :mod:`repro.lifecycle.runner`.
+attached) with full lineage metadata, and hot-swapped into an open
+engine by :meth:`~repro.core.pipeline.AttackStage.calibrate`.
 """
 
 from __future__ import annotations
@@ -298,10 +298,10 @@ class DeviceWindow:
 class CalibrationService:
     """Streaming per-device recalibration decisions and re-fits.
 
-    One service instance watches any number of devices.  Callers feed it
-    engine statistics (full :class:`~repro.core.online.EngineStats` or
-    per-segment deltas thereof) plus drained evidence vectors via
-    :meth:`observe`; :meth:`should_recalibrate` applies the policy; and
+    One service instance watches any number of devices.  Its caller
+    feeds it the :class:`~repro.core.online.EngineStats` and evidence
+    vectors drained since the last step via :meth:`observe`;
+    :meth:`should_recalibrate` applies the policy; and
     :meth:`recalibrate` produces the re-fit model, records lineage, and
     (when a :class:`VersionedModelStore` is attached) persists it as the
     next version.  All decisions land in ``calibration.*`` counters when
@@ -311,11 +311,11 @@ class CalibrationService:
     def __init__(
         self,
         policy: Optional[CalibrationPolicy] = None,
-        store: Optional[VersionedModelStore] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.policy = policy if policy is not None else CalibrationPolicy()
-        self.store = store
+        #: where each accepted re-fit is persisted, once one is attached
+        self.store: Optional[VersionedModelStore] = None
         self.metrics = resolve_registry(metrics)
         self._windows: Dict[str, DeviceWindow] = {}
         #: First model seen per device: every re-fit is estimated against
@@ -328,10 +328,6 @@ class CalibrationService:
         if window is None:
             window = self._windows[device_id] = DeviceWindow()
         return window
-
-    @property
-    def devices(self) -> List[str]:
-        return sorted(self._windows)
 
     # ------------------------------------------------------------------
 
@@ -351,23 +347,21 @@ class CalibrationService:
         """
         window = self.window(device_id)
         window.observations += 1
-        window.deltas_seen += int(getattr(stats, "deltas_seen", 0))
-        window.noise_events += int(getattr(stats, "noise_events", 0))
-        window.low_confidence_keys += int(getattr(stats, "low_confidence_keys", 0))
-        window.keys_inferred += int(getattr(stats, "keys_inferred", 0))
+        window.deltas_seen += int(stats.deltas_seen)
+        window.noise_events += int(stats.noise_events)
+        window.low_confidence_keys += int(stats.low_confidence_keys)
+        window.keys_inferred += int(stats.keys_inferred)
         window.evidence_seen += len(evidence)
         if window.refits < self.policy.max_refits:
             window.evidence.extend(np.asarray(vec, dtype=float) for vec in evidence)
         if self.metrics.enabled:
             self.metrics.counter("calibration.observations").inc()
-            if getattr(stats, "low_confidence_keys", 0):
+            if stats.low_confidence_keys:
                 self.metrics.counter("calibration.low_confidence_keys").inc(
                     int(stats.low_confidence_keys)
                 )
             if len(evidence):
-                self.metrics.counter("calibration.evidence_collected").inc(
-                    len(evidence)
-                )
+                self.metrics.counter("calibration.evidence_collected").inc(len(evidence))
         return window
 
     def should_recalibrate(self, device_id: str) -> bool:

@@ -1,16 +1,13 @@
-"""The lifecycle demo: drift degrades, recalibration recovers — one engine.
+"""The lifecycle demo: drift degrades, recalibration recovers — one session.
 
 :func:`run_lifecycle` streams ``segments`` repeated credential entries
-through a *single* :class:`~repro.core.online.OnlineEngine` session
-while a :class:`~repro.lifecycle.drift.DriftPlan` reshapes the counter
-stream underneath it.  The drift injector's ``time_offset`` carries one
-thermal trajectory across the per-segment KGSL fds, so the engine
-experiences exactly what a long-running attack service would: early
-segments classify cleanly, the throttle ramps in, accuracy collapses,
-the :class:`~repro.lifecycle.calibration.CalibrationService` trips on
-the suspect signals, re-fits the signature, and the engine hot-swaps
-the model mid-session (:meth:`OnlineEngine.swap_model`) — after which
-accuracy recovers without any session restart.
+as one runtime :class:`~repro.runtime.session.Session` through the
+:class:`~repro.core.pipeline.AttackStage` every online attack runs,
+while a :class:`~repro.lifecycle.drift.DriftPlan` throttles the counters
+underneath it: early segments classify cleanly, accuracy collapses, the
+stage's calibration step trips at a segment boundary and hot-swaps a
+re-fit into the open engine, and accuracy recovers without a restart.
+Every decision, re-fit and swap lands in the runtime's trace.
 
 The report splits segments into three phases for the headline numbers:
 
@@ -26,30 +23,28 @@ the quantity the lifecycle bench pins: ≥ 0.9 with calibration on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional, Union
+from itertools import accumulate
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.android.device import SessionTrace
 from repro.core.model_store import ModelStore, VersionedModelStore
-from repro.core.online import EngineStats, OnlineEngine
+from repro.core.online import EngineStats, OnlineResult
 from repro.kgsl.interpose import build_chain, open_sampler
 from repro.kgsl.sampler import DEFAULT_INTERVAL_S
-from repro.lifecycle.calibration import (
-    CALIBRATION_SPEC,
-    CalibrationPolicy,
-    CalibrationService,
-)
+from repro.lifecycle.calibration import CalibrationPolicy
 from repro.lifecycle.drift import DRIFT_SPEC, DriftInjector, DriftPlan, DriftStats
 from repro.obs import MetricsRegistry, resolve_registry
-from repro.runtime.source import ATTACK_SOURCE_CHUNK, SamplerDeltaSource
+from repro.runtime import SamplerDeltaSource, Session, SessionRuntime
+from repro.runtime.source import ATTACK_SOURCE_CHUNK, SourceEvent
 
 #: Stream-clock pause between two credential entries.
 SEGMENT_GAP_S = 0.4
-#: The one victim device the stream models; its calibration window and
-#: every re-fit's lineage are keyed by this id.
-DEVICE_ID = "device-0"
 #: Offline seed of the store trained when none is passed.
 TRAIN_SEED = 7
+#: The :class:`DriftStats` fields the report sums over segments.
+DRIFT_TALLIES = ("reads_scaled", "thermal_samples", "geometry_samples")
 
 
 @dataclass
@@ -92,11 +87,7 @@ class LifecycleReport:
     drift: Dict[str, float] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name != "segments"
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "segments"}
         out["segments"] = [segment.as_dict() for segment in self.segments]
         return out
 
@@ -104,13 +95,64 @@ class LifecycleReport:
 def _char_accuracy(inferred: str, credential: str) -> float:
     from repro.analysis.metrics import edit_distance
 
-    if not credential:
-        return 1.0 if not inferred else 0.0
     return max(0.0, 1.0 - edit_distance(inferred, credential) / len(credential))
 
 
 def _phase_mean(values: List[float]) -> Optional[float]:
     return sum(values) / len(values) if values else None
+
+
+class SegmentStream:
+    """The lifecycle session's source: the segments' fds on one clock.
+
+    Segment ``i`` reads ``traces[i]`` with sampler RNG ``1000 + seed + i``
+    and a drift chain seeded ``seed`` that continues the trajectory from
+    the segment's stream-clock start; ``sampler`` is the current one.  The
+    runtime pulls only once every row it holds is dispatched, so where the
+    stream moves on, all of a segment's rows have reached the stage: there
+    it flushes the segment's fd metrics and runs the stage's calibration
+    step, as ``on_end`` does for the last.  Drift logs no fault notes.
+    """
+
+    def __init__(self, traces: Sequence[SessionTrace], drift, seed: int, metrics) -> None:
+        self.traces, self.metrics = traces, metrics
+        gaps = (trace.end_time_s + SEGMENT_GAP_S for trace in traces[:-1])
+        self.starts = list(accumulate(gaps, initial=0.0))
+        self.samplers = [
+            open_sampler(
+                trace,
+                DEFAULT_INTERVAL_S,
+                np.random.default_rng(1000 + seed + index),
+                build_chain(drift=drift, seed=seed, time_offset=start),
+            )
+            for index, (trace, start) in enumerate(zip(traces, self.starts))
+        ]
+        self.sampler = self.samplers[0]
+        #: the session this stream feeds, set while it runs
+        self.session: Optional[Session] = None
+        #: the session's (keys, stats, re-fits) at each segment boundary
+        self.marks: List[Tuple[int, EngineStats, int]] = [(0, EngineStats(), 0)]
+
+    def events(self) -> Iterator[SourceEvent]:
+        for trace, start, sampler in zip(self.traces, self.starts, self.samplers):
+            if sampler is not self.sampler:
+                session = self.session
+                self.sampler.flush_metrics(self.metrics)
+                session.stage.calibrate(session, session.last_t)
+                engine = session.stage.engine
+                self.mark(engine.result if engine is not None else OnlineResult())
+                self.sampler = sampler
+            source = SamplerDeltaSource(
+                sampler, 0.0, trace.end_time_s, chunk=ATTACK_SOURCE_CHUNK, metrics=self.metrics
+            )
+            for _, (batch, lo, hi) in source.events():
+                batch = replace(batch, t=batch.t + start, prev_t=batch.prev_t + start)
+                yield float(batch.t[0]), (batch, lo, hi)
+
+    def mark(self, result: OnlineResult) -> None:
+        """Record where the session stands at a segment boundary."""
+        refits = self.session.trace.counters.get(("attack", "model_recalibrated"), 0)
+        self.marks.append((len(result.keys), replace(result.stats), refits))
 
 
 def run_lifecycle(
@@ -123,7 +165,7 @@ def run_lifecycle(
     metrics: Optional[MetricsRegistry] = None,
     model_dir=None,
 ) -> LifecycleReport:
-    """Stream repeated credential entries through one engine under drift.
+    """Stream repeated credential entries through one session under drift.
 
     Args:
         credential: the text the victim types, once per segment.
@@ -141,7 +183,8 @@ def run_lifecycle(
     """
     from repro.android.apps import app
     from repro.android.os_config import default_config
-    from repro.core.pipeline import simulate_credential_entry, train_store
+    from repro.api import AttackConfig, _attacker
+    from repro.core.pipeline import AttackStage, simulate_credential_entry, train_store
 
     if not credential:
         raise ValueError("run_lifecycle() needs a non-empty credential")
@@ -152,104 +195,53 @@ def run_lifecycle(
     if store is None:
         store = train_store([(device_config, target)], seed=TRAIN_SEED)
     metrics = resolve_registry(metrics)
-    drift_plan = DRIFT_SPEC.resolve(drift)
-    policy = CALIBRATION_SPEC.resolve(calibration)
-
+    attack = _attacker(
+        store,
+        AttackConfig(
+            recognize_device=False,
+            # every segment restarts from an empty field, which the
+            # correction tracker would read as mass deletion
+            track_corrections=False,
+            # ambient deflation would adopt the drifted key direction and
+            # project the signal out: drift's answer is recalibration
+            recover_collisions=False,
+            fault_plan=None,
+            drift=None,  # the stream builds each segment's drift chain
+            calibration=calibration,
+        ),
+        metrics,
+    )
     versioned: Optional[VersionedModelStore] = None
     if model_dir is not None:
         versioned = VersionedModelStore(model_dir)
         versioned.save(store, lineage={"reason": "offline", "seed": TRAIN_SEED})
+        if attack.calibration is not None:
+            attack.calibration.store = versioned
 
-    service: Optional[CalibrationService] = None
-    if policy is not None:
-        service = CalibrationService(policy, store=versioned, metrics=metrics)
-
-    model = store.get(store.keys()[0])
-    engine = OnlineEngine(
-        model,
-        interval_s=DEFAULT_INTERVAL_S,
-        detect_switches=True,
-        # each segment re-enters the credential from an empty field; the
-        # correction tracker would read every restart as mass deletion
-        track_corrections=False,
-        # the ambient-deflation estimator would adopt the *drifted key*
-        # direction from the recurring unexplained deltas and project
-        # the signal itself out — the lifecycle answer to drift is
-        # recalibration, not deflation
-        recover_collisions=False,
-        metrics=metrics,
-        collect_evidence=service is not None,
+    traces = [
+        simulate_credential_entry(device_config, target, credential, seed=seed + index)
+        for index in range(segments)
+    ]
+    stream = SegmentStream(traces, DRIFT_SPEC.resolve(drift), seed, metrics)
+    runtime = SessionRuntime(metrics=metrics)
+    session = stream.session = runtime.add_session(
+        Session("lifecycle", stream, AttackStage(attack, stream))
     )
-    live = engine.begin()
+    runtime.run()
+    online = session.result.online
+    stream.mark(online)
+    stream.session = None  # no session <-> source cycle outlives the run
 
     report = LifecycleReport(credential=credential)
-    drift_totals = DriftStats()
-    cursor = 0.0
-    generation = 0  # model generations applied so far (swaps)
-    for index in range(segments):
-        trace = simulate_credential_entry(
-            device_config, target, credential, seed=seed + index
-        )
-        # one device: the drift trajectory keeps the run's seed and
-        # continues at the stream clock
-        sampler = open_sampler(
-            trace,
-            DEFAULT_INTERVAL_S,
-            np.random.default_rng(1000 + seed + index),
-            build_chain(drift=drift_plan, seed=seed, time_offset=cursor),
-        )
-        kgsl = sampler.device_file
-        drift_injector = kgsl.interposer(DriftInjector)
-        source = SamplerDeltaSource(
-            sampler, 0.0, trace.end_time_s, chunk=ATTACK_SOURCE_CHUNK,
-            metrics=metrics,
-        )
-        batches = [batch for _, (batch, _, _) in source.events()]
-        for stage in kgsl.interposers:
-            stage.flush_metrics(metrics)
-
-        keys_before = len(live.keys)
-        stats_before = replace(live.stats)
-        segment_generation = generation
-        for batch in batches:
-            # the engine lives on one stream clock: shift this segment's
-            # device-local timestamps to where the stream currently is
-            shifted = replace(batch, t=batch.t + cursor, prev_t=batch.prev_t + cursor)
-            engine.feed(shifted, 0, len(shifted))
-        inferred = "".join(
-            key.char for key in live.keys[keys_before:] if not key.deleted
-        )
-        seg_stats = EngineStats(
-            **{
-                f.name: getattr(live.stats, f.name) - getattr(stats_before, f.name)
-                for f in fields(EngineStats)
-            }
-        )
-
-        seg_drift = drift_injector.stats if drift_injector is not None else DriftStats()
-        drift_totals.reads_scaled += seg_drift.reads_scaled
-        drift_totals.thermal_samples += seg_drift.thermal_samples
-        drift_totals.geometry_samples += seg_drift.geometry_samples
-        drift_totals.min_thermal_factor = min(
-            drift_totals.min_thermal_factor, seg_drift.min_thermal_factor
-        )
-
-        recalibrated = False
-        if service is not None:
-            evidence = engine.drain_evidence()
-            service.observe(DEVICE_ID, seg_stats, evidence=evidence)
-            if service.should_recalibrate(DEVICE_ID):
-                refit = service.recalibrate(DEVICE_ID, engine.model)
-                if refit is not None:
-                    engine.swap_model(refit)
-                    generation += 1
-                    recalibrated = True
-                    report.recalibrations += 1
-
+    injectors = [sampler.device_file.interposer(DriftInjector) for sampler in stream.samplers]
+    for index, (trace, injector) in enumerate(zip(traces, injectors)):
+        (key0, stats0, refits0), (key1, stats1, refits1) = stream.marks[index : index + 2]
+        inferred = "".join(key.char for key in online.keys[key0:key1] if not key.deleted)
+        seg_stats = stats1.since(stats0)
         report.segments.append(
             SegmentReport(
                 index=index,
-                start_s=round(cursor, 4),
+                start_s=round(stream.starts[index], 4),
                 inferred=inferred,
                 exact=inferred == credential,
                 char_accuracy=round(_char_accuracy(inferred, credential), 4),
@@ -257,37 +249,28 @@ def run_lifecycle(
                 noise_events=seg_stats.noise_events,
                 low_confidence_keys=seg_stats.low_confidence_keys,
                 thermal_factor=round(
-                    drift_injector.thermal_factor(trace.end_time_s)
-                    if drift_injector is not None
-                    else 1.0,
-                    4,
+                    injector.thermal_factor(trace.end_time_s) if injector is not None else 1.0, 4
                 ),
-                drift_active=seg_drift.reads_scaled > 0,
-                recalibrated=recalibrated,
-                model_version=segment_generation,
+                drift_active=injector is not None and injector.stats.reads_scaled > 0,
+                recalibrated=refits1 > refits0,
+                model_version=refits0,
             )
         )
-        cursor += trace.end_time_s + SEGMENT_GAP_S
-
-    engine.finish()
-    report.model_swaps = engine.model_swaps
+    drifts = [injector.stats for injector in injectors if injector is not None]
+    totals = DriftStats(*(sum(getattr(d, f) for d in drifts) for f in DRIFT_TALLIES))
+    totals.min_thermal_factor = min([1.0] + [d.min_thermal_factor for d in drifts])
+    report.drift = totals.as_dict()
+    report.recalibrations = stream.marks[-1][2]
+    report.model_swaps = session.stage.engine.model_swaps
     report.store_versions = len(versioned) if versioned is not None else 0
-    report.drift = drift_totals.as_dict()
 
-    baseline = [s for s in report.segments if not s.drift_active]
-    drifted = [
-        s for s in report.segments if s.drift_active and s.model_version == 0
-    ]
-    # "recovered" is the stable regime: segments after the *last* re-fit
-    # (mid-chase segments between re-fits are still converging and count
-    # for neither phase)
-    recal_indices = [s.index for s in report.segments if s.recalibrated]
-    last_recal = recal_indices[-1] if recal_indices else None
-    recovered = [
-        s
-        for s in report.segments
-        if s.drift_active and last_recal is not None and s.index > last_recal
-    ]
+    segs = report.segments
+    baseline = [s for s in segs if not s.drift_active]
+    drifted = [s for s in segs if s.drift_active and s.model_version == 0]
+    # "recovered" is the stable regime after the *last* re-fit (segments
+    # between re-fits are still converging and count for neither phase)
+    last_refit = max((s.index for s in segs if s.recalibrated), default=-1)
+    recovered = [s for s in segs if s.drift_active and 0 <= last_refit < s.index]
     report.baseline_exact = _phase_mean([float(s.exact) for s in baseline])
     report.drifted_exact = _phase_mean([float(s.exact) for s in drifted])
     report.recovered_exact = _phase_mean([float(s.exact) for s in recovered])
@@ -295,16 +278,9 @@ def run_lifecycle(
     report.drifted_chars = _phase_mean([s.char_accuracy for s in drifted])
     report.recovered_chars = _phase_mean([s.char_accuracy for s in recovered])
     if report.baseline_exact:
-        post = (
-            report.recovered_exact
-            if report.recovered_exact is not None
-            else report.drifted_exact
-        )
-        if post is None:
-            # no drift ever became active: accuracy was never threatened
-            report.recovery_ratio = 1.0
-        else:
-            report.recovery_ratio = round(post / report.baseline_exact, 4)
+        post = report.drifted_exact if report.recovered_exact is None else report.recovered_exact
+        # no drift ever became active: accuracy was never threatened
+        report.recovery_ratio = 1.0 if post is None else round(post / report.baseline_exact, 4)
 
     if metrics.enabled:
         metrics.counter("lifecycle.segments").inc(len(report.segments))

@@ -371,7 +371,7 @@ class PolicyEnforcer(Interposer):
 
     def flush_metrics(self, metrics) -> None:
         """Publish enforcement tallies into a metrics registry (called
-        once per session by the attack stage, like the sampler's)."""
+        once per fd by the sampler's own flush)."""
         if not metrics.enabled:
             return
         for stat, count in self.stats.as_dict().items():

@@ -10,10 +10,11 @@ Android service dropping its idle poll when it escalates).
 :class:`SamplerDeltaSource` is the production source: it drives
 :meth:`~repro.kgsl.sampler.PerfCounterSampler.iter_batches` and yields
 only the nonzero counter deltas — the attack's raw event stream, and
-the one the online attack, monitoring service, lifecycle runner and
-trace inspection read; the offline trainer reads the batches' arrays
-itself.  It pulls ``chunk`` reads per step, as
-one :class:`~repro.kgsl.sampler.ReadBatch` of ``int64`` rows and a
+the one the online attack, monitoring service and trace inspection
+read (the lifecycle's source chains one per segment into one attack
+session); the offline trainer reads the batches' arrays itself.  It
+pulls ``chunk`` reads per step, as one
+:class:`~repro.kgsl.sampler.ReadBatch` of ``int64`` rows and a
 missing-counter mask, and differences each batch with
 :func:`~repro.kgsl.sampler.nonzero_deltas_vectorized` into one
 :class:`~repro.kgsl.sampler.DeltaBatch`.  Each batch with deltas is one

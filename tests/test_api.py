@@ -196,12 +196,6 @@ ALLOWED_OPTIONS = {
     "repro.api:AttackConfig.detect_switches": (
         "facade field, documented in docs/api.md: the Section 5.2 engine toggle"
     ),
-    "repro.api:AttackConfig.track_corrections": (
-        "facade field, documented in docs/api.md: the Section 5.3 engine toggle"
-    ),
-    "repro.api:AttackConfig.recover_collisions": (
-        "facade field, documented in docs/api.md: the collision-recovery toggle"
-    ),
     "repro.api:AttackConfig.cpu_utilization": (
         "facade field, documented in docs/api.md: Section 7.3 victim load"
     ),

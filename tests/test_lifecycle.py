@@ -404,9 +404,8 @@ class TestCalibrationService:
 
     def test_versioned_store_persistence(self, chase_model, tmp_path):
         store = VersionedModelStore(tmp_path / "lineage")
-        service = CalibrationService(
-            CalibrationPolicy(min_evidence=1), store=store
-        )
+        service = CalibrationService(CalibrationPolicy(min_evidence=1))
+        service.store = store
         evidence = [chase_model.centroids[i] * 0.5 for i in range(8)]
         service.observe("d0", self.Stats(deltas=30, lowconf=3), evidence=evidence)
         refit = service.recalibrate("d0", chase_model)
@@ -641,7 +640,7 @@ class TestRunLifecycle:
         assert report.store_versions == 1 + report.recalibrations
         store = VersionedModelStore(tmp_path / "lineage")
         assert store.load(1).lineage["reason"] == "offline"
-        assert store.load(2).lineage["device_id"] == "device-0"
+        assert store.load(2).lineage["device_id"] == chase_store.keys()[0]
         # the counters the manifest rolls up
         assert metrics.counter("calibration.refits").value == report.recalibrations
         assert metrics.counter("engine.model_swaps").value == report.model_swaps
@@ -652,6 +651,34 @@ class TestRunLifecycle:
         as_dict = report.as_dict()
         assert as_dict["recovery_ratio"] == 1.0
         assert len(as_dict["segments"]) == 6
+
+    def test_lifecycle_runs_as_one_runtime_session(self, chase_store, monkeypatch):
+        """The arc is one runtime session: the scheduler counts it, every
+        delta a segment's engine stats count was a dispatched event, and
+        the engine's swaps land in the runtime trace."""
+        from repro.lifecycle import runner
+        from repro.obs import MetricsRegistry
+        from repro.runtime import SessionRuntime
+
+        runtimes = []
+
+        class RecordingRuntime(SessionRuntime):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runtimes.append(self)
+
+        monkeypatch.setattr(runner, "SessionRuntime", RecordingRuntime)
+        metrics = MetricsRegistry()
+        report = run_lifecycle(segments=6, seed=24, store=chase_store, metrics=metrics)
+        assert report.model_swaps == 3
+        assert metrics.counter("runtime.sessions_completed").value == 1
+        [runtime] = runtimes
+        [session] = runtime.sessions
+        marks = [stats for _, stats, _ in session.source.marks]
+        assert len(marks) == len(report.segments) + 1
+        deltas = sum(end.since(start).deltas_seen for start, end in zip(marks, marks[1:]))
+        assert metrics.counter("runtime.events_dispatched").value == deltas > 0
+        assert runtime.trace.counters[("engine", "model_swap")] == report.model_swaps
 
 
 class TestAttackLevelCalibration:

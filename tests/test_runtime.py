@@ -563,6 +563,13 @@ class TestSessionGraph:
 
         assert self.cyclic_garbage(run) == []
 
+    def test_the_lifecycle_session_leaves_no_cyclic_garbage(self, chase_store):
+        """The lifecycle's source calls back into its session at segment
+        boundaries; the run drops that reference once it is done."""
+        from repro.lifecycle import run_lifecycle
+
+        assert self.cyclic_garbage(lambda: run_lifecycle(segments=2, store=chase_store)) == []
+
 
 class TestPipelineOnRuntime:
     def test_run_on_trace_records_decisions(self, chase_store, config):

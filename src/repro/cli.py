@@ -711,7 +711,8 @@ def _cmd_lifecycle(args) -> int:
     if registry is not None:
         manifest = registry.manifest(
             command="lifecycle",
-            sessions=args.segments,
+            sessions=1,
+            segments=args.segments,
             lifecycle=report.as_dict(),
         )
         manifest.write(args.metrics_out)

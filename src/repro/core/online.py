@@ -34,14 +34,15 @@ arrays.  Its unit of work is the rest of one such batch:
 and, when the batch is not the one it holds or ``lo`` is not the next
 row, primes itself with the batch's rows from ``lo`` on.  Every decision
 above runs per delta, in order, but the nearest-centroid lookups are
-scored in one pass per stage over the batch's rows.  The batch keeps
-each lookup kind's results in row-indexed arrays, so a step reads its
-lookups, the scans that choose a pass's rows are masks, and
-a composite pass picks all its rows at once per field-length
-restriction.  Each pass is timed with a monotonic clock and divided by
-the lookups it scored; every lookup a step consumes records that share,
-and the shares reach the Fig 25 latency histograms (the paper's >95 %
-under 0.1 ms) in one call per batch, once its last row has stepped.
+scored up front, in one pass per stage over the batch's rows: plain
+rows, then half-scaled and split-merged rows, then composite rows, each
+stage's rows chosen by masks over the earlier stages' results so that
+they cover every lookup a step may ask for.  The results fill a
+``(kind, row)`` table of arrays, so a step's lookup is a table read.
+Each pass is timed with a monotonic clock and divided by the lookups it
+scored; every lookup a step consumes records that share, and the shares
+reach the Fig 25 latency histograms (the paper's >95 % under 0.1 ms) in
+one call per batch, once its last row has stepped.
 
 Unexplained deltas stay cheap.  The passes leave unscored the full
 rows no centroid can explain (``classify_batch(bounded=True)``); the
@@ -60,7 +61,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -278,10 +279,10 @@ class OnlineEngine:
         previous delta, app-switch burst state — carries over untouched;
         only the classifier view changes.  An active ambient-deflation
         direction is re-applied to the new model, and the app-switch
-        burst threshold is re-derived from the new centroids.  The held
-        batch notices the swap through the ``_active_model`` identity
-        check and re-scores its remaining rows against the new model, so
-        no delta is ever classified twice or skipped.
+        burst threshold is re-derived from the new centroids.  The next
+        step notices the swap through the ``_active_model`` identity
+        check and primes the held batch's rows from its own on against
+        the new model, so no delta is ever classified twice or skipped.
         """
         self.model = model
         self._active_model = (
@@ -322,16 +323,16 @@ class OnlineEngine:
         window, the correction tracker) lives on the engine.  When
         ``deltas`` is not the batch the engine holds, or ``lo`` is not
         its next row, the engine primes itself with the batch's rows from
-        ``lo`` on, scoring their plain lookups in one pass; later steps
-        score the other lookups on first demand.  The latency histograms
-        are current once the batch's last row has stepped.
+        ``lo`` on (:meth:`_prime`).  The latency histograms are current
+        once the batch's last row has stepped.
         """
         batch = self._batch
         if batch is None or batch.deltas is not deltas or lo - batch.base != batch.pos:
             if self._result is None:
                 self.begin()
             self._flush_latency()
-            batch = self._batch = _Batch(self._active_model, deltas, lo, self._prev)
+            batch = self._batch = _Batch(deltas, lo, self._prev)
+            self._prime(batch, 1)
         end = hi - batch.base
         for i in range(batch.pos, end):
             batch.pos = i + 1
@@ -367,6 +368,10 @@ class OnlineEngine:
         # centroids alike, cleaning the whole pipeline at once.
         if self.recover_collisions:
             self._refresh_deflation(t=t)
+        if batch.model is not self._active_model:
+            # ambient deflation or a model swap since the batch was
+            # primed: the rows from this one on are primed again
+            self._prime(batch, i)
 
         classification = self._lookup(batch, PLAIN, i)
         # the held delta, if any, is the batch's last live row before i
@@ -397,14 +402,14 @@ class OnlineEngine:
         event_t = t
         if prev is not None and not prev_consumed and self._mergeable(batch, prev, i):
             merged_cls = self._lookup(batch, MERGED, i)
-        if merged_cls is not None and merged_cls.label is not None and (
-            classification.label is None
-            or merged_cls.distance < classification.distance
-        ):
-            classification = merged_cls
-            event_t = batch.times[prev]
-            result.stats.splits_recovered += 1
-            self._emit(t, "split_merge", merged_from=event_t)
+            if merged_cls.label is not None and (
+                classification.label is None
+                or merged_cls.distance < classification.distance
+            ):
+                classification = merged_cls
+                event_t = batch.times[prev]
+                result.stats.splits_recovered += 1
+                self._emit(t, "split_merge", merged_from=event_t)
 
         if classification.label is None and self.recover_collisions and not masked:
             # collision heuristics (halving, composite subtraction) need
@@ -504,86 +509,57 @@ class OnlineEngine:
         )
 
     # ------------------------------------------------------------------
-    # demand-driven batch scoring
+    # batch scoring
 
-    def _lookup(self, batch: "_Batch", kind: int, row: int) -> Classification:
-        """One lookup a step consumes, read from the batch's pass for its
-        stage (run now if no pass covered it yet).  The step records its
-        pass's wall time per scored lookup (Fig 25)."""
-        if batch.model is not self._active_model:
-            # ambient deflation or a model swap since the batch was
-            # scored: every row from this one on is re-scored
-            batch.rescore(self._active_model, row)
-        entry = batch.lookups[kind][row]
-        if entry is None:
-            self._score_stage(batch, kind, row)
-            entry = batch.lookups[kind][row]
-        value, per_lookup_s = entry
-        self._latencies.append(per_lookup_s)
-        if kind < COMPOSITE:
-            return value
-        scores, index = value
-        return scores.picks(self._lengths)[index]
-
-    def _score_stage(self, batch: "_Batch", kind: int, row: int) -> None:
-        """Score ``kind`` for ``row``, together with every later row's
-        not yet scored lookups of the same stage that the rows' earlier
-        results say a step may ask for."""
-        stage = _STAGE[kind]
-        masks = {}
-        if stage != "A":
-            masks = (self._stage_b if stage == "B" else self._stage_c)(batch, row)
-        if kind not in masks:
-            masks[kind] = np.zeros(batch.size - row, dtype=bool)
-        masks[kind][0] = True
-        batch.score(
-            [(k, r) for k, mask in masks.items() for r in (np.flatnonzero(mask) + row).tolist()],
-            bounded=True,
-        )
-
-    def _stage_b(self, batch: "_Batch", row: int) -> Dict[int, np.ndarray]:
-        """Half-scaled rows the plain pass left unexplained, and the
-        split-merged rows whose predecessor did not classify as a key,
-        as masks over the rows from ``row`` on."""
+    def _prime(self, batch: "_Batch", row: int) -> None:
+        """Score every lookup a step may ask for among the batch's rows
+        from ``row`` on, against the active model: stage A, then B, then
+        C, one pass each, each stage's rows chosen by masks over the
+        earlier stages' results.  A lookup is a function of its row, the
+        row's predecessor and the model, so scoring more lookups than the
+        steps consume changes no result."""
+        batch.model = self._active_model
+        # what an earlier model scored must raise if the masks miss it
+        batch.values[:, row:] = None
         tail = slice(row, None)
-        pred = batch.pred[tail]
+        live, pred = batch.live[tail], batch.pred[tail]
+        want = np.zeros((len(_KINDS), len(live)), dtype=bool)
+        want[PLAIN] = live
+        batch.score(want, row)
+        # B: every row that may be the tail of a split whose head is its
+        # predecessor (the last three terms are _mergeable), and every
+        # unexplained row the halving heuristic may read as a doubled press
         span = batch.t[tail] - batch.t[pred]
-        # the last three terms are _mergeable of each row and its pred
-        merged = (
-            batch.live[tail]
-            & ~batch.scored[MERGED, tail]
-            & ~batch.is_key[PLAIN, pred]
+        want[PLAIN] = False
+        want[MERGED] = (
+            live
             & (0.0 <= span)
             & (span <= self.interval_s * SPLIT_MERGE_FACTOR)
             & (batch.prev_t[pred] <= batch.prev_t[tail])
         )
-        merged[0] = False  # the step itself asks for its own row's
-        masks = {MERGED: merged}
         if self.recover_collisions:
-            masks[HALF] = (
-                batch.unexplained[PLAIN, tail] & ~batch.masked[tail] & ~batch.scored[HALF, tail]
-            )
-        return masks
-
-    def _stage_c(self, batch: "_Batch", row: int) -> Dict[int, np.ndarray]:
-        """Composite rows still unexplained after the secondary pass, and
-        their split-merged twins, as masks over the rows from ``row`` on."""
-        tail = slice(row, None)
-        merged = batch.scored[MERGED, tail]
-        unexplained = (
-            batch.scored[HALF, tail]
-            & ~batch.is_key[HALF, tail]
-            & ~(merged & ~batch.unexplained[MERGED, tail])
+            want[HALF] = batch.unexplained[PLAIN, tail] & ~batch.masked[tail]
+        batch.score(want, row)
+        # C: every half-scaled lookup that is no key falls to the composite
+        # search, and to the split-merged one where the merge is unexplained
+        want[COMPOSITE] = want[HALF] & ~batch.is_key[HALF, tail]
+        want[MERGED_COMPOSITE] = (
+            want[COMPOSITE]
+            & want[MERGED]
+            & batch.unexplained[MERGED, tail]
+            & ~batch.masked[pred]
         )
-        return {
-            COMPOSITE: unexplained & ~batch.scored[COMPOSITE, tail],
-            MERGED_COMPOSITE: (
-                unexplained
-                & merged
-                & ~batch.masked[batch.pred[tail]]
-                & ~batch.scored[MERGED_COMPOSITE, tail]
-            ),
-        }
+        want[MERGED] = want[HALF] = False
+        batch.score(want, row)
+
+    def _lookup(self, batch: "_Batch", kind: int, row: int) -> Classification:
+        """One lookup a step consumes, read from the batch's table.  The
+        step records its pass's wall time per scored lookup (Fig 25)."""
+        self._latencies.append(batch.seconds.item(kind, row))
+        value = batch.values[kind, row]
+        if kind < COMPOSITE:
+            return value
+        return value.picks(self._lengths)[batch.pick.item(kind, row)]
 
     # ------------------------------------------------------------------
 
@@ -791,11 +767,9 @@ class OnlineEngine:
                 target.deleted = True
 
 
-#: Lookup kinds a step can consume, by scoring stage: A scores every row
-#: when the batch is primed; B (half-scaled, split-merged) and C
-#: (composite, split-merged composite) score on first demand.
-PLAIN, MERGED, HALF, COMPOSITE, MERGED_COMPOSITE = range(5)
-_STAGE = ("A", "B", "B", "C", "C")
+#: Lookup kinds a step can consume, by scoring stage: A (plain), B
+#: (split-merged, half-scaled) and C (composite, split-merged composite).
+_KINDS = PLAIN, MERGED, HALF, COMPOSITE, MERGED_COMPOSITE = range(5)
 
 
 class _CompositePass:
@@ -826,7 +800,7 @@ class _CompositePass:
 
 class _Batch:
     """The rest of one :class:`DeltaBatch` the engine primed itself with:
-    its feature rows, and every lookup scored for them so far.
+    its feature rows, and the lookups scored for them.
 
     Row 0 is the delta the engine held when the batch was primed (a zero
     row if none), rows 1.. are the batch's deltas from its row
@@ -835,19 +809,16 @@ class _Batch:
     2**53, so a split-merged row is the float sum of the two rows.  The
     per-step fields are lists, read once per step.
 
-    ``lookups[kind][row]`` is ``(value, seconds)`` once scored, else
-    ``None``: the value is a :class:`Classification`, or for the composite
-    kinds the pass and the row's index in it; the seconds are the pass's
-    wall time per lookup.  ``scored``, ``is_key`` and ``unexplained``
-    (label ``None``) are ``(kind, row)`` flags the stage scans mask on.
+    The lookups form a ``(kind, row)`` table of arrays, filled against
+    ``model``: ``values`` holds a :class:`Classification`, or for the
+    composite kinds the pass, in which ``pick`` is the row's index;
+    ``seconds`` is the pass's wall time per lookup; ``is_key`` and
+    ``unexplained`` (label ``None``) are what the stage masks read.  An
+    entry no pass scored holds ``None``.
     """
 
     def __init__(
-        self,
-        model: ClassificationModel,
-        deltas: DeltaBatch,
-        start: int,
-        prev: Optional[Tuple["_Batch", int]],
+        self, deltas: DeltaBatch, start: int, prev: Optional[Tuple["_Batch", int]]
     ) -> None:
         self.deltas = deltas
         self.base = start - 1
@@ -878,56 +849,47 @@ class _Batch:
         self.gap = [False, *deltas.gap[start:].tolist()]
         self.totals = [0, *deltas.rows[start:].sum(axis=1).tolist()]
         self.missing = self.unknown.sum(axis=1).tolist()
-        self.rescore(model, 1)
+        self.model: Optional[ClassificationModel] = None
+        shape = (len(_KINDS), n)
+        self.values = np.full(shape, None, dtype=object)
+        self.pick = np.zeros(shape, dtype=np.intp)
+        self.seconds = np.zeros(shape)
+        self.is_key, self.unexplained = np.zeros((2, *shape), dtype=bool)
 
-    def rescore(self, model: ClassificationModel, row: int) -> None:
-        """Drop every lookup and score the plain lookups of the rows from
-        ``row`` on against ``model`` (stage A)."""
-        self.model = model
-        n = self.size
-        self.lookups: List[List[Optional[Tuple[object, float]]]] = [[None] * n for _ in _STAGE]
-        self.scored, self.is_key, self.unexplained = np.zeros((3, len(_STAGE), n), dtype=bool)
-        self.score(
-            [(PLAIN, r) for r in (np.flatnonzero(self.live[row:]) + row).tolist()], bounded=True
-        )
-
-    def score(self, wanted: List[Tuple[int, int]], bounded: bool = False) -> None:
-        """One pass over ``wanted`` ``(kind, row)`` lookups of one stage;
-        each records the pass's wall time per lookup.  ``bounded`` passes
-        the flag on to :meth:`ClassificationModel.classify_batch`: the
-        engine's passes leave the rows no centroid can explain unscored,
+    def score(self, want: np.ndarray, row: int) -> None:
+        """One pass over the lookups of one stage that the ``(kind, row)``
+        mask ``want`` marks over the rows from ``row`` on; each records
+        the pass's wall time per lookup.  The pass leaves the rows no
+        centroid can explain unscored (``classify_batch(bounded=True)``),
         since a step reads no distance of an unexplained lookup."""
-        if not wanted:
+        kinds, rows = want.nonzero()
+        if not len(rows):
             return
         t0 = time.perf_counter()
-        kinds = [kind for kind, _ in wanted]
-        rows = [row for _, row in wanted]
+        rows += row
         matrix = self.rows[rows]
-        merged = [k for k, kind in enumerate(kinds) if kind == MERGED or kind == MERGED_COMPOSITE]
-        if merged:
-            preds = self.pred[[rows[k] for k in merged]]
+        merged = (kinds == MERGED) | (kinds == MERGED_COMPOSITE)
+        if merged.any():
+            preds = self.pred[rows[merged]]
             matrix[merged] += self.rows[preds]
-        half = [k for k, kind in enumerate(kinds) if kind == HALF]
-        if half:
+        half = kinds == HALF
+        if half.any():
             # each count halved and truncated toward zero
             matrix[half] = np.trunc(matrix[half] * 0.5)
-        composite = _STAGE[kinds[0]] == "C"
+        composite = kinds[0] >= COMPOSITE
         if composite:
-            scores = _CompositePass(self.model, matrix)
-            values: Sequence[object] = [(scores, k) for k in range(len(wanted))]
+            values = _CompositePass(self.model, matrix)
         else:
             present = None
             if self.present is not None:
                 present = self.present[rows]
-                if merged:
+                if merged.any():
                     present[merged] &= self.present[preds]
-            values = self.model.classify_batch(matrix, present, bounded=bounded)
-        per_lookup_s = (time.perf_counter() - t0) / len(wanted)
-        lookups = self.lookups
-        for kind, row, value in zip(kinds, rows, values):
-            lookups[kind][row] = (value, per_lookup_s)
-        index = (np.array(kinds), np.array(rows))
-        self.scored[index] = True
-        if not composite:
-            self.is_key[index] = [value.is_key for value in values]
-            self.unexplained[index] = [value.label is None for value in values]
+            values = self.model.classify_batch(matrix, present, bounded=True)
+        self.seconds[kinds, rows] = (time.perf_counter() - t0) / len(rows)
+        self.values[kinds, rows] = values
+        if composite:
+            self.pick[kinds, rows] = np.arange(len(rows))
+        else:
+            self.is_key[kinds, rows] = [value.is_key for value in values]
+            self.unexplained[kinds, rows] = [value.label is None for value in values]

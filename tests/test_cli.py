@@ -83,3 +83,20 @@ class TestReport:
 
         with _pytest.raises(ValueError):
             generate_report(tmp_path / "x", scale=0)
+
+
+class TestLifecycle:
+    def test_manifest_counts_one_session_of_its_segments(self, tmp_path, capsys):
+        """The arc is one runtime session streaming ``--segments``
+        credential entries: the manifest's meta says both, and its
+        session count agrees with the runtime's own counter."""
+        import json
+
+        path = tmp_path / "lifecycle.json"
+        code = main(["lifecycle", "--segments", "2", "--metrics-out", str(path)])
+        assert code in (0, 1)
+        assert "recovery ratio" in capsys.readouterr().out
+        manifest = json.loads(path.read_text())
+        counters = manifest["metrics"]["counters"]
+        assert manifest["meta"]["sessions"] == counters["runtime.sessions_completed"] == 1
+        assert manifest["meta"]["segments"] == 2

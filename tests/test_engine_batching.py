@@ -1,9 +1,11 @@
 """The batch is the engine's unit of work: batching must never change a
 decision.
 
-``OnlineEngine.feed`` scores a batch's lookups in demand-driven passes
-(plain rows first, then half-scaled and split-merged rows, then the
-composite grid), while every Algorithm-1 decision still runs per delta.
+``OnlineEngine.feed`` scores a batch's lookups up front, in one pass
+per stage (plain rows first, then half-scaled and split-merged rows,
+then the composite grid), while every Algorithm-1 decision still runs
+per delta.  The stage masks must cover every lookup a step asks for:
+one they miss is not scored at all.
 These properties pin that any chunking of a stream infers exactly what
 feeding it one delta at a time infers — keys with their distances,
 engine stats and every emitted trace event — also when a step changes
@@ -18,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import features
@@ -187,6 +189,9 @@ def assert_same(got, want):
     recover=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
+# a composite lookup of a row whose split-merged lookup is explained but
+# was not asked for, since its predecessor was consumed
+@example(seed=1249, chunks=[1], ambient=0, mask_p=0.0, gap_p=0.0, swap_at=None, recover=True)
 def test_any_chunking_infers_what_one_delta_at_a_time_infers(
     seed, chunks, ambient, mask_p, gap_p, swap_at, recover
 ):
@@ -229,6 +234,25 @@ def test_a_skipped_row_reprimes_from_the_fed_one():
     assert_same((result, events), run([deltas[row] for row in fed]))
 
 
+def test_a_key_merged_into_a_reject_leaves_its_successor_a_merge():
+    """A row whose plain lookup is a key can still be left unconsumed:
+    its split merge with the previous row reads as a closer reject.  The
+    next row then asks for its own split-merged lookup, so stage B must
+    score merges behind plain keys too."""
+    dismiss, key_a, key_b = CENTROIDS[7], CENTROIDS[0], CENTROIDS[1]
+    tail = key_a + vec(d0=8)  # key:a at distance 0.8
+    head = dismiss - tail  # the merge is exactly reject:dismiss:a
+    deltas = [
+        PcDelta(t=1.0 + 0.008 * k, prev_t=0.992 + 0.008 * k, values=_values(v))
+        for k, v in enumerate([head, tail, key_b])
+    ]
+    want = run(deltas)
+    events = want[1]
+    assert ("split_merge", "noise") == (events[1][2], events[2][2])
+    assert events[2][3] == {"label": "reject:dismiss:a"}
+    assert_same(run(deltas, chunks=[64]), want)
+
+
 def test_batch_rows_score_what_pcdelta_merge_and_scaled_score():
     """A batch builds split-merged rows as ``V[j] + V[pred]`` and
     half-scaled rows by truncating ``V[j] / 2``; they must classify
@@ -239,21 +263,28 @@ def test_batch_rows_score_what_pcdelta_merge_and_scaled_score():
     model = toy_model()
     deltas = make_stream(9, 40, ambient=0, mask_p=0.2, gap_p=0.0)
     deltas.append(PcDelta(t=9.0, prev_t=8.992, values={COUNTER_ORDER[0]: -3, COUNTER_ORDER[1]: 7}))
-    batch = _Batch(model, delta_batch(deltas), 0, None)
+    batch = _Batch(delta_batch(deltas), 0, None)
+    batch.model = model
     # batch row r holds deltas[r - 1]; row 0 is the zero delta of a
     # batch primed while the engine held none
     held = [PcDelta(t=0.0, prev_t=0.0, values={}), *deltas]
-    rows = [r for r in range(2, batch.size) if batch.live[r]]
-    batch.score([(MERGED, r) for r in rows])
-    batch.score([(HALF, r) for r in rows if not batch.masked[r]])
-    for r in rows:
-        delta, prev = held[r], held[batch.pred[r]]
-        merged = merge(delta, prev)
-        want = model.classify_batch(vectorize(merged)[None, :], present_mask(merged)[None, :])[0]
-        assert batch.lookups[MERGED][r][0] == want
-        if not batch.masked[r]:
-            half = model.classify(vectorize(scaled(delta, 0.5)))
-            assert batch.lookups[HALF][r][0] == half
+    merged_rows = [r for r in range(2, batch.size) if batch.live[r]]
+    half_rows = [r for r in merged_rows if not batch.masked[r]]
+    want = np.zeros((5, batch.size), dtype=bool)
+    want[MERGED, merged_rows] = want[HALF, half_rows] = True
+    batch.score(want, 0)
+    # the same pass over the oracle deltas, in the table's (kind, row) order
+    oracle = [merge(held[r], held[batch.pred[r]]) for r in merged_rows]
+    oracle += [scaled(held[r], 0.5) for r in half_rows]
+    expected = model.classify_batch(
+        np.vstack([vectorize(delta) for delta in oracle]),
+        np.vstack([present_mask(delta) for delta in oracle]),
+        bounded=True,
+    )
+    got = [batch.values[MERGED, r] for r in merged_rows]
+    got += [batch.values[HALF, r] for r in half_rows]
+    assert got == expected
+    assert any(value.label is not None for value in got)
 
 
 # ---------------------------------------------------------------------------

@@ -423,21 +423,23 @@ class TestCalibrationService:
 
 
 class _SwapOnFirstBatch:
-    """Model proxy that hot-swaps the engine on its first batch call —
-    simulating a recalibration landing while the engine is mid-batch."""
+    """Model proxy that records the engine's deltas seen at each of its
+    batch calls and, given a ``replacement``, hot-swaps the engine on the
+    first — simulating a recalibration landing while the engine is
+    mid-batch."""
 
-    def __init__(self, inner, replacement):
+    def __init__(self, inner, replacement=None):
         self._inner = inner
         self._replacement = replacement
         self.engine = None
-        self.batch_calls = 0
+        self.passes = []
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
     def classify_batch(self, matrix, masks, **options):
-        self.batch_calls += 1
-        if self.batch_calls == 1 and self.engine is not None:
+        self.passes.append(self.engine.result.stats.deltas_seen)
+        if self._replacement is not None and len(self.passes) == 1:
             self.engine.swap_model(self._replacement)
         return self._inner.classify_batch(matrix, masks, **options)
 
@@ -476,11 +478,12 @@ class TestSwapModel:
         """A swap landing inside a batch re-scores the tail against the
         new model: every delta classified exactly once."""
         deltas, _ = _drifted_deltas(config, "pw123456", 3, None)
-        proxy = _SwapOnFirstBatch(chase_model, chase_model)
+        replacement = _SwapOnFirstBatch(chase_model)
+        proxy = _SwapOnFirstBatch(chase_model, replacement)
         engine = OnlineEngine(
             proxy, track_corrections=False, recover_collisions=False
         )
-        proxy.engine = engine
+        proxy.engine = replacement.engine = engine
         feed_deltas(engine, deltas)
         result = engine.finish()
         assert engine.model_swaps == 1
@@ -488,9 +491,11 @@ class TestSwapModel:
         # so the inference matches the no-swap run exactly
         assert result.text == "pw123456"
         assert result.stats.deltas_seen == len([d for d in deltas if d])
-        # first batch bailed after one consumed delta; the replacement
-        # covered the tail — the proxy itself was only asked once
-        assert proxy.batch_calls == 1
+        # the swap landed in the priming passes: no pass ran on the
+        # replaced model once a delta had stepped, and the first step
+        # primed the tail again on the replacement
+        assert proxy.passes and not any(proxy.passes)
+        assert replacement.passes[0] == 1
 
     def test_swap_reapplies_deflation(self, chase_model):
         engine = OnlineEngine(chase_model, recover_collisions=True)

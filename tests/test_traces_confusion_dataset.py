@@ -8,7 +8,7 @@ from repro.analysis.traces import TraceSummary, annotate, render_trace
 from repro.android.apps import app
 from repro.android.device import VictimDevice
 from repro.android.events import KeyPress
-from repro.core.online import PLAIN, _Batch
+from repro.core.online import PLAIN, OnlineEngine, _Batch
 from repro.faults import FaultPlan
 from repro.kgsl.interpose import build_chain, open_sampler
 from repro.runtime import SamplerDeltaSource
@@ -76,10 +76,13 @@ class TestAnnotate:
         rows = [(batch, row) for batch, lo, hi in payloads for row in range(lo, hi)]
         masked = [k for k, (batch, row) in enumerate(rows) if batch.unknown[row].any()]
         assert masked, "the reclaims must mask some deltas"
+        engine = OnlineEngine(chase_model)
         read_as_zero = 0
         for k in masked:
             batch, row = rows[k]
-            lookup, _ = _Batch(chase_model, batch, row, None).lookups[PLAIN][1]
+            primed = _Batch(batch, row, None)
+            engine._prime(primed, 1)
+            lookup = primed.values[PLAIN, 1]
             assert (annotated[k].classified, annotated[k].distance) == (
                 lookup.label,
                 lookup.distance,
